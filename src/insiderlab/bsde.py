@@ -35,7 +35,7 @@ import numpy as np
 
 from .model import InsiderKind, InsiderSpec, MarketParams, ValidationError, iota, sigma_tilde
 from .paths import PathBatch, partial_signals
-from .simulate import mean_se
+from .simulate import mean_se, ordered_mean
 from .strategies import StrategyKind, StrategyProfile, pi_small_insider_robust, pi_no_insider_robust
 
 __all__ = [
@@ -251,52 +251,81 @@ def solve_linear_closed_form(
 # -- least-squares regression machinery ------------------------------------------
 
 
-def _poly_basis(states: list[np.ndarray], order: int) -> np.ndarray:
-    """All monomials of total degree <= order in the given state columns."""
-    n = states[0].shape[0]
-    cols = [np.ones(n)]
-    if len(states) == 1:
-        for k in range(1, order + 1):
-            cols.append(states[0] ** k)
-    elif len(states) == 2:
-        x, y = states
-        for total in range(1, order + 1):
-            for a in range(total + 1):
-                cols.append(x ** (total - a) * y**a)
-    else:
-        raise ValueError("only 1- or 2-dimensional states are supported")
-    return np.column_stack(cols)
+def _monomials(rows: np.ndarray, x: np.ndarray, y: np.ndarray | None, order: int) -> None:
+    """Fill rows with all monomials of total degree <= order in x (and y),
+    each degree from the previous one: 1, x, x^2, ... or 1, x, y, x^2, xy, ..."""
+    rows[0] = 1.0
+    start, size = 0, 1  # the previous degree's rows
+    for _ in range(order):
+        nxt = start + size
+        np.multiply(rows[start:nxt], x, out=rows[nxt : nxt + size])
+        if y is not None:
+            np.multiply(rows[nxt - 1], y, out=rows[nxt + size])
+            size += 1
+        start = nxt
 
 
-def _regress(basis: np.ndarray, target: np.ndarray, t: float) -> np.ndarray:
-    """Fitted values of an OLS regression; degenerate (constant-zero) columns
-    are dropped, genuine collinearity raises RegressionError."""
-    scale = np.abs(basis).max(axis=0)
+def _factor(design: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scale the (k, n_paths) design's rows in place to unit max-abs; return
+    (scale, G^-1) for the Gram matrix G of the nonzero rows, via Cholesky and
+    0 on zero rows.  Fitted values of y are  G^-1 (design @ y) @ design.
+    Cholesky completes when 20 k^(3/2) eps cond(G) < 1 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10): the rank counts the Gram
+    eigenvalues above that fraction of the largest."""
+    scale = np.maximum(design.max(axis=1), -design.min(axis=1))
     keep = scale > 1e-12
     keep[0] = True
-    design = basis[:, keep] / scale[keep]
-    coef, _, rank, sv = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1]:
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-        raise RegressionError(t=t, rank=int(rank), n_columns=design.shape[1], cond=cond)
-    return design @ coef
+    scale = np.where(keep, scale, 1.0)
+    design /= scale[:, None]
+    gram = (design @ design.T)[np.ix_(keep, keep)]
+    eig = np.linalg.eigvalsh(gram)
+    k = len(eig)
+    rank = int(np.count_nonzero(eig > 20.0 * k**1.5 * np.finfo(float).eps * eig[-1]))
+    if rank < k:
+        cond = math.sqrt(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
+        raise RegressionError(t=t, rank=rank, n_columns=k, cond=cond)
+    inv_chol = np.linalg.inv(np.linalg.cholesky(gram))
+    inv_gram = np.zeros((len(keep), len(keep)))
+    inv_gram[np.ix_(keep, keep)] = inv_chol.T @ inv_chol
+    return scale, inv_gram
 
 
-def _regression_states(batch: PathBatch, insider: InsiderSpec):
-    """Markov state: per-knot noise level, plus the signal when present."""
+def _backward_sweep(batch, insider, terminal, driver, basis_order, factors):
+    """One explicit backward Euler pass with regression (Gobet, Lemor & Warin):
+
+        Z_i = E[(L_{i+1} - E[L_{i+1}|s_i]) dWH_i | s_i] / dt_i,
+        L_i = E[L_{i+1}|s_i] + driver(i, Z_i) dt_i,     L_m = terminal,
+
+    on the state s_i (noise level at knot i, plus the signal if any).  The
+    design does not depend on the terminal, so `factors[i]` (None until the
+    first pass) keeps step i's factor across passes.
+    """
+    grid = batch.grid
+    m = grid.index_T
     if insider.kind is InsiderKind.NO_INSIDER:
-        m = batch.grid.index_T
-        W = np.zeros((batch.n_paths, m + 1))
-        np.cumsum(batch.dW[:, :m], axis=1, out=W[:, 1:])
-        return W, None
-    return partial_signals(batch.grid, batch.dW, insider), batch.Y0
+        level, signal = np.zeros((batch.n_paths, m + 1)), None
+        np.cumsum(batch.dW[:, :m], axis=1, out=level[:, 1:])
+        n_rows = basis_order + 1
+    else:
+        level, signal = partial_signals(grid, batch.dW, insider), batch.Y0
+        n_rows = (basis_order + 1) * (basis_order + 2) // 2
+    design = np.empty((n_rows, batch.n_paths))
 
-
-def _state_picker(batch: PathBatch, insider: InsiderSpec):
-    level, signal = _regression_states(batch, insider)
-    if signal is None:
-        return lambda i: [level[:, i]]
-    return lambda i: [level[:, i], signal]
+    L = np.empty((m + 1, batch.n_paths))  # knot-major: one contiguous row per step
+    Z = np.empty((m, batch.n_paths))
+    L[m] = l_next = terminal
+    for i in range(m - 1, -1, -1):
+        _monomials(design, np.ascontiguousarray(level[:, i]), signal, basis_order)
+        if factors[i] is None:
+            factors[i] = _factor(design, grid.knots[i])
+        else:
+            design /= factors[i][0][:, None]
+        inv_gram = factors[i][1]
+        l_hat = inv_gram @ (design @ l_next) @ design
+        z = inv_gram @ (design @ ((l_next - l_hat) * batch.dWH[:, i])) @ design / grid.dt[i]
+        L[i] = l_next = l_hat + driver(i, z) * grid.dt[i]
+        Z[i] = z
+    return L.T, Z.T
 
 
 def solve_linear_lsmc(
@@ -317,62 +346,50 @@ def solve_linear_lsmc(
         dL_t = (r_t + phitilde_t zeta_t - zeta_t^2 / 2) dt + zeta_t dWH_t,
         zeta = z / X,
 
-    stay inside the polynomial family step by step.  The scheme is
-
-        zeta_i = E[(L_{i+1} - E[L_{i+1}|s_i]) dWH_i | s_i] / dt_i,
-        L_i    = E[L_{i+1}|s_i] - (r_i + phitilde_i zeta_i - zeta_i^2/2) dt_i,
-
-    and (Y, Z) = (exp L, zeta exp L) is returned.  The terminal uses the
+    stay inside the polynomial family step by step.  The backward sweep runs
+    on (L, zeta) with driver -(r + phitilde zeta - zeta^2/2), and
+    (Y, Z) = (exp L, zeta exp L) is returned.  The terminal uses the
     pathwise Pi(0,T); the conditional normaliser is a Monte-Carlo scalar
     without a signal and the Gaussian closed form under enlargement.
     """
-    grid = batch.grid
-    m = grid.index_T
-    dt = grid.dt[:m]
-    t_left = grid.knots[:m]
-    r = market.r(t_left)
-    phit = np.broadcast_to(_phitilde(batch, market), (batch.n_paths, m))
-    dWH = np.broadcast_to(batch.dWH, (batch.n_paths, m))
-
-    pist = pi_star_functional(batch, market)
-    log_pi_T = pist.exponent[:, m]
+    m = batch.grid.index_T
+    log_pi_T = pi_star_functional(batch, market).exponent[:, m]
     if insider.kind is InsiderKind.NO_INSIDER:
         normalizer = mean_se(np.exp(0.5 * log_pi_T))[0]
         log_norm = math.log(normalizer)
     else:
         normalizer = enlargement_normalizer(market, insider, batch.Y0)
         log_norm = np.log(normalizer)
-    state_of = _state_picker(batch, insider)
+    terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
+    r = market.r(batch.grid.knots[:m])
+    phit = _phitilde(batch, market)
 
-    L = np.empty((batch.n_paths, m + 1))
-    zeta = np.empty((batch.n_paths, m))
-    L[:, m] = math.log(market.X0) - log_norm - 0.5 * log_pi_T
-    for i in range(m - 1, -1, -1):
-        basis = _poly_basis(state_of(i), basis_order)
-        l_next = L[:, i + 1]
-        l_hat = _regress(basis, l_next, t_left[i])
-        zeta[:, i] = _regress(basis, (l_next - l_hat) * dWH[:, i], t_left[i]) / dt[i]
-        L[:, i] = l_hat - (r[i] + phit[:, i] * zeta[:, i] - 0.5 * zeta[:, i] ** 2) * dt[i]
+    def driver(i, zeta):
+        return -(r[i] + phit[:, i] * zeta - 0.5 * zeta**2)
+
+    L, zeta = _backward_sweep(batch, insider, terminal, driver, basis_order, [None] * m)
     Y = np.exp(L)
     Z = zeta * Y[:, :m]
     residual = abs(mean_se(Y[:, 0])[0] - market.X0)
-    return BsdeSolution(grid=grid, Y=Y, Z=Z, c=normalizer, residual=residual)
+    return BsdeSolution(grid=batch.grid, Y=Y, Z=Z, c=normalizer, residual=residual)
 
 
 # -- quadratic equation -----------------------------------------------------------
 
 
-def _quadratic_driver(market: MarketParams, t_left: np.ndarray):
-    """f_Q(t, z) with the impact weight; the leading z^2 coefficient reduces
-    exactly to   sigma_tilde / (2 (sigma + sigma_tilde))."""
+def _quadratic_driver(batch: PathBatch, market: MarketParams):
+    """f_Q(t, z) with the impact weight; its z^2 coefficient 1/4 - k reduces
+    to sigma_tilde / (2 (sigma + sigma_tilde))."""
+    m = batch.grid.index_T
+    t_left = batch.grid.knots[:m]
     sig = market.sigma(t_left)
     st = sigma_tilde(market, t_left)
     r = market.r(t_left)
     k = (sig - st) / (4.0 * (sig + st))
-    lead = 0.25 - k
-    assert np.all(np.abs(lead - st / (2.0 * (sig + st))) < 1e-15)
+    phit = _phitilde(batch, market)
 
-    def f(i: int, z: np.ndarray, phit_i: np.ndarray) -> np.ndarray:
+    def f(i: int, z: np.ndarray) -> np.ndarray:
+        phit_i = np.ascontiguousarray(phit[:, i])
         return (
             0.25 * z**2
             - 0.5 * phit_i * z
@@ -382,29 +399,6 @@ def _quadratic_driver(market: MarketParams, t_left: np.ndarray):
         )
 
     return f
-
-
-def _sweep_quadratic(batch, market, insider, terminal, basis_order):
-    """One backward pass of the quadratic scheme from a terminal field."""
-    grid = batch.grid
-    m = grid.index_T
-    dt = grid.dt[:m]
-    t_left = grid.knots[:m]
-    phit = np.broadcast_to(_phitilde(batch, market), (batch.n_paths, m))
-    dWH = np.broadcast_to(batch.dWH, (batch.n_paths, m))
-    f_q = _quadratic_driver(market, t_left)
-    state_of = _state_picker(batch, insider)
-
-    L = np.empty((batch.n_paths, m + 1))
-    Z = np.empty((batch.n_paths, m))
-    L[:, m] = terminal
-    for i in range(m - 1, -1, -1):
-        basis = _poly_basis(state_of(i), basis_order)
-        l_next = L[:, i + 1]
-        l_hat = _regress(basis, l_next, t_left[i])
-        Z[:, i] = _regress(basis, (l_next - l_hat) * dWH[:, i], t_left[i]) / dt[i]
-        L[:, i] = l_hat + f_q(i, Z[:, i], phit[:, i]) * dt[i]
-    return L, Z
 
 
 def solve_quadratic_lsmc(
@@ -424,20 +418,28 @@ def solve_quadratic_lsmc(
     with unit slope, so this converges immediately up to regression noise).
     Under enlargement the terminal is a polynomial c2(Y0) of degree
     `c2_order`, updated by projecting the mismatch onto the same basis; the
-    residual reported is the root-mean-square projected mismatch.
+    residual reported is the root-mean-square projected mismatch.  Every
+    pass reuses the regression factors of the first.
     """
     ln_x0 = math.log(market.X0)
     trace: list[tuple] = []
+    driver = _quadratic_driver(batch, market)
+    factors: list[tuple | None] = [None] * batch.grid.index_T
+
+    def sweep(terminal):
+        return _backward_sweep(batch, insider, terminal, driver, basis_order, factors)
 
     if insider.kind is InsiderKind.NO_INSIDER:
         c2 = ln_x0 if c2_init is None else float(c2_init)
         prev: tuple[float, float] | None = None
         for iteration in range(max_iter):
-            L, Z = _sweep_quadratic(batch, market, insider, np.full(batch.n_paths, c2), basis_order)
+            L, Z = sweep(np.full(batch.n_paths, c2))
             l0 = mean_se(L[:, 0])[0]
             resid = l0 - ln_x0
             trace.append((iteration, c2, resid, l0))
-            if abs(resid) <= shoot_tol:
+            # c2 moves L_0 one for one: no finer mismatch than c2's float spacing
+            achieved = max(abs(resid), float(np.spacing(abs(c2))))
+            if achieved <= shoot_tol:
                 return BsdeSolution(
                     grid=batch.grid, Y=L, Z=Z, c=c2, residual=abs(resid), trace=tuple(trace)
                 )
@@ -447,28 +449,23 @@ def solve_quadratic_lsmc(
                 step = -resid * (c2 - prev[0]) / (resid - prev[1])
             prev = (c2, resid)
             c2 += step
-        raise ShootingError(residual=abs(trace[-1][2]), iterations=max_iter)
+        raise ShootingError(residual=achieved, iterations=max_iter)
 
     # enlargement: polynomial terminal in the signal
-    y = batch.Y0
-    y_basis = _poly_basis([y], c2_order)
-    scale = np.abs(y_basis).max(axis=0)
-    coef = np.zeros(y_basis.shape[1])
+    y_design = np.empty((c2_order + 1, batch.n_paths))
+    _monomials(y_design, batch.Y0, None, c2_order)
+    scale, inv_gram = _factor(y_design, 0.0)
+    coef = np.zeros(c2_order + 1)
     coef[0] = ln_x0 if c2_init is None else float(c2_init)
     for iteration in range(max_iter):
-        terminal = y_basis @ coef
-        L, Z = _sweep_quadratic(batch, market, insider, terminal, basis_order)
-        design = y_basis / scale
-        delta, _, rank, sv = np.linalg.lstsq(design, L[:, 0] - ln_x0, rcond=None)
-        if rank < design.shape[1]:
-            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-            raise RegressionError(t=0.0, rank=int(rank), n_columns=design.shape[1], cond=cond)
-        projected = design @ delta
-        resid = math.sqrt(float(np.mean(projected**2)))
-        trace.append((iteration, tuple(coef), resid, mean_se(L[:, 0])[0]))
+        L, Z = sweep((coef * scale) @ y_design)
+        delta = inv_gram @ (y_design @ (L[:, 0] - ln_x0))
+        resid = math.sqrt(float(np.mean((delta @ y_design) ** 2)))
+        c2 = tuple(coef.tolist())
+        trace.append((iteration, c2, resid, mean_se(L[:, 0])[0]))
         if resid <= shoot_tol:
             return BsdeSolution(
-                grid=batch.grid, Y=L, Z=Z, c=tuple(coef), residual=resid, trace=tuple(trace)
+                grid=batch.grid, Y=L, Z=Z, c=c2, residual=resid, trace=tuple(trace)
             )
         coef = coef - delta / scale
     raise ShootingError(residual=trace[-1][2], iterations=max_iter)
@@ -507,19 +504,20 @@ def value_from_bsde(sol: BsdeSolution) -> tuple[float, float]:
 
 
 def knot_table(sol: BsdeSolution, oracle: BsdeSolution | None = None) -> tuple[list[str], list[list]]:
-    """Per-knot summary rows (t, mean Y, mean Z, oracle Y, oracle Z, RMSE)."""
+    """Per-knot summary rows (t, mean Y, mean Z, oracle Y, oracle Z, RMSE),
+    one path column at a time, with means that do not depend on path order."""
     grid = sol.grid
     m = grid.index_T
     header = ["t", "mean_Y", "mean_Z", "oracle_Y", "oracle_Z", "rmse_Y"]
     rows = []
     for i in range(m + 1):
         t = float(grid.knots[i])
-        mean_y = mean_se(sol.Y[:, i])[0]
-        mean_z = mean_se(sol.Z[:, i])[0] if i < m else ""
+        mean_y = ordered_mean(sol.Y[:, i])
+        mean_z = ordered_mean(sol.Z[:, i]) if i < m else ""
         if oracle is not None:
-            o_y = mean_se(oracle.Y[:, i])[0]
-            o_z = mean_se(oracle.Z[:, i])[0] if i < m else ""
-            rmse = math.sqrt(float(np.mean((sol.Y[:, i] - oracle.Y[:, i]) ** 2)))
+            o_y = ordered_mean(oracle.Y[:, i])
+            o_z = ordered_mean(oracle.Z[:, i]) if i < m else ""
+            rmse = math.sqrt(ordered_mean((sol.Y[:, i] - oracle.Y[:, i]) ** 2))
         else:
             o_y, o_z, rmse = "", "", ""
         rows.append([t, mean_y, mean_z, o_y, o_z, rmse])

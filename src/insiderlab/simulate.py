@@ -3,8 +3,9 @@ Monte-Carlo diagnostics for the martingale and entropy identities.
 
 All stochastic integrals are left-point sums in the enlarged-filtration
 increments dWH, and the dt cross-terms use left-point integrands, matching
-left-continuous controls.  Cross-path reductions use compensated summation so
-results are order-insensitive.
+left-continuous controls.  Cross-path reductions sort the values and then
+sum them pairwise, so each result depends only on the multiset of values,
+not on the path order.
 """
 
 from __future__ import annotations
@@ -30,17 +31,23 @@ __all__ = [
     "entropy_identity_check",
     "martingale_diagnostic",
     "mean_se",
+    "ordered_mean",
 ]
+
+
+def ordered_mean(x: np.ndarray) -> float:
+    """Order-insensitive sample mean of a 1-d array."""
+    return float(np.sort(x).sum()) / len(x)
 
 
 def mean_se(x: np.ndarray) -> tuple[float, float]:
     """Order-insensitive sample mean and standard error of a 1-d array."""
-    x = np.asarray(x, dtype=float)
+    x = np.sort(np.asarray(x, dtype=float))
     n = len(x)
-    m = math.fsum(x) / n
+    m = float(x.sum()) / n
     if n < 2:
         return m, 0.0
-    var = math.fsum((x - m) ** 2) / (n - 1)
+    var = float(np.square(x - m).sum()) / (n - 1)
     return m, math.sqrt(var / n)
 
 
@@ -87,7 +94,8 @@ class EntropyCheck:
 
     @property
     def z(self) -> float:
-        return self.gap / self.gap_se if self.gap_se > 0 else 0.0
+        """gap / gap_se; nan when the SE is 0, which is no evidence either way."""
+        return self.gap / self.gap_se if self.gap_se > 0 else math.nan
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,8 @@ class MartingaleStat:
 
     @property
     def z(self) -> float:
-        return self.estimate / self.std_error if self.std_error > 0 else 0.0
+        """estimate / std_error; nan when the SE is 0."""
+        return self.estimate / self.std_error if self.std_error > 0 else math.nan
 
 
 def _check_grid(batch: PathBatch, profile: StrategyProfile) -> None:
@@ -202,9 +211,13 @@ def martingale_diagnostic(
     t_left = grid.knots[:m_idx]
     dt = grid.dt[:m_idx]
     if checkpoints is None:
-        T = grid.T
-        edges = np.linspace(0.0, T, 11)
-        checkpoints = [(float(a), float(b - a)) for a, b in zip(edges, edges[1:])]
+        # ten equal intervals, their edges snapped to the nearest grid knots
+        knots = grid.knots[: m_idx + 1]
+        edges = np.linspace(0.0, grid.T, 11)
+        snapped = np.unique(np.abs(knots[:, None] - edges).argmin(axis=0))
+        checkpoints = [
+            (float(knots[a]), float(knots[b] - knots[a])) for a, b in zip(snapped, snapped[1:])
+        ]
 
     r, mu0 = market.r(t_left), market.mu0(t_left)
     sig, rho = market.sigma(t_left), market.varrho(t_left)

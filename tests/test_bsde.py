@@ -6,6 +6,10 @@ import pytest
 from insiderlab.analysis import value_no_insider_robust, value_small_insider_robust
 from insiderlab.bsde import (
     BsdeSolution,
+    _backward_sweep,
+    _factor,
+    _monomials,
+    _quadratic_driver,
     RegressionError,
     ShootingError,
     enlargement_normalizer,
@@ -235,6 +239,46 @@ class TestQuadraticLsmc:
         assert np.max(np.abs(fitted - truth)) < 0.05
 
 
+class TestRegressionEngine:
+    def test_gram_fit_matches_lstsq(self):
+        rng = np.random.default_rng(11)
+        n = 20_000
+        x = rng.normal(size=n)
+        y = 0.7 * x + rng.normal(scale=1.5, size=n)
+        design = np.empty((10, n))
+        _monomials(design, x, y, 3)
+        raw = design.copy()
+        expected = [x ** (d - a) * y**a for d in range(4) for a in range(d + 1)]
+        np.testing.assert_allclose(raw, expected, rtol=1e-14, atol=0)
+        _, inv_gram = _factor(design, 0.0)
+        target = np.sin(x) + 0.25 * y**2 + rng.normal(size=n)
+        coef, *_ = np.linalg.lstsq(raw.T, target, rcond=None)
+        fitted = inv_gram @ (design @ target) @ design
+        np.testing.assert_allclose(fitted, raw.T @ coef, rtol=0, atol=1e-10)
+
+    def test_cached_factors_bit_identical(self, batch_small, market_impact, insider):
+        m = batch_small.grid.index_T
+        driver = _quadratic_driver(batch_small, market_impact)
+        cached = [None] * m
+        _backward_sweep(batch_small, insider, np.zeros(batch_small.n_paths), driver, 3, cached)
+        assert all(f is not None for f in cached)
+        terminal = 0.1 + 0.05 * batch_small.Y0**2
+        L1, Z1 = _backward_sweep(batch_small, insider, terminal, driver, 3, cached)
+        L2, Z2 = _backward_sweep(batch_small, insider, terminal, driver, 3, [None] * m)
+        assert np.array_equal(L1, L2)
+        assert np.array_equal(Z1, Z2)
+
+    @pytest.mark.parametrize("varrho", [0.0, 0.01, 0.25 * 0.35**2, 0.05])
+    def test_quadratic_driver_leading_coefficient(self, batch_small, varrho):
+        mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
+        f = _quadratic_driver(batch_small, mk)
+        st = 0.35 - 2.0 * varrho / 0.35
+        one = np.ones(batch_small.n_paths)
+        for i in (0, 25, batch_small.grid.index_T - 1):
+            lead = 0.5 * (f(i, one) + f(i, -one) - 2.0 * f(i, 0.0 * one))
+            np.testing.assert_allclose(lead, st / (2.0 * (0.35 + st)), rtol=0, atol=1e-12)
+
+
 class TestRecoverControls:
     def test_degenerate_quadratic_reproduces_uninformed_robust(
         self, batch_lsmc_flat, market, no_insider
@@ -273,3 +317,17 @@ def test_knot_table_shape(batch_lsmc_flat, market, no_insider):
     assert header[0] == "t"
     assert len(rows) == batch_lsmc_flat.grid.index_T + 1
     assert all(len(r) == len(header) for r in rows)
+
+
+def test_knot_table_path_order_insensitive(batch_small, market, insider):
+    oracle = solve_linear_closed_form(batch_small, market, insider)
+    rng = np.random.default_rng(5)
+    sol = BsdeSolution(grid=oracle.grid, Y=oracle.Y * np.exp(0.01 * rng.normal(size=oracle.Y.shape)),
+                       Z=oracle.Z + 0.01 * rng.normal(size=oracle.Z.shape), c=0.0, residual=0.0)
+    perm = rng.permutation(batch_small.n_paths)
+
+    def permuted(s):
+        return BsdeSolution(grid=s.grid, Y=s.Y[perm], Z=s.Z[perm], c=s.c, residual=s.residual)
+
+    assert knot_table(sol, oracle) == knot_table(permuted(sol), permuted(oracle))
+    assert knot_table(sol) == knot_table(permuted(sol))

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 
 import pytest
@@ -147,6 +149,16 @@ class TestSimulationCommands:
         assert lines[0] == "t,h,estimate,SE,z"
         assert len(lines) == 11
 
+    def test_martingale_snaps_checkpoints_to_knots(self, tmp_path, cfg_file):
+        code = run(["martingale", "--config", cfg_file, "--n-steps", "25", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "martingale.csv").read_text().splitlines()
+        assert len(lines) == 11
+        for line in lines[1:]:
+            t, h = (float(v) for v in line.split(",")[:2])
+            for knot in (t, t + h):
+                assert abs(25 * knot - round(25 * knot)) < 1e-9
+
     def test_bsde_linear_outputs(self, tmp_path, cfg_file):
         assert run(["bsde-linear", "--config", cfg_file, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "bsde_linear.csv").read_text().splitlines()
@@ -162,6 +174,13 @@ class TestSimulationCommands:
         trace = (tmp_path / "bsde_quadratic_trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,c2,residual,L0_mean"
         assert (tmp_path / "bsde_quadratic_value.csv").exists()
+
+    def test_bsde_quadratic_trace_plain_floats(self, tmp_path, cfg_file):
+        assert run(["bsde-quadratic", "--config", cfg_file, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "bsde_quadratic_trace.csv").read_text()
+        assert "np.float64" not in text
+        c2 = next(csv.DictReader(io.StringIO(text)))["c2"]
+        assert len([float(v) for v in c2.strip("()").split(",")]) == 3
 
     def test_forward_check_table(self, tmp_path, cfg_file):
         code = run([

@@ -7,6 +7,8 @@ from insiderlab.analysis import value_no_insider_robust, value_small_insider_rob
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
 from insiderlab.paths import sample_paths
 from insiderlab.simulate import (
+    EntropyCheck,
+    MartingaleStat,
     entropy_identity_check,
     estimate_J,
     martingale_diagnostic,
@@ -213,3 +215,12 @@ class TestReductions:
         m2, s2 = mean_se(x[perm])
         assert abs(m1 - m2) <= 1e-12 * abs(m1)
         assert abs(s1 - s2) <= 1e-12 * abs(s1)
+
+
+class TestZeroStandardError:
+    def test_martingale_stat_z_is_nan(self):
+        assert math.isnan(MartingaleStat(t=0.0, h=0.1, estimate=0.0, std_error=0.0).z)
+
+    def test_entropy_check_z_is_nan(self):
+        check = EntropyCheck(lhs_mean=0.1, lhs_se=0.0, rhs_mean=0.1, rhs_se=0.0, gap=0.0, gap_se=0.0)
+        assert math.isnan(check.z)
