@@ -17,12 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .model import (
     InsiderSpec,
     MarketParams,
     PiecewiseConstant,
     ValidationError,
     iota,
+    phi_norm_sq,
     sigma_tilde,
 )
 from .strategies import (
@@ -101,11 +104,6 @@ def _require_insider(insider: InsiderSpec, T: float) -> float:
     return float(insider.T0)
 
 
-def _require_no_impact(market: MarketParams) -> None:
-    if any(v != 0.0 for v in market.varrho.values):
-        raise ValidationError("impact_not_allowed", "this value formula requires varrho = 0")
-
-
 def _base(market: MarketParams) -> float:
     return math.log(market.X0) + integral_r(market)
 
@@ -115,7 +113,7 @@ def _base(market: MarketParams) -> float:
 
 def value_no_insider_robust(market: MarketParams) -> ValueBreakdown:
     """ln X0 + int r + (1/4) int iota^2: the uninformed robust value (no impact)."""
-    _require_no_impact(market)
+    market.require_no_impact("the uninformed robust value")
     i2 = integral_iota_sq(market)
     return ValueBreakdown(
         regime="no_insider_robust",
@@ -143,10 +141,9 @@ def value_small_insider_robust(market: MarketParams, insider: InsiderSpec) -> Va
         base + (1/4) int iota^2 + (1/2) ln(1 - T^2/a^2)^{-1} + T/(2a)
              + (int iota dt)^2 / (4a),     a = 2 T0 - T.
     """
-    _require_no_impact(market)
+    market.require_no_impact("the informed robust value")
     T0 = _require_insider(insider, market.T)
-    if not insider.phi_is_one():
-        raise ValidationError("unsupported_phi", "closed-form value needs unit signal weight")
+    insider.require_unit_weight("the informed robust value")
     T = market.T
     a = 2.0 * T0 - T
     i2 = integral_iota_sq(market)
@@ -165,15 +162,17 @@ def value_small_insider_robust(market: MarketParams, insider: InsiderSpec) -> Va
 
 
 def value_small_insider_nonrobust(market: MarketParams, insider: InsiderSpec) -> ValueBreakdown:
-    """base + (1/2) int iota^2 + (1/2) ln(T0 / (T0 - T)): ambiguity-neutral
-    informed trader without impact, unit signal weight."""
-    _require_no_impact(market)
+    """base + (1/2) int iota^2 + (1/2) ln(||phi_w||^2_[0,T0] / ||phi_w||^2_[T,T0]):
+    ambiguity-neutral informed trader without impact.  The rent is
+    (1/2) int_0^T phi_w^2 / ||phi_w||^2_[t,T0] dt, which is ln(T0 / (T0 - T)) / 2
+    for unit weight."""
+    market.require_no_impact("the informed neutral value")
     T0 = _require_insider(insider, market.T)
     return ValueBreakdown(
         regime="small_insider_nonrobust",
         base=_base(market),
         merton=0.5 * integral_iota_sq(market),
-        rent=0.5 * math.log(T0 / (T0 - market.T)),
+        rent=0.5 * math.log(phi_norm_sq(insider, 0.0, T0) / phi_norm_sq(insider, market.T, T0)),
         penalty_adjust=0.0,
     )
 
@@ -181,8 +180,10 @@ def value_small_insider_nonrobust(market: MarketParams, insider: InsiderSpec) ->
 def value_large_insider_nonrobust(market: MarketParams, insider: InsiderSpec) -> ValueBreakdown:
     """base + (1/2) int (sigma/sigma_tilde) iota^2
     + (1/2) int (sigma/sigma_tilde)/(T0 - t) dt: full-information trader with
-    impact, no ambiguity aversion."""
+    impact, no ambiguity aversion, unit signal weight (so that T0 - t is
+    ||phi_w||^2_[t,T0])."""
     T0 = _require_insider(insider, market.T)
+    insider.require_unit_weight("the large-insider value")
     return ValueBreakdown(
         regime="large_insider_nonrobust",
         base=_base(market),
@@ -206,7 +207,7 @@ def critical_T0(
     `bracket` is in units of T.  Raises if the bracket does not straddle the
     root (e.g. when iota = 0 and there is no robustness loss to offset).
     """
-    _require_no_impact(market)
+    market.require_no_impact("the critical horizon")
     target = value_no_insider_nonrobust(market).total
 
     def gap(T0: float) -> float:
@@ -238,10 +239,6 @@ def critical_T0(
 # -- figure data -----------------------------------------------------------------
 
 
-def _zero_impact(market: MarketParams) -> MarketParams:
-    return replace(market, varrho=PiecewiseConstant.constant(0.0))
-
-
 def fig_value_table(
     market: MarketParams,
     t0_values,
@@ -252,7 +249,7 @@ def fig_value_table(
     curve uses the market as given.  `bsde_values` optionally adds the
     numerically solved robust large-trader series keyed by T0.
     """
-    small = _zero_impact(market)
+    small = market.without_impact()
     ln_x0 = math.log(market.X0)
     header = [
         "T0",
@@ -287,7 +284,7 @@ def fig_critical_table(
     """Long-format critical horizon over a (mu0, sigma) grid."""
     header = ["mu", "sigma", "T0_star"]
     rows = []
-    base = _zero_impact(market)
+    base = market.without_impact()
     for mu in mu_values:
         for sig in sigma_values:
             mkt = replace(
@@ -322,22 +319,18 @@ def strategy_line_table(
     """Informed fractions against the current noise level W_t at fixed time t
     and signal W_T0 = y0; small-trader lines use the zero-impact market."""
     _require_insider(insider, market.T)
-    small = _zero_impact(market)
+    small = market.without_impact()
     header = [
         "W_t",
         "pi_small_insider_robust",
         "pi_small_insider_nonrobust",
         "pi_large_insider_nonrobust",
     ]
-    rows = []
-    for w in w_values:
-        w = float(w)
-        rows.append(
-            [
-                w,
-                float(pi_small_insider_robust(small, insider, y0, w, t)),
-                float(pi_small_insider_nonrobust(small, insider, y0, w, t)),
-                float(pi_large_insider_nonrobust(market, insider, y0, w, t)),
-            ]
-        )
-    return header, rows
+    w = np.asarray(w_values, dtype=float)
+    columns = [
+        w,
+        pi_small_insider_robust(small, insider, y0, w, t),
+        pi_small_insider_nonrobust(small, insider, y0, w, t),
+        pi_large_insider_nonrobust(market, insider, y0, w, t),
+    ]
+    return header, np.column_stack(columns).tolist()

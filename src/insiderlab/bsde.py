@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InsiderKind, InsiderSpec, MarketParams, ValidationError, iota, sigma_tilde
+from .model import InsiderKind, InsiderSpec, MarketParams, iota, sigma_tilde
 from .paths import PathBatch, partial_signals
 from .simulate import mean_se, ordered_mean
 from .strategies import StrategyKind, StrategyProfile, pi_small_insider_robust, pi_no_insider_robust
@@ -99,10 +99,6 @@ class PiStarFunctional:
         i, j = self.grid.index_of(t1), self.grid.index_of(t2)
         return np.exp(self.exponent[:, j] - self.exponent[:, i])
 
-    def sqrt_values(self, t1: float, t2: float) -> np.ndarray:
-        i, j = self.grid.index_of(t1), self.grid.index_of(t2)
-        return np.exp(0.5 * (self.exponent[:, j] - self.exponent[:, i]))
-
 
 def _phitilde(batch: PathBatch, market: MarketParams) -> np.ndarray:
     m = batch.grid.index_T
@@ -127,18 +123,6 @@ def pi_star_functional(batch: PathBatch, market: MarketParams) -> PiStarFunction
 # -- Gaussian closed forms -------------------------------------------------------
 
 
-def _require_constant(market: MarketParams) -> None:
-    if not market.is_constant():
-        raise ValidationError(
-            "constant_required", "enlargement closed forms need constant coefficients"
-        )
-
-
-def _require_unit_phi(insider: InsiderSpec) -> None:
-    if not insider.phi_is_one():
-        raise ValidationError("unsupported_phi", "closed forms need unit signal weight")
-
-
 def enlargement_normalizer(market: MarketParams, insider: InsiderSpec, y) -> np.ndarray:
     """E[sqrt(Pi(0,T)) | H_0] as a function of the signal y = W_T0.
 
@@ -149,8 +133,8 @@ def enlargement_normalizer(market: MarketParams, insider: InsiderSpec, y) -> np.
 
     with v = T0 - T and a0 = 2 T0 - T.
     """
-    _require_constant(market)
-    _require_unit_phi(insider)
+    market.require_constant("the Gaussian closed form")
+    insider.require_unit_weight("the Gaussian closed form")
     T, T0 = market.T, float(insider.T0)
     v, a0 = T0 - T, 2.0 * T0 - T
     io, r = iota(market, 0.0), market.r(0.0)
@@ -217,8 +201,8 @@ def solve_linear_closed_form(
         pi = pi_no_insider_robust(market, t_left)[None, :]
         normalizer = math.exp(-0.5 * cum_r[-1] - cum_io2[-1] / 8.0)
     else:
-        _require_constant(market)
-        _require_unit_phi(insider)
+        # the normaliser checks constant coefficients and unit weight first
+        normalizer = enlargement_normalizer(market, insider, batch.Y0)
         T, T0 = market.T, float(insider.T0)
         io, r = iota(market, 0.0), market.r(0.0)
         a0 = 2.0 * T0 - T
@@ -235,11 +219,7 @@ def solve_linear_closed_form(
             + (y + 0.5 * io * T) ** 2 / (2.0 * a0)
         )
         Y = market.X0 * np.sqrt(a0 / a_t) * np.exp(expo)
-        b = W[:, :m]
-        pi = np.empty((batch.n_paths, m))
-        for i, t in enumerate(t_left):
-            pi[:, i] = pi_small_insider_robust(market, insider, batch.Y0, b[:, i], t)
-        normalizer = enlargement_normalizer(market, insider, batch.Y0)
+        pi = pi_small_insider_robust(market, insider, y, W[:, :m], t_left)
 
     Z = market.sigma(t_left) * pi * Y[:, :m]
     Z = np.broadcast_to(Z, (batch.n_paths, m)).copy()
@@ -290,7 +270,18 @@ def _factor(design: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     return scale, inv_gram
 
 
-def _backward_sweep(batch, insider, terminal, driver, basis_order, factors):
+def _regression_state(batch: PathBatch, insider: InsiderSpec):
+    """The Markov state at every knot of [0, T]: the noise level (the running
+    signal under enlargement) and the signal, None without one."""
+    m = batch.grid.index_T
+    if insider.kind is InsiderKind.NO_INSIDER:
+        level = np.zeros((batch.n_paths, m + 1))
+        np.cumsum(batch.dW[:, :m], axis=1, out=level[:, 1:])
+        return level, None
+    return partial_signals(batch.grid, batch.dW, insider), batch.Y0
+
+
+def _backward_sweep(batch, insider, terminal, driver, basis_order, factors, state=None):
     """One explicit backward Euler pass with regression (Gobet, Lemor & Warin):
 
         Z_i = E[(L_{i+1} - E[L_{i+1}|s_i]) dWH_i | s_i] / dt_i,
@@ -298,17 +289,13 @@ def _backward_sweep(batch, insider, terminal, driver, basis_order, factors):
 
     on the state s_i (noise level at knot i, plus the signal if any).  The
     design does not depend on the terminal, so `factors[i]` (None until the
-    first pass) keeps step i's factor across passes.
+    first pass) keeps step i's factor across passes, and `state` (built here
+    when None) the `_regression_state`.
     """
     grid = batch.grid
     m = grid.index_T
-    if insider.kind is InsiderKind.NO_INSIDER:
-        level, signal = np.zeros((batch.n_paths, m + 1)), None
-        np.cumsum(batch.dW[:, :m], axis=1, out=level[:, 1:])
-        n_rows = basis_order + 1
-    else:
-        level, signal = partial_signals(grid, batch.dW, insider), batch.Y0
-        n_rows = (basis_order + 1) * (basis_order + 2) // 2
+    level, signal = _regression_state(batch, insider) if state is None else state
+    n_rows = basis_order + 1 if signal is None else (basis_order + 1) * (basis_order + 2) // 2
     design = np.empty((n_rows, batch.n_paths))
 
     L = np.empty((m + 1, batch.n_paths))  # knot-major: one contiguous row per step
@@ -419,15 +406,16 @@ def solve_quadratic_lsmc(
     Under enlargement the terminal is a polynomial c2(Y0) of degree
     `c2_order`, updated by projecting the mismatch onto the same basis; the
     residual reported is the root-mean-square projected mismatch.  Every
-    pass reuses the regression factors of the first.
+    pass reuses the regression state and factors of the first.
     """
     ln_x0 = math.log(market.X0)
     trace: list[tuple] = []
     driver = _quadratic_driver(batch, market)
     factors: list[tuple | None] = [None] * batch.grid.index_T
+    state = _regression_state(batch, insider)
 
     def sweep(terminal):
-        return _backward_sweep(batch, insider, terminal, driver, basis_order, factors)
+        return _backward_sweep(batch, insider, terminal, driver, basis_order, factors, state)
 
     if insider.kind is InsiderKind.NO_INSIDER:
         c2 = ln_x0 if c2_init is None else float(c2_init)

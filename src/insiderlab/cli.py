@@ -52,7 +52,7 @@ from .simulate import (
     simulate_density,
     simulate_wealth,
 )
-from .strategies import StrategyKind, build_profile
+from .strategies import NO_IMPACT_KINDS, StrategyKind, build_profile
 
 _REGIME_CHOICES = [k.value for k in StrategyKind if k is not StrategyKind.LARGE_INSIDER_ROBUST]
 
@@ -68,15 +68,14 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_piecewise(text: str) -> PiecewiseConstant:
     """`0.35` means constant; `0:0.3, 0.5:0.4` means breakpoint:value pairs."""
-    text = text.strip()
-    if ":" not in text:
-        return PiecewiseConstant.constant(float(text))
-    bps, vals = [], []
-    for part in text.split(","):
-        b, v = part.split(":")
-        bps.append(float(b))
-        vals.append(float(v))
-    return PiecewiseConstant(tuple(bps), tuple(vals))
+    pairs = [part.split(":") for part in text.split(",")] if ":" in text else [["0", text]]
+    try:
+        bps, vals = zip(*((float(b), float(v)) for b, v in pairs))
+    except ValueError:
+        raise ValidationError(
+            "piecewise_syntax", f"{text!r} is neither a number nor breakpoint:value pairs"
+        ) from None
+    return PiecewiseConstant(bps, vals)
 
 
 _DEFAULTS = {
@@ -121,26 +120,36 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ScenarioConf
     if path is not None:
         if not os.path.exists(path):
             raise ValidationError("config_missing", f"no such config file: {path}")
-        ini.read(path)
+        try:
+            ini.read(path)
+        except configparser.Error as exc:
+            raise ValidationError("config_syntax", f"{path}: {exc}") from None
 
     def flag(name, section, key):
         val = getattr(overrides, name, None)
         return str(val) if val is not None else ini[section][key]
+
+    def number(convert, name, section, key):
+        text = flag(name, section, key)
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValidationError("config_value", f"{key} = {text!r} is not a number") from None
 
     market = MarketParams(
         r=parse_piecewise(flag("r", "market", "r")),
         mu0=parse_piecewise(flag("mu", "market", "mu0")),
         sigma=parse_piecewise(flag("sigma", "market", "sigma")),
         varrho=parse_piecewise(flag("varrho", "market", "varrho")),
-        T=float(flag("T", "market", "T")),
-        X0=float(flag("x0", "market", "X0")),
+        T=number(float, "T", "market", "T"),
+        X0=number(float, "x0", "market", "X0"),
     )
     kind_txt = flag("kind", "insider", "kind").strip().lower()
     if kind_txt in ("none", "no_insider"):
         insider = InsiderSpec.none()
     elif kind_txt in ("enlargement", "initial_enlargement"):
         insider = InsiderSpec.enlargement(
-            T0=float(flag("t0", "insider", "T0")),
+            T0=number(float, "t0", "insider", "T0"),
             phi_weight=parse_piecewise(flag("phi", "insider", "phi")),
         )
     else:
@@ -149,15 +158,15 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ScenarioConf
     robust_txt = flag("robust", "run", "robust").strip().lower()
     tail = getattr(overrides, "n_steps_tail", None)
     if tail is None and ini.has_option("run", "n_steps_tail"):
-        tail = ini.getint("run", "n_steps_tail")
+        tail = number(int, "n_steps_tail", "run", "n_steps_tail")
     config = ScenarioConfig(
         market=market,
         insider=insider,
         robust=robust_txt in ("1", "true", "yes", "on"),
-        n_steps=int(flag("n_steps", "run", "n_steps")),
+        n_steps=number(int, "n_steps", "run", "n_steps"),
         n_steps_tail=tail,
-        n_paths=int(flag("n_paths", "run", "n_paths")),
-        seed=int(flag("seed", "run", "seed")),
+        n_paths=number(int, "n_paths", "run", "n_paths"),
+        seed=number(int, "seed", "run", "seed"),
     )
     validate(config)
     setattr(overrides, "config_echo", echo_config(config))
@@ -169,33 +178,27 @@ def _default_regime(config: ScenarioConfig) -> str:
     if config.robust:
         return "small_insider_robust" if informed else "no_insider_robust"
     if informed:
-        impact = any(v != 0.0 for v in config.market.varrho.values)
-        return "large_insider_nonrobust" if impact else "small_insider_nonrobust"
+        return "large_insider_nonrobust" if config.market.has_impact() else "small_insider_nonrobust"
     return "no_insider_nonrobust"
 
 
-def _no_impact(market: MarketParams) -> MarketParams:
-    return replace(market, varrho=PiecewiseConstant.constant(0.0))
-
-
-def _strategy_market(kind: StrategyKind, market: MarketParams) -> MarketParams:
-    if kind in (StrategyKind.NO_INSIDER_NONROBUST, StrategyKind.LARGE_INSIDER_NONROBUST):
-        return market
-    return _no_impact(market)
-
-
 def _analytic_value(kind: StrategyKind, market: MarketParams, insider: InsiderSpec):
-    small = _no_impact(market)
-    if kind is StrategyKind.NO_INSIDER_ROBUST:
-        return analysis.value_no_insider_robust(small).total
-    if kind is StrategyKind.NO_INSIDER_NONROBUST:
-        return analysis.value_no_insider_nonrobust(market).total
-    if kind is StrategyKind.SMALL_INSIDER_ROBUST:
-        return analysis.value_small_insider_robust(small, insider).total
-    if kind is StrategyKind.SMALL_INSIDER_NONROBUST:
-        return analysis.value_small_insider_nonrobust(small, insider).total
-    if kind is StrategyKind.LARGE_INSIDER_NONROBUST:
-        return analysis.value_large_insider_nonrobust(market, insider).total
+    """The closed-form value of `kind` in the market it trades in, or "" where
+    there is none (the robust informed value for a non-unit signal weight)."""
+    try:
+        if kind is StrategyKind.NO_INSIDER_ROBUST:
+            return analysis.value_no_insider_robust(market).total
+        if kind is StrategyKind.NO_INSIDER_NONROBUST:
+            return analysis.value_no_insider_nonrobust(market).total
+        if kind is StrategyKind.SMALL_INSIDER_ROBUST:
+            return analysis.value_small_insider_robust(market, insider).total
+        if kind is StrategyKind.SMALL_INSIDER_NONROBUST:
+            return analysis.value_small_insider_nonrobust(market, insider).total
+        if kind is StrategyKind.LARGE_INSIDER_NONROBUST:
+            return analysis.value_large_insider_nonrobust(market, insider).total
+    except ValidationError as exc:
+        if exc.code != "unsupported_phi":
+            raise
     return ""
 
 
@@ -205,7 +208,7 @@ def _analytic_value(kind: StrategyKind, market: MarketParams, insider: InsiderSp
 def _cmd_value(args, out: list[str]) -> int:
     config = load_config(args.config, args)
     market, insider = config.market, config.insider
-    small = _no_impact(market)
+    small = market.without_impact()
     rows = []
     breakdowns = [
         analysis.value_no_insider_robust(small),
@@ -231,7 +234,7 @@ def _cmd_value(args, out: list[str]) -> int:
 
 def _profile_for(args, config: ScenarioConfig, batch):
     kind = StrategyKind(args.regime or _default_regime(config))
-    market = _strategy_market(kind, config.market)
+    market = config.market.without_impact() if kind in NO_IMPACT_KINDS else config.market
     return kind, market, build_profile(kind, batch, market, config.insider)
 
 
@@ -248,7 +251,7 @@ def _cmd_simulate(args, out: list[str]) -> int:
             os.path.join(args.out, "j_report.csv"),
             ["regime", "J_mean", "J_se", "n_paths", "n_steps", "seed", "analytic_value"],
             [[kind.value, j.mean, j.std_error, j.n_paths, config.n_steps, config.seed,
-              _analytic_value(kind, config.market, config.insider)]],
+              _analytic_value(kind, market, config.insider)]],
         )
     )
     out.append(
@@ -282,7 +285,7 @@ def _cmd_martingale(args, out: list[str]) -> int:
 def _cmd_bsde_linear(args, out: list[str]) -> int:
     config = load_config(args.config, args)
     batch = sample_paths(config, threads=args.threads)
-    market, insider = _no_impact(config.market), config.insider
+    market, insider = config.market.without_impact(), config.insider
     oracle = solve_linear_closed_form(batch, market, insider)
     sol = solve_linear_lsmc(batch, market, insider, basis_order=args.basis_order)
     header, rows = knot_table(sol, oracle)
@@ -348,7 +351,7 @@ def _cmd_forward_check(args, out: list[str]) -> int:
 
 def _cmd_critical_t0(args, out: list[str]) -> int:
     config = load_config(args.config, args)
-    market = _no_impact(config.market)
+    market = config.market.without_impact()
     t0_star = analysis.critical_T0(market)
     gap = (
         analysis.value_small_insider_robust(market, InsiderSpec.enlargement(T0=t0_star)).total
@@ -395,8 +398,7 @@ def _cmd_figures(args, out: list[str]) -> int:
         out.append(write_csv(os.path.join(args.out, "fig2.csv"), header, rows))
     else:  # strategy_lines
         insider = config.insider
-        if not insider.has_signal():
-            raise ValidationError("signal_required", "strategy lines need an enlargement signal")
+        insider.require_signal("strategy lines")
         w_values = [(-2.0 + 0.1 * i) for i in range(41)]
         header, rows = analysis.strategy_line_table(
             market, insider, t=0.5 * T, w_values=w_values, y0=args.signal_level

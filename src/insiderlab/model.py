@@ -16,7 +16,7 @@ for some weight function phi on [0, T0] with T0 beyond the trading horizon T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -83,21 +83,21 @@ class PiecewiseConstant:
         out = np.asarray(self.values, dtype=float)[idx]
         return float(out) if np.ndim(t) == 0 else out
 
-    def integral(self, a: float, b: float, power: int = 1) -> float:
-        """Exact integral of f(t)**power over [a, b]."""
-        if b < a:
+    def integral(self, a, b: float, power: int = 1):
+        """Exact integral of f(t)**power over [a, b]; `a` may be an array of
+        lower limits, which gives an array of integrals."""
+        lo = np.asarray(a, dtype=float)
+        if np.any(lo > b):
             raise DomainError(f"integral bounds reversed: [{a}, {b}]")
-        knots = [a] + [t for t in self.breakpoints if a < t < b] + [b]
-        total = 0.0
-        for lo, hi in zip(knots, knots[1:]):
-            total += self(lo) ** power * (hi - lo)
-        return total
-
-    def bounds_on(self, a: float, b: float) -> tuple[float, float]:
-        """(min, max) of the function over [a, b]."""
-        pts = [a] + [t for t in self.breakpoints if a < t < b]
-        vals = [self(t) for t in pts]
-        return min(vals), max(vals)
+        bp = np.asarray(self.breakpoints)
+        vals = np.asarray(self.values) ** power
+        # piece k runs over [bp[k], end[k]) once cut at b; rest[k] integrates end[k]..b
+        end = np.minimum(np.append(bp[1:], np.inf), b)
+        whole = vals * np.maximum(end - bp, 0.0)
+        rest = np.append(np.cumsum(whole[:0:-1])[::-1], 0.0)
+        k = np.clip(np.searchsorted(bp, lo, side="right") - 1, 0, len(bp) - 1)
+        out = vals[k] * (end[k] - lo) + rest[k]
+        return float(out) if out.ndim == 0 else out
 
 
 def _as_function(x) -> PiecewiseConstant:
@@ -136,10 +136,20 @@ class MarketParams:
             pts.update(b for b in fn.breakpoints if 0.0 < b < self.T)
         return sorted(pts)
 
-    def is_constant(self) -> bool:
-        return all(
-            len(fn.breakpoints) == 1 for fn in (self.r, self.mu0, self.sigma, self.varrho)
-        )
+    def has_impact(self) -> bool:
+        return any(v != 0.0 for v in self.varrho.values)
+
+    def without_impact(self) -> "MarketParams":
+        """The same market seen by a small trader: varrho = 0."""
+        return replace(self, varrho=PiecewiseConstant.constant(0.0))
+
+    def require_no_impact(self, what: str) -> None:
+        if self.has_impact():
+            raise ValidationError("impact_not_allowed", f"{what} requires varrho = 0")
+
+    def require_constant(self, what: str) -> None:
+        if any(len(fn.breakpoints) > 1 for fn in (self.r, self.mu0, self.sigma, self.varrho)):
+            raise ValidationError("constant_required", f"{what} needs constant coefficients")
 
 
 class InsiderKind(Enum):
@@ -176,8 +186,13 @@ class InsiderSpec:
     def has_signal(self) -> bool:
         return self.kind is InsiderKind.INITIAL_ENLARGEMENT
 
-    def phi_is_one(self) -> bool:
-        return self.phi_weight.breakpoints == (0.0,) and self.phi_weight.values == (1.0,)
+    def require_signal(self, what: str) -> None:
+        if not self.has_signal():
+            raise ValidationError("signal_required", f"{what} needs an insider signal")
+
+    def require_unit_weight(self, what: str) -> None:
+        if self.phi_weight != PiecewiseConstant.constant(1.0):
+            raise ValidationError("unsupported_phi", f"{what} needs unit signal weight")
 
 
 @dataclass(frozen=True)
@@ -214,10 +229,8 @@ def sigma_tilde(market: MarketParams, t):
     return market.sigma(t) - 2.0 * market.varrho(t) / market.sigma(t)
 
 
-def phi_norm_sq(insider: InsiderSpec, s: float, t: float) -> float:
-    """Exact int_s^t phi(u)^2 du of the signal weight."""
-    if t < s:
-        raise DomainError(f"norm bounds reversed: [{s}, {t}]")
+def phi_norm_sq(insider: InsiderSpec, s, t: float):
+    """Exact int_s^t phi(u)^2 du of the signal weight; `s` may be an array."""
     return insider.phi_weight.integral(s, t, power=2)
 
 

@@ -13,13 +13,12 @@ steps, consistent with left-continuous controls.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InsiderKind, InsiderSpec, ScenarioConfig, DomainError, validate
+from .model import InsiderKind, InsiderSpec, ScenarioConfig, DomainError, phi_norm_sq, validate
 
 __all__ = [
     "TimeGrid",
@@ -29,7 +28,6 @@ __all__ = [
     "information_drift",
     "decompose",
     "partial_signals",
-    "dump_paths_csv",
 ]
 
 # paths per RNG block; fixed so path i's draws never depend on n_paths or workers
@@ -203,13 +201,7 @@ def information_drift(
         raise DomainError("information drift is not defined at or beyond T0")
     b = partial_signals(grid, dW, insider)
     w_left = insider.phi_weight(t_left)
-    total = insider.phi_weight.integral(0.0, T0, power=2)
-    head = np.concatenate(
-        ([0.0], np.cumsum(insider.phi_weight(t_left) ** 2 * grid.dt[: grid.index_T]))
-    )
-    # exact tail norms: piecewise-constant weight makes the cumulative sum exact
-    tail = total - head[: grid.index_T]
-    return (y0[:, None] - b[:, :-1]) * w_left / tail
+    return (y0[:, None] - b[:, :-1]) * w_left / phi_norm_sq(insider, t_left, T0)
 
 
 def decompose(grid: TimeGrid, dW: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -217,21 +209,3 @@ def decompose(grid: TimeGrid, dW: np.ndarray, phi: np.ndarray) -> np.ndarray:
     m = grid.index_T
     return dW[:, :m] - phi * grid.dt[:m]
 
-
-def dump_paths_csv(batch: PathBatch, path: str, max_paths: int | None = None) -> None:
-    """Debug dump with columns (path, t, dW, phi, dWH); tail steps leave the
-    [0, T]-only columns empty."""
-    grid = batch.grid
-    n = batch.n_paths if max_paths is None else min(max_paths, batch.n_paths)
-    phi = np.broadcast_to(batch.phi, (batch.n_paths, grid.index_T))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "t", "dW", "phi", "dWH"])
-        for p in range(n):
-            for i in range(grid.n_steps):
-                row = [p, repr(float(grid.knots[i])), repr(float(batch.dW[p, i]))]
-                if i < grid.index_T:
-                    row += [repr(float(phi[p, i])), repr(float(batch.dWH[p, i]))]
-                else:
-                    row += ["", ""]
-                writer.writerow(row)

@@ -23,6 +23,7 @@ from .model import (
     DomainError,
     InsiderSpec,
     MarketParams,
+    PiecewiseConstant,
     ValidationError,
     iota,
     phi_norm_sq,
@@ -33,6 +34,7 @@ from .paths import PathBatch, partial_signals
 __all__ = [
     "StrategyKind",
     "StrategyProfile",
+    "NO_IMPACT_KINDS",
     "pi_no_insider_robust",
     "theta_no_insider_robust",
     "pi_small_insider_robust",
@@ -52,8 +54,12 @@ class StrategyKind(Enum):
     LARGE_INSIDER_ROBUST = "large_insider_robust"
 
 
-ROBUST_KINDS = {StrategyKind.NO_INSIDER_ROBUST, StrategyKind.SMALL_INSIDER_ROBUST,
-                StrategyKind.LARGE_INSIDER_ROBUST}
+# regimes of a small trader, whose closed forms hold only without price impact
+NO_IMPACT_KINDS = {
+    StrategyKind.NO_INSIDER_ROBUST,
+    StrategyKind.SMALL_INSIDER_ROBUST,
+    StrategyKind.SMALL_INSIDER_NONROBUST,
+}
 
 
 @dataclass(frozen=True)
@@ -103,26 +109,37 @@ def pi_no_insider_nonrobust(market: MarketParams, t):
 
 
 # -- insider closed forms -------------------------------------------------------
+#
+# Each is affine in the residual signal Y0 - B_t with coefficients that are
+# deterministic in t, so t may be an array of times broadcasting against an
+# (n_paths, len(t)) residual: one call evaluates a whole profile.
 
 
-def _signal_state(market, insider, y0, b_t, t):
-    """Shared pieces: residual signal and the weighted run-out integrals."""
-    if t >= market.T:
-        raise DomainError(f"strategy defined on [0, T), got t = {t}")
-    w = insider.phi_weight(t)
-    norm_t = phi_norm_sq(insider, t, insider.T0)
-    norm_T = phi_norm_sq(insider, market.T, insider.T0)
-    # int_t^T phi_weight * iota ds, exact on merged constant pieces
-    knots = sorted(
-        {t, market.T}
-        | {b for b in insider.phi_weight.breakpoints if t < b < market.T}
-        | {b for b in market.breakpoints_union() if t < b < market.T}
+def _run_out(market, insider, t):
+    """phi_w(t), ||phi_w||^2_[t,T0], ||phi_w||^2_[T,T0] and int_t^T phi_w iota ds
+    for t in [0, T), exact on the merged constant pieces."""
+    T = market.T
+    if np.any(np.asarray(t) >= T):
+        raise DomainError(f"strategy defined on [0, T), got t up to {np.max(t)}")
+    phi = insider.phi_weight
+    knots = np.union1d(market.breakpoints_union(), [b for b in phi.breakpoints if b < T])
+    weighted_iota = PiecewiseConstant(knots, phi(knots) * iota(market, knots))
+    return (
+        phi(t),
+        phi_norm_sq(insider, t, insider.T0),
+        phi_norm_sq(insider, T, insider.T0),
+        weighted_iota.integral(t, T),
     )
-    cross = sum(
-        insider.phi_weight(lo) * iota(market, lo) * (hi - lo)
-        for lo, hi in zip(knots, knots[1:])
-    )
-    return w, norm_t, norm_T, np.asarray(y0) - np.asarray(b_t), cross
+
+
+def _affine(intercept, slope, y0, b_t):
+    """intercept + slope * (y0 - b_t), built in place in one array, so a whole
+    profile holds no full-size temporary beyond its result."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (intercept, slope, y0, b_t)))
+    out = np.subtract(y0, b_t, out=np.empty(shape))
+    out *= slope
+    out += intercept
+    return out if out.ndim else float(out)
 
 
 def pi_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):
@@ -134,31 +151,31 @@ def pi_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b_t,
     with B_t the running weighted noise integral.  For phi_w = 1 this reduces
     to iota/(2 sigma) + (W_T0 - W_t + (1/2) int_t^T iota ds) / (sigma (2T0 - t - T)).
     """
-    w, norm_t, norm_T, resid, cross = _signal_state(market, insider, y0, b_t, t)
+    w, norm_t, norm_T, cross = _run_out(market, insider, t)
     sig = market.sigma(t)
-    return iota(market, t) / (2.0 * sig) + w * (resid + 0.5 * cross) / (sig * (norm_t + norm_T))
+    slope = w / (sig * (norm_t + norm_T))
+    return _affine(iota(market, t) / (2.0 * sig) + 0.5 * cross * slope, slope, y0, b_t)
 
 
 def theta_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):
-    """Worst-case distortion paired with the robust informed fraction."""
-    w, norm_t, norm_T, resid, cross = _signal_state(market, insider, y0, b_t, t)
-    return (
-        -0.5 * iota(market, t)
-        + w * (resid + 0.5 * cross) / (norm_t + norm_T)
-        - w * resid / norm_t
-    )
+    """Worst-case distortion paired with the robust informed fraction:
+
+        -iota/2 + phi_w(t) (Y0 - B_t + (1/2) int_t^T phi_w iota ds)
+                  / (||phi_w||^2_[t,T0] + ||phi_w||^2_[T,T0])
+                - phi_w(t) (Y0 - B_t) / ||phi_w||^2_[t,T0].
+    """
+    w, norm_t, norm_T, cross = _run_out(market, insider, t)
+    slope = w / (norm_t + norm_T)
+    intercept = -0.5 * iota(market, t) + 0.5 * cross * slope
+    return _affine(intercept, slope - w / norm_t, y0, b_t)
 
 
 def pi_small_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):
     """Informed fraction without ambiguity aversion or impact:
     iota/sigma + phi_t/sigma."""
-    if t >= market.T:
-        raise DomainError(f"strategy defined on [0, T), got t = {t}")
-    w = insider.phi_weight(t)
-    norm_t = phi_norm_sq(insider, t, insider.T0)
-    phi = (np.asarray(y0) - np.asarray(b_t)) * w / norm_t
+    w, norm_t, _, _ = _run_out(market, insider, t)
     sig = market.sigma(t)
-    return (iota(market, t) + phi) / sig
+    return _affine(iota(market, t) / sig, w / (norm_t * sig), y0, b_t)
 
 
 def pi_large_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, w_t, t):
@@ -166,14 +183,12 @@ def pi_large_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, w
 
         (mu0 - r)/(sigma sigma_tilde) + (W_T0 - W_t) / (sigma_tilde (T0 - t)).
 
-    Requires unit signal weight, so Y0 = W_T0.
+    Requires unit signal weight, so Y0 = W_T0 and ||phi_w||^2_[t,T0] = T0 - t.
     """
-    if not insider.phi_is_one():
-        raise ValidationError("phi_not_one", "large-insider closed form needs phi_weight = 1")
-    if t >= market.T:
-        raise DomainError(f"strategy defined on [0, T), got t = {t}")
+    insider.require_unit_weight("the large-insider closed form")
+    _, norm_t, _, _ = _run_out(market, insider, t)
     st = sigma_tilde(market, t)
-    return iota(market, t) / st + (np.asarray(y0) - np.asarray(w_t)) / (st * (insider.T0 - t))
+    return _affine(iota(market, t) / st, 1.0 / (st * norm_t), y0, w_t)
 
 
 def theta_from_pi(market: MarketParams, phi, pi, t):
@@ -187,13 +202,6 @@ def theta_from_pi(market: MarketParams, phi, pi, t):
 # -- profile assembly -----------------------------------------------------------
 
 
-_NO_IMPACT_KINDS = {
-    StrategyKind.NO_INSIDER_ROBUST,
-    StrategyKind.SMALL_INSIDER_ROBUST,
-    StrategyKind.SMALL_INSIDER_NONROBUST,
-}
-
-
 def build_profile(
     kind: StrategyKind,
     batch: PathBatch,
@@ -202,12 +210,9 @@ def build_profile(
 ) -> StrategyProfile:
     """Evaluate the closed form of `kind` on every path and step of `batch`."""
     grid = batch.grid
-    m = grid.index_T
-    t_left = grid.knots[:m]
-
-    if kind in _NO_IMPACT_KINDS and any(v != 0.0 for v in market.varrho.values):
-        raise ValidationError("impact_not_allowed", f"{kind.value} requires varrho = 0")
-
+    t_left = grid.knots[: grid.index_T]
+    if kind in NO_IMPACT_KINDS:
+        market.require_no_impact(kind.value)
     if kind is StrategyKind.LARGE_INSIDER_ROBUST:
         raise ValidationError(
             "no_closed_form",
@@ -222,25 +227,18 @@ def build_profile(
         pi = pi_no_insider_nonrobust(market, t_left)[None, :]
         theta = np.zeros_like(pi)
     else:
-        if not insider.has_signal():
-            raise ValidationError("signal_required", f"{kind.value} needs an insider signal")
-        b = partial_signals(grid, batch.dW, insider)[:, :-1]
-        pi = np.empty((batch.n_paths, m))
+        insider.require_signal(kind.value)
+        y0, b = batch.Y0[:, None], partial_signals(grid, batch.dW, insider)[:, :-1]
         if kind is StrategyKind.SMALL_INSIDER_ROBUST:
-            for i, t in enumerate(t_left):
-                pi[:, i] = pi_small_insider_robust(market, insider, batch.Y0, b[:, i], t)
-            theta = np.empty_like(pi)
-            for i, t in enumerate(t_left):
-                theta[:, i] = theta_small_insider_robust(market, insider, batch.Y0, b[:, i], t)
-        elif kind is StrategyKind.SMALL_INSIDER_NONROBUST:
-            for i, t in enumerate(t_left):
-                pi[:, i] = pi_small_insider_nonrobust(market, insider, batch.Y0, b[:, i], t)
+            pi = pi_small_insider_robust(market, insider, y0, b, t_left)
+            theta = theta_small_insider_robust(market, insider, y0, b, t_left)
+        else:
+            closed_form = (
+                pi_small_insider_nonrobust
+                if kind is StrategyKind.SMALL_INSIDER_NONROBUST
+                else pi_large_insider_nonrobust
+            )
+            pi = closed_form(market, insider, y0, b, t_left)
             theta = np.zeros_like(pi)
-        elif kind is StrategyKind.LARGE_INSIDER_NONROBUST:
-            for i, t in enumerate(t_left):
-                pi[:, i] = pi_large_insider_nonrobust(market, insider, batch.Y0, b[:, i], t)
-            theta = np.zeros_like(pi)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValidationError("unknown_kind", str(kind))
 
     return StrategyProfile(kind=kind, pi=pi, theta=theta, grid=grid)

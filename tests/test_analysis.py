@@ -18,7 +18,16 @@ from insiderlab.analysis import (
     value_small_insider_nonrobust,
     value_small_insider_robust,
 )
-from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ValidationError
+from insiderlab.model import (
+    InsiderSpec,
+    MarketParams,
+    PiecewiseConstant,
+    ScenarioConfig,
+    ValidationError,
+)
+from insiderlab.paths import sample_paths
+from insiderlab.simulate import estimate_J, simulate_density, simulate_wealth
+from insiderlab.strategies import StrategyKind, build_profile
 
 IOTA_SQ = (0.15 / 0.35) ** 2
 V1 = 0.045918367346938776
@@ -86,6 +95,31 @@ class TestValueFunctions:
         assert b.total == pytest.approx(V_LARGE, abs=1e-12)
         small = value_large_insider_nonrobust(market, insider)
         assert small.rent == pytest.approx(0.5 * math.log(2.0), abs=1e-14)
+
+    def test_informed_neutral_piecewise_weight(self, market):
+        # phi_w = 1 on [0, 1.5), 2 on [1.5, 2]: rent (1/2) ln(3.5 / 2.5), which the
+        # Monte-Carlo game value of the closed-form fraction confirms
+        ins = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 1.5), (1.0, 2.0)))
+        b = value_small_insider_nonrobust(market, ins)
+        assert b.rent == pytest.approx(0.5 * math.log(3.5 / 2.5), abs=1e-12)
+        assert b.total == pytest.approx(V_NN + 0.5 * math.log(3.5 / 2.5), abs=1e-12)
+        cfg = ScenarioConfig(market=market, insider=ins, n_steps=100, n_paths=50_000, seed=5)
+        batch = sample_paths(cfg)
+        prof = build_profile(StrategyKind.SMALL_INSIDER_NONROBUST, batch, market, ins)
+        j = estimate_J(
+            batch, prof, simulate_wealth(batch, prof, market), simulate_density(batch, prof), market
+        )
+        assert abs(j.mean - b.total) < 4.0 * j.std_error
+
+    def test_unit_weight_required_where_assumed(self, market, market_impact):
+        ins = InsiderSpec.enlargement(T0=2.0, phi_weight=2.0)
+        for value, mk in (
+            (value_small_insider_robust, market),
+            (value_large_insider_nonrobust, market_impact),
+        ):
+            with pytest.raises(ValidationError) as err:
+                value(mk, ins)
+            assert err.value.code == "unsupported_phi"
 
     def test_large_rent_vanishes_at_remote_horizon(self, market_impact):
         far = value_large_insider_nonrobust(market_impact, InsiderSpec.enlargement(T0=1e7))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from insiderlab import bsde
 from insiderlab.analysis import value_no_insider_robust, value_small_insider_robust
 from insiderlab.bsde import (
     BsdeSolution,
@@ -22,7 +23,7 @@ from insiderlab.bsde import (
     value_from_bsde,
 )
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
-from insiderlab.paths import sample_paths
+from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.simulate import mean_se, simulate_wealth
 from insiderlab.strategies import StrategyKind, build_profile
 
@@ -48,7 +49,7 @@ class TestPiStarFunctional:
 
     def test_gaussian_mean_of_square_root(self, batch_lsmc_flat, market):
         pist = pi_star_functional(batch_lsmc_flat, market)
-        mean, se = mean_se(pist.sqrt_values(0.0, 1.0))
+        mean, se = mean_se(np.sqrt(pist.values(0.0, 1.0)))
         assert abs(mean - math.exp(-IOTA_SQ / 8.0)) < 3.0 * se
 
     def test_multiplicative_on_grid(self, batch_small, market):
@@ -123,7 +124,7 @@ class TestLinearClosedForm:
     def test_normalizer_tower_property(self, batch_lsmc_enl, market, insider):
         # E[sqrt(Pi(0,T)) p(Y0)] = E[normalizer(Y0) p(Y0)] for polynomial p
         pist = pi_star_functional(batch_lsmc_enl, market)
-        sq = pist.sqrt_values(0.0, 1.0)
+        sq = np.sqrt(pist.values(0.0, 1.0))
         norm = enlargement_normalizer(market, insider, batch_lsmc_enl.Y0)
         for k in range(3):
             weight = batch_lsmc_enl.Y0**k
@@ -228,6 +229,21 @@ class TestQuadraticLsmc:
         mask, _ = interior_mask(grid)
         rmse = math.sqrt(float(np.mean((sol.Z[:, mask] - z_true[:, mask]) ** 2)))
         assert rmse / math.sqrt(float(np.mean(z_true[:, mask] ** 2))) < 0.10
+
+    @pytest.mark.parametrize("max_iter", [1, 4])
+    def test_regression_state_built_once_per_solve(self, batch_small, market, insider,
+                                                   monkeypatch, max_iter):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return partial_signals(*args)
+
+        monkeypatch.setattr(bsde, "partial_signals", counted)
+        with pytest.raises(ShootingError) as err:
+            solve_quadratic_lsmc(batch_small, market, insider, shoot_tol=0.0, max_iter=max_iter)
+        assert err.value.iterations == max_iter
+        assert len(calls) == 1
 
     def test_enlargement_terminal_matches_quadratic_truth(self, batch_lsmc_enl, market, insider):
         # true terminal: c2(y) = ln X0 - 2 ln normalizer(y), exactly quadratic

@@ -77,6 +77,25 @@ class TestConfigParsing:
         with pytest.raises(ValidationError):
             load_config("/nonexistent/x.cfg", Blank())
 
+    @pytest.mark.parametrize(
+        "flags, cfg_text, code",
+        [
+            (["--phi", "0:1,0.5"], None, "piecewise_syntax"),
+            (["--phi", "abc"], None, "piecewise_syntax"),
+            ([], BASE_CFG.replace("sigma = 0.35", "sigma ="), "piecewise_syntax"),
+            ([], BASE_CFG.replace("T = 1.0", "T = one"), "config_value"),
+            ([], "r = 0.0\nsigma = 0.35\n", "config_syntax"),
+        ],
+    )
+    def test_malformed_input_exits_one_with_code(self, tmp_path, capsys, flags, cfg_text, code):
+        argv = ["value", "--out", str(tmp_path), *flags]
+        if cfg_text is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(cfg_text)
+            argv += ["--config", str(path)]
+        assert run(argv) == 1
+        assert f"validation error: {code}:" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_flag_exits_one(self, capsys):
@@ -136,6 +155,15 @@ class TestSimulationCommands:
         assert cells[0] == "small_insider_robust"
         assert float(cells[1]) != 0.0
         assert (tmp_path / "entropy_check.csv").exists()
+
+    def test_simulate_leaves_analytic_value_blank_without_closed_form(self, tmp_path, cfg_file):
+        # the robust informed value has no closed form for a non-unit weight
+        assert run(["simulate", "--config", cfg_file, "--phi", "0:1,1.5:2",
+                    "--out", str(tmp_path)]) == 0
+        row = next(csv.DictReader(io.StringIO((tmp_path / "j_report.csv").read_text())))
+        assert row["regime"] == "small_insider_robust"
+        assert row["analytic_value"] == ""
+        assert float(row["J_mean"]) != 0.0
 
     def test_simulate_byte_reproducible(self, tmp_path, cfg_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -12,7 +12,6 @@ from insiderlab.model import (
 from insiderlab.paths import (
     build_grid,
     decompose,
-    dump_paths_csv,
     information_drift,
     partial_signals,
     sample_paths,
@@ -186,10 +185,3 @@ class TestEnlargementCorrectness:
                 InsiderSpec.enlargement(T0=0.5),
             )
 
-
-def test_dump_paths_csv(tmp_path, batch_small):
-    out = tmp_path / "paths.csv"
-    dump_paths_csv(batch_small, str(out), max_paths=2)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "path,t,dW,phi,dWH"
-    assert len(lines) == 1 + 2 * batch_small.grid.n_steps

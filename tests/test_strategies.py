@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from insiderlab.model import (
     DomainError,
     InsiderSpec,
     MarketParams,
+    PiecewiseConstant,
     ScenarioConfig,
     ValidationError,
     iota,
@@ -13,6 +17,7 @@ from insiderlab.model import (
 from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.strategies import (
     StrategyKind,
+    _run_out,
     build_profile,
     pi_large_insider_nonrobust,
     pi_no_insider_robust,
@@ -24,6 +29,41 @@ from insiderlab.strategies import (
 )
 
 IOTA = 0.15 / 0.35
+KNOTS = np.arange(41) / 20.0  # k/20: the grid of T = 1, T0 = 2 at 20 steps per unit
+
+
+def step_functions(lo, hi, n_knots):
+    """Piecewise-constant functions with values in [lo, hi] and breakpoints on
+    KNOTS[1:n_knots]."""
+    return st.lists(st.integers(1, n_knots - 1), unique=True, max_size=4).flatmap(
+        lambda ks: st.lists(st.floats(lo, hi), min_size=len(ks) + 1, max_size=len(ks) + 1).map(
+            lambda vals: PiecewiseConstant((0.0, *sorted(KNOTS[k] for k in ks)), vals)
+        )
+    )
+
+
+@st.composite
+def markets(draw):
+    """T = 1, piecewise r, mu0 and sigma, and a constant admissible varrho."""
+    sigma = draw(step_functions(0.2, 0.6, 20))
+    return MarketParams(
+        r=draw(step_functions(0.0, 0.05, 20)),
+        mu0=draw(step_functions(0.0, 0.3, 20)),
+        sigma=sigma,
+        varrho=draw(st.floats(0.0, 0.45)) * min(sigma.values) ** 2,
+        T=1.0,
+        X0=1.0,
+    )
+
+
+def signal_weights():
+    return step_functions(0.5, 2.0, 40).map(lambda w: InsiderSpec.enlargement(T0=2.0, phi_weight=w))
+
+
+def _fsum(fn, breaks, a, b):
+    """math.fsum of fn over the constant pieces of [a, b] cut at `breaks`."""
+    cut = [a, *sorted(p for p in set(breaks) if a < p < b), b]
+    return math.fsum(fn(lo) * (hi - lo) for lo, hi in zip(cut, cut[1:]))
 
 
 class TestNoInsiderClosedForms:
@@ -230,11 +270,44 @@ class TestProfiles:
             build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_small, market_impact, insider)
         assert err.value.code == "impact_not_allowed"
 
-    def test_profile_matches_pointwise_formula(self, market, insider, batch_small):
-        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_small, market, insider)
-        grid = batch_small.grid
-        b = partial_signals(grid, batch_small.dW, insider)
-        i = grid.index_T // 2
-        t = float(grid.knots[i])
-        expect = pi_small_insider_robust(market, insider, batch_small.Y0, b[:, i], t)
-        np.testing.assert_allclose(prof.pi[:, i], expect, atol=1e-14)
+    @settings(max_examples=30, deadline=None)
+    @given(market=markets(), weighted=signal_weights())
+    def test_profile_matches_pointwise_formula(self, market, weighted):
+        # every column of each closed-form profile is the closed form at that
+        # knot, for piecewise coefficients and signal weights
+        small, unit = market.without_impact(), InsiderSpec.enlargement(T0=2.0)
+        cases = (
+            (StrategyKind.SMALL_INSIDER_ROBUST, small, weighted,
+             {"pi": pi_small_insider_robust, "theta": theta_small_insider_robust}),
+            (StrategyKind.SMALL_INSIDER_NONROBUST, small, weighted,
+             {"pi": pi_small_insider_nonrobust}),
+            (StrategyKind.LARGE_INSIDER_NONROBUST, market, unit,
+             {"pi": pi_large_insider_nonrobust}),
+        )
+        for kind, mk, ins, forms in cases:
+            cfg = ScenarioConfig(market=mk, insider=ins, n_steps=20, n_paths=64, seed=3)
+            batch = sample_paths(cfg)
+            prof = build_profile(kind, batch, mk, ins)
+            b = partial_signals(batch.grid, batch.dW, ins)
+            for i, t in enumerate(batch.grid.knots[: batch.grid.index_T]):
+                for name, form in forms.items():
+                    expect = form(mk, ins, batch.Y0, b[:, i], float(t))
+                    np.testing.assert_allclose(
+                        getattr(prof, name)[:, i], expect, rtol=0, atol=1e-14
+                    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(market=markets(), insider=signal_weights())
+def test_run_out_integrals_match_fsum_at_every_knot(market, insider):
+    # every knot of [0, T), breakpoints included, in one vectorised call
+    t = KNOTS[:20]
+    phi = insider.phi_weight
+    w, norm_t, norm_T, cross = _run_out(market, insider, t)
+    np.testing.assert_array_equal(w, phi(t))
+    assert abs(norm_T - _fsum(lambda s: phi(s) ** 2, phi.breakpoints, 1.0, 2.0)) <= 1e-13
+    breaks = [*phi.breakpoints, *market.breakpoints_union()]
+    for i, a in enumerate(t):
+        assert abs(norm_t[i] - _fsum(lambda s: phi(s) ** 2, phi.breakpoints, a, 2.0)) <= 1e-13
+        product = _fsum(lambda s: phi(s) * iota(market, s), breaks, a, 1.0)
+        assert abs(cross[i] - product) <= 1e-13
