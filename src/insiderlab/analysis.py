@@ -29,6 +29,8 @@ from .model import (
     sigma_tilde,
 )
 from .strategies import (
+    StrategyKind,
+    market_for,
     pi_large_insider_nonrobust,
     pi_small_insider_nonrobust,
     pi_small_insider_robust,
@@ -41,6 +43,8 @@ __all__ = [
     "value_small_insider_robust",
     "value_small_insider_nonrobust",
     "value_large_insider_nonrobust",
+    "VALUE_KINDS",
+    "value_of",
     "critical_T0",
     "fig_value_table",
     "fig_critical_table",
@@ -193,6 +197,36 @@ def value_large_insider_nonrobust(market: MarketParams, insider: InsiderSpec) ->
     )
 
 
+# regime -> its closed-form value, given the market it trades in
+_VALUES = {
+    StrategyKind.NO_INSIDER_ROBUST: lambda market, insider: value_no_insider_robust(market),
+    StrategyKind.NO_INSIDER_NONROBUST: lambda market, insider: value_no_insider_nonrobust(market),
+    StrategyKind.SMALL_INSIDER_ROBUST: value_small_insider_robust,
+    StrategyKind.SMALL_INSIDER_NONROBUST: value_small_insider_nonrobust,
+    StrategyKind.LARGE_INSIDER_NONROBUST: value_large_insider_nonrobust,
+}
+# the regimes with a closed-form value, in table order
+VALUE_KINDS = tuple(_VALUES)
+
+
+def _if_defined(closed_form, *args):
+    """closed_form(*args), or None where it needs unit signal weight and the
+    insider has another."""
+    try:
+        return closed_form(*args)
+    except ValidationError as exc:
+        if exc.code != "unsupported_phi":
+            raise
+        return None
+
+
+def value_of(kind: StrategyKind, market: MarketParams, insider: InsiderSpec) -> ValueBreakdown | None:
+    """Closed-form value of regime `kind` (one of VALUE_KINDS) in the market it
+    trades in: `market`, without impact for a small trader.  None where the
+    closed form needs unit signal weight and `insider` has another."""
+    return _if_defined(_VALUES[kind], market_for(kind, market), insider)
+
+
 # -- critical information horizon ----------------------------------------------
 
 
@@ -245,32 +279,23 @@ def fig_value_table(
     bsde_values: dict[float, float] | None = None,
 ) -> tuple[list[str], list[list]]:
     """Utility gain (value - ln X0) of every regime against the information
-    horizon.  Small-trader curves use the zero-impact market; the large-trader
-    curve uses the market as given.  `bsde_values` optionally adds the
-    numerically solved robust large-trader series keyed by T0.
+    horizon.  Small-trader curves use the zero-impact market, and so does the
+    uninformed neutral curve, which defines the critical horizon; the
+    large-trader curve uses the market as given.  `bsde_values` optionally adds
+    the numerically solved robust large-trader series keyed by T0.
     """
     small = market.without_impact()
     ln_x0 = math.log(market.X0)
-    header = [
-        "T0",
-        "no_insider_robust",
-        "no_insider_nonrobust",
-        "small_insider_robust",
-        "small_insider_nonrobust",
-        "large_insider_nonrobust",
-    ]
+    header = ["T0", *(kind.value for kind in VALUE_KINDS)]
     if bsde_values is not None:
         header.append("large_insider_robust_bsde")
     rows = []
     for t0 in t0_values:
         insider = InsiderSpec.enlargement(T0=float(t0))
-        row = [
-            float(t0),
-            value_no_insider_robust(small).total - ln_x0,
-            value_no_insider_nonrobust(small).total - ln_x0,
-            value_small_insider_robust(small, insider).total - ln_x0,
-            value_small_insider_nonrobust(small, insider).total - ln_x0,
-            value_large_insider_nonrobust(market, insider).total - ln_x0,
+        row = [float(t0)] + [
+            value_of(k, small if k is StrategyKind.NO_INSIDER_NONROBUST else market, insider).total
+            - ln_x0
+            for k in VALUE_KINDS
         ]
         if bsde_values is not None:
             row.append(bsde_values.get(float(t0), ""))
@@ -317,7 +342,8 @@ def strategy_line_table(
     y0: float = 1.0,
 ) -> tuple[list[str], list[list]]:
     """Informed fractions against the current noise level W_t at fixed time t
-    and signal W_T0 = y0; small-trader lines use the zero-impact market."""
+    and signal W_T0 = y0; small-trader lines use the zero-impact market.  The
+    large-trader line is blank unless the signal weight is 1."""
     _require_insider(insider, market.T)
     small = market.without_impact()
     header = [
@@ -327,10 +353,11 @@ def strategy_line_table(
         "pi_large_insider_nonrobust",
     ]
     w = np.asarray(w_values, dtype=float)
+    large = _if_defined(pi_large_insider_nonrobust, market, insider, y0, w, t)
     columns = [
-        w,
-        pi_small_insider_robust(small, insider, y0, w, t),
-        pi_small_insider_nonrobust(small, insider, y0, w, t),
-        pi_large_insider_nonrobust(market, insider, y0, w, t),
+        w.tolist(),
+        pi_small_insider_robust(small, insider, y0, w, t).tolist(),
+        pi_small_insider_nonrobust(small, insider, y0, w, t).tolist(),
+        [""] * len(w) if large is None else large.tolist(),
     ]
-    return header, np.column_stack(columns).tolist()
+    return header, [list(row) for row in zip(*columns)]

@@ -52,9 +52,9 @@ from .simulate import (
     simulate_density,
     simulate_wealth,
 )
-from .strategies import NO_IMPACT_KINDS, StrategyKind, build_profile
+from .strategies import UNINFORMED_KINDS, StrategyKind, build_profile, market_for
 
-_REGIME_CHOICES = [k.value for k in StrategyKind if k is not StrategyKind.LARGE_INSIDER_ROBUST]
+_REGIME_CHOICES = [k.value for k in analysis.VALUE_KINDS]  # the regimes with closed forms
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,15 +83,17 @@ _DEFAULTS = {
     "insider": {"kind": "enlargement", "T0": "2.0", "phi": "1.0"},
     "run": {"robust": "true", "n_steps": "200", "n_paths": "100000", "seed": "20240801"},
 }
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES  # true/false, 1/0, yes/no, on/off
 
 
 def _describe(fn: PiecewiseConstant) -> str:
     if len(fn.breakpoints) == 1:
         return repr(fn.values[0])
-    return ", ".join(f"{b}:{v}" for b, v in zip(fn.breakpoints, fn.values))
+    return ",".join(f"{b}:{v}" for b, v in zip(fn.breakpoints, fn.values))
 
 
 def echo_config(config: ScenarioConfig) -> str:
+    """`key=value` tokens that load_config reads back to an equal config."""
     market, insider = config.market, config.insider
     parts = [
         f"r={_describe(market.r)}",
@@ -104,12 +106,10 @@ def echo_config(config: ScenarioConfig) -> str:
     ]
     if insider.has_signal():
         parts += [f"T0={insider.T0!r}", f"phi={_describe(insider.phi_weight)}"]
-    parts += [
-        f"robust={str(config.robust).lower()}",
-        f"n_steps={config.n_steps}",
-        f"n_paths={config.n_paths}",
-        f"seed={config.seed}",
-    ]
+    parts += [f"robust={str(config.robust).lower()}", f"n_steps={config.n_steps}"]
+    if config.n_steps_tail is not None:
+        parts.append(f"n_steps_tail={config.n_steps_tail}")
+    parts += [f"n_paths={config.n_paths}", f"seed={config.seed}"]
     return " ".join(parts)
 
 
@@ -129,47 +129,45 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ScenarioConf
         val = getattr(overrides, name, None)
         return str(val) if val is not None else ini[section][key]
 
-    def number(convert, name, section, key):
+    def scalar(convert, name, section, key):
         text = flag(name, section, key)
         try:
             return convert(text)
-        except ValueError:
-            raise ValidationError("config_value", f"{key} = {text!r} is not a number") from None
+        except (KeyError, ValueError):
+            raise ValidationError("config_value", f"cannot read {key} = {text!r}") from None
 
     market = MarketParams(
         r=parse_piecewise(flag("r", "market", "r")),
         mu0=parse_piecewise(flag("mu", "market", "mu0")),
         sigma=parse_piecewise(flag("sigma", "market", "sigma")),
         varrho=parse_piecewise(flag("varrho", "market", "varrho")),
-        T=number(float, "T", "market", "T"),
-        X0=number(float, "x0", "market", "X0"),
+        T=scalar(float, "T", "market", "T"),
+        X0=scalar(float, "x0", "market", "X0"),
     )
     kind_txt = flag("kind", "insider", "kind").strip().lower()
     if kind_txt in ("none", "no_insider"):
         insider = InsiderSpec.none()
     elif kind_txt in ("enlargement", "initial_enlargement"):
         insider = InsiderSpec.enlargement(
-            T0=number(float, "t0", "insider", "T0"),
+            T0=scalar(float, "t0", "insider", "T0"),
             phi_weight=parse_piecewise(flag("phi", "insider", "phi")),
         )
     else:
         raise ValidationError("insider_kind", f"unknown insider kind {kind_txt!r}")
 
-    robust_txt = flag("robust", "run", "robust").strip().lower()
     tail = getattr(overrides, "n_steps_tail", None)
     if tail is None and ini.has_option("run", "n_steps_tail"):
-        tail = number(int, "n_steps_tail", "run", "n_steps_tail")
+        tail = scalar(int, "n_steps_tail", "run", "n_steps_tail")
     config = ScenarioConfig(
         market=market,
         insider=insider,
-        robust=robust_txt in ("1", "true", "yes", "on"),
-        n_steps=number(int, "n_steps", "run", "n_steps"),
+        robust=scalar(lambda text: _BOOLEANS[text.strip().lower()], "robust", "run", "robust"),
+        n_steps=scalar(int, "n_steps", "run", "n_steps"),
         n_steps_tail=tail,
-        n_paths=number(int, "n_paths", "run", "n_paths"),
-        seed=number(int, "seed", "run", "seed"),
+        n_paths=scalar(int, "n_paths", "run", "n_paths"),
+        seed=scalar(int, "seed", "run", "seed"),
     )
     validate(config)
-    setattr(overrides, "config_echo", echo_config(config))
     return config
 
 
@@ -182,157 +180,98 @@ def _default_regime(config: ScenarioConfig) -> str:
     return "no_insider_nonrobust"
 
 
-def _analytic_value(kind: StrategyKind, market: MarketParams, insider: InsiderSpec):
-    """The closed-form value of `kind` in the market it trades in, or "" where
-    there is none (the robust informed value for a non-unit signal weight)."""
-    try:
-        if kind is StrategyKind.NO_INSIDER_ROBUST:
-            return analysis.value_no_insider_robust(market).total
-        if kind is StrategyKind.NO_INSIDER_NONROBUST:
-            return analysis.value_no_insider_nonrobust(market).total
-        if kind is StrategyKind.SMALL_INSIDER_ROBUST:
-            return analysis.value_small_insider_robust(market, insider).total
-        if kind is StrategyKind.SMALL_INSIDER_NONROBUST:
-            return analysis.value_small_insider_nonrobust(market, insider).total
-        if kind is StrategyKind.LARGE_INSIDER_NONROBUST:
-            return analysis.value_large_insider_nonrobust(market, insider).total
-    except ValidationError as exc:
-        if exc.code != "unsupported_phi":
-            raise
-    return ""
-
-
 # -- subcommand handlers ---------------------------------------------------------
+#
+# Each takes the parsed flags and the loaded config and returns its exit code
+# and the tables to write, {csv_name: (header, rows)}; main does the rest.
 
 
-def _cmd_value(args, out: list[str]) -> int:
-    config = load_config(args.config, args)
-    market, insider = config.market, config.insider
-    small = market.without_impact()
+def _cmd_value(args, config: ScenarioConfig):
+    insider = config.insider
     rows = []
-    breakdowns = [
-        analysis.value_no_insider_robust(small),
-        analysis.value_no_insider_nonrobust(market),
-    ]
-    if insider.has_signal():
-        breakdowns += [
-            analysis.value_small_insider_robust(small, insider),
-            analysis.value_small_insider_nonrobust(small, insider),
-            analysis.value_large_insider_nonrobust(market, insider),
-        ]
-    for b in breakdowns:
-        rows.append([b.regime, b.base, b.merton, b.rent, b.penalty_adjust, b.total])
-    out.append(
-        write_csv(
-            os.path.join(args.out, "values.csv"),
-            ["regime", "base", "merton", "rent", "penalty_adjust", "total"],
-            rows,
-        )
-    )
-    return 0
+    for kind in analysis.VALUE_KINDS:
+        if kind in UNINFORMED_KINDS or insider.has_signal():
+            b = analysis.value_of(kind, config.market, insider)
+            cells = [""] * 5 if b is None else [b.base, b.merton, b.rent, b.penalty_adjust, b.total]
+            rows.append([kind.value, *cells])
+    return 0, {"values.csv": (["regime", "base", "merton", "rent", "penalty_adjust", "total"], rows)}
 
 
-def _profile_for(args, config: ScenarioConfig, batch):
-    kind = StrategyKind(args.regime or _default_regime(config))
-    market = config.market.without_impact() if kind in NO_IMPACT_KINDS else config.market
-    return kind, market, build_profile(kind, batch, market, config.insider)
-
-
-def _cmd_simulate(args, out: list[str]) -> int:
-    config = load_config(args.config, args)
+def _profile_for(args, config: ScenarioConfig):
+    """The path batch, regime, the market it trades in and its profile."""
     batch = sample_paths(config, threads=args.threads)
-    kind, market, profile = _profile_for(args, config, batch)
+    kind = StrategyKind(args.regime or _default_regime(config))
+    market = market_for(kind, config.market)
+    return batch, kind, market, build_profile(kind, batch, market, config.insider)
+
+
+def _cmd_simulate(args, config: ScenarioConfig):
+    batch, kind, market, profile = _profile_for(args, config)
     wealth = simulate_wealth(batch, profile, market)
     density = simulate_density(batch, profile)
     j = estimate_J(batch, profile, wealth, density, market)
     ent = entropy_identity_check(batch, profile, density)
-    out.append(
-        write_csv(
-            os.path.join(args.out, "j_report.csv"),
+    value = analysis.value_of(kind, market, config.insider)
+    return 0, {
+        "j_report.csv": (
             ["regime", "J_mean", "J_se", "n_paths", "n_steps", "seed", "analytic_value"],
             [[kind.value, j.mean, j.std_error, j.n_paths, config.n_steps, config.seed,
-              _analytic_value(kind, market, config.insider)]],
-        )
-    )
-    out.append(
-        write_csv(
-            os.path.join(args.out, "entropy_check.csv"),
+              "" if value is None else value.total]],
+        ),
+        "entropy_check.csv": (
             ["lhs_mean", "lhs_se", "rhs_mean", "rhs_se", "gap", "gap_se", "z"],
             [[ent.lhs_mean, ent.lhs_se, ent.rhs_mean, ent.rhs_se, ent.gap, ent.gap_se, ent.z]],
-        )
-    )
-    return 0
+        ),
+    }
 
 
-def _cmd_martingale(args, out: list[str]) -> int:
-    config = load_config(args.config, args)
-    batch = sample_paths(config, threads=args.threads)
-    kind, market, profile = _profile_for(args, config, batch)
+def _cmd_martingale(args, config: ScenarioConfig):
+    batch, kind, market, profile = _profile_for(args, config)
     if args.perturb_pi != 1.0:
         profile = profile.scaled(pi_factor=args.perturb_pi)
     stats = martingale_diagnostic(batch, profile, market)
     rows = [[s.t, s.h, s.estimate, s.std_error, s.z] for s in stats]
-    out.append(
-        write_csv(
-            os.path.join(args.out, "martingale.csv"),
-            ["t", "h", "estimate", "SE", "z"],
-            rows,
-        )
-    )
-    return 0
+    return 0, {"martingale.csv": (["t", "h", "estimate", "SE", "z"], rows)}
 
 
-def _cmd_bsde_linear(args, out: list[str]) -> int:
-    config = load_config(args.config, args)
+def _cmd_bsde_linear(args, config: ScenarioConfig):
     batch = sample_paths(config, threads=args.threads)
     market, insider = config.market.without_impact(), config.insider
     oracle = solve_linear_closed_form(batch, market, insider)
     sol = solve_linear_lsmc(batch, market, insider, basis_order=args.basis_order)
-    header, rows = knot_table(sol, oracle)
-    out.append(write_csv(os.path.join(args.out, "bsde_linear.csv"), header, rows))
-    out.append(
-        write_csv(
-            os.path.join(args.out, "bsde_linear_report.csv"),
+    return 0, {
+        "bsde_linear.csv": knot_table(sol, oracle),
+        "bsde_linear_report.csv": (
             ["residual", "normalizer_mc", "Y0_mean", "X0"],
             [[sol.residual, sol.c if np.ndim(sol.c) == 0 else "", float(np.mean(sol.Y[:, 0])),
               market.X0]],
-        )
-    )
-    return 0
+        ),
+    }
 
 
-def _cmd_bsde_quadratic(args, out: list[str]) -> int:
-    config = load_config(args.config, args)
+def _cmd_bsde_quadratic(args, config: ScenarioConfig):
     batch = sample_paths(config, threads=args.threads)
     market, insider = config.market, config.insider
     sol = solve_quadratic_lsmc(
         batch, market, insider, basis_order=args.basis_order, shoot_tol=args.shoot_tol
     )
-    header, rows = knot_table(sol)
-    out.append(write_csv(os.path.join(args.out, "bsde_quadratic.csv"), header, rows))
-    trace_rows = [[it, repr(c2), resid, l0] for it, c2, resid, l0 in sol.trace]
-    out.append(
-        write_csv(
-            os.path.join(args.out, "bsde_quadratic_trace.csv"),
-            ["iteration", "c2", "residual", "L0_mean"],
-            trace_rows,
-        )
-    )
     v, se = value_from_bsde(sol)
     controls = recover_controls(sol, market, batch, StrategyKind.LARGE_INSIDER_ROBUST)
-    out.append(
-        write_csv(
-            os.path.join(args.out, "bsde_quadratic_value.csv"),
+    return 0, {
+        "bsde_quadratic.csv": knot_table(sol),
+        "bsde_quadratic_trace.csv": (
+            ["iteration", "c2", "residual", "L0_mean"],
+            [[it, repr(c2), resid, l0] for it, c2, resid, l0 in sol.trace],
+        ),
+        "bsde_quadratic_value.csv": (
             ["value", "value_se", "residual", "mean_abs_z", "mean_pi_0"],
             [[v, se, sol.residual, float(np.mean(np.abs(sol.Z))),
               float(np.mean(controls.pi[:, 0]))]],
-        )
-    )
-    return 0
+        ),
+    }
 
 
-def _cmd_forward_check(args, out: list[str]) -> int:
-    config = load_config(args.config, args)
+def _cmd_forward_check(args, config: ScenarioConfig):
     flat = replace(
         config,
         insider=InsiderSpec.none(),
@@ -344,31 +283,25 @@ def _cmd_forward_check(args, out: list[str]) -> int:
     np.cumsum(batch.dW, axis=1, out=W[:, 1:])
     dt = float(batch.grid.dt[0])
     kind = TestIntegrand(args.integrand)
-    header, rows = convergence_table(W, dt, kind, eps_steps_list=[8, 4, 2])
-    out.append(write_csv(os.path.join(args.out, f"forward_{kind.value}.csv"), header, rows))
-    return 0
+    return 0, {f"forward_{kind.value}.csv": convergence_table(W, dt, kind, eps_steps_list=[8, 4, 2])}
 
 
-def _cmd_critical_t0(args, out: list[str]) -> int:
-    config = load_config(args.config, args)
+def _cmd_critical_t0(args, config: ScenarioConfig):
     market = config.market.without_impact()
     t0_star = analysis.critical_T0(market)
     gap = (
         analysis.value_small_insider_robust(market, InsiderSpec.enlargement(T0=t0_star)).total
         - analysis.value_no_insider_nonrobust(market).total
     )
-    out.append(
-        write_csv(
-            os.path.join(args.out, "critical_t0.csv"),
+    return 0, {
+        "critical_t0.csv": (
             ["mu", "sigma", "r", "T", "T0_star", "equation_gap"],
             [[market.mu0(0.0), market.sigma(0.0), market.r(0.0), market.T, t0_star, gap]],
         )
-    )
-    return 0
+    }
 
 
-def _cmd_figures(args, out: list[str]) -> int:
-    config = load_config(args.config, args)
+def _cmd_figures(args, config: ScenarioConfig):
     market = config.market
     if args.fig_kind == "fig3" and args.mu is None:
         market = replace(market, mu0=PiecewiseConstant.constant(0.08))
@@ -389,38 +322,26 @@ def _cmd_figures(args, out: list[str]) -> int:
                 b = sample_paths(cfg, threads=args.threads)
                 sol = solve_quadratic_lsmc(b, market, cfg.insider, shoot_tol=5e-3)
                 bsde_values[t0] = value_from_bsde(sol)[0] - math.log(market.X0)
-        header, rows = analysis.fig_value_table(market, t0s, bsde_values)
-        out.append(write_csv(os.path.join(args.out, f"{args.fig_kind}.csv"), header, rows))
+        table = analysis.fig_value_table(market, t0s, bsde_values)
     elif args.fig_kind == "fig2":
         mus = [0.10, 0.125, 0.15, 0.175, 0.20]
         sigmas = [0.25, 0.30, 0.35, 0.40, 0.45]
-        header, rows = analysis.fig_critical_table(market, mus, sigmas)
-        out.append(write_csv(os.path.join(args.out, "fig2.csv"), header, rows))
+        table = analysis.fig_critical_table(market, mus, sigmas)
     else:  # strategy_lines
-        insider = config.insider
-        insider.require_signal("strategy lines")
+        config.insider.require_signal("strategy lines")
         w_values = [(-2.0 + 0.1 * i) for i in range(41)]
-        header, rows = analysis.strategy_line_table(
-            market, insider, t=0.5 * T, w_values=w_values, y0=args.signal_level
+        table = analysis.strategy_line_table(
+            market, config.insider, t=0.5 * T, w_values=w_values, y0=args.signal_level
         )
-        out.append(write_csv(os.path.join(args.out, "strategy_lines.csv"), header, rows))
-    return 0
+    return 0, {f"{args.fig_kind}.csv": table}
 
 
-def _cmd_selftest(args, out: list[str]) -> int:
-    seed = args.seed if args.seed is not None else 20240801
-    rows = run_selftest(seed=seed)
-    out.append(
-        write_csv(
-            os.path.join(args.out, "selftest.csv"),
-            ["check", "passed", "metric"],
-            [[name, ok, metric] for name, ok, metric in rows],
-        )
-    )
-    failures = [name for name, ok, _ in rows if not ok]
+def _cmd_selftest(args, config: ScenarioConfig):
+    rows = run_selftest(seed=config.seed)
     for name, ok, metric in rows:
         print(f"{'PASS' if ok else 'FAIL'} {name} (metric={metric:.3e})")
-    return 1 if failures else 0
+    code = 0 if all(ok for _, ok, _ in rows) else 1
+    return code, {"selftest.csv": (["check", "passed", "metric"], [list(row) for row in rows])}
 
 
 # -- parser ------------------------------------------------------------------------
@@ -443,7 +364,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--t0", type=float, default=None, help="information horizon T0 > T (time)")
     p.add_argument("--phi", type=str, default=None, help="signal weight, constant or 't:v' pairs")
     p.add_argument("--kind", type=str, default=None, help="insider kind: none | enlargement")
-    p.add_argument("--robust", type=str, default=None, help="model uncertainty on/off (true/false)")
+    p.add_argument("--robust", type=str, default=None, help="model uncertainty on/off: true/false, yes/no, on/off or 1/0")
 
 
 def _build_parser() -> _Parser:
@@ -509,26 +430,24 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.out is None:
-        args.out = os.environ.get("INSIDERLAB_OUT", "out")
-    outputs: list[str] = []
+    args = _build_parser().parse_args(argv)
+    out_dir = args.out if args.out is not None else os.environ.get("INSIDERLAB_OUT", "out")
     start = time.time()
     try:
-        code = args.handler(args, outputs)
+        config = load_config(args.config, args)
+        code, tables = args.handler(args, config)
     except (ValidationError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except (ShootingError, RegressionError) as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 2
+    outputs = [write_csv(os.path.join(out_dir, name), header, rows)
+               for name, (header, rows) in tables.items()]
     wall = time.time() - start
     print(f"command={args.command}")
-    echo = getattr(args, "config_echo", None)
-    if echo is not None:
-        print(f"config={echo}")
-    print(f"seed={args.seed if args.seed is not None else 'config-default'}")
+    print(f"config={echo_config(config)}")
+    print(f"seed={config.seed}")
     for path in outputs:
         print(f"output={path}")
     print(f"wall_time_s={wall:.3f}")

@@ -78,9 +78,12 @@ class TimeGrid:
 
 def _merge_knots(*arrays) -> np.ndarray:
     k = np.unique(np.concatenate([np.asarray(a, dtype=float) for a in arrays]))
-    # collapse floating-point near-duplicates from linspace/breakpoint overlap
+    # collapse floating-point near-duplicates from linspace/breakpoint overlap,
+    # keeping both ends exact: a breakpoint just below the end must not replace it
     keep = np.concatenate(([True], np.diff(k) > 1e-12))
-    return k[keep]
+    merged = k[keep]
+    merged[-1] = k[-1]
+    return merged
 
 
 def build_grid(config: ScenarioConfig) -> TimeGrid:

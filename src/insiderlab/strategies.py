@@ -35,6 +35,8 @@ __all__ = [
     "StrategyKind",
     "StrategyProfile",
     "NO_IMPACT_KINDS",
+    "UNINFORMED_KINDS",
+    "market_for",
     "pi_no_insider_robust",
     "theta_no_insider_robust",
     "pi_small_insider_robust",
@@ -60,6 +62,14 @@ NO_IMPACT_KINDS = {
     StrategyKind.SMALL_INSIDER_ROBUST,
     StrategyKind.SMALL_INSIDER_NONROBUST,
 }
+
+# regimes that trade without an insider signal
+UNINFORMED_KINDS = {StrategyKind.NO_INSIDER_ROBUST, StrategyKind.NO_INSIDER_NONROBUST}
+
+
+def market_for(kind: StrategyKind, market: MarketParams) -> MarketParams:
+    """The market `kind` trades in: a small trader sees no price impact."""
+    return market.without_impact() if kind in NO_IMPACT_KINDS else market
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,24 @@
+import argparse
 import csv
 import io
 import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from insiderlab.cli import load_config, main, parse_piecewise
-from insiderlab.model import PiecewiseConstant, ValidationError
+from insiderlab import analysis
+from insiderlab.cli import echo_config, load_config, main, parse_piecewise
+from insiderlab.model import (
+    InsiderSpec,
+    MarketParams,
+    PiecewiseConstant,
+    ScenarioConfig,
+    ValidationError,
+)
+from insiderlab.paths import build_grid
+from insiderlab.strategies import pi_small_insider_nonrobust, pi_small_insider_robust
 
 BASE_CFG = """
 [market]
@@ -40,6 +53,53 @@ def run(argv):
     return main(argv)
 
 
+def read_table(path):
+    return list(csv.DictReader(io.StringIO(path.read_text())))
+
+
+# the INI section of every key echo_config writes
+SECTION = {
+    **dict.fromkeys(("r", "mu0", "sigma", "varrho", "T", "X0"), "market"),
+    **dict.fromkeys(("kind", "T0", "phi"), "insider"),
+    **dict.fromkeys(("robust", "n_steps", "n_steps_tail", "n_paths", "seed"), "run"),
+}
+
+
+def step_functions(lo, hi):
+    """Piecewise-constant functions with up to three breakpoints in (0, 3)."""
+    return st.lists(st.floats(1e-3, 3.0), unique=True, max_size=3).flatmap(
+        lambda bps: st.lists(st.floats(lo, hi), min_size=len(bps) + 1, max_size=len(bps) + 1).map(
+            lambda vals: PiecewiseConstant((0.0, *sorted(bps)), vals)
+        )
+    )
+
+
+@st.composite
+def scenarios(draw):
+    """Valid configs: sigma >= 0.1 keeps varrho <= 0.004 below sigma^2/2."""
+    T = draw(st.floats(0.1, 3.0))
+    market = MarketParams(
+        r=draw(step_functions(-0.05, 0.05)),
+        mu0=draw(step_functions(-0.2, 0.4)),
+        sigma=draw(step_functions(0.1, 1.0)),
+        varrho=draw(step_functions(0.0, 0.004)),
+        T=T,
+        X0=draw(st.floats(0.01, 100.0)),
+    )
+    insider = draw(st.just(InsiderSpec.none()) | step_functions(0.5, 2.0).flatmap(
+        lambda phi: st.floats(0.01, 3.0).map(
+            lambda gap: InsiderSpec.enlargement(T0=T + gap, phi_weight=phi))))
+    return ScenarioConfig(
+        market=market,
+        insider=insider,
+        robust=draw(st.booleans()),
+        n_steps=draw(st.integers(2, 10**6)),
+        n_steps_tail=draw(st.none() | st.integers(1, 10**6)),
+        n_paths=draw(st.integers(1, 10**9)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
 class TestConfigParsing:
     def test_parse_piecewise_constant(self):
         fn = parse_piecewise("0.35")
@@ -70,6 +130,35 @@ class TestConfigParsing:
         assert cfg.market.mu0(0.0) == 0.08
         assert cfg.market.sigma(0.0) == 0.35  # untouched
 
+    @settings(max_examples=100, deadline=None)
+    @given(config=scenarios())
+    def test_echo_round_trips_through_a_config_file(self, config):
+        sections = {}
+        for token in echo_config(config).split():
+            key, value = token.split("=", 1)
+            sections.setdefault(SECTION[key], []).append(f"{key} = {value}")
+        text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "echo.cfg")
+            with open(path, "w") as fh:
+                fh.write(text)
+            assert load_config(path, argparse.Namespace()) == config
+
+    @pytest.mark.parametrize("text, robust", [("TRUE", True), ("Yes", True), ("on", True),
+                                              ("1", True), ("False", False), ("NO", False),
+                                              ("off", False), ("0", False)])
+    def test_robust_spellings(self, cfg_file, text, robust):
+        assert load_config(cfg_file, argparse.Namespace(robust=text)).robust is robust
+
+    def test_n_steps_tail_from_flag_and_file(self, cfg_file, tmp_path):
+        from_flag = load_config(cfg_file, argparse.Namespace(n_steps_tail=7))
+        path = tmp_path / "tail.cfg"
+        path.write_text(BASE_CFG + "n_steps_tail = 7\n")
+        from_file = load_config(str(path), argparse.Namespace())
+        for cfg in (from_flag, from_file):
+            assert cfg.n_steps_tail == 7
+            assert build_grid(cfg).n_steps == 20 + 7
+
     def test_missing_file_rejected(self):
         class Blank:
             pass
@@ -85,6 +174,8 @@ class TestConfigParsing:
             ([], BASE_CFG.replace("sigma = 0.35", "sigma ="), "piecewise_syntax"),
             ([], BASE_CFG.replace("T = 1.0", "T = one"), "config_value"),
             ([], "r = 0.0\nsigma = 0.35\n", "config_syntax"),
+            (["--robust", "ture"], None, "config_value"),
+            (["--n-steps-tail", "0"], None, "n_steps_tail_min"),
         ],
     )
     def test_malformed_input_exits_one_with_code(self, tmp_path, capsys, flags, cfg_text, code):
@@ -125,6 +216,12 @@ class TestExitCodes:
         assert "wall_time_s=" in out
         assert "output=" in out
 
+    def test_run_report_prints_resolved_seed(self, tmp_path, cfg_file, capsys):
+        run(["value", "--config", cfg_file, "--out", str(tmp_path)])
+        assert "\nseed=4711\n" in capsys.readouterr().out
+        run(["value", "--out", str(tmp_path)])
+        assert "\nseed=20240801\n" in capsys.readouterr().out
+
 
 class TestValueCommand:
     def test_writes_all_closed_form_regimes(self, tmp_path, cfg_file):
@@ -139,6 +236,19 @@ class TestValueCommand:
             "small_insider_nonrobust",
             "large_insider_nonrobust",
         ]
+
+    def test_non_unit_weight_leaves_unit_weight_rows_blank(self, tmp_path, cfg_file):
+        assert run(["value", "--config", cfg_file, "--phi", "0:1,1.5:2",
+                    "--out", str(tmp_path)]) == 0
+        rows = {row["regime"]: row for row in read_table(tmp_path / "values.csv")}
+        assert list(rows) == [k.value for k in analysis.VALUE_KINDS]
+        for regime in ("small_insider_robust", "large_insider_nonrobust"):
+            assert [v for k, v in rows[regime].items() if k != "regime"] == [""] * 5
+        cfg = load_config(cfg_file, argparse.Namespace(phi="0:1,1.5:2"))
+        expect = analysis.value_small_insider_nonrobust(cfg.market, cfg.insider).total
+        assert abs(float(rows["small_insider_nonrobust"]["total"]) - expect) <= 1e-12
+        for regime in ("no_insider_robust", "no_insider_nonrobust"):
+            assert float(rows[regime]["total"]) != 0.0
 
     def test_no_signal_config_gets_two_rows(self, tmp_path, cfg_file):
         run(["value", "--config", cfg_file, "--kind", "none", "--out", str(tmp_path)])
@@ -164,6 +274,18 @@ class TestSimulationCommands:
         assert row["regime"] == "small_insider_robust"
         assert row["analytic_value"] == ""
         assert float(row["J_mean"]) != 0.0
+
+    @pytest.mark.parametrize("command", ["simulate", "bsde-quadratic"])
+    def test_thread_count_does_not_change_bytes(self, tmp_path, cfg_file, command):
+        # 9000 paths span three RNG blocks, so two threads fill them concurrently
+        outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+        for n, out in zip((1, 2), outs):
+            assert run([command, "--config", cfg_file, "--n-paths", "9000", "--threads", str(n),
+                        "--out", str(out)]) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names and names == sorted(os.listdir(outs[1]))
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_simulate_byte_reproducible(self, tmp_path, cfg_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -244,6 +366,19 @@ class TestAnalysisCommands:
         assert lines[0] == "W_t,pi_small_insider_robust,pi_small_insider_nonrobust,pi_large_insider_nonrobust"
         assert len(lines) == 42
 
+    def test_strategy_lines_non_unit_weight(self, tmp_path, cfg_file):
+        assert run(["figures", "--fig-kind", "strategy_lines", "--config", cfg_file,
+                    "--phi", "2", "--out", str(tmp_path)]) == 0
+        rows = read_table(tmp_path / "strategy_lines.csv")
+        assert len(rows) == 41
+        assert all(row["pi_large_insider_nonrobust"] == "" for row in rows)
+        cfg = load_config(cfg_file, argparse.Namespace(phi="2"))
+        w = np.array([float(row["W_t"]) for row in rows])
+        for name, form in (("pi_small_insider_robust", pi_small_insider_robust),
+                           ("pi_small_insider_nonrobust", pi_small_insider_nonrobust)):
+            got = np.array([float(row[name]) for row in rows])
+            np.testing.assert_array_equal(got, form(cfg.market, cfg.insider, 1.0, w, 0.5))
+
     def test_figures_fig2_long_format(self, tmp_path, cfg_file):
         assert run(["figures", "--fig-kind", "fig2", "--config", cfg_file,
                     "--out", str(tmp_path)]) == 0
@@ -273,3 +408,14 @@ class TestSelftestCommand:
         assert lines[0] == "check,passed,metric"
         assert all(line.split(",")[1] == "true" for line in lines[1:])
         assert "PASS" in capsys.readouterr().out
+
+    def test_selftest_takes_seed_from_config_and_validates_flags(self, tmp_path, cfg_file,
+                                                                  monkeypatch, capsys):
+        seeds = []
+        monkeypatch.setattr("insiderlab.cli.run_selftest",
+                            lambda seed: seeds.append(seed) or [("stub", True, 0.0)])
+        assert run(["selftest", "--config", cfg_file, "--out", str(tmp_path)]) == 0
+        assert seeds == [4711]
+        assert "seed=4711" in capsys.readouterr().out
+        assert run(["selftest", "--t0", "0.5", "--out", str(tmp_path)]) == 1
+        assert seeds == [4711]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from insiderlab.model import (
     DomainError,
@@ -50,6 +51,34 @@ class TestGrid:
         dt = np.diff(grid.knots)
         assert np.allclose(dt, dt[0])
         assert grid.n_steps == 200
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=st.floats(0.5, 2.0),
+        gap=st.floats(0.1, 2.0),
+        n_steps=st.integers(2, 60),
+        n_tail=st.none() | st.integers(1, 60),
+        coef_bps=st.lists(st.lists(st.floats(1e-3, 4.0), unique=True, max_size=3),
+                          min_size=4, max_size=4),
+        phi_bps=st.lists(st.floats(1e-3, 4.0), unique=True, max_size=4),
+    )
+    @example(T=1.0, gap=1.0, n_steps=10, n_tail=None, coef_bps=[[1.0 - 1e-13], [], [], []],
+             phi_bps=[2.0 - 1e-13])
+    def test_every_breakpoint_is_a_knot(self, T, gap, n_steps, n_tail, coef_bps, phi_bps):
+        # T, T0, every coefficient breakpoint in (0, T) and every signal-weight
+        # breakpoint in (0, T0) are knots, whatever the resolution; the example
+        # puts breakpoints within 1e-12 below T and T0
+        def steps(bps, value):
+            return PiecewiseConstant((0.0, *sorted(bps)), [value] * (len(bps) + 1))
+
+        coefs = [steps(b, v) for b, v in zip(coef_bps, (0.0, 0.15, 0.35, 0.0))]
+        m = MarketParams(*coefs, T=T, X0=1.0)
+        ins = InsiderSpec.enlargement(T0=T + gap, phi_weight=steps(phi_bps, 1.0))
+        grid = build_grid(make_config(m, ins, n_steps=n_steps, n_steps_tail=n_tail))
+        assert grid.knots[0] == 0.0 and grid.T == T and grid.T_end == T + gap
+        assert np.all(np.diff(grid.knots) > 0)
+        for b in [*m.breakpoints_union(), *(b for b in phi_bps if b < T + gap)]:
+            grid.index_of(b)  # raises DomainError off the grid
 
     def test_zero_step_grid_rejected(self, market, insider):
         with pytest.raises(ValidationError):
