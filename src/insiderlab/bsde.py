@@ -106,18 +106,26 @@ def _phitilde(batch: PathBatch, market: MarketParams) -> np.ndarray:
     return iota(market, t_left) + batch.phi
 
 
-def pi_star_functional(batch: PathBatch, market: MarketParams) -> PiStarFunctional:
-    """Left-point discretisation of
-    Pi(t1,t2) = exp{-int r ds - int phitilde dWH - 1/2 int phitilde^2 ds}."""
+def _log_pi_increments(batch: PathBatch, market: MarketParams):
+    """Per-path increment of the exponent of Pi over each step of [0, T] in
+    turn, -(r + phitilde^2/2) dt - phitilde dWH at left points."""
     grid = batch.grid
     m = grid.index_T
     dt = grid.dt[:m]
-    r = market.r(grid.knots[:m])
-    phit = _phitilde(batch, market)
-    incr = -(r + 0.5 * phit**2) * dt - phit * batch.dWH
-    expo = np.zeros((batch.n_paths, m + 1))
-    np.cumsum(np.broadcast_to(incr, (batch.n_paths, m)), axis=1, out=expo[:, 1:])
-    return PiStarFunctional(grid=grid, exponent=expo)
+    t_left = grid.knots[:m]
+    r, iota_left = market.r(t_left), iota(market, t_left)
+    for i in range(m):
+        phit = iota_left[i] + batch.phi[:, i]  # column i of _phitilde
+        yield -(r[i] + 0.5 * phit**2) * dt[i] - phit * batch.dWH[:, i]
+
+
+def pi_star_functional(batch: PathBatch, market: MarketParams) -> PiStarFunctional:
+    """Left-point discretisation of
+    Pi(t1,t2) = exp{-int r ds - int phitilde dWH - 1/2 int phitilde^2 ds}."""
+    expo = np.zeros((batch.n_paths, batch.grid.index_T + 1))
+    for i, incr in enumerate(_log_pi_increments(batch, market)):
+        np.add(expo[:, i], incr, out=expo[:, i + 1])
+    return PiStarFunctional(grid=batch.grid, exponent=expo)
 
 
 # -- Gaussian closed forms -------------------------------------------------------
@@ -340,7 +348,12 @@ def solve_linear_lsmc(
     without a signal and the Gaussian closed form under enlargement.
     """
     m = batch.grid.index_T
-    log_pi_T = pi_star_functional(batch, market).exponent[:, m]
+    # ln Pi(0, T), pi_star_functional's last exponent column, summed in the
+    # same order; neither it nor phitilde is held as an (n_paths, m) matrix
+    steps = _log_pi_increments(batch, market)
+    log_pi_T = next(steps)
+    for incr in steps:
+        log_pi_T += incr
     if insider.kind is InsiderKind.NO_INSIDER:
         normalizer = mean_se(np.exp(0.5 * log_pi_T))[0]
         log_norm = math.log(normalizer)
@@ -348,11 +361,12 @@ def solve_linear_lsmc(
         normalizer = enlargement_normalizer(market, insider, batch.Y0)
         log_norm = np.log(normalizer)
     terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
-    r = market.r(batch.grid.knots[:m])
-    phit = _phitilde(batch, market)
+    t_left = batch.grid.knots[:m]
+    r, iota_left = market.r(t_left), iota(market, t_left)
 
     def driver(i, zeta):
-        return -(r[i] + phit[:, i] * zeta - 0.5 * zeta**2)
+        phit = iota_left[i] + batch.phi[:, i]  # column i of _phitilde
+        return -(r[i] + phit * zeta - 0.5 * zeta**2)
 
     L, zeta = _backward_sweep(batch, insider, terminal, driver, basis_order, [None] * m)
     Y = np.exp(L)

@@ -45,13 +45,7 @@ from .model import (
 )
 from .paths import sample_paths
 from .selftest import run_selftest
-from .simulate import (
-    estimate_J,
-    entropy_identity_check,
-    martingale_diagnostic,
-    simulate_density,
-    simulate_wealth,
-)
+from .simulate import stream_game, stream_martingale
 from .strategies import UNINFORMED_KINDS, StrategyKind, build_profile, market_for
 
 _REGIME_CHOICES = [k.value for k in analysis.VALUE_KINDS]  # the regimes with closed forms
@@ -197,20 +191,21 @@ def _cmd_value(args, config: ScenarioConfig):
     return 0, {"values.csv": (["regime", "base", "merton", "rent", "penalty_adjust", "total"], rows)}
 
 
-def _profile_for(args, config: ScenarioConfig):
-    """The path batch, regime, the market it trades in and its profile."""
-    batch = sample_paths(config, threads=args.threads)
+def _regime(args, config: ScenarioConfig, pi_factor: float = 1.0):
+    """The regime, the market it trades in and its profile of a block of paths."""
     kind = StrategyKind(args.regime or _default_regime(config))
     market = market_for(kind, config.market)
-    return batch, kind, market, build_profile(kind, batch, market, config.insider)
+
+    def profile_of(batch):
+        profile = build_profile(kind, batch, market, config.insider)
+        return profile if pi_factor == 1.0 else profile.scaled(pi_factor=pi_factor)
+
+    return kind, market, profile_of
 
 
 def _cmd_simulate(args, config: ScenarioConfig):
-    batch, kind, market, profile = _profile_for(args, config)
-    wealth = simulate_wealth(batch, profile, market)
-    density = simulate_density(batch, profile)
-    j = estimate_J(batch, profile, wealth, density, market)
-    ent = entropy_identity_check(batch, profile, density)
+    kind, market, profile_of = _regime(args, config)
+    j, ent = stream_game(config, profile_of, market, threads=args.threads)
     value = analysis.value_of(kind, market, config.insider)
     return 0, {
         "j_report.csv": (
@@ -226,10 +221,8 @@ def _cmd_simulate(args, config: ScenarioConfig):
 
 
 def _cmd_martingale(args, config: ScenarioConfig):
-    batch, kind, market, profile = _profile_for(args, config)
-    if args.perturb_pi != 1.0:
-        profile = profile.scaled(pi_factor=args.perturb_pi)
-    stats = martingale_diagnostic(batch, profile, market)
+    _, market, profile_of = _regime(args, config, pi_factor=args.perturb_pi)
+    stats = stream_martingale(config, profile_of, market, threads=args.threads)
     rows = [[s.t, s.h, s.estimate, s.std_error, s.z] for s in stats]
     return 0, {"martingale.csv": (["t", "h", "estimate", "SE", "z"], rows)}
 
@@ -350,7 +343,7 @@ def _cmd_selftest(args, config: ScenarioConfig):
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="INI config file with [market]/[insider]/[run] sections")
     p.add_argument("--out", default=None, help="output directory (default $INSIDERLAB_OUT or ./out)")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for path generation; results are thread-count independent")
+    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks; results do not depend on it")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit integer)")
     p.add_argument("--n-paths", dest="n_paths", type=int, default=None, help="Monte-Carlo ensemble size")
     p.add_argument("--n-steps", dest="n_steps", type=int, default=None, help="grid steps on [0, T]")

@@ -25,6 +25,7 @@ __all__ = [
     "PathBatch",
     "build_grid",
     "sample_paths",
+    "stream_paths",
     "information_drift",
     "decompose",
     "partial_signals",
@@ -134,48 +135,87 @@ class PathBatch:
         return self.dW.shape[0]
 
 
-def _draw_normals(seed: int, n_paths: int, n_steps: int, threads: int = 1) -> np.ndarray:
-    """Counter-based draws: path i, step j depends only on (seed, i, j)."""
-    out = np.empty((n_paths, n_steps))
+def _for_each_block(n_paths: int, fn, threads: int = 1) -> None:
+    """Call fn(block, rows) for every RNG block of `n_paths` paths, on up to
+    `threads` workers.  Each block owns fixed rows, so what fn writes there
+    never depends on the worker count; on an error the blocks not yet started
+    are cancelled."""
+    blocks = [(b, slice(lo, min(lo + _BLOCK, n_paths)))
+              for b, lo in enumerate(range(0, n_paths, _BLOCK))]
+    if threads <= 1:
+        for block, rows in blocks:
+            fn(block, rows)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        for _ in pool.map(lambda args: fn(*args), blocks):
+            pass
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    def fill(block: int) -> None:
-        lo = block * _BLOCK
-        hi = min(lo + _BLOCK, n_paths)
-        gen = np.random.Generator(np.random.Philox(key=[seed, block]))
-        out[lo:hi] = gen.standard_normal((hi - lo, n_steps))
 
-    blocks = range((n_paths + _BLOCK - 1) // _BLOCK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for b in blocks:
-            fill(b)
-    return out
+def _allocate(grid: TimeGrid, insider: InsiderSpec, n: int) -> PathBatch:
+    """Uninitialised batch of n paths; without a signal Y0 and phi are zeros
+    (phi one broadcast row) and dWH is a view of dW."""
+    m = grid.index_T
+    dW = np.empty((n, grid.n_steps))
+    if insider.kind is InsiderKind.NO_INSIDER:
+        return PathBatch(grid=grid, dW=dW, Y0=np.zeros(n), phi=np.zeros((1, m)), dWH=dW[:, :m])
+    return PathBatch(grid=grid, dW=dW, Y0=np.empty(n), phi=np.empty((n, m)), dWH=np.empty((n, m)))
+
+
+def _rows(batch: PathBatch, rows: slice) -> PathBatch:
+    """View of paths `rows`; a broadcast drift row is shared, not sliced."""
+    phi = batch.phi[rows] if batch.phi.shape[0] == batch.n_paths else batch.phi
+    return PathBatch(grid=batch.grid, dW=batch.dW[rows], Y0=batch.Y0[rows], phi=phi,
+                     dWH=batch.dWH[rows])
+
+
+def _fill_block(batch: PathBatch, insider: InsiderSpec, seed: int, block: int) -> None:
+    """Build RNG block `block` in place: `batch` holds exactly that block's
+    paths.  Draws are counter-based, so path i, step j depends only on
+    (seed, i, j)."""
+    grid, dW = batch.grid, batch.dW
+    np.random.Generator(np.random.Philox(key=[seed, block])).standard_normal(out=dW)
+    dW *= np.sqrt(grid.dt)
+    if insider.kind is InsiderKind.NO_INSIDER:
+        return
+    np.matmul(dW, insider.phi_weight(grid.knots[:-1]), out=batch.Y0)
+    information_drift(grid, dW, batch.Y0, insider, out=batch.phi)
+    decompose(grid, dW, batch.phi, out=batch.dWH)
 
 
 def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
-    """Simulate the ensemble for a validated configuration.
+    """Simulate the whole ensemble for a validated configuration.
 
     Deterministic in (seed, path index, step index): the same seed and grid
     give bit-identical increments regardless of n_paths or thread count.
     """
     validate(config)
     grid = build_grid(config)
-    z = _draw_normals(int(config.seed), config.n_paths, grid.n_steps, threads=threads)
-    dW = z * np.sqrt(grid.dt)
+    batch = _allocate(grid, config.insider, config.n_paths)
+    seed = int(config.seed)
 
-    insider = config.insider
-    if insider.kind is InsiderKind.NO_INSIDER:
-        y0 = np.zeros(config.n_paths)
-        phi = np.zeros((1, grid.index_T))
-        dWH = dW[:, : grid.index_T]
-    else:
-        w_left = insider.phi_weight(grid.knots[:-1])
-        y0 = dW @ w_left
-        phi = information_drift(grid, dW, y0, insider)
-        dWH = decompose(grid, dW, phi)
-    return PathBatch(grid=grid, dW=dW, Y0=y0, phi=phi, dWH=dWH)
+    def fill(block: int, rows: slice) -> None:
+        _fill_block(_rows(batch, rows), config.insider, seed, block)
+
+    _for_each_block(config.n_paths, fill, threads)
+    return batch
+
+
+def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1) -> None:
+    """Call fn(rows, batch) for every RNG block of the ensemble of a validated
+    `config` on its grid build_grid(config), where `batch` equals rows `rows`
+    of sample_paths(config) bit for bit.  Each worker holds one block at a
+    time, so the path arrays held do not grow with n_paths."""
+    seed = int(config.seed)
+
+    def run(block: int, rows: slice) -> None:
+        batch = _allocate(grid, config.insider, rows.stop - rows.start)
+        _fill_block(batch, config.insider, seed, block)
+        fn(rows, batch)
+
+    _for_each_block(config.n_paths, run, threads)
 
 
 def partial_signals(grid: TimeGrid, dW: np.ndarray, insider: InsiderSpec) -> np.ndarray:
@@ -188,13 +228,14 @@ def partial_signals(grid: TimeGrid, dW: np.ndarray, insider: InsiderSpec) -> np.
 
 
 def information_drift(
-    grid: TimeGrid, dW: np.ndarray, y0: np.ndarray, insider: InsiderSpec
+    grid: TimeGrid, dW: np.ndarray, y0: np.ndarray, insider: InsiderSpec, out=None
 ) -> np.ndarray:
     """Information drift at the left endpoint of every step in [0, T).
 
     phi_i = (Y0 - B_{t_i}) * phi_weight(t_i) / ||phi_weight||^2_[t_i, T0].
-    Returns zeros for the no-insider regime.  Raises DomainError if any
-    evaluation knot reaches T0 (the denominator would vanish there).
+    Returns zeros for the no-insider regime, else writes `out` when given.
+    Raises DomainError if any evaluation knot reaches T0 (the denominator
+    would vanish there).
     """
     if insider.kind is InsiderKind.NO_INSIDER:
         return np.zeros((1, grid.index_T))
@@ -204,11 +245,15 @@ def information_drift(
         raise DomainError("information drift is not defined at or beyond T0")
     b = partial_signals(grid, dW, insider)
     w_left = insider.phi_weight(t_left)
-    return (y0[:, None] - b[:, :-1]) * w_left / phi_norm_sq(insider, t_left, T0)
+    out = np.subtract(y0[:, None], b[:, :-1], out=out)
+    out *= w_left
+    out /= phi_norm_sq(insider, t_left, T0)
+    return out
 
 
-def decompose(grid: TimeGrid, dW: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Enlarged-filtration increments dWH_i = dW_i - phi_i * dt_i on [0, T]."""
+def decompose(grid: TimeGrid, dW: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
+    """Enlarged-filtration increments dWH_i = dW_i - phi_i * dt_i on [0, T],
+    written to `out` when given."""
     m = grid.index_T
-    return dW[:, :m] - phi * grid.dt[:m]
+    return np.subtract(dW[:, :m], phi * grid.dt[:m], out=out)
 

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import csv
 import io
+import math
 import os
 import tempfile
 
@@ -188,7 +190,52 @@ class TestConfigParsing:
         assert f"validation error: {code}:" in capsys.readouterr().err
 
 
+def _arg(flag, value):
+    """`--flag=value`, so a negative value is not read as an option."""
+    return f"--{flag}={value!r}"
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# (flag, code) pairs that validate must reject; the defaults are T = 1, T0 = 2,
+# sigma = 0.35 (so varrho must stay below 0.06125) and unit signal weight
+INVALID_INPUTS = st.one_of(
+    st.integers(max_value=1).map(lambda n: (_arg("n-steps", n), "n_steps_min")),
+    st.integers(max_value=0).map(lambda n: (_arg("n-steps-tail", n), "n_steps_tail_min")),
+    st.integers(max_value=0).map(lambda n: (_arg("n-paths", n), "n_paths_min")),
+    (st.integers(max_value=-1) | st.integers(min_value=2**64)).map(
+        lambda s: (_arg("seed", s), "seed_range")),
+    _finite(max_value=1.0).map(lambda t0: (_arg("t0", t0), "t0_after_horizon")),
+    _finite(min_value=2.0).map(lambda T: (_arg("T", T), "t0_after_horizon")),
+    st.sampled_from([math.nan, math.inf, -math.inf]).map(lambda t0: (_arg("t0", t0), "t0_required")),
+    (st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])).map(
+        lambda T: (_arg("T", T), "horizon_positive")),
+    (st.floats(max_value=0.0) | st.just(math.nan)).map(lambda x0: (_arg("x0", x0), "wealth_positive")),
+    _finite(max_value=1e-6, exclude_max=True).map(lambda s: (_arg("sigma", s), "sigma_floor")),
+    (_finite(max_value=0.0, exclude_max=True) | _finite(min_value=0.06125)).map(
+        lambda v: (_arg("varrho", v), "varrho_range")),
+    st.sampled_from(["r", "mu", "sigma", "varrho"]).flatmap(
+        lambda name: st.sampled_from([math.nan, math.inf, -math.inf]).map(
+            lambda v: (_arg(name, v), "coefficient_bounded"))),
+    _finite(min_value=-1e100, max_value=1e100).map(lambda w: (f"--phi=0:{w!r},1:0", "phi_tail_norm")),
+    st.sampled_from([math.nan, math.inf]).map(lambda w: (_arg("phi", w), "phi_bounded")),
+)
+
+
 class TestExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(invalid=INVALID_INPUTS,
+           command=st.sampled_from(["value", "simulate", "martingale", "bsde-linear", "critical-t0"]))
+    def test_invalid_input_gives_its_code_and_exit_one(self, invalid, command):
+        flag, code = invalid
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            assert run([command, flag, "--out", tmp]) == 1
+            assert os.listdir(tmp) == []
+        assert err.getvalue().startswith(f"validation error: {code}:"), err.getvalue()
+
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["value", "--no-such-flag"])
@@ -275,9 +322,9 @@ class TestSimulationCommands:
         assert row["analytic_value"] == ""
         assert float(row["J_mean"]) != 0.0
 
-    @pytest.mark.parametrize("command", ["simulate", "bsde-quadratic"])
+    @pytest.mark.parametrize("command", ["simulate", "martingale", "bsde-quadratic"])
     def test_thread_count_does_not_change_bytes(self, tmp_path, cfg_file, command):
-        # 9000 paths span three RNG blocks, so two threads fill them concurrently
+        # 9000 paths span three RNG blocks, so two threads build them concurrently
         outs = [tmp_path / f"threads{n}" for n in (1, 2)]
         for n, out in zip((1, 2), outs):
             assert run([command, "--config", cfg_file, "--n-paths", "9000", "--threads", str(n),
