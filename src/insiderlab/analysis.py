@@ -279,24 +279,23 @@ def fig_value_table(
     bsde_values: dict[float, float] | None = None,
 ) -> tuple[list[str], list[list]]:
     """Utility gain (value - ln X0) of every regime against the information
-    horizon.  Small-trader curves use the zero-impact market, and so does the
-    uninformed neutral curve, which defines the critical horizon; the
-    large-trader curve uses the market as given.  `bsde_values` optionally adds
-    the numerically solved robust large-trader series keyed by T0.
+    horizon, each in the market it trades in (value_of's rule): small traders
+    without impact, the others in `market` as given.  The extra column
+    `no_insider_nonrobust_no_impact` is the uninformed neutral curve without
+    impact, against which the critical horizon is defined; it equals
+    `no_insider_nonrobust` when varrho = 0.  `bsde_values` optionally adds the
+    numerically solved robust large-trader series keyed by T0.
     """
-    small = market.without_impact()
     ln_x0 = math.log(market.X0)
-    header = ["T0", *(kind.value for kind in VALUE_KINDS)]
+    reference = value_no_insider_nonrobust(market.without_impact()).total - ln_x0
+    header = ["T0", *(kind.value for kind in VALUE_KINDS), "no_insider_nonrobust_no_impact"]
     if bsde_values is not None:
         header.append("large_insider_robust_bsde")
     rows = []
     for t0 in t0_values:
         insider = InsiderSpec.enlargement(T0=float(t0))
-        row = [float(t0)] + [
-            value_of(k, small if k is StrategyKind.NO_INSIDER_NONROBUST else market, insider).total
-            - ln_x0
-            for k in VALUE_KINDS
-        ]
+        row = [float(t0)] + [value_of(k, market, insider).total - ln_x0 for k in VALUE_KINDS]
+        row.append(reference)
         if bsde_values is not None:
             row.append(bsde_values.get(float(t0), ""))
         rows.append(row)

@@ -28,27 +28,31 @@ state (the running noise level, plus the signal under enlargement).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InsiderKind, InsiderSpec, MarketParams, iota, sigma_tilde
-from .paths import PathBatch, partial_signals
+from .model import InsiderSpec, MarketParams, ScenarioConfig, iota, phi_norm_sq, sigma_tilde, validate
+from .paths import PathBatch, TimeGrid, build_grid, partial_signals, stream_paths
 from .simulate import mean_se, ordered_mean
-from .strategies import StrategyKind, StrategyProfile, pi_small_insider_robust, pi_no_insider_robust
+from .strategies import StrategyKind, StrategyProfile, _pi_small_robust_line, pi_no_insider_robust
 
 __all__ = [
     "RegressionError",
     "ShootingError",
     "PiStarFunctional",
+    "SweepPaths",
     "BsdeSolution",
+    "stream_sweep_paths",
     "pi_star_functional",
     "enlargement_normalizer",
     "solve_linear_closed_form",
     "solve_linear_lsmc",
     "solve_quadratic_lsmc",
     "recover_controls",
+    "initial_controls",
     "value_from_bsde",
     "knot_table",
 ]
@@ -79,6 +83,103 @@ class ShootingError(RuntimeError):
         self.iterations = iterations
 
 
+# -- the sweep input -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SweepPaths:
+    """The paths as the backward solvers read them, knot-major, so that the
+    values of one knot across all paths are one contiguous row.
+
+    level : (index_T + 1, n_paths) regression state at the knots of [0, T]:
+            the running signal B_t = int_0^t phi_w dW, or W_t without a signal.
+    dWH   : (index_T, n_paths) enlarged-filtration increments on [0, T].
+    Y0    : (n_paths,) the signal, None without one.
+
+    Neither the (T, T0] tail of dW nor the information drift is held: step
+    i's drift is formed from the state when it is needed.
+    """
+
+    grid: TimeGrid
+    level: np.ndarray
+    dWH: np.ndarray
+    Y0: np.ndarray | None
+
+    @property
+    def n_paths(self) -> int:
+        return self.dWH.shape[1]
+
+
+def _allocate_sweep(grid: TimeGrid, insider: InsiderSpec, n: int) -> SweepPaths:
+    m = grid.index_T
+    level = np.empty((m + 1, n))
+    level[0] = 0.0
+    y0 = np.empty(n) if insider.has_signal() else None
+    return SweepPaths(grid=grid, level=level, dWH=np.empty((m, n)), Y0=y0)
+
+
+def _fill_sweep_rows(paths: SweepPaths, rows: slice, batch: PathBatch, insider: InsiderSpec) -> None:
+    """Write `batch`, which holds paths `rows`, into `paths`."""
+    m = paths.grid.index_T
+    if paths.Y0 is None:
+        np.cumsum(batch.dW[:, :m], axis=1, out=paths.level[1:, rows].T)
+    else:
+        paths.level[:, rows] = partial_signals(batch.grid, batch.dW, insider).T
+        paths.Y0[rows] = batch.Y0
+    paths.dWH[:, rows] = batch.dWH.T
+
+
+def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
+    """The sweep input of sample_paths(config), bit for bit, built one RNG
+    block at a time on up to `threads` workers: a whole PathBatch is never
+    held."""
+    validate(config)
+    grid = build_grid(config)
+    paths = _allocate_sweep(grid, config.insider, config.n_paths)
+
+    def fill(rows: slice, batch: PathBatch) -> None:
+        _fill_sweep_rows(paths, rows, batch, config.insider)
+
+    stream_paths(config, grid, fill, threads)
+    return paths
+
+
+@functools.singledispatch
+def _as_sweep_paths(paths: SweepPaths, insider: InsiderSpec) -> SweepPaths:
+    """The sweep input of a SweepPaths or of a PathBatch of `insider`."""
+    return paths
+
+
+@_as_sweep_paths.register
+def _sweep_paths_of_batch(batch: PathBatch, insider: InsiderSpec) -> SweepPaths:
+    paths = _allocate_sweep(batch.grid, insider, batch.n_paths)
+    _fill_sweep_rows(paths, slice(None), batch, insider)
+    return paths
+
+
+def _phitilde(paths: SweepPaths, market: MarketParams, insider: InsiderSpec):
+    """phitilde = iota + phi on step i, as a function of i.  The information
+    drift is formed from the state, phi_i = (Y0 - B_i) w_i / ||phi_w||^2_[t_i,T0],
+    in information_drift's order of operations, so it equals that function's
+    column i bit for bit."""
+    m = paths.grid.index_T
+    t_left = paths.grid.knots[:m]
+    iota_left = iota(market, t_left)
+    if paths.Y0 is None:
+        return lambda i: iota_left[i]
+    w_left = insider.phi_weight(t_left)
+    norm_left = phi_norm_sq(insider, t_left, float(insider.T0))
+
+    def phitilde(i: int) -> np.ndarray:
+        phit = paths.Y0 - paths.level[i]
+        phit *= w_left[i]
+        phit /= norm_left[i]
+        phit += iota_left[i]
+        return phit
+
+    return phitilde
+
+
 # -- the multiplicative functional Pi ------------------------------------------
 
 
@@ -100,30 +201,28 @@ class PiStarFunctional:
         return np.exp(self.exponent[:, j] - self.exponent[:, i])
 
 
-def _phitilde(batch: PathBatch, market: MarketParams) -> np.ndarray:
-    m = batch.grid.index_T
-    t_left = batch.grid.knots[:m]
-    return iota(market, t_left) + batch.phi
-
-
-def _log_pi_increments(batch: PathBatch, market: MarketParams):
+def _log_pi_increments(grid: TimeGrid, market: MarketParams, phitilde, dWH):
     """Per-path increment of the exponent of Pi over each step of [0, T] in
-    turn, -(r + phitilde^2/2) dt - phitilde dWH at left points."""
-    grid = batch.grid
+    turn, -(r + phitilde^2/2) dt - phitilde dWH at left points, where
+    phitilde(i) and dWH[i] are step i's values across paths."""
     m = grid.index_T
     dt = grid.dt[:m]
-    t_left = grid.knots[:m]
-    r, iota_left = market.r(t_left), iota(market, t_left)
+    r = market.r(grid.knots[:m])
     for i in range(m):
-        phit = iota_left[i] + batch.phi[:, i]  # column i of _phitilde
-        yield -(r[i] + 0.5 * phit**2) * dt[i] - phit * batch.dWH[:, i]
+        phit = phitilde(i)
+        yield -(r[i] + 0.5 * phit**2) * dt[i] - phit * dWH[i]
 
 
 def pi_star_functional(batch: PathBatch, market: MarketParams) -> PiStarFunctional:
     """Left-point discretisation of
     Pi(t1,t2) = exp{-int r ds - int phitilde dWH - 1/2 int phitilde^2 ds}."""
-    expo = np.zeros((batch.n_paths, batch.grid.index_T + 1))
-    for i, incr in enumerate(_log_pi_increments(batch, market)):
+    m = batch.grid.index_T
+    iota_left = iota(market, batch.grid.knots[:m])
+    increments = _log_pi_increments(
+        batch.grid, market, lambda i: iota_left[i] + batch.phi[:, i], batch.dWH.T
+    )
+    expo = np.zeros((batch.n_paths, m + 1))
+    for i, incr in enumerate(increments):
         np.add(expo[:, i], incr, out=expo[:, i + 1])
     return PiStarFunctional(grid=batch.grid, exponent=expo)
 
@@ -163,11 +262,14 @@ def enlargement_normalizer(market: MarketParams, insider: InsiderSpec, y) -> np.
 class BsdeSolution:
     """Backward-solved fields on the grid of [0, T].
 
-    Y holds the value at every knot (wealth X for the linear equation, L for
-    the quadratic one); Z the control on every step.  `c` is the shooting
-    constant (scalar, or polynomial coefficients in the signal under
-    enlargement; the Monte-Carlo normaliser for the linear solver).
-    `residual` is |Y_0 - target| and `trace` the shooting iterations.
+    Y (n_paths, index_T + 1) holds the value at every knot (wealth X for the
+    linear equation, L for the quadratic one); Z (n_paths, index_T) the
+    control on every step.  The solvers store both knot-major and return
+    Y and Z as transposed views, so a knot's column Y[:, i] is contiguous.
+    `c` is the shooting constant (scalar, or polynomial coefficients in the
+    signal under enlargement; the Monte-Carlo normaliser for the linear
+    solver).  `residual` is |Y_0 - target| and `trace` the shooting
+    iterations.
     """
 
     grid: object
@@ -179,9 +281,13 @@ class BsdeSolution:
 
 
 def solve_linear_closed_form(
-    batch: PathBatch, market: MarketParams, insider: InsiderSpec
+    paths, market: MarketParams, insider: InsiderSpec, out=None
 ) -> BsdeSolution:
-    """Exact solution of the linear backward equation.
+    """Exact solution of the linear backward equation on a PathBatch (or
+    SweepPaths), evaluated knot by knot into the knot-major pair `out`,
+    (index_T + 1, n_paths) and (index_T, n_paths), or a new one.  `out` may
+    be (paths.level, paths.dWH) of a SweepPaths that is not needed again:
+    each knot's input is read before that knot is written.
 
     Without a signal (valid for piecewise-constant coefficients):
 
@@ -193,47 +299,55 @@ def solve_linear_closed_form(
         X_t = X0 sqrt(a0/a_t) exp{r t + (3/8) iota^2 t + (1/2) iota W_t
                                   - m_t^2/(2 a_t) + m_0^2/(2 a0)}.
     """
-    grid = batch.grid
+    paths = _as_sweep_paths(paths, insider)
+    grid = paths.grid
     m = grid.index_T
     knots = grid.knots[: m + 1]
     t_left = grid.knots[:m]
-    dt = grid.dt[:m]
+    sig = market.sigma(t_left)
 
-    if insider.kind is InsiderKind.NO_INSIDER:
+    if paths.Y0 is None:
+        dt = grid.dt[:m]
         io_left = iota(market, t_left)
         cum_r = np.concatenate(([0.0], np.cumsum(market.r(t_left) * dt)))
         cum_io2 = np.concatenate(([0.0], np.cumsum(io_left**2 * dt)))
-        cum_iodW = np.zeros((batch.n_paths, m + 1))
-        np.cumsum(io_left * batch.dW[:, :m], axis=1, out=cum_iodW[:, 1:])
-        Y = market.X0 * np.exp(cum_r + 0.375 * cum_io2 + 0.5 * cum_iodW)
-        pi = pi_no_insider_robust(market, t_left)[None, :]
+        drift = cum_r + 0.375 * cum_io2
+        sig_pi = sig * pi_no_insider_robust(market, t_left)
         normalizer = math.exp(-0.5 * cum_r[-1] - cum_io2[-1] / 8.0)
     else:
-        # the normaliser checks constant coefficients and unit weight first
-        normalizer = enlargement_normalizer(market, insider, batch.Y0)
+        # the normaliser checks constant coefficients and unit weight first,
+        # so the running signal B_t is W_t
+        normalizer = enlargement_normalizer(market, insider, paths.Y0)
         T, T0 = market.T, float(insider.T0)
         io, r = iota(market, 0.0), market.r(0.0)
         a0 = 2.0 * T0 - T
         a_t = 2.0 * T0 - T - knots
-        W = np.zeros((batch.n_paths, m + 1))
-        np.cumsum(batch.dW[:, :m], axis=1, out=W[:, 1:])
-        y = batch.Y0[:, None]
-        m_t = y - W + 0.5 * io * (T - knots)
-        expo = (
-            r * knots
-            + 0.375 * io**2 * knots
-            + 0.5 * io * W
-            - m_t**2 / (2.0 * a_t)
-            + (y + 0.5 * io * T) ** 2 / (2.0 * a0)
-        )
-        Y = market.X0 * np.sqrt(a0 / a_t) * np.exp(expo)
-        pi = pi_small_insider_robust(market, insider, y, W[:, :m], t_left)
+        drift = r * knots + 0.375 * io**2 * knots
+        shift = 0.5 * io * (T - knots)
+        scale = market.X0 * np.sqrt(a0 / a_t)
+        start = (paths.Y0 + 0.5 * io * T) ** 2 / (2.0 * a0)
+        intercept, slope = _pi_small_robust_line(market, insider, t_left)
 
-    Z = market.sigma(t_left) * pi * Y[:, :m]
-    Z = np.broadcast_to(Z, (batch.n_paths, m)).copy()
-    Yb = np.broadcast_to(Y, (batch.n_paths, m + 1))
-    residual = abs(mean_se(Yb[:, 0])[0] - market.X0)
-    return BsdeSolution(grid=grid, Y=Yb, Z=Z, c=normalizer, residual=residual)
+    Y, Z = _sweep_pair(paths) if out is None else out
+    cum_iodW = np.zeros(paths.n_paths)  # int_0^t iota dW without a signal
+    for i in range(m + 1):
+        if paths.Y0 is None:
+            y = market.X0 * np.exp(drift[i] + 0.5 * cum_iodW)
+            if i < m:
+                cum_iodW += io_left[i] * paths.dWH[i]
+                Z[i] = sig_pi[i] * y
+        else:
+            W = paths.level[i]
+            m_t = paths.Y0 - W + shift[i]
+            y = scale[i] * np.exp(drift[i] + 0.5 * io * W - m_t**2 / (2.0 * a_t[i]) + start)
+            if i < m:
+                pi = np.subtract(paths.Y0, W)  # pi_small_insider_robust on this knot
+                pi *= slope[i]
+                pi += intercept[i]
+                Z[i] = sig[i] * pi * y
+        Y[i] = y
+    residual = abs(mean_se(Y[0])[0] - market.X0)
+    return BsdeSolution(grid=grid, Y=Y.T, Z=Z.T, c=normalizer, residual=residual)
 
 
 # -- least-squares regression machinery ------------------------------------------
@@ -278,59 +392,52 @@ def _factor(design: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     return scale, inv_gram
 
 
-def _regression_state(batch: PathBatch, insider: InsiderSpec):
-    """The Markov state at every knot of [0, T]: the noise level (the running
-    signal under enlargement) and the signal, None without one."""
-    m = batch.grid.index_T
-    if insider.kind is InsiderKind.NO_INSIDER:
-        level = np.zeros((batch.n_paths, m + 1))
-        np.cumsum(batch.dW[:, :m], axis=1, out=level[:, 1:])
-        return level, None
-    return partial_signals(batch.grid, batch.dW, insider), batch.Y0
-
-
-def _backward_sweep(batch, insider, terminal, driver, basis_order, factors, state=None):
+def _backward_sweep(paths: SweepPaths, terminal, driver, basis_order, factors, L, Z) -> None:
     """One explicit backward Euler pass with regression (Gobet, Lemor & Warin):
 
         Z_i = E[(L_{i+1} - E[L_{i+1}|s_i]) dWH_i | s_i] / dt_i,
         L_i = E[L_{i+1}|s_i] + driver(i, Z_i) dt_i,     L_m = terminal,
 
-    on the state s_i (noise level at knot i, plus the signal if any).  The
-    design does not depend on the terminal, so `factors[i]` (None until the
-    first pass) keeps step i's factor across passes, and `state` (built here
-    when None) the `_regression_state`.
+    on the state s_i (paths.level[i], plus the signal if any), written into
+    the caller's knot-major L (index_T + 1, n_paths) and Z (index_T, n_paths),
+    so shooting passes reuse one pair.  The design does not depend on the
+    terminal, so `factors[i]` (None until the first pass) keeps step i's
+    factor across passes.
     """
-    grid = batch.grid
+    grid = paths.grid
     m = grid.index_T
-    level, signal = _regression_state(batch, insider) if state is None else state
+    signal = paths.Y0
     n_rows = basis_order + 1 if signal is None else (basis_order + 1) * (basis_order + 2) // 2
-    design = np.empty((n_rows, batch.n_paths))
+    design = np.empty((n_rows, paths.n_paths))
 
-    L = np.empty((m + 1, batch.n_paths))  # knot-major: one contiguous row per step
-    Z = np.empty((m, batch.n_paths))
     L[m] = l_next = terminal
     for i in range(m - 1, -1, -1):
-        _monomials(design, np.ascontiguousarray(level[:, i]), signal, basis_order)
+        _monomials(design, paths.level[i], signal, basis_order)
         if factors[i] is None:
             factors[i] = _factor(design, grid.knots[i])
         else:
             design /= factors[i][0][:, None]
         inv_gram = factors[i][1]
         l_hat = inv_gram @ (design @ l_next) @ design
-        z = inv_gram @ (design @ ((l_next - l_hat) * batch.dWH[:, i])) @ design / grid.dt[i]
+        z = inv_gram @ (design @ ((l_next - l_hat) * paths.dWH[i])) @ design / grid.dt[i]
         L[i] = l_next = l_hat + driver(i, z) * grid.dt[i]
         Z[i] = z
-    return L.T, Z.T
+
+
+def _sweep_pair(paths: SweepPaths) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised knot-major (L, Z) for _backward_sweep."""
+    m, n = paths.grid.index_T, paths.n_paths
+    return np.empty((m + 1, n)), np.empty((m, n))
 
 
 def solve_linear_lsmc(
-    batch: PathBatch,
+    paths,
     market: MarketParams,
     insider: InsiderSpec,
     basis_order: int = 3,
 ) -> BsdeSolution:
     """Explicit backward Euler with regression for the linear equation,
-    integrated in logarithmic coordinates.
+    integrated in logarithmic coordinates, on a PathBatch or SweepPaths.
 
     The unknown X is positive with exponential spread across paths (it loses
     finite variance as T0 approaches 2T), so least-squares fits of X levels
@@ -342,55 +449,57 @@ def solve_linear_lsmc(
         zeta = z / X,
 
     stay inside the polynomial family step by step.  The backward sweep runs
-    on (L, zeta) with driver -(r + phitilde zeta - zeta^2/2), and
-    (Y, Z) = (exp L, zeta exp L) is returned.  The terminal uses the
+    on (L, zeta) with driver -(r + phitilde zeta - zeta^2/2), and turns them
+    into (Y, Z) = (exp L, zeta exp L) in place.  The terminal uses the
     pathwise Pi(0,T); the conditional normaliser is a Monte-Carlo scalar
     without a signal and the Gaussian closed form under enlargement.
     """
-    m = batch.grid.index_T
+    paths = _as_sweep_paths(paths, insider)
+    grid = paths.grid
+    m = grid.index_T
+    phitilde = _phitilde(paths, market, insider)
     # ln Pi(0, T), pi_star_functional's last exponent column, summed in the
-    # same order; neither it nor phitilde is held as an (n_paths, m) matrix
-    steps = _log_pi_increments(batch, market)
+    # same order; neither it nor phitilde is held as an (m, n_paths) matrix
+    steps = _log_pi_increments(grid, market, phitilde, paths.dWH)
     log_pi_T = next(steps)
     for incr in steps:
         log_pi_T += incr
-    if insider.kind is InsiderKind.NO_INSIDER:
+    if paths.Y0 is None:
         normalizer = mean_se(np.exp(0.5 * log_pi_T))[0]
         log_norm = math.log(normalizer)
     else:
-        normalizer = enlargement_normalizer(market, insider, batch.Y0)
+        normalizer = enlargement_normalizer(market, insider, paths.Y0)
         log_norm = np.log(normalizer)
     terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
-    t_left = batch.grid.knots[:m]
-    r, iota_left = market.r(t_left), iota(market, t_left)
+    r = market.r(grid.knots[:m])
 
     def driver(i, zeta):
-        phit = iota_left[i] + batch.phi[:, i]  # column i of _phitilde
-        return -(r[i] + phit * zeta - 0.5 * zeta**2)
+        return -(r[i] + phitilde(i) * zeta - 0.5 * zeta**2)
 
-    L, zeta = _backward_sweep(batch, insider, terminal, driver, basis_order, [None] * m)
-    Y = np.exp(L)
-    Z = zeta * Y[:, :m]
-    residual = abs(mean_se(Y[:, 0])[0] - market.X0)
-    return BsdeSolution(grid=batch.grid, Y=Y, Z=Z, c=normalizer, residual=residual)
+    Y, Z = _sweep_pair(paths)
+    _backward_sweep(paths, terminal, driver, basis_order, [None] * m, Y, Z)
+    np.exp(Y, out=Y)  # L -> Y = exp(L), so exp(L) never sits beside L
+    Z *= Y[:m]  # zeta -> Z = zeta Y
+    residual = abs(mean_se(Y[0])[0] - market.X0)
+    return BsdeSolution(grid=grid, Y=Y.T, Z=Z.T, c=normalizer, residual=residual)
 
 
 # -- quadratic equation -----------------------------------------------------------
 
 
-def _quadratic_driver(batch: PathBatch, market: MarketParams):
+def _quadratic_driver(paths: SweepPaths, market: MarketParams, insider: InsiderSpec):
     """f_Q(t, z) with the impact weight; its z^2 coefficient 1/4 - k reduces
     to sigma_tilde / (2 (sigma + sigma_tilde))."""
-    m = batch.grid.index_T
-    t_left = batch.grid.knots[:m]
+    m = paths.grid.index_T
+    t_left = paths.grid.knots[:m]
     sig = market.sigma(t_left)
     st = sigma_tilde(market, t_left)
     r = market.r(t_left)
     k = (sig - st) / (4.0 * (sig + st))
-    phit = _phitilde(batch, market)
+    phitilde = _phitilde(paths, market, insider)
 
     def f(i: int, z: np.ndarray) -> np.ndarray:
-        phit_i = np.ascontiguousarray(phit[:, i])
+        phit_i = phitilde(i)
         return (
             0.25 * z**2
             - 0.5 * phit_i * z
@@ -403,7 +512,7 @@ def _quadratic_driver(batch: PathBatch, market: MarketParams):
 
 
 def solve_quadratic_lsmc(
-    batch: PathBatch,
+    paths,
     market: MarketParams,
     insider: InsiderSpec,
     c2_init: float | None = None,
@@ -412,7 +521,8 @@ def solve_quadratic_lsmc(
     shoot_tol: float = 1e-3,
     max_iter: int = 50,
 ) -> BsdeSolution:
-    """Backward solve of the quadratic equation with terminal shooting.
+    """Backward solve of the quadratic equation with terminal shooting, on a
+    PathBatch or SweepPaths.
 
     Without a signal the terminal is a constant c2 found by secant iteration
     on the initial-value mismatch L_0 - ln X0 (the map c2 -> L_0 is affine
@@ -420,31 +530,35 @@ def solve_quadratic_lsmc(
     Under enlargement the terminal is a polynomial c2(Y0) of degree
     `c2_order`, updated by projecting the mismatch onto the same basis; the
     residual reported is the root-mean-square projected mismatch.  Every
-    pass reuses the regression state and factors of the first.
+    pass reuses the regression factors and the (L, Z) pair of the first.
     """
+    paths = _as_sweep_paths(paths, insider)
+    n = paths.n_paths
     ln_x0 = math.log(market.X0)
     trace: list[tuple] = []
-    driver = _quadratic_driver(batch, market)
-    factors: list[tuple | None] = [None] * batch.grid.index_T
-    state = _regression_state(batch, insider)
+    driver = _quadratic_driver(paths, market, insider)
+    factors: list[tuple | None] = [None] * paths.grid.index_T
+    L, Z = _sweep_pair(paths)
 
-    def sweep(terminal):
-        return _backward_sweep(batch, insider, terminal, driver, basis_order, factors, state)
+    def sweep(terminal) -> None:
+        _backward_sweep(paths, terminal, driver, basis_order, factors, L, Z)
 
-    if insider.kind is InsiderKind.NO_INSIDER:
+    def solution(c, residual: float) -> BsdeSolution:
+        return BsdeSolution(grid=paths.grid, Y=L.T, Z=Z.T, c=c, residual=residual,
+                            trace=tuple(trace))
+
+    if paths.Y0 is None:
         c2 = ln_x0 if c2_init is None else float(c2_init)
         prev: tuple[float, float] | None = None
         for iteration in range(max_iter):
-            L, Z = sweep(np.full(batch.n_paths, c2))
-            l0 = mean_se(L[:, 0])[0]
+            sweep(np.full(n, c2))
+            l0 = mean_se(L[0])[0]
             resid = l0 - ln_x0
             trace.append((iteration, c2, resid, l0))
             # c2 moves L_0 one for one: no finer mismatch than c2's float spacing
             achieved = max(abs(resid), float(np.spacing(abs(c2))))
             if achieved <= shoot_tol:
-                return BsdeSolution(
-                    grid=batch.grid, Y=L, Z=Z, c=c2, residual=abs(resid), trace=tuple(trace)
-                )
+                return solution(c2, abs(resid))
             if prev is None or abs(resid - prev[1]) < 1e-15:
                 step = -resid  # unit-slope Newton guess
             else:
@@ -454,23 +568,33 @@ def solve_quadratic_lsmc(
         raise ShootingError(residual=achieved, iterations=max_iter)
 
     # enlargement: polynomial terminal in the signal
-    y_design = np.empty((c2_order + 1, batch.n_paths))
-    _monomials(y_design, batch.Y0, None, c2_order)
+    y_design = np.empty((c2_order + 1, n))
+    _monomials(y_design, paths.Y0, None, c2_order)
     scale, inv_gram = _factor(y_design, 0.0)
     coef = np.zeros(c2_order + 1)
     coef[0] = ln_x0 if c2_init is None else float(c2_init)
     for iteration in range(max_iter):
-        L, Z = sweep((coef * scale) @ y_design)
-        delta = inv_gram @ (y_design @ (L[:, 0] - ln_x0))
+        sweep((coef * scale) @ y_design)
+        delta = inv_gram @ (y_design @ (L[0] - ln_x0))
         resid = math.sqrt(float(np.mean((delta @ y_design) ** 2)))
         c2 = tuple(coef.tolist())
-        trace.append((iteration, c2, resid, mean_se(L[:, 0])[0]))
+        trace.append((iteration, c2, resid, mean_se(L[0])[0]))
         if resid <= shoot_tol:
-            return BsdeSolution(
-                grid=batch.grid, Y=L, Z=Z, c=c2, residual=resid, trace=tuple(trace)
-            )
+            return solution(c2, resid)
         coef = coef - delta / scale
     raise ShootingError(residual=trace[-1][2], iterations=max_iter)
+
+
+# -- controls and reductions --------------------------------------------------------
+
+
+def _controls(kind: StrategyKind, z, y, phit, sig, st):
+    """(pi, theta) from the control z, the value y and phitilde; the arrays
+    broadcast, so this serves one knot or all of them."""
+    if kind is StrategyKind.LARGE_INSIDER_ROBUST:
+        return (z + phit) / (sig + st), (st * z - sig * phit) / (sig + st)
+    pi = z / (sig * y)
+    return pi, sig * pi - phit
 
 
 def recover_controls(
@@ -488,16 +612,24 @@ def recover_controls(
     """
     m = batch.grid.index_T
     t_left = batch.grid.knots[:m]
-    sig = market.sigma(t_left)
-    st = sigma_tilde(market, t_left)
-    phit = np.broadcast_to(_phitilde(batch, market), (batch.n_paths, m))
-    if kind in (StrategyKind.LARGE_INSIDER_ROBUST,):
-        pi = (sol.Z + phit) / (sig + st)
-        theta = (st * sol.Z - sig * phit) / (sig + st)
-    else:
-        pi = sol.Z / (sig * sol.Y[:, :m])
-        theta = sig * pi - phit
+    phit = np.broadcast_to(iota(market, t_left) + batch.phi, (batch.n_paths, m))
+    pi, theta = _controls(kind, sol.Z, sol.Y[:, :m], phit, market.sigma(t_left),
+                          sigma_tilde(market, t_left))
     return StrategyProfile(kind=kind, pi=pi, theta=theta, grid=batch.grid)
+
+
+def initial_controls(
+    sol: BsdeSolution,
+    market: MarketParams,
+    paths: SweepPaths,
+    insider: InsiderSpec,
+    kind: StrategyKind,
+) -> tuple[np.ndarray, np.ndarray]:
+    """recover_controls' (pi, theta) at knot 0 only, on every path of `paths`."""
+    t_left = paths.grid.knots[: paths.grid.index_T]
+    sig, st = market.sigma(t_left), sigma_tilde(market, t_left)
+    phit = _phitilde(paths, market, insider)(0)
+    return _controls(kind, sol.Z[:, 0], sol.Y[:, 0], phit, sig[0], st[0])
 
 
 def value_from_bsde(sol: BsdeSolution) -> tuple[float, float]:

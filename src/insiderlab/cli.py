@@ -25,11 +25,12 @@ from ._csvio import write_csv
 from .bsde import (
     RegressionError,
     ShootingError,
+    initial_controls,
     knot_table,
-    recover_controls,
     solve_linear_closed_form,
     solve_linear_lsmc,
     solve_quadratic_lsmc,
+    stream_sweep_paths,
     value_from_bsde,
 )
 from .anticipating import TestIntegrand, convergence_table
@@ -45,7 +46,7 @@ from .model import (
 )
 from .paths import sample_paths
 from .selftest import run_selftest
-from .simulate import stream_game, stream_martingale
+from .simulate import ordered_mean, stream_game, stream_martingale
 from .strategies import UNINFORMED_KINDS, StrategyKind, build_profile, market_for
 
 _REGIME_CHOICES = [k.value for k in analysis.VALUE_KINDS]  # the regimes with closed forms
@@ -227,40 +228,50 @@ def _cmd_martingale(args, config: ScenarioConfig):
     return 0, {"martingale.csv": (["t", "h", "estimate", "SE", "z"], rows)}
 
 
+def _linear_report(sol, market: MarketParams):
+    return (
+        ["residual", "normalizer_mc", "Y0_mean", "X0"],
+        [[sol.residual, sol.c if np.ndim(sol.c) == 0 else "", ordered_mean(sol.Y[:, 0]), market.X0]],
+    )
+
+
+def _quadratic_report(sol, pi_0: np.ndarray):
+    """The value row; mean_abs_z is the mean over the knots of each knot's
+    mean |Z|, and pi_0 the fraction at knot 0 on every path."""
+    v, se = value_from_bsde(sol)
+    mean_abs_z = ordered_mean(np.array([ordered_mean(np.abs(z)) for z in sol.Z.T]))
+    return (
+        ["value", "value_se", "residual", "mean_abs_z", "mean_pi_0"],
+        [[v, se, sol.residual, mean_abs_z, ordered_mean(pi_0)]],
+    )
+
+
 def _cmd_bsde_linear(args, config: ScenarioConfig):
-    batch = sample_paths(config, threads=args.threads)
+    paths = stream_sweep_paths(config, threads=args.threads)
     market, insider = config.market.without_impact(), config.insider
-    oracle = solve_linear_closed_form(batch, market, insider)
-    sol = solve_linear_lsmc(batch, market, insider, basis_order=args.basis_order)
+    sol = solve_linear_lsmc(paths, market, insider, basis_order=args.basis_order)
+    # the solve is done with its input, so the oracle overwrites it knot by knot
+    oracle = solve_linear_closed_form(paths, market, insider, out=(paths.level, paths.dWH))
     return 0, {
         "bsde_linear.csv": knot_table(sol, oracle),
-        "bsde_linear_report.csv": (
-            ["residual", "normalizer_mc", "Y0_mean", "X0"],
-            [[sol.residual, sol.c if np.ndim(sol.c) == 0 else "", float(np.mean(sol.Y[:, 0])),
-              market.X0]],
-        ),
+        "bsde_linear_report.csv": _linear_report(sol, market),
     }
 
 
 def _cmd_bsde_quadratic(args, config: ScenarioConfig):
-    batch = sample_paths(config, threads=args.threads)
+    paths = stream_sweep_paths(config, threads=args.threads)
     market, insider = config.market, config.insider
     sol = solve_quadratic_lsmc(
-        batch, market, insider, basis_order=args.basis_order, shoot_tol=args.shoot_tol
+        paths, market, insider, basis_order=args.basis_order, shoot_tol=args.shoot_tol
     )
-    v, se = value_from_bsde(sol)
-    controls = recover_controls(sol, market, batch, StrategyKind.LARGE_INSIDER_ROBUST)
+    pi_0, _ = initial_controls(sol, market, paths, insider, StrategyKind.LARGE_INSIDER_ROBUST)
     return 0, {
         "bsde_quadratic.csv": knot_table(sol),
         "bsde_quadratic_trace.csv": (
             ["iteration", "c2", "residual", "L0_mean"],
             [[it, repr(c2), resid, l0] for it, c2, resid, l0 in sol.trace],
         ),
-        "bsde_quadratic_value.csv": (
-            ["value", "value_se", "residual", "mean_abs_z", "mean_pi_0"],
-            [[v, se, sol.residual, float(np.mean(np.abs(sol.Z))),
-              float(np.mean(controls.pi[:, 0]))]],
-        ),
+        "bsde_quadratic_value.csv": _quadratic_report(sol, pi_0),
     }
 
 
@@ -312,8 +323,8 @@ def _cmd_figures(args, config: ScenarioConfig):
                     n_paths=args.bsde_paths,
                     n_steps=args.bsde_steps,
                 )
-                b = sample_paths(cfg, threads=args.threads)
-                sol = solve_quadratic_lsmc(b, market, cfg.insider, shoot_tol=5e-3)
+                paths = stream_sweep_paths(cfg, threads=args.threads)
+                sol = solve_quadratic_lsmc(paths, market, cfg.insider, shoot_tol=5e-3)
                 bsde_values[t0] = value_from_bsde(sol)[0] - math.log(market.X0)
         table = analysis.fig_value_table(market, t0s, bsde_values)
     elif args.fig_kind == "fig2":
@@ -343,7 +354,7 @@ def _cmd_selftest(args, config: ScenarioConfig):
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="INI config file with [market]/[insider]/[run] sections")
     p.add_argument("--out", default=None, help="output directory (default $INSIDERLAB_OUT or ./out)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks; results do not depend on it")
+    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks: the whole block pipeline of simulate and martingale, the draw elsewhere (the LSMC sweep runs on one); results do not depend on it")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit integer)")
     p.add_argument("--n-paths", dest="n_paths", type=int, default=None, help="Monte-Carlo ensemble size")
     p.add_argument("--n-steps", dest="n_steps", type=int, default=None, help="grid steps on [0, T]")

@@ -270,8 +270,14 @@ def _validate_insider(insider: InsiderSpec, T: float) -> None:
         raise ValidationError("t0_after_horizon", f"need T0 > T, got T0 = {insider.T0}, T = {T}")
     if not all(np.isfinite(v) for v in insider.phi_weight.values):
         raise ValidationError("phi_bounded", "signal weight must be finite")
-    if phi_norm_sq(insider, T, insider.T0) <= 0.0:
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned about
+        tail, norm = (phi_norm_sq(insider, s, insider.T0) for s in (T, 0.0))
+    if tail <= 0.0:
         raise ValidationError("phi_tail_norm", "signal weight must have mass on [T, T0]")
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValidationError(
+            "phi_norm_finite", f"||phi_w||^2 on [0, T0] must be finite and positive, got {norm}"
+        )
 
 
 def validate(config: ScenarioConfig) -> None:

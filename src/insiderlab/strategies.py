@@ -161,10 +161,15 @@ def pi_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b_t,
     with B_t the running weighted noise integral.  For phi_w = 1 this reduces
     to iota/(2 sigma) + (W_T0 - W_t + (1/2) int_t^T iota ds) / (sigma (2T0 - t - T)).
     """
+    return _affine(*_pi_small_robust_line(market, insider, t), y0, b_t)
+
+
+def _pi_small_robust_line(market: MarketParams, insider: InsiderSpec, t):
+    """Intercept and slope of pi_small_insider_robust in the residual Y0 - B_t."""
     w, norm_t, norm_T, cross = _run_out(market, insider, t)
     sig = market.sigma(t)
     slope = w / (sig * (norm_t + norm_T))
-    return _affine(iota(market, t) / (2.0 * sig) + 0.5 * cross * slope, slope, y0, b_t)
+    return iota(market, t) / (2.0 * sig) + 0.5 * cross * slope, slope
 
 
 def theta_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):

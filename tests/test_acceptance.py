@@ -234,7 +234,7 @@ def test_criterion_9_figure_reproduction(market, market_impact, insider):
         assert all(a > b for a, b in zip(series, series[1:])), name
     for i in range(len(rows)):
         assert cols["large_insider_nonrobust"][i] >= cols["small_insider_nonrobust"][i]
-        assert cols["small_insider_nonrobust"][i] >= cols["no_insider_nonrobust"][i]
+        assert cols["small_insider_nonrobust"][i] >= cols["no_insider_nonrobust_no_impact"][i]
         assert cols["small_insider_robust"][i] >= cols["no_insider_robust"][i]
         assert cols["small_insider_robust"][i] <= cols["small_insider_nonrobust"][i]
 

@@ -220,7 +220,7 @@ class TestFigureData:
             assert all(a > b for a, b in zip(series, series[1:])), name
         for i in range(len(rows)):
             assert cols["large_insider_nonrobust"][i] >= cols["small_insider_nonrobust"][i]
-            assert cols["small_insider_nonrobust"][i] >= cols["no_insider_nonrobust"][i]
+            assert cols["small_insider_nonrobust"][i] >= cols["no_insider_nonrobust_no_impact"][i]
             assert cols["small_insider_robust"][i] >= cols["no_insider_robust"][i]
 
     def test_bsde_column_appended_when_supplied(self, market_impact):

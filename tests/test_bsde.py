@@ -7,6 +7,8 @@ from insiderlab import bsde
 from insiderlab.analysis import value_no_insider_robust, value_small_insider_robust
 from insiderlab.bsde import (
     BsdeSolution,
+    SweepPaths,
+    _as_sweep_paths,
     _backward_sweep,
     _factor,
     _monomials,
@@ -14,6 +16,7 @@ from insiderlab.bsde import (
     RegressionError,
     ShootingError,
     enlargement_normalizer,
+    initial_controls,
     knot_table,
     pi_star_functional,
     recover_controls,
@@ -22,6 +25,7 @@ from insiderlab.bsde import (
     solve_quadratic_lsmc,
     value_from_bsde,
 )
+from insiderlab.cli import _linear_report, _quadratic_report
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
 from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.simulate import mean_se, simulate_wealth
@@ -273,21 +277,25 @@ class TestRegressionEngine:
         np.testing.assert_allclose(fitted, raw.T @ coef, rtol=0, atol=1e-10)
 
     def test_cached_factors_bit_identical(self, batch_small, market_impact, insider):
-        m = batch_small.grid.index_T
-        driver = _quadratic_driver(batch_small, market_impact)
+        m, n = batch_small.grid.index_T, batch_small.n_paths
+        paths = _as_sweep_paths(batch_small, insider)
+        driver = _quadratic_driver(paths, market_impact, insider)
         cached = [None] * m
-        _backward_sweep(batch_small, insider, np.zeros(batch_small.n_paths), driver, 3, cached)
+        L, Z = np.empty((m + 1, n)), np.empty((m, n))
+        _backward_sweep(paths, np.zeros(n), driver, 3, cached, L, Z)
         assert all(f is not None for f in cached)
         terminal = 0.1 + 0.05 * batch_small.Y0**2
-        L1, Z1 = _backward_sweep(batch_small, insider, terminal, driver, 3, cached)
-        L2, Z2 = _backward_sweep(batch_small, insider, terminal, driver, 3, [None] * m)
-        assert np.array_equal(L1, L2)
-        assert np.array_equal(Z1, Z2)
+        _backward_sweep(paths, terminal, driver, 3, cached, L, Z)
+        L1, Z1 = L.copy(), Z.copy()
+        # the same pair again, now from fresh factors
+        _backward_sweep(paths, terminal, driver, 3, [None] * m, L, Z)
+        assert np.array_equal(L1, L)
+        assert np.array_equal(Z1, Z)
 
     @pytest.mark.parametrize("varrho", [0.0, 0.01, 0.25 * 0.35**2, 0.05])
-    def test_quadratic_driver_leading_coefficient(self, batch_small, varrho):
+    def test_quadratic_driver_leading_coefficient(self, batch_small, insider, varrho):
         mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
-        f = _quadratic_driver(batch_small, mk)
+        f = _quadratic_driver(_as_sweep_paths(batch_small, insider), mk, insider)
         st = 0.35 - 2.0 * varrho / 0.35
         one = np.ones(batch_small.n_paths)
         for i in (0, 25, batch_small.grid.index_T - 1):
@@ -347,3 +355,25 @@ def test_knot_table_path_order_insensitive(batch_small, market, insider):
 
     assert knot_table(sol, oracle) == knot_table(permuted(sol), permuted(oracle))
     assert knot_table(sol) == knot_table(permuted(sol))
+
+
+def test_report_cells_path_order_insensitive(batch_small, market_impact, insider):
+    # Y0_mean, mean_abs_z and mean_pi_0 depend only on the multiset of values
+    m = batch_small.grid.index_T
+    rng = np.random.default_rng(8)
+    sol = BsdeSolution(grid=batch_small.grid, Y=np.exp(rng.normal(size=(batch_small.n_paths, m + 1))),
+                       Z=rng.normal(size=(batch_small.n_paths, m)), c=0.0, residual=0.0)
+    paths = _as_sweep_paths(batch_small, insider)
+
+    def reports(s, p):
+        pi_0, _ = initial_controls(s, market_impact, p, insider, StrategyKind.LARGE_INSIDER_ROBUST)
+        return repr((_linear_report(s, market_impact), _quadratic_report(s, pi_0)))
+
+    # one permutation leaves a plain np.mean unchanged about half the time
+    for _ in range(8):
+        perm = rng.permutation(batch_small.n_paths)
+        shuffled = BsdeSolution(grid=sol.grid, Y=sol.Y[perm], Z=sol.Z[perm], c=sol.c,
+                                residual=sol.residual)
+        shuffled_paths = SweepPaths(grid=paths.grid, level=paths.level[:, perm],
+                                    dWH=paths.dWH[:, perm], Y0=paths.Y0[perm])
+        assert reports(shuffled, shuffled_paths) == reports(sol, paths)

@@ -178,6 +178,8 @@ class TestConfigParsing:
             ([], "r = 0.0\nsigma = 0.35\n", "config_syntax"),
             (["--robust", "ture"], None, "config_value"),
             (["--n-steps-tail", "0"], None, "n_steps_tail_min"),
+            (["--phi", "1e200"], None, "phi_norm_finite"),
+            (["--phi", "0:1,1.5:-1e200"], None, "phi_norm_finite"),
         ],
     )
     def test_malformed_input_exits_one_with_code(self, tmp_path, capsys, flags, cfg_text, code):
@@ -221,6 +223,9 @@ INVALID_INPUTS = st.one_of(
             lambda v: (_arg(name, v), "coefficient_bounded"))),
     _finite(min_value=-1e100, max_value=1e100).map(lambda w: (f"--phi=0:{w!r},1:0", "phi_tail_norm")),
     st.sampled_from([math.nan, math.inf]).map(lambda w: (_arg("phi", w), "phi_bounded")),
+    # finite weights whose square overflows: ||phi_w||^2 on [0, T0] is infinite
+    (_finite(min_value=1e155) | _finite(max_value=-1e155)).map(
+        lambda w: (_arg("phi", w), "phi_norm_finite")),
 )
 
 
@@ -405,6 +410,21 @@ class TestAnalysisCommands:
         lines = (tmp_path / "fig1.csv").read_text().splitlines()
         assert lines[0].startswith("T0,no_insider_robust")
         assert len(lines) == 12
+
+    def test_values_and_fig1_agree_on_each_market_under_impact(self, tmp_path, cfg_file):
+        # varrho = sigma^2/4 doubles the neutral uninformed Merton term
+        for command in (["value"], ["figures", "--fig-kind", "fig1"]):
+            assert run([*command, "--varrho", "0.030625", "--config", cfg_file,
+                        "--out", str(tmp_path)]) == 0
+        values = {row["regime"]: row for row in read_table(tmp_path / "values.csv")}
+        fig1 = read_table(tmp_path / "fig1.csv")
+        impact, no_impact = 0.1836734693877551, 0.09183673469387755
+        assert float(values["no_insider_nonrobust"]["total"]) == pytest.approx(impact, abs=1e-15)
+        assert len(fig1) == 11
+        for row in fig1:
+            assert row["no_insider_nonrobust"] == values["no_insider_nonrobust"]["total"]
+            assert float(row["no_insider_nonrobust_no_impact"]) == pytest.approx(no_impact, abs=1e-15)
+            assert row["small_insider_robust"] != ""
 
     def test_figures_strategy_lines(self, tmp_path, cfg_file):
         assert run(["figures", "--fig-kind", "strategy_lines", "--config", cfg_file,

@@ -1,0 +1,123 @@
+"""The streamed, knot-major LSMC input against the whole-batch API."""
+
+import argparse
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from insiderlab import cli
+from insiderlab.bsde import (
+    _phitilde,
+    knot_table,
+    recover_controls,
+    solve_linear_closed_form,
+    solve_linear_lsmc,
+    solve_quadratic_lsmc,
+    stream_sweep_paths,
+    value_from_bsde,
+)
+from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota
+from insiderlab.paths import _BLOCK, partial_signals, sample_paths
+from insiderlab.simulate import ordered_mean
+from insiderlab.strategies import StrategyKind
+
+MARKET = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
+IMPACT = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.02, T=1.0, X0=1.0)
+UNIT = InsiderSpec.enlargement(T0=2.0)
+PIECEWISE = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.5, 1.5), (1.0, 0.5, 2.0)))
+NONE = InsiderSpec.none()
+
+
+def config_of(insider, n_paths, market=MARKET, n_steps=10, seed=29):
+    return ScenarioConfig(market=market, insider=insider, n_steps=n_steps, n_paths=n_paths, seed=seed)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n_paths", [1, _BLOCK - 1, _BLOCK + 1, 9000])
+@pytest.mark.parametrize("insider", [PIECEWISE, NONE])
+def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, threads):
+    config = config_of(insider, n_paths)
+    batch = sample_paths(config)
+    m = batch.grid.index_T
+    streamed = stream_sweep_paths(config, threads)
+    if insider.has_signal():
+        level = partial_signals(batch.grid, batch.dW, insider)
+        assert np.array_equal(streamed.Y0, batch.Y0)
+    else:
+        level = np.zeros((n_paths, m + 1))
+        np.cumsum(batch.dW[:, :m], axis=1, out=level[:, 1:])
+        assert streamed.Y0 is None
+    assert np.array_equal(streamed.level, level.T)
+    assert np.array_equal(streamed.dWH, batch.dWH.T)
+    assert streamed.level.flags.c_contiguous and streamed.dWH.flags.c_contiguous
+    # the drift formed from the state is information_drift's, bit for bit
+    phitilde = _phitilde(streamed, MARKET, insider)
+    iota_left = iota(MARKET, batch.grid.knots[:m])
+    for i in range(m):
+        expect = np.broadcast_to(iota_left[i] + batch.phi[:, i], (n_paths,))
+        assert np.array_equal(np.broadcast_to(phitilde(i), (n_paths,)), expect), i
+
+
+def api_tables(solver, config, market):
+    """The tables of the bsde command from solve_*_lsmc(sample_paths(config))."""
+    batch = sample_paths(config)
+    insider = config.insider
+    if solver == "linear":
+        sol = solve_linear_lsmc(batch, market, insider)
+        report = [sol.residual, sol.c if np.ndim(sol.c) == 0 else "",
+                  ordered_mean(sol.Y[:, 0]), market.X0]
+        return {"bsde_linear.csv": knot_table(sol, solve_linear_closed_form(batch, market, insider)),
+                "bsde_linear_report.csv": (["residual", "normalizer_mc", "Y0_mean", "X0"], [report])}
+    sol = solve_quadratic_lsmc(batch, market, insider)
+    m = batch.grid.index_T
+    pi = recover_controls(sol, market, batch, StrategyKind.LARGE_INSIDER_ROBUST).pi
+    mean_abs_z = ordered_mean(np.array([ordered_mean(np.abs(sol.Z[:, i])) for i in range(m)]))
+    return {
+        "bsde_quadratic.csv": knot_table(sol),
+        "bsde_quadratic_trace.csv": (["iteration", "c2", "residual", "L0_mean"],
+                                     [[it, repr(c2), r, l0] for it, c2, r, l0 in sol.trace]),
+        "bsde_quadratic_value.csv": (
+            ["value", "value_se", "residual", "mean_abs_z", "mean_pi_0"],
+            [[*value_from_bsde(sol), sol.residual, mean_abs_z, ordered_mean(pi[:, 0])]],
+        ),
+    }
+
+
+@pytest.mark.parametrize("solver, insider, market", [
+    ("linear", UNIT, MARKET),
+    ("linear", NONE, MARKET),
+    ("quadratic", UNIT, IMPACT),
+    ("quadratic", PIECEWISE, IMPACT),
+    ("quadratic", NONE, IMPACT),
+])
+def test_cli_tables_equal_the_whole_batch_api(solver, insider, market):
+    config = config_of(insider, 9000, market)
+    args = argparse.Namespace(threads=2, basis_order=3, shoot_tol=1e-3)
+    handler = cli._cmd_bsde_linear if solver == "linear" else cli._cmd_bsde_quadratic
+    code, tables = handler(args, config)
+    assert code == 0
+    # the linear command solves in the small trader's market
+    expect = api_tables(solver, config, market.without_impact() if solver == "linear" else market)
+    # repr tells -0.0 from 0.0, so equal reprs mean equal bits
+    assert repr(tables) == repr(expect)
+
+
+def _peak_bytes(argv, tmp_path):
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["enlargement", "none"])
+def test_bsde_quadratic_holds_about_four_path_sized_arrays(tmp_path, kind):
+    # state, dWH, L and Z are four (n_paths x m) arrays; the design and the
+    # per-step vectors add about half of one.  A whole PathBatch, a second
+    # (L, Z) pair or full controls would each add one or more.
+    n_paths, n_steps = 6 * _BLOCK, 40
+    peak = _peak_bytes(["bsde-quadratic", "--kind", kind, "--n-paths", str(n_paths),
+                        "--n-steps", str(n_steps), "--seed", "3"], tmp_path)
+    assert peak <= 5.5 * n_paths * (n_steps + 1) * 8
