@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InsiderSpec, MarketParams, ScenarioConfig, iota, phi_norm_sq, sigma_tilde, validate
-from .paths import PathBatch, TimeGrid, build_grid, partial_signals, stream_paths
+from .model import InsiderSpec, MarketParams, ScenarioConfig, iota, sigma_tilde, validate
+from .paths import PathBatch, TimeGrid, build_grid, signal_drift, stream_paths
 from .simulate import mean_se, ordered_mean
 from .strategies import StrategyKind, StrategyProfile, _pi_small_robust_line, pi_no_insider_robust
 
@@ -112,21 +112,16 @@ class SweepPaths:
 
 def _allocate_sweep(grid: TimeGrid, insider: InsiderSpec, n: int) -> SweepPaths:
     m = grid.index_T
-    level = np.empty((m + 1, n))
-    level[0] = 0.0
     y0 = np.empty(n) if insider.has_signal() else None
-    return SweepPaths(grid=grid, level=level, dWH=np.empty((m, n)), Y0=y0)
+    return SweepPaths(grid=grid, level=np.empty((m + 1, n)), dWH=np.empty((m, n)), Y0=y0)
 
 
-def _fill_sweep_rows(paths: SweepPaths, rows: slice, batch: PathBatch, insider: InsiderSpec) -> None:
+def _fill_sweep_rows(paths: SweepPaths, rows: slice, batch: PathBatch) -> None:
     """Write `batch`, which holds paths `rows`, into `paths`."""
-    m = paths.grid.index_T
-    if paths.Y0 is None:
-        np.cumsum(batch.dW[:, :m], axis=1, out=paths.level[1:, rows].T)
-    else:
-        paths.level[:, rows] = partial_signals(batch.grid, batch.dW, insider).T
-        paths.Y0[rows] = batch.Y0
+    paths.level[:, rows] = batch.level.T
     paths.dWH[:, rows] = batch.dWH.T
+    if paths.Y0 is not None:
+        paths.Y0[rows] = batch.Y0
 
 
 def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
@@ -136,44 +131,30 @@ def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
     validate(config)
     grid = build_grid(config)
     paths = _allocate_sweep(grid, config.insider, config.n_paths)
-
-    def fill(rows: slice, batch: PathBatch) -> None:
-        _fill_sweep_rows(paths, rows, batch, config.insider)
-
-    stream_paths(config, grid, fill, threads)
+    stream_paths(config, grid, functools.partial(_fill_sweep_rows, paths), threads)
     return paths
 
 
-@functools.singledispatch
-def _as_sweep_paths(paths: SweepPaths, insider: InsiderSpec) -> SweepPaths:
-    """The sweep input of a SweepPaths or of a PathBatch of `insider`."""
-    return paths
-
-
-@_as_sweep_paths.register
-def _sweep_paths_of_batch(batch: PathBatch, insider: InsiderSpec) -> SweepPaths:
-    paths = _allocate_sweep(batch.grid, insider, batch.n_paths)
-    _fill_sweep_rows(paths, slice(None), batch, insider)
-    return paths
+def _as_sweep_paths(paths) -> SweepPaths:
+    """The sweep input of a SweepPaths or of a PathBatch."""
+    if isinstance(paths, SweepPaths):
+        return paths
+    sweep = _allocate_sweep(paths.grid, paths.insider, paths.n_paths)
+    _fill_sweep_rows(sweep, slice(None), paths)
+    return sweep
 
 
 def _phitilde(paths: SweepPaths, market: MarketParams, insider: InsiderSpec):
-    """phitilde = iota + phi on step i, as a function of i.  The information
-    drift is formed from the state, phi_i = (Y0 - B_i) w_i / ||phi_w||^2_[t_i,T0],
-    in information_drift's order of operations, so it equals that function's
-    column i bit for bit."""
+    """phitilde = iota + phi on step i, as a function of i; signal_drift forms
+    the drift from the state, as information_drift does for a batch."""
     m = paths.grid.index_T
-    t_left = paths.grid.knots[:m]
-    iota_left = iota(market, t_left)
+    iota_left = iota(market, paths.grid.knots[:m])
     if paths.Y0 is None:
         return lambda i: iota_left[i]
-    w_left = insider.phi_weight(t_left)
-    norm_left = phi_norm_sq(insider, t_left, float(insider.T0))
+    drift = signal_drift(paths.grid, insider)
 
     def phitilde(i: int) -> np.ndarray:
-        phit = paths.Y0 - paths.level[i]
-        phit *= w_left[i]
-        phit /= norm_left[i]
+        phit = drift(paths.Y0, paths.level[i], i)
         phit += iota_left[i]
         return phit
 
@@ -217,10 +198,8 @@ def pi_star_functional(batch: PathBatch, market: MarketParams) -> PiStarFunction
     """Left-point discretisation of
     Pi(t1,t2) = exp{-int r ds - int phitilde dWH - 1/2 int phitilde^2 ds}."""
     m = batch.grid.index_T
-    iota_left = iota(market, batch.grid.knots[:m])
-    increments = _log_pi_increments(
-        batch.grid, market, lambda i: iota_left[i] + batch.phi[:, i], batch.dWH.T
-    )
+    phit = (iota(market, batch.grid.knots[:m]) + batch.phi).T
+    increments = _log_pi_increments(batch.grid, market, lambda i: phit[i], batch.dWH.T)
     expo = np.zeros((batch.n_paths, m + 1))
     for i, incr in enumerate(increments):
         np.add(expo[:, i], incr, out=expo[:, i + 1])
@@ -299,7 +278,7 @@ def solve_linear_closed_form(
         X_t = X0 sqrt(a0/a_t) exp{r t + (3/8) iota^2 t + (1/2) iota W_t
                                   - m_t^2/(2 a_t) + m_0^2/(2 a0)}.
     """
-    paths = _as_sweep_paths(paths, insider)
+    paths = _as_sweep_paths(paths)
     grid = paths.grid
     m = grid.index_T
     knots = grid.knots[: m + 1]
@@ -454,7 +433,7 @@ def solve_linear_lsmc(
     pathwise Pi(0,T); the conditional normaliser is a Monte-Carlo scalar
     without a signal and the Gaussian closed form under enlargement.
     """
-    paths = _as_sweep_paths(paths, insider)
+    paths = _as_sweep_paths(paths)
     grid = paths.grid
     m = grid.index_T
     phitilde = _phitilde(paths, market, insider)
@@ -511,6 +490,13 @@ def _quadratic_driver(paths: SweepPaths, market: MarketParams, insider: InsiderS
     return f
 
 
+def _projected_mismatch(y_design, inv_gram, mismatch) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients of the shooting mismatch on the terminal
+    basis, and the path-order-insensitive RMS of the projected mismatch."""
+    delta = inv_gram @ (y_design @ mismatch)
+    return delta, math.sqrt(ordered_mean((delta @ y_design) ** 2))
+
+
 def solve_quadratic_lsmc(
     paths,
     market: MarketParams,
@@ -532,7 +518,7 @@ def solve_quadratic_lsmc(
     residual reported is the root-mean-square projected mismatch.  Every
     pass reuses the regression factors and the (L, Z) pair of the first.
     """
-    paths = _as_sweep_paths(paths, insider)
+    paths = _as_sweep_paths(paths)
     n = paths.n_paths
     ln_x0 = math.log(market.X0)
     trace: list[tuple] = []
@@ -575,8 +561,7 @@ def solve_quadratic_lsmc(
     coef[0] = ln_x0 if c2_init is None else float(c2_init)
     for iteration in range(max_iter):
         sweep((coef * scale) @ y_design)
-        delta = inv_gram @ (y_design @ (L[0] - ln_x0))
-        resid = math.sqrt(float(np.mean((delta @ y_design) ** 2)))
+        delta, resid = _projected_mismatch(y_design, inv_gram, L[0] - ln_x0)
         c2 = tuple(coef.tolist())
         trace.append((iteration, c2, resid, mean_se(L[0])[0]))
         if resid <= shoot_tol:

@@ -276,18 +276,18 @@ def _cmd_bsde_quadratic(args, config: ScenarioConfig):
 
 
 def _cmd_forward_check(args, config: ScenarioConfig):
+    # the check ignores the coefficients; constant ones keep the grid uniform on [0, T]
     flat = replace(
         config,
+        market=MarketParams(r=0.0, mu0=0.0, sigma=1.0, varrho=0.0, T=config.market.T, X0=1.0),
         insider=InsiderSpec.none(),
         n_steps=args.forward_steps,
         n_paths=args.forward_paths,
     )
     batch = sample_paths(flat, threads=args.threads)
-    W = np.zeros((batch.n_paths, batch.grid.n_steps + 1))
-    np.cumsum(batch.dW, axis=1, out=W[:, 1:])
     dt = float(batch.grid.dt[0])
     kind = TestIntegrand(args.integrand)
-    return 0, {f"forward_{kind.value}.csv": convergence_table(W, dt, kind, eps_steps_list=[8, 4, 2])}
+    return 0, {f"forward_{kind.value}.csv": convergence_table(batch.level, dt, kind, eps_steps_list=[8, 4, 2])}
 
 
 def _cmd_critical_t0(args, config: ScenarioConfig):
@@ -354,7 +354,7 @@ def _cmd_selftest(args, config: ScenarioConfig):
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="INI config file with [market]/[insider]/[run] sections")
     p.add_argument("--out", default=None, help="output directory (default $INSIDERLAB_OUT or ./out)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks: the whole block pipeline of simulate and martingale, the draw elsewhere (the LSMC sweep runs on one); results do not depend on it")
+    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks, each of which draws and decomposes its paths; simulate and martingale also evaluate the strategy there, while the LSMC sweep of bsde-* runs on one thread; results do not depend on it")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit integer)")
     p.add_argument("--n-paths", dest="n_paths", type=int, default=None, help="Monte-Carlo ensemble size")
     p.add_argument("--n-steps", dest="n_steps", type=int, default=None, help="grid steps on [0, T]")

@@ -7,7 +7,8 @@ For an initial-enlargement insider the driving noise W decomposes as
     phi_t = (Y0 - int_0^t phi_weight dW) * phi_weight(t) / ||phi_weight||^2_[t,T0],
 
 where WH is a Brownian motion in the enlarged filtration and phi is the
-information drift.  Everything is evaluated at left endpoints of the grid
+information drift.  A batch stores the running signal, from which phi and
+dWH are derived.  Everything is evaluated at left endpoints of the grid
 steps, consistent with left-continuous controls.
 """
 
@@ -29,6 +30,7 @@ __all__ = [
     "information_drift",
     "decompose",
     "partial_signals",
+    "signal_drift",
 ]
 
 # paths per RNG block; fixed so path i's draws never depend on n_paths or workers
@@ -116,23 +118,30 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
 class PathBatch:
     """Simulated ensemble, immutable after construction.
 
-    dW   : (n_paths, m) Brownian increments over every grid step.
-    Y0   : (n_paths,) insider signal, the phi_weight-weighted sum of all dW.
-    phi  : (n_paths | 1, index_T) information drift at left endpoints of the
-           steps in [0, T); all zeros (broadcast row) without a signal.
-    dWH  : (n_paths, index_T) enlarged-filtration Brownian increments
-           dW - phi*dt on [0, T].
+    dW    : (n_paths, m) Brownian increments over every grid step.
+    Y0    : (n_paths,) insider signal, the phi_weight-weighted sum of all dW.
+    level : (n_paths, index_T + 1) regression state at the knots of [0, T]:
+            the running signal B_t = int_0^t phi_weight dW, or W_t without
+            a signal.
+    dWH   : (n_paths, index_T) enlarged-filtration increments dW - phi*dt on
+            [0, T]; a view of dW without a signal.
+    The information drift phi is not stored but derived from (Y0, level).
     """
 
     grid: TimeGrid
     dW: np.ndarray
     Y0: np.ndarray
-    phi: np.ndarray
+    level: np.ndarray
     dWH: np.ndarray
+    insider: InsiderSpec
 
     @property
     def n_paths(self) -> int:
         return self.dW.shape[0]
+
+    @property
+    def phi(self) -> np.ndarray:
+        return information_drift(self.grid, self.level, self.Y0, self.insider)
 
 
 def _for_each_block(n_paths: int, fn, threads: int = 1) -> None:
@@ -155,34 +164,34 @@ def _for_each_block(n_paths: int, fn, threads: int = 1) -> None:
 
 
 def _allocate(grid: TimeGrid, insider: InsiderSpec, n: int) -> PathBatch:
-    """Uninitialised batch of n paths; without a signal Y0 and phi are zeros
-    (phi one broadcast row) and dWH is a view of dW."""
-    m = grid.index_T
+    """Uninitialised batch of n paths; without a signal Y0 is zeros and dWH
+    is a view of dW."""
+    m, signal = grid.index_T, insider.has_signal()
     dW = np.empty((n, grid.n_steps))
-    if insider.kind is InsiderKind.NO_INSIDER:
-        return PathBatch(grid=grid, dW=dW, Y0=np.zeros(n), phi=np.zeros((1, m)), dWH=dW[:, :m])
-    return PathBatch(grid=grid, dW=dW, Y0=np.empty(n), phi=np.empty((n, m)), dWH=np.empty((n, m)))
+    return PathBatch(grid=grid, dW=dW, Y0=np.empty(n) if signal else np.zeros(n),
+                     level=np.empty((n, m + 1)), dWH=np.empty((n, m)) if signal else dW[:, :m],
+                     insider=insider)
 
 
 def _rows(batch: PathBatch, rows: slice) -> PathBatch:
-    """View of paths `rows`; a broadcast drift row is shared, not sliced."""
-    phi = batch.phi[rows] if batch.phi.shape[0] == batch.n_paths else batch.phi
-    return PathBatch(grid=batch.grid, dW=batch.dW[rows], Y0=batch.Y0[rows], phi=phi,
-                     dWH=batch.dWH[rows])
+    """View of paths `rows`."""
+    return PathBatch(grid=batch.grid, dW=batch.dW[rows], Y0=batch.Y0[rows],
+                     level=batch.level[rows], dWH=batch.dWH[rows], insider=batch.insider)
 
 
-def _fill_block(batch: PathBatch, insider: InsiderSpec, seed: int, block: int) -> None:
+def _fill_block(batch: PathBatch, seed: int, block: int) -> None:
     """Build RNG block `block` in place: `batch` holds exactly that block's
     paths.  Draws are counter-based, so path i, step j depends only on
-    (seed, i, j)."""
-    grid, dW = batch.grid, batch.dW
+    (seed, i, j).  The drift is formed from the state in dWH's memory."""
+    grid, dW, insider = batch.grid, batch.dW, batch.insider
     np.random.Generator(np.random.Philox(key=[seed, block])).standard_normal(out=dW)
     dW *= np.sqrt(grid.dt)
-    if insider.kind is InsiderKind.NO_INSIDER:
+    partial_signals(grid, dW, insider, out=batch.level)
+    if not insider.has_signal():
         return
     np.matmul(dW, insider.phi_weight(grid.knots[:-1]), out=batch.Y0)
-    information_drift(grid, dW, batch.Y0, insider, out=batch.phi)
-    decompose(grid, dW, batch.phi, out=batch.dWH)
+    information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
+    decompose(grid, dW, batch.dWH, out=batch.dWH)
 
 
 def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
@@ -197,7 +206,7 @@ def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
     seed = int(config.seed)
 
     def fill(block: int, rows: slice) -> None:
-        _fill_block(_rows(batch, rows), config.insider, seed, block)
+        _fill_block(_rows(batch, rows), seed, block)
 
     _for_each_block(config.n_paths, fill, threads)
     return batch
@@ -212,48 +221,57 @@ def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1) -
 
     def run(block: int, rows: slice) -> None:
         batch = _allocate(grid, config.insider, rows.stop - rows.start)
-        _fill_block(batch, config.insider, seed, block)
+        _fill_block(batch, seed, block)
         fn(rows, batch)
 
     _for_each_block(config.n_paths, run, threads)
 
 
-def partial_signals(grid: TimeGrid, dW: np.ndarray, insider: InsiderSpec) -> np.ndarray:
-    """Running signal B_t = int_0^t phi_weight dW at knots 0..index_T."""
-    w_left = insider.phi_weight(grid.knots[: grid.index_T])
-    b = np.empty((dW.shape[0], grid.index_T + 1))
+def partial_signals(grid: TimeGrid, dW: np.ndarray, insider: InsiderSpec, out=None) -> np.ndarray:
+    """Running signal B_t = int_0^t phi_weight dW at knots 0..index_T, or
+    W_t without a signal, written to `out` when given."""
+    m = grid.index_T
+    w_left = insider.phi_weight(grid.knots[:m]) if insider.has_signal() else 1.0
+    b = np.empty((dW.shape[0], m + 1)) if out is None else out
     b[:, 0] = 0.0
-    np.cumsum(dW[:, : grid.index_T] * w_left, axis=1, out=b[:, 1:])
+    np.multiply(dW[:, :m], w_left, out=b[:, 1:])
+    np.cumsum(b[:, 1:], axis=1, out=b[:, 1:])
     return b
 
 
-def information_drift(
-    grid: TimeGrid, dW: np.ndarray, y0: np.ndarray, insider: InsiderSpec, out=None
-) -> np.ndarray:
-    """Information drift at the left endpoint of every step in [0, T).
-
-    phi_i = (Y0 - B_{t_i}) * phi_weight(t_i) / ||phi_weight||^2_[t_i, T0].
-    Returns zeros for the no-insider regime, else writes `out` when given.
-    Raises DomainError if any evaluation knot reaches T0 (the denominator
-    would vanish there).
-    """
-    if insider.kind is InsiderKind.NO_INSIDER:
-        return np.zeros((1, grid.index_T))
+def signal_drift(grid: TimeGrid, insider: InsiderSpec):
+    """The information drift phi_i = (y0 - b) * phi_weight(t_i) /
+    ||phi_weight||^2_[t_i, T0] as drift(y0, b, i, out), for the running
+    signal b at the left knot of step i (an index or a slice); raises
+    DomainError if a step of [0, T) starts at or beyond T0."""
     T0 = float(insider.T0)
     t_left = grid.knots[: grid.index_T]
     if np.any(t_left >= T0):
         raise DomainError("information drift is not defined at or beyond T0")
-    b = partial_signals(grid, dW, insider)
     w_left = insider.phi_weight(t_left)
-    out = np.subtract(y0[:, None], b[:, :-1], out=out)
-    out *= w_left
-    out /= phi_norm_sq(insider, t_left, T0)
-    return out
+    norm_left = phi_norm_sq(insider, t_left, T0)
+
+    def drift(y0, b, i=slice(None), out=None) -> np.ndarray:
+        out = np.subtract(y0, b, out=out)
+        out *= w_left[i]
+        out /= norm_left[i]
+        return out
+
+    return drift
+
+
+def information_drift(grid: TimeGrid, level, y0, insider: InsiderSpec, out=None) -> np.ndarray:
+    """signal_drift at the left endpoint of every step in [0, T) from the
+    running signal `level` (n_paths, >= index_T) at the knots, written to
+    `out` when given; one broadcast row of zeros without a signal."""
+    if not insider.has_signal():
+        return np.zeros((1, grid.index_T))
+    return signal_drift(grid, insider)(y0[:, None], level[:, : grid.index_T], out=out)
 
 
 def decompose(grid: TimeGrid, dW: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
     """Enlarged-filtration increments dWH_i = dW_i - phi_i * dt_i on [0, T],
-    written to `out` when given."""
+    written to `out` when given; `out` may be `phi` itself."""
     m = grid.index_T
-    return np.subtract(dW[:, :m], phi * grid.dt[:m], out=out)
-
+    drift = np.multiply(phi, grid.dt[:m], out=out)
+    return np.subtract(dW[:, :m], drift, out=out)

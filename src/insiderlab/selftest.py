@@ -72,11 +72,11 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
 
     # first-order relation theta = sigma_tilde*pi - (iota + phi), with the
     # information drift each regime actually sees
-    worst = 0.0
+    worst, phi = 0.0, batch.phi
     for kind, drift in (
         (strategies.StrategyKind.NO_INSIDER_ROBUST, 0.0),
-        (strategies.StrategyKind.SMALL_INSIDER_ROBUST, batch.phi),
-        (strategies.StrategyKind.SMALL_INSIDER_NONROBUST, batch.phi),
+        (strategies.StrategyKind.SMALL_INSIDER_ROBUST, phi),
+        (strategies.StrategyKind.SMALL_INSIDER_NONROBUST, phi),
     ):
         prof = strategies.build_profile(kind, batch, market, insider)
         implied = strategies.theta_from_pi(market, drift, prof.pi, t_left)
@@ -138,8 +138,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
         market=market, insider=InsiderSpec.none(), n_steps=512, n_paths=500, seed=seed + 1
     )
     nb = sample_paths(ncfg)
-    W = np.zeros((nb.n_paths, nb.grid.n_steps + 1))
-    np.cumsum(nb.dW, axis=1, out=W[:, 1:])
+    W = nb.level
     u = integrand_values(TestIntegrand.ADAPTED_CONST, W, const=2.0)
     est = forward_riemann(W, u, float(nb.grid.dt[0]), nb.grid.n_steps, 2)
     rms = math.sqrt(float(np.mean((est - 2.0 * W[:, -1]) ** 2)))

@@ -1,8 +1,9 @@
 """Forward simulation of wealth and density, the game functional J, and
 Monte-Carlo diagnostics for the martingale and entropy identities.
 
-All stochastic integrals are left-point sums in the enlarged-filtration
-increments dWH, and the dt cross-terms use left-point integrands, matching
+All stochastic integrals are left-point sums, wealth and the optimality
+martingale in the increments dW, the density in the enlarged-filtration
+increments dWH, and the dt terms use left-point integrands, matching
 left-continuous controls.  Cross-path reductions sort the values and then
 sum them pairwise, so each result depends only on the multiset of values,
 not on the path order.
@@ -123,17 +124,16 @@ class MartingaleStat:
 
 
 def _check_grid(batch: PathBatch, profile: StrategyProfile) -> None:
-    if profile.grid is not batch.grid and not np.array_equal(
-        profile.grid.knots, batch.grid.knots
-    ):
+    if profile.grid is not batch.grid and not np.array_equal(profile.grid.knots, batch.grid.knots):
         raise ValueError("profile and batch use different grids")
 
 
 def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketParams) -> WealthPath:
-    """Exact log-Euler step of the wealth dynamics under the enlarged filtration:
+    """Exact log-Euler step of the wealth dynamics under the original measure:
 
-        dlnX = [r + (mu0 + varrho*pi - r)*pi + sigma*pi*phi - sigma^2 pi^2 / 2] dt
-               + sigma * pi dWH
+        dlnX = [r + (mu0 + varrho*pi - r)*pi - sigma^2 pi^2 / 2] dt + sigma * pi dW,
+
+    the same sum as sigma*pi*phi dt + sigma*pi dWH in the enlarged filtration.
     """
     _check_grid(batch, profile)
     grid = batch.grid
@@ -143,12 +143,11 @@ def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketPa
     r, mu0 = market.r(t_left), market.mu0(t_left)
     sig, rho = market.sigma(t_left), market.varrho(t_left)
     pi = profile.pi
-    drift = r + (mu0 + rho * pi - r) * pi + sig * pi * batch.phi - 0.5 * (sig * pi) ** 2
-    incr = drift * dt + sig * pi * batch.dWH
-    n = max(incr.shape[0], batch.n_paths)
-    logX = np.empty((n, m + 1))
+    drift = r + (mu0 + rho * pi - r) * pi - 0.5 * (sig * pi) ** 2
+    incr = drift * dt + sig * pi * batch.dW[:, :m]
+    logX = np.empty((batch.n_paths, m + 1))
     logX[:, 0] = math.log(market.X0)
-    np.cumsum(np.broadcast_to(incr, (n, m)), axis=1, out=logX[:, 1:])
+    np.cumsum(incr, axis=1, out=logX[:, 1:])
     logX[:, 1:] += math.log(market.X0)
     return WealthPath(logX=logX)
 
@@ -156,13 +155,11 @@ def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketPa
 def simulate_density(batch: PathBatch, profile: StrategyProfile) -> DensityPath:
     """Exponential density per path: dln(eps) = theta dWH - theta^2/2 dt."""
     _check_grid(batch, profile)
-    grid = batch.grid
-    m = grid.index_T
-    dt = grid.dt[:m]
+    m = batch.grid.index_T
+    dt = batch.grid.dt[:m]
     incr = profile.theta * batch.dWH - 0.5 * profile.theta**2 * dt
-    n = max(incr.shape[0], batch.n_paths)
-    logE = np.zeros((n, m + 1))
-    np.cumsum(np.broadcast_to(incr, (n, m)), axis=1, out=logE[:, 1:])
+    logE = np.zeros((batch.n_paths, m + 1))
+    np.cumsum(incr, axis=1, out=logE[:, 1:])
     return DensityPath(logE=logE)
 
 

@@ -29,7 +29,7 @@ from .model import (
     phi_norm_sq,
     sigma_tilde,
 )
-from .paths import PathBatch, partial_signals
+from .paths import PathBatch
 
 __all__ = [
     "StrategyKind",
@@ -243,7 +243,7 @@ def build_profile(
         theta = np.zeros_like(pi)
     else:
         insider.require_signal(kind.value)
-        y0, b = batch.Y0[:, None], partial_signals(grid, batch.dW, insider)[:, :-1]
+        y0, b = batch.Y0[:, None], batch.level[:, :-1]
         if kind is StrategyKind.SMALL_INSIDER_ROBUST:
             pi = pi_small_insider_robust(market, insider, y0, b, t_left)
             theta = theta_small_insider_robust(market, insider, y0, b, t_left)

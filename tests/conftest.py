@@ -1,4 +1,5 @@
-import numpy as np
+import sys
+
 import pytest
 
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
@@ -83,6 +84,24 @@ def brownian_levels(market, no_insider):
         market=market, insider=no_insider, n_steps=4096, n_paths=2000, seed=911250
     )
     batch = sample_paths(cfg)
-    W = np.zeros((batch.n_paths, batch.grid.n_steps + 1))
-    np.cumsum(batch.dW, axis=1, out=W[:, 1:])
-    return batch.grid, W
+    return batch.grid, batch.level
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(fn) returns a list that grows by one on every call of fn
+    made through any insiderlab module that holds it by name."""
+
+    def install(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("insiderlab") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+        return calls
+
+    return install

@@ -12,6 +12,7 @@ from insiderlab.bsde import (
     _backward_sweep,
     _factor,
     _monomials,
+    _projected_mismatch,
     _quadratic_driver,
     RegressionError,
     ShootingError,
@@ -236,18 +237,15 @@ class TestQuadraticLsmc:
 
     @pytest.mark.parametrize("max_iter", [1, 4])
     def test_regression_state_built_once_per_solve(self, batch_small, market, insider,
-                                                   monkeypatch, max_iter):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return partial_signals(*args)
-
-        monkeypatch.setattr(bsde, "partial_signals", counted)
+                                                   count_calls, max_iter):
+        # the state is copied from the batch once; no pass rebuilds it from dW
+        fills = count_calls(bsde._fill_sweep_rows)
+        signals = count_calls(partial_signals)
         with pytest.raises(ShootingError) as err:
             solve_quadratic_lsmc(batch_small, market, insider, shoot_tol=0.0, max_iter=max_iter)
         assert err.value.iterations == max_iter
-        assert len(calls) == 1
+        assert len(fills) == 1
+        assert not signals
 
     def test_enlargement_terminal_matches_quadratic_truth(self, batch_lsmc_enl, market, insider):
         # true terminal: c2(y) = ln X0 - 2 ln normalizer(y), exactly quadratic
@@ -278,7 +276,7 @@ class TestRegressionEngine:
 
     def test_cached_factors_bit_identical(self, batch_small, market_impact, insider):
         m, n = batch_small.grid.index_T, batch_small.n_paths
-        paths = _as_sweep_paths(batch_small, insider)
+        paths = _as_sweep_paths(batch_small)
         driver = _quadratic_driver(paths, market_impact, insider)
         cached = [None] * m
         L, Z = np.empty((m + 1, n)), np.empty((m, n))
@@ -295,7 +293,7 @@ class TestRegressionEngine:
     @pytest.mark.parametrize("varrho", [0.0, 0.01, 0.25 * 0.35**2, 0.05])
     def test_quadratic_driver_leading_coefficient(self, batch_small, insider, varrho):
         mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
-        f = _quadratic_driver(_as_sweep_paths(batch_small, insider), mk, insider)
+        f = _quadratic_driver(_as_sweep_paths(batch_small), mk, insider)
         st = 0.35 - 2.0 * varrho / 0.35
         one = np.ones(batch_small.n_paths)
         for i in (0, 25, batch_small.grid.index_T - 1):
@@ -358,16 +356,32 @@ def test_knot_table_path_order_insensitive(batch_small, market, insider):
 
 
 def test_report_cells_path_order_insensitive(batch_small, market_impact, insider):
-    # Y0_mean, mean_abs_z and mean_pi_0 depend only on the multiset of values
+    # Y0_mean, mean_abs_z, mean_pi_0 and the enlargement shooting residual
+    # depend only on the multiset of values
     m = batch_small.grid.index_T
     rng = np.random.default_rng(8)
     sol = BsdeSolution(grid=batch_small.grid, Y=np.exp(rng.normal(size=(batch_small.n_paths, m + 1))),
                        Z=rng.normal(size=(batch_small.n_paths, m)), c=0.0, residual=0.0)
-    paths = _as_sweep_paths(batch_small, insider)
+    paths = _as_sweep_paths(batch_small)
 
     def reports(s, p):
         pi_0, _ = initial_controls(s, market_impact, p, insider, StrategyKind.LARGE_INSIDER_ROBUST)
         return repr((_linear_report(s, market_impact), _quadratic_report(s, pi_0)))
+
+    # a signal and mismatch on a coarse dyadic lattice keep every sum over
+    # paths exact, so the projection is the same in any order and only the
+    # residual's mean could depend on it
+    signal = rng.integers(-64, 65, size=batch_small.n_paths) / 16.0
+    mismatch = rng.integers(-50, 51, size=batch_small.n_paths) / 8.0
+
+    def shooting_residual(order):
+        design = np.empty((3, len(order)))
+        _monomials(design, signal[order], None, 2)
+        _, inv_gram = _factor(design, 0.0)
+        return _projected_mismatch(design, inv_gram, mismatch[order])[1]
+
+    residual = shooting_residual(np.arange(batch_small.n_paths))
+    assert residual > 0.0
 
     # one permutation leaves a plain np.mean unchanged about half the time
     for _ in range(8):
@@ -377,3 +391,4 @@ def test_report_cells_path_order_insensitive(batch_small, market_impact, insider
         shuffled_paths = SweepPaths(grid=paths.grid, level=paths.level[:, perm],
                                     dWH=paths.dWH[:, perm], Y0=paths.Y0[perm])
         assert reports(shuffled, shuffled_paths) == reports(sol, paths)
+        assert repr(shooting_residual(perm)) == repr(residual)

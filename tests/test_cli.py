@@ -394,6 +394,20 @@ class TestSimulationCommands:
         assert lines[0] == "eps,rms_error,rel_rms_error,ito_residual_rms"
         assert len(lines) == 4
 
+    def test_forward_check_ignores_coefficient_breakpoints(self, tmp_path, cfg_file):
+        # the check draws on a uniform grid on [0, T]: breakpoints of the
+        # coefficients are not knots of it
+        piecewise = tmp_path / "piecewise.cfg"
+        piecewise.write_text(BASE_CFG.replace("mu0 = 0.15", "mu0 = 0:0.1, 0.33:0.2")
+                             .replace("sigma = 0.35", "sigma = 0:0.35, 0.6:0.3"))
+        tables = []
+        for name, path in (("constant", cfg_file), ("piecewise", str(piecewise))):
+            out = tmp_path / name
+            assert run(["forward-check", "--config", path, "--forward-steps", "512",
+                        "--forward-paths", "200", "--out", str(out)]) == 0
+            tables.append((out / "forward_wt.csv").read_bytes())
+        assert tables[0] == tables[1]
+
 
 class TestAnalysisCommands:
     def test_critical_t0_from_flags_only(self, tmp_path):

@@ -124,6 +124,28 @@ class TestSampling:
         np.testing.assert_allclose(batch.Y0, batch.dW @ w, atol=1e-14)
 
 
+class TestRunningSignal:
+    @pytest.mark.parametrize("insider", [
+        InsiderSpec.enlargement(T0=2.0),
+        InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.5, 1.5), (1.0, 0.5, 2.0))),
+        InsiderSpec.none(),
+        InsiderSpec(phi_weight=2.0),  # no signal: the weight plays no part
+    ])
+    def test_level_is_partial_signals(self, market, insider):
+        batch = sample_paths(make_config(market, insider, n_paths=300, seed=11))
+        m = batch.grid.index_T
+        assert batch.level.shape == (300, m + 1)
+        assert not np.any(batch.level[:, 0])
+        np.testing.assert_array_equal(batch.level, partial_signals(batch.grid, batch.dW, insider))
+        w = insider.phi_weight(batch.grid.knots[:m]) if insider.has_signal() else 1.0
+        if np.all(w == 1.0):
+            # unit weight: the plain cumulative sum, bit for bit
+            np.testing.assert_array_equal(batch.level[:, 1:], np.cumsum(batch.dW[:, :m], axis=1))
+        else:
+            np.testing.assert_allclose(batch.level[:, 1:], np.cumsum(batch.dW[:, :m] * w, axis=1),
+                                       rtol=0, atol=1e-12)
+
+
 class TestInformationDrift:
     def test_no_insider_gives_zeros(self, market, no_insider):
         batch = sample_paths(make_config(market, no_insider, n_paths=10, seed=3))
@@ -135,15 +157,16 @@ class TestInformationDrift:
         batch = sample_paths(make_config(market, insider, n_paths=4, seed=5))
         grid = batch.grid
         i = grid.index_of(0.5)
-        dW = np.zeros_like(batch.dW)
+        b = partial_signals(grid, np.zeros_like(batch.dW), insider)
         y0 = np.ones(4)
-        phi = information_drift(grid, dW, y0, insider)
+        phi = information_drift(grid, b, y0, insider)
         assert phi[:, i] == pytest.approx(1.0 / 1.5, abs=1e-12)
 
     def test_zero_residual_signal_gives_zero_drift(self, market, insider):
         # flat path: the partial sums equal the signal, so the drift vanishes
         batch = sample_paths(make_config(market, insider, n_paths=4, seed=5))
-        phi = information_drift(batch.grid, np.zeros_like(batch.dW), np.zeros(4), insider)
+        b = partial_signals(batch.grid, np.zeros_like(batch.dW), insider)
+        phi = information_drift(batch.grid, b, np.zeros(4), insider)
         assert not np.any(phi)
 
     def test_decompose_telescopes_constant_drift(self, market, insider):
@@ -192,7 +215,7 @@ class TestEnlargementCorrectness:
 
         def drift_integral(dW, grid):
             y0 = dW @ insider.phi_weight(grid.knots[:-1])
-            phi = information_drift(grid, dW, y0, insider)
+            phi = information_drift(grid, partial_signals(grid, dW, insider), y0, insider)
             return np.sum(phi * grid.dt[: grid.index_T], axis=1)
 
         i_fine = drift_integral(fine.dW, fine.grid)
@@ -210,7 +233,7 @@ class TestEnlargementCorrectness:
         # evaluation knots reach past this T0, where the drift is undefined
         with pytest.raises(DomainError):
             information_drift(
-                batch_small.grid, batch_small.dW, batch_small.Y0,
+                batch_small.grid, batch_small.level, batch_small.Y0,
                 InsiderSpec.enlargement(T0=0.5),
             )
 

@@ -13,7 +13,8 @@ from insiderlab.model import (
     ScenarioConfig,
     ValidationError,
 )
-from insiderlab.paths import _BLOCK, build_grid, sample_paths, stream_paths
+from insiderlab.bsde import stream_sweep_paths
+from insiderlab.paths import _BLOCK, build_grid, partial_signals, sample_paths, stream_paths
 from insiderlab.simulate import (
     entropy_identity_check,
     estimate_J,
@@ -112,7 +113,7 @@ def test_stream_paths_blocks_are_rows_of_sample_paths(insider, threads):
     seen = []
 
     def check(rows, batch):
-        for name in ("dW", "Y0", "dWH"):
+        for name in ("dW", "Y0", "level", "dWH"):
             assert np.array_equal(getattr(batch, name), getattr(whole, name)[rows]), name
         phi = whole.phi[rows] if whole.phi.shape[0] > 1 else whole.phi
         assert np.array_equal(batch.phi, phi)
@@ -120,6 +121,20 @@ def test_stream_paths_blocks_are_rows_of_sample_paths(insider, threads):
 
     stream_paths(config, build_grid(config), check, threads)
     assert sorted(seen) == [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, 9000)]
+
+
+@pytest.mark.parametrize("insider", [UNIT, PIECEWISE, NONE])
+@pytest.mark.parametrize("stream", ["game", "sweep"])
+def test_running_signal_computed_once_per_block(stream, insider, count_calls):
+    config = ScenarioConfig(market=MARKET, insider=insider, n_steps=10, n_paths=9000, seed=3)
+    calls = count_calls(partial_signals)
+    if stream == "game":
+        market, profile_of = regime("small_insider_robust" if insider.has_signal() else "no_insider_robust",
+                                    insider)
+        stream_game(config, profile_of, market)
+    else:
+        stream_sweep_paths(config)
+    assert len(calls) == 3  # one per RNG block
 
 
 def _peak_bytes(n_blocks):
