@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .model import DomainError
+from .simulate import ordered_mean
 
 __all__ = [
     "TestIntegrand",
@@ -61,12 +62,12 @@ def integrand_oracle(kind: TestIntegrand, W: np.ndarray, t_index: int, const: fl
     return const * w_t
 
 
-def forward_riemann(
-    W: np.ndarray, u: np.ndarray, dt: float, t_index: int, eps_steps: int
-) -> np.ndarray:
-    """Left-point quadrature of the defining average on a uniform grid:
+def forward_riemann(W: np.ndarray, u: np.ndarray, t_index: int, eps_steps: int) -> np.ndarray:
+    """Left-point quadrature of the defining average on a uniform grid, where
+    eps = k dt cancels the step dt:
 
-        (1/eps) sum_{i < t_index} u_i (W_{min(i+k, n)} - W_i) dt,  eps = k dt.
+        (1/eps) sum_{i < t_index} u_i (W_{min(i+k, n)} - W_i) dt
+            = (1/k) sum_{i < t_index} u_i (W_{min(i+k, n)} - W_i).
 
     eps must span at least two grid steps so the averaging window is resolved.
     """
@@ -77,7 +78,7 @@ def forward_riemann(
         raise DomainError("t beyond the path horizon")
     idx = np.minimum(np.arange(t_index) + eps_steps, n_steps)
     incr = W[:, idx] - W[:, :t_index]
-    return np.sum(u[:, :t_index] * incr, axis=1) * dt / (eps_steps * dt)
+    return np.sum(u[:, :t_index] * incr, axis=1) / eps_steps
 
 
 def ito_residual(W: np.ndarray, dt: float, t_index: int, eps_steps: int) -> np.ndarray:
@@ -91,7 +92,7 @@ def ito_residual(W: np.ndarray, dt: float, t_index: int, eps_steps: int) -> np.n
     w_T = W[:, -1:]
     X = w_T * W
     xu = X[:, :-1] * w_T
-    fwd = forward_riemann(W, xu, dt, t_index, eps_steps)
+    fwd = forward_riemann(W, xu, t_index, eps_steps)
     quad = w_T[:, 0] ** 2 * (t_index * dt)
     return X[:, t_index] ** 2 - X[:, 0] ** 2 - 2.0 * fwd - quad
 
@@ -111,13 +112,12 @@ def convergence_table(
         t_index = n_steps
     u = integrand_values(kind, W, const=const)
     target = integrand_oracle(kind, W, t_index, const=const)
-    target_rms = math.sqrt(float(np.mean(target**2)))
+    target_rms = math.sqrt(ordered_mean(target**2))
     header = ["eps", "rms_error", "rel_rms_error", "ito_residual_rms"]
     rows = []
     for k in eps_steps_list:
-        est = forward_riemann(W, u, dt, t_index, k)
-        rms = math.sqrt(float(np.mean((est - target) ** 2)))
-        resid = ito_residual(W, dt, t_index, k)
-        resid_rms = math.sqrt(float(np.mean(resid**2)))
+        est = forward_riemann(W, u, t_index, k)
+        rms = math.sqrt(ordered_mean((est - target) ** 2))
+        resid_rms = math.sqrt(ordered_mean(ito_residual(W, dt, t_index, k) ** 2))
         rows.append([k * dt, rms, rms / target_rms if target_rms > 0 else 0.0, resid_rms])
     return header, rows

@@ -37,21 +37,19 @@ import numpy as np
 from .model import InsiderSpec, MarketParams, ScenarioConfig, iota, sigma_tilde, validate
 from .paths import PathBatch, TimeGrid, build_grid, signal_drift, stream_paths
 from .simulate import mean_se, ordered_mean
-from .strategies import StrategyKind, StrategyProfile, _pi_small_robust_line, pi_no_insider_robust
+from .strategies import StrategyKind, _pi_small_robust_line, pi_no_insider_robust
 
 __all__ = [
     "RegressionError",
     "ShootingError",
-    "PiStarFunctional",
     "SweepPaths",
     "BsdeSolution",
     "stream_sweep_paths",
-    "pi_star_functional",
+    "log_pi_star",
     "enlargement_normalizer",
     "solve_linear_closed_form",
     "solve_linear_lsmc",
     "solve_quadratic_lsmc",
-    "recover_controls",
     "initial_controls",
     "value_from_bsde",
     "knot_table",
@@ -164,46 +162,24 @@ def _phitilde(paths: SweepPaths, market: MarketParams, insider: InsiderSpec):
 # -- the multiplicative functional Pi ------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiStarFunctional:
-    """Per-path Pi(t1, t2) via its additive exponent at the knots of [0, T].
+def log_pi_star(paths, market: MarketParams, insider: InsiderSpec) -> np.ndarray:
+    """Per-path ln Pi(0, T) of a PathBatch or SweepPaths, the left-point sum
 
-    Multiplicativity Pi(t1,t3) = Pi(t1,t2) * Pi(t2,t3) holds exactly on the
-    grid because the exponent is additive.
-    """
+        ln Pi(0,T) = sum_i -(r_i + phitilde_i^2/2) dt_i - phitilde_i dWH_i
 
-    grid: object
-    exponent: np.ndarray  # (n_paths, index_T + 1), exponent[:, 0] = 0
-
-    def values(self, t1: float, t2: float) -> np.ndarray:
-        if t2 < t1:
-            raise ValueError(f"need t1 <= t2, got [{t1}, {t2}]")
-        i, j = self.grid.index_of(t1), self.grid.index_of(t2)
-        return np.exp(self.exponent[:, j] - self.exponent[:, i])
-
-
-def _log_pi_increments(grid: TimeGrid, market: MarketParams, phitilde, dWH):
-    """Per-path increment of the exponent of Pi over each step of [0, T] in
-    turn, -(r + phitilde^2/2) dt - phitilde dWH at left points, where
-    phitilde(i) and dWH[i] are step i's values across paths."""
+    taken step by step, so neither phitilde nor the summands are held as an
+    (index_T, n_paths) matrix."""
+    paths = _as_sweep_paths(paths)
+    grid = paths.grid
     m = grid.index_T
     dt = grid.dt[:m]
     r = market.r(grid.knots[:m])
+    phitilde = _phitilde(paths, market, insider)
+    log_pi = np.zeros(paths.n_paths)
     for i in range(m):
         phit = phitilde(i)
-        yield -(r[i] + 0.5 * phit**2) * dt[i] - phit * dWH[i]
-
-
-def pi_star_functional(batch: PathBatch, market: MarketParams) -> PiStarFunctional:
-    """Left-point discretisation of
-    Pi(t1,t2) = exp{-int r ds - int phitilde dWH - 1/2 int phitilde^2 ds}."""
-    m = batch.grid.index_T
-    phit = (iota(market, batch.grid.knots[:m]) + batch.phi).T
-    increments = _log_pi_increments(batch.grid, market, lambda i: phit[i], batch.dWH.T)
-    expo = np.zeros((batch.n_paths, m + 1))
-    for i, incr in enumerate(increments):
-        np.add(expo[:, i], incr, out=expo[:, i + 1])
-    return PiStarFunctional(grid=batch.grid, exponent=expo)
+        log_pi += -(r[i] + 0.5 * phit**2) * dt[i] - phit * paths.dWH[i]
+    return log_pi
 
 
 # -- Gaussian closed forms -------------------------------------------------------
@@ -325,7 +301,7 @@ def solve_linear_closed_form(
                 pi += intercept[i]
                 Z[i] = sig[i] * pi * y
         Y[i] = y
-    residual = abs(mean_se(Y[0])[0] - market.X0)
+    residual = abs(ordered_mean(Y[0]) - market.X0)
     return BsdeSolution(grid=grid, Y=Y.T, Z=Z.T, c=normalizer, residual=residual)
 
 
@@ -436,21 +412,16 @@ def solve_linear_lsmc(
     paths = _as_sweep_paths(paths)
     grid = paths.grid
     m = grid.index_T
-    phitilde = _phitilde(paths, market, insider)
-    # ln Pi(0, T), pi_star_functional's last exponent column, summed in the
-    # same order; neither it nor phitilde is held as an (m, n_paths) matrix
-    steps = _log_pi_increments(grid, market, phitilde, paths.dWH)
-    log_pi_T = next(steps)
-    for incr in steps:
-        log_pi_T += incr
+    log_pi_T = log_pi_star(paths, market, insider)
     if paths.Y0 is None:
-        normalizer = mean_se(np.exp(0.5 * log_pi_T))[0]
+        normalizer = ordered_mean(np.exp(0.5 * log_pi_T))
         log_norm = math.log(normalizer)
     else:
         normalizer = enlargement_normalizer(market, insider, paths.Y0)
         log_norm = np.log(normalizer)
     terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
     r = market.r(grid.knots[:m])
+    phitilde = _phitilde(paths, market, insider)
 
     def driver(i, zeta):
         return -(r[i] + phitilde(i) * zeta - 0.5 * zeta**2)
@@ -459,7 +430,7 @@ def solve_linear_lsmc(
     _backward_sweep(paths, terminal, driver, basis_order, [None] * m, Y, Z)
     np.exp(Y, out=Y)  # L -> Y = exp(L), so exp(L) never sits beside L
     Z *= Y[:m]  # zeta -> Z = zeta Y
-    residual = abs(mean_se(Y[0])[0] - market.X0)
+    residual = abs(ordered_mean(Y[0]) - market.X0)
     return BsdeSolution(grid=grid, Y=Y.T, Z=Z.T, c=normalizer, residual=residual)
 
 
@@ -538,7 +509,7 @@ def solve_quadratic_lsmc(
         prev: tuple[float, float] | None = None
         for iteration in range(max_iter):
             sweep(np.full(n, c2))
-            l0 = mean_se(L[0])[0]
+            l0 = ordered_mean(L[0])
             resid = l0 - ln_x0
             trace.append((iteration, c2, resid, l0))
             # c2 moves L_0 one for one: no finer mismatch than c2's float spacing
@@ -563,7 +534,7 @@ def solve_quadratic_lsmc(
         sweep((coef * scale) @ y_design)
         delta, resid = _projected_mismatch(y_design, inv_gram, L[0] - ln_x0)
         c2 = tuple(coef.tolist())
-        trace.append((iteration, c2, resid, mean_se(L[0])[0]))
+        trace.append((iteration, c2, resid, ordered_mean(L[0])))
         if resid <= shoot_tol:
             return solution(c2, resid)
         coef = coef - delta / scale
@@ -575,32 +546,17 @@ def solve_quadratic_lsmc(
 
 def _controls(kind: StrategyKind, z, y, phit, sig, st):
     """(pi, theta) from the control z, the value y and phitilde; the arrays
-    broadcast, so this serves one knot or all of them."""
-    if kind is StrategyKind.LARGE_INSIDER_ROBUST:
-        return (z + phit) / (sig + st), (st * z - sig * phit) / (sig + st)
-    pi = z / (sig * y)
-    return pi, sig * pi - phit
-
-
-def recover_controls(
-    sol: BsdeSolution,
-    market: MarketParams,
-    batch: PathBatch,
-    kind: StrategyKind,
-) -> StrategyProfile:
-    """Controls implied by a backward solution.
+    broadcast, so this serves one knot or all of them.
 
     Quadratic regimes:  pi = (z + phitilde)/(sigma + sigma_tilde) and
     theta = (sigma_tilde z - sigma phitilde)/(sigma + sigma_tilde), so that
     sigma pi + theta = z and theta = sigma_tilde pi - phitilde hold exactly.
     Linear (small-insider) regimes:  pi = z/(sigma X), theta = sigma pi - phitilde.
     """
-    m = batch.grid.index_T
-    t_left = batch.grid.knots[:m]
-    phit = np.broadcast_to(iota(market, t_left) + batch.phi, (batch.n_paths, m))
-    pi, theta = _controls(kind, sol.Z, sol.Y[:, :m], phit, market.sigma(t_left),
-                          sigma_tilde(market, t_left))
-    return StrategyProfile(kind=kind, pi=pi, theta=theta, grid=batch.grid)
+    if kind is StrategyKind.LARGE_INSIDER_ROBUST:
+        return (z + phit) / (sig + st), (st * z - sig * phit) / (sig + st)
+    pi = z / (sig * y)
+    return pi, sig * pi - phit
 
 
 def initial_controls(
@@ -610,7 +566,8 @@ def initial_controls(
     insider: InsiderSpec,
     kind: StrategyKind,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """recover_controls' (pi, theta) at knot 0 only, on every path of `paths`."""
+    """The controls (pi, theta) implied by a backward solution at knot 0, on
+    every path of the sweep input `paths` it was solved on; see _controls."""
     t_left = paths.grid.knots[: paths.grid.index_T]
     sig, st = market.sigma(t_left), sigma_tilde(market, t_left)
     phit = _phitilde(paths, market, insider)(0)

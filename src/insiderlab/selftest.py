@@ -105,19 +105,19 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     const_prof = strategies.build_profile(
         strategies.StrategyKind.NO_INSIDER_ROBUST, batch, market, insider
     )
-    dens_c = simulate.simulate_density(batch, const_prof)
-    ent = simulate.entropy_identity_check(batch, const_prof, dens_c)
+    _, penalty, entropy = simulate.game_terms(batch, const_prof, market)
+    ent = simulate.entropy_identity_check(penalty, entropy)
     io = market.mu0(0.0) / market.sigma(0.0)
     gauss = io**2 * market.T / 8.0
     z_ent = abs(ent.rhs_mean - gauss) / ent.rhs_se
     check("entropy_constant_theta", z_ent < 4.0 and abs(ent.z) < 4.0, z_ent)
 
-    # multiplicative functional: exponent additivity and its Gaussian mean
-    pist = bsde.pi_star_functional(batch, market)
-    lhs = pist.values(0.0, 1.0)
-    rhs = pist.values(0.0, 0.5) * pist.values(0.5, 1.0)
-    mult_err = float(np.max(np.abs(lhs - rhs) / lhs))
-    check("pi_functional_multiplicative", mult_err < 1e-12, mult_err)
+    # tower property of the multiplicative functional: the closed-form
+    # normaliser is E[sqrt(Pi(0,T)) | Y0], so the paired gap has mean zero
+    sqrt_pi = np.exp(0.5 * bsde.log_pi_star(batch, market, insider))
+    gap_pi, se_pi = simulate.mean_se(sqrt_pi - bsde.enlargement_normalizer(market, insider, batch.Y0))
+    z_pi = abs(gap_pi) / se_pi
+    check("pi_functional_tower", z_pi < 4.0, z_pi)
 
     # linear closed form starts at the initial wealth
     sol = bsde.solve_linear_closed_form(batch, market, insider)
@@ -140,8 +140,8 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     nb = sample_paths(ncfg)
     W = nb.level
     u = integrand_values(TestIntegrand.ADAPTED_CONST, W, const=2.0)
-    est = forward_riemann(W, u, float(nb.grid.dt[0]), nb.grid.n_steps, 2)
-    rms = math.sqrt(float(np.mean((est - 2.0 * W[:, -1]) ** 2)))
+    est = forward_riemann(W, u, nb.grid.n_steps, 2)
+    rms = math.sqrt(simulate.ordered_mean((est - 2.0 * W[:, -1]) ** 2))
     check("forward_adapted_const", rms < 0.2, rms)
 
     return rows

@@ -8,18 +8,18 @@ left-continuous controls.  Cross-path reductions sort the values and then
 sum them pairwise, so each result depends only on the multiset of values,
 not on the path order.
 
-Every estimate is a per-path quantity followed by a cross-path mean, and
-`estimate_J`, `entropy_identity_check` and `martingale_diagnostic` take
-either a simulated PathBatch or the per-path values themselves.
-`stream_game` and `stream_martingale` run the same per-path kernels over the
-ensemble's RNG blocks one at a time and pass the collected per-path vectors
-to those functions once, so they give the same bytes while holding only one
-block of paths per worker.
+Every estimate is a per-path quantity followed by a cross-path mean.  The
+per-path kernels `game_terms` and `weighted_increments` take one block of
+paths; `stream_game` and `stream_martingale` run them over the ensemble's
+RNG blocks one at a time and pass the collected per-path vectors once to
+`estimate_J`, `entropy_identity_check` and `martingale_diagnostic`, which
+see only per-path values.  A whole batch from `sample_paths` through the
+same kernels gives the same bytes, while the streams hold only one block of
+paths per worker.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +37,8 @@ __all__ = [
     "MartingaleStat",
     "simulate_wealth",
     "simulate_density",
+    "game_terms",
+    "weighted_increments",
     "estimate_J",
     "entropy_identity_check",
     "martingale_diagnostic",
@@ -163,56 +165,37 @@ def simulate_density(batch: PathBatch, profile: StrategyProfile) -> DensityPath:
     return DensityPath(logE=logE)
 
 
-def _penalty_integral(batch: PathBatch, profile: StrategyProfile, density: DensityPath):
-    """Per-path int_0^T eps_s theta_s^2/2 ds with left-point eps and theta."""
-    m = batch.grid.index_T
-    dt = batch.grid.dt[:m]
-    eps_left = np.exp(density.logE[:, :-1])
-    return np.sum(eps_left * 0.5 * profile.theta**2 * dt, axis=1)
+def game_terms(
+    batch: PathBatch, profile: StrategyProfile, market: MarketParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-path (J term, penalty, relative entropy) of `batch` under `profile`:
+
+        eps_T ln X_T + int eps_s theta_s^2/2 ds,  int eps_s theta_s^2/2 ds,  eps_T ln eps_T,
+
+    with left-point eps and theta in the penalty.
+    """
+    # both path-sized simulations run before any per-path result exists: a
+    # small array held across them fragments the heap (6 MB more peak RSS
+    # for `simulate` at 50k paths x 400 steps)
+    logE = simulate_density(batch, profile).logE
+    logX = simulate_wealth(batch, profile, market).logX
+    dt = batch.grid.dt[: batch.grid.index_T]
+    penalty = np.sum(np.exp(logE[:, :-1]) * 0.5 * profile.theta**2 * dt, axis=1)
+    eps_T = np.exp(logE[:, -1])
+    return eps_T * logX[:, -1] + penalty, penalty, eps_T * logE[:, -1]
 
 
-def _j_terms(wealth: WealthPath, density: DensityPath, penalty: np.ndarray) -> np.ndarray:
-    """Per-path eps_T ln X_T + int eps_s theta_s^2/2 ds."""
-    return np.exp(density.terminal) * wealth.terminal + penalty
-
-
-def _relative_entropy(density: DensityPath) -> np.ndarray:
-    """Per-path eps_T ln eps_T."""
-    logE_T = density.terminal
-    return np.exp(logE_T) * logE_T
-
-
-@functools.singledispatch
-def estimate_J(
-    batch: PathBatch,
-    profile: StrategyProfile,
-    wealth: WealthPath,
-    density: DensityPath,
-    market: MarketParams,
-) -> JEstimate:
-    """Game functional J = E[eps_T ln X_T + int eps_s theta_s^2/2 ds]."""
-    return estimate_J(_j_terms(wealth, density, _penalty_integral(batch, profile, density)))
-
-
-@estimate_J.register
-def _estimate_J_of_terms(j_terms: np.ndarray) -> JEstimate:
-    """J from its per-path terms eps_T ln X_T + int eps_s theta_s^2/2 ds."""
+def estimate_J(j_terms: np.ndarray) -> JEstimate:
+    """Game functional J = E[eps_T ln X_T + int eps_s theta_s^2/2 ds] from its
+    per-path terms."""
     mean, se = mean_se(j_terms)
     return JEstimate(mean=mean, std_error=se, n_paths=len(j_terms))
 
 
-@functools.singledispatch
-def entropy_identity_check(
-    batch: PathBatch, profile: StrategyProfile, density: DensityPath
-) -> EntropyCheck:
+def entropy_identity_check(penalty: np.ndarray, entropy: np.ndarray) -> EntropyCheck:
     """Monte-Carlo check that the accumulated penalty equals the relative
-    entropy E[eps_T ln eps_T] of the distorted measure."""
-    return entropy_identity_check(_penalty_integral(batch, profile, density), _relative_entropy(density))
-
-
-@entropy_identity_check.register
-def _entropy_check_of_values(penalty: np.ndarray, entropy: np.ndarray) -> EntropyCheck:
-    """The check from the per-path penalty and eps_T ln eps_T."""
+    entropy E[eps_T ln eps_T] of the distorted measure, from the per-path
+    penalty and eps_T ln eps_T."""
     return EntropyCheck(*mean_se(penalty), *mean_se(entropy), *mean_se(penalty - entropy))
 
 
@@ -226,11 +209,7 @@ def stream_game(
     j_terms, penalty, entropy = np.empty(n), np.empty(n), np.empty(n)
 
     def block(rows: slice, batch: PathBatch) -> None:
-        profile = profile_of(batch)
-        density = simulate_density(batch, profile)
-        penalty[rows] = _penalty_integral(batch, profile, density)
-        entropy[rows] = _relative_entropy(density)
-        j_terms[rows] = _j_terms(simulate_wealth(batch, profile, market), density, penalty[rows])
+        j_terms[rows], penalty[rows], entropy[rows] = game_terms(batch, profile_of(batch), market)
 
     stream_paths(config, build_grid(config), block, threads)
     return estimate_J(j_terms), entropy_identity_check(penalty, entropy)
@@ -244,9 +223,17 @@ def _default_checkpoints(grid) -> list[tuple[float, float]]:
     return [(float(knots[a]), float(knots[b] - knots[a])) for a, b in zip(snapped, snapped[1:])]
 
 
-def _weighted_increments(batch, profile, market, checkpoints, out) -> None:
-    """Per-path eps_T (m_{t+h} - m_t) for each checkpoint (t, h), written to
-    the rows of `out`."""
+def weighted_increments(
+    batch: PathBatch,
+    profile: StrategyProfile,
+    market: MarketParams,
+    checkpoints: list[tuple[float, float]],
+) -> np.ndarray:
+    """Per-path eps_T (m_{t+h} - m_t) of the optimality martingale
+
+        m_t = int_0^t (mu0 + 2 varrho pi - r - sigma^2 pi) ds + int_0^t sigma dW,
+
+    one row per checkpoint (t, h) on the grid."""
     _check_grid(batch, profile)
     grid = batch.grid
     spans = [(grid.index_of(t), grid.index_of(t + h)) for t, h in checkpoints]
@@ -258,37 +245,22 @@ def _weighted_increments(batch, profile, market, checkpoints, out) -> None:
     pi = profile.pi
     dm = (mu0 + 2.0 * rho * pi - r - sig**2 * pi) * dt + sig * batch.dW[:, :m_idx]
     eps_T = np.exp(simulate_density(batch, profile).terminal)
+    out = np.empty((len(spans), batch.n_paths))
     for k, (i, j) in enumerate(spans):
         out[k] = eps_T * np.sum(dm[:, i:j], axis=1)
+    return out
 
 
-@functools.singledispatch
 def martingale_diagnostic(
-    batch: PathBatch,
-    profile: StrategyProfile,
-    market: MarketParams,
-    checkpoints: list[tuple[float, float]] | None = None,
+    weighted: np.ndarray, checkpoints: list[tuple[float, float]]
 ) -> list[MartingaleStat]:
-    """Density-weighted increment test of the optimality martingale
-
-        m_t = int_0^t (mu0 + 2 varrho pi - r - sigma^2 pi) ds + int_0^t sigma dW.
+    """Density-weighted increment test of the optimality martingale from the
+    weighted increments of `weighted_increments`, row k for checkpoint k.
 
     At the optimum m is a martingale under the distorted measure, so
     E[eps_T (m_{t+h} - m_t)] = 0 for every interval; each statistic is the
-    weighted-increment mean over paths with its standard error.  The default
-    checkpoints are ten equal intervals snapped to grid knots.
+    weighted-increment mean over paths with its standard error.
     """
-    if checkpoints is None:
-        checkpoints = _default_checkpoints(batch.grid)
-    weighted = np.empty((len(checkpoints), batch.n_paths))
-    _weighted_increments(batch, profile, market, checkpoints, weighted)
-    return martingale_diagnostic(weighted, checkpoints)
-
-
-@martingale_diagnostic.register
-def _martingale_stats_of_increments(weighted: np.ndarray, checkpoints: list[tuple[float, float]]) -> list[MartingaleStat]:
-    """The statistics from row k of `weighted`, the per-path eps_T (m_{t+h} - m_t)
-    of checkpoint k."""
     return [MartingaleStat(t, h, *mean_se(w)) for (t, h), w in zip(checkpoints, weighted)]
 
 
@@ -303,7 +275,7 @@ def stream_martingale(
     weighted = np.empty((len(checkpoints), config.n_paths))
 
     def block(rows: slice, batch: PathBatch) -> None:
-        _weighted_increments(batch, profile_of(batch), market, checkpoints, weighted[:, rows])
+        weighted[:, rows] = weighted_increments(batch, profile_of(batch), market, checkpoints)
 
     stream_paths(config, grid, block, threads)
     return martingale_diagnostic(weighted, checkpoints)

@@ -232,7 +232,7 @@ def build_profile(
         raise ValidationError(
             "no_closed_form",
             "the robust large insider has no closed form; solve the quadratic "
-            "backward equation and use recover_controls",
+            "backward equation and use bsde.initial_controls",
         )
 
     if kind is StrategyKind.NO_INSIDER_ROBUST:

@@ -23,12 +23,13 @@ from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
 from insiderlab.paths import sample_paths
 from insiderlab.selftest import run_selftest
 from insiderlab.simulate import (
+    _default_checkpoints,
     entropy_identity_check,
     estimate_J,
+    game_terms,
     martingale_diagnostic,
     mean_se,
-    simulate_density,
-    simulate_wealth,
+    weighted_increments,
 )
 from insiderlab.strategies import StrategyKind, build_profile
 from insiderlab._csvio import write_csv
@@ -58,11 +59,13 @@ def batch_mc_enl(market, insider):
     return sample_paths(cfg)
 
 
-def _j_estimate(batch, kind, market, insider):
-    profile = build_profile(kind, batch, market, insider)
-    wealth = simulate_wealth(batch, profile, market)
-    density = simulate_density(batch, profile)
-    return estimate_J(batch, profile, wealth, density, market), profile, density
+def _game_terms(batch, kind, market, insider):
+    return game_terms(batch, build_profile(kind, batch, market, insider), market)
+
+
+def _martingale(batch, profile, market):
+    checkpoints = _default_checkpoints(batch.grid)
+    return martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints)
 
 
 def test_criterion_1_analytic_value_suite(market, market_impact, insider):
@@ -84,14 +87,14 @@ def test_criterion_1_analytic_value_suite(market, market_impact, insider):
 
 def test_criterion_2_monte_carlo_game_value(batch_mc_flat, batch_mc_enl, market, insider):
     start = time.time()
-    j_flat, _, _ = _j_estimate(batch_mc_flat, StrategyKind.NO_INSIDER_ROBUST, market, insider)
+    j_flat = estimate_J(_game_terms(batch_mc_flat, StrategyKind.NO_INSIDER_ROBUST, market, insider)[0])
     t_flat = time.time() - start
     z_flat = (j_flat.mean - V1) / j_flat.std_error
     assert abs(z_flat) <= 3.0
     assert t_flat < 60.0
 
     start = time.time()
-    j_enl, _, _ = _j_estimate(batch_mc_enl, StrategyKind.SMALL_INSIDER_ROBUST, market, insider)
+    j_enl = estimate_J(_game_terms(batch_mc_enl, StrategyKind.SMALL_INSIDER_ROBUST, market, insider)[0])
     t_enl = time.time() - start
     z_enl = (j_enl.mean - V2) / j_enl.std_error
     assert abs(z_enl) <= 3.0
@@ -105,10 +108,10 @@ def test_criterion_2_monte_carlo_game_value(batch_mc_flat, batch_mc_enl, market,
 def test_criterion_3_martingale_theorem(batch_mc_flat, batch_mc_enl, market, insider):
     start = time.time()
     prof_flat = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_mc_flat, market, insider)
-    stats_flat = martingale_diagnostic(batch_mc_flat, prof_flat, market)
+    stats_flat = _martingale(batch_mc_flat, prof_flat, market)
     prof_enl = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_mc_enl, market, insider)
-    stats_enl = martingale_diagnostic(batch_mc_enl, prof_enl, market)
-    neg = martingale_diagnostic(batch_mc_flat, prof_flat.scaled(pi_factor=1.2), market)
+    stats_enl = _martingale(batch_mc_enl, prof_enl, market)
+    neg = _martingale(batch_mc_flat, prof_flat.scaled(pi_factor=1.2), market)
     elapsed = time.time() - start
 
     assert len(stats_flat) == 10 and len(stats_enl) == 10
@@ -124,10 +127,10 @@ def test_criterion_3_martingale_theorem(batch_mc_flat, batch_mc_enl, market, ins
 
 
 def test_criterion_4_entropy_identity(batch_mc_enl, market, insider):
-    _, profile, density = _j_estimate(
+    _, penalty, entropy = _game_terms(
         batch_mc_enl, StrategyKind.SMALL_INSIDER_ROBUST, market, insider
     )
-    res = entropy_identity_check(batch_mc_enl, profile, density)
+    res = entropy_identity_check(penalty, entropy)
     assert abs(res.z) <= 3.0
     print(
         f"PASS criterion 4: entropy identity, lhs {res.lhs_mean:.5f} rhs {res.rhs_mean:.5f} "

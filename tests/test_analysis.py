@@ -26,7 +26,7 @@ from insiderlab.model import (
     ValidationError,
 )
 from insiderlab.paths import sample_paths
-from insiderlab.simulate import estimate_J, simulate_density, simulate_wealth
+from insiderlab.simulate import estimate_J, game_terms
 from insiderlab.strategies import StrategyKind, build_profile
 
 IOTA_SQ = (0.15 / 0.35) ** 2
@@ -106,9 +106,7 @@ class TestValueFunctions:
         cfg = ScenarioConfig(market=market, insider=ins, n_steps=100, n_paths=50_000, seed=5)
         batch = sample_paths(cfg)
         prof = build_profile(StrategyKind.SMALL_INSIDER_NONROBUST, batch, market, ins)
-        j = estimate_J(
-            batch, prof, simulate_wealth(batch, prof, market), simulate_density(batch, prof), market
-        )
+        j = estimate_J(game_terms(batch, prof, market)[0])
         assert abs(j.mean - b.total) < 4.0 * j.std_error
 
     def test_unit_weight_required_where_assumed(self, market, market_impact):

@@ -10,6 +10,7 @@ from insiderlab.bsde import (
     SweepPaths,
     _as_sweep_paths,
     _backward_sweep,
+    _controls,
     _factor,
     _monomials,
     _projected_mismatch,
@@ -19,15 +20,14 @@ from insiderlab.bsde import (
     enlargement_normalizer,
     initial_controls,
     knot_table,
-    pi_star_functional,
-    recover_controls,
+    log_pi_star,
     solve_linear_closed_form,
     solve_linear_lsmc,
     solve_quadratic_lsmc,
     value_from_bsde,
 )
 from insiderlab.cli import _linear_report, _quadratic_report
-from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
+from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig, iota, sigma_tilde
 from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.simulate import mean_se, simulate_wealth
 from insiderlab.strategies import StrategyKind, build_profile
@@ -36,6 +36,14 @@ IOTA = 0.15 / 0.35
 IOTA_SQ = IOTA**2
 VALUE1 = 0.045918367346938776
 VALUE2 = 0.28678267429077676
+
+
+def every_knot_controls(sol, market, batch, kind):
+    """(pi, theta) of `sol` at every knot of [0, T), from the batch's phitilde."""
+    m = batch.grid.index_T
+    t_left = batch.grid.knots[:m]
+    phit = iota(market, t_left) + batch.phi
+    return _controls(kind, sol.Z, sol.Y[:, :m], phit, market.sigma(t_left), sigma_tilde(market, t_left))
 
 
 def interior_mask(grid):
@@ -48,26 +56,22 @@ class TestPiStarFunctional:
         flat = MarketParams(r=0.05, mu0=0.05, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=20, n_paths=16, seed=1)
         batch = sample_paths(cfg)
-        pist = pi_star_functional(batch, flat)
         # r != 0 contributes the deterministic discount only
-        np.testing.assert_allclose(pist.values(0.0, 1.0), math.exp(-0.05), atol=1e-12)
+        np.testing.assert_allclose(np.exp(log_pi_star(batch, flat, no_insider)), math.exp(-0.05), atol=1e-12)
 
-    def test_gaussian_mean_of_square_root(self, batch_lsmc_flat, market):
-        pist = pi_star_functional(batch_lsmc_flat, market)
-        mean, se = mean_se(np.sqrt(pist.values(0.0, 1.0)))
+    def test_gaussian_mean_of_square_root(self, batch_lsmc_flat, market, no_insider):
+        mean, se = mean_se(np.sqrt(np.exp(log_pi_star(batch_lsmc_flat, market, no_insider))))
         assert abs(mean - math.exp(-IOTA_SQ / 8.0)) < 3.0 * se
 
-    def test_multiplicative_on_grid(self, batch_small, market):
-        pist = pi_star_functional(batch_small, market)
-        lhs = pist.values(0.0, 1.0)
-        for mid in (0.2, 0.5, 0.8):
-            rhs = pist.values(0.0, mid) * pist.values(mid, 1.0)
-            assert np.max(np.abs(rhs / lhs - 1.0)) < 1e-12
-
-    def test_reversed_bounds_rejected(self, batch_small, market):
-        pist = pi_star_functional(batch_small, market)
-        with pytest.raises(ValueError):
-            pist.values(0.5, 0.2)
+    def test_matches_whole_matrix_exponent(self, batch_small, market, insider):
+        # the step-by-step sum against the exponent built from the batch's phi
+        m = batch_small.grid.index_T
+        t_left = batch_small.grid.knots[:m]
+        phit = iota(market, t_left) + batch_small.phi
+        expo = -(market.r(t_left) + 0.5 * phit**2) * batch_small.grid.dt[:m] - phit * batch_small.dWH
+        got = log_pi_star(batch_small, market, insider)
+        np.testing.assert_allclose(got, expo.sum(axis=1), rtol=1e-12, atol=1e-14)
+        assert np.array_equal(log_pi_star(_as_sweep_paths(batch_small), market, insider), got)
 
 
 class TestLinearClosedForm:
@@ -128,8 +132,7 @@ class TestLinearClosedForm:
 
     def test_normalizer_tower_property(self, batch_lsmc_enl, market, insider):
         # E[sqrt(Pi(0,T)) p(Y0)] = E[normalizer(Y0) p(Y0)] for polynomial p
-        pist = pi_star_functional(batch_lsmc_enl, market)
-        sq = np.sqrt(pist.values(0.0, 1.0))
+        sq = np.sqrt(np.exp(log_pi_star(batch_lsmc_enl, market, insider)))
         norm = enlargement_normalizer(market, insider, batch_lsmc_enl.Y0)
         for k in range(3):
             weight = batch_lsmc_enl.Y0**k
@@ -306,9 +309,9 @@ class TestRecoverControls:
         self, batch_lsmc_flat, market, no_insider
     ):
         sol = solve_quadratic_lsmc(batch_lsmc_flat, market, no_insider)
-        prof = recover_controls(sol, market, batch_lsmc_flat, StrategyKind.LARGE_INSIDER_ROBUST)
-        np.testing.assert_allclose(prof.pi, IOTA / (2 * 0.35), atol=1e-10)
-        np.testing.assert_allclose(prof.theta, -IOTA / 2, atol=1e-10)
+        pi, theta = every_knot_controls(sol, market, batch_lsmc_flat, StrategyKind.LARGE_INSIDER_ROBUST)
+        np.testing.assert_allclose(pi, IOTA / (2 * 0.35), atol=1e-10)
+        np.testing.assert_allclose(theta, -IOTA / 2, atol=1e-10)
 
     def test_algebraic_identities_random_control(self, batch_small, market_impact, insider):
         rng = np.random.default_rng(17)
@@ -317,19 +320,19 @@ class TestRecoverControls:
         z = rng.normal(size=(batch_small.n_paths, m))
         sol = BsdeSolution(grid=batch_small.grid, Y=np.ones((batch_small.n_paths, m + 1)),
                            Z=z, c=0.0, residual=0.0)
-        prof = recover_controls(sol, market_impact, batch_small, StrategyKind.LARGE_INSIDER_ROBUST)
+        pi, theta = every_knot_controls(sol, market_impact, batch_small, StrategyKind.LARGE_INSIDER_ROBUST)
         sig = market_impact.sigma(t_left)
         st = sig - 2 * market_impact.varrho(t_left) / sig
         phit = 0.15 / 0.35 + batch_small.phi
-        np.testing.assert_allclose(sig * prof.pi + prof.theta, z, atol=1e-12)
-        np.testing.assert_allclose(prof.theta, st * prof.pi - phit, atol=1e-12)
+        np.testing.assert_allclose(sig * pi + theta, z, atol=1e-12)
+        np.testing.assert_allclose(theta, st * pi - phit, atol=1e-12)
 
     def test_linear_inversion_recovers_fraction(self, batch_lsmc_enl, market, insider):
         sol = solve_linear_closed_form(batch_lsmc_enl, market, insider)
-        prof = recover_controls(sol, market, batch_lsmc_enl, StrategyKind.SMALL_INSIDER_ROBUST)
+        pi, theta = every_knot_controls(sol, market, batch_lsmc_enl, StrategyKind.SMALL_INSIDER_ROBUST)
         expect = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
-        np.testing.assert_allclose(prof.pi, expect.pi, rtol=1e-10)
-        np.testing.assert_allclose(prof.theta, expect.theta, atol=1e-10)
+        np.testing.assert_allclose(pi, expect.pi, rtol=1e-10)
+        np.testing.assert_allclose(theta, expect.theta, atol=1e-10)
 
 
 def test_knot_table_shape(batch_lsmc_flat, market, no_insider):

@@ -9,12 +9,15 @@ from insiderlab.paths import sample_paths
 from insiderlab.simulate import (
     EntropyCheck,
     MartingaleStat,
+    _default_checkpoints,
     entropy_identity_check,
     estimate_J,
+    game_terms,
     martingale_diagnostic,
     mean_se,
     simulate_density,
     simulate_wealth,
+    weighted_increments,
 )
 from insiderlab.strategies import StrategyKind, StrategyProfile, build_profile
 
@@ -30,6 +33,15 @@ def constant_profile(batch, pi_value, theta_value, kind=StrategyKind.NO_INSIDER_
         theta=np.full((1, m), float(theta_value)),
         grid=batch.grid,
     )
+
+
+def entropy_check(batch, profile, market):
+    return entropy_identity_check(*game_terms(batch, profile, market)[1:])
+
+
+def martingale_stats(batch, profile, market, checkpoints=None):
+    checkpoints = checkpoints or _default_checkpoints(batch.grid)
+    return martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints)
 
 
 def per_path_J(batch, profile, wealth, density):
@@ -110,24 +122,19 @@ class TestEstimateJ:
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
         no_theta = prof.scaled(theta_factor=0.0)
         wealth = simulate_wealth(batch_flat_100k, no_theta, market)
-        dens = simulate_density(batch_flat_100k, no_theta)
-        j = estimate_J(batch_flat_100k, no_theta, wealth, dens, market)
+        j = estimate_J(game_terms(batch_flat_100k, no_theta, market)[0])
         mean, _ = mean_se(wealth.terminal)
         assert j.mean == pytest.approx(mean, abs=1e-12)
 
     def test_matches_uninformed_robust_value(self, batch_flat_100k, market, insider):
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
-        wealth = simulate_wealth(batch_flat_100k, prof, market)
-        dens = simulate_density(batch_flat_100k, prof)
-        j = estimate_J(batch_flat_100k, prof, wealth, dens, market)
+        j = estimate_J(game_terms(batch_flat_100k, prof, market)[0])
         assert abs(j.mean - value_no_insider_robust(market).total) < 3.0 * j.std_error
         assert j.std_error > 0.0
 
     def test_matches_informed_robust_value(self, batch_100k, market, insider):
         prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, insider)
-        wealth = simulate_wealth(batch_100k, prof, market)
-        dens = simulate_density(batch_100k, prof)
-        j = estimate_J(batch_100k, prof, wealth, dens, market)
+        j = estimate_J(game_terms(batch_100k, prof, market)[0])
         target = value_small_insider_robust(market, insider).total
         assert abs(j.mean - target) < 3.0 * j.std_error
 
@@ -141,9 +148,7 @@ class TestEstimateJ:
             )
             batch = sample_paths(cfg)
             prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch, market, insider)
-            wealth = simulate_wealth(batch, prof, market)
-            dens = simulate_density(batch, prof)
-            js.append(estimate_J(batch, prof, wealth, dens, market))
+            js.append(estimate_J(game_terms(batch, prof, market)[0]))
         assert abs(js[0].mean - js[1].mean) < max(js[0].std_error, js[1].std_error)
 
     def test_saddle_point(self, batch_flat_100k, market, insider):
@@ -164,44 +169,44 @@ class TestEstimateJ:
 
 
 class TestEntropyIdentity:
-    def test_zero_distortion_trivial(self, batch_small):
+    def test_zero_distortion_trivial(self, batch_small, market):
         prof = constant_profile(batch_small, 0.2, 0.0)
-        res = entropy_identity_check(batch_small, prof, simulate_density(batch_small, prof))
+        res = entropy_check(batch_small, prof, market)
         assert res.lhs_mean == 0.0
         assert res.rhs_mean == 0.0
 
-    def test_constant_theta_gaussian_value(self, batch_flat_100k):
+    def test_constant_theta_gaussian_value(self, batch_flat_100k, market):
         prof = constant_profile(batch_flat_100k, 0.0, -0.5 * IOTA)
-        res = entropy_identity_check(batch_flat_100k, prof, simulate_density(batch_flat_100k, prof))
+        res = entropy_check(batch_flat_100k, prof, market)
         assert abs(res.lhs_mean - IOTA_SQ / 8.0) < 3.0 * res.lhs_se
         assert abs(res.rhs_mean - IOTA_SQ / 8.0) < 3.0 * res.rhs_se
 
     def test_informed_robust_gap_within_tolerance(self, batch_100k, market, insider):
         prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, insider)
-        res = entropy_identity_check(batch_100k, prof, simulate_density(batch_100k, prof))
+        res = entropy_check(batch_100k, prof, market)
         assert abs(res.z) < 3.0
 
 
 class TestMartingaleDiagnostic:
     def test_uninformed_robust_within_tolerance(self, batch_flat_100k, market, insider):
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
-        stats = martingale_diagnostic(batch_flat_100k, prof, market)
+        stats = martingale_stats(batch_flat_100k, prof, market)
         assert len(stats) == 10
         assert all(abs(s.z) < 4.0 for s in stats), [round(s.z, 2) for s in stats]
 
     def test_informed_robust_within_tolerance(self, batch_100k, market, insider):
         prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, insider)
-        stats = martingale_diagnostic(batch_100k, prof, market)
+        stats = martingale_stats(batch_100k, prof, market)
         assert all(abs(s.z) < 4.0 for s in stats), [round(s.z, 2) for s in stats]
 
     def test_perturbed_fraction_detected(self, batch_flat_100k, market, insider):
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
-        stats = martingale_diagnostic(batch_flat_100k, prof.scaled(pi_factor=1.3), market)
+        stats = martingale_stats(batch_flat_100k, prof.scaled(pi_factor=1.3), market)
         assert any(abs(s.z) > 4.0 for s in stats), [round(s.z, 2) for s in stats]
 
     def test_custom_checkpoints(self, batch_small, market, insider):
         prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_small, market, insider)
-        stats = martingale_diagnostic(batch_small, prof, market, checkpoints=[(0.0, 0.5)])
+        stats = martingale_stats(batch_small, prof, market, checkpoints=[(0.0, 0.5)])
         assert len(stats) == 1
         assert stats[0].t == 0.0 and stats[0].h == 0.5
 

@@ -1,6 +1,8 @@
-"""The streamed `simulate` and `martingale` paths against the whole-batch API."""
+"""The streamed `simulate` and `martingale` paths against the same per-path
+kernels run on a whole batch from sample_paths."""
 
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,15 +16,23 @@ from insiderlab.model import (
     ValidationError,
 )
 from insiderlab.bsde import stream_sweep_paths
-from insiderlab.paths import _BLOCK, build_grid, partial_signals, sample_paths, stream_paths
+from insiderlab.paths import (
+    _BLOCK,
+    _for_each_block,
+    build_grid,
+    partial_signals,
+    sample_paths,
+    stream_paths,
+)
 from insiderlab.simulate import (
+    _default_checkpoints,
     entropy_identity_check,
     estimate_J,
+    game_terms,
     martingale_diagnostic,
-    simulate_density,
-    simulate_wealth,
     stream_game,
     stream_martingale,
+    weighted_increments,
 )
 from insiderlab.strategies import StrategyKind, build_profile, market_for
 
@@ -62,11 +72,12 @@ def test_streamed_results_equal_whole_batch_bit_for_bit(n_paths, kind, insider, 
     market, profile_of = regime(kind, insider, pi_factor)
     batch = sample_paths(config)
     profile = profile_of(batch)
-    density = simulate_density(batch, profile)
+    j_terms, penalty, entropy = game_terms(batch, profile, market)
+    checkpoints = _default_checkpoints(batch.grid)
     whole = (
-        estimate_J(batch, profile, simulate_wealth(batch, profile, market), density, market),
-        entropy_identity_check(batch, profile, density),
-        martingale_diagnostic(batch, profile, market),
+        estimate_J(j_terms),
+        entropy_identity_check(penalty, entropy),
+        martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints),
     )
     streamed = (*stream_game(config, profile_of, market),
                 stream_martingale(config, profile_of, market))
@@ -121,6 +132,25 @@ def test_stream_paths_blocks_are_rows_of_sample_paths(insider, threads):
 
     stream_paths(config, build_grid(config), check, threads)
     assert sorted(seen) == [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, 9000)]
+
+
+def test_failing_block_raises_and_cancels_the_blocks_not_started():
+    # block 0 fails at once while each other block takes 50 ms, so the error
+    # reaches the caller with most of the eight blocks still queued
+    n_blocks, ran = 8, []
+
+    def fn(block, rows):
+        ran.append(block)
+        if block == 0:
+            raise RuntimeError("block 0 failed")
+        time.sleep(0.05)
+
+    with pytest.raises(RuntimeError, match="block 0 failed"):
+        _for_each_block(n_blocks * _BLOCK, fn, threads=2)
+    started = len(ran)
+    assert started < n_blocks
+    time.sleep(0.2)  # a block left queued would have run by now
+    assert len(ran) == started
 
 
 @pytest.mark.parametrize("insider", [UNIT, PIECEWISE, NONE])

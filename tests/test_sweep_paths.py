@@ -8,16 +8,16 @@ import pytest
 
 from insiderlab import cli
 from insiderlab.bsde import (
+    _controls,
     _phitilde,
     knot_table,
-    recover_controls,
     solve_linear_closed_form,
     solve_linear_lsmc,
     solve_quadratic_lsmc,
     stream_sweep_paths,
     value_from_bsde,
 )
-from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota
+from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota, sigma_tilde
 from insiderlab.paths import _BLOCK, partial_signals, sample_paths
 from insiderlab.simulate import ordered_mean
 from insiderlab.strategies import StrategyKind
@@ -71,7 +71,9 @@ def api_tables(solver, config, market):
                 "bsde_linear_report.csv": (["residual", "normalizer_mc", "Y0_mean", "X0"], [report])}
     sol = solve_quadratic_lsmc(batch, market, insider)
     m = batch.grid.index_T
-    pi = recover_controls(sol, market, batch, StrategyKind.LARGE_INSIDER_ROBUST).pi
+    t_left = batch.grid.knots[:m]
+    pi, _ = _controls(StrategyKind.LARGE_INSIDER_ROBUST, sol.Z, sol.Y[:, :m], iota(market, t_left) + batch.phi,
+                      market.sigma(t_left), sigma_tilde(market, t_left))
     mean_abs_z = ordered_mean(np.array([ordered_mean(np.abs(sol.Z[:, i])) for i in range(m)]))
     return {
         "bsde_quadratic.csv": knot_table(sol),
