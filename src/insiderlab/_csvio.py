@@ -4,7 +4,6 @@ shortest round-trip form, so identical data gives identical bytes."""
 from __future__ import annotations
 
 import csv
-import os
 
 
 def format_cell(x) -> str:
@@ -18,7 +17,7 @@ def format_cell(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    """Write the table to `path`, whose directory must exist."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

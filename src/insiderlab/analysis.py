@@ -230,16 +230,14 @@ def value_of(kind: StrategyKind, market: MarketParams, insider: InsiderSpec) -> 
 # -- critical information horizon ----------------------------------------------
 
 
-def critical_T0(
-    market: MarketParams,
-    bracket: tuple[float, float] = (1.05, 1000.0),
-    value_tol: float = 1e-6,
-) -> float:
+def critical_T0(market: MarketParams) -> float:
     """Bisection for the horizon T0 at which the robust informed value equals
-    the ambiguity-neutral uninformed value (both with varrho = 0).
+    the ambiguity-neutral uninformed value (both with varrho = 0), to a value
+    gap of at most 1e-6.
 
-    `bracket` is in units of T.  Raises if the bracket does not straddle the
-    root (e.g. when iota = 0 and there is no robustness loss to offset).
+    The search runs on [1.05 T, 1000 T].  Raises if that interval does not
+    straddle the root (e.g. when iota = 0 and there is no robustness loss to
+    offset).
     """
     market.require_no_impact("the critical horizon")
     target = value_no_insider_nonrobust(market).total
@@ -248,7 +246,7 @@ def critical_T0(
         insider = InsiderSpec.enlargement(T0=T0)
         return value_small_insider_robust(market, insider).total - target
 
-    lo, hi = (bracket[0] * market.T, bracket[1] * market.T)
+    lo, hi = 1.05 * market.T, 1000.0 * market.T
     f_lo, f_hi = gap(lo), gap(hi)
     if f_lo == 0.0:
         return lo
@@ -261,7 +259,7 @@ def critical_T0(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = gap(mid)
-        if abs(f_mid) <= value_tol:
+        if abs(f_mid) <= 1e-6:
             return mid
         if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
             lo, f_lo = mid, f_mid

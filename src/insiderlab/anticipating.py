@@ -97,27 +97,23 @@ def ito_residual(W: np.ndarray, dt: float, t_index: int, eps_steps: int) -> np.n
     return X[:, t_index] ** 2 - X[:, 0] ** 2 - 2.0 * fwd - quad
 
 
-def convergence_table(
-    W: np.ndarray,
-    dt: float,
-    kind: TestIntegrand,
-    eps_steps_list: list[int],
-    t_index: int | None = None,
-    const: float = 1.0,
-) -> tuple[list[str], list[list]]:
-    """(eps, rms_error, rel_rms_error) rows for the integrand's oracle, and
-    the change-of-variable residual RMS at the same windows."""
+# the windows eps of convergence_table, in grid steps, coarsest first
+_EPS_STEPS = (8, 4, 2)
+
+
+def convergence_table(W: np.ndarray, dt: float, kind: TestIntegrand) -> tuple[list[str], list[list]]:
+    """(eps, rms_error, rel_rms_error) rows for the integrand's oracle over
+    the whole path (unit constant for ADAPTED_CONST) at each window of
+    _EPS_STEPS, and the change-of-variable residual RMS at the same windows."""
     n_steps = W.shape[1] - 1
-    if t_index is None:
-        t_index = n_steps
-    u = integrand_values(kind, W, const=const)
-    target = integrand_oracle(kind, W, t_index, const=const)
+    u = integrand_values(kind, W)
+    target = integrand_oracle(kind, W, n_steps)
     target_rms = math.sqrt(ordered_mean(target**2))
     header = ["eps", "rms_error", "rel_rms_error", "ito_residual_rms"]
     rows = []
-    for k in eps_steps_list:
-        est = forward_riemann(W, u, t_index, k)
+    for k in _EPS_STEPS:
+        est = forward_riemann(W, u, n_steps, k)
         rms = math.sqrt(ordered_mean((est - target) ** 2))
-        resid_rms = math.sqrt(ordered_mean(ito_residual(W, dt, t_index, k) ** 2))
+        resid_rms = math.sqrt(ordered_mean(ito_residual(W, dt, n_steps, k) ** 2))
         rows.append([k * dt, rms, rms / target_rms if target_rms > 0 else 0.0, resid_rms])
     return header, rows

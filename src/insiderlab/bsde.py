@@ -28,7 +28,6 @@ state (the running noise level, plus the signal under enlargement).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -108,38 +107,24 @@ class SweepPaths:
         return self.dWH.shape[1]
 
 
-def _allocate_sweep(grid: TimeGrid, insider: InsiderSpec, n: int) -> SweepPaths:
-    m = grid.index_T
-    y0 = np.empty(n) if insider.has_signal() else None
-    return SweepPaths(grid=grid, level=np.empty((m + 1, n)), dWH=np.empty((m, n)), Y0=y0)
-
-
-def _fill_sweep_rows(paths: SweepPaths, rows: slice, batch: PathBatch) -> None:
-    """Write `batch`, which holds paths `rows`, into `paths`."""
-    paths.level[:, rows] = batch.level.T
-    paths.dWH[:, rows] = batch.dWH.T
-    if paths.Y0 is not None:
-        paths.Y0[rows] = batch.Y0
-
-
 def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
     """The sweep input of sample_paths(config), bit for bit, built one RNG
     block at a time on up to `threads` workers: a whole PathBatch is never
     held."""
     validate(config)
     grid = build_grid(config)
-    paths = _allocate_sweep(grid, config.insider, config.n_paths)
-    stream_paths(config, grid, functools.partial(_fill_sweep_rows, paths), threads)
+    m, n = grid.index_T, config.n_paths
+    paths = SweepPaths(grid=grid, level=np.empty((m + 1, n)), dWH=np.empty((m, n)),
+                       Y0=np.empty(n) if config.insider.has_signal() else None)
+
+    def block(rows: slice, batch: PathBatch) -> None:
+        paths.level[:, rows] = batch.level.T
+        paths.dWH[:, rows] = batch.dWH.T
+        if paths.Y0 is not None:
+            paths.Y0[rows] = batch.Y0
+
+    stream_paths(config, grid, block, threads)
     return paths
-
-
-def _as_sweep_paths(paths) -> SweepPaths:
-    """The sweep input of a SweepPaths or of a PathBatch."""
-    if isinstance(paths, SweepPaths):
-        return paths
-    sweep = _allocate_sweep(paths.grid, paths.insider, paths.n_paths)
-    _fill_sweep_rows(sweep, slice(None), paths)
-    return sweep
 
 
 def _phitilde(paths: SweepPaths, market: MarketParams, insider: InsiderSpec):
@@ -162,14 +147,13 @@ def _phitilde(paths: SweepPaths, market: MarketParams, insider: InsiderSpec):
 # -- the multiplicative functional Pi ------------------------------------------
 
 
-def log_pi_star(paths, market: MarketParams, insider: InsiderSpec) -> np.ndarray:
-    """Per-path ln Pi(0, T) of a PathBatch or SweepPaths, the left-point sum
+def log_pi_star(paths: SweepPaths, market: MarketParams, insider: InsiderSpec) -> np.ndarray:
+    """Per-path ln Pi(0, T), the left-point sum
 
         ln Pi(0,T) = sum_i -(r_i + phitilde_i^2/2) dt_i - phitilde_i dWH_i
 
     taken step by step, so neither phitilde nor the summands are held as an
     (index_T, n_paths) matrix."""
-    paths = _as_sweep_paths(paths)
     grid = paths.grid
     m = grid.index_T
     dt = grid.dt[:m]
@@ -236,13 +220,13 @@ class BsdeSolution:
 
 
 def solve_linear_closed_form(
-    paths, market: MarketParams, insider: InsiderSpec, out=None
+    paths: SweepPaths, market: MarketParams, insider: InsiderSpec, out=None
 ) -> BsdeSolution:
-    """Exact solution of the linear backward equation on a PathBatch (or
-    SweepPaths), evaluated knot by knot into the knot-major pair `out`,
-    (index_T + 1, n_paths) and (index_T, n_paths), or a new one.  `out` may
-    be (paths.level, paths.dWH) of a SweepPaths that is not needed again:
-    each knot's input is read before that knot is written.
+    """Exact solution of the linear backward equation, evaluated knot by knot
+    into the knot-major pair `out`, (index_T + 1, n_paths) and
+    (index_T, n_paths), or a new one.  `out` may be (paths.level, paths.dWH)
+    when `paths` is not needed again: each knot's input is read before that
+    knot is written.
 
     Without a signal (valid for piecewise-constant coefficients):
 
@@ -254,7 +238,6 @@ def solve_linear_closed_form(
         X_t = X0 sqrt(a0/a_t) exp{r t + (3/8) iota^2 t + (1/2) iota W_t
                                   - m_t^2/(2 a_t) + m_0^2/(2 a0)}.
     """
-    paths = _as_sweep_paths(paths)
     grid = paths.grid
     m = grid.index_T
     knots = grid.knots[: m + 1]
@@ -307,6 +290,12 @@ def solve_linear_closed_form(
 
 # -- least-squares regression machinery ------------------------------------------
 
+# total degree of the regression basis in the Markov state
+_BASIS_ORDER = 3
+# degree of the shot terminal c2(Y0) under enlargement; the exact one is
+# quadratic for constant coefficients and unit signal weight
+_TERMINAL_DEGREE = 2
+
 
 def _monomials(rows: np.ndarray, x: np.ndarray, y: np.ndarray | None, order: int) -> None:
     """Fill rows with all monomials of total degree <= order in x (and y),
@@ -347,13 +336,14 @@ def _factor(design: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     return scale, inv_gram
 
 
-def _backward_sweep(paths: SweepPaths, terminal, driver, basis_order, factors, L, Z) -> None:
+def _backward_sweep(paths: SweepPaths, terminal, driver, factors, L, Z) -> None:
     """One explicit backward Euler pass with regression (Gobet, Lemor & Warin):
 
         Z_i = E[(L_{i+1} - E[L_{i+1}|s_i]) dWH_i | s_i] / dt_i,
         L_i = E[L_{i+1}|s_i] + driver(i, Z_i) dt_i,     L_m = terminal,
 
-    on the state s_i (paths.level[i], plus the signal if any), written into
+    on the basis of all monomials of total degree <= _BASIS_ORDER in the
+    state s_i (paths.level[i], plus the signal if any), written into
     the caller's knot-major L (index_T + 1, n_paths) and Z (index_T, n_paths),
     so shooting passes reuse one pair.  The design does not depend on the
     terminal, so `factors[i]` (None until the first pass) keeps step i's
@@ -362,12 +352,13 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, basis_order, factors, L
     grid = paths.grid
     m = grid.index_T
     signal = paths.Y0
-    n_rows = basis_order + 1 if signal is None else (basis_order + 1) * (basis_order + 2) // 2
+    k = _BASIS_ORDER + 1
+    n_rows = k if signal is None else k * (k + 1) // 2
     design = np.empty((n_rows, paths.n_paths))
 
     L[m] = l_next = terminal
     for i in range(m - 1, -1, -1):
-        _monomials(design, paths.level[i], signal, basis_order)
+        _monomials(design, paths.level[i], signal, _BASIS_ORDER)
         if factors[i] is None:
             factors[i] = _factor(design, grid.knots[i])
         else:
@@ -385,14 +376,9 @@ def _sweep_pair(paths: SweepPaths) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((m + 1, n)), np.empty((m, n))
 
 
-def solve_linear_lsmc(
-    paths,
-    market: MarketParams,
-    insider: InsiderSpec,
-    basis_order: int = 3,
-) -> BsdeSolution:
+def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, insider: InsiderSpec) -> BsdeSolution:
     """Explicit backward Euler with regression for the linear equation,
-    integrated in logarithmic coordinates, on a PathBatch or SweepPaths.
+    integrated in logarithmic coordinates.
 
     The unknown X is positive with exponential spread across paths (it loses
     finite variance as T0 approaches 2T), so least-squares fits of X levels
@@ -409,7 +395,6 @@ def solve_linear_lsmc(
     pathwise Pi(0,T); the conditional normaliser is a Monte-Carlo scalar
     without a signal and the Gaussian closed form under enlargement.
     """
-    paths = _as_sweep_paths(paths)
     grid = paths.grid
     m = grid.index_T
     log_pi_T = log_pi_star(paths, market, insider)
@@ -427,7 +412,7 @@ def solve_linear_lsmc(
         return -(r[i] + phitilde(i) * zeta - 0.5 * zeta**2)
 
     Y, Z = _sweep_pair(paths)
-    _backward_sweep(paths, terminal, driver, basis_order, [None] * m, Y, Z)
+    _backward_sweep(paths, terminal, driver, [None] * m, Y, Z)
     np.exp(Y, out=Y)  # L -> Y = exp(L), so exp(L) never sits beside L
     Z *= Y[:m]  # zeta -> Z = zeta Y
     residual = abs(ordered_mean(Y[0]) - market.X0)
@@ -469,27 +454,23 @@ def _projected_mismatch(y_design, inv_gram, mismatch) -> tuple[np.ndarray, float
 
 
 def solve_quadratic_lsmc(
-    paths,
+    paths: SweepPaths,
     market: MarketParams,
     insider: InsiderSpec,
     c2_init: float | None = None,
-    basis_order: int = 3,
-    c2_order: int = 2,
     shoot_tol: float = 1e-3,
     max_iter: int = 50,
 ) -> BsdeSolution:
-    """Backward solve of the quadratic equation with terminal shooting, on a
-    PathBatch or SweepPaths.
+    """Backward solve of the quadratic equation with terminal shooting.
 
     Without a signal the terminal is a constant c2 found by secant iteration
     on the initial-value mismatch L_0 - ln X0 (the map c2 -> L_0 is affine
     with unit slope, so this converges immediately up to regression noise).
     Under enlargement the terminal is a polynomial c2(Y0) of degree
-    `c2_order`, updated by projecting the mismatch onto the same basis; the
-    residual reported is the root-mean-square projected mismatch.  Every
+    _TERMINAL_DEGREE, updated by projecting the mismatch onto the same basis;
+    the residual reported is the root-mean-square projected mismatch.  Every
     pass reuses the regression factors and the (L, Z) pair of the first.
     """
-    paths = _as_sweep_paths(paths)
     n = paths.n_paths
     ln_x0 = math.log(market.X0)
     trace: list[tuple] = []
@@ -498,7 +479,7 @@ def solve_quadratic_lsmc(
     L, Z = _sweep_pair(paths)
 
     def sweep(terminal) -> None:
-        _backward_sweep(paths, terminal, driver, basis_order, factors, L, Z)
+        _backward_sweep(paths, terminal, driver, factors, L, Z)
 
     def solution(c, residual: float) -> BsdeSolution:
         return BsdeSolution(grid=paths.grid, Y=L.T, Z=Z.T, c=c, residual=residual,
@@ -525,10 +506,10 @@ def solve_quadratic_lsmc(
         raise ShootingError(residual=achieved, iterations=max_iter)
 
     # enlargement: polynomial terminal in the signal
-    y_design = np.empty((c2_order + 1, n))
-    _monomials(y_design, paths.Y0, None, c2_order)
+    y_design = np.empty((_TERMINAL_DEGREE + 1, n))
+    _monomials(y_design, paths.Y0, None, _TERMINAL_DEGREE)
     scale, inv_gram = _factor(y_design, 0.0)
-    coef = np.zeros(c2_order + 1)
+    coef = np.zeros(_TERMINAL_DEGREE + 1)
     coef[0] = ln_x0 if c2_init is None else float(c2_init)
     for iteration in range(max_iter):
         sweep((coef * scale) @ y_design)

@@ -249,7 +249,7 @@ def _quadratic_report(sol, pi_0: np.ndarray):
 def _cmd_bsde_linear(args, config: ScenarioConfig):
     paths = stream_sweep_paths(config, threads=args.threads)
     market, insider = config.market.without_impact(), config.insider
-    sol = solve_linear_lsmc(paths, market, insider, basis_order=args.basis_order)
+    sol = solve_linear_lsmc(paths, market, insider)
     # the solve is done with its input, so the oracle overwrites it knot by knot
     oracle = solve_linear_closed_form(paths, market, insider, out=(paths.level, paths.dWH))
     return 0, {
@@ -261,9 +261,7 @@ def _cmd_bsde_linear(args, config: ScenarioConfig):
 def _cmd_bsde_quadratic(args, config: ScenarioConfig):
     paths = stream_sweep_paths(config, threads=args.threads)
     market, insider = config.market, config.insider
-    sol = solve_quadratic_lsmc(
-        paths, market, insider, basis_order=args.basis_order, shoot_tol=args.shoot_tol
-    )
+    sol = solve_quadratic_lsmc(paths, market, insider, shoot_tol=args.shoot_tol)
     pi_0, _ = initial_controls(sol, market, paths, insider, StrategyKind.LARGE_INSIDER_ROBUST)
     return 0, {
         "bsde_quadratic.csv": knot_table(sol),
@@ -287,7 +285,7 @@ def _cmd_forward_check(args, config: ScenarioConfig):
     batch = sample_paths(flat, threads=args.threads)
     dt = float(batch.grid.dt[0])
     kind = TestIntegrand(args.integrand)
-    return 0, {f"forward_{kind.value}.csv": convergence_table(batch.level, dt, kind, eps_steps_list=[8, 4, 2])}
+    return 0, {f"forward_{kind.value}.csv": convergence_table(batch.level, dt, kind)}
 
 
 def _cmd_critical_t0(args, config: ScenarioConfig):
@@ -394,12 +392,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bsde-linear", help="linear backward solver vs closed form")
     _add_common(p)
-    p.add_argument("--basis-order", dest="basis_order", type=int, default=3)
     p.set_defaults(handler=_cmd_bsde_linear)
 
     p = sub.add_parser("bsde-quadratic", help="quadratic backward solver with shooting")
     _add_common(p)
-    p.add_argument("--basis-order", dest="basis_order", type=int, default=3)
     p.add_argument("--shoot-tol", dest="shoot_tol", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_bsde_quadratic)
 
@@ -433,12 +429,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """The range checks of the flags that are not part of the config."""
+    if args.threads < 1:
+        raise ValidationError("threads_min", f"need --threads >= 1, got {args.threads}")
+    shoot_tol = getattr(args, "shoot_tol", 1.0)
+    if not (math.isfinite(shoot_tol) and shoot_tol > 0.0):
+        raise ValidationError("shoot_tol_positive", f"need a finite --shoot-tol > 0, got {shoot_tol}")
+    if not math.isfinite(getattr(args, "signal_level", 0.0)):
+        raise ValidationError("signal_level_finite", f"need a finite --signal-level, got {args.signal_level}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out if args.out is not None else os.environ.get("INSIDERLAB_OUT", "out")
     start = time.time()
     try:
         config = load_config(args.config, args)
+        _check_flags(args)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError("out_dir", f"cannot create output directory {out_dir}: {exc}") from None
         code, tables = args.handler(args, config)
     except (ValidationError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -111,8 +111,7 @@ class MarketParams:
     """Market coefficients on [0, T] plus initial wealth.
 
     Units: r, mu0, varrho are rates (1/time); sigma scales like 1/sqrt(time);
-    T is a time; X0 a currency amount.  `vol_floor` is the lower bound eps
-    enforced on sigma.
+    T is a time; X0 a currency amount.
     """
 
     r: PiecewiseConstant
@@ -121,7 +120,6 @@ class MarketParams:
     varrho: PiecewiseConstant
     T: float
     X0: float
-    vol_floor: float = 1e-6
 
     def __post_init__(self):
         for name in ("r", "mu0", "sigma", "varrho"):
@@ -236,6 +234,9 @@ def phi_norm_sq(insider: InsiderSpec, s, t: float):
 
 # -- validation ---------------------------------------------------------------
 
+# the lower bound eps that validate enforces on sigma
+_SIGMA_FLOOR = 1e-6
+
 
 def _validate_market(market: MarketParams) -> None:
     if not np.isfinite(market.T) or market.T <= 0.0:
@@ -251,10 +252,8 @@ def _validate_market(market: MarketParams) -> None:
     for t in pts:
         sig = market.sigma(t)
         rho = market.varrho(t)
-        if sig < market.vol_floor:
-            raise ValidationError(
-                "sigma_floor", f"sigma({t}) = {sig} below floor {market.vol_floor}"
-            )
+        if sig < _SIGMA_FLOOR:
+            raise ValidationError("sigma_floor", f"sigma({t}) = {sig} below floor {_SIGMA_FLOOR}")
         if rho < 0.0 or rho >= 0.5 * sig**2:
             raise ValidationError(
                 "varrho_range", f"need 0 <= varrho < sigma^2/2, got varrho({t}) = {rho}"

@@ -96,8 +96,8 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     prof = strategies.build_profile(
         strategies.StrategyKind.SMALL_INSIDER_ROBUST, batch, market, insider
     )
-    dens = simulate.simulate_density(batch, prof)
-    m_eps, se_eps = simulate.mean_se(np.exp(dens.terminal))
+    log_eps = simulate.simulate_density(batch, prof)
+    m_eps, se_eps = simulate.mean_se(np.exp(log_eps[:, -1]))
     z_eps = abs(m_eps - 1.0) / se_eps
     check("density_mean_one", z_eps < 4.0, z_eps)
 
@@ -113,14 +113,16 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     check("entropy_constant_theta", z_ent < 4.0 and abs(ent.z) < 4.0, z_ent)
 
     # tower property of the multiplicative functional: the closed-form
-    # normaliser is E[sqrt(Pi(0,T)) | Y0], so the paired gap has mean zero
-    sqrt_pi = np.exp(0.5 * bsde.log_pi_star(batch, market, insider))
-    gap_pi, se_pi = simulate.mean_se(sqrt_pi - bsde.enlargement_normalizer(market, insider, batch.Y0))
+    # normaliser is E[sqrt(Pi(0,T)) | Y0], so the paired gap has mean zero;
+    # on the sweep input the bsde commands build
+    sweep = bsde.stream_sweep_paths(cfg)
+    sqrt_pi = np.exp(0.5 * bsde.log_pi_star(sweep, market, insider))
+    gap_pi, se_pi = simulate.mean_se(sqrt_pi - bsde.enlargement_normalizer(market, insider, sweep.Y0))
     z_pi = abs(gap_pi) / se_pi
     check("pi_functional_tower", z_pi < 4.0, z_pi)
 
     # linear closed form starts at the initial wealth
-    sol = bsde.solve_linear_closed_form(batch, market, insider)
+    sol = bsde.solve_linear_closed_form(sweep, market, insider)
     check("linear_closed_form_initial", sol.residual < 1e-10, sol.residual)
 
     # critical horizon satisfies its defining equation

@@ -30,8 +30,6 @@ from .paths import PathBatch, build_grid, stream_paths
 from .strategies import StrategyProfile
 
 __all__ = [
-    "WealthPath",
-    "DensityPath",
     "JEstimate",
     "EntropyCheck",
     "MartingaleStat",
@@ -63,28 +61,6 @@ def mean_se(x: np.ndarray) -> tuple[float, float]:
         return m, 0.0
     var = float(np.square(x - m).sum()) / (n - 1)
     return m, math.sqrt(var / n)
-
-
-@dataclass(frozen=True)
-class WealthPath:
-    """log-wealth at every knot of [0, T]; column 0 is ln X0."""
-
-    logX: np.ndarray
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.logX[:, -1]
-
-
-@dataclass(frozen=True)
-class DensityPath:
-    """log of the exponential density of the distorted measure on [0, T]."""
-
-    logE: np.ndarray
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.logE[:, -1]
 
 
 @dataclass(frozen=True)
@@ -130,8 +106,10 @@ def _check_grid(batch: PathBatch, profile: StrategyProfile) -> None:
         raise ValueError("profile and batch use different grids")
 
 
-def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketParams) -> WealthPath:
-    """Exact log-Euler step of the wealth dynamics under the original measure:
+def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketParams) -> np.ndarray:
+    """log-wealth logX (n_paths, index_T + 1) at every knot of [0, T], column
+    0 being ln X0, by the exact log-Euler step of the wealth dynamics under
+    the original measure:
 
         dlnX = [r + (mu0 + varrho*pi - r)*pi - sigma^2 pi^2 / 2] dt + sigma * pi dW,
 
@@ -151,18 +129,20 @@ def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketPa
     logX[:, 0] = math.log(market.X0)
     np.cumsum(incr, axis=1, out=logX[:, 1:])
     logX[:, 1:] += math.log(market.X0)
-    return WealthPath(logX=logX)
+    return logX
 
 
-def simulate_density(batch: PathBatch, profile: StrategyProfile) -> DensityPath:
-    """Exponential density per path: dln(eps) = theta dWH - theta^2/2 dt."""
+def simulate_density(batch: PathBatch, profile: StrategyProfile) -> np.ndarray:
+    """log of the exponential density of the distorted measure, logE
+    (n_paths, index_T + 1) at every knot of [0, T]:
+    dln(eps) = theta dWH - theta^2/2 dt."""
     _check_grid(batch, profile)
     m = batch.grid.index_T
     dt = batch.grid.dt[:m]
     incr = profile.theta * batch.dWH - 0.5 * profile.theta**2 * dt
     logE = np.zeros((batch.n_paths, m + 1))
     np.cumsum(incr, axis=1, out=logE[:, 1:])
-    return DensityPath(logE=logE)
+    return logE
 
 
 def game_terms(
@@ -177,8 +157,8 @@ def game_terms(
     # both path-sized simulations run before any per-path result exists: a
     # small array held across them fragments the heap (6 MB more peak RSS
     # for `simulate` at 50k paths x 400 steps)
-    logE = simulate_density(batch, profile).logE
-    logX = simulate_wealth(batch, profile, market).logX
+    logE = simulate_density(batch, profile)
+    logX = simulate_wealth(batch, profile, market)
     dt = batch.grid.dt[: batch.grid.index_T]
     penalty = np.sum(np.exp(logE[:, :-1]) * 0.5 * profile.theta**2 * dt, axis=1)
     eps_T = np.exp(logE[:, -1])
@@ -244,7 +224,7 @@ def weighted_increments(
     sig, rho = market.sigma(t_left), market.varrho(t_left)
     pi = profile.pi
     dm = (mu0 + 2.0 * rho * pi - r - sig**2 * pi) * dt + sig * batch.dW[:, :m_idx]
-    eps_T = np.exp(simulate_density(batch, profile).terminal)
+    eps_T = np.exp(simulate_density(batch, profile)[:, -1])
     out = np.empty((len(spans), batch.n_paths))
     for k, (i, j) in enumerate(spans):
         out[k] = eps_T * np.sum(dm[:, i:j], axis=1)

@@ -80,7 +80,6 @@ class StrategyProfile:
     theta is identically zero for non-robust kinds.
     """
 
-    kind: StrategyKind
     pi: np.ndarray
     theta: np.ndarray
     grid: object
@@ -91,12 +90,7 @@ class StrategyProfile:
 
     def scaled(self, pi_factor: float = 1.0, theta_factor: float = 1.0) -> "StrategyProfile":
         """Perturbed copy (for saddle checks and negative controls)."""
-        return StrategyProfile(
-            kind=self.kind,
-            pi=self.pi * pi_factor,
-            theta=self.theta * theta_factor,
-            grid=self.grid,
-        )
+        return StrategyProfile(pi=self.pi * pi_factor, theta=self.theta * theta_factor, grid=self.grid)
 
 
 # -- no insider ----------------------------------------------------------------
@@ -256,4 +250,4 @@ def build_profile(
             pi = closed_form(market, insider, y0, b, t_left)
             theta = np.zeros_like(pi)
 
-    return StrategyProfile(kind=kind, pi=pi, theta=theta, grid=grid)
+    return StrategyProfile(pi=pi, theta=theta, grid=grid)

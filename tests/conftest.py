@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from insiderlab.bsde import stream_sweep_paths
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
 from insiderlab.paths import sample_paths
 
@@ -51,30 +52,56 @@ def batch_flat_100k(market, no_insider):
 
 
 @pytest.fixture(scope="session")
-def batch_small(market, insider):
+def config_small(market, insider):
     """Cheap enlargement ensemble for exact (non-statistical) identities."""
-    cfg = ScenarioConfig(
-        market=market, insider=insider, n_steps=50, n_paths=512, seed=42
-    )
-    return sample_paths(cfg)
+    return ScenarioConfig(market=market, insider=insider, n_steps=50, n_paths=512, seed=42)
 
 
 @pytest.fixture(scope="session")
-def batch_lsmc_flat(market, no_insider):
+def config_lsmc_flat(market, no_insider):
     """No-signal ensemble at the backward-solver test resolution."""
-    cfg = ScenarioConfig(
-        market=market, insider=no_insider, n_steps=50, n_paths=100_000, seed=424242
-    )
-    return sample_paths(cfg)
+    return ScenarioConfig(market=market, insider=no_insider, n_steps=50, n_paths=100_000, seed=424242)
 
 
 @pytest.fixture(scope="session")
-def batch_lsmc_enl(market, insider):
+def config_lsmc_enl(market, insider):
     """Enlargement ensemble at the backward-solver test resolution."""
-    cfg = ScenarioConfig(
-        market=market, insider=insider, n_steps=50, n_paths=100_000, seed=424243
-    )
-    return sample_paths(cfg)
+    return ScenarioConfig(market=market, insider=insider, n_steps=50, n_paths=100_000, seed=424243)
+
+
+# Each ensemble as a whole PathBatch and as the knot-major sweep input the
+# backward solvers take; the two hold the same bits
+# (test_streamed_sweep_input_equals_sample_paths_bit_for_bit).
+
+
+@pytest.fixture(scope="session")
+def batch_small(config_small):
+    return sample_paths(config_small)
+
+
+@pytest.fixture(scope="session")
+def sweep_small(config_small):
+    return stream_sweep_paths(config_small)
+
+
+@pytest.fixture(scope="session")
+def batch_lsmc_flat(config_lsmc_flat):
+    return sample_paths(config_lsmc_flat)
+
+
+@pytest.fixture(scope="session")
+def sweep_lsmc_flat(config_lsmc_flat):
+    return stream_sweep_paths(config_lsmc_flat)
+
+
+@pytest.fixture(scope="session")
+def batch_lsmc_enl(config_lsmc_enl):
+    return sample_paths(config_lsmc_enl)
+
+
+@pytest.fixture(scope="session")
+def sweep_lsmc_enl(config_lsmc_enl):
+    return stream_sweep_paths(config_lsmc_enl)
 
 
 @pytest.fixture(scope="session")

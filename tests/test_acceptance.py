@@ -138,20 +138,20 @@ def test_criterion_4_entropy_identity(batch_mc_enl, market, insider):
     )
 
 
-def test_criterion_5_linear_solver_oracle(batch_lsmc_flat, batch_lsmc_enl, market, insider,
+def test_criterion_5_linear_solver_oracle(sweep_lsmc_flat, sweep_lsmc_enl, market, insider,
                                           no_insider):
     start = time.time()
     results = []
-    for batch, ins, budget in (
-        (batch_lsmc_flat, no_insider, 0.05),
-        (batch_lsmc_enl, insider, 0.10),
+    for paths, ins, budget in (
+        (sweep_lsmc_flat, no_insider, 0.05),
+        (sweep_lsmc_enl, insider, 0.10),
     ):
-        oracle = solve_linear_closed_form(batch, market, ins)
-        sol = solve_linear_lsmc(batch, market, ins, basis_order=3)
+        oracle = solve_linear_closed_form(paths, market, ins)
+        sol = solve_linear_lsmc(paths, market, ins)
         y0_err = abs(mean_se(sol.Y[:, 0])[0] - market.X0) / market.X0
         assert y0_err <= 0.01, y0_err
-        m = batch.grid.index_T
-        t_left = batch.grid.knots[:m]
+        m = paths.grid.index_T
+        t_left = paths.grid.knots[:m]
         mask = (t_left >= 0.1) & (t_left <= 0.9)
         pi_hat = sol.Z / (0.35 * sol.Y[:, :m])
         pi_star = np.broadcast_to(
@@ -170,15 +170,15 @@ def test_criterion_5_linear_solver_oracle(batch_lsmc_flat, batch_lsmc_enl, marke
     )
 
 
-def test_criterion_6_quadratic_solver(batch_lsmc_flat, market, market_impact, no_insider):
-    sol = solve_quadratic_lsmc(batch_lsmc_flat, market, no_insider)
+def test_criterion_6_quadratic_solver(sweep_lsmc_flat, market, market_impact, no_insider):
+    sol = solve_quadratic_lsmc(sweep_lsmc_flat, market, no_insider)
     v, se = value_from_bsde(sol)
     z_rmse = math.sqrt(float(np.mean(sol.Z**2)))
     assert z_rmse <= 1e-2
     assert abs(v - V1) <= max(1e-3, 3.0 * se)
     assert sol.residual <= 1e-3
 
-    sol_imp = solve_quadratic_lsmc(batch_lsmc_flat, market_impact, no_insider)
+    sol_imp = solve_quadratic_lsmc(sweep_lsmc_flat, market_impact, no_insider)
     v_imp, _ = value_from_bsde(sol_imp)
     assert v_imp >= V1
     assert sol_imp.residual <= 1e-3
@@ -191,9 +191,7 @@ def test_criterion_6_quadratic_solver(batch_lsmc_flat, market, market_impact, no
 def test_criterion_7_forward_integral_convergence(brownian_levels):
     grid, W = brownian_levels
     assert grid.n_steps == 4096 and W.shape[0] >= 1000
-    header, rows = convergence_table(
-        W, float(grid.dt[0]), TestIntegrand.WT, eps_steps_list=[8, 4, 2]
-    )
+    header, rows = convergence_table(W, float(grid.dt[0]), TestIntegrand.WT)
     rels = [row[2] for row in rows]
     resid = [row[3] for row in rows]
     assert rels[0] > rels[1] > rels[2]

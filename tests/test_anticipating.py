@@ -55,9 +55,7 @@ class TestForwardRiemann:
     def test_convergence_monotone_and_tight(self, brownian_levels):
         # halving the window shrinks the error; the finest level is <= 2%
         grid, W = brownian_levels
-        header, rows = convergence_table(
-            W, float(grid.dt[0]), TestIntegrand.WT, eps_steps_list=[8, 4, 2]
-        )
+        header, rows = convergence_table(W, float(grid.dt[0]), TestIntegrand.WT)
         rels = [row[2] for row in rows]
         assert rels[0] > rels[1] > rels[2]
         assert rels[2] <= 0.02
@@ -92,7 +90,7 @@ class TestItoResidual:
 
 def test_convergence_table_layout(brownian_levels):
     grid, W = brownian_levels
-    header, rows = convergence_table(W, float(grid.dt[0]), TestIntegrand.WT, [8, 4, 2])
+    header, rows = convergence_table(W, float(grid.dt[0]), TestIntegrand.WT)
     assert header == ["eps", "rms_error", "rel_rms_error", "ito_residual_rms"]
     assert [row[0] for row in rows] == [8 * grid.dt[0], 4 * grid.dt[0], 2 * grid.dt[0]]
 
@@ -105,7 +103,7 @@ def test_convergence_table_path_order_insensitive(brownian_levels):
     rng = np.random.default_rng(12)
 
     def table(rows):
-        return repr(convergence_table(rows, float(grid.dt[0]), TestIntegrand.WT, [8, 4, 2]))
+        return repr(convergence_table(rows, float(grid.dt[0]), TestIntegrand.WT))
 
     expect = table(W)
     for _ in range(8):

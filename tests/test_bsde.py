@@ -1,14 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from insiderlab import bsde
 from insiderlab.analysis import value_no_insider_robust, value_small_insider_robust
 from insiderlab.bsde import (
     BsdeSolution,
     SweepPaths,
-    _as_sweep_paths,
     _backward_sweep,
     _controls,
     _factor,
@@ -24,6 +23,7 @@ from insiderlab.bsde import (
     solve_linear_closed_form,
     solve_linear_lsmc,
     solve_quadratic_lsmc,
+    stream_sweep_paths,
     value_from_bsde,
 )
 from insiderlab.cli import _linear_report, _quadratic_report
@@ -55,59 +55,63 @@ class TestPiStarFunctional:
     def test_unit_when_driftless(self, no_insider):
         flat = MarketParams(r=0.05, mu0=0.05, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=20, n_paths=16, seed=1)
-        batch = sample_paths(cfg)
+        paths = stream_sweep_paths(cfg)
         # r != 0 contributes the deterministic discount only
-        np.testing.assert_allclose(np.exp(log_pi_star(batch, flat, no_insider)), math.exp(-0.05), atol=1e-12)
+        np.testing.assert_allclose(np.exp(log_pi_star(paths, flat, no_insider)), math.exp(-0.05), atol=1e-12)
 
-    def test_gaussian_mean_of_square_root(self, batch_lsmc_flat, market, no_insider):
-        mean, se = mean_se(np.sqrt(np.exp(log_pi_star(batch_lsmc_flat, market, no_insider))))
+    def test_gaussian_mean_of_square_root(self, sweep_lsmc_flat, market, no_insider):
+        mean, se = mean_se(np.sqrt(np.exp(log_pi_star(sweep_lsmc_flat, market, no_insider))))
         assert abs(mean - math.exp(-IOTA_SQ / 8.0)) < 3.0 * se
 
-    def test_matches_whole_matrix_exponent(self, batch_small, market, insider):
-        # the step-by-step sum against the exponent built from the batch's phi
+    def test_matches_whole_matrix_exponent(self, batch_small, sweep_small, market, insider):
+        # the step-by-step sum on the whole batch, transposed to knot-major,
+        # against the exponent built from the batch's phi
         m = batch_small.grid.index_T
         t_left = batch_small.grid.knots[:m]
         phit = iota(market, t_left) + batch_small.phi
         expo = -(market.r(t_left) + 0.5 * phit**2) * batch_small.grid.dt[:m] - phit * batch_small.dWH
-        got = log_pi_star(batch_small, market, insider)
+        transposed = SweepPaths(grid=batch_small.grid, level=batch_small.level.T.copy(),
+                                dWH=batch_small.dWH.T.copy(), Y0=batch_small.Y0)
+        got = log_pi_star(transposed, market, insider)
         np.testing.assert_allclose(got, expo.sum(axis=1), rtol=1e-12, atol=1e-14)
-        assert np.array_equal(log_pi_star(_as_sweep_paths(batch_small), market, insider), got)
+        assert np.array_equal(log_pi_star(sweep_small, market, insider), got)
 
 
 class TestLinearClosedForm:
     def test_bond_only_when_no_excess_return(self, no_insider):
         flat = MarketParams(r=0.03, mu0=0.03, sigma=0.35, varrho=0.0, T=1.0, X0=2.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=20, n_paths=8, seed=2)
-        batch = sample_paths(cfg)
-        sol = solve_linear_closed_form(batch, flat, no_insider)
-        i = batch.grid.index_of(0.5)
+        paths = stream_sweep_paths(cfg)
+        sol = solve_linear_closed_form(paths, flat, no_insider)
+        i = paths.grid.index_of(0.5)
         np.testing.assert_allclose(sol.Y[:, i], 2.0 * math.exp(0.015), atol=1e-12)
         np.testing.assert_allclose(sol.Z, 0.0, atol=1e-14)
 
-    def test_initial_condition_exact(self, batch_lsmc_flat, batch_lsmc_enl, market, insider, no_insider):
-        for batch, ins in ((batch_lsmc_flat, no_insider), (batch_lsmc_enl, insider)):
-            sol = solve_linear_closed_form(batch, market, ins)
+    def test_initial_condition_exact(self, sweep_lsmc_flat, sweep_lsmc_enl, market, insider, no_insider):
+        for paths, ins in ((sweep_lsmc_flat, no_insider), (sweep_lsmc_enl, insider)):
+            sol = solve_linear_closed_form(paths, market, ins)
             np.testing.assert_allclose(sol.Y[:, 0], market.X0, atol=1e-10)
 
-    def test_terminal_pathwise_gaussian_form(self, batch_lsmc_flat, market, no_insider):
+    def test_terminal_pathwise_gaussian_form(self, batch_lsmc_flat, sweep_lsmc_flat, market, no_insider):
         # X_T = X0 exp{iota W_T / 2 + 3 iota^2 T / 8} pathwise at r = 0
-        sol = solve_linear_closed_form(batch_lsmc_flat, market, no_insider)
+        sol = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
         w_T = batch_lsmc_flat.dW.sum(axis=1)
         target = math.exp(0.375 * IOTA_SQ) * np.exp(0.5 * IOTA * w_T)
         np.testing.assert_allclose(sol.Y[:, -1], target, rtol=1e-12)
 
-    def test_inverse_terminal_moment_identity(self, batch_lsmc_flat, market, no_insider):
+    def test_inverse_terminal_moment_identity(self, sweep_lsmc_flat, market, no_insider):
         # E[1/X_T] equals E[sqrt(Pi(0,T))]^2 / X0 = exp(-iota^2 T / 4)
-        sol = solve_linear_closed_form(batch_lsmc_flat, market, no_insider)
+        sol = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
         mean, se = mean_se(1.0 / sol.Y[:, -1])
         assert abs(mean - math.exp(-IOTA_SQ / 4.0)) < 3.0 * se
 
-    def test_matches_simulated_optimal_wealth_no_insider(self, batch_lsmc_flat, market, no_insider, insider):
+    def test_matches_simulated_optimal_wealth_no_insider(self, batch_lsmc_flat, sweep_lsmc_flat, market,
+                                                         no_insider, insider):
         # exact pathwise agreement: the closed form is the log-Euler path
-        sol = solve_linear_closed_form(batch_lsmc_flat, market, no_insider)
+        sol = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_lsmc_flat, market, insider)
-        wealth = simulate_wealth(batch_lsmc_flat, prof, market)
-        np.testing.assert_allclose(np.log(sol.Y), wealth.logX, atol=1e-12)
+        log_wealth = simulate_wealth(batch_lsmc_flat, prof, market)
+        np.testing.assert_allclose(np.log(sol.Y), log_wealth, atol=1e-12)
 
     def test_matches_simulated_optimal_wealth_enlargement(self, market, insider):
         # continuous formula vs discrete simulation: strong gap shrinks in dt
@@ -116,42 +120,42 @@ class TestLinearClosedForm:
             cfg = ScenarioConfig(market=market, insider=insider, n_steps=n_steps,
                                  n_paths=1000, seed=32)
             batch = sample_paths(cfg)
-            sol = solve_linear_closed_form(batch, market, insider)
+            sol = solve_linear_closed_form(stream_sweep_paths(cfg), market, insider)
             prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch, market, insider)
-            wealth = simulate_wealth(batch, prof, market)
-            diff = np.log(sol.Y[:, -1]) - wealth.logX[:, -1]
+            log_wealth = simulate_wealth(batch, prof, market)
+            diff = np.log(sol.Y[:, -1]) - log_wealth[:, -1]
             gaps.append(math.sqrt(float(np.mean(diff**2))))
         assert gaps[0] < 0.05
         assert gaps[1] < gaps[0]
 
-    def test_control_is_fraction_times_wealth(self, batch_lsmc_enl, market, insider):
-        sol = solve_linear_closed_form(batch_lsmc_enl, market, insider)
+    def test_control_is_fraction_times_wealth(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
+        sol = solve_linear_closed_form(sweep_lsmc_enl, market, insider)
         prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
         m = batch_lsmc_enl.grid.index_T
         np.testing.assert_allclose(sol.Z, 0.35 * prof.pi * sol.Y[:, :m], rtol=1e-12)
 
-    def test_normalizer_tower_property(self, batch_lsmc_enl, market, insider):
+    def test_normalizer_tower_property(self, sweep_lsmc_enl, market, insider):
         # E[sqrt(Pi(0,T)) p(Y0)] = E[normalizer(Y0) p(Y0)] for polynomial p
-        sq = np.sqrt(np.exp(log_pi_star(batch_lsmc_enl, market, insider)))
-        norm = enlargement_normalizer(market, insider, batch_lsmc_enl.Y0)
+        sq = np.sqrt(np.exp(log_pi_star(sweep_lsmc_enl, market, insider)))
+        norm = enlargement_normalizer(market, insider, sweep_lsmc_enl.Y0)
         for k in range(3):
-            weight = batch_lsmc_enl.Y0**k
+            weight = sweep_lsmc_enl.Y0**k
             diff, se = mean_se((sq - norm) * weight)
             assert abs(diff) < 4.0 * se, (k, diff, se)
 
-    def test_unsupported_weight_rejected(self, batch_lsmc_enl, market):
+    def test_unsupported_weight_rejected(self, sweep_lsmc_enl, market):
         ins = InsiderSpec.enlargement(T0=2.0, phi_weight=2.0)
         with pytest.raises(Exception, match="unit signal weight"):
-            solve_linear_closed_form(batch_lsmc_enl, market, ins)
+            solve_linear_closed_form(sweep_lsmc_enl, market, ins)
 
 
 class TestLinearLsmc:
-    def test_no_insider_against_closed_form(self, batch_lsmc_flat, market, no_insider):
-        oracle = solve_linear_closed_form(batch_lsmc_flat, market, no_insider)
-        sol = solve_linear_lsmc(batch_lsmc_flat, market, no_insider, basis_order=3)
+    def test_no_insider_against_closed_form(self, sweep_lsmc_flat, market, no_insider):
+        oracle = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
+        sol = solve_linear_lsmc(sweep_lsmc_flat, market, no_insider)
         assert abs(mean_se(sol.Y[:, 0])[0] - market.X0) < 0.01 * market.X0
-        mask, _ = interior_mask(batch_lsmc_flat.grid)
-        m = batch_lsmc_flat.grid.index_T
+        mask, _ = interior_mask(sweep_lsmc_flat.grid)
+        m = sweep_lsmc_flat.grid.index_T
         pi_hat = sol.Z / (0.35 * sol.Y[:, :m])
         pi_star = oracle.Z / (0.35 * oracle.Y[:, :m])
         rmse = math.sqrt(float(np.mean((pi_hat[:, mask] - pi_star[:, mask]) ** 2)))
@@ -160,16 +164,15 @@ class TestLinearLsmc:
     def test_zero_exposure_degenerate_case(self, no_insider):
         flat = MarketParams(r=0.03, mu0=0.03, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=25, n_paths=20_000, seed=6)
-        batch = sample_paths(cfg)
-        sol = solve_linear_lsmc(batch, flat, no_insider)
+        sol = solve_linear_lsmc(stream_sweep_paths(cfg), flat, no_insider)
         assert math.sqrt(float(np.mean(sol.Z**2))) <= 1e-3
 
-    def test_enlargement_against_closed_form(self, batch_lsmc_enl, market, insider):
-        oracle = solve_linear_closed_form(batch_lsmc_enl, market, insider)
-        sol = solve_linear_lsmc(batch_lsmc_enl, market, insider, basis_order=3)
+    def test_enlargement_against_closed_form(self, sweep_lsmc_enl, market, insider):
+        oracle = solve_linear_closed_form(sweep_lsmc_enl, market, insider)
+        sol = solve_linear_lsmc(sweep_lsmc_enl, market, insider)
         assert abs(mean_se(sol.Y[:, 0])[0] - market.X0) < 0.01 * market.X0
-        mask, _ = interior_mask(batch_lsmc_enl.grid)
-        m = batch_lsmc_enl.grid.index_T
+        mask, _ = interior_mask(sweep_lsmc_enl.grid)
+        m = sweep_lsmc_enl.grid.index_T
         pi_hat = sol.Z / (0.35 * sol.Y[:, :m])
         pi_star = oracle.Z / (0.35 * oracle.Y[:, :m])
         rmse = math.sqrt(float(np.mean((pi_hat[:, mask] - pi_star[:, mask]) ** 2)))
@@ -177,17 +180,16 @@ class TestLinearLsmc:
 
     def test_rank_deficient_design_raises(self, market, insider):
         cfg = ScenarioConfig(market=market, insider=insider, n_steps=10, n_paths=4, seed=3)
-        batch = sample_paths(cfg)
         with pytest.raises(RegressionError) as err:
-            solve_linear_lsmc(batch, market, insider, basis_order=3)
+            solve_linear_lsmc(stream_sweep_paths(cfg), market, insider)
         assert err.value.rank < err.value.n_columns
 
 
 class TestQuadraticLsmc:
-    def test_degenerate_no_impact_is_exact(self, batch_lsmc_flat, market, no_insider):
+    def test_degenerate_no_impact_is_exact(self, sweep_lsmc_flat, market, no_insider):
         # z* = 0: the control-variate regression reproduces it exactly and the
         # value equals the uninformed robust value
-        sol = solve_quadratic_lsmc(batch_lsmc_flat, market, no_insider)
+        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market, no_insider)
         v, _ = value_from_bsde(sol)
         assert abs(v - VALUE1) <= 1e-9
         assert math.sqrt(float(np.mean(sol.Z**2))) <= 1e-2
@@ -197,37 +199,36 @@ class TestQuadraticLsmc:
     def test_trivial_market(self, no_insider):
         flat = MarketParams(r=0.0, mu0=0.0, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=20, n_paths=5000, seed=9)
-        batch = sample_paths(cfg)
-        sol = solve_quadratic_lsmc(batch, flat, no_insider)
+        sol = solve_quadratic_lsmc(stream_sweep_paths(cfg), flat, no_insider)
         assert sol.c == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(sol.Y, 0.0, atol=1e-12)
 
-    def test_impact_raises_value(self, batch_lsmc_flat, market_impact, no_insider):
+    def test_impact_raises_value(self, sweep_lsmc_flat, market_impact, no_insider):
         # sigma_tilde = sigma/2: value = iota^2 T sigma/(2(sigma+sigma_tilde))
-        sol = solve_quadratic_lsmc(batch_lsmc_flat, market_impact, no_insider)
+        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market_impact, no_insider)
         v, _ = value_from_bsde(sol)
         assert v >= VALUE1
         assert v == pytest.approx(IOTA_SQ / 3.0, abs=1e-9)
         assert sol.residual <= 1e-3
 
-    def test_shooting_monotone_in_terminal_constant(self, batch_lsmc_flat, market, no_insider):
-        sol = solve_quadratic_lsmc(batch_lsmc_flat, market, no_insider, c2_init=-0.3)
+    def test_shooting_monotone_in_terminal_constant(self, sweep_lsmc_flat, market, no_insider):
+        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market, no_insider, c2_init=-0.3)
         assert len(sol.trace) >= 2
         pairs = sorted((c2, l0) for _, c2, _, l0 in sol.trace)
         l0s = [l0 for _, l0 in pairs]
         assert all(a < b for a, b in zip(l0s, l0s[1:]))
 
-    def test_shooting_failure_carries_residual(self, batch_lsmc_flat, market, no_insider):
+    def test_shooting_failure_carries_residual(self, sweep_lsmc_flat, market, no_insider):
         with pytest.raises(ShootingError) as err:
             solve_quadratic_lsmc(
-                batch_lsmc_flat, market, no_insider, c2_init=-0.5, shoot_tol=1e-18, max_iter=1
+                sweep_lsmc_flat, market, no_insider, c2_init=-0.5, shoot_tol=1e-18, max_iter=1
             )
         assert err.value.residual > 0.0
 
-    def test_enlargement_value_and_controls(self, batch_lsmc_enl, market, insider):
+    def test_enlargement_value_and_controls(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
         # no impact: the quadratic route must reproduce the informed robust
         # solution; ln(eps X) has z = sigma pi + theta with both closed forms
-        sol = solve_quadratic_lsmc(batch_lsmc_enl, market, insider)
+        sol = solve_quadratic_lsmc(sweep_lsmc_enl, market, insider)
         v, se = value_from_bsde(sol)
         assert abs(v - VALUE2) < 6.5e-3  # first-order step bias at dt = 0.02
         grid = batch_lsmc_enl.grid
@@ -239,20 +240,29 @@ class TestQuadraticLsmc:
         assert rmse / math.sqrt(float(np.mean(z_true[:, mask] ** 2))) < 0.10
 
     @pytest.mark.parametrize("max_iter", [1, 4])
-    def test_regression_state_built_once_per_solve(self, batch_small, market, insider,
-                                                   count_calls, max_iter):
-        # the state is copied from the batch once; no pass rebuilds it from dW
-        fills = count_calls(bsde._fill_sweep_rows)
+    def test_regression_state_built_once_per_solve(self, market, insider, count_calls, max_iter):
+        # every pass reads the state the sweep input holds: the solver copies
+        # none of its path-sized arrays and no pass rebuilds the state from dW
+        cfg = ScenarioConfig(market=market, insider=insider, n_steps=50, n_paths=4096, seed=42)
+        paths = stream_sweep_paths(cfg)
         signals = count_calls(partial_signals)
-        with pytest.raises(ShootingError) as err:
-            solve_quadratic_lsmc(batch_small, market, insider, shoot_tol=0.0, max_iter=max_iter)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShootingError) as err:
+                solve_quadratic_lsmc(paths, market, insider, shoot_tol=0.0, max_iter=max_iter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert err.value.iterations == max_iter
-        assert len(fills) == 1
         assert not signals
+        # the (L, Z) pair is as large as (level, dWH); the design, the factors
+        # and the per-step vectors add about half of dWH more, a copy of level
+        # or dWH at least one dWH
+        assert peak < paths.level.nbytes + 2 * paths.dWH.nbytes
 
-    def test_enlargement_terminal_matches_quadratic_truth(self, batch_lsmc_enl, market, insider):
+    def test_enlargement_terminal_matches_quadratic_truth(self, sweep_lsmc_enl, market, insider):
         # true terminal: c2(y) = ln X0 - 2 ln normalizer(y), exactly quadratic
-        sol = solve_quadratic_lsmc(batch_lsmc_enl, market, insider)
+        sol = solve_quadratic_lsmc(sweep_lsmc_enl, market, insider)
         coef = np.asarray(sol.c)
         y = np.linspace(-2.5, 2.5, 11)
         fitted = coef[0] + coef[1] * y + coef[2] * y**2
@@ -277,38 +287,38 @@ class TestRegressionEngine:
         fitted = inv_gram @ (design @ target) @ design
         np.testing.assert_allclose(fitted, raw.T @ coef, rtol=0, atol=1e-10)
 
-    def test_cached_factors_bit_identical(self, batch_small, market_impact, insider):
-        m, n = batch_small.grid.index_T, batch_small.n_paths
-        paths = _as_sweep_paths(batch_small)
+    def test_cached_factors_bit_identical(self, sweep_small, market_impact, insider):
+        paths = sweep_small
+        m, n = paths.grid.index_T, paths.n_paths
         driver = _quadratic_driver(paths, market_impact, insider)
         cached = [None] * m
         L, Z = np.empty((m + 1, n)), np.empty((m, n))
-        _backward_sweep(paths, np.zeros(n), driver, 3, cached, L, Z)
+        _backward_sweep(paths, np.zeros(n), driver, cached, L, Z)
         assert all(f is not None for f in cached)
-        terminal = 0.1 + 0.05 * batch_small.Y0**2
-        _backward_sweep(paths, terminal, driver, 3, cached, L, Z)
+        terminal = 0.1 + 0.05 * paths.Y0**2
+        _backward_sweep(paths, terminal, driver, cached, L, Z)
         L1, Z1 = L.copy(), Z.copy()
         # the same pair again, now from fresh factors
-        _backward_sweep(paths, terminal, driver, 3, [None] * m, L, Z)
+        _backward_sweep(paths, terminal, driver, [None] * m, L, Z)
         assert np.array_equal(L1, L)
         assert np.array_equal(Z1, Z)
 
     @pytest.mark.parametrize("varrho", [0.0, 0.01, 0.25 * 0.35**2, 0.05])
-    def test_quadratic_driver_leading_coefficient(self, batch_small, insider, varrho):
+    def test_quadratic_driver_leading_coefficient(self, sweep_small, insider, varrho):
         mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
-        f = _quadratic_driver(_as_sweep_paths(batch_small), mk, insider)
+        f = _quadratic_driver(sweep_small, mk, insider)
         st = 0.35 - 2.0 * varrho / 0.35
-        one = np.ones(batch_small.n_paths)
-        for i in (0, 25, batch_small.grid.index_T - 1):
+        one = np.ones(sweep_small.n_paths)
+        for i in (0, 25, sweep_small.grid.index_T - 1):
             lead = 0.5 * (f(i, one) + f(i, -one) - 2.0 * f(i, 0.0 * one))
             np.testing.assert_allclose(lead, st / (2.0 * (0.35 + st)), rtol=0, atol=1e-12)
 
 
 class TestRecoverControls:
     def test_degenerate_quadratic_reproduces_uninformed_robust(
-        self, batch_lsmc_flat, market, no_insider
+        self, batch_lsmc_flat, sweep_lsmc_flat, market, no_insider
     ):
-        sol = solve_quadratic_lsmc(batch_lsmc_flat, market, no_insider)
+        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market, no_insider)
         pi, theta = every_knot_controls(sol, market, batch_lsmc_flat, StrategyKind.LARGE_INSIDER_ROBUST)
         np.testing.assert_allclose(pi, IOTA / (2 * 0.35), atol=1e-10)
         np.testing.assert_allclose(theta, -IOTA / 2, atol=1e-10)
@@ -327,29 +337,29 @@ class TestRecoverControls:
         np.testing.assert_allclose(sig * pi + theta, z, atol=1e-12)
         np.testing.assert_allclose(theta, st * pi - phit, atol=1e-12)
 
-    def test_linear_inversion_recovers_fraction(self, batch_lsmc_enl, market, insider):
-        sol = solve_linear_closed_form(batch_lsmc_enl, market, insider)
+    def test_linear_inversion_recovers_fraction(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
+        sol = solve_linear_closed_form(sweep_lsmc_enl, market, insider)
         pi, theta = every_knot_controls(sol, market, batch_lsmc_enl, StrategyKind.SMALL_INSIDER_ROBUST)
         expect = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
         np.testing.assert_allclose(pi, expect.pi, rtol=1e-10)
         np.testing.assert_allclose(theta, expect.theta, atol=1e-10)
 
 
-def test_knot_table_shape(batch_lsmc_flat, market, no_insider):
-    oracle = solve_linear_closed_form(batch_lsmc_flat, market, no_insider)
-    sol = solve_linear_lsmc(batch_lsmc_flat, market, no_insider)
+def test_knot_table_shape(sweep_lsmc_flat, market, no_insider):
+    oracle = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
+    sol = solve_linear_lsmc(sweep_lsmc_flat, market, no_insider)
     header, rows = knot_table(sol, oracle)
     assert header[0] == "t"
-    assert len(rows) == batch_lsmc_flat.grid.index_T + 1
+    assert len(rows) == sweep_lsmc_flat.grid.index_T + 1
     assert all(len(r) == len(header) for r in rows)
 
 
-def test_knot_table_path_order_insensitive(batch_small, market, insider):
-    oracle = solve_linear_closed_form(batch_small, market, insider)
+def test_knot_table_path_order_insensitive(sweep_small, market, insider):
+    oracle = solve_linear_closed_form(sweep_small, market, insider)
     rng = np.random.default_rng(5)
     sol = BsdeSolution(grid=oracle.grid, Y=oracle.Y * np.exp(0.01 * rng.normal(size=oracle.Y.shape)),
                        Z=oracle.Z + 0.01 * rng.normal(size=oracle.Z.shape), c=0.0, residual=0.0)
-    perm = rng.permutation(batch_small.n_paths)
+    perm = rng.permutation(sweep_small.n_paths)
 
     def permuted(s):
         return BsdeSolution(grid=s.grid, Y=s.Y[perm], Z=s.Z[perm], c=s.c, residual=s.residual)
@@ -358,14 +368,14 @@ def test_knot_table_path_order_insensitive(batch_small, market, insider):
     assert knot_table(sol) == knot_table(permuted(sol))
 
 
-def test_report_cells_path_order_insensitive(batch_small, market_impact, insider):
+def test_report_cells_path_order_insensitive(sweep_small, market_impact, insider):
     # Y0_mean, mean_abs_z, mean_pi_0 and the enlargement shooting residual
     # depend only on the multiset of values
-    m = batch_small.grid.index_T
+    paths = sweep_small
+    m, n = paths.grid.index_T, paths.n_paths
     rng = np.random.default_rng(8)
-    sol = BsdeSolution(grid=batch_small.grid, Y=np.exp(rng.normal(size=(batch_small.n_paths, m + 1))),
-                       Z=rng.normal(size=(batch_small.n_paths, m)), c=0.0, residual=0.0)
-    paths = _as_sweep_paths(batch_small)
+    sol = BsdeSolution(grid=paths.grid, Y=np.exp(rng.normal(size=(n, m + 1))),
+                       Z=rng.normal(size=(n, m)), c=0.0, residual=0.0)
 
     def reports(s, p):
         pi_0, _ = initial_controls(s, market_impact, p, insider, StrategyKind.LARGE_INSIDER_ROBUST)
@@ -374,8 +384,8 @@ def test_report_cells_path_order_insensitive(batch_small, market_impact, insider
     # a signal and mismatch on a coarse dyadic lattice keep every sum over
     # paths exact, so the projection is the same in any order and only the
     # residual's mean could depend on it
-    signal = rng.integers(-64, 65, size=batch_small.n_paths) / 16.0
-    mismatch = rng.integers(-50, 51, size=batch_small.n_paths) / 8.0
+    signal = rng.integers(-64, 65, size=n) / 16.0
+    mismatch = rng.integers(-50, 51, size=n) / 8.0
 
     def shooting_residual(order):
         design = np.empty((3, len(order)))
@@ -383,12 +393,12 @@ def test_report_cells_path_order_insensitive(batch_small, market_impact, insider
         _, inv_gram = _factor(design, 0.0)
         return _projected_mismatch(design, inv_gram, mismatch[order])[1]
 
-    residual = shooting_residual(np.arange(batch_small.n_paths))
+    residual = shooting_residual(np.arange(n))
     assert residual > 0.0
 
     # one permutation leaves a plain np.mean unchanged about half the time
     for _ in range(8):
-        perm = rng.permutation(batch_small.n_paths)
+        perm = rng.permutation(n)
         shuffled = BsdeSolution(grid=sol.grid, Y=sol.Y[perm], Z=sol.Z[perm], c=sol.c,
                                 residual=sol.residual)
         shuffled_paths = SweepPaths(grid=paths.grid, level=paths.level[:, perm],

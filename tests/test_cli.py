@@ -4,6 +4,8 @@ import csv
 import io
 import math
 import os
+import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from insiderlab import analysis
-from insiderlab.cli import echo_config, load_config, main, parse_piecewise
+from insiderlab.cli import _build_parser, echo_config, load_config, main, parse_piecewise
 from insiderlab.model import (
     InsiderSpec,
     MarketParams,
@@ -169,27 +171,36 @@ class TestConfigParsing:
             load_config("/nonexistent/x.cfg", Blank())
 
     @pytest.mark.parametrize(
-        "flags, cfg_text, code",
+        "command, flags, cfg_text, code",
         [
-            (["--phi", "0:1,0.5"], None, "piecewise_syntax"),
-            (["--phi", "abc"], None, "piecewise_syntax"),
-            ([], BASE_CFG.replace("sigma = 0.35", "sigma ="), "piecewise_syntax"),
-            ([], BASE_CFG.replace("T = 1.0", "T = one"), "config_value"),
-            ([], "r = 0.0\nsigma = 0.35\n", "config_syntax"),
-            (["--robust", "ture"], None, "config_value"),
-            (["--n-steps-tail", "0"], None, "n_steps_tail_min"),
-            (["--phi", "1e200"], None, "phi_norm_finite"),
-            (["--phi", "0:1,1.5:-1e200"], None, "phi_norm_finite"),
+            ("value", ["--phi", "0:1,0.5"], None, "piecewise_syntax"),
+            ("value", ["--phi", "abc"], None, "piecewise_syntax"),
+            ("value", [], BASE_CFG.replace("sigma = 0.35", "sigma ="), "piecewise_syntax"),
+            ("value", [], BASE_CFG.replace("T = 1.0", "T = one"), "config_value"),
+            ("value", [], "r = 0.0\nsigma = 0.35\n", "config_syntax"),
+            ("value", ["--robust", "ture"], None, "config_value"),
+            ("value", ["--n-steps-tail", "0"], None, "n_steps_tail_min"),
+            ("value", ["--phi", "1e200"], None, "phi_norm_finite"),
+            ("value", ["--phi", "0:1,1.5:-1e200"], None, "phi_norm_finite"),
+            ("bsde-quadratic", ["--shoot-tol=-1"], None, "shoot_tol_positive"),
+            ("bsde-quadratic", ["--shoot-tol", "0"], None, "shoot_tol_positive"),
+            ("bsde-quadratic", ["--shoot-tol", "nan"], None, "shoot_tol_positive"),
+            ("bsde-quadratic", ["--shoot-tol", "inf"], None, "shoot_tol_positive"),
+            ("figures", ["--fig-kind", "strategy_lines", "--signal-level", "inf"], None,
+             "signal_level_finite"),
+            ("figures", ["--fig-kind", "strategy_lines", "--signal-level", "nan"], None,
+             "signal_level_finite"),
         ],
     )
-    def test_malformed_input_exits_one_with_code(self, tmp_path, capsys, flags, cfg_text, code):
-        argv = ["value", "--out", str(tmp_path), *flags]
+    def test_malformed_input_exits_one_with_code(self, tmp_path, capsys, command, flags, cfg_text, code):
+        argv = [command, "--out", str(tmp_path / "out"), *flags]
         if cfg_text is not None:
             path = tmp_path / "bad.cfg"
             path.write_text(cfg_text)
             argv += ["--config", str(path)]
         assert run(argv) == 1
         assert f"validation error: {code}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def _arg(flag, value):
@@ -207,6 +218,7 @@ INVALID_INPUTS = st.one_of(
     st.integers(max_value=1).map(lambda n: (_arg("n-steps", n), "n_steps_min")),
     st.integers(max_value=0).map(lambda n: (_arg("n-steps-tail", n), "n_steps_tail_min")),
     st.integers(max_value=0).map(lambda n: (_arg("n-paths", n), "n_paths_min")),
+    st.integers(max_value=0).map(lambda n: (_arg("threads", n), "threads_min")),
     (st.integers(max_value=-1) | st.integers(min_value=2**64)).map(
         lambda s: (_arg("seed", s), "seed_range")),
     _finite(max_value=1.0).map(lambda t0: (_arg("t0", t0), "t0_after_horizon")),
@@ -237,14 +249,28 @@ class TestExitCodes:
         flag, code = invalid
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-            assert run([command, flag, "--out", tmp]) == 1
+            assert run([command, flag, "--out", os.path.join(tmp, "out")]) == 1
             assert os.listdir(tmp) == []
         assert err.getvalue().startswith(f"validation error: {code}:"), err.getvalue()
 
-    def test_unknown_flag_exits_one(self, capsys):
+    @pytest.mark.parametrize("command, flag", [("value", "--no-such-flag"),
+                                               ("bsde-linear", "--basis-order"),
+                                               ("bsde-quadratic", "--basis-order")])
+    def test_unknown_flag_exits_one(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
-            run(["value", "--no-such-flag"])
+            run([command, flag, "3"])
         assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", [None, "sub"])
+    def test_out_naming_a_file_exits_one_before_work(self, tmp_path, capsys, monkeypatch, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        out = afile if sub is None else afile / sub
+        monkeypatch.setattr("insiderlab.cli._cmd_value", lambda args, config: pytest.fail("ran"))
+        assert run(["value", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("validation error: out_dir:")
+        assert afile.read_text() == "keep"
 
     def test_validation_error_exits_one(self, tmp_path, cfg_file):
         code = run(["value", "--config", cfg_file, "--t0", "0.5", "--out", str(tmp_path)])
@@ -500,3 +526,13 @@ class TestSelftestCommand:
         assert "seed=4711" in capsys.readouterr().out
         assert run(["selftest", "--t0", "0.5", "--out", str(tmp_path)]) == 1
         assert seeds == [4711]
+
+
+def test_every_readme_flag_is_a_subcommand_option():
+    # a flag the docs name but no parser takes is stale documentation
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][A-Za-z0-9-]*", readme))
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for parser in commands.choices.values() for opt in parser._option_string_actions}
+    assert "--out" in flags
+    assert not flags - options, sorted(flags - options)

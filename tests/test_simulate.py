@@ -25,10 +25,9 @@ IOTA = 0.15 / 0.35
 IOTA_SQ = IOTA**2
 
 
-def constant_profile(batch, pi_value, theta_value, kind=StrategyKind.NO_INSIDER_ROBUST):
+def constant_profile(batch, pi_value, theta_value):
     m = batch.grid.index_T
     return StrategyProfile(
-        kind=kind,
         pi=np.full((1, m), float(pi_value)),
         theta=np.full((1, m), float(theta_value)),
         grid=batch.grid,
@@ -44,34 +43,34 @@ def martingale_stats(batch, profile, market, checkpoints=None):
     return martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints)
 
 
-def per_path_J(batch, profile, wealth, density):
+def per_path_J(batch, profile, log_wealth, log_density):
     m = batch.grid.index_T
     dt = batch.grid.dt[:m]
-    eps_left = np.exp(density.logE[:, :-1])
+    eps_left = np.exp(log_density[:, :-1])
     penalty = np.sum(eps_left * 0.5 * profile.theta**2 * dt, axis=1)
-    return np.exp(density.terminal) * wealth.terminal + penalty
+    return np.exp(log_density[:, -1]) * log_wealth[:, -1] + penalty
 
 
 class TestWealth:
     def test_bond_only(self, batch_flat_100k):
         market = MarketParams(r=0.03, mu0=0.03, sigma=0.35, varrho=0.0, T=1.0, X0=2.0)
         prof = constant_profile(batch_flat_100k, 0.0, 0.0)
-        wealth = simulate_wealth(batch_flat_100k, prof, market)
-        assert np.allclose(wealth.terminal, math.log(2.0) + 0.03, atol=1e-12)
+        log_wealth = simulate_wealth(batch_flat_100k, prof, market)
+        assert np.allclose(log_wealth[:, -1], math.log(2.0) + 0.03, atol=1e-12)
 
     def test_constant_exposure_pathwise_identity(self, batch_flat_100k, market):
         flat = MarketParams(r=0.0, mu0=0.0, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
         c = 0.2
         prof = constant_profile(batch_flat_100k, c / 0.35, 0.0)
-        wealth = simulate_wealth(batch_flat_100k, prof, flat)
+        log_wealth = simulate_wealth(batch_flat_100k, prof, flat)
         w_T = batch_flat_100k.dW.sum(axis=1)
-        np.testing.assert_allclose(wealth.terminal, -0.5 * c**2 + c * w_T, atol=1e-10)
+        np.testing.assert_allclose(log_wealth[:, -1], -0.5 * c**2 + c * w_T, atol=1e-10)
 
     def test_expected_log_wealth_robust_fraction(self, batch_flat_100k, market, insider):
         # E[ln X_T] = (iota c - c^2/2) T with c = iota/2: frozen 0.0688775510
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
-        wealth = simulate_wealth(batch_flat_100k, prof, market)
-        mean, se = mean_se(wealth.terminal)
+        log_wealth = simulate_wealth(batch_flat_100k, prof, market)
+        mean, se = mean_se(log_wealth[:, -1])
         assert abs(mean - 0.06887755102040816) < 3.0 * se
 
     def test_grid_mismatch_rejected(self, batch_flat_100k, batch_small, market):
@@ -81,20 +80,20 @@ class TestWealth:
 
     def test_initial_condition(self, batch_small, market):
         prof = constant_profile(batch_small, 0.5, 0.0)
-        wealth = simulate_wealth(batch_small, prof, market)
-        assert np.all(wealth.logX[:, 0] == math.log(market.X0))
+        log_wealth = simulate_wealth(batch_small, prof, market)
+        assert np.all(log_wealth[:, 0] == math.log(market.X0))
 
 
 class TestDensity:
     def test_zero_distortion_gives_unit_density(self, batch_small):
         prof = constant_profile(batch_small, 0.3, 0.0)
-        dens = simulate_density(batch_small, prof)
-        assert not np.any(dens.logE)
+        log_dens = simulate_density(batch_small, prof)
+        assert not np.any(log_dens)
 
     def test_martingale_property_constant_theta(self, batch_flat_100k):
         prof = constant_profile(batch_flat_100k, 0.0, -0.5 * IOTA)
-        dens = simulate_density(batch_flat_100k, prof)
-        mean, se = mean_se(np.exp(dens.terminal))
+        log_dens = simulate_density(batch_flat_100k, prof)
+        mean, se = mean_se(np.exp(log_dens[:, -1]))
         assert abs(mean - 1.0) < 3.0 * se
 
     def test_mean_one_at_every_knot(self, batch_100k, market):
@@ -102,17 +101,17 @@ class TestDensity:
         prof = build_profile(
             StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, InsiderSpec.enlargement(T0=2.0)
         )
-        dens = simulate_density(batch_100k, prof)
-        assert np.all(np.exp(dens.logE) > 0.0)
+        log_dens = simulate_density(batch_100k, prof)
+        assert np.all(np.exp(log_dens) > 0.0)
         for i in range(20, batch_100k.grid.index_T + 1, 40):
-            mean, se = mean_se(np.exp(dens.logE[:, i]))
+            mean, se = mean_se(np.exp(log_dens[:, i]))
             assert abs(mean - 1.0) < 4.0 * se, (i, mean, se)
 
     def test_gaussian_tilt_entropy(self, batch_flat_100k):
         # E[eps_T ln eps_T] = theta^2 T / 2 for constant theta
         prof = constant_profile(batch_flat_100k, 0.0, -0.5 * IOTA)
-        dens = simulate_density(batch_flat_100k, prof)
-        val = np.exp(dens.terminal) * dens.terminal
+        log_dens = simulate_density(batch_flat_100k, prof)
+        val = np.exp(log_dens[:, -1]) * log_dens[:, -1]
         mean, se = mean_se(val)
         assert abs(mean - IOTA_SQ / 8.0) < 3.0 * se
 
@@ -121,9 +120,9 @@ class TestEstimateJ:
     def test_reduces_to_expected_log_utility(self, batch_flat_100k, market, insider):
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
         no_theta = prof.scaled(theta_factor=0.0)
-        wealth = simulate_wealth(batch_flat_100k, no_theta, market)
+        log_wealth = simulate_wealth(batch_flat_100k, no_theta, market)
         j = estimate_J(game_terms(batch_flat_100k, no_theta, market)[0])
-        mean, _ = mean_se(wealth.terminal)
+        mean, _ = mean_se(log_wealth[:, -1])
         assert j.mean == pytest.approx(mean, abs=1e-12)
 
     def test_matches_uninformed_robust_value(self, batch_flat_100k, market, insider):
@@ -156,9 +155,9 @@ class TestEstimateJ:
         base = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
 
         def j_per_path(profile):
-            wealth = simulate_wealth(batch_flat_100k, profile, market)
-            dens = simulate_density(batch_flat_100k, profile)
-            return per_path_J(batch_flat_100k, profile, wealth, dens)
+            log_wealth = simulate_wealth(batch_flat_100k, profile, market)
+            log_dens = simulate_density(batch_flat_100k, profile)
+            return per_path_J(batch_flat_100k, profile, log_wealth, log_dens)
 
         j_star = j_per_path(base)
         for factor in (0.8, 1.2):

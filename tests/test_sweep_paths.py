@@ -8,6 +8,7 @@ import pytest
 
 from insiderlab import cli
 from insiderlab.bsde import (
+    SweepPaths,
     _controls,
     _phitilde,
     knot_table,
@@ -60,16 +61,19 @@ def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, 
 
 
 def api_tables(solver, config, market):
-    """The tables of the bsde command from solve_*_lsmc(sample_paths(config))."""
+    """The tables of the bsde command from solve_*_lsmc on the whole batch
+    sample_paths(config), transposed to knot-major."""
     batch = sample_paths(config)
     insider = config.insider
+    paths = SweepPaths(grid=batch.grid, level=batch.level.T.copy(), dWH=batch.dWH.T.copy(),
+                       Y0=batch.Y0 if insider.has_signal() else None)
     if solver == "linear":
-        sol = solve_linear_lsmc(batch, market, insider)
+        sol = solve_linear_lsmc(paths, market, insider)
         report = [sol.residual, sol.c if np.ndim(sol.c) == 0 else "",
                   ordered_mean(sol.Y[:, 0]), market.X0]
-        return {"bsde_linear.csv": knot_table(sol, solve_linear_closed_form(batch, market, insider)),
+        return {"bsde_linear.csv": knot_table(sol, solve_linear_closed_form(paths, market, insider)),
                 "bsde_linear_report.csv": (["residual", "normalizer_mc", "Y0_mean", "X0"], [report])}
-    sol = solve_quadratic_lsmc(batch, market, insider)
+    sol = solve_quadratic_lsmc(paths, market, insider)
     m = batch.grid.index_T
     t_left = batch.grid.knots[:m]
     pi, _ = _controls(StrategyKind.LARGE_INSIDER_ROBUST, sol.Z, sol.Y[:, :m], iota(market, t_left) + batch.phi,
@@ -95,7 +99,7 @@ def api_tables(solver, config, market):
 ])
 def test_cli_tables_equal_the_whole_batch_api(solver, insider, market):
     config = config_of(insider, 9000, market)
-    args = argparse.Namespace(threads=2, basis_order=3, shoot_tol=1e-3)
+    args = argparse.Namespace(threads=2, shoot_tol=1e-3)
     handler = cli._cmd_bsde_linear if solver == "linear" else cli._cmd_bsde_quadratic
     code, tables = handler(args, config)
     assert code == 0
