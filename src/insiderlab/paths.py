@@ -67,10 +67,6 @@ class TimeGrid:
     def T(self) -> float:
         return float(self.knots[self.index_T])
 
-    @property
-    def T_end(self) -> float:
-        return float(self.knots[-1])
-
     def index_of(self, t: float) -> int:
         """Index of knot t; t must lie on the grid."""
         i = int(np.searchsorted(self.knots, t - 1e-12))

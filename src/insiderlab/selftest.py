@@ -46,8 +46,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     batch = sample_paths(cfg)
 
     # reproducibility: identical seed => bit-identical increments
-    again = sample_paths(cfg)
-    check("path_determinism", np.array_equal(batch.dW, again.dW), 0.0)
+    check("path_determinism", np.array_equal(batch.dW, sample_paths(cfg).dW), 0.0)
 
     # closed-form value suite against frozen arithmetic
     got = {
@@ -114,7 +113,8 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
 
     # tower property of the multiplicative functional: the closed-form
     # normaliser is E[sqrt(Pi(0,T)) | Y0], so the paired gap has mean zero;
-    # on the sweep input the bsde commands build
+    # on the sweep input the bsde commands build, with the batch released first
+    del batch, prof, const_prof, log_eps
     sweep = bsde.stream_sweep_paths(cfg)
     sqrt_pi = np.exp(0.5 * bsde.log_pi_star(sweep, market, insider))
     gap_pi, se_pi = simulate.mean_se(sqrt_pi - bsde.enlargement_normalizer(market, insider, sweep.Y0))
@@ -142,7 +142,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     nb = sample_paths(ncfg)
     W = nb.level
     u = integrand_values(TestIntegrand.ADAPTED_CONST, W, const=2.0)
-    est = forward_riemann(W, u, nb.grid.n_steps, 2)
+    est = forward_riemann(W, u, 2)
     rms = math.sqrt(simulate.ordered_mean((est - 2.0 * W[:, -1]) ** 2))
     check("forward_adapted_const", rms < 0.2, rms)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from insiderlab.anticipating import (
+    _EPS_STEPS,
     TestIntegrand,
     convergence_table,
     forward_riemann,
@@ -11,7 +12,8 @@ from insiderlab.anticipating import (
     integrand_values,
     ito_residual,
 )
-from insiderlab.model import DomainError
+from insiderlab.model import DomainError, ScenarioConfig
+from insiderlab.paths import sample_paths
 
 
 def rms(x):
@@ -23,7 +25,7 @@ class TestForwardRiemann:
         grid, W = brownian_levels
         dt = float(grid.dt[0])
         u = integrand_values(TestIntegrand.ADAPTED_CONST, W, const=3.0)
-        est = forward_riemann(W, u, grid.n_steps, 2)
+        est = forward_riemann(W, u, 2)
         err = est - 3.0 * W[:, -1]
         # exact up to the boundary averaging window, which is O(sqrt(eps))
         assert rms(err) < 3.0 * math.sqrt(2 * dt / 3)
@@ -32,25 +34,24 @@ class TestForwardRiemann:
         # anticipating case: Skorohod value (W_T W_t - t) plus trace t
         grid, W = brownian_levels
         u = integrand_values(TestIntegrand.WT, W)
-        est = forward_riemann(W, u, grid.n_steps, 2)
-        target = integrand_oracle(TestIntegrand.WT, W, grid.n_steps)
+        est = forward_riemann(W, u, 2)
+        target = integrand_oracle(TestIntegrand.WT, W)
         np.testing.assert_array_equal(target, W[:, -1] ** 2)
         assert rms(est - target) / rms(target) < 0.02
 
     def test_terminal_square_integrand(self, brownian_levels):
-        # Skorohod value W_T^2 W_t - 2 W_T t plus trace 2 W_T t
+        # Skorohod value W_T^3 - 2 W_T T plus trace 2 W_T T
         grid, W = brownian_levels
         u = integrand_values(TestIntegrand.WT_SQUARED, W)
-        i = grid.n_steps // 2
-        est = forward_riemann(W, u, i, 4)
-        target = W[:, -1] ** 2 * W[:, i]
+        est = forward_riemann(W, u, 4)
+        target = W[:, -1] ** 3
         assert rms(est - target) / rms(target) < 0.05
 
     def test_window_below_resolution_rejected(self, brownian_levels):
         grid, W = brownian_levels
         u = integrand_values(TestIntegrand.WT, W)
         with pytest.raises(DomainError):
-            forward_riemann(W, u, grid.n_steps, 1)
+            forward_riemann(W, u, 1)
 
     def test_convergence_monotone_and_tight(self, brownian_levels):
         # halving the window shrinks the error; the finest level is <= 2%
@@ -62,17 +63,12 @@ class TestForwardRiemann:
 
 
 class TestItoResidual:
-    def test_zero_at_time_zero(self, brownian_levels):
-        grid, W = brownian_levels
-        res = ito_residual(W, float(grid.dt[0]), 0, 2)
-        np.testing.assert_array_equal(res, 0.0)
-
     def test_residual_shrinks_with_window(self, brownian_levels):
         grid, W = brownian_levels
         dt = float(grid.dt[0])
-        r8 = rms(ito_residual(W, dt, grid.n_steps, 8))
-        r4 = rms(ito_residual(W, dt, grid.n_steps, 4))
-        r2 = rms(ito_residual(W, dt, grid.n_steps, 2))
+        r8 = rms(ito_residual(W, dt, 8))
+        r4 = rms(ito_residual(W, dt, 4))
+        r2 = rms(ito_residual(W, dt, 2))
         assert r8 > r4 > r2
 
     def test_adapted_case_matches_classical_formula(self, brownian_levels):
@@ -83,7 +79,7 @@ class TestItoResidual:
         n = grid.n_steps
         X = c * W
         xu = X[:, :-1] * c
-        fwd = forward_riemann(W, xu, n, 2)
+        fwd = forward_riemann(W, xu, 2)
         resid = X[:, -1] ** 2 - 2.0 * fwd - c**2 * (n * dt)
         assert rms(resid) < 0.15
 
@@ -108,3 +104,59 @@ def test_convergence_table_path_order_insensitive(brownian_levels):
     expect = table(W)
     for _ in range(8):
         assert table(W[rng.permutation(len(W))]) == expect
+
+
+# Reference matrix forms: the integrand as a full (n_paths, n) matrix, the
+# window increments gathered and then subtracted, X = W_T W held whole and the
+# oracle branch by branch.  The per-path forms must agree with them bit for bit.
+def _matrix_integrand(kind, W, const):
+    shape = (W.shape[0], W.shape[1] - 1)
+    if kind is TestIntegrand.WT:
+        return np.broadcast_to(W[:, -1:], shape)
+    if kind is TestIntegrand.WT_SQUARED:
+        return np.broadcast_to(W[:, -1:] ** 2, shape)
+    return np.full(shape, const)
+
+
+def _matrix_oracle(kind, W):
+    w_T = W[:, -1]
+    if kind is TestIntegrand.WT:
+        return w_T * w_T
+    if kind is TestIntegrand.WT_SQUARED:
+        return w_T**2 * w_T
+    return 1.0 * w_T
+
+
+def _matrix_forward(W, u, k):
+    n = W.shape[1] - 1
+    idx = np.minimum(np.arange(n) + k, n)
+    return np.sum(u[:, :n] * (W[:, idx] - W[:, :n]), axis=1) / k
+
+
+def _matrix_residual(W, dt, k):
+    n = W.shape[1] - 1
+    w_T = W[:, -1:]
+    X = w_T * W
+    fwd = _matrix_forward(W, X[:, :-1] * w_T, k)
+    return X[:, n] ** 2 - X[:, 0] ** 2 - 2.0 * fwd - w_T[:, 0] ** 2 * (n * dt)
+
+
+@pytest.fixture(scope="module")
+def tiny_levels(market, no_insider):
+    # 3 steps, so the 8-step window runs past the horizon from the first knot
+    cfg = ScenarioConfig(market=market, insider=no_insider, n_steps=3, n_paths=7, seed=5)
+    batch = sample_paths(cfg)
+    return batch.grid, batch.level
+
+
+@pytest.mark.parametrize("levels", ["brownian_levels", "tiny_levels"])
+@pytest.mark.parametrize("kind", list(TestIntegrand))
+def test_per_path_forms_match_matrix_forms(request, levels, kind):
+    grid, W = request.getfixturevalue(levels)
+    dt = float(grid.dt[0])
+    u = integrand_values(kind, W, const=2.0)
+    assert np.array_equal(integrand_oracle(kind, W), _matrix_oracle(kind, W))
+    for k in _EPS_STEPS:
+        expect = _matrix_forward(W, _matrix_integrand(kind, W, 2.0), k)
+        assert np.array_equal(forward_riemann(W, u, k), expect), k
+        assert np.array_equal(ito_residual(W, dt, k), _matrix_residual(W, dt, k)), k

@@ -353,12 +353,16 @@ class TestSimulationCommands:
         assert row["analytic_value"] == ""
         assert float(row["J_mean"]) != 0.0
 
-    @pytest.mark.parametrize("command", ["simulate", "martingale", "bsde-quadratic"])
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["martingale"], ["bsde-quadratic"], ["bsde-linear"],
+        # forward-check ignores --n-paths and draws its own paths
+        ["forward-check", "--forward-paths", "9000", "--forward-steps", "64"],
+    ], ids=lambda command: command[0])
     def test_thread_count_does_not_change_bytes(self, tmp_path, cfg_file, command):
         # 9000 paths span three RNG blocks, so two threads build them concurrently
         outs = [tmp_path / f"threads{n}" for n in (1, 2)]
         for n, out in zip((1, 2), outs):
-            assert run([command, "--config", cfg_file, "--n-paths", "9000", "--threads", str(n),
+            assert run([*command, "--config", cfg_file, "--n-paths", "9000", "--threads", str(n),
                         "--out", str(out)]) == 0
         names = sorted(os.listdir(outs[0]))
         assert names and names == sorted(os.listdir(outs[1]))

@@ -31,7 +31,7 @@ class TestGrid:
         grid = build_grid(make_config(market, insider, n_steps=40))
         assert grid.knots[0] == 0.0
         assert grid.T == 1.0
-        assert grid.T_end == 2.0
+        assert grid.knots[-1] == 2.0
         assert np.all(np.diff(grid.knots) > 0)
 
     def test_breakpoints_become_knots(self, insider):
@@ -75,7 +75,7 @@ class TestGrid:
         m = MarketParams(*coefs, T=T, X0=1.0)
         ins = InsiderSpec.enlargement(T0=T + gap, phi_weight=steps(phi_bps, 1.0))
         grid = build_grid(make_config(m, ins, n_steps=n_steps, n_steps_tail=n_tail))
-        assert grid.knots[0] == 0.0 and grid.T == T and grid.T_end == T + gap
+        assert grid.knots[0] == 0.0 and grid.T == T and grid.knots[-1] == T + gap
         assert np.all(np.diff(grid.knots) > 0)
         for b in [*m.breakpoints_union(), *(b for b in phi_bps if b < T + gap)]:
             grid.index_of(b)  # raises DomainError off the grid
