@@ -93,8 +93,8 @@ class SweepPaths:
     dWH   : (index_T, n_paths) enlarged-filtration increments on [0, T].
     Y0    : (n_paths,) the signal, None without one.
 
-    Neither the (T, T0] tail of dW nor the information drift is held: step
-    i's drift is formed from the state when it is needed.
+    The information drift is not held: step i's drift is formed from the
+    state when it is needed.
     """
 
     grid: TimeGrid
@@ -155,8 +155,7 @@ def log_pi_star(paths: SweepPaths, market: MarketParams, insider: InsiderSpec) -
     taken step by step, so neither phitilde nor the summands are held as an
     (index_T, n_paths) matrix."""
     grid = paths.grid
-    m = grid.index_T
-    dt = grid.dt[:m]
+    m, dt = grid.index_T, grid.dt
     r = market.r(grid.knots[:m])
     phitilde = _phitilde(paths, market, insider)
     log_pi = np.zeros(paths.n_paths)
@@ -240,15 +239,13 @@ def solve_linear_closed_form(
     """
     grid = paths.grid
     m = grid.index_T
-    knots = grid.knots[: m + 1]
-    t_left = grid.knots[:m]
+    knots, t_left = grid.knots, grid.knots[:m]
     sig = market.sigma(t_left)
 
     if paths.Y0 is None:
-        dt = grid.dt[:m]
         io_left = iota(market, t_left)
-        cum_r = np.concatenate(([0.0], np.cumsum(market.r(t_left) * dt)))
-        cum_io2 = np.concatenate(([0.0], np.cumsum(io_left**2 * dt)))
+        cum_r = np.concatenate(([0.0], np.cumsum(market.r(t_left) * grid.dt)))
+        cum_io2 = np.concatenate(([0.0], np.cumsum(io_left**2 * grid.dt)))
         drift = cum_r + 0.375 * cum_io2
         sig_pi = sig * pi_no_insider_robust(market, t_left)
         normalizer = math.exp(-0.5 * cum_r[-1] - cum_io2[-1] / 8.0)

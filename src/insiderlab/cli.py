@@ -101,16 +101,25 @@ def echo_config(config: ScenarioConfig) -> str:
     ]
     if insider.has_signal():
         parts += [f"T0={insider.T0!r}", f"phi={_describe(insider.phi_weight)}"]
-    parts += [f"robust={str(config.robust).lower()}", f"n_steps={config.n_steps}"]
-    if config.n_steps_tail is not None:
-        parts.append(f"n_steps_tail={config.n_steps_tail}")
-    parts += [f"n_paths={config.n_paths}", f"seed={config.seed}"]
+    parts += [f"robust={str(config.robust).lower()}", f"n_steps={config.n_steps}",
+              f"n_paths={config.n_paths}", f"seed={config.seed}"]
     return " ".join(parts)
+
+
+def _reject_unknown_keys(ini: configparser.ConfigParser, path: str) -> None:
+    """A section or key that load_config does not read would otherwise be
+    dropped without notice, e.g. a misspelt `n_step`."""
+    unknown = [f"section [{section}]" for section in ini.sections() if section not in _DEFAULTS]
+    unknown += [f"key {key!r} in [{section}]" for section, keys in _DEFAULTS.items()
+                for key in ini.options(section) if key not in {k.lower() for k in keys}]
+    if unknown:
+        raise ValidationError("config_key", f"{path}: unknown {', '.join(unknown)}")
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> ScenarioConfig:
     """Merge defaults <- config file <- command-line flags (flags win)."""
-    ini = configparser.ConfigParser()
+    # no default section: a file's [DEFAULT] is then one more unknown section
+    ini = configparser.ConfigParser(default_section="")
     ini.read_dict(_DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
@@ -119,6 +128,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ScenarioConf
             ini.read(path)
         except configparser.Error as exc:
             raise ValidationError("config_syntax", f"{path}: {exc}") from None
+        _reject_unknown_keys(ini, path)
 
     def flag(name, section, key):
         val = getattr(overrides, name, None)
@@ -150,15 +160,11 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ScenarioConf
     else:
         raise ValidationError("insider_kind", f"unknown insider kind {kind_txt!r}")
 
-    tail = getattr(overrides, "n_steps_tail", None)
-    if tail is None and ini.has_option("run", "n_steps_tail"):
-        tail = scalar(int, "n_steps_tail", "run", "n_steps_tail")
     config = ScenarioConfig(
         market=market,
         insider=insider,
         robust=scalar(lambda text: _BOOLEANS[text.strip().lower()], "robust", "run", "robust"),
         n_steps=scalar(int, "n_steps", "run", "n_steps"),
-        n_steps_tail=tail,
         n_paths=scalar(int, "n_paths", "run", "n_paths"),
         seed=scalar(int, "seed", "run", "seed"),
     )
@@ -356,7 +362,6 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit integer)")
     p.add_argument("--n-paths", dest="n_paths", type=int, default=None, help="Monte-Carlo ensemble size")
     p.add_argument("--n-steps", dest="n_steps", type=int, default=None, help="grid steps on [0, T]")
-    p.add_argument("--n-steps-tail", dest="n_steps_tail", type=int, default=None, help="extra steps on (T, T0]")
     p.add_argument("--mu", type=float, default=None, help="base drift mu0 (1/time), overrides config")
     p.add_argument("--sigma", type=float, default=None, help="volatility (1/sqrt(time)), overrides config")
     p.add_argument("--r", type=float, default=None, help="risk-free rate (1/time), overrides config")

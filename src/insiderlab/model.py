@@ -201,7 +201,6 @@ class ScenarioConfig:
     insider: InsiderSpec
     robust: bool = True
     n_steps: int = 200
-    n_steps_tail: int | None = None
     n_paths: int = 10_000
     seed: int = 0
 
@@ -285,8 +284,6 @@ def validate(config: ScenarioConfig) -> None:
     _validate_insider(config.insider, config.market.T)
     if config.n_steps < 2:
         raise ValidationError("n_steps_min", f"need n_steps >= 2, got {config.n_steps}")
-    if config.n_steps_tail is not None and config.n_steps_tail < 1:
-        raise ValidationError("n_steps_tail_min", "need n_steps_tail >= 1 when given")
     if config.n_paths < 1:
         raise ValidationError("n_paths_min", f"need n_paths >= 1, got {config.n_paths}")
     if not (0 <= int(config.seed) < 2**64):

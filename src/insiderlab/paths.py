@@ -1,10 +1,12 @@
 """Reproducible Brownian ensembles and the insider filtration decomposition.
 
-Paths are simulated on a grid covering [0, T0] (or [0, T] without a signal).
-For an initial-enlargement insider the driving noise W decomposes as
+Paths are simulated on a grid covering [0, T].  The insider's signal
+Y0 = int_0^T0 phi_weight dW is the running signal B_T = int_0^T phi_weight dW
+plus a tail independent of [0, T], drawn exactly as one N(0,
+||phi_weight||^2_[T,T0]) per path.  The driving noise W then decomposes as
 
     W_t = WH_t + int_0^t phi_s ds,
-    phi_t = (Y0 - int_0^t phi_weight dW) * phi_weight(t) / ||phi_weight||^2_[t,T0],
+    phi_t = (Y0 - B_t) * phi_weight(t) / ||phi_weight||^2_[t,T0],
 
 where WH is a Brownian motion in the enlarged filtration and phi is the
 information drift.  A batch stores the running signal, from which phi and
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InsiderKind, InsiderSpec, ScenarioConfig, DomainError, phi_norm_sq, validate
+from .model import InsiderSpec, ScenarioConfig, DomainError, phi_norm_sq, validate
 
 __all__ = [
     "TimeGrid",
@@ -39,15 +41,13 @@ _BLOCK = 4096
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing knots 0 = t_0 < ... < t_m, with T at `index_T`.
+    """Strictly increasing knots 0 = t_0 < ... < t_m = T of [0, T].
 
-    Knots include every coefficient breakpoint.  Steps i = 0..m-1 run over
-    [knots[i], knots[i+1]); dynamics stop at T, the tail (T, T0] only feeds
-    the insider signal.
+    Knots include every coefficient and signal-weight breakpoint inside
+    (0, T).  Steps i = 0..m-1 run over [knots[i], knots[i+1]).
     """
 
     knots: np.ndarray
-    index_T: int
 
     def __post_init__(self):
         k = np.asarray(self.knots, dtype=float)
@@ -60,12 +60,13 @@ class TimeGrid:
         return np.diff(self.knots)
 
     @property
-    def n_steps(self) -> int:
+    def index_T(self) -> int:
+        """Index of the last knot, T; also the number of steps."""
         return len(self.knots) - 1
 
     @property
     def T(self) -> float:
-        return float(self.knots[self.index_T])
+        return float(self.knots[-1])
 
     def index_of(self, t: float) -> int:
         """Index of knot t; t must lie on the grid."""
@@ -86,36 +87,22 @@ def _merge_knots(*arrays) -> np.ndarray:
 
 
 def build_grid(config: ScenarioConfig) -> TimeGrid:
-    """Uniform resolution n_steps on [0, T] plus all breakpoints; the tail
-    (T, T0] is refined at the same step size unless n_steps_tail overrides."""
-    market, insider = config.market, config.insider
+    """Uniform resolution n_steps on [0, T] plus every coefficient and
+    signal-weight breakpoint inside (0, T)."""
+    market = config.market
     T = market.T
     main = np.linspace(0.0, T, config.n_steps + 1)
-    bps = market.breakpoints_union()
-    phi_bps = [b for b in insider.phi_weight.breakpoints if 0.0 < b < T]
-    knots = _merge_knots(main, bps, phi_bps)
-    if insider.kind is InsiderKind.NO_INSIDER:
-        grid_knots = knots
-        index_T = len(grid_knots) - 1
-    else:
-        T0 = float(insider.T0)
-        n_tail = config.n_steps_tail
-        if n_tail is None:
-            n_tail = max(1, int(round((T0 - T) / (T / config.n_steps))))
-        tail = np.linspace(T, T0, n_tail + 1)
-        tail_bps = [b for b in insider.phi_weight.breakpoints if T < b < T0]
-        tail_knots = _merge_knots(tail, tail_bps)
-        index_T = len(knots) - 1
-        grid_knots = np.concatenate([knots, tail_knots[1:]])
-    return TimeGrid(knots=grid_knots, index_T=index_T)
+    phi_bps = [b for b in config.insider.phi_weight.breakpoints if 0.0 < b < T]
+    return TimeGrid(knots=_merge_knots(main, market.breakpoints_union(), phi_bps))
 
 
 @dataclass(frozen=True)
 class PathBatch:
     """Simulated ensemble, immutable after construction.
 
-    dW    : (n_paths, m) Brownian increments over every grid step.
-    Y0    : (n_paths,) insider signal, the phi_weight-weighted sum of all dW.
+    dW    : (n_paths, index_T) Brownian increments on [0, T]; with a signal,
+            one more column holds the tail Y0 - B_T = int_T^T0 phi_weight dW.
+    Y0    : (n_paths,) insider signal, zeros without one.
     level : (n_paths, index_T + 1) regression state at the knots of [0, T]:
             the running signal B_t = int_0^t phi_weight dW, or W_t without
             a signal.
@@ -163,7 +150,7 @@ def _allocate(grid: TimeGrid, insider: InsiderSpec, n: int) -> PathBatch:
     """Uninitialised batch of n paths; without a signal Y0 is zeros and dWH
     is a view of dW."""
     m, signal = grid.index_T, insider.has_signal()
-    dW = np.empty((n, grid.n_steps))
+    dW = np.empty((n, m + 1 if signal else m))
     return PathBatch(grid=grid, dW=dW, Y0=np.empty(n) if signal else np.zeros(n),
                      level=np.empty((n, m + 1)), dWH=np.empty((n, m)) if signal else dW[:, :m],
                      insider=insider)
@@ -177,15 +164,20 @@ def _rows(batch: PathBatch, rows: slice) -> PathBatch:
 
 def _fill_block(batch: PathBatch, seed: int, block: int) -> None:
     """Build RNG block `block` in place: `batch` holds exactly that block's
-    paths.  Draws are counter-based, so path i, step j depends only on
-    (seed, i, j).  The drift is formed from the state in dWH's memory."""
+    paths.  Draws are counter-based and row-major, so path i's draws depend
+    only on (seed, i): one standard normal per step of [0, T], then, with a
+    signal, one for the tail.  The drift is formed from the state in dWH's
+    memory."""
     grid, dW, insider = batch.grid, batch.dW, batch.insider
+    signal = insider.has_signal()
+    var = np.append(grid.dt, phi_norm_sq(insider, grid.T, insider.T0)) if signal else grid.dt
     np.random.Generator(np.random.Philox(key=[seed, block])).standard_normal(out=dW)
-    dW *= np.sqrt(grid.dt)
+    dW *= np.sqrt(var)
     partial_signals(grid, dW, insider, out=batch.level)
-    if not insider.has_signal():
+    if not signal:
         return
-    np.matmul(dW, insider.phi_weight(grid.knots[:-1]), out=batch.Y0)
+    m = grid.index_T
+    np.add(batch.level[:, m], dW[:, m], out=batch.Y0)
     information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
     decompose(grid, dW, batch.dWH, out=batch.dWH)
 
@@ -193,8 +185,8 @@ def _fill_block(batch: PathBatch, seed: int, block: int) -> None:
 def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
     """Simulate the whole ensemble for a validated configuration.
 
-    Deterministic in (seed, path index, step index): the same seed and grid
-    give bit-identical increments regardless of n_paths or thread count.
+    Deterministic in (seed, path index): the same seed and grid give
+    bit-identical draws regardless of n_paths or thread count.
     """
     validate(config)
     grid = build_grid(config)
@@ -268,6 +260,5 @@ def information_drift(grid: TimeGrid, level, y0, insider: InsiderSpec, out=None)
 def decompose(grid: TimeGrid, dW: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
     """Enlarged-filtration increments dWH_i = dW_i - phi_i * dt_i on [0, T],
     written to `out` when given; `out` may be `phi` itself."""
-    m = grid.index_T
-    drift = np.multiply(phi, grid.dt[:m], out=out)
-    return np.subtract(dW[:, :m], drift, out=out)
+    drift = np.multiply(phi, grid.dt, out=out)
+    return np.subtract(dW[:, : grid.index_T], drift, out=out)

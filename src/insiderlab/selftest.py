@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis, bsde, simulate, strategies
 from .anticipating import TestIntegrand, forward_riemann, integrand_values
-from .model import InsiderSpec, MarketParams, ScenarioConfig
+from .model import InsiderSpec, MarketParams, ScenarioConfig, phi_norm_sq
 from .paths import sample_paths
 
 __all__ = ["run_selftest"]
@@ -63,8 +63,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
 
     # quadrature consistency: exact integral equals step-sum on the grid
     t_left = batch.grid.knots[: batch.grid.index_T]
-    dt = batch.grid.dt[: batch.grid.index_T]
-    step_sum = float(np.sum((market.mu0(t_left) / market.sigma(t_left)) ** 2 * dt))
+    step_sum = float(np.sum((market.mu0(t_left) / market.sigma(t_left)) ** 2 * batch.grid.dt))
     exact = analysis.integral_iota_sq(market)
     rel = abs(step_sum - exact) / exact
     check("iota_sq_quadrature", rel < 1e-14, rel)
@@ -81,6 +80,17 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
         implied = strategies.theta_from_pi(market, drift, prof.pi, t_left)
         worst = max(worst, float(np.max(np.abs(implied - prof.theta))))
     check("first_order_relation", worst < 1e-12, worst)
+    del phi, implied
+
+    # the signal's tail Y0 - B_T, one Gaussian draw per path: mean 0, variance
+    # ||phi_w||^2_[T, T0], uncorrelated with B_T
+    b_T = batch.level[:, -1]
+    tail = batch.Y0 - b_T
+    z_tail = max(abs(mean - target) / se for (mean, se), target in (
+        (simulate.mean_se(tail), 0.0),
+        (simulate.mean_se(tail**2), phi_norm_sq(insider, market.T, insider.T0)),
+        (simulate.mean_se(tail * b_T), 0.0)))
+    check("signal_tail_law", z_tail < 5.0, z_tail)
 
     # enlargement decomposition moments at the horizon
     wh = np.sum(batch.dWH, axis=1)

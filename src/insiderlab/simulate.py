@@ -119,12 +119,11 @@ def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketPa
     grid = batch.grid
     m = grid.index_T
     t_left = grid.knots[:m]
-    dt = grid.dt[:m]
     r, mu0 = market.r(t_left), market.mu0(t_left)
     sig, rho = market.sigma(t_left), market.varrho(t_left)
     pi = profile.pi
     drift = r + (mu0 + rho * pi - r) * pi - 0.5 * (sig * pi) ** 2
-    incr = drift * dt + sig * pi * batch.dW[:, :m]
+    incr = drift * grid.dt + sig * pi * batch.dW[:, :m]
     logX = np.empty((batch.n_paths, m + 1))
     logX[:, 0] = math.log(market.X0)
     np.cumsum(incr, axis=1, out=logX[:, 1:])
@@ -138,8 +137,7 @@ def simulate_density(batch: PathBatch, profile: StrategyProfile) -> np.ndarray:
     dln(eps) = theta dWH - theta^2/2 dt."""
     _check_grid(batch, profile)
     m = batch.grid.index_T
-    dt = batch.grid.dt[:m]
-    incr = profile.theta * batch.dWH - 0.5 * profile.theta**2 * dt
+    incr = profile.theta * batch.dWH - 0.5 * profile.theta**2 * batch.grid.dt
     logE = np.zeros((batch.n_paths, m + 1))
     np.cumsum(incr, axis=1, out=logE[:, 1:])
     return logE
@@ -159,8 +157,7 @@ def game_terms(
     # for `simulate` at 50k paths x 400 steps)
     logE = simulate_density(batch, profile)
     logX = simulate_wealth(batch, profile, market)
-    dt = batch.grid.dt[: batch.grid.index_T]
-    penalty = np.sum(np.exp(logE[:, :-1]) * 0.5 * profile.theta**2 * dt, axis=1)
+    penalty = np.sum(np.exp(logE[:, :-1]) * 0.5 * profile.theta**2 * batch.grid.dt, axis=1)
     eps_T = np.exp(logE[:, -1])
     return eps_T * logX[:, -1] + penalty, penalty, eps_T * logE[:, -1]
 
@@ -197,7 +194,7 @@ def stream_game(
 
 def _default_checkpoints(grid) -> list[tuple[float, float]]:
     """Ten equal intervals of [0, T], their edges snapped to the nearest knots."""
-    knots = grid.knots[: grid.index_T + 1]
+    knots = grid.knots
     edges = np.linspace(0.0, grid.T, 11)
     snapped = np.unique(np.abs(knots[:, None] - edges).argmin(axis=0))
     return [(float(knots[a]), float(knots[b] - knots[a])) for a, b in zip(snapped, snapped[1:])]
@@ -219,11 +216,10 @@ def weighted_increments(
     spans = [(grid.index_of(t), grid.index_of(t + h)) for t, h in checkpoints]
     m_idx = grid.index_T
     t_left = grid.knots[:m_idx]
-    dt = grid.dt[:m_idx]
     r, mu0 = market.r(t_left), market.mu0(t_left)
     sig, rho = market.sigma(t_left), market.varrho(t_left)
     pi = profile.pi
-    dm = (mu0 + 2.0 * rho * pi - r - sig**2 * pi) * dt + sig * batch.dW[:, :m_idx]
+    dm = (mu0 + 2.0 * rho * pi - r - sig**2 * pi) * grid.dt + sig * batch.dW[:, :m_idx]
     eps_T = np.exp(simulate_density(batch, profile)[:, -1])
     out = np.empty((len(spans), batch.n_paths))
     for k, (i, j) in enumerate(spans):

@@ -190,7 +190,7 @@ def test_criterion_6_quadratic_solver(sweep_lsmc_flat, market, market_impact, no
 
 def test_criterion_7_forward_integral_convergence(brownian_levels):
     grid, W = brownian_levels
-    assert grid.n_steps == 4096 and W.shape[0] >= 1000
+    assert grid.index_T == 4096 and W.shape[0] >= 1000
     header, rows = convergence_table(W, float(grid.dt[0]), TestIntegrand.WT)
     rels = [row[2] for row in rows]
     resid = [row[3] for row in rows]

@@ -76,7 +76,7 @@ class TestItoResidual:
         grid, W = brownian_levels
         dt = float(grid.dt[0])
         c = 1.5
-        n = grid.n_steps
+        n = grid.index_T
         X = c * W
         xu = X[:, :-1] * c
         fwd = forward_riemann(W, xu, 2)

@@ -21,7 +21,6 @@ from insiderlab.model import (
     ScenarioConfig,
     ValidationError,
 )
-from insiderlab.paths import build_grid
 from insiderlab.strategies import pi_small_insider_nonrobust, pi_small_insider_robust
 
 BASE_CFG = """
@@ -65,7 +64,7 @@ def read_table(path):
 SECTION = {
     **dict.fromkeys(("r", "mu0", "sigma", "varrho", "T", "X0"), "market"),
     **dict.fromkeys(("kind", "T0", "phi"), "insider"),
-    **dict.fromkeys(("robust", "n_steps", "n_steps_tail", "n_paths", "seed"), "run"),
+    **dict.fromkeys(("robust", "n_steps", "n_paths", "seed"), "run"),
 }
 
 
@@ -98,7 +97,6 @@ def scenarios(draw):
         insider=insider,
         robust=draw(st.booleans()),
         n_steps=draw(st.integers(2, 10**6)),
-        n_steps_tail=draw(st.none() | st.integers(1, 10**6)),
         n_paths=draw(st.integers(1, 10**9)),
         seed=draw(st.integers(0, 2**64 - 1)),
     )
@@ -154,14 +152,26 @@ class TestConfigParsing:
     def test_robust_spellings(self, cfg_file, text, robust):
         assert load_config(cfg_file, argparse.Namespace(robust=text)).robust is robust
 
-    def test_n_steps_tail_from_flag_and_file(self, cfg_file, tmp_path):
-        from_flag = load_config(cfg_file, argparse.Namespace(n_steps_tail=7))
-        path = tmp_path / "tail.cfg"
-        path.write_text(BASE_CFG + "n_steps_tail = 7\n")
-        from_file = load_config(str(path), argparse.Namespace())
-        for cfg in (from_flag, from_file):
-            assert cfg.n_steps_tail == 7
-            assert build_grid(cfg).n_steps == 20 + 7
+    @settings(max_examples=100, deadline=None)
+    @given(section=st.sampled_from(["market", "insider", "run"]) | st.from_regex(r"[A-Za-z_]\w{0,11}", fullmatch=True),
+           key=st.from_regex(r"[A-Za-z_]\w{0,11}", fullmatch=True))
+    def test_unknown_section_or_key_rejected(self, section, key):
+        # a key load_config does not read is an error, whether it sits in a
+        # known section, an unknown one or [DEFAULT]
+        if key.lower() in {k.lower() for k, sec in SECTION.items() if sec == section}:
+            key += "_x"
+        line = f"{key} = 1\n"
+        if f"[{section}]\n" in BASE_CFG:
+            text = BASE_CFG.replace(f"[{section}]\n", f"[{section}]\n{line}")
+        else:
+            text = BASE_CFG + f"[{section}]\n{line}"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "extra.cfg")
+            with open(path, "w") as fh:
+                fh.write(text)
+            with pytest.raises(ValidationError) as exc:
+                load_config(path, argparse.Namespace())
+        assert exc.value.code == "config_key"
 
     def test_missing_file_rejected(self):
         class Blank:
@@ -179,7 +189,7 @@ class TestConfigParsing:
             ("value", [], BASE_CFG.replace("T = 1.0", "T = one"), "config_value"),
             ("value", [], "r = 0.0\nsigma = 0.35\n", "config_syntax"),
             ("value", ["--robust", "ture"], None, "config_value"),
-            ("value", ["--n-steps-tail", "0"], None, "n_steps_tail_min"),
+            ("value", [], BASE_CFG.replace("n_steps = 20", "n_step = 50"), "config_key"),
             ("value", ["--phi", "1e200"], None, "phi_norm_finite"),
             ("value", ["--phi", "0:1,1.5:-1e200"], None, "phi_norm_finite"),
             ("bsde-quadratic", ["--shoot-tol=-1"], None, "shoot_tol_positive"),
@@ -190,6 +200,9 @@ class TestConfigParsing:
              "signal_level_finite"),
             ("figures", ["--fig-kind", "strategy_lines", "--signal-level", "nan"], None,
              "signal_level_finite"),
+            ("value", [], BASE_CFG + "n_steps_tail = 7\n", "config_key"),
+            ("value", [], BASE_CFG + "[markt]\nr = 0.0\n", "config_key"),
+            ("value", [], "[DEFAULT]\nseed = 3\n" + BASE_CFG, "config_key"),
         ],
     )
     def test_malformed_input_exits_one_with_code(self, tmp_path, capsys, command, flags, cfg_text, code):
@@ -216,7 +229,6 @@ def _finite(**bounds):
 # sigma = 0.35 (so varrho must stay below 0.06125) and unit signal weight
 INVALID_INPUTS = st.one_of(
     st.integers(max_value=1).map(lambda n: (_arg("n-steps", n), "n_steps_min")),
-    st.integers(max_value=0).map(lambda n: (_arg("n-steps-tail", n), "n_steps_tail_min")),
     st.integers(max_value=0).map(lambda n: (_arg("n-paths", n), "n_paths_min")),
     st.integers(max_value=0).map(lambda n: (_arg("threads", n), "threads_min")),
     (st.integers(max_value=-1) | st.integers(min_value=2**64)).map(

@@ -9,6 +9,7 @@ from insiderlab.model import (
     PiecewiseConstant,
     ScenarioConfig,
     ValidationError,
+    phi_norm_sq,
 )
 from insiderlab.paths import (
     build_grid,
@@ -20,6 +21,16 @@ from insiderlab.paths import (
 from insiderlab.simulate import mean_se
 
 
+# a signal weight with a breakpoint inside (T, T0) = (1, 2): ||phi_w||^2_[T, T0] = 2.5
+TAIL_BREAK = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 1.5), (1.0, 2.0)))
+
+
+def draw_variances(batch):
+    """Variance of each column of dW: dt per step of [0, T], then the tail's."""
+    ins = batch.insider
+    return np.append(batch.grid.dt, phi_norm_sq(ins, batch.grid.T, ins.T0))
+
+
 def make_config(market, insider, **overrides):
     params = dict(market=market, insider=insider, n_steps=50, n_paths=1000, seed=7)
     params.update(overrides)
@@ -27,12 +38,14 @@ def make_config(market, insider, **overrides):
 
 
 class TestGrid:
-    def test_knots_cover_both_horizons(self, market, insider):
-        grid = build_grid(make_config(market, insider, n_steps=40))
-        assert grid.knots[0] == 0.0
-        assert grid.T == 1.0
-        assert grid.knots[-1] == 2.0
-        assert np.all(np.diff(grid.knots) > 0)
+    def test_knots_end_at_the_horizon(self, market, insider):
+        # the signal's tail is one draw per path, not a stretch of the grid
+        for ins in (insider, TAIL_BREAK):
+            grid = build_grid(make_config(market, ins, n_steps=40))
+            assert grid.knots[0] == 0.0
+            assert grid.T == grid.knots[-1] == 1.0
+            assert grid.index_T == 40
+            np.testing.assert_allclose(grid.dt, 1.0 / 40, rtol=1e-12)
 
     def test_breakpoints_become_knots(self, insider):
         m = MarketParams(
@@ -46,38 +59,31 @@ class TestGrid:
         grid = build_grid(make_config(m, insider, n_steps=7))
         assert np.any(np.abs(grid.knots - 0.33) < 1e-12)
 
-    def test_tail_matches_main_resolution(self, market, insider):
-        grid = build_grid(make_config(market, insider, n_steps=100))
-        dt = np.diff(grid.knots)
-        assert np.allclose(dt, dt[0])
-        assert grid.n_steps == 200
-
     @settings(max_examples=60, deadline=None)
     @given(
         T=st.floats(0.5, 2.0),
         gap=st.floats(0.1, 2.0),
         n_steps=st.integers(2, 60),
-        n_tail=st.none() | st.integers(1, 60),
         coef_bps=st.lists(st.lists(st.floats(1e-3, 4.0), unique=True, max_size=3),
                           min_size=4, max_size=4),
         phi_bps=st.lists(st.floats(1e-3, 4.0), unique=True, max_size=4),
     )
-    @example(T=1.0, gap=1.0, n_steps=10, n_tail=None, coef_bps=[[1.0 - 1e-13], [], [], []],
-             phi_bps=[2.0 - 1e-13])
-    def test_every_breakpoint_is_a_knot(self, T, gap, n_steps, n_tail, coef_bps, phi_bps):
-        # T, T0, every coefficient breakpoint in (0, T) and every signal-weight
-        # breakpoint in (0, T0) are knots, whatever the resolution; the example
-        # puts breakpoints within 1e-12 below T and T0
+    @example(T=1.0, gap=1.0, n_steps=10, coef_bps=[[1.0 - 1e-13], [], [], []],
+             phi_bps=[1.0 - 1e-13])
+    def test_every_breakpoint_is_a_knot(self, T, gap, n_steps, coef_bps, phi_bps):
+        # T and every coefficient or signal-weight breakpoint in (0, T) are
+        # knots, whatever the resolution, and the grid ends at T; the example
+        # puts breakpoints within 1e-12 below T
         def steps(bps, value):
             return PiecewiseConstant((0.0, *sorted(bps)), [value] * (len(bps) + 1))
 
         coefs = [steps(b, v) for b, v in zip(coef_bps, (0.0, 0.15, 0.35, 0.0))]
         m = MarketParams(*coefs, T=T, X0=1.0)
         ins = InsiderSpec.enlargement(T0=T + gap, phi_weight=steps(phi_bps, 1.0))
-        grid = build_grid(make_config(m, ins, n_steps=n_steps, n_steps_tail=n_tail))
-        assert grid.knots[0] == 0.0 and grid.T == T and grid.knots[-1] == T + gap
+        grid = build_grid(make_config(m, ins, n_steps=n_steps))
+        assert grid.knots[0] == 0.0 and grid.knots[-1] == grid.T == T
         assert np.all(np.diff(grid.knots) > 0)
-        for b in [*m.breakpoints_union(), *(b for b in phi_bps if b < T + gap)]:
+        for b in [*m.breakpoints_union(), *(b for b in phi_bps if b < T)]:
             grid.index_of(b)  # raises DomainError off the grid
 
     def test_zero_step_grid_rejected(self, market, insider):
@@ -105,23 +111,30 @@ class TestSampling:
         )
 
     def test_increment_variance_matches_dt(self, market, insider):
-        batch = sample_paths(make_config(market, insider, n_paths=100_000, seed=13, n_steps=10))
-        var = batch.dW.var(axis=0)
-        np.testing.assert_allclose(var, batch.grid.dt, rtol=0.05)
+        # the steps of [0, T] have variance dt, the tail ||phi_w||^2_[T, T0]
+        for ins in (insider, TAIL_BREAK):
+            batch = sample_paths(make_config(market, ins, n_paths=100_000, seed=13, n_steps=10))
+            assert batch.dW.shape == (100_000, batch.grid.index_T + 1)
+            var = batch.dW.var(axis=0)
+            np.testing.assert_allclose(var, draw_variances(batch), rtol=0.05)
 
-    def test_per_step_means_near_zero(self, batch_100k):
-        dt = batch_100k.grid.dt
-        n = batch_100k.n_paths
-        means = batch_100k.dW.mean(axis=0)
-        assert np.all(np.abs(means) < 4.0 * np.sqrt(dt) / np.sqrt(n))
+    def test_per_step_means_near_zero(self, market, batch_100k):
+        tail_break = sample_paths(make_config(market, TAIL_BREAK, n_steps=200, n_paths=100_000,
+                                              seed=710321))
+        for batch in (batch_100k, tail_break):
+            sd = np.sqrt(draw_variances(batch))
+            means = batch.dW.mean(axis=0)
+            assert np.all(np.abs(means) < 4.0 * sd / np.sqrt(batch.n_paths))
 
     def test_signal_is_weighted_increment_sum(self, market):
-        ins = InsiderSpec.enlargement(
-            T0=2.0, phi_weight=PiecewiseConstant((0.0, 1.0), (2.0, 1.0))
-        )
-        batch = sample_paths(make_config(market, ins, n_paths=10, seed=3))
-        w = ins.phi_weight(batch.grid.knots[:-1])
-        np.testing.assert_allclose(batch.Y0, batch.dW @ w, atol=1e-14)
+        # Y0 = B_T + tail, with B_T the weighted sum of the increments on [0, T]
+        for ins in (InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 1.0), (2.0, 1.0))),
+                    TAIL_BREAK):
+            batch = sample_paths(make_config(market, ins, n_paths=10, seed=3))
+            m = batch.grid.index_T
+            w = ins.phi_weight(batch.grid.knots[:m])
+            np.testing.assert_array_equal(batch.Y0, batch.level[:, m] + batch.dW[:, m])
+            np.testing.assert_allclose(batch.level[:, m], batch.dW[:, :m] @ w, atol=1e-14)
 
 
 class TestRunningSignal:
@@ -208,26 +221,26 @@ class TestEnlargementCorrectness:
             assert abs(cov) < 5.0 * se, (t_target, cov, se)
 
     def test_refinement_stability(self, market, insider):
-        # same underlying increments aggregated on coarser grids: the drift
-        # integral changes by O(dt)
-        fine = sample_paths(make_config(market, insider, n_steps=400, n_paths=256, seed=37))
-        m = fine.grid.index_T
+        # same underlying increments on [0, T] and the same signal, with the
+        # increments aggregated on coarser grids: the drift integral changes by O(dt)
+        for ins in (insider, TAIL_BREAK):
+            fine = sample_paths(make_config(market, ins, n_steps=400, n_paths=256, seed=37))
+            m = fine.grid.index_T
 
-        def drift_integral(dW, grid):
-            y0 = dW @ insider.phi_weight(grid.knots[:-1])
-            phi = information_drift(grid, partial_signals(grid, dW, insider), y0, insider)
-            return np.sum(phi * grid.dt[: grid.index_T], axis=1)
+            def drift_integral(dW, grid):
+                phi = information_drift(grid, partial_signals(grid, dW, ins), fine.Y0, ins)
+                return np.sum(phi * grid.dt, axis=1)
 
-        i_fine = drift_integral(fine.dW, fine.grid)
-        diffs = []
-        for factor in (2, 4):
-            coarse_cfg = make_config(market, insider, n_steps=400 // factor, n_paths=256, seed=37)
-            grid_c = build_grid(coarse_cfg)
-            dw_c = fine.dW.reshape(fine.n_paths, -1, factor).sum(axis=2)
-            diffs.append(np.sqrt(np.mean((drift_integral(dw_c, grid_c) - i_fine) ** 2)))
-        assert diffs[0] < diffs[1]
-        # halving dt roughly halves the defect
-        assert diffs[0] / diffs[1] < 0.75
+            i_fine = drift_integral(fine.dW[:, :m], fine.grid)
+            diffs = []
+            for factor in (2, 4):
+                coarse_cfg = make_config(market, ins, n_steps=400 // factor, n_paths=256, seed=37)
+                grid_c = build_grid(coarse_cfg)
+                dw_c = fine.dW[:, :m].reshape(fine.n_paths, -1, factor).sum(axis=2)
+                diffs.append(np.sqrt(np.mean((drift_integral(dw_c, grid_c) - i_fine) ** 2)))
+            assert diffs[0] < diffs[1]
+            # halving dt roughly halves the defect
+            assert diffs[0] / diffs[1] < 0.75
 
     def test_drift_not_defined_beyond_t0(self, market, batch_small):
         # evaluation knots reach past this T0, where the drift is undefined
