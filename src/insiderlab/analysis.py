@@ -340,7 +340,8 @@ def strategy_line_table(
 ) -> tuple[list[str], list[list]]:
     """Informed fractions against the current noise level W_t at fixed time t
     and signal W_T0 = y0; small-trader lines use the zero-impact market.  The
-    large-trader line is blank unless the signal weight is 1."""
+    large-trader line is blank unless the signal weight is 1.  A line that
+    overflows is a ValidationError (`strategy_line_finite`)."""
     _require_insider(insider, market.T)
     small = market.without_impact()
     header = [
@@ -350,11 +351,14 @@ def strategy_line_table(
         "pi_large_insider_nonrobust",
     ]
     w = np.asarray(w_values, dtype=float)
-    large = _if_defined(pi_large_insider_nonrobust, market, insider, y0, w, t)
-    columns = [
-        w.tolist(),
-        pi_small_insider_robust(small, insider, y0, w, t).tolist(),
-        pi_small_insider_nonrobust(small, insider, y0, w, t).tolist(),
-        [""] * len(w) if large is None else large.tolist(),
-    ]
+    # a finite signal level far enough out overflows a line: evaluate, then reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        lines = [
+            pi_small_insider_robust(small, insider, y0, w, t),
+            pi_small_insider_nonrobust(small, insider, y0, w, t),
+            _if_defined(pi_large_insider_nonrobust, market, insider, y0, w, t),
+        ]
+    if not all(np.all(np.isfinite(line)) for line in lines if line is not None):
+        raise ValidationError("strategy_line_finite", f"the strategy lines overflow at signal level {y0!r}")
+    columns = [w.tolist()] + [[""] * len(w) if line is None else line.tolist() for line in lines]
     return header, [list(row) for row in zip(*columns)]

@@ -33,7 +33,7 @@ from .bsde import (
     stream_sweep_paths,
     value_from_bsde,
 )
-from .anticipating import TestIntegrand, convergence_table
+from .anticipating import _EPS_STEPS, TestIntegrand, convergence_table
 from .model import (
     DomainError,
     InsiderKind,
@@ -443,6 +443,10 @@ def _check_flags(args) -> None:
         raise ValidationError("shoot_tol_positive", f"need a finite --shoot-tol > 0, got {shoot_tol}")
     if not math.isfinite(getattr(args, "signal_level", 0.0)):
         raise ValidationError("signal_level_finite", f"need a finite --signal-level, got {args.signal_level}")
+    # every window of the convergence table must fit inside [0, T]
+    if getattr(args, "forward_steps", _EPS_STEPS[0] + 1) <= _EPS_STEPS[0]:
+        raise ValidationError("forward_steps_min", f"need --forward-steps > {_EPS_STEPS[0]}, "
+                              f"the widest window in steps, got {args.forward_steps}")
 
 
 def main(argv=None) -> int:

@@ -16,6 +16,13 @@ RNG blocks one at a time and pass the collected per-path vectors once to
 see only per-path values.  A whole batch from `sample_paths` through the
 same kernels gives the same bytes, while the streams hold only one block of
 paths per worker.
+
+The kernels build only what the estimators read: the terminal log-wealth
+(`simulate_wealth`), the log-density at every knot (`simulate_density`,
+whose left-point values the penalty reads) and one increment sum per
+checkpoint.  Their step terms come from per-step coefficient rows (r dt,
+(mu0 - r) dt, sigma, varrho dt) evaluated once over the time axis, and each
+kernel works in one path-sized buffer at a time.
 """
 
 from __future__ import annotations
@@ -106,40 +113,57 @@ def _check_grid(batch: PathBatch, profile: StrategyProfile) -> None:
         raise ValueError("profile and batch use different grids")
 
 
+def _coefficient_rows(grid, market: MarketParams):
+    """sigma and the per-step rows r dt, (mu0 - r) dt and varrho dt at the
+    left knot of every step of [0, T), evaluated once per kernel call."""
+    t_left = grid.knots[: grid.index_T]
+    dt = grid.dt
+    r_dt = market.r(t_left) * dt
+    return market.sigma(t_left), r_dt, market.mu0(t_left) * dt - r_dt, market.varrho(t_left) * dt
+
+
 def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketParams) -> np.ndarray:
-    """log-wealth logX (n_paths, index_T + 1) at every knot of [0, T], column
-    0 being ln X0, by the exact log-Euler step of the wealth dynamics under
-    the original measure:
+    """Terminal log-wealth ln X_T (n_paths,) by the exact log-Euler step of the
+    wealth dynamics under the original measure,
 
         dlnX = [r + (mu0 + varrho*pi - r)*pi - sigma^2 pi^2 / 2] dt + sigma * pi dW,
 
     the same sum as sigma*pi*phi dt + sigma*pi dWH in the enlarged filtration.
+    Drift and noise are summed in turn in one buffer, from per-step
+    coefficient rows:
+
+        ln X_T = ln X0 + sum_i r dt + sum_i pi (c pi + b) + sum_i pi sigma dW,
+        b = (mu0 - r) dt,  c = (varrho - sigma^2/2) dt.
     """
     _check_grid(batch, profile)
-    grid = batch.grid
-    m = grid.index_T
-    t_left = grid.knots[:m]
-    r, mu0 = market.r(t_left), market.mu0(t_left)
-    sig, rho = market.sigma(t_left), market.varrho(t_left)
+    m = batch.grid.index_T
+    sig, r_dt, b, rho_dt = _coefficient_rows(batch.grid, market)
+    c = rho_dt - 0.5 * sig**2 * batch.grid.dt
     pi = profile.pi
-    drift = r + (mu0 + rho * pi - r) * pi - 0.5 * (sig * pi) ** 2
-    incr = drift * grid.dt + sig * pi * batch.dW[:, :m]
-    logX = np.empty((batch.n_paths, m + 1))
-    logX[:, 0] = math.log(market.X0)
-    np.cumsum(incr, axis=1, out=logX[:, 1:])
-    logX[:, 1:] += math.log(market.X0)
-    return logX
+    steps = np.multiply(pi, c, out=np.empty((batch.n_paths, m)))
+    steps += b
+    steps *= pi
+    log_x = np.sum(steps, axis=1)
+    np.multiply(batch.dW[:, :m], sig, out=steps)
+    steps *= pi
+    log_x += np.sum(steps, axis=1)
+    log_x += math.log(market.X0) + float(np.sum(r_dt))
+    return log_x
 
 
 def simulate_density(batch: PathBatch, profile: StrategyProfile) -> np.ndarray:
     """log of the exponential density of the distorted measure, logE
     (n_paths, index_T + 1) at every knot of [0, T]:
-    dln(eps) = theta dWH - theta^2/2 dt."""
+    dln(eps) = theta dWH - theta^2/2 dt, formed as theta (dWH - theta dt/2)
+    and summed in place in the result."""
     _check_grid(batch, profile)
     m = batch.grid.index_T
-    incr = profile.theta * batch.dWH - 0.5 * profile.theta**2 * batch.grid.dt
-    logE = np.zeros((batch.n_paths, m + 1))
-    np.cumsum(incr, axis=1, out=logE[:, 1:])
+    logE = np.empty((batch.n_paths, m + 1))
+    logE[:, 0] = 0.0
+    incr = np.multiply(profile.theta, 0.5 * batch.grid.dt, out=logE[:, 1:])
+    np.subtract(batch.dWH, incr, out=incr)
+    incr *= profile.theta
+    np.cumsum(incr, axis=1, out=incr)
     return logE
 
 
@@ -152,14 +176,19 @@ def game_terms(
 
     with left-point eps and theta in the penalty.
     """
-    # both path-sized simulations run before any per-path result exists: a
-    # small array held across them fragments the heap (6 MB more peak RSS
-    # for `simulate` at 50k paths x 400 steps)
     logE = simulate_density(batch, profile)
-    logX = simulate_wealth(batch, profile, market)
-    penalty = np.sum(np.exp(logE[:, :-1]) * 0.5 * profile.theta**2 * batch.grid.dt, axis=1)
-    eps_T = np.exp(logE[:, -1])
-    return eps_T * logX[:, -1] + penalty, penalty, eps_T * logE[:, -1]
+    log_eps_T = logE[:, -1].copy()
+    # the penalty integrand overwrites the left-point log-density it is made
+    # from, and logE is dropped before simulate_wealth takes its buffer, so
+    # one path-sized array at a time is live beside the block and its profile
+    integrand = np.exp(logE[:, :-1], out=logE[:, :-1])
+    integrand *= profile.theta
+    integrand *= profile.theta
+    integrand *= 0.5 * batch.grid.dt
+    penalty = np.sum(integrand, axis=1)
+    del logE, integrand
+    eps_T = np.exp(log_eps_T)
+    return eps_T * simulate_wealth(batch, profile, market) + penalty, penalty, eps_T * log_eps_T
 
 
 def estimate_J(j_terms: np.ndarray) -> JEstimate:
@@ -210,20 +239,24 @@ def weighted_increments(
 
         m_t = int_0^t (mu0 + 2 varrho pi - r - sigma^2 pi) ds + int_0^t sigma dW,
 
-    one row per checkpoint (t, h) on the grid."""
+    one row per checkpoint (t, h) on the grid.  Drift and noise increments
+    are summed in turn in one buffer, from per-step coefficient rows:
+
+        dm = pi (2 varrho - sigma^2) dt + (mu0 - r) dt + sigma dW.
+    """
     _check_grid(batch, profile)
     grid = batch.grid
     spans = [(grid.index_of(t), grid.index_of(t + h)) for t, h in checkpoints]
-    m_idx = grid.index_T
-    t_left = grid.knots[:m_idx]
-    r, mu0 = market.r(t_left), market.mu0(t_left)
-    sig, rho = market.sigma(t_left), market.varrho(t_left)
-    pi = profile.pi
-    dm = (mu0 + 2.0 * rho * pi - r - sig**2 * pi) * grid.dt + sig * batch.dW[:, :m_idx]
+    m = grid.index_T
     eps_T = np.exp(simulate_density(batch, profile)[:, -1])
-    out = np.empty((len(spans), batch.n_paths))
+    sig, _, b, rho_dt = _coefficient_rows(grid, market)
+    steps = np.multiply(profile.pi, 2.0 * rho_dt - sig**2 * grid.dt, out=np.empty((batch.n_paths, m)))
+    steps += b
+    out = np.stack([np.sum(steps[:, i:j], axis=1) for i, j in spans])
+    np.multiply(batch.dW[:, :m], sig, out=steps)
     for k, (i, j) in enumerate(spans):
-        out[k] = eps_T * np.sum(dm[:, i:j], axis=1)
+        out[k] += np.sum(steps[:, i:j], axis=1)
+    out *= eps_T
     return out
 
 

@@ -173,10 +173,14 @@ def theta_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b
                   / (||phi_w||^2_[t,T0] + ||phi_w||^2_[T,T0])
                 - phi_w(t) (Y0 - B_t) / ||phi_w||^2_[t,T0].
     """
+    return _affine(*_theta_small_robust_line(market, insider, t), y0, b_t)
+
+
+def _theta_small_robust_line(market: MarketParams, insider: InsiderSpec, t):
+    """Intercept and slope of theta_small_insider_robust in the residual Y0 - B_t."""
     w, norm_t, norm_T, cross = _run_out(market, insider, t)
     slope = w / (norm_t + norm_T)
-    intercept = -0.5 * iota(market, t) + 0.5 * cross * slope
-    return _affine(intercept, slope - w / norm_t, y0, b_t)
+    return -0.5 * iota(market, t) + 0.5 * cross * slope, slope - w / norm_t
 
 
 def pi_small_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):
@@ -239,8 +243,14 @@ def build_profile(
         insider.require_signal(kind.value)
         y0, b = batch.Y0[:, None], batch.level[:, :-1]
         if kind is StrategyKind.SMALL_INSIDER_ROBUST:
-            pi = pi_small_insider_robust(market, insider, y0, b, t_left)
-            theta = theta_small_insider_robust(market, insider, y0, b, t_left)
+            # both lines of one residual Y0 - B_t; theta is built in its memory
+            pi_intercept, pi_slope = _pi_small_robust_line(market, insider, t_left)
+            theta_intercept, theta_slope = _theta_small_robust_line(market, insider, t_left)
+            theta = np.subtract(y0, b)
+            pi = np.multiply(theta, pi_slope)
+            pi += pi_intercept
+            theta *= theta_slope
+            theta += theta_intercept
         else:
             closed_form = (
                 pi_small_insider_nonrobust

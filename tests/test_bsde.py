@@ -30,7 +30,7 @@ from insiderlab.cli import _linear_report, _quadratic_report
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig, iota, sigma_tilde
 from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.simulate import mean_se, simulate_wealth
-from insiderlab.strategies import StrategyKind, build_profile
+from insiderlab.strategies import StrategyKind, StrategyProfile, build_profile
 
 IOTA = 0.15 / 0.35
 IOTA_SQ = IOTA**2
@@ -107,11 +107,16 @@ class TestLinearClosedForm:
 
     def test_matches_simulated_optimal_wealth_no_insider(self, batch_lsmc_flat, sweep_lsmc_flat, market,
                                                          no_insider, insider):
-        # exact pathwise agreement: the closed form is the log-Euler path
+        # exact pathwise agreement: the closed form is the log-Euler path.  At
+        # r = 0, trading only up to knot k ends with the wealth of knot k.
         sol = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_lsmc_flat, market, insider)
-        log_wealth = simulate_wealth(batch_lsmc_flat, prof, market)
-        np.testing.assert_allclose(np.log(sol.Y), log_wealth, atol=1e-12)
+        m = batch_lsmc_flat.grid.index_T
+        for k in range(m + 1):
+            stopped = StrategyProfile(pi=np.where(np.arange(m) < k, prof.pi, 0.0), theta=prof.theta,
+                                      grid=prof.grid)
+            log_wealth = simulate_wealth(batch_lsmc_flat, stopped, market)
+            np.testing.assert_allclose(np.log(sol.Y[:, k]), log_wealth, atol=1e-12)
 
     def test_matches_simulated_optimal_wealth_enlargement(self, market, insider):
         # continuous formula vs discrete simulation: strong gap shrinks in dt
@@ -123,7 +128,7 @@ class TestLinearClosedForm:
             sol = solve_linear_closed_form(stream_sweep_paths(cfg), market, insider)
             prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch, market, insider)
             log_wealth = simulate_wealth(batch, prof, market)
-            diff = np.log(sol.Y[:, -1]) - log_wealth[:, -1]
+            diff = np.log(sol.Y[:, -1]) - log_wealth
             gaps.append(math.sqrt(float(np.mean(diff**2))))
         assert gaps[0] < 0.05
         assert gaps[1] < gaps[0]

@@ -200,6 +200,8 @@ class TestConfigParsing:
              "signal_level_finite"),
             ("figures", ["--fig-kind", "strategy_lines", "--signal-level", "nan"], None,
              "signal_level_finite"),
+            ("forward-check", ["--forward-steps", "2"], None, "forward_steps_min"),
+            ("forward-check", ["--forward-steps", "8"], None, "forward_steps_min"),
             ("value", [], BASE_CFG + "n_steps_tail = 7\n", "config_key"),
             ("value", [], BASE_CFG + "[markt]\nr = 0.0\n", "config_key"),
             ("value", [], "[DEFAULT]\nseed = 3\n" + BASE_CFG, "config_key"),
@@ -264,6 +266,28 @@ class TestExitCodes:
             assert run([command, flag, "--out", os.path.join(tmp, "out")]) == 1
             assert os.listdir(tmp) == []
         assert err.getvalue().startswith(f"validation error: {code}:"), err.getvalue()
+
+    @pytest.mark.parametrize("level", ["1e308", "-1e308"])
+    def test_overflowing_strategy_lines_exit_one(self, tmp_path, capsys, level):
+        # finite, but the lines overflow; a warning would fail the test
+        assert run(["figures", "--fig-kind", "strategy_lines", f"--signal-level={level}",
+                    "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("validation error: strategy_line_finite:")
+        assert not (tmp_path / "strategy_lines.csv").exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(level=_finite())
+    def test_strategy_lines_finite_or_rejected(self, level):
+        # every finite signal level either gives finite lines or exits 1 with
+        # its code, without a warning (pytest turns one into an error)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            out = pathlib.Path(tmp, "out")
+            code = run(["figures", "--fig-kind", "strategy_lines", _arg("signal-level", level), "--out", str(out)])
+            if code == 0:
+                cells = [cell for row in read_table(out / "strategy_lines.csv") for cell in row.values()]
+                assert all(math.isfinite(float(cell)) for cell in cells)
+        assert code == 0 or err.getvalue().startswith("validation error: strategy_line_finite:"), err.getvalue()
 
     @pytest.mark.parametrize("command, flag", [("value", "--no-such-flag"),
                                                ("bsde-linear", "--basis-order"),

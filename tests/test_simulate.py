@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insiderlab.analysis import value_no_insider_robust, value_small_insider_robust
-from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
+from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig
 from insiderlab.paths import sample_paths
 from insiderlab.simulate import (
     EntropyCheck,
@@ -48,7 +50,7 @@ def per_path_J(batch, profile, log_wealth, log_density):
     dt = batch.grid.dt[:m]
     eps_left = np.exp(log_density[:, :-1])
     penalty = np.sum(eps_left * 0.5 * profile.theta**2 * dt, axis=1)
-    return np.exp(log_density[:, -1]) * log_wealth[:, -1] + penalty
+    return np.exp(log_density[:, -1]) * log_wealth + penalty
 
 
 class TestWealth:
@@ -56,7 +58,7 @@ class TestWealth:
         market = MarketParams(r=0.03, mu0=0.03, sigma=0.35, varrho=0.0, T=1.0, X0=2.0)
         prof = constant_profile(batch_flat_100k, 0.0, 0.0)
         log_wealth = simulate_wealth(batch_flat_100k, prof, market)
-        assert np.allclose(log_wealth[:, -1], math.log(2.0) + 0.03, atol=1e-12)
+        assert np.allclose(log_wealth, math.log(2.0) + 0.03, atol=1e-12)
 
     def test_constant_exposure_pathwise_identity(self, batch_flat_100k, market):
         flat = MarketParams(r=0.0, mu0=0.0, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
@@ -64,24 +66,19 @@ class TestWealth:
         prof = constant_profile(batch_flat_100k, c / 0.35, 0.0)
         log_wealth = simulate_wealth(batch_flat_100k, prof, flat)
         w_T = batch_flat_100k.dW.sum(axis=1)
-        np.testing.assert_allclose(log_wealth[:, -1], -0.5 * c**2 + c * w_T, atol=1e-10)
+        np.testing.assert_allclose(log_wealth, -0.5 * c**2 + c * w_T, atol=1e-10)
 
     def test_expected_log_wealth_robust_fraction(self, batch_flat_100k, market, insider):
         # E[ln X_T] = (iota c - c^2/2) T with c = iota/2: frozen 0.0688775510
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
         log_wealth = simulate_wealth(batch_flat_100k, prof, market)
-        mean, se = mean_se(log_wealth[:, -1])
+        mean, se = mean_se(log_wealth)
         assert abs(mean - 0.06887755102040816) < 3.0 * se
 
     def test_grid_mismatch_rejected(self, batch_flat_100k, batch_small, market):
         prof = constant_profile(batch_small, 0.1, 0.0)
         with pytest.raises(ValueError):
             simulate_wealth(batch_flat_100k, prof, market)
-
-    def test_initial_condition(self, batch_small, market):
-        prof = constant_profile(batch_small, 0.5, 0.0)
-        log_wealth = simulate_wealth(batch_small, prof, market)
-        assert np.all(log_wealth[:, 0] == math.log(market.X0))
 
 
 class TestDensity:
@@ -122,7 +119,7 @@ class TestEstimateJ:
         no_theta = prof.scaled(theta_factor=0.0)
         log_wealth = simulate_wealth(batch_flat_100k, no_theta, market)
         j = estimate_J(game_terms(batch_flat_100k, no_theta, market)[0])
-        mean, _ = mean_se(log_wealth[:, -1])
+        mean, _ = mean_se(log_wealth)
         assert j.mean == pytest.approx(mean, abs=1e-12)
 
     def test_matches_uninformed_robust_value(self, batch_flat_100k, market, insider):
@@ -208,6 +205,102 @@ class TestMartingaleDiagnostic:
         stats = martingale_stats(batch_small, prof, market, checkpoints=[(0.0, 0.5)])
         assert len(stats) == 1
         assert stats[0].t == 0.0 and stats[0].h == 0.5
+
+
+N_STEPS = 12
+
+
+@st.composite
+def piecewise_on_knots(draw, low, high):
+    """A step function of [0, 1] with breakpoints on multiples of 1/(4 N_STEPS):
+    on a knot of the N_STEPS-step uniform grid or, as a knot build_grid adds,
+    between two, which makes the steps unequal."""
+    inner = draw(st.lists(st.integers(1, 4 * N_STEPS - 1), max_size=3, unique=True))
+    bps = [0.0] + [k / (4 * N_STEPS) for k in sorted(inner)]
+    vals = draw(st.lists(st.floats(low, high), min_size=len(bps), max_size=len(bps)))
+    return PiecewiseConstant(bps, vals)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A market with piecewise r, mu0, sigma and varrho, a small ensemble, and
+    a profile that is per path or one broadcast row, with theta zero or not."""
+    sigma = draw(piecewise_on_knots(0.1, 0.8))
+    # varrho < sigma^2/2 on every piece
+    rho_max = 0.45 * float(np.min(sigma.values)) ** 2
+    market = MarketParams(
+        r=draw(piecewise_on_knots(-0.1, 0.1)),
+        mu0=draw(piecewise_on_knots(-0.3, 0.5)),
+        sigma=sigma,
+        varrho=draw(piecewise_on_knots(0.0, rho_max)),
+        T=1.0,
+        X0=draw(st.floats(0.5, 2.0)),
+    )
+    insider = draw(st.sampled_from([InsiderSpec.none(), InsiderSpec.enlargement(T0=2.0)]))
+    cfg = ScenarioConfig(market=market, insider=insider, n_steps=N_STEPS, n_paths=64,
+                         seed=draw(st.integers(0, 2**32)))
+    batch = sample_paths(cfg)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = draw(st.sampled_from([1, cfg.n_paths]))
+    m = batch.grid.index_T
+    pi = rng.normal(0.0, 2.0, (rows, m))
+    theta = np.zeros_like(pi) if draw(st.booleans()) else rng.normal(0.0, 1.0, (rows, m))
+    return batch, StrategyProfile(pi=pi, theta=theta, grid=batch.grid), market
+
+
+def assert_reassociated(new, old, scale):
+    """new equals old up to reassociation: within 1e-12 of the sum `scale` of
+    the absolute terms that make it up."""
+    assert np.all(np.abs(new - old) <= 1e-12 * scale), np.max(np.abs(new - old) / scale)
+
+
+class TestKernelAlgebra:
+    """The per-block kernels against the whole-matrix formulas they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=kernel_cases())
+    def test_kernels_match_matrix_formulas(self, case):
+        batch, profile, market = case
+        grid = batch.grid
+        m = grid.index_T
+        t_left = grid.knots[:m]
+        r, mu0 = market.r(t_left), market.mu0(t_left)
+        sig, rho = market.sigma(t_left), market.varrho(t_left)
+        pi, theta, dt, dW = profile.pi, profile.theta, grid.dt, batch.dW[:, :m]
+
+        # log-wealth at every knot, by the log-Euler step
+        drift = r + (mu0 + rho * pi - r) * pi - 0.5 * (sig * pi) ** 2
+        incr = drift * dt + sig * pi * dW
+        log_x = math.log(market.X0) + np.cumsum(incr, axis=1)
+        wealth_scale = abs(math.log(market.X0)) + np.sum(
+            np.abs(r * dt) + np.abs((mu0 - r) * pi * dt) + np.abs((rho - 0.5 * sig**2) * pi**2 * dt)
+            + np.abs(sig * pi * dW), axis=1)
+        assert_reassociated(simulate_wealth(batch, profile, market), log_x[:, -1], wealth_scale)
+
+        # log-density at every knot
+        d_log_e = theta * batch.dWH - 0.5 * theta**2 * dt
+        log_e = np.zeros((batch.n_paths, m + 1))
+        np.cumsum(d_log_e, axis=1, out=log_e[:, 1:])
+        density_scale = np.cumsum(np.abs(theta * batch.dWH) + 0.5 * theta**2 * dt, axis=1)
+        assert_reassociated(simulate_density(batch, profile)[:, 1:], log_e[:, 1:], density_scale)
+
+        # penalty and relative entropy
+        _, penalty, entropy = game_terms(batch, profile, market)
+        old_penalty = np.sum(np.exp(log_e[:, :-1]) * 0.5 * theta**2 * dt, axis=1)
+        np.testing.assert_allclose(penalty, old_penalty, rtol=1e-12, atol=0.0)
+        eps_T = np.exp(log_e[:, -1])
+        assert_reassociated(entropy, eps_T * log_e[:, -1],
+                            eps_T * density_scale[:, -1] * (1.0 + np.abs(log_e[:, -1])))
+
+        # density-weighted increments of the optimality martingale
+        checkpoints = _default_checkpoints(grid)
+        dm = (mu0 + 2.0 * rho * pi - r - sig**2 * pi) * dt + sig * dW
+        dm_abs = (np.abs(mu0 - r) + np.abs((2.0 * rho - sig**2) * pi)) * dt + np.abs(sig * dW)
+        weighted = weighted_increments(batch, profile, market, checkpoints)
+        for k, (t, h) in enumerate(checkpoints):
+            i, j = grid.index_of(t), grid.index_of(t + h)
+            assert_reassociated(weighted[k], eps_T * np.sum(dm[:, i:j], axis=1),
+                                eps_T * np.sum(dm_abs[:, i:j], axis=1))
 
 
 class TestReductions:

@@ -273,8 +273,9 @@ class TestProfiles:
     @settings(max_examples=30, deadline=None)
     @given(market=markets(), weighted=signal_weights())
     def test_profile_matches_pointwise_formula(self, market, weighted):
-        # every column of each closed-form profile is the closed form at that
-        # knot, for piecewise coefficients and signal weights
+        # each closed-form profile is the closed form over the time axis, and
+        # every column the closed form at that knot, for piecewise
+        # coefficients and signal weights
         small, unit = market.without_impact(), InsiderSpec.enlargement(T0=2.0)
         cases = (
             (StrategyKind.SMALL_INSIDER_ROBUST, small, weighted,
@@ -288,6 +289,11 @@ class TestProfiles:
             cfg = ScenarioConfig(market=mk, insider=ins, n_steps=20, n_paths=64, seed=3)
             batch = sample_paths(cfg)
             prof = build_profile(kind, batch, mk, ins)
+            t_left = batch.grid.knots[: batch.grid.index_T]
+            for name, form in forms.items():
+                # bit for bit the closed form over the whole time axis
+                whole = form(mk, ins, batch.Y0[:, None], batch.level[:, :-1], t_left)
+                assert np.array_equal(getattr(prof, name), whole), name
             b = partial_signals(batch.grid, batch.dW, ins)
             for i, t in enumerate(batch.grid.knots[: batch.grid.index_T]):
                 for name, form in forms.items():
