@@ -30,9 +30,9 @@ from .model import (
 )
 from .strategies import (
     StrategyKind,
+    _run_out,
     market_for,
-    pi_large_insider_nonrobust,
-    pi_small_insider_nonrobust,
+    pi_insider_nonrobust,
     pi_small_insider_robust,
 )
 
@@ -41,8 +41,7 @@ __all__ = [
     "value_no_insider_robust",
     "value_no_insider_nonrobust",
     "value_small_insider_robust",
-    "value_small_insider_nonrobust",
-    "value_large_insider_nonrobust",
+    "value_insider_nonrobust",
     "VALUE_KINDS",
     "value_of",
     "critical_T0",
@@ -55,7 +54,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ValueBreakdown:
-    regime: str
     base: float
     merton: float
     rent: float
@@ -69,8 +67,13 @@ class ValueBreakdown:
 # -- exact piecewise quadratures -------------------------------------------------
 
 
-def _pieces(market: MarketParams) -> list[tuple[float, float]]:
-    knots = [0.0] + market.breakpoints_union() + [market.T]
+def _pieces(market: MarketParams, insider: InsiderSpec | None = None) -> list[tuple[float, float]]:
+    """The pieces of [0, T] on which the coefficients, and the signal weight
+    when an insider is given, are constant."""
+    inner = market.breakpoints_union()
+    if insider is not None:
+        inner = sorted(set(inner).union(b for b in insider.phi_weight.breakpoints if 0.0 < b < market.T))
+    knots = [0.0] + inner + [market.T]
     return list(zip(knots, knots[1:]))
 
 
@@ -78,8 +81,10 @@ def integral_r(market: MarketParams) -> float:
     return market.r.integral(0.0, market.T)
 
 
-def integral_iota(market: MarketParams) -> float:
-    return sum(iota(market, a) * (b - a) for a, b in _pieces(market))
+def integral_weighted_iota(market: MarketParams, insider: InsiderSpec) -> float:
+    """int_0^T phi_w iota dt."""
+    w = insider.phi_weight
+    return sum(w(a) * iota(market, a) * (b - a) for a, b in _pieces(market, insider))
 
 
 def integral_iota_sq(market: MarketParams) -> float:
@@ -90,14 +95,6 @@ def integral_amplified_iota_sq(market: MarketParams) -> float:
     """int (sigma/sigma_tilde) iota^2 dt."""
     return sum(
         market.sigma(a) / sigma_tilde(market, a) * iota(market, a) ** 2 * (b - a)
-        for a, b in _pieces(market)
-    )
-
-
-def integral_amplified_bridge(market: MarketParams, T0: float) -> float:
-    """int_0^T (sigma/sigma_tilde) / (T0 - t) dt, exact per piece."""
-    return sum(
-        market.sigma(a) / sigma_tilde(market, a) * math.log((T0 - a) / (T0 - b))
         for a, b in _pieces(market)
     )
 
@@ -120,7 +117,6 @@ def value_no_insider_robust(market: MarketParams) -> ValueBreakdown:
     market.require_no_impact("the uninformed robust value")
     i2 = integral_iota_sq(market)
     return ValueBreakdown(
-        regime="no_insider_robust",
         base=_base(market),
         merton=0.5 * i2,
         rent=0.0,
@@ -131,7 +127,6 @@ def value_no_insider_robust(market: MarketParams) -> ValueBreakdown:
 def value_no_insider_nonrobust(market: MarketParams) -> ValueBreakdown:
     """ln X0 + int r + (1/2) int (sigma/sigma_tilde) iota^2, any impact level."""
     return ValueBreakdown(
-        regime="no_insider_nonrobust",
         base=_base(market),
         merton=0.5 * integral_amplified_iota_sq(market),
         rent=0.0,
@@ -140,24 +135,25 @@ def value_no_insider_nonrobust(market: MarketParams) -> ValueBreakdown:
 
 
 def value_small_insider_robust(market: MarketParams, insider: InsiderSpec) -> ValueBreakdown:
-    """Robust informed value for a unit signal weight:
+    """Robust informed value without impact, for any signal weight:
 
-        base + (1/4) int iota^2 + (1/2) ln(1 - T^2/a^2)^{-1} + T/(2a)
-             + (int iota dt)^2 / (4a),     a = 2 T0 - T.
+        base + (1/4) int iota^2 + (1/2) ln((s0 + sT)^2 / (4 s0 sT))
+             + (s0 - sT) / (2 (s0 + sT)) + (int_0^T phi_w iota dt)^2 / (4 (s0 + sT))
+
+    with s0 = ||phi_w||^2_[0,T0] and sT = ||phi_w||^2_[T,T0].  For phi_w = 1,
+    s0 + sT = 2 T0 - T and 4 s0 sT = (2 T0 - T)^2 - T^2.
     """
     market.require_no_impact("the informed robust value")
     T0 = _require_insider(insider, market.T)
-    insider.require_unit_weight("the informed robust value")
-    T = market.T
-    a = 2.0 * T0 - T
+    s0, sT = phi_norm_sq(insider, np.array([0.0, market.T]), T0).tolist()
+    cross = integral_weighted_iota(market, insider)
     i2 = integral_iota_sq(market)
     rent = (
-        0.5 * math.log(a**2 / (a**2 - T**2))
-        + T / (2.0 * a)
-        + integral_iota(market) ** 2 / (4.0 * a)
+        0.5 * math.log((s0 + sT) ** 2 / (4.0 * s0 * sT))
+        + (s0 - sT) / (2.0 * (s0 + sT))
+        + cross**2 / (4.0 * (s0 + sT))
     )
     return ValueBreakdown(
-        regime="small_insider_robust",
         base=_base(market),
         merton=0.5 * i2,
         rent=rent,
@@ -165,34 +161,28 @@ def value_small_insider_robust(market: MarketParams, insider: InsiderSpec) -> Va
     )
 
 
-def value_small_insider_nonrobust(market: MarketParams, insider: InsiderSpec) -> ValueBreakdown:
-    """base + (1/2) int iota^2 + (1/2) ln(||phi_w||^2_[0,T0] / ||phi_w||^2_[T,T0]):
-    ambiguity-neutral informed trader without impact.  The rent is
-    (1/2) int_0^T phi_w^2 / ||phi_w||^2_[t,T0] dt, which is ln(T0 / (T0 - T)) / 2
-    for unit weight."""
-    market.require_no_impact("the informed neutral value")
+def value_insider_nonrobust(market: MarketParams, insider: InsiderSpec) -> ValueBreakdown:
+    """Informed value without ambiguity aversion, small or large trader, any
+    impact and signal weight:
+
+        base + (1/2) int (sigma/sigma_tilde) iota^2
+             + (1/2) int_0^T (sigma/sigma_tilde) phi_w^2 / ||phi_w||^2_[t,T0] dt.
+
+    phi_w is constant on each piece [a, b), so the rent integral there is
+    (sigma/sigma_tilde)(a) ln(||phi_w||^2_[a,T0] / ||phi_w||^2_[b,T0]); for
+    phi_w = 1 and constant coefficients the rent is (1/2) ln(T0 / (T0 - T)).
+    """
     T0 = _require_insider(insider, market.T)
-    return ValueBreakdown(
-        regime="small_insider_nonrobust",
-        base=_base(market),
-        merton=0.5 * integral_iota_sq(market),
-        rent=0.5 * math.log(phi_norm_sq(insider, 0.0, T0) / phi_norm_sq(insider, market.T, T0)),
-        penalty_adjust=0.0,
+    pieces = _pieces(market, insider)
+    norms = phi_norm_sq(insider, np.array([a for a, _ in pieces] + [market.T]), T0).tolist()
+    rent = sum(
+        market.sigma(a) / sigma_tilde(market, a) * math.log(n_a / n_b)
+        for (a, _), n_a, n_b in zip(pieces, norms, norms[1:])
     )
-
-
-def value_large_insider_nonrobust(market: MarketParams, insider: InsiderSpec) -> ValueBreakdown:
-    """base + (1/2) int (sigma/sigma_tilde) iota^2
-    + (1/2) int (sigma/sigma_tilde)/(T0 - t) dt: full-information trader with
-    impact, no ambiguity aversion, unit signal weight (so that T0 - t is
-    ||phi_w||^2_[t,T0])."""
-    T0 = _require_insider(insider, market.T)
-    insider.require_unit_weight("the large-insider value")
     return ValueBreakdown(
-        regime="large_insider_nonrobust",
         base=_base(market),
         merton=0.5 * integral_amplified_iota_sq(market),
-        rent=0.5 * integral_amplified_bridge(market, T0),
+        rent=0.5 * rent,
         penalty_adjust=0.0,
     )
 
@@ -202,29 +192,24 @@ _VALUES = {
     StrategyKind.NO_INSIDER_ROBUST: lambda market, insider: value_no_insider_robust(market),
     StrategyKind.NO_INSIDER_NONROBUST: lambda market, insider: value_no_insider_nonrobust(market),
     StrategyKind.SMALL_INSIDER_ROBUST: value_small_insider_robust,
-    StrategyKind.SMALL_INSIDER_NONROBUST: value_small_insider_nonrobust,
-    StrategyKind.LARGE_INSIDER_NONROBUST: value_large_insider_nonrobust,
+    StrategyKind.SMALL_INSIDER_NONROBUST: value_insider_nonrobust,
+    StrategyKind.LARGE_INSIDER_NONROBUST: value_insider_nonrobust,
 }
 # the regimes with a closed-form value, in table order
 VALUE_KINDS = tuple(_VALUES)
 
 
-def _if_defined(closed_form, *args):
-    """closed_form(*args), or None where it needs unit signal weight and the
-    insider has another."""
-    try:
-        return closed_form(*args)
-    except ValidationError as exc:
-        if exc.code != "unsupported_phi":
-            raise
-        return None
-
-
-def value_of(kind: StrategyKind, market: MarketParams, insider: InsiderSpec) -> ValueBreakdown | None:
+def value_of(kind: StrategyKind, market: MarketParams, insider: InsiderSpec) -> ValueBreakdown:
     """Closed-form value of regime `kind` (one of VALUE_KINDS) in the market it
-    trades in: `market`, without impact for a small trader.  None where the
-    closed form needs unit signal weight and `insider` has another."""
-    return _if_defined(_VALUES[kind], market_for(kind, market), insider)
+    trades in: `market`, without impact for a small trader.  A value too large
+    for a float is a ValidationError (`value_finite`)."""
+    try:
+        value = _VALUES[kind](market_for(kind, market), insider)
+        if math.isfinite(value.total):
+            return value
+    except ArithmeticError:  # a float ** that overflows, or a quotient of underflowed norms
+        pass
+    raise ValidationError("value_finite", f"the {kind.value} value overflows a float")
 
 
 # -- critical information horizon ----------------------------------------------
@@ -240,11 +225,11 @@ def critical_T0(market: MarketParams) -> float:
     offset).
     """
     market.require_no_impact("the critical horizon")
-    target = value_no_insider_nonrobust(market).total
+    target = value_of(StrategyKind.NO_INSIDER_NONROBUST, market, InsiderSpec.none()).total
 
     def gap(T0: float) -> float:
         insider = InsiderSpec.enlargement(T0=T0)
-        return value_small_insider_robust(market, insider).total - target
+        return value_of(StrategyKind.SMALL_INSIDER_ROBUST, market, insider).total - target
 
     lo, hi = 1.05 * market.T, 1000.0 * market.T
     f_lo, f_hi = gap(lo), gap(hi)
@@ -319,15 +304,15 @@ def fig_critical_table(
 
 
 def strategy_line_slopes(market: MarketParams, insider: InsiderSpec, t: float) -> dict[str, float]:
-    """Exact derivative of each informed fraction with respect to the current
-    noise level W_t, at fixed signal."""
-    T0 = _require_insider(insider, market.T)
+    """Exact derivative of each informed fraction with respect to the running
+    weighted noise B_t (W_t for phi_w = 1), at fixed signal."""
+    _require_insider(insider, market.T)
+    w, norm_t, norm_T, _ = _run_out(market, insider, t)
     sig = market.sigma(t)
-    st = sigma_tilde(market, t)
     return {
-        "small_insider_robust": -1.0 / (sig * (2.0 * T0 - t - market.T)),
-        "small_insider_nonrobust": -1.0 / (sig * (T0 - t)),
-        "large_insider_nonrobust": -1.0 / (st * (T0 - t)),
+        "small_insider_robust": -w / (sig * (norm_t + norm_T)),
+        "small_insider_nonrobust": -w / (sig * norm_t),
+        "large_insider_nonrobust": -w / (sigma_tilde(market, t) * norm_t),
     }
 
 
@@ -339,9 +324,8 @@ def strategy_line_table(
     y0: float = 1.0,
 ) -> tuple[list[str], list[list]]:
     """Informed fractions against the current noise level W_t at fixed time t
-    and signal W_T0 = y0; small-trader lines use the zero-impact market.  The
-    large-trader line is blank unless the signal weight is 1.  A line that
-    overflows is a ValidationError (`strategy_line_finite`)."""
+    and signal Y0 = y0; small-trader lines use the zero-impact market.  A line
+    that overflows is a ValidationError (`strategy_line_finite`)."""
     _require_insider(insider, market.T)
     small = market.without_impact()
     header = [
@@ -355,10 +339,10 @@ def strategy_line_table(
     with np.errstate(over="ignore", invalid="ignore"):
         lines = [
             pi_small_insider_robust(small, insider, y0, w, t),
-            pi_small_insider_nonrobust(small, insider, y0, w, t),
-            _if_defined(pi_large_insider_nonrobust, market, insider, y0, w, t),
+            pi_insider_nonrobust(small, insider, y0, w, t),
+            pi_insider_nonrobust(market, insider, y0, w, t),
         ]
-    if not all(np.all(np.isfinite(line)) for line in lines if line is not None):
+    if not all(np.all(np.isfinite(line)) for line in lines):
         raise ValidationError("strategy_line_finite", f"the strategy lines overflow at signal level {y0!r}")
-    columns = [w.tolist()] + [[""] * len(w) if line is None else line.tolist() for line in lines]
+    columns = [w.tolist()] + [line.tolist() for line in lines]
     return header, [list(row) for row in zip(*columns)]

@@ -193,8 +193,7 @@ def _cmd_value(args, config: ScenarioConfig):
     for kind in analysis.VALUE_KINDS:
         if kind in UNINFORMED_KINDS or insider.has_signal():
             b = analysis.value_of(kind, config.market, insider)
-            cells = [""] * 5 if b is None else [b.base, b.merton, b.rent, b.penalty_adjust, b.total]
-            rows.append([kind.value, *cells])
+            rows.append([kind.value, b.base, b.merton, b.rent, b.penalty_adjust, b.total])
     return 0, {"values.csv": (["regime", "base", "merton", "rent", "penalty_adjust", "total"], rows)}
 
 
@@ -212,13 +211,12 @@ def _regime(args, config: ScenarioConfig, pi_factor: float = 1.0):
 
 def _cmd_simulate(args, config: ScenarioConfig):
     kind, market, profile_of = _regime(args, config)
+    value = analysis.value_of(kind, market, config.insider).total  # before the paths: it may not exist
     j, ent = stream_game(config, profile_of, market, threads=args.threads)
-    value = analysis.value_of(kind, market, config.insider)
     return 0, {
         "j_report.csv": (
             ["regime", "J_mean", "J_se", "n_paths", "n_steps", "seed", "analytic_value"],
-            [[kind.value, j.mean, j.std_error, j.n_paths, config.n_steps, config.seed,
-              "" if value is None else value.total]],
+            [[kind.value, j.mean, j.std_error, j.n_paths, config.n_steps, config.seed, value]],
         ),
         "entropy_check.csv": (
             ["lhs_mean", "lhs_se", "rhs_mean", "rhs_se", "gap", "gap_se", "z"],
@@ -297,10 +295,8 @@ def _cmd_forward_check(args, config: ScenarioConfig):
 def _cmd_critical_t0(args, config: ScenarioConfig):
     market = config.market.without_impact()
     t0_star = analysis.critical_T0(market)
-    gap = (
-        analysis.value_small_insider_robust(market, InsiderSpec.enlargement(T0=t0_star)).total
-        - analysis.value_no_insider_nonrobust(market).total
-    )
+    informed = analysis.value_of(StrategyKind.SMALL_INSIDER_ROBUST, market, InsiderSpec.enlargement(T0=t0_star))
+    gap = informed.total - analysis.value_of(StrategyKind.NO_INSIDER_NONROBUST, market, InsiderSpec.none()).total
     return 0, {
         "critical_t0.csv": (
             ["mu", "sigma", "r", "T", "T0_star", "equation_gap"],
@@ -424,7 +420,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--bsde-paths", dest="bsde_paths", type=int, default=20000)
     p.add_argument("--bsde-steps", dest="bsde_steps", type=int, default=50)
     p.add_argument("--signal-level", dest="signal_level", type=float, default=1.0,
-                   help="fixed W_T0 for strategy lines")
+                   help="fixed signal Y0 (W_T0 for unit weight) for strategy lines")
     p.set_defaults(handler=_cmd_figures)
 
     p = sub.add_parser("selftest", help="run the invariant suite; nonzero exit on failure")

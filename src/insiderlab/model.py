@@ -16,6 +16,7 @@ for some weight function phi on [0, T0] with T0 beyond the trading horizon T.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -78,6 +79,8 @@ class PiecewiseConstant:
 
     def __call__(self, t):
         """Evaluate at scalar or array t >= 0."""
+        if np.ndim(t) == 0:  # a scalar is one bisection, without numpy's per-call cost
+            return self.values[max(bisect.bisect_right(self.breakpoints, t) - 1, 0)]
         idx = np.searchsorted(self.breakpoints, t, side="right") - 1
         idx = np.clip(idx, 0, len(self.values) - 1)
         out = np.asarray(self.values, dtype=float)[idx]

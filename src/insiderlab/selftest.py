@@ -54,9 +54,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
         "no_insider_nonrobust": analysis.value_no_insider_nonrobust(market).total,
         "no_insider_nonrobust_impact": analysis.value_no_insider_nonrobust(market_rho).total,
         "small_insider_robust": analysis.value_small_insider_robust(market, insider).total,
-        "large_insider_nonrobust": analysis.value_large_insider_nonrobust(
-            market_rho, insider
-        ).total,
+        "large_insider_nonrobust": analysis.value_insider_nonrobust(market_rho, insider).total,
     }
     err = max(abs(got[k] - v) for k, v in _ORACLE_VALUES.items())
     check("analytic_value_suite", err < 1e-9, err)

@@ -8,8 +8,10 @@ trader).  Every closed-form regime satisfies the first-order relation
 
 with phi the information drift (zero without a signal), and pi* is affine in
 the residual signal, so slopes with respect to the current noise level are
-exact.  The robust large trader has no closed form; recover it from the
-quadratic backward solver instead.
+exact.  Every informed form holds for any signal weight phi_w, and the small
+and large non-robust insiders share one form, each in the market it trades
+in (`market_for`).  The robust large trader has no closed form; recover it
+from the quadratic backward solver instead.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
     "theta_no_insider_robust",
     "pi_small_insider_robust",
     "theta_small_insider_robust",
-    "pi_large_insider_nonrobust",
+    "pi_insider_nonrobust",
     "theta_from_pi",
     "build_profile",
 ]
@@ -183,25 +185,18 @@ def _theta_small_robust_line(market: MarketParams, insider: InsiderSpec, t):
     return -0.5 * iota(market, t) + 0.5 * cross * slope, slope - w / norm_t
 
 
-def pi_small_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):
-    """Informed fraction without ambiguity aversion or impact:
-    iota/sigma + phi_t/sigma."""
-    w, norm_t, _, _ = _run_out(market, insider, t)
-    sig = market.sigma(t)
-    return _affine(iota(market, t) / sig, w / (norm_t * sig), y0, b_t)
+def pi_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):
+    """Informed fraction without ambiguity aversion, small or large trader:
 
+        iota/sigma_tilde + phi_w(t) (Y0 - B_t) / (sigma_tilde ||phi_w||^2_[t,T0]),
 
-def pi_large_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, w_t, t):
-    """Impact-adjusted informed fraction for full knowledge of W_T0:
-
-        (mu0 - r)/(sigma sigma_tilde) + (W_T0 - W_t) / (sigma_tilde (T0 - t)).
-
-    Requires unit signal weight, so Y0 = W_T0 and ||phi_w||^2_[t,T0] = T0 - t.
+    the information drift over sigma_tilde added to the uninformed fraction.
+    Without impact sigma_tilde is sigma; for phi_w = 1 the drift is
+    (W_T0 - W_t) / (T0 - t).
     """
-    insider.require_unit_weight("the large-insider closed form")
-    _, norm_t, _, _ = _run_out(market, insider, t)
+    w, norm_t, _, _ = _run_out(market, insider, t)
     st = sigma_tilde(market, t)
-    return _affine(iota(market, t) / st, 1.0 / (st * norm_t), y0, w_t)
+    return _affine(iota(market, t) / st, w / (norm_t * st), y0, b_t)
 
 
 def theta_from_pi(market: MarketParams, phi, pi, t):
@@ -252,12 +247,7 @@ def build_profile(
             theta *= theta_slope
             theta += theta_intercept
         else:
-            closed_form = (
-                pi_small_insider_nonrobust
-                if kind is StrategyKind.SMALL_INSIDER_NONROBUST
-                else pi_large_insider_nonrobust
-            )
-            pi = closed_form(market, insider, y0, b, t_left)
+            pi = pi_insider_nonrobust(market, insider, y0, b, t_left)
             theta = np.zeros_like(pi)
 
     return StrategyProfile(pi=pi, theta=theta, grid=grid)

@@ -5,6 +5,7 @@ on success (run with -s or -rP to see them).  Statistical checks use fixed
 seeds so every tolerance is a deterministic, rerunnable assertion.
 """
 
+import csv
 import math
 import time
 
@@ -19,6 +20,7 @@ from insiderlab.bsde import (
     solve_quadratic_lsmc,
     value_from_bsde,
 )
+from insiderlab.cli import main
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
 from insiderlab.paths import sample_paths
 from insiderlab.selftest import run_selftest
@@ -75,7 +77,7 @@ def test_criterion_1_analytic_value_suite(market, market_impact, insider):
         analysis.value_no_insider_nonrobust(market).total,
         analysis.value_no_insider_nonrobust(market_impact).total,
         analysis.value_small_insider_robust(market, insider).total,
-        analysis.value_large_insider_nonrobust(market_impact, insider).total,
+        analysis.value_insider_nonrobust(market_impact, insider).total,
     ]
     expect = [V1, V_NN, V_NN_IMPACT, V2, V_LARGE]
     elapsed = time.time() - start
@@ -259,6 +261,26 @@ def test_criterion_9_figure_reproduction(market, market_impact, insider):
         worst = max(worst, abs(fd - slopes[name]))
     assert worst <= 1e-10
     print(f"PASS criterion 9: figure series ordered and decreasing, slope error {worst:.2e}")
+
+
+@pytest.mark.parametrize("phi", ["0:1,0.5:3", "0:1,1.5:2"])
+@pytest.mark.parametrize("regime", [["--regime", "small_insider_robust"],
+                                    ["--regime", "large_insider_nonrobust", "--varrho", "0.030625"]],
+                         ids=lambda regime: regime[1])
+def test_general_weight_closed_form_matches_monte_carlo(tmp_path, capsys, phi, regime):
+    # the informed closed-form values hold for a piecewise signal weight: the
+    # simulated game value of each profile lies within 4 SE of its value
+    zs = []
+    for seed in ("1", "2", "3"):
+        out = tmp_path / seed
+        assert main(["simulate", *regime, "--phi", phi, "--n-paths", "50000", "--n-steps", "50",
+                     "--seed", seed, "--out", str(out)]) == 0
+        with open(out / "j_report.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        zs.append((float(row["J_mean"]) - float(row["analytic_value"])) / float(row["J_se"]))
+    capsys.readouterr()
+    assert max(abs(z) for z in zs) <= 4.0, zs
+    print(f"PASS general weight {phi} {regime[1]}: z = {', '.join(f'{z:.2f}' for z in zs)}")
 
 
 def test_criterion_10_selftest_determinism(tmp_path):

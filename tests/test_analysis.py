@@ -2,32 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from insiderlab.analysis import (
     critical_T0,
     fig_critical_table,
     fig_value_table,
-    integral_amplified_bridge,
-    integral_iota,
     integral_iota_sq,
+    integral_weighted_iota,
     strategy_line_slopes,
     strategy_line_table,
-    value_large_insider_nonrobust,
+    value_insider_nonrobust,
     value_no_insider_nonrobust,
     value_no_insider_robust,
-    value_small_insider_nonrobust,
     value_small_insider_robust,
 )
+from insiderlab.bsde import enlargement_normalizer
 from insiderlab.model import (
     InsiderSpec,
     MarketParams,
     PiecewiseConstant,
     ScenarioConfig,
     ValidationError,
+    phi_norm_sq,
+    sigma_tilde,
 )
 from insiderlab.paths import sample_paths
 from insiderlab.simulate import estimate_J, game_terms
-from insiderlab.strategies import StrategyKind, build_profile
+from insiderlab.strategies import StrategyKind, build_profile, pi_insider_nonrobust
 
 IOTA_SQ = (0.15 / 0.35) ** 2
 V1 = 0.045918367346938776
@@ -85,22 +87,22 @@ class TestValueFunctions:
         assert far.total == pytest.approx(V1, abs=1e-6)
 
     def test_informed_neutral_small(self, market, insider):
-        b = value_small_insider_nonrobust(market, insider)
+        b = value_insider_nonrobust(market, insider)
         assert b.rent == pytest.approx(0.5 * math.log(2.0), abs=1e-14)
         assert b.total == pytest.approx(V_NN + 0.5 * math.log(2.0), abs=1e-12)
 
     def test_informed_neutral_large(self, market, market_impact, insider):
-        b = value_large_insider_nonrobust(market_impact, insider)
+        b = value_insider_nonrobust(market_impact, insider)
         assert b.rent == pytest.approx(math.log(2.0), abs=1e-14)
         assert b.total == pytest.approx(V_LARGE, abs=1e-12)
-        small = value_large_insider_nonrobust(market, insider)
+        small = value_insider_nonrobust(market, insider)
         assert small.rent == pytest.approx(0.5 * math.log(2.0), abs=1e-14)
 
     def test_informed_neutral_piecewise_weight(self, market):
         # phi_w = 1 on [0, 1.5), 2 on [1.5, 2]: rent (1/2) ln(3.5 / 2.5), which the
         # Monte-Carlo game value of the closed-form fraction confirms
         ins = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 1.5), (1.0, 2.0)))
-        b = value_small_insider_nonrobust(market, ins)
+        b = value_insider_nonrobust(market, ins)
         assert b.rent == pytest.approx(0.5 * math.log(3.5 / 2.5), abs=1e-12)
         assert b.total == pytest.approx(V_NN + 0.5 * math.log(3.5 / 2.5), abs=1e-12)
         cfg = ScenarioConfig(market=market, insider=ins, n_steps=100, n_paths=50_000, seed=5)
@@ -110,17 +112,24 @@ class TestValueFunctions:
         assert abs(j.mean - b.total) < 4.0 * j.std_error
 
     def test_unit_weight_required_where_assumed(self, market, market_impact):
-        ins = InsiderSpec.enlargement(T0=2.0, phi_weight=2.0)
-        for value, mk in (
-            (value_small_insider_robust, market),
-            (value_large_insider_nonrobust, market_impact),
-        ):
-            with pytest.raises(ValidationError) as err:
-                value(mk, ins)
-            assert err.value.code == "unsupported_phi"
+        # phi_w = 1 on [0, 1.5), 2 on [1.5, 2]: s0 = 3.5, sT = 2.5 and
+        # int_0^T phi_w iota dt = iota, so the closed forms hold by hand
+        ins = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 1.5), (1.0, 2.0)))
+        robust = value_small_insider_robust(market, ins)
+        assert robust.rent == pytest.approx(
+            0.5 * math.log(36.0 / 35.0) + 1.0 / 12.0 + IOTA_SQ / 24.0, abs=1e-14
+        )
+        # sigma / sigma_tilde = 2 under impact doubles the neutral rent
+        large = value_insider_nonrobust(market_impact, ins)
+        assert large.rent == pytest.approx(math.log(3.5 / 2.5), abs=1e-14)
+        # only the Gaussian oracle of the linear equation needs unit weight:
+        # there int iota dW is not a function of (B_t, Y0)
+        with pytest.raises(ValidationError) as err:
+            enlargement_normalizer(market, ins, 0.0)
+        assert err.value.code == "unsupported_phi"
 
     def test_large_rent_vanishes_at_remote_horizon(self, market_impact):
-        far = value_large_insider_nonrobust(market_impact, InsiderSpec.enlargement(T0=1e7))
+        far = value_insider_nonrobust(market_impact, InsiderSpec.enlargement(T0=1e7))
         assert far.total == pytest.approx(V_NN_IMPACT, abs=1e-6)
 
     def test_impact_rejected_where_not_supported(self, market_impact, insider):
@@ -132,6 +141,45 @@ class TestValueFunctions:
     def test_horizon_order_enforced(self, market):
         with pytest.raises(ValidationError):
             value_small_insider_robust(market, InsiderSpec.enlargement(T0=0.5))
+
+
+def step_functions(lo, hi):
+    """Piecewise-constant functions with up to two breakpoints in (0, 1)."""
+    return st.lists(st.floats(0.01, 0.99), unique=True, max_size=2).flatmap(
+        lambda bps: st.lists(st.floats(lo, hi), min_size=len(bps) + 1, max_size=len(bps) + 1).map(
+            lambda vals: PiecewiseConstant((0.0, *sorted(bps)), vals)))
+
+
+@st.composite
+def weighted_markets(draw):
+    """T = 1 with piecewise coefficients and impact, a horizon T0 and a constant weight c."""
+    sigma = draw(step_functions(0.2, 0.6))
+    market = MarketParams(
+        r=draw(step_functions(0.0, 0.05)),
+        mu0=draw(step_functions(-0.2, 0.4)),
+        sigma=sigma,
+        varrho=draw(st.floats(0.0, 0.45)) * min(sigma.values) ** 2,
+        T=1.0,
+        X0=draw(st.floats(0.1, 10.0)),
+    )
+    c = draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from([1.0, -1.0]))
+    return market, draw(st.floats(1.01, 50.0)), c
+
+
+class TestGeneralWeight:
+    @settings(max_examples=100, deadline=None)
+    @given(case=weighted_markets(), t=st.floats(0.0, 0.99), y0=st.floats(-3.0, 3.0),
+           b=st.floats(-3.0, 3.0))
+    def test_constant_weight_is_unit_weight(self, case, t, y0, b):
+        # a constant weight c scales Y0, B_t and every ||phi_w||^2 by c and c^2:
+        # the closed forms do not see it
+        market, T0, c = case
+        unit, scaled = InsiderSpec.enlargement(T0=T0), InsiderSpec.enlargement(T0=T0, phi_weight=c)
+        small = market.without_impact()
+        for value, mk in ((value_small_insider_robust, small), (value_insider_nonrobust, market)):
+            assert value(mk, scaled).total == pytest.approx(value(mk, unit).total, rel=1e-12, abs=1e-12)
+        assert pi_insider_nonrobust(market, scaled, c * y0, c * b, t) == pytest.approx(
+            pi_insider_nonrobust(market, unit, y0, b, t), rel=1e-12, abs=1e-12)
 
 
 class TestPiecewiseQuadratures:
@@ -149,21 +197,30 @@ class TestPiecewiseQuadratures:
         t = knots[:-1]
         io = (m.mu0(t) - m.r(t)) / m.sigma(t)
         assert integral_iota_sq(m) == pytest.approx(float(np.sum(io**2 * dt)), rel=1e-14)
-        assert integral_iota(m) == pytest.approx(float(np.sum(io * dt)), rel=1e-14)
+        weighted = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.3), (1.0, -2.0)))
+        w = np.where(t < 0.3, 1.0, -2.0)
+        assert integral_weighted_iota(m, weighted) == pytest.approx(float(np.sum(w * io * dt)), rel=1e-14)
 
-    def test_bridge_integral_closed_form(self, market_impact):
-        # constant ratio k = 2: integral is k ln(T0/(T0 - T))
-        assert integral_amplified_bridge(market_impact, 2.0) == pytest.approx(
-            2.0 * math.log(2.0), abs=1e-14
-        )
+    def test_nonrobust_rent_matches_quadrature(self):
+        # (1/2) int_0^T (sigma/sigma_tilde) phi_w^2 / ||phi_w||^2_[t,T0] dt by the
+        # midpoint rule, with breakpoints of the market and the weight apart
+        m = MarketParams(r=0.0, mu0=0.15, sigma=PiecewiseConstant((0.0, 0.25), (0.35, 0.45)),
+                         varrho=PiecewiseConstant((0.0, 0.6), (0.03, 0.0)), T=1.0, X0=1.0)
+        ins = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.4, 1.5), (1.0, 3.0, 0.5)))
+        n = 200_000
+        t = (np.arange(n) + 0.5) / n
+        w = ins.phi_weight(t)
+        density = m.sigma(t) / sigma_tilde(m, t) * w**2 / phi_norm_sq(ins, t, 2.0)
+        quadrature = 0.5 * float(np.sum(density)) / n
+        assert value_insider_nonrobust(m, ins).rent == pytest.approx(quadrature, rel=1e-9)
 
 
 class TestRegimeOrdering:
     @pytest.mark.parametrize("t0", [1.2, 1.5, 2.0, 3.0, 6.0, 12.0])
     def test_orderings_hold(self, market, market_impact, t0):
         ins = InsiderSpec.enlargement(T0=t0)
-        v_large = value_large_insider_nonrobust(market_impact, ins).total
-        v_small = value_small_insider_nonrobust(market, ins).total
+        v_large = value_insider_nonrobust(market_impact, ins).total
+        v_small = value_insider_nonrobust(market, ins).total
         v_none = value_no_insider_nonrobust(market).total
         v_small_rob = value_small_insider_robust(market, ins).total
         v_none_rob = value_no_insider_robust(market).total
@@ -175,7 +232,7 @@ class TestRegimeOrdering:
     def test_rent_asymptotics(self, market):
         # 0.5 ln(T0/(T0-T)) ~ T/(2(T0-T)): ratio within 1% at T0 = 100 T
         t0 = 100.0
-        rent = value_small_insider_nonrobust(market, InsiderSpec.enlargement(T0=t0)).rent
+        rent = value_insider_nonrobust(market, InsiderSpec.enlargement(T0=t0)).rent
         asymptote = market.T / (2.0 * (t0 - market.T))
         assert rent / asymptote == pytest.approx(1.0, abs=0.01)
 
@@ -234,13 +291,15 @@ class TestFigureData:
 
     def test_strategy_lines_slopes(self, market_impact, insider):
         t = 0.5
-        header, rows = strategy_line_table(market_impact, insider, t, [-1.0, 0.0, 1.0], y0=1.0)
-        slopes = strategy_line_slopes(market_impact, insider, t)
-        w = [row[0] for row in rows]
-        for col, name in ((1, "small_insider_robust"), (2, "small_insider_nonrobust"),
-                          (3, "large_insider_nonrobust")):
-            fd = (rows[2][col] - rows[0][col]) / (w[2] - w[0])
-            assert fd == pytest.approx(slopes[name], abs=1e-10), name
+        weighted = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.25, 1.5), (1.0, 3.0, 0.5)))
+        for ins in (insider, weighted):
+            header, rows = strategy_line_table(market_impact, ins, t, [-1.0, 0.0, 1.0], y0=1.0)
+            slopes = strategy_line_slopes(market_impact, ins, t)
+            w = [row[0] for row in rows]
+            for col, name in ((1, "small_insider_robust"), (2, "small_insider_nonrobust"),
+                              (3, "large_insider_nonrobust")):
+                fd = (rows[2][col] - rows[0][col]) / (w[2] - w[0])
+                assert fd == pytest.approx(slopes[name], abs=1e-10), name
 
     def test_slope_values_frozen(self, market_impact, insider):
         # -1/(sigma (2T0 - t - T)), -1/(sigma (T0 - t)), -1/(sigma_tilde (T0 - t))

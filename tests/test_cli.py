@@ -21,7 +21,7 @@ from insiderlab.model import (
     ScenarioConfig,
     ValidationError,
 )
-from insiderlab.strategies import pi_small_insider_nonrobust, pi_small_insider_robust
+from insiderlab.strategies import StrategyKind, pi_insider_nonrobust, pi_small_insider_robust
 
 BASE_CFG = """
 [market]
@@ -217,6 +217,20 @@ class TestConfigParsing:
         assert f"validation error: {code}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["value", "--t0", "1e160"],
+        ["value", "--mu", "1e160"],
+        ["simulate", "--t0", "1e160"],
+        ["figures", "--fig-kind", "fig1", "--T", "1e160", "--t0", "1e161"],
+        ["critical-t0", "--T", "1e152", "--t0", "2e152"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_unrepresentable_value_exits_one_with_code(self, tmp_path, capsys, argv):
+        # valid input whose closed-form value overflows a float; found once the
+        # command runs, after the output directory exists, so nothing is written
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert "validation error: value_finite:" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 def _arg(flag, value):
     """`--flag=value`, so a negative value is not read as an option."""
@@ -289,6 +303,21 @@ class TestExitCodes:
                 assert all(math.isfinite(float(cell)) for cell in cells)
         assert code == 0 or err.getvalue().startswith("validation error: strategy_line_finite:"), err.getvalue()
 
+    @settings(max_examples=100, deadline=None)
+    @given(t0=_finite(min_value=1.0, exclude_min=True), mu=_finite())
+    def test_values_finite_or_rejected(self, t0, mu):
+        # every finite horizon beyond T and every finite drift either gives
+        # finite values or exits 1 with value_finite, without a warning
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            out = pathlib.Path(tmp, "out")
+            code = run(["value", _arg("t0", t0), _arg("mu", mu), "--out", str(out)])
+            if code == 0:
+                rows = read_table(out / "values.csv")
+                assert len(rows) == 5
+                assert all(math.isfinite(float(v)) for row in rows for k, v in row.items() if k != "regime")
+        assert code == 0 or err.getvalue().startswith("validation error: value_finite:"), err.getvalue()
+
     @pytest.mark.parametrize("command, flag", [("value", "--no-such-flag"),
                                                ("bsde-linear", "--basis-order"),
                                                ("bsde-quadratic", "--basis-order")])
@@ -351,18 +380,18 @@ class TestValueCommand:
             "large_insider_nonrobust",
         ]
 
-    def test_non_unit_weight_leaves_unit_weight_rows_blank(self, tmp_path, cfg_file):
-        assert run(["value", "--config", cfg_file, "--phi", "0:1,1.5:2",
-                    "--out", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("flags", [{"phi": "0:1,1.5:2"}, {"phi": "0:1,0.5:3"},
+                                       {"phi": "2", "varrho": "0.030625"}])
+    def test_non_unit_weight_writes_every_value(self, tmp_path, cfg_file, flags):
+        argv = [f"--{key}={value}" for key, value in flags.items()]
+        assert run(["value", "--config", cfg_file, *argv, "--out", str(tmp_path)]) == 0
         rows = {row["regime"]: row for row in read_table(tmp_path / "values.csv")}
         assert list(rows) == [k.value for k in analysis.VALUE_KINDS]
-        for regime in ("small_insider_robust", "large_insider_nonrobust"):
-            assert [v for k, v in rows[regime].items() if k != "regime"] == [""] * 5
-        cfg = load_config(cfg_file, argparse.Namespace(phi="0:1,1.5:2"))
-        expect = analysis.value_small_insider_nonrobust(cfg.market, cfg.insider).total
-        assert abs(float(rows["small_insider_nonrobust"]["total"]) - expect) <= 1e-12
-        for regime in ("no_insider_robust", "no_insider_nonrobust"):
-            assert float(rows[regime]["total"]) != 0.0
+        cfg = load_config(cfg_file, argparse.Namespace(**flags))
+        for kind in analysis.VALUE_KINDS:
+            b = analysis.value_of(kind, cfg.market, cfg.insider)
+            cells = [b.base, b.merton, b.rent, b.penalty_adjust, b.total]
+            assert [v for k, v in rows[kind.value].items() if k != "regime"] == [repr(x) for x in cells]
 
     def test_no_signal_config_gets_two_rows(self, tmp_path, cfg_file):
         run(["value", "--config", cfg_file, "--kind", "none", "--out", str(tmp_path)])
@@ -380,13 +409,16 @@ class TestSimulationCommands:
         assert float(cells[1]) != 0.0
         assert (tmp_path / "entropy_check.csv").exists()
 
-    def test_simulate_leaves_analytic_value_blank_without_closed_form(self, tmp_path, cfg_file):
-        # the robust informed value has no closed form for a non-unit weight
-        assert run(["simulate", "--config", cfg_file, "--phi", "0:1,1.5:2",
-                    "--out", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("flags", [{"phi": "0:1,1.5:2"},
+                                       {"phi": "2", "varrho": "0.030625", "regime": "large_insider_nonrobust"}])
+    def test_simulate_writes_analytic_value_for_any_weight(self, tmp_path, cfg_file, flags):
+        argv = [f"--{key}={value}" for key, value in flags.items()]
+        assert run(["simulate", "--config", cfg_file, *argv, "--out", str(tmp_path)]) == 0
         row = next(csv.DictReader(io.StringIO((tmp_path / "j_report.csv").read_text())))
-        assert row["regime"] == "small_insider_robust"
-        assert row["analytic_value"] == ""
+        kind = StrategyKind(flags.get("regime", "small_insider_robust"))
+        assert row["regime"] == kind.value
+        cfg = load_config(cfg_file, argparse.Namespace(**flags))
+        assert row["analytic_value"] == repr(analysis.value_of(kind, cfg.market, cfg.insider).total)
         assert float(row["J_mean"]) != 0.0
 
     @pytest.mark.parametrize("command", [
@@ -515,16 +547,17 @@ class TestAnalysisCommands:
 
     def test_strategy_lines_non_unit_weight(self, tmp_path, cfg_file):
         assert run(["figures", "--fig-kind", "strategy_lines", "--config", cfg_file,
-                    "--phi", "2", "--out", str(tmp_path)]) == 0
+                    "--phi", "0:1,1.5:2", "--varrho", "0.030625", "--out", str(tmp_path)]) == 0
         rows = read_table(tmp_path / "strategy_lines.csv")
         assert len(rows) == 41
-        assert all(row["pi_large_insider_nonrobust"] == "" for row in rows)
-        cfg = load_config(cfg_file, argparse.Namespace(phi="2"))
+        cfg = load_config(cfg_file, argparse.Namespace(phi="0:1,1.5:2", varrho="0.030625"))
+        small = cfg.market.without_impact()
         w = np.array([float(row["W_t"]) for row in rows])
-        for name, form in (("pi_small_insider_robust", pi_small_insider_robust),
-                           ("pi_small_insider_nonrobust", pi_small_insider_nonrobust)):
+        for name, form, market in (("pi_small_insider_robust", pi_small_insider_robust, small),
+                                   ("pi_small_insider_nonrobust", pi_insider_nonrobust, small),
+                                   ("pi_large_insider_nonrobust", pi_insider_nonrobust, cfg.market)):
             got = np.array([float(row[name]) for row in rows])
-            np.testing.assert_array_equal(got, form(cfg.market, cfg.insider, 1.0, w, 0.5))
+            np.testing.assert_array_equal(got, form(market, cfg.insider, 1.0, w, 0.5))
 
     def test_figures_fig2_long_format(self, tmp_path, cfg_file):
         assert run(["figures", "--fig-kind", "fig2", "--config", cfg_file,

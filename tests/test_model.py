@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from insiderlab.model import (
     DomainError,
@@ -39,6 +40,19 @@ class TestPiecewiseConstant:
         f = PiecewiseConstant((0.0, 1.0), (2.0, 1.0))
         assert f(0.999999) == 2.0
         assert f(1.0) == 1.0
+
+    @given(bps=st.lists(st.floats(1e-6, 5.0), unique=True, max_size=4),
+           t=st.floats(-1.0, 6.0) | st.sampled_from([0.0, 1.0, np.inf, -np.inf, np.nan]),
+           data=st.data())
+    def test_scalar_evaluation_is_the_array_one(self, bps, t, data):
+        # a scalar takes a bisection of its own: the same piece, breakpoints and
+        # points outside [0, inf) included, as a one-element array
+        bp = (0.0, *sorted(bps))
+        f = PiecewiseConstant(bp, data.draw(st.lists(st.floats(-5.0, 5.0), min_size=len(bp), max_size=len(bp))))
+        for x in (t, *bp):
+            got = f(x)
+            assert type(got) is float
+            assert got == f(np.array([x]))[0]
 
     def test_exact_integral(self):
         f = PiecewiseConstant((0.0, 1.0), (2.0, 1.0))

@@ -19,9 +19,8 @@ from insiderlab.strategies import (
     StrategyKind,
     _run_out,
     build_profile,
-    pi_large_insider_nonrobust,
+    pi_insider_nonrobust,
     pi_no_insider_robust,
-    pi_small_insider_nonrobust,
     pi_small_insider_robust,
     theta_from_pi,
     theta_no_insider_robust,
@@ -127,29 +126,31 @@ class TestSmallInsiderRobust:
 
 class TestLargeInsiderNonRobust:
     def test_merton_degeneracy_without_signal_term(self, market, insider):
-        pi = pi_large_insider_nonrobust(market, insider, y0=0.0, w_t=0.0, t=0.0)
+        pi = pi_insider_nonrobust(market, insider, y0=0.0, b_t=0.0, t=0.0)
         merton = IOTA / 0.35
         assert pi == pytest.approx(merton, abs=1e-12)
 
     def test_impact_amplified_first_term(self, market_impact, insider):
-        pi = pi_large_insider_nonrobust(market_impact, insider, y0=0.0, w_t=0.0, t=0.0)
+        pi = pi_insider_nonrobust(market_impact, insider, y0=0.0, b_t=0.0, t=0.0)
         assert pi == pytest.approx(2.4489795918367347, abs=1e-12)
 
     def test_sample_state(self, market_impact, insider):
-        pi = pi_large_insider_nonrobust(market_impact, insider, y0=1.0, w_t=0.0, t=0.5)
+        pi = pi_insider_nonrobust(market_impact, insider, y0=1.0, b_t=0.0, t=0.5)
         assert pi == pytest.approx(6.258503401360544, abs=1e-12)
 
     def test_slope_in_noise_level(self, market_impact, insider):
         t, h = 0.5, 1e-6
-        up = pi_large_insider_nonrobust(market_impact, insider, 1.0, h, t)
-        dn = pi_large_insider_nonrobust(market_impact, insider, 1.0, -h, t)
+        up = pi_insider_nonrobust(market_impact, insider, 1.0, h, t)
+        dn = pi_insider_nonrobust(market_impact, insider, 1.0, -h, t)
         slope = (up - dn) / (2 * h)
         assert slope == pytest.approx(-1.0 / (0.175 * 1.5), rel=1e-9)
 
-    def test_requires_unit_weight(self, market):
-        ins = InsiderSpec.enlargement(T0=2.0, phi_weight=2.0)
-        with pytest.raises(ValidationError):
-            pi_large_insider_nonrobust(market, ins, 1.0, 0.0, 0.5)
+    def test_general_weight_drift(self, market_impact):
+        # phi_w = 1 on [0, 1.5), 2 on [1.5, 2]: at t = 0.5 the drift is
+        # (Y0 - B_t) / ||phi_w||^2_[t,T0] = 1 / 3, over sigma_tilde = 0.175
+        ins = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 1.5), (1.0, 2.0)))
+        pi = pi_insider_nonrobust(market_impact, ins, y0=1.0, b_t=0.0, t=0.5)
+        assert pi == pytest.approx((IOTA + 1.0 / 3.0) / 0.175, abs=1e-12)
 
 
 class TestThetaFromPi:
@@ -175,15 +176,12 @@ class TestThetaFromPi:
 
 
 class TestRegimeDegeneracyLattice:
-    def test_large_without_impact_is_small_nonrobust(self, market, insider):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            t = float(rng.uniform(0, 0.99))
-            y0 = float(rng.normal())
-            w = float(rng.normal())
-            a = pi_large_insider_nonrobust(market, insider, y0, w, t)
-            b = pi_small_insider_nonrobust(market, insider, y0, w, t)
-            assert a == pytest.approx(b, abs=1e-14)
+    def test_large_without_impact_is_small_nonrobust(self, market, batch_small):
+        # one form in two markets: without impact the two profiles are one
+        insider = batch_small.insider
+        small, large = (build_profile(kind, batch_small, market, insider).pi for kind in
+                        (StrategyKind.SMALL_INSIDER_NONROBUST, StrategyKind.LARGE_INSIDER_NONROBUST))
+        assert np.array_equal(small, large)
 
     def test_small_robust_without_drift_is_no_insider_robust(self, market, insider):
         # zero the signal term by choosing the residual to cancel the run-out
@@ -276,14 +274,14 @@ class TestProfiles:
         # each closed-form profile is the closed form over the time axis, and
         # every column the closed form at that knot, for piecewise
         # coefficients and signal weights
-        small, unit = market.without_impact(), InsiderSpec.enlargement(T0=2.0)
+        small = market.without_impact()
         cases = (
             (StrategyKind.SMALL_INSIDER_ROBUST, small, weighted,
              {"pi": pi_small_insider_robust, "theta": theta_small_insider_robust}),
             (StrategyKind.SMALL_INSIDER_NONROBUST, small, weighted,
-             {"pi": pi_small_insider_nonrobust}),
-            (StrategyKind.LARGE_INSIDER_NONROBUST, market, unit,
-             {"pi": pi_large_insider_nonrobust}),
+             {"pi": pi_insider_nonrobust}),
+            (StrategyKind.LARGE_INSIDER_NONROBUST, market, weighted,
+             {"pi": pi_insider_nonrobust}),
         )
         for kind, mk, ins, forms in cases:
             cfg = ScenarioConfig(market=mk, insider=ins, n_steps=20, n_paths=64, seed=3)
