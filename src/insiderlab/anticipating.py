@@ -57,7 +57,7 @@ def integrand_oracle(kind: TestIntegrand, W: np.ndarray) -> np.ndarray:
     return (integrand_values(kind, W) * W[:, -1:])[:, 0]
 
 
-def forward_riemann(W: np.ndarray, u: np.ndarray | float, eps_steps: int) -> np.ndarray:
+def forward_riemann(W: np.ndarray, u: np.ndarray | float, eps_steps: int, out=None) -> np.ndarray:
     """Left-point quadrature of the defining average over the whole path on a
     uniform grid, where eps = k dt cancels the step dt:
 
@@ -66,30 +66,37 @@ def forward_riemann(W: np.ndarray, u: np.ndarray | float, eps_steps: int) -> np.
 
     u is an (n_paths, n) matrix or anything that broadcasts against one.
     eps must span at least two grid steps so the averaging window is resolved.
+    The window increments go to `out`, a C-ordered (n_paths, n) buffer, or to
+    a new one.
     """
-    n_steps = W.shape[1] - 1
+    n = W.shape[1] - 1
     if eps_steps < 2:
         raise DomainError("eps below grid resolution: need eps >= 2 steps")
-    # one C-ordered buffer, so the row sum keeps its summation order
-    incr = np.take(W, np.minimum(np.arange(n_steps) + eps_steps, n_steps), axis=1)
-    incr -= W[:, :-1]
+    # one C-ordered buffer, so the row sum keeps its summation order; the
+    # last k windows run past T and end at W_T
+    k = min(eps_steps, n)
+    incr = np.empty((W.shape[0], n)) if out is None else out
+    np.subtract(W[:, k:n], W[:, : n - k], out=incr[:, : n - k])
+    np.subtract(W[:, n:], W[:, n - k : n], out=incr[:, n - k :])
     incr *= u
     return np.sum(incr, axis=1) / eps_steps
 
 
-def ito_residual(W: np.ndarray, dt: float, eps_steps: int) -> np.ndarray:
+def ito_residual(W: np.ndarray, dt: float, eps_steps: int, out=None) -> np.ndarray:
     """Pathwise defect over [0, T] of the anticipating change-of-variable
     formula for f(x) = x^2 applied to X_t = W_T W_t (the forward integral of
     u = W_T):
 
         f(X_T) - f(X_0) - 2 * forward(X u, T) - int_0^T u^2 ds.
 
-    Converges to zero pathwise as eps -> 0.
+    Converges to zero pathwise as eps -> 0.  `out` is a pair of C-ordered
+    (n_paths, n) buffers for X u and the window increments, or None.
     """
     w_T = W[:, -1]
-    xu = W[:, :-1] * W[:, -1:]
+    xu, incr = (None, None) if out is None else out
+    xu = np.multiply(W[:, :-1], W[:, -1:], out=xu)
     xu *= W[:, -1:]
-    fwd = forward_riemann(W, xu, eps_steps)
+    fwd = forward_riemann(W, xu, eps_steps, out=incr)
     quad = w_T**2 * ((W.shape[1] - 1) * dt)
     return (w_T * w_T) ** 2 - (w_T * W[:, 0]) ** 2 - 2.0 * fwd - quad
 
@@ -97,19 +104,43 @@ def ito_residual(W: np.ndarray, dt: float, eps_steps: int) -> np.ndarray:
 # the windows eps of convergence_table, in grid steps, coarsest first
 _EPS_STEPS = (8, 4, 2)
 
+# bytes of one window buffer of convergence_table: a chunk's two buffers and
+# its rows of W stay in a core's L2
+_CHUNK_BYTES = 512 * 1024
+
+
+def _chunk_rows(n_steps: int) -> int:
+    """Paths per chunk of convergence_table on a grid of n_steps steps."""
+    return max(1, _CHUNK_BYTES // (8 * n_steps))
+
 
 def convergence_table(W: np.ndarray, dt: float, kind: TestIntegrand) -> tuple[list[str], list[list]]:
     """(eps, rms_error, rel_rms_error) rows for the integrand's oracle over
     the whole path (unit constant for ADAPTED_CONST) at each window of
-    _EPS_STEPS, and the change-of-variable residual RMS at the same windows."""
-    u = integrand_values(kind, W)
+    _EPS_STEPS, and the change-of-variable residual RMS at the same windows.
+
+    W is walked in chunks of _chunk_rows paths through two window buffers
+    allocated once, which stay in cache; the per-path values do not depend on
+    the chunk.
+    """
+    n_paths, n = W.shape[0], W.shape[1] - 1
+    est = np.empty((len(_EPS_STEPS), n_paths))
+    resid = np.empty_like(est)
+    step = _chunk_rows(n)
+    buffers = np.empty((2, min(step, n_paths), n))
+    for lo in range(0, n_paths, step):
+        chunk = W[lo : lo + step]
+        pair = buffers[:, : len(chunk)]
+        u = integrand_values(kind, chunk)
+        for j, k in enumerate(_EPS_STEPS):
+            est[j, lo : lo + step] = forward_riemann(chunk, u, k, out=pair[1])
+            resid[j, lo : lo + step] = ito_residual(chunk, dt, k, out=pair)
     target = integrand_oracle(kind, W)
     target_rms = math.sqrt(ordered_mean(target**2))
     header = ["eps", "rms_error", "rel_rms_error", "ito_residual_rms"]
     rows = []
-    for k in _EPS_STEPS:
-        est = forward_riemann(W, u, k)
-        rms = math.sqrt(ordered_mean((est - target) ** 2))
-        resid_rms = math.sqrt(ordered_mean(ito_residual(W, dt, k) ** 2))
+    for j, k in enumerate(_EPS_STEPS):
+        rms = math.sqrt(ordered_mean((est[j] - target) ** 2))
+        resid_rms = math.sqrt(ordered_mean(resid[j] ** 2))
         rows.append([k * dt, rms, rms / target_rms if target_rms > 0 else 0.0, resid_rms])
     return header, rows

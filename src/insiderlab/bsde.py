@@ -45,6 +45,7 @@ __all__ = [
     "BsdeSolution",
     "stream_sweep_paths",
     "log_pi_star",
+    "require_gaussian_oracle",
     "enlargement_normalizer",
     "solve_linear_closed_form",
     "solve_linear_lsmc",
@@ -168,6 +169,14 @@ def log_pi_star(paths: SweepPaths, market: MarketParams, insider: InsiderSpec) -
 # -- Gaussian closed forms -------------------------------------------------------
 
 
+def require_gaussian_oracle(market: MarketParams, insider: InsiderSpec) -> None:
+    """The preconditions of the Gaussian closed forms: none without a signal;
+    constant coefficients and unit weight with one."""
+    if insider.has_signal():
+        market.require_constant("the Gaussian closed form")
+        insider.require_unit_weight("the Gaussian closed form")
+
+
 def enlargement_normalizer(market: MarketParams, insider: InsiderSpec, y) -> np.ndarray:
     """E[sqrt(Pi(0,T)) | H_0] as a function of the signal y = W_T0.
 
@@ -178,8 +187,7 @@ def enlargement_normalizer(market: MarketParams, insider: InsiderSpec, y) -> np.
 
     with v = T0 - T and a0 = 2 T0 - T.
     """
-    market.require_constant("the Gaussian closed form")
-    insider.require_unit_weight("the Gaussian closed form")
+    require_gaussian_oracle(market, insider)
     T, T0 = market.T, float(insider.T0)
     v, a0 = T0 - T, 2.0 * T0 - T
     io, r = iota(market, 0.0), market.r(0.0)

@@ -27,6 +27,7 @@ from .bsde import (
     ShootingError,
     initial_controls,
     knot_table,
+    require_gaussian_oracle,
     solve_linear_closed_form,
     solve_linear_lsmc,
     solve_quadratic_lsmc,
@@ -251,8 +252,9 @@ def _quadratic_report(sol, pi_0: np.ndarray):
 
 
 def _cmd_bsde_linear(args, config: ScenarioConfig):
-    paths = stream_sweep_paths(config, threads=args.threads)
     market, insider = config.market.without_impact(), config.insider
+    require_gaussian_oracle(market, insider)  # before any path is drawn
+    paths = stream_sweep_paths(config, threads=args.threads)
     sol = solve_linear_lsmc(paths, market, insider)
     # the solve is done with its input, so the oracle overwrites it knot by knot
     oracle = solve_linear_closed_form(paths, market, insider, out=(paths.level, paths.dWH))
@@ -445,19 +447,37 @@ def _check_flags(args) -> None:
                               f"the widest window in steps, got {args.forward_steps}")
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """The directories on the way to path that do not exist yet, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out if args.out is not None else os.environ.get("INSIDERLAB_OUT", "out")
     start = time.time()
+    made = []  # the directories this run creates for out_dir
     try:
         config = load_config(args.config, args)
         _check_flags(args)
+        made = _missing_dirs(out_dir)
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ValidationError("out_dir", f"cannot create output directory {out_dir}: {exc}") from None
         code, tables = args.handler(args, config)
     except (ValidationError, DomainError) as exc:
+        # nothing is written yet, so a failed run leaves no directory it made
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:  # no longer empty, or never made
+                pass
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except (ShootingError, RegressionError) as exc:

@@ -89,6 +89,8 @@ class PiecewiseConstant:
     def integral(self, a, b: float, power: int = 1):
         """Exact integral of f(t)**power over [a, b]; `a` may be an array of
         lower limits, which gives an array of integrals."""
+        if np.ndim(a) == 0:
+            return self._scalar_integral(float(a), float(b), power)
         lo = np.asarray(a, dtype=float)
         if np.any(lo > b):
             raise DomainError(f"integral bounds reversed: [{a}, {b}]")
@@ -99,8 +101,26 @@ class PiecewiseConstant:
         whole = vals * np.maximum(end - bp, 0.0)
         rest = np.append(np.cumsum(whole[:0:-1])[::-1], 0.0)
         k = np.clip(np.searchsorted(bp, lo, side="right") - 1, 0, len(bp) - 1)
-        out = vals[k] * (end[k] - lo) + rest[k]
-        return float(out) if out.ndim == 0 else out
+        return vals[k] * (end[k] - lo) + rest[k]
+
+    def _scalar_integral(self, a: float, b: float, power: int) -> float:
+        """integral for one lower limit: one bisection and Python floats, with
+        the array path's operations in its order, so the two agree bit for bit
+        (numpy squares for power 2)."""
+        if a > b:
+            raise DomainError(f"integral bounds reversed: [{a}, {b}]")
+        bp, n = self.breakpoints, len(self.breakpoints)
+        vals = [v * v if power == 2 else v**power for v in self.values]
+
+        def end(j):
+            return min(bp[j + 1], b) if j + 1 < n else b
+
+        k = max(bisect.bisect_right(bp, a) - 1, 0)
+        rest = 0.0  # the pieces after k, summed from the last one down
+        for j in range(n - 1, k, -1):
+            piece = vals[j] * max(end(j) - bp[j], 0.0)
+            rest = piece if j == n - 1 else rest + piece
+        return vals[k] * (end(k) - a) + rest
 
 
 def _as_function(x) -> PiecewiseConstant:

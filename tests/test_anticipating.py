@@ -6,6 +6,7 @@ import pytest
 from insiderlab.anticipating import (
     _EPS_STEPS,
     TestIntegrand,
+    _chunk_rows,
     convergence_table,
     forward_riemann,
     integrand_oracle,
@@ -14,6 +15,7 @@ from insiderlab.anticipating import (
 )
 from insiderlab.model import DomainError, ScenarioConfig
 from insiderlab.paths import sample_paths
+from insiderlab.simulate import ordered_mean
 
 
 def rms(x):
@@ -160,3 +162,29 @@ def test_per_path_forms_match_matrix_forms(request, levels, kind):
         expect = _matrix_forward(W, _matrix_integrand(kind, W, 2.0), k)
         assert np.array_equal(forward_riemann(W, u, k), expect), k
         assert np.array_equal(ito_residual(W, dt, k), _matrix_residual(W, dt, k)), k
+
+
+def _matrix_table(W, dt, kind):
+    """convergence_table from the whole-matrix forms, all paths at once."""
+    target = _matrix_oracle(kind, W)
+    target_rms = math.sqrt(ordered_mean(target**2))
+    rows = []
+    for k in _EPS_STEPS:
+        est = _matrix_forward(W, _matrix_integrand(kind, W, 1.0), k)
+        err = math.sqrt(ordered_mean((est - target) ** 2))
+        resid = math.sqrt(ordered_mean(_matrix_residual(W, dt, k) ** 2))
+        rows.append([k * dt, err, err / target_rms if target_rms > 0 else 0.0, resid])
+    return ["eps", "rms_error", "rel_rms_error", "ito_residual_rms"], rows
+
+
+@pytest.mark.parametrize("n_steps", [9, 4096])
+@pytest.mark.parametrize("paths", ["one", "chunk-1", "chunk+1", "1001"])
+def test_chunking_does_not_change_the_table(n_steps, paths):
+    chunk = _chunk_rows(n_steps)
+    n_paths = {"one": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1, "1001": 1001}[paths]
+    dt = 1.0 / n_steps
+    W = np.zeros((n_paths, n_steps + 1))
+    rng = np.random.default_rng(n_paths * n_steps)
+    np.cumsum(rng.standard_normal((n_paths, n_steps)) * math.sqrt(dt), axis=1, out=W[:, 1:])
+    for kind in TestIntegrand:
+        assert convergence_table(W, dt, kind) == _matrix_table(W, dt, kind), kind

@@ -226,10 +226,30 @@ class TestConfigParsing:
     ], ids=lambda argv: "-".join(argv[:2]))
     def test_unrepresentable_value_exits_one_with_code(self, tmp_path, capsys, argv):
         # valid input whose closed-form value overflows a float; found once the
-        # command runs, after the output directory exists, so nothing is written
-        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+        # command runs, after the output directories exist, which are removed again
+        assert run([*argv, "--out", str(tmp_path / "out" / "sub")]) == 1
         assert "validation error: value_finite:" in capsys.readouterr().err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_command_keeps_an_existing_out(self, tmp_path, capsys):
+        (tmp_path / "keep").write_text("keep")
+        assert run(["value", "--t0", "1e160", "--out", str(tmp_path)]) == 1
+        assert "validation error: value_finite:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["keep"]
+
+    @pytest.mark.parametrize("flags, mu0, code", [
+        (["--phi", "0:1,0.5:3"], "0.15", "unsupported_phi"),
+        ([], "0:0.15, 0.5:0.2", "constant_required"),
+    ])
+    def test_bsde_linear_oracle_preconditions_before_any_path(self, tmp_path, capsys, monkeypatch,
+                                                               flags, mu0, code):
+        path = tmp_path / "base.cfg"
+        path.write_text(BASE_CFG.replace("mu0 = 0.15", f"mu0 = {mu0}"))
+        flags = ["--config", str(path), *flags]
+        monkeypatch.setattr("insiderlab.cli.stream_sweep_paths", lambda *a, **k: pytest.fail("drew paths"))
+        assert run(["bsde-linear", *flags, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: {code}:")
+        assert not (tmp_path / "out").exists()
 
 
 def _arg(flag, value):

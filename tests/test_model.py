@@ -54,6 +54,23 @@ class TestPiecewiseConstant:
             assert type(got) is float
             assert got == f(np.array([x]))[0]
 
+    @given(bps=st.lists(st.floats(1e-6, 5.0), unique=True, max_size=4),
+           a=st.floats(0.0, 6.0), b=st.floats(0.0, 8.0),
+           power=st.sampled_from([1, 2]), data=st.data())
+    def test_scalar_integral_is_the_array_one(self, bps, a, b, power, data):
+        # a scalar lower limit takes a bisection and Python floats of its own:
+        # the same bits as a one-element array, from breakpoints and between them
+        bp = (0.0, *sorted(bps))
+        f = PiecewiseConstant(bp, data.draw(st.lists(st.floats(-5.0, 5.0), min_size=len(bp), max_size=len(bp))))
+        for x in (a, *bp, b):
+            if x > b:
+                with pytest.raises(DomainError):
+                    f.integral(x, b, power=power)
+                continue
+            got = f.integral(x, b, power=power)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == f.integral(np.array([x]), b, power=power).tobytes()
+
     def test_exact_integral(self):
         f = PiecewiseConstant((0.0, 1.0), (2.0, 1.0))
         assert f.integral(0.0, 2.0) == 3.0
