@@ -17,7 +17,8 @@ the quadratic backward equation
                 - (sigma - sigma_tilde)/(4 (sigma + sigma_tilde)) (z + phitilde)^2,
 
 with the constant (or, under enlargement, signal-dependent) terminal c2 shot
-so that L_0 = ln X0.  Controls are recovered via pi = (z + phitilde) /
+so that L_0 = ln X0: f_Q does not read L, so one correction of the terminal
+is exact.  Controls are recovered via pi = (z + phitilde) /
 (sigma + sigma_tilde), theta = (sigma_tilde z - sigma phitilde) /
 (sigma + sigma_tilde).
 
@@ -36,11 +37,10 @@ import numpy as np
 from .model import InsiderSpec, MarketParams, ScenarioConfig, iota, sigma_tilde, validate
 from .paths import PathBatch, TimeGrid, build_grid, signal_drift, stream_paths
 from .simulate import mean_se, ordered_mean
-from .strategies import StrategyKind, _pi_small_robust_line, pi_no_insider_robust
+from .strategies import _pi_small_robust_line, pi_no_insider_robust
 
 __all__ = [
     "RegressionError",
-    "ShootingError",
     "SweepPaths",
     "BsdeSolution",
     "stream_sweep_paths",
@@ -68,17 +68,6 @@ class RegressionError(RuntimeError):
         self.rank = rank
         self.n_columns = n_columns
         self.cond = cond
-
-
-class ShootingError(RuntimeError):
-    """Terminal-constant shooting failed to converge."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"shooting residual {residual:.3e} after {iterations} iterations"
-        )
-        self.residual = residual
-        self.iterations = iterations
 
 
 # -- the sweep input -------------------------------------------------------------
@@ -212,10 +201,12 @@ class BsdeSolution:
     linear equation, L for the quadratic one); Z (n_paths, index_T) the
     control on every step.  The solvers store both knot-major and return
     Y and Z as transposed views, so a knot's column Y[:, i] is contiguous.
-    `c` is the shooting constant (scalar, or polynomial coefficients in the
+    `c` is the shot terminal (scalar, or polynomial coefficients in the
     signal under enlargement; the Monte-Carlo normaliser for the linear
-    solver).  `residual` is |Y_0 - target| and `trace` the shooting
-    iterations.
+    solver).  `residual` is |Y_0 - target| for the linear solvers and the
+    RMS projected mismatch of L_0 - ln X0 left after the shot for the
+    quadratic one; `trace` holds the quadratic solver's two rows
+    (iteration, c2, residual, mean L_0): the sweep from ln X0, then the shot.
     """
 
     grid: object
@@ -341,18 +332,16 @@ def _factor(design: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     return scale, inv_gram
 
 
-def _backward_sweep(paths: SweepPaths, terminal, driver, factors, L, Z) -> None:
+def _backward_sweep(paths: SweepPaths, terminal, driver) -> tuple[np.ndarray, np.ndarray]:
     """One explicit backward Euler pass with regression (Gobet, Lemor & Warin):
 
         Z_i = E[(L_{i+1} - E[L_{i+1}|s_i]) dWH_i | s_i] / dt_i,
         L_i = E[L_{i+1}|s_i] + driver(i, Z_i) dt_i,     L_m = terminal,
 
     on the basis of all monomials of total degree <= _BASIS_ORDER in the
-    state s_i (paths.level[i], plus the signal if any), written into
-    the caller's knot-major L (index_T + 1, n_paths) and Z (index_T, n_paths),
-    so shooting passes reuse one pair.  The design does not depend on the
-    terminal, so `factors[i]` (None until the first pass) keeps step i's
-    factor across passes.
+    state s_i (paths.level[i], plus the signal if any), factored once per
+    step.  Returns the knot-major L (index_T + 1, n_paths) and
+    Z (index_T, n_paths).
     """
     grid = paths.grid
     m = grid.index_T
@@ -361,22 +350,20 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, factors, L, Z) -> None:
     n_rows = k if signal is None else k * (k + 1) // 2
     design = np.empty((n_rows, paths.n_paths))
 
+    L, Z = _sweep_pair(paths)
     L[m] = l_next = terminal
     for i in range(m - 1, -1, -1):
         _monomials(design, paths.level[i], signal, _BASIS_ORDER)
-        if factors[i] is None:
-            factors[i] = _factor(design, grid.knots[i])
-        else:
-            design /= factors[i][0][:, None]
-        inv_gram = factors[i][1]
+        _, inv_gram = _factor(design, grid.knots[i])
         l_hat = inv_gram @ (design @ l_next) @ design
         z = inv_gram @ (design @ ((l_next - l_hat) * paths.dWH[i])) @ design / grid.dt[i]
         L[i] = l_next = l_hat + driver(i, z) * grid.dt[i]
         Z[i] = z
+    return L, Z
 
 
 def _sweep_pair(paths: SweepPaths) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialised knot-major (L, Z) for _backward_sweep."""
+    """Uninitialised knot-major (L, Z), or (Y, Z), for one solution."""
     m, n = paths.grid.index_T, paths.n_paths
     return np.empty((m + 1, n)), np.empty((m, n))
 
@@ -416,8 +403,7 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, insider: InsiderS
     def driver(i, zeta):
         return -(r[i] + phitilde(i) * zeta - 0.5 * zeta**2)
 
-    Y, Z = _sweep_pair(paths)
-    _backward_sweep(paths, terminal, driver, [None] * m, Y, Z)
+    Y, Z = _backward_sweep(paths, terminal, driver)
     np.exp(Y, out=Y)  # L -> Y = exp(L), so exp(L) never sits beside L
     Z *= Y[:m]  # zeta -> Z = zeta Y
     residual = abs(ordered_mean(Y[0]) - market.X0)
@@ -458,106 +444,73 @@ def _projected_mismatch(y_design, inv_gram, mismatch) -> tuple[np.ndarray, float
     return delta, math.sqrt(ordered_mean((delta @ y_design) ** 2))
 
 
-def solve_quadratic_lsmc(
-    paths: SweepPaths,
-    market: MarketParams,
-    insider: InsiderSpec,
-    c2_init: float | None = None,
-    shoot_tol: float = 1e-3,
-    max_iter: int = 50,
-) -> BsdeSolution:
-    """Backward solve of the quadratic equation with terminal shooting.
+def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, insider: InsiderSpec) -> BsdeSolution:
+    """Backward solve of the quadratic equation, its terminal shot so that
+    L_0 = ln X0.
 
-    Without a signal the terminal is a constant c2 found by secant iteration
-    on the initial-value mismatch L_0 - ln X0 (the map c2 -> L_0 is affine
-    with unit slope, so this converges immediately up to regression noise).
-    Under enlargement the terminal is a polynomial c2(Y0) of degree
-    _TERMINAL_DEGREE, updated by projecting the mismatch onto the same basis;
-    the residual reported is the root-mean-square projected mismatch.  Every
-    pass reuses the regression factors and the (L, Z) pair of the first.
+    The terminal is a constant c2 without a signal and a polynomial c2(Y0)
+    of degree _TERMINAL_DEGREE under enlargement.  f_Q does not read L, and
+    the regression basis holds every monomial of the terminal basis, so
+    adding c(Y0) to the terminal adds c(Y0) to L at every knot and leaves Z
+    as it is.  The shot is therefore exact after one sweep from the terminal
+    ln X0: the mismatch L_0 - ln X0 is projected on the terminal basis (its
+    ordered mean without a signal) and subtracted from the terminal and from
+    L at every knot.  The residual is what the projection finds left after
+    the shot: |mean| without a signal, the RMS projected mismatch with one.
     """
     n = paths.n_paths
     ln_x0 = math.log(market.X0)
-    trace: list[tuple] = []
-    driver = _quadratic_driver(paths, market, insider)
-    factors: list[tuple | None] = [None] * paths.grid.index_T
-    L, Z = _sweep_pair(paths)
-
-    def sweep(terminal) -> None:
-        _backward_sweep(paths, terminal, driver, factors, L, Z)
-
-    def solution(c, residual: float) -> BsdeSolution:
-        return BsdeSolution(grid=paths.grid, Y=L.T, Z=Z.T, c=c, residual=residual,
-                            trace=tuple(trace))
-
-    if paths.Y0 is None:
-        c2 = ln_x0 if c2_init is None else float(c2_init)
-        prev: tuple[float, float] | None = None
-        for iteration in range(max_iter):
-            sweep(np.full(n, c2))
-            l0 = ordered_mean(L[0])
-            resid = l0 - ln_x0
-            trace.append((iteration, c2, resid, l0))
-            # c2 moves L_0 one for one: no finer mismatch than c2's float spacing
-            achieved = max(abs(resid), float(np.spacing(abs(c2))))
-            if achieved <= shoot_tol:
-                return solution(c2, abs(resid))
-            if prev is None or abs(resid - prev[1]) < 1e-15:
-                step = -resid  # unit-slope Newton guess
-            else:
-                step = -resid * (c2 - prev[0]) / (resid - prev[1])
-            prev = (c2, resid)
-            c2 += step
-        raise ShootingError(residual=achieved, iterations=max_iter)
-
-    # enlargement: polynomial terminal in the signal
-    y_design = np.empty((_TERMINAL_DEGREE + 1, n))
-    _monomials(y_design, paths.Y0, None, _TERMINAL_DEGREE)
+    degree = 0 if paths.Y0 is None else _TERMINAL_DEGREE
+    y_design = np.empty((degree + 1, n))
+    _monomials(y_design, paths.Y0, None, degree)
     scale, inv_gram = _factor(y_design, 0.0)
-    coef = np.zeros(_TERMINAL_DEGREE + 1)
-    coef[0] = ln_x0 if c2_init is None else float(c2_init)
-    for iteration in range(max_iter):
-        sweep((coef * scale) @ y_design)
+    coef = np.zeros(degree + 1)
+    coef[0] = ln_x0
+    L, Z = _backward_sweep(paths, np.full(n, ln_x0), _quadratic_driver(paths, market, insider))
+
+    def trace_row(iteration: int) -> tuple[tuple, np.ndarray]:
+        """(iteration, c2, residual, mean L_0), and the mismatch's coefficients."""
+        l0 = ordered_mean(L[0])
+        if paths.Y0 is None:
+            resid = l0 - ln_x0  # the trace keeps its sign
+            return (iteration, float(coef[0]), resid, l0), np.array([resid])
         delta, resid = _projected_mismatch(y_design, inv_gram, L[0] - ln_x0)
-        c2 = tuple(coef.tolist())
-        trace.append((iteration, c2, resid, ordered_mean(L[0])))
-        if resid <= shoot_tol:
-            return solution(c2, resid)
-        coef = coef - delta / scale
-    raise ShootingError(residual=trace[-1][2], iterations=max_iter)
+        return (iteration, tuple(coef.tolist()), resid, l0), delta
+
+    swept, delta = trace_row(0)
+    coef -= delta / scale
+    L -= delta @ y_design
+    shot, _ = trace_row(1)
+    return BsdeSolution(grid=paths.grid, Y=L.T, Z=Z.T, c=shot[1], residual=abs(shot[2]),
+                        trace=(swept, shot))
 
 
 # -- controls and reductions --------------------------------------------------------
 
 
-def _controls(kind: StrategyKind, z, y, phit, sig, st):
-    """(pi, theta) from the control z, the value y and phitilde; the arrays
-    broadcast, so this serves one knot or all of them.
+def _controls(z, phit, sig, st):
+    """(pi, theta) from the quadratic control z = sigma pi + theta and
+    phitilde; the arrays broadcast, so this serves one knot or all of them.
 
-    Quadratic regimes:  pi = (z + phitilde)/(sigma + sigma_tilde) and
-    theta = (sigma_tilde z - sigma phitilde)/(sigma + sigma_tilde), so that
-    sigma pi + theta = z and theta = sigma_tilde pi - phitilde hold exactly.
-    Linear (small-insider) regimes:  pi = z/(sigma X), theta = sigma pi - phitilde.
+        pi = (z + phitilde)/(sigma + sigma_tilde),
+        theta = (sigma_tilde z - sigma phitilde)/(sigma + sigma_tilde),
+
+    so that sigma pi + theta = z and theta = sigma_tilde pi - phitilde hold
+    exactly.
     """
-    if kind is StrategyKind.LARGE_INSIDER_ROBUST:
-        return (z + phit) / (sig + st), (st * z - sig * phit) / (sig + st)
-    pi = z / (sig * y)
-    return pi, sig * pi - phit
+    return (z + phit) / (sig + st), (st * z - sig * phit) / (sig + st)
 
 
 def initial_controls(
-    sol: BsdeSolution,
-    market: MarketParams,
-    paths: SweepPaths,
-    insider: InsiderSpec,
-    kind: StrategyKind,
+    sol: BsdeSolution, market: MarketParams, paths: SweepPaths, insider: InsiderSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The controls (pi, theta) implied by a backward solution at knot 0, on
-    every path of the sweep input `paths` it was solved on; see _controls."""
+    """The controls (pi, theta) implied by a quadratic backward solution at
+    knot 0, on every path of the sweep input `paths` it was solved on; see
+    _controls."""
     t_left = paths.grid.knots[: paths.grid.index_T]
     sig, st = market.sigma(t_left), sigma_tilde(market, t_left)
     phit = _phitilde(paths, market, insider)(0)
-    return _controls(kind, sol.Z[:, 0], sol.Y[:, 0], phit, sig[0], st[0])
+    return _controls(sol.Z[:, 0], phit, sig[0], st[0])
 
 
 def value_from_bsde(sol: BsdeSolution) -> tuple[float, float]:
@@ -579,7 +532,10 @@ def knot_table(sol: BsdeSolution, oracle: BsdeSolution | None = None) -> tuple[l
         if oracle is not None:
             o_y = ordered_mean(oracle.Y[:, i])
             o_z = ordered_mean(oracle.Z[:, i]) if i < m else ""
-            rmse = math.sqrt(ordered_mean((sol.Y[:, i] - oracle.Y[:, i]) ** 2))
+            gap = sol.Y[:, i] - oracle.Y[:, i]
+            # squared after an exact power-of-two scaling, so that no square overflows
+            unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(gap))))[1])
+            rmse = unit * math.sqrt(ordered_mean((gap / unit) ** 2))
         else:
             o_y, o_z, rmse = "", "", ""
         rows.append([t, mean_y, mean_z, o_y, o_z, rmse])

@@ -24,7 +24,6 @@ from . import analysis
 from ._csvio import write_csv
 from .bsde import (
     RegressionError,
-    ShootingError,
     initial_controls,
     knot_table,
     require_gaussian_oracle,
@@ -267,8 +266,8 @@ def _cmd_bsde_linear(args, config: ScenarioConfig):
 def _cmd_bsde_quadratic(args, config: ScenarioConfig):
     paths = stream_sweep_paths(config, threads=args.threads)
     market, insider = config.market, config.insider
-    sol = solve_quadratic_lsmc(paths, market, insider, shoot_tol=args.shoot_tol)
-    pi_0, _ = initial_controls(sol, market, paths, insider, StrategyKind.LARGE_INSIDER_ROBUST)
+    sol = solve_quadratic_lsmc(paths, market, insider)
+    pi_0, _ = initial_controls(sol, market, paths, insider)
     return 0, {
         "bsde_quadratic.csv": knot_table(sol),
         "bsde_quadratic_trace.csv": (
@@ -326,7 +325,7 @@ def _cmd_figures(args, config: ScenarioConfig):
                     n_steps=args.bsde_steps,
                 )
                 paths = stream_sweep_paths(cfg, threads=args.threads)
-                sol = solve_quadratic_lsmc(paths, market, cfg.insider, shoot_tol=5e-3)
+                sol = solve_quadratic_lsmc(paths, market, cfg.insider)
                 bsde_values[t0] = value_from_bsde(sol)[0] - math.log(market.X0)
         table = analysis.fig_value_table(market, t0s, bsde_values)
     elif args.fig_kind == "fig2":
@@ -397,9 +396,8 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(handler=_cmd_bsde_linear)
 
-    p = sub.add_parser("bsde-quadratic", help="quadratic backward solver with shooting")
+    p = sub.add_parser("bsde-quadratic", help="quadratic backward solver: one sweep from ln X0, then the exact terminal shot")
     _add_common(p)
-    p.add_argument("--shoot-tol", dest="shoot_tol", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_bsde_quadratic)
 
     p = sub.add_parser("forward-check", help="forward-integral convergence tables")
@@ -436,9 +434,6 @@ def _check_flags(args) -> None:
     """The range checks of the flags that are not part of the config."""
     if args.threads < 1:
         raise ValidationError("threads_min", f"need --threads >= 1, got {args.threads}")
-    shoot_tol = getattr(args, "shoot_tol", 1.0)
-    if not (math.isfinite(shoot_tol) and shoot_tol > 0.0):
-        raise ValidationError("shoot_tol_positive", f"need a finite --shoot-tol > 0, got {shoot_tol}")
     if not math.isfinite(getattr(args, "signal_level", 0.0)):
         raise ValidationError("signal_level_finite", f"need a finite --signal-level, got {args.signal_level}")
     # every window of the convergence table must fit inside [0, T]
@@ -480,7 +475,7 @@ def main(argv=None) -> int:
                 pass
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (ShootingError, RegressionError) as exc:
+    except RegressionError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 2
     outputs = [write_csv(os.path.join(out_dir, name), header, rows)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from insiderlab.bsde import (
     _projected_mismatch,
     _quadratic_driver,
     RegressionError,
-    ShootingError,
     enlargement_normalizer,
     initial_controls,
     knot_table,
@@ -27,7 +27,7 @@ from insiderlab.bsde import (
     value_from_bsde,
 )
 from insiderlab.cli import _linear_report, _quadratic_report
-from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig, iota, sigma_tilde
+from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota, sigma_tilde
 from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.simulate import mean_se, simulate_wealth
 from insiderlab.strategies import StrategyKind, StrategyProfile, build_profile
@@ -38,12 +38,13 @@ VALUE1 = 0.045918367346938776
 VALUE2 = 0.28678267429077676
 
 
-def every_knot_controls(sol, market, batch, kind):
-    """(pi, theta) of `sol` at every knot of [0, T), from the batch's phitilde."""
+def every_knot_controls(sol, market, batch):
+    """(pi, theta) of the quadratic solution `sol` at every knot of [0, T),
+    from the batch's phitilde."""
     m = batch.grid.index_T
     t_left = batch.grid.knots[:m]
     phit = iota(market, t_left) + batch.phi
-    return _controls(kind, sol.Z, sol.Y[:, :m], phit, market.sigma(t_left), sigma_tilde(market, t_left))
+    return _controls(sol.Z, phit, market.sigma(t_left), sigma_tilde(market, t_left))
 
 
 def interior_mask(grid):
@@ -216,20 +217,6 @@ class TestQuadraticLsmc:
         assert v == pytest.approx(IOTA_SQ / 3.0, abs=1e-9)
         assert sol.residual <= 1e-3
 
-    def test_shooting_monotone_in_terminal_constant(self, sweep_lsmc_flat, market, no_insider):
-        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market, no_insider, c2_init=-0.3)
-        assert len(sol.trace) >= 2
-        pairs = sorted((c2, l0) for _, c2, _, l0 in sol.trace)
-        l0s = [l0 for _, l0 in pairs]
-        assert all(a < b for a, b in zip(l0s, l0s[1:]))
-
-    def test_shooting_failure_carries_residual(self, sweep_lsmc_flat, market, no_insider):
-        with pytest.raises(ShootingError) as err:
-            solve_quadratic_lsmc(
-                sweep_lsmc_flat, market, no_insider, c2_init=-0.5, shoot_tol=1e-18, max_iter=1
-            )
-        assert err.value.residual > 0.0
-
     def test_enlargement_value_and_controls(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
         # no impact: the quadratic route must reproduce the informed robust
         # solution; ln(eps X) has z = sigma pi + theta with both closed forms
@@ -244,26 +231,48 @@ class TestQuadraticLsmc:
         rmse = math.sqrt(float(np.mean((sol.Z[:, mask] - z_true[:, mask]) ** 2)))
         assert rmse / math.sqrt(float(np.mean(z_true[:, mask] ** 2))) < 0.10
 
-    @pytest.mark.parametrize("max_iter", [1, 4])
-    def test_regression_state_built_once_per_solve(self, market, insider, count_calls, max_iter):
-        # every pass reads the state the sweep input holds: the solver copies
-        # none of its path-sized arrays and no pass rebuilds the state from dW
+    def test_regression_state_built_once_per_solve(self, market, insider, count_calls):
+        # one sweep reads the state the sweep input holds: the solver copies
+        # none of its path-sized arrays and does not rebuild the state from dW
         cfg = ScenarioConfig(market=market, insider=insider, n_steps=50, n_paths=4096, seed=42)
         paths = stream_sweep_paths(cfg)
         signals = count_calls(partial_signals)
+        sweeps = count_calls(_backward_sweep)
         tracemalloc.start()
         try:
-            with pytest.raises(ShootingError) as err:
-                solve_quadratic_lsmc(paths, market, insider, shoot_tol=0.0, max_iter=max_iter)
+            sol = solve_quadratic_lsmc(paths, market, insider)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert err.value.iterations == max_iter
+        assert len(sweeps) == 1
+        assert len(sol.trace) == 2
         assert not signals
         # the (L, Z) pair is as large as (level, dWH); the design, the factors
         # and the per-step vectors add about half of dWH more, a copy of level
         # or dWH at least one dWH
         assert peak < paths.level.nbytes + 2 * paths.dWH.nbytes
+
+    @pytest.mark.parametrize("insider_spec, varrho", [
+        (InsiderSpec.none(), 0.0),
+        (InsiderSpec.enlargement(T0=2.0), 0.0),
+        (InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.5), (1.0, 3.0))), 0.030625),
+    ])
+    def test_shot_is_exact(self, insider_spec, varrho):
+        # f_Q does not read L and the regression basis holds the terminal's
+        # monomials: a fresh sweep from the shot terminal is the shot solution
+        mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
+        cfg = ScenarioConfig(market=mk, insider=insider_spec, n_steps=20, n_paths=4000, seed=13)
+        paths = stream_sweep_paths(cfg)
+        sol = solve_quadratic_lsmc(paths, mk, insider_spec)
+        c = np.atleast_1d(sol.c)
+        signal = np.zeros(paths.n_paths) if paths.Y0 is None else paths.Y0
+        terminal = sum(ck * signal**k for k, ck in enumerate(c))
+        L, Z = _backward_sweep(paths, terminal, _quadratic_driver(paths, mk, insider_spec))
+        np.testing.assert_allclose(L.T, sol.Y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Z.T, sol.Z, rtol=0, atol=1e-12)
+        assert [row[0] for row in sol.trace] == [0, 1]
+        assert sol.trace[1][1] == sol.c
+        assert sol.residual <= 1e-12
 
     def test_enlargement_terminal_matches_quadratic_truth(self, sweep_lsmc_enl, market, insider):
         # true terminal: c2(y) = ln X0 - 2 ln normalizer(y), exactly quadratic
@@ -292,22 +301,6 @@ class TestRegressionEngine:
         fitted = inv_gram @ (design @ target) @ design
         np.testing.assert_allclose(fitted, raw.T @ coef, rtol=0, atol=1e-10)
 
-    def test_cached_factors_bit_identical(self, sweep_small, market_impact, insider):
-        paths = sweep_small
-        m, n = paths.grid.index_T, paths.n_paths
-        driver = _quadratic_driver(paths, market_impact, insider)
-        cached = [None] * m
-        L, Z = np.empty((m + 1, n)), np.empty((m, n))
-        _backward_sweep(paths, np.zeros(n), driver, cached, L, Z)
-        assert all(f is not None for f in cached)
-        terminal = 0.1 + 0.05 * paths.Y0**2
-        _backward_sweep(paths, terminal, driver, cached, L, Z)
-        L1, Z1 = L.copy(), Z.copy()
-        # the same pair again, now from fresh factors
-        _backward_sweep(paths, terminal, driver, [None] * m, L, Z)
-        assert np.array_equal(L1, L)
-        assert np.array_equal(Z1, Z)
-
     @pytest.mark.parametrize("varrho", [0.0, 0.01, 0.25 * 0.35**2, 0.05])
     def test_quadratic_driver_leading_coefficient(self, sweep_small, insider, varrho):
         mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
@@ -324,7 +317,7 @@ class TestRecoverControls:
         self, batch_lsmc_flat, sweep_lsmc_flat, market, no_insider
     ):
         sol = solve_quadratic_lsmc(sweep_lsmc_flat, market, no_insider)
-        pi, theta = every_knot_controls(sol, market, batch_lsmc_flat, StrategyKind.LARGE_INSIDER_ROBUST)
+        pi, theta = every_knot_controls(sol, market, batch_lsmc_flat)
         np.testing.assert_allclose(pi, IOTA / (2 * 0.35), atol=1e-10)
         np.testing.assert_allclose(theta, -IOTA / 2, atol=1e-10)
 
@@ -335,7 +328,7 @@ class TestRecoverControls:
         z = rng.normal(size=(batch_small.n_paths, m))
         sol = BsdeSolution(grid=batch_small.grid, Y=np.ones((batch_small.n_paths, m + 1)),
                            Z=z, c=0.0, residual=0.0)
-        pi, theta = every_knot_controls(sol, market_impact, batch_small, StrategyKind.LARGE_INSIDER_ROBUST)
+        pi, theta = every_knot_controls(sol, market_impact, batch_small)
         sig = market_impact.sigma(t_left)
         st = sig - 2 * market_impact.varrho(t_left) / sig
         phit = 0.15 / 0.35 + batch_small.phi
@@ -343,8 +336,13 @@ class TestRecoverControls:
         np.testing.assert_allclose(theta, st * pi - phit, atol=1e-12)
 
     def test_linear_inversion_recovers_fraction(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
+        # the linear equation's control is z = sigma pi X, and theta = sigma pi - phitilde
         sol = solve_linear_closed_form(sweep_lsmc_enl, market, insider)
-        pi, theta = every_knot_controls(sol, market, batch_lsmc_enl, StrategyKind.SMALL_INSIDER_ROBUST)
+        m = batch_lsmc_enl.grid.index_T
+        t_left = batch_lsmc_enl.grid.knots[:m]
+        sig = market.sigma(t_left)
+        pi = sol.Z / (sig * sol.Y[:, :m])
+        theta = sig * pi - (iota(market, t_left) + batch_lsmc_enl.phi)
         expect = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
         np.testing.assert_allclose(pi, expect.pi, rtol=1e-10)
         np.testing.assert_allclose(theta, expect.theta, atol=1e-10)
@@ -357,6 +355,25 @@ def test_knot_table_shape(sweep_lsmc_flat, market, no_insider):
     assert header[0] == "t"
     assert len(rows) == sweep_lsmc_flat.grid.index_T + 1
     assert all(len(r) == len(header) for r in rows)
+
+
+def test_knot_table_rmse_finite_at_huge_wealth(no_insider):
+    # the gaps near X0 = 1e300 square past the largest float unless scaled first
+    huge = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1e300)
+    paths = stream_sweep_paths(ScenarioConfig(market=huge, insider=no_insider, n_steps=20, n_paths=2000, seed=1))
+    sol = solve_linear_lsmc(paths, huge, no_insider)
+    oracle = solve_linear_closed_form(paths, huge, no_insider)
+    _, rows = knot_table(sol, oracle)
+    rmse = [row[-1] for row in rows]
+    assert all(math.isfinite(r) for r in rmse)
+    assert max(rmse) > 1e290
+    # the scaling is by a power of two, so at X0 = 1 it is the plain RMS up to the sum's order
+    unit = replace(huge, X0=1.0)
+    paths = stream_sweep_paths(ScenarioConfig(market=unit, insider=no_insider, n_steps=20, n_paths=2000, seed=1))
+    sol, oracle = solve_linear_lsmc(paths, unit, no_insider), solve_linear_closed_form(paths, unit, no_insider)
+    _, rows = knot_table(sol, oracle)
+    for i, row in enumerate(rows):
+        assert row[-1] == pytest.approx(math.sqrt(np.mean((sol.Y[:, i] - oracle.Y[:, i]) ** 2)), rel=1e-12)
 
 
 def test_knot_table_path_order_insensitive(sweep_small, market, insider):
@@ -383,7 +400,7 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact, insider
                        Z=rng.normal(size=(n, m)), c=0.0, residual=0.0)
 
     def reports(s, p):
-        pi_0, _ = initial_controls(s, market_impact, p, insider, StrategyKind.LARGE_INSIDER_ROBUST)
+        pi_0, _ = initial_controls(s, market_impact, p, insider)
         return repr((_linear_report(s, market_impact), _quadratic_report(s, pi_0)))
 
     # a signal and mismatch on a coarse dyadic lattice keep every sum over

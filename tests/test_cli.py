@@ -192,10 +192,6 @@ class TestConfigParsing:
             ("value", [], BASE_CFG.replace("n_steps = 20", "n_step = 50"), "config_key"),
             ("value", ["--phi", "1e200"], None, "phi_norm_finite"),
             ("value", ["--phi", "0:1,1.5:-1e200"], None, "phi_norm_finite"),
-            ("bsde-quadratic", ["--shoot-tol=-1"], None, "shoot_tol_positive"),
-            ("bsde-quadratic", ["--shoot-tol", "0"], None, "shoot_tol_positive"),
-            ("bsde-quadratic", ["--shoot-tol", "nan"], None, "shoot_tol_positive"),
-            ("bsde-quadratic", ["--shoot-tol", "inf"], None, "shoot_tol_positive"),
             ("figures", ["--fig-kind", "strategy_lines", "--signal-level", "inf"], None,
              "signal_level_finite"),
             ("figures", ["--fig-kind", "strategy_lines", "--signal-level", "nan"], None,
@@ -340,7 +336,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [("value", "--no-such-flag"),
                                                ("bsde-linear", "--basis-order"),
-                                               ("bsde-quadratic", "--basis-order")])
+                                               ("bsde-quadratic", "--basis-order"),
+                                               ("bsde-quadratic", "--shoot-tol")])
     def test_unknown_flag_exits_one(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             run([command, flag, "3"])
@@ -361,12 +358,14 @@ class TestExitCodes:
         code = run(["value", "--config", cfg_file, "--t0", "0.5", "--out", str(tmp_path)])
         assert code == 1
 
-    def test_non_convergence_exits_two(self, tmp_path, cfg_file):
+    def test_non_convergence_exits_two(self, tmp_path, cfg_file, capsys):
+        # 4 paths cannot fit the 10 monomials of the regression basis
         code = run([
-            "bsde-quadratic", "--config", cfg_file, "--kind", "none",
-            "--shoot-tol", "1e-18", "--out", str(tmp_path),
+            "bsde-quadratic", "--config", cfg_file, "--n-paths", "4", "--n-steps", "10",
+            "--out", str(tmp_path),
         ])
         assert code == 2
+        assert capsys.readouterr().err.startswith("numerical non-convergence: rank-deficient regression")
 
     def test_success_exits_zero(self, tmp_path, cfg_file):
         assert run(["value", "--config", cfg_file, "--out", str(tmp_path)]) == 0

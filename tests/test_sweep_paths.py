@@ -21,7 +21,6 @@ from insiderlab.bsde import (
 from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota, sigma_tilde
 from insiderlab.paths import _BLOCK, partial_signals, sample_paths
 from insiderlab.simulate import ordered_mean
-from insiderlab.strategies import StrategyKind
 
 MARKET = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
 IMPACT = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.02, T=1.0, X0=1.0)
@@ -76,8 +75,7 @@ def api_tables(solver, config, market):
     sol = solve_quadratic_lsmc(paths, market, insider)
     m = batch.grid.index_T
     t_left = batch.grid.knots[:m]
-    pi, _ = _controls(StrategyKind.LARGE_INSIDER_ROBUST, sol.Z, sol.Y[:, :m], iota(market, t_left) + batch.phi,
-                      market.sigma(t_left), sigma_tilde(market, t_left))
+    pi, _ = _controls(sol.Z, iota(market, t_left) + batch.phi, market.sigma(t_left), sigma_tilde(market, t_left))
     mean_abs_z = ordered_mean(np.array([ordered_mean(np.abs(sol.Z[:, i])) for i in range(m)]))
     return {
         "bsde_quadratic.csv": knot_table(sol),
@@ -99,7 +97,7 @@ def api_tables(solver, config, market):
 ])
 def test_cli_tables_equal_the_whole_batch_api(solver, insider, market):
     config = config_of(insider, 9000, market)
-    args = argparse.Namespace(threads=2, shoot_tol=1e-3)
+    args = argparse.Namespace(threads=2)
     handler = cli._cmd_bsde_linear if solver == "linear" else cli._cmd_bsde_quadratic
     code, tables = handler(args, config)
     assert code == 0
