@@ -231,16 +231,18 @@ class TestQuadraticLsmc:
         rmse = math.sqrt(float(np.mean((sol.Z[:, mask] - z_true[:, mask]) ** 2)))
         assert rmse / math.sqrt(float(np.mean(z_true[:, mask] ** 2))) < 0.10
 
-    def test_regression_state_built_once_per_solve(self, market, insider, count_calls):
+    @pytest.mark.parametrize("insider_spec", [InsiderSpec.none(), InsiderSpec.enlargement(T0=2.0)],
+                             ids=["none", "enlargement"])
+    def test_regression_state_built_once_per_solve(self, market, insider_spec, count_calls):
         # one sweep reads the state the sweep input holds: the solver copies
         # none of its path-sized arrays and does not rebuild the state from dW
-        cfg = ScenarioConfig(market=market, insider=insider, n_steps=50, n_paths=4096, seed=42)
+        cfg = ScenarioConfig(market=market, insider=insider_spec, n_steps=50, n_paths=4096, seed=42)
         paths = stream_sweep_paths(cfg)
         signals = count_calls(partial_signals)
         sweeps = count_calls(_backward_sweep)
         tracemalloc.start()
         try:
-            sol = solve_quadratic_lsmc(paths, market, insider)
+            sol = solve_quadratic_lsmc(paths, market, insider_spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -273,6 +275,32 @@ class TestQuadraticLsmc:
         assert [row[0] for row in sol.trace] == [0, 1]
         assert sol.trace[1][1] == sol.c
         assert sol.residual <= 1e-12
+
+    @pytest.mark.parametrize("insider_spec, shift", [
+        (InsiderSpec.none(), (-0.3,)),
+        (InsiderSpec.none(), (0.7,)),
+        (InsiderSpec.enlargement(T0=2.0), (0.2, -0.1, 0.05)),
+    ])
+    def test_sweep_shifts_by_terminal_polynomial(self, market_impact, insider_spec, shift):
+        # the closed-form shot rests on this: a terminal shifted by c(Y0) in
+        # the terminal basis shifts L by c(Y0) at every knot and leaves Z as it is
+        cfg = ScenarioConfig(market=market_impact, insider=insider_spec, n_steps=20, n_paths=3000, seed=21)
+        paths = stream_sweep_paths(cfg)
+        driver = _quadratic_driver(paths, market_impact, insider_spec)
+        signal = np.zeros(paths.n_paths) if paths.Y0 is None else paths.Y0
+        base = 0.1 * np.ones(paths.n_paths)
+        c = sum(ck * signal**k for k, ck in enumerate(shift))
+        L0, Z0 = _backward_sweep(paths, base, driver)
+        L1, Z1 = _backward_sweep(paths, base + c, driver)
+        np.testing.assert_allclose(L1 - L0, np.broadcast_to(c, L0.shape), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Z1, Z0, rtol=0, atol=1e-12)
+
+    def test_rank_deficient_design_raises(self, market, insider):
+        # 4 paths cannot fit the 10 monomials of the regression basis
+        cfg = ScenarioConfig(market=market, insider=insider, n_steps=10, n_paths=4, seed=3)
+        with pytest.raises(RegressionError) as err:
+            solve_quadratic_lsmc(stream_sweep_paths(cfg), market, insider)
+        assert err.value.rank < err.value.n_columns
 
     def test_enlargement_terminal_matches_quadratic_truth(self, sweep_lsmc_enl, market, insider):
         # true terminal: c2(y) = ln X0 - 2 ln normalizer(y), exactly quadratic
