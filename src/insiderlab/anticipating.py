@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .model import DomainError
+from .paths import _L2_BYTES
 from .simulate import ordered_mean
 
 __all__ = [
@@ -104,14 +105,12 @@ def ito_residual(W: np.ndarray, dt: float, eps_steps: int, out=None) -> np.ndarr
 # the windows eps of convergence_table, in grid steps, coarsest first
 _EPS_STEPS = (8, 4, 2)
 
-# bytes of one window buffer of convergence_table: a chunk's two buffers and
-# its rows of W stay in a core's L2
-_CHUNK_BYTES = 512 * 1024
-
 
 def _chunk_rows(n_steps: int) -> int:
-    """Paths per chunk of convergence_table on a grid of n_steps steps."""
-    return max(1, _CHUNK_BYTES // (8 * n_steps))
+    """Paths per chunk of convergence_table on a grid of n_steps steps: one
+    window buffer holds _L2_BYTES, so a chunk's two buffers and its rows of
+    W stay in a core's L2."""
+    return max(1, _L2_BYTES // (8 * n_steps))
 
 
 def convergence_table(W: np.ndarray, dt: float, kind: TestIntegrand) -> tuple[list[str], list[list]]:

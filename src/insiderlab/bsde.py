@@ -24,7 +24,8 @@ is exact.  Controls are recovered via pi = (z + phitilde) /
 
 Both numerical solvers are explicit backward Euler schemes with conditional
 expectations estimated by polynomial least-squares regression on the Markov
-state (the running noise level, plus the signal under enlargement).
+state: int_0^t iota dW without a signal, and the running signal B_t plus
+the signal Y0 under enlargement.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class SweepPaths:
     values of one knot across all paths are one contiguous row.
 
     level : (index_T + 1, n_paths) regression state at the knots of [0, T]:
-            the running signal B_t = int_0^t phi_w dW, or W_t without a signal.
+            the running signal B_t = int_0^t phi_w dW, or int_0^t iota dW
+            without a signal, on which both solutions then depend.
     dWH   : (index_T, n_paths) enlarged-filtration increments on [0, T].
     Y0    : (n_paths,) the signal, None without one.
 
@@ -98,22 +100,30 @@ class SweepPaths:
 
 
 def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
-    """The sweep input of sample_paths(config), bit for bit, built one RNG
-    block at a time on up to `threads` workers: a whole PathBatch is never
-    held."""
+    """The sweep input of sample_paths(config), bit for bit, copied one tile
+    of paths at a time on up to `threads` workers: a whole PathBatch is never
+    held.  Without a signal the state int_0^t iota dW is then formed in place,
+    knot by knot, as level[i + 1] = level[i] + iota_i dWH_i."""
     validate(config)
     grid = build_grid(config)
     m, n = grid.index_T, config.n_paths
+    signal = config.insider.has_signal()
     paths = SweepPaths(grid=grid, level=np.empty((m + 1, n)), dWH=np.empty((m, n)),
-                       Y0=np.empty(n) if config.insider.has_signal() else None)
+                       Y0=np.empty(n) if signal else None)
 
-    def block(rows: slice, batch: PathBatch) -> None:
-        paths.level[:, rows] = batch.level.T
+    def tile(rows: slice, batch: PathBatch) -> None:
         paths.dWH[:, rows] = batch.dWH.T
-        if paths.Y0 is not None:
+        if signal:
+            paths.level[:, rows] = batch.level.T
             paths.Y0[rows] = batch.Y0
 
-    stream_paths(config, grid, block, threads)
+    stream_paths(config, grid, tile, threads)
+    if not signal:
+        iota_left = iota(config.market, grid.knots[:m])
+        paths.level[0] = 0.0
+        for i in range(m):
+            np.multiply(paths.dWH[i], iota_left[i], out=paths.level[i + 1])
+            paths.level[i + 1] += paths.level[i]
     return paths
 
 

@@ -198,7 +198,7 @@ def _cmd_value(args, config: ScenarioConfig):
 
 
 def _regime(args, config: ScenarioConfig, pi_factor: float = 1.0):
-    """The regime, the market it trades in and its profile of a block of paths."""
+    """The regime, the market it trades in and its profile of a tile of paths."""
     kind = StrategyKind(args.regime or _default_regime(config))
     market = market_for(kind, config.market)
 
@@ -355,7 +355,7 @@ def _cmd_selftest(args, config: ScenarioConfig):
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="INI config file with [market]/[insider]/[run] sections")
     p.add_argument("--out", default=None, help="output directory (default $INSIDERLAB_OUT or ./out)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks, each of which draws and decomposes its paths; simulate and martingale also evaluate the strategy there, while the LSMC sweep of bsde-* runs on one thread; results do not depend on it")
+    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks, each of which draws and decomposes its paths in L2-sized tiles; simulate and martingale also evaluate the strategy on each tile there, while the LSMC sweep of bsde-* runs on one thread; results do not depend on it")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit integer)")
     p.add_argument("--n-paths", dest="n_paths", type=int, default=None, help="Monte-Carlo ensemble size")
     p.add_argument("--n-steps", dest="n_steps", type=int, default=None, help="grid steps on [0, T]")

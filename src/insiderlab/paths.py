@@ -17,7 +17,7 @@ steps, consistent with left-continuous controls.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,10 @@ __all__ = [
 # paths per RNG block; fixed so path i's draws never depend on n_paths or workers
 _BLOCK = 4096
 
+# bytes of one path array of a stream_paths tile (and of a window buffer of
+# anticipating.convergence_table): a tile's arrays stay in a core's L2
+_L2_BYTES = 512 * 1024
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -48,6 +52,7 @@ class TimeGrid:
     """
 
     knots: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.knots, dtype=float)
@@ -57,7 +62,14 @@ class TimeGrid:
 
     @property
     def dt(self) -> np.ndarray:
-        return np.diff(self.knots)
+        """Read-only step lengths, formed once."""
+
+        def build():
+            dt = np.diff(self.knots)
+            dt.flags.writeable = False
+            return dt
+
+        return self.once("dt", build)
 
     @property
     def index_T(self) -> int:
@@ -67,6 +79,16 @@ class TimeGrid:
     @property
     def T(self) -> float:
         return float(self.knots[-1])
+
+    def once(self, key, build):
+        """build(), evaluated once per grid and key, for the time-axis rows
+        that every tile of a stream reads.  `key` holds every input of build
+        besides the grid, e.g. (kind, market, insider), all frozen, so a
+        stored value cannot go stale; callers do not write to it."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, build())
 
     def index_of(self, t: float) -> int:
         """Index of knot t; t must lie on the grid."""
@@ -98,7 +120,10 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Simulated ensemble, immutable after construction.
+    """Simulated paths: the whole ensemble from sample_paths, or one tile of
+    stream_paths.  A tile's arrays are views of its block's buffers, which
+    the next tile overwrites, so a tile is valid only during the call that
+    receives it.
 
     dW    : (n_paths, index_T) Brownian increments on [0, T]; with a signal,
             one more column holds the tail Y0 - B_T = int_T^T0 phi_weight dW.
@@ -162,24 +187,40 @@ def _rows(batch: PathBatch, rows: slice) -> PathBatch:
                      level=batch.level[rows], dWH=batch.dWH[rows], insider=batch.insider)
 
 
-def _fill_block(batch: PathBatch, seed: int, block: int) -> None:
-    """Build RNG block `block` in place: `batch` holds exactly that block's
-    paths.  Draws are counter-based and row-major, so path i's draws depend
-    only on (seed, i): one standard normal per step of [0, T], then, with a
-    signal, one for the tail.  The drift is formed from the state in dWH's
-    memory."""
-    grid, dW, insider = batch.grid, batch.dW, batch.insider
+def _filler(grid: TimeGrid, insider: InsiderSpec):
+    """fill(batch, gen) builds consecutive paths of one RNG block in place
+    from the Philox generator `gen` of that block, with the time-axis rows
+    formed once here.  Draws are counter-based and row-major, so path i's
+    draws depend only on (seed, i): one standard normal per step of [0, T],
+    then, with a signal, one for the tail; a block filled in consecutive
+    tiles from one generator gets the bytes of one fill of the whole block.
+    The drift is formed from the state in dWH's memory."""
     signal = insider.has_signal()
     var = np.append(grid.dt, phi_norm_sq(insider, grid.T, insider.T0)) if signal else grid.dt
-    np.random.Generator(np.random.Philox(key=[seed, block])).standard_normal(out=dW)
-    dW *= np.sqrt(var)
-    partial_signals(grid, dW, insider, out=batch.level)
-    if not signal:
-        return
+    scale = np.sqrt(var)
     m = grid.index_T
-    np.add(batch.level[:, m], dW[:, m], out=batch.Y0)
-    information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
-    decompose(grid, dW, batch.dWH, out=batch.dWH)
+
+    def fill(batch: PathBatch, gen: np.random.Generator) -> None:
+        dW = gen.standard_normal(out=batch.dW)
+        dW *= scale
+        partial_signals(grid, dW, insider, out=batch.level)
+        if signal:
+            np.add(batch.level[:, m], dW[:, m], out=batch.Y0)
+            information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
+            decompose(grid, dW, batch.dWH, out=batch.dWH)
+
+    return fill
+
+
+def _generator(seed: int, block: int) -> np.random.Generator:
+    """The counter-based stream of RNG block `block`."""
+    return np.random.Generator(np.random.Philox(key=[seed, block]))
+
+
+def _tile_rows(grid: TimeGrid) -> int:
+    """Paths per tile of stream_paths: one path array of a tile, at most
+    index_T + 1 values a path, fits in _L2_BYTES."""
+    return max(1, _L2_BYTES // (8 * (grid.index_T + 1)))
 
 
 def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
@@ -191,26 +232,34 @@ def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
     validate(config)
     grid = build_grid(config)
     batch = _allocate(grid, config.insider, config.n_paths)
-    seed = int(config.seed)
+    fill, seed = _filler(grid, config.insider), int(config.seed)
 
-    def fill(block: int, rows: slice) -> None:
-        _fill_block(_rows(batch, rows), seed, block)
+    def fill_block(block: int, rows: slice) -> None:
+        fill(_rows(batch, rows), _generator(seed, block))
 
-    _for_each_block(config.n_paths, fill, threads)
+    _for_each_block(config.n_paths, fill_block, threads)
     return batch
 
 
 def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1) -> None:
-    """Call fn(rows, batch) for every RNG block of the ensemble of a validated
-    `config` on its grid build_grid(config), where `batch` equals rows `rows`
-    of sample_paths(config) bit for bit.  Each worker holds one block at a
-    time, so the path arrays held do not grow with n_paths."""
-    seed = int(config.seed)
+    """Call fn(rows, tile) for every tile of the ensemble of a validated
+    `config` on its grid build_grid(config), where `tile` equals rows `rows`
+    of sample_paths(config) bit for bit.  A tile is _tile_rows(grid)
+    consecutive paths of one RNG block, or the block's rest, so each path
+    array of a tile stays within _L2_BYTES and in a core's L2.  Each block
+    draws its tiles in order from one generator into one buffer set, so a
+    tile is valid only during its call: fn copies or reduces what it keeps.
+    The path arrays held do not grow with n_paths."""
+    fill, seed, step = _filler(grid, config.insider), int(config.seed), _tile_rows(grid)
 
     def run(block: int, rows: slice) -> None:
-        batch = _allocate(grid, config.insider, rows.stop - rows.start)
-        _fill_block(batch, seed, block)
-        fn(rows, batch)
+        gen = _generator(seed, block)
+        buffers = _allocate(grid, config.insider, min(step, rows.stop - rows.start))
+        for lo in range(rows.start, rows.stop, step):
+            hi = min(lo + step, rows.stop)
+            tile = _rows(buffers, slice(0, hi - lo))
+            fill(tile, gen)
+            fn(slice(lo, hi), tile)
 
     _for_each_block(config.n_paths, run, threads)
 
@@ -219,7 +268,8 @@ def partial_signals(grid: TimeGrid, dW: np.ndarray, insider: InsiderSpec, out=No
     """Running signal B_t = int_0^t phi_weight dW at knots 0..index_T, or
     W_t without a signal, written to `out` when given."""
     m = grid.index_T
-    w_left = insider.phi_weight(grid.knots[:m]) if insider.has_signal() else 1.0
+    w_left = (grid.once(("phi_weight", insider), lambda: insider.phi_weight(grid.knots[:m]))
+              if insider.has_signal() else 1.0)
     b = np.empty((dW.shape[0], m + 1)) if out is None else out
     b[:, 0] = 0.0
     np.multiply(dW[:, :m], w_left, out=b[:, 1:])

@@ -9,20 +9,21 @@ sum them pairwise, so each result depends only on the multiset of values,
 not on the path order.
 
 Every estimate is a per-path quantity followed by a cross-path mean.  The
-per-path kernels `game_terms` and `weighted_increments` take one block of
-paths; `stream_game` and `stream_martingale` run them over the ensemble's
-RNG blocks one at a time and pass the collected per-path vectors once to
-`estimate_J`, `entropy_identity_check` and `martingale_diagnostic`, which
-see only per-path values.  A whole batch from `sample_paths` through the
-same kernels gives the same bytes, while the streams hold only one block of
-paths per worker.
+per-path kernels `game_terms` and `weighted_increments` take any rows of
+paths; `stream_game` and `stream_martingale` run them over the L2-sized
+tiles of the ensemble's RNG blocks one at a time, reduce each tile to its
+per-path values before the next is drawn, and pass the collected per-path
+vectors once to `estimate_J`, `entropy_identity_check` and
+`martingale_diagnostic`, which see only per-path values.  A whole batch
+from `sample_paths` through the same kernels gives the same bytes, while
+the streams hold only one tile of paths per worker.
 
 The kernels build only what the estimators read: the terminal log-wealth
 (`simulate_wealth`), the log-density at every knot (`simulate_density`,
 whose left-point values the penalty reads) and one increment sum per
 checkpoint.  Their step terms come from per-step coefficient rows (r dt,
-(mu0 - r) dt, sigma, varrho dt) evaluated once over the time axis, and each
-kernel works in one path-sized buffer at a time.
+(mu0 - r) dt, sigma and the varrho dt terms) evaluated once per grid, and
+each kernel works in one path-sized buffer at a time.
 """
 
 from __future__ import annotations
@@ -114,12 +115,20 @@ def _check_grid(batch: PathBatch, profile: StrategyProfile) -> None:
 
 
 def _coefficient_rows(grid, market: MarketParams):
-    """sigma and the per-step rows r dt, (mu0 - r) dt and varrho dt at the
-    left knot of every step of [0, T), evaluated once per kernel call."""
-    t_left = grid.knots[: grid.index_T]
-    dt = grid.dt
-    r_dt = market.r(t_left) * dt
-    return market.sigma(t_left), r_dt, market.mu0(t_left) * dt - r_dt, market.varrho(t_left) * dt
+    """sigma and the per-step rows r dt, (mu0 - r) dt, the wealth drift's
+    (varrho - sigma^2/2) dt and the martingale drift's (2 varrho - sigma^2) dt
+    at the left knot of every step of [0, T), formed once per grid."""
+
+    def build():
+        t_left = grid.knots[: grid.index_T]
+        dt = grid.dt
+        sig = market.sigma(t_left)
+        r_dt = market.r(t_left) * dt
+        rho_dt = market.varrho(t_left) * dt
+        return (sig, r_dt, market.mu0(t_left) * dt - r_dt, rho_dt - 0.5 * sig**2 * dt,
+                2.0 * rho_dt - sig**2 * dt)
+
+    return grid.once(("coefficients", market), build)
 
 
 def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketParams) -> np.ndarray:
@@ -137,8 +146,7 @@ def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketPa
     """
     _check_grid(batch, profile)
     m = batch.grid.index_T
-    sig, r_dt, b, rho_dt = _coefficient_rows(batch.grid, market)
-    c = rho_dt - 0.5 * sig**2 * batch.grid.dt
+    sig, r_dt, b, c, _ = _coefficient_rows(batch.grid, market)
     pi = profile.pi
     steps = np.multiply(pi, c, out=np.empty((batch.n_paths, m)))
     steps += b
@@ -180,7 +188,7 @@ def game_terms(
     log_eps_T = logE[:, -1].copy()
     # the penalty integrand overwrites the left-point log-density it is made
     # from, and logE is dropped before simulate_wealth takes its buffer, so
-    # one path-sized array at a time is live beside the block and its profile
+    # one path-sized array at a time is live beside the paths and their profile
     integrand = np.exp(logE[:, :-1], out=logE[:, :-1])
     integrand *= profile.theta
     integrand *= profile.theta
@@ -209,15 +217,15 @@ def stream_game(
     config: ScenarioConfig, profile_of, market: MarketParams, threads: int = 1
 ) -> tuple[JEstimate, EntropyCheck]:
     """estimate_J and entropy_identity_check of sample_paths(config) under the
-    profile `profile_of(batch)`, one RNG block at a time."""
+    profile `profile_of(batch)`, one tile of paths at a time."""
     validate(config)
     n = config.n_paths
     j_terms, penalty, entropy = np.empty(n), np.empty(n), np.empty(n)
 
-    def block(rows: slice, batch: PathBatch) -> None:
+    def tile(rows: slice, batch: PathBatch) -> None:
         j_terms[rows], penalty[rows], entropy[rows] = game_terms(batch, profile_of(batch), market)
 
-    stream_paths(config, build_grid(config), block, threads)
+    stream_paths(config, build_grid(config), tile, threads)
     return estimate_J(j_terms), entropy_identity_check(penalty, entropy)
 
 
@@ -246,11 +254,12 @@ def weighted_increments(
     """
     _check_grid(batch, profile)
     grid = batch.grid
-    spans = [(grid.index_of(t), grid.index_of(t + h)) for t, h in checkpoints]
+    spans = grid.once(("spans", tuple(checkpoints)),
+                      lambda: [(grid.index_of(t), grid.index_of(t + h)) for t, h in checkpoints])
     m = grid.index_T
     eps_T = np.exp(simulate_density(batch, profile)[:, -1])
-    sig, _, b, rho_dt = _coefficient_rows(grid, market)
-    steps = np.multiply(profile.pi, 2.0 * rho_dt - sig**2 * grid.dt, out=np.empty((batch.n_paths, m)))
+    sig, _, b, _, c = _coefficient_rows(grid, market)
+    steps = np.multiply(profile.pi, c, out=np.empty((batch.n_paths, m)))
     steps += b
     out = np.stack([np.sum(steps[:, i:j], axis=1) for i, j in spans])
     np.multiply(batch.dW[:, :m], sig, out=steps)
@@ -277,14 +286,14 @@ def stream_martingale(
     config: ScenarioConfig, profile_of, market: MarketParams, threads: int = 1
 ) -> list[MartingaleStat]:
     """martingale_diagnostic of sample_paths(config) at the default checkpoints
-    under the profile `profile_of(batch)`, one RNG block at a time."""
+    under the profile `profile_of(batch)`, one tile of paths at a time."""
     validate(config)
     grid = build_grid(config)
     checkpoints = _default_checkpoints(grid)
     weighted = np.empty((len(checkpoints), config.n_paths))
 
-    def block(rows: slice, batch: PathBatch) -> None:
+    def tile(rows: slice, batch: PathBatch) -> None:
         weighted[:, rows] = weighted_increments(batch, profile_of(batch), market, checkpoints)
 
-    stream_paths(config, grid, block, threads)
+    stream_paths(config, grid, tile, threads)
     return martingale_diagnostic(weighted, checkpoints)

@@ -194,9 +194,14 @@ def pi_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, b_t, t)
     Without impact sigma_tilde is sigma; for phi_w = 1 the drift is
     (W_T0 - W_t) / (T0 - t).
     """
+    return _affine(*_pi_nonrobust_line(market, insider, t), y0, b_t)
+
+
+def _pi_nonrobust_line(market: MarketParams, insider: InsiderSpec, t):
+    """Intercept and slope of pi_insider_nonrobust in the residual Y0 - B_t."""
     w, norm_t, _, _ = _run_out(market, insider, t)
     st = sigma_tilde(market, t)
-    return _affine(iota(market, t) / st, w / (norm_t * st), y0, b_t)
+    return iota(market, t) / st, w / (norm_t * st)
 
 
 def theta_from_pi(market: MarketParams, phi, pi, t):
@@ -210,15 +215,36 @@ def theta_from_pi(market: MarketParams, phi, pi, t):
 # -- profile assembly -----------------------------------------------------------
 
 
+def _profile_rows(kind: StrategyKind, market: MarketParams, insider: InsiderSpec, t) -> tuple:
+    """The time-axis rows of the closed form of `kind` at the times t: the
+    read-only (1, len(t)) rows (pi, theta) of an uninformed kind; else the
+    intercept and slope of pi in the residual Y0 - B_t, followed by those of
+    theta for the robust insider."""
+    if kind in UNINFORMED_KINDS:
+        if kind is StrategyKind.NO_INSIDER_ROBUST:
+            pi, theta = pi_no_insider_robust(market, t), theta_no_insider_robust(market, t)
+        else:
+            pi = pi_no_insider_nonrobust(market, t)
+            theta = np.zeros_like(pi)
+        rows = (pi[None, :], theta[None, :])
+        for row in rows:
+            row.flags.writeable = False  # every profile on the grid shares them
+        return rows
+    if kind is StrategyKind.SMALL_INSIDER_ROBUST:
+        return (*_pi_small_robust_line(market, insider, t), *_theta_small_robust_line(market, insider, t))
+    return _pi_nonrobust_line(market, insider, t)
+
+
 def build_profile(
     kind: StrategyKind,
     batch: PathBatch,
     market: MarketParams,
     insider: InsiderSpec,
 ) -> StrategyProfile:
-    """Evaluate the closed form of `kind` on every path and step of `batch`."""
+    """Evaluate the closed form of `kind` on every path and step of `batch`;
+    its time-axis rows are formed once per grid, and a tile of a stream
+    only applies them to its paths."""
     grid = batch.grid
-    t_left = grid.knots[: grid.index_T]
     if kind in NO_IMPACT_KINDS:
         market.require_no_impact(kind.value)
     if kind is StrategyKind.LARGE_INSIDER_ROBUST:
@@ -227,27 +253,25 @@ def build_profile(
             "the robust large insider has no closed form; solve the quadratic "
             "backward equation and use bsde.initial_controls",
         )
-
-    if kind is StrategyKind.NO_INSIDER_ROBUST:
-        pi = pi_no_insider_robust(market, t_left)[None, :]
-        theta = theta_no_insider_robust(market, t_left)[None, :]
-    elif kind is StrategyKind.NO_INSIDER_NONROBUST:
-        pi = pi_no_insider_nonrobust(market, t_left)[None, :]
-        theta = np.zeros_like(pi)
-    else:
+    if kind not in UNINFORMED_KINDS:
         insider.require_signal(kind.value)
+    rows = grid.once((kind, market, insider),
+                     lambda: _profile_rows(kind, market, insider, grid.knots[: grid.index_T]))
+
+    if kind in UNINFORMED_KINDS:
+        pi, theta = rows
+    else:
         y0, b = batch.Y0[:, None], batch.level[:, :-1]
         if kind is StrategyKind.SMALL_INSIDER_ROBUST:
             # both lines of one residual Y0 - B_t; theta is built in its memory
-            pi_intercept, pi_slope = _pi_small_robust_line(market, insider, t_left)
-            theta_intercept, theta_slope = _theta_small_robust_line(market, insider, t_left)
+            pi_intercept, pi_slope, theta_intercept, theta_slope = rows
             theta = np.subtract(y0, b)
             pi = np.multiply(theta, pi_slope)
             pi += pi_intercept
             theta *= theta_slope
             theta += theta_intercept
         else:
-            pi = pi_insider_nonrobust(market, insider, y0, b, t_left)
+            pi = _affine(*rows, y0, b)
             theta = np.zeros_like(pi)
 
     return StrategyProfile(pi=pi, theta=theta, grid=grid)

@@ -173,6 +173,20 @@ class TestLinearLsmc:
         sol = solve_linear_lsmc(stream_sweep_paths(cfg), flat, no_insider)
         assert math.sqrt(float(np.mean(sol.Z**2))) <= 1e-3
 
+    @pytest.mark.parametrize("coefficient", [{"mu0": PiecewiseConstant((0.0, 0.5), (0.02, 0.6))},
+                                             {"sigma": PiecewiseConstant((0.0, 0.5), (0.35, 0.2))}])
+    def test_no_insider_piecewise_coefficients_against_closed_form(self, no_insider, coefficient):
+        # the solution is a function of int_0^t iota dW, which is not W_t once
+        # iota jumps: a W_t state put Y0 29% (mu0) and 1% (sigma) above X0
+        market = MarketParams(**{"r": 0.0, "mu0": 0.15, "sigma": 0.35, "varrho": 0.0, "T": 1.0, "X0": 1.0,
+                                 **coefficient})
+        cfg = ScenarioConfig(market=market, insider=no_insider, n_steps=50, n_paths=100_000, seed=1)
+        paths = stream_sweep_paths(cfg)
+        sol = solve_linear_lsmc(paths, market, no_insider)
+        _, rows = knot_table(sol, solve_linear_closed_form(paths, market, no_insider))
+        assert abs(mean_se(sol.Y[:, 0])[0] - market.X0) <= 0.01 * market.X0
+        assert max(row[5] for row in rows) <= 0.03
+
     def test_enlargement_against_closed_form(self, sweep_lsmc_enl, market, insider):
         oracle = solve_linear_closed_form(sweep_lsmc_enl, market, insider)
         sol = solve_linear_lsmc(sweep_lsmc_enl, market, insider)

@@ -4,6 +4,7 @@ kernels run on a whole batch from sample_paths."""
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from insiderlab.model import (
 from insiderlab.bsde import stream_sweep_paths
 from insiderlab.paths import (
     _BLOCK,
+    _L2_BYTES,
     _for_each_block,
     build_grid,
     partial_signals,
@@ -34,7 +36,14 @@ from insiderlab.simulate import (
     stream_martingale,
     weighted_increments,
 )
-from insiderlab.strategies import StrategyKind, build_profile, market_for
+from insiderlab.strategies import (
+    StrategyKind,
+    StrategyProfile,
+    build_profile,
+    market_for,
+    pi_small_insider_robust,
+    theta_small_insider_robust,
+)
 
 MARKET = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
 UNIT = InsiderSpec.enlargement(T0=2.0)
@@ -55,8 +64,8 @@ CASES = [
 ]
 
 
-def regime(kind, insider, pi_factor=1.0):
-    market = market_for(StrategyKind(kind), MARKET)
+def regime(kind, insider, pi_factor=1.0, market=MARKET):
+    market = market_for(StrategyKind(kind), market)
 
     def profile_of(batch):
         profile = build_profile(StrategyKind(kind), batch, market, insider)
@@ -118,20 +127,27 @@ def test_invalid_config_is_rejected_before_any_allocation(stream, n_paths):
 
 @pytest.mark.parametrize("insider", [UNIT, NONE])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_stream_paths_blocks_are_rows_of_sample_paths(insider, threads):
-    config = ScenarioConfig(market=MARKET, insider=insider, n_steps=10, n_paths=9000, seed=3)
+def test_stream_paths_tiles_are_rows_of_sample_paths(insider, threads):
+    config = ScenarioConfig(market=MARKET, insider=insider, n_steps=200, n_paths=9000, seed=3)
     whole = sample_paths(config)
     seen = []
 
     def check(rows, batch):
         for name in ("dW", "Y0", "level", "dWH"):
-            assert np.array_equal(getattr(batch, name), getattr(whole, name)[rows]), name
+            array = getattr(batch, name)
+            assert np.array_equal(array, getattr(whole, name)[rows]), name
+            assert array.nbytes <= _L2_BYTES, name
         phi = whole.phi[rows] if whole.phi.shape[0] > 1 else whole.phi
         assert np.array_equal(batch.phi, phi)
         seen.append((rows.start, rows.stop))
 
     stream_paths(config, build_grid(config), check, threads)
-    assert sorted(seen) == [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, 9000)]
+    seen.sort()
+    # the tiles partition [0, n), and none crosses an RNG block boundary
+    assert [lo for lo, _ in seen] == [0] + [hi for _, hi in seen[:-1]] and seen[-1][1] == 9000
+    assert all(lo // _BLOCK == (hi - 1) // _BLOCK for lo, hi in seen)
+    # 326-path tiles: 13 in each full block and 3 in the last 808 paths
+    assert len(seen) == 29
 
 
 def test_failing_block_raises_and_cancels_the_blocks_not_started():
@@ -155,8 +171,8 @@ def test_failing_block_raises_and_cancels_the_blocks_not_started():
 
 @pytest.mark.parametrize("insider", [UNIT, PIECEWISE, NONE])
 @pytest.mark.parametrize("stream", ["game", "sweep"])
-def test_running_signal_computed_once_per_block(stream, insider, count_calls):
-    config = ScenarioConfig(market=MARKET, insider=insider, n_steps=10, n_paths=9000, seed=3)
+def test_running_signal_computed_once_per_tile(stream, insider, count_calls):
+    config = ScenarioConfig(market=MARKET, insider=insider, n_steps=200, n_paths=9000, seed=3)
     calls = count_calls(partial_signals)
     if stream == "game":
         market, profile_of = regime("small_insider_robust" if insider.has_signal() else "no_insider_robust",
@@ -164,7 +180,41 @@ def test_running_signal_computed_once_per_block(stream, insider, count_calls):
         stream_game(config, profile_of, market)
     else:
         stream_sweep_paths(config)
-    assert len(calls) == 3  # one per RNG block
+    assert len(calls) == 29  # one per tile: 13 + 13 + 3 tiles of at most 326 paths
+
+
+@pytest.mark.parametrize("other", [
+    ScenarioConfig(market=MARKET, insider=InsiderSpec.enlargement(T0=3.0), n_steps=20, n_paths=5000, seed=7),
+    ScenarioConfig(market=replace(MARKET, mu0=PiecewiseConstant.constant(0.1)), insider=UNIT, n_steps=20,
+                   n_paths=5000, seed=7),
+])
+def test_back_to_back_streams_on_equal_shape_grids_match_their_own_runs(other):
+    # the time-axis rows are kept per grid; rows kept under anything but the
+    # grid and the inputs they are formed from would serve one stream the
+    # other's rows, as the two grids have equal knots
+    first = ScenarioConfig(market=MARKET, insider=UNIT, n_steps=20, n_paths=5000, seed=7)
+
+    def reference(config):
+        """game_terms and weighted_increments of a whole batch under the
+        profile formed by the public closed forms."""
+        market = market_for(StrategyKind.SMALL_INSIDER_ROBUST, config.market)
+        batch = sample_paths(config)
+        t_left = batch.grid.knots[:-1]
+        args = (market, config.insider, batch.Y0[:, None], batch.level[:, :-1], t_left)
+        profile = StrategyProfile(pi=pi_small_insider_robust(*args), theta=theta_small_insider_robust(*args),
+                                  grid=batch.grid)
+        checkpoints = _default_checkpoints(batch.grid)
+        j_terms, penalty, entropy = game_terms(batch, profile, market)
+        return (estimate_J(j_terms), entropy_identity_check(penalty, entropy),
+                martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints))
+
+    def streamed(config):
+        market, profile_of = regime("small_insider_robust", config.insider, market=config.market)
+        return (*stream_game(config, profile_of, market), stream_martingale(config, profile_of, market))
+
+    assert np.array_equal(build_grid(first).knots, build_grid(other).knots)
+    for config in (first, other, first, other):
+        assert repr(streamed(config)) == repr(reference(config))
 
 
 def _peak_bytes(n_blocks):

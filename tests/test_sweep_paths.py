@@ -33,6 +33,19 @@ def config_of(insider, n_paths, market=MARKET, n_steps=10, seed=29):
     return ScenarioConfig(market=market, insider=insider, n_steps=n_steps, n_paths=n_paths, seed=seed)
 
 
+def sweep_state(batch, market):
+    """The knot-major regression state of a whole batch: the running signal,
+    or without one int_0^t iota dW, summed knot by knot."""
+    if batch.insider.has_signal():
+        return batch.level.T.copy()
+    m = batch.grid.index_T
+    iota_left = iota(market, batch.grid.knots[:m])
+    level = np.zeros((m + 1, batch.n_paths))
+    for i in range(m):
+        level[i + 1] = level[i] + iota_left[i] * batch.dW[:, i]
+    return level
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n_paths", [1, _BLOCK - 1, _BLOCK + 1, 9000])
 @pytest.mark.parametrize("insider", [PIECEWISE, NONE])
@@ -42,13 +55,11 @@ def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, 
     m = batch.grid.index_T
     streamed = stream_sweep_paths(config, threads)
     if insider.has_signal():
-        level = partial_signals(batch.grid, batch.dW, insider)
+        assert np.array_equal(batch.level, partial_signals(batch.grid, batch.dW, insider))
         assert np.array_equal(streamed.Y0, batch.Y0)
     else:
-        level = np.zeros((n_paths, m + 1))
-        np.cumsum(batch.dW[:, :m], axis=1, out=level[:, 1:])
         assert streamed.Y0 is None
-    assert np.array_equal(streamed.level, level.T)
+    assert np.array_equal(streamed.level, sweep_state(batch, MARKET))
     assert np.array_equal(streamed.dWH, batch.dWH.T)
     assert streamed.level.flags.c_contiguous and streamed.dWH.flags.c_contiguous
     # the drift formed from the state is information_drift's, bit for bit
@@ -64,7 +75,7 @@ def api_tables(solver, config, market):
     sample_paths(config), transposed to knot-major."""
     batch = sample_paths(config)
     insider = config.insider
-    paths = SweepPaths(grid=batch.grid, level=batch.level.T.copy(), dWH=batch.dWH.T.copy(),
+    paths = SweepPaths(grid=batch.grid, level=sweep_state(batch, market), dWH=batch.dWH.T.copy(),
                        Y0=batch.Y0 if insider.has_signal() else None)
     if solver == "linear":
         sol = solve_linear_lsmc(paths, market, insider)
