@@ -99,9 +99,10 @@ def integral_amplified_iota_sq(market: MarketParams) -> float:
     )
 
 
-def _require_insider(insider: InsiderSpec, T: float) -> float:
-    if not insider.has_signal() or insider.T0 is None or insider.T0 <= T:
-        raise ValidationError("t0_after_horizon", "need an enlargement signal with T0 > T")
+def _require_insider(insider: InsiderSpec, T: float, what: str) -> float:
+    insider.require_signal(what)
+    if insider.T0 is None or insider.T0 <= T:
+        raise ValidationError("t0_after_horizon", f"{what} needs T0 > T")
     return float(insider.T0)
 
 
@@ -144,7 +145,7 @@ def value_small_insider_robust(market: MarketParams, insider: InsiderSpec) -> Va
     s0 + sT = 2 T0 - T and 4 s0 sT = (2 T0 - T)^2 - T^2.
     """
     market.require_no_impact("the informed robust value")
-    T0 = _require_insider(insider, market.T)
+    T0 = _require_insider(insider, market.T, "the informed robust value")
     s0, sT = phi_norm_sq(insider, np.array([0.0, market.T]), T0).tolist()
     cross = integral_weighted_iota(market, insider)
     i2 = integral_iota_sq(market)
@@ -172,7 +173,7 @@ def value_insider_nonrobust(market: MarketParams, insider: InsiderSpec) -> Value
     (sigma/sigma_tilde)(a) ln(||phi_w||^2_[a,T0] / ||phi_w||^2_[b,T0]); for
     phi_w = 1 and constant coefficients the rent is (1/2) ln(T0 / (T0 - T)).
     """
-    T0 = _require_insider(insider, market.T)
+    T0 = _require_insider(insider, market.T, "the informed non-robust value")
     pieces = _pieces(market, insider)
     norms = phi_norm_sq(insider, np.array([a for a, _ in pieces] + [market.T]), T0).tolist()
     rent = sum(
@@ -306,7 +307,7 @@ def fig_critical_table(
 def strategy_line_slopes(market: MarketParams, insider: InsiderSpec, t: float) -> dict[str, float]:
     """Exact derivative of each informed fraction with respect to the running
     weighted noise B_t (W_t for phi_w = 1), at fixed signal."""
-    _require_insider(insider, market.T)
+    _require_insider(insider, market.T, "strategy line slopes")
     w, norm_t, norm_T, _ = _run_out(market, insider, t)
     sig = market.sigma(t)
     return {
@@ -326,7 +327,7 @@ def strategy_line_table(
     """Informed fractions against the current noise level W_t at fixed time t
     and signal Y0 = y0; small-trader lines use the zero-impact market.  A line
     that overflows is a ValidationError (`strategy_line_finite`)."""
-    _require_insider(insider, market.T)
+    _require_insider(insider, market.T, "strategy lines")
     small = market.without_impact()
     header = [
         "W_t",

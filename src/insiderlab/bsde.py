@@ -79,11 +79,11 @@ class SweepPaths:
     """The paths as the backward solvers read them, knot-major, so that the
     values of one knot across all paths are one contiguous row.
 
-    level : (index_T + 1, n_paths) regression state at the knots of [0, T]:
-            the running signal B_t = int_0^t phi_w dW, or int_0^t iota dW
-            without a signal, on which both solutions then depend.
+    level : (index_T + 1, n_paths) PathBatch.level, knot-major: the state
+            int_0^t w dW, w = phi_w under a signal and iota without one.
     dWH   : (index_T, n_paths) enlarged-filtration increments on [0, T].
     Y0    : (n_paths,) the signal, None without one.
+    insider : the InsiderSpec the paths were drawn under.
 
     The information drift is not held: step i's drift is formed from the
     state when it is needed.
@@ -93,6 +93,7 @@ class SweepPaths:
     level: np.ndarray
     dWH: np.ndarray
     Y0: np.ndarray | None
+    insider: InsiderSpec
 
     @property
     def n_paths(self) -> int:
@@ -102,39 +103,31 @@ class SweepPaths:
 def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
     """The sweep input of sample_paths(config), bit for bit, copied one tile
     of paths at a time on up to `threads` workers: a whole PathBatch is never
-    held.  Without a signal the state int_0^t iota dW is then formed in place,
-    knot by knot, as level[i + 1] = level[i] + iota_i dWH_i."""
+    held."""
     validate(config)
     grid = build_grid(config)
-    m, n = grid.index_T, config.n_paths
-    signal = config.insider.has_signal()
+    m, n, insider = grid.index_T, config.n_paths, config.insider
     paths = SweepPaths(grid=grid, level=np.empty((m + 1, n)), dWH=np.empty((m, n)),
-                       Y0=np.empty(n) if signal else None)
+                       Y0=np.empty(n) if insider.has_signal() else None, insider=insider)
 
     def tile(rows: slice, batch: PathBatch) -> None:
+        paths.level[:, rows] = batch.level.T
         paths.dWH[:, rows] = batch.dWH.T
-        if signal:
-            paths.level[:, rows] = batch.level.T
+        if paths.Y0 is not None:
             paths.Y0[rows] = batch.Y0
 
     stream_paths(config, grid, tile, threads)
-    if not signal:
-        iota_left = iota(config.market, grid.knots[:m])
-        paths.level[0] = 0.0
-        for i in range(m):
-            np.multiply(paths.dWH[i], iota_left[i], out=paths.level[i + 1])
-            paths.level[i + 1] += paths.level[i]
     return paths
 
 
-def _phitilde(paths: SweepPaths, market: MarketParams, insider: InsiderSpec):
+def _phitilde(paths: SweepPaths, market: MarketParams):
     """phitilde = iota + phi on step i, as a function of i; signal_drift forms
     the drift from the state, as information_drift does for a batch."""
     m = paths.grid.index_T
     iota_left = iota(market, paths.grid.knots[:m])
     if paths.Y0 is None:
         return lambda i: iota_left[i]
-    drift = signal_drift(paths.grid, insider)
+    drift = signal_drift(paths.grid, paths.insider)
 
     def phitilde(i: int) -> np.ndarray:
         phit = drift(paths.Y0, paths.level[i], i)
@@ -147,7 +140,7 @@ def _phitilde(paths: SweepPaths, market: MarketParams, insider: InsiderSpec):
 # -- the multiplicative functional Pi ------------------------------------------
 
 
-def log_pi_star(paths: SweepPaths, market: MarketParams, insider: InsiderSpec) -> np.ndarray:
+def log_pi_star(paths: SweepPaths, market: MarketParams) -> np.ndarray:
     """Per-path ln Pi(0, T), the left-point sum
 
         ln Pi(0,T) = sum_i -(r_i + phitilde_i^2/2) dt_i - phitilde_i dWH_i
@@ -157,7 +150,7 @@ def log_pi_star(paths: SweepPaths, market: MarketParams, insider: InsiderSpec) -
     grid = paths.grid
     m, dt = grid.index_T, grid.dt
     r = market.r(grid.knots[:m])
-    phitilde = _phitilde(paths, market, insider)
+    phitilde = _phitilde(paths, market)
     log_pi = np.zeros(paths.n_paths)
     for i in range(m):
         phit = phitilde(i)
@@ -227,9 +220,7 @@ class BsdeSolution:
     trace: tuple = field(default_factory=tuple)
 
 
-def solve_linear_closed_form(
-    paths: SweepPaths, market: MarketParams, insider: InsiderSpec, out=None
-) -> BsdeSolution:
+def solve_linear_closed_form(paths: SweepPaths, market: MarketParams, out=None) -> BsdeSolution:
     """Exact solution of the linear backward equation, evaluated knot by knot
     into the knot-major pair `out`, (index_T + 1, n_paths) and
     (index_T, n_paths), or a new one.  `out` may be (paths.level, paths.dWH)
@@ -261,6 +252,7 @@ def solve_linear_closed_form(
     else:
         # the normaliser checks constant coefficients and unit weight first,
         # so the running signal B_t is W_t
+        insider = paths.insider
         normalizer = enlargement_normalizer(market, insider, paths.Y0)
         T, T0 = market.T, float(insider.T0)
         io, r = iota(market, 0.0), market.r(0.0)
@@ -273,12 +265,10 @@ def solve_linear_closed_form(
         intercept, slope = _pi_small_robust_line(market, insider, t_left)
 
     Y, Z = _sweep_pair(paths) if out is None else out
-    cum_iodW = np.zeros(paths.n_paths)  # int_0^t iota dW without a signal
     for i in range(m + 1):
         if paths.Y0 is None:
-            y = market.X0 * np.exp(drift[i] + 0.5 * cum_iodW)
+            y = market.X0 * np.exp(drift[i] + 0.5 * paths.level[i])
             if i < m:
-                cum_iodW += io_left[i] * paths.dWH[i]
                 Z[i] = sig_pi[i] * y
         else:
             W = paths.level[i]
@@ -378,15 +368,19 @@ def _sweep_pair(paths: SweepPaths) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((m + 1, n)), np.empty((m, n))
 
 
-def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, insider: InsiderSpec) -> BsdeSolution:
+def solve_linear_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
     """Explicit backward Euler with regression for the linear equation,
     integrated in logarithmic coordinates.
 
     The unknown X is positive with exponential spread across paths (it loses
     finite variance as T0 approaches 2T), so least-squares fits of X levels
     are tail-dominated and polynomial bases cannot track the surface.  Its
-    logarithm L = ln X, however, is a quadratic polynomial in the Markov
-    state for every Gaussian signal, and the transformed dynamics
+    logarithm L = ln X is affine in the state without a signal; with one it
+    is a quadratic polynomial in the state only when iota/phi_w is constant
+    and nonzero on [0, T] (e.g. unit weight, constant coefficients): at a jump
+    of iota/phi_w the state coefficient -iota/(2 phi_w) - cross/(2S) jumps
+    while ln X is continuous, and where phi_w = 0, B_t is frozen while ln X
+    moves with iota/2 dWH.  There the transformed dynamics
 
         dL_t = (r_t + phitilde_t zeta_t - zeta_t^2 / 2) dt + zeta_t dWH_t,
         zeta = z / X,
@@ -399,16 +393,16 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, insider: InsiderS
     """
     grid = paths.grid
     m = grid.index_T
-    log_pi_T = log_pi_star(paths, market, insider)
+    log_pi_T = log_pi_star(paths, market)
     if paths.Y0 is None:
         normalizer = ordered_mean(np.exp(0.5 * log_pi_T))
         log_norm = math.log(normalizer)
     else:
-        normalizer = enlargement_normalizer(market, insider, paths.Y0)
+        normalizer = enlargement_normalizer(market, paths.insider, paths.Y0)
         log_norm = np.log(normalizer)
     terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
     r = market.r(grid.knots[:m])
-    phitilde = _phitilde(paths, market, insider)
+    phitilde = _phitilde(paths, market)
 
     def driver(i, zeta):
         return -(r[i] + phitilde(i) * zeta - 0.5 * zeta**2)
@@ -423,7 +417,7 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, insider: InsiderS
 # -- quadratic equation -----------------------------------------------------------
 
 
-def _quadratic_driver(paths: SweepPaths, market: MarketParams, insider: InsiderSpec):
+def _quadratic_driver(paths: SweepPaths, market: MarketParams):
     """f_Q(t, z) with the impact weight; its z^2 coefficient 1/4 - k reduces
     to sigma_tilde / (2 (sigma + sigma_tilde))."""
     m = paths.grid.index_T
@@ -432,7 +426,7 @@ def _quadratic_driver(paths: SweepPaths, market: MarketParams, insider: InsiderS
     st = sigma_tilde(market, t_left)
     r = market.r(t_left)
     k = (sig - st) / (4.0 * (sig + st))
-    phitilde = _phitilde(paths, market, insider)
+    phitilde = _phitilde(paths, market)
 
     def f(i: int, z: np.ndarray) -> np.ndarray:
         phit_i = phitilde(i)
@@ -454,7 +448,7 @@ def _projected_mismatch(y_design, inv_gram, mismatch) -> tuple[np.ndarray, float
     return delta, math.sqrt(ordered_mean((delta @ y_design) ** 2))
 
 
-def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, insider: InsiderSpec) -> BsdeSolution:
+def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
     """Backward solve of the quadratic equation, its terminal shot so that
     L_0 = ln X0.
 
@@ -476,7 +470,7 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, insider: Insid
     scale, inv_gram = _factor(y_design, 0.0)
     coef = np.zeros(degree + 1)
     coef[0] = ln_x0
-    L, Z = _backward_sweep(paths, np.full(n, ln_x0), _quadratic_driver(paths, market, insider))
+    L, Z = _backward_sweep(paths, np.full(n, ln_x0), _quadratic_driver(paths, market))
 
     def trace_row(iteration: int) -> tuple[tuple, np.ndarray]:
         """(iteration, c2, residual, mean L_0), and the mismatch's coefficients."""
@@ -512,14 +506,14 @@ def _controls(z, phit, sig, st):
 
 
 def initial_controls(
-    sol: BsdeSolution, market: MarketParams, paths: SweepPaths, insider: InsiderSpec
+    sol: BsdeSolution, market: MarketParams, paths: SweepPaths
 ) -> tuple[np.ndarray, np.ndarray]:
     """The controls (pi, theta) implied by a quadratic backward solution at
     knot 0, on every path of the sweep input `paths` it was solved on; see
     _controls."""
     t_left = paths.grid.knots[: paths.grid.index_T]
     sig, st = market.sigma(t_left), sigma_tilde(market, t_left)
-    phit = _phitilde(paths, market, insider)(0)
+    phit = _phitilde(paths, market)(0)
     return _controls(sol.Z[:, 0], phit, sig[0], st[0])
 
 

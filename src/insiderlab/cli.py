@@ -254,9 +254,9 @@ def _cmd_bsde_linear(args, config: ScenarioConfig):
     market, insider = config.market.without_impact(), config.insider
     require_gaussian_oracle(market, insider)  # before any path is drawn
     paths = stream_sweep_paths(config, threads=args.threads)
-    sol = solve_linear_lsmc(paths, market, insider)
+    sol = solve_linear_lsmc(paths, market)
     # the solve is done with its input, so the oracle overwrites it knot by knot
-    oracle = solve_linear_closed_form(paths, market, insider, out=(paths.level, paths.dWH))
+    oracle = solve_linear_closed_form(paths, market, out=(paths.level, paths.dWH))
     return 0, {
         "bsde_linear.csv": knot_table(sol, oracle),
         "bsde_linear_report.csv": _linear_report(sol, market),
@@ -265,9 +265,9 @@ def _cmd_bsde_linear(args, config: ScenarioConfig):
 
 def _cmd_bsde_quadratic(args, config: ScenarioConfig):
     paths = stream_sweep_paths(config, threads=args.threads)
-    market, insider = config.market, config.insider
-    sol = solve_quadratic_lsmc(paths, market, insider)
-    pi_0, _ = initial_controls(sol, market, paths, insider)
+    market = config.market
+    sol = solve_quadratic_lsmc(paths, market)
+    pi_0, _ = initial_controls(sol, market, paths)
     return 0, {
         "bsde_quadratic.csv": knot_table(sol),
         "bsde_quadratic_trace.csv": (
@@ -279,10 +279,10 @@ def _cmd_bsde_quadratic(args, config: ScenarioConfig):
 
 
 def _cmd_forward_check(args, config: ScenarioConfig):
-    # the check ignores the coefficients; constant ones keep the grid uniform on [0, T]
+    # constant coefficients keep the grid uniform; unit iota makes the no-signal state W_t
     flat = replace(
         config,
-        market=MarketParams(r=0.0, mu0=0.0, sigma=1.0, varrho=0.0, T=config.market.T, X0=1.0),
+        market=MarketParams(r=0.0, mu0=1.0, sigma=1.0, varrho=0.0, T=config.market.T, X0=1.0),
         insider=InsiderSpec.none(),
         n_steps=args.forward_steps,
         n_paths=args.forward_paths,
@@ -325,7 +325,7 @@ def _cmd_figures(args, config: ScenarioConfig):
                     n_steps=args.bsde_steps,
                 )
                 paths = stream_sweep_paths(cfg, threads=args.threads)
-                sol = solve_quadratic_lsmc(paths, market, cfg.insider)
+                sol = solve_quadratic_lsmc(paths, market)
                 bsde_values[t0] = value_from_bsde(sol)[0] - math.log(market.X0)
         table = analysis.fig_value_table(market, t0s, bsde_values)
     elif args.fig_kind == "fig2":

@@ -9,9 +9,10 @@ plus a tail independent of [0, T], drawn exactly as one N(0,
     phi_t = (Y0 - B_t) * phi_weight(t) / ||phi_weight||^2_[t,T0],
 
 where WH is a Brownian motion in the enlarged filtration and phi is the
-information drift.  A batch stores the running signal, from which phi and
-dWH are derived.  Everything is evaluated at left endpoints of the grid
-steps, consistent with left-continuous controls.
+information drift.  A batch stores the regression state int_0^t w dW: the
+running signal B_t (w = phi_weight), from which phi and dWH are derived, or
+int_0^t iota dW without a signal.  Everything is evaluated at left endpoints
+of the grid steps, consistent with left-continuous controls.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InsiderSpec, ScenarioConfig, DomainError, phi_norm_sq, validate
+from .model import InsiderSpec, ScenarioConfig, DomainError, iota, phi_norm_sq, validate
 
 __all__ = [
     "TimeGrid",
@@ -128,9 +129,9 @@ class PathBatch:
     dW    : (n_paths, index_T) Brownian increments on [0, T]; with a signal,
             one more column holds the tail Y0 - B_T = int_T^T0 phi_weight dW.
     Y0    : (n_paths,) insider signal, zeros without one.
-    level : (n_paths, index_T + 1) regression state at the knots of [0, T]:
-            the running signal B_t = int_0^t phi_weight dW, or W_t without
-            a signal.
+    level : (n_paths, index_T + 1) regression state int_0^t w dW at the
+            knots of [0, T]: the running signal B_t (w = phi_weight) under a
+            signal, int_0^t iota dW (w = iota) without one.
     dWH   : (n_paths, index_T) enlarged-filtration increments dW - phi*dt on
             [0, T]; a view of dW without a signal.
     The information drift phi is not stored but derived from (Y0, level).
@@ -187,7 +188,7 @@ def _rows(batch: PathBatch, rows: slice) -> PathBatch:
                      level=batch.level[rows], dWH=batch.dWH[rows], insider=batch.insider)
 
 
-def _filler(grid: TimeGrid, insider: InsiderSpec):
+def _filler(config: ScenarioConfig, grid: TimeGrid):
     """fill(batch, gen) builds consecutive paths of one RNG block in place
     from the Philox generator `gen` of that block, with the time-axis rows
     formed once here.  Draws are counter-based and row-major, so path i's
@@ -195,15 +196,16 @@ def _filler(grid: TimeGrid, insider: InsiderSpec):
     then, with a signal, one for the tail; a block filled in consecutive
     tiles from one generator gets the bytes of one fill of the whole block.
     The drift is formed from the state in dWH's memory."""
+    insider, m = config.insider, grid.index_T
     signal = insider.has_signal()
     var = np.append(grid.dt, phi_norm_sq(insider, grid.T, insider.T0)) if signal else grid.dt
     scale = np.sqrt(var)
-    m = grid.index_T
+    weight = insider.phi_weight(grid.knots[:m]) if signal else iota(config.market, grid.knots[:m])
 
     def fill(batch: PathBatch, gen: np.random.Generator) -> None:
         dW = gen.standard_normal(out=batch.dW)
         dW *= scale
-        partial_signals(grid, dW, insider, out=batch.level)
+        partial_signals(dW, weight, out=batch.level)
         if signal:
             np.add(batch.level[:, m], dW[:, m], out=batch.Y0)
             information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
@@ -232,7 +234,7 @@ def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
     validate(config)
     grid = build_grid(config)
     batch = _allocate(grid, config.insider, config.n_paths)
-    fill, seed = _filler(grid, config.insider), int(config.seed)
+    fill, seed = _filler(config, grid), int(config.seed)
 
     def fill_block(block: int, rows: slice) -> None:
         fill(_rows(batch, rows), _generator(seed, block))
@@ -250,7 +252,7 @@ def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1) -
     draws its tiles in order from one generator into one buffer set, so a
     tile is valid only during its call: fn copies or reduces what it keeps.
     The path arrays held do not grow with n_paths."""
-    fill, seed, step = _filler(grid, config.insider), int(config.seed), _tile_rows(grid)
+    fill, seed, step = _filler(config, grid), int(config.seed), _tile_rows(grid)
 
     def run(block: int, rows: slice) -> None:
         gen = _generator(seed, block)
@@ -264,30 +266,31 @@ def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1) -
     _for_each_block(config.n_paths, run, threads)
 
 
-def partial_signals(grid: TimeGrid, dW: np.ndarray, insider: InsiderSpec, out=None) -> np.ndarray:
-    """Running signal B_t = int_0^t phi_weight dW at knots 0..index_T, or
-    W_t without a signal, written to `out` when given."""
-    m = grid.index_T
-    w_left = (grid.once(("phi_weight", insider), lambda: insider.phi_weight(grid.knots[:m]))
-              if insider.has_signal() else 1.0)
+def partial_signals(dW: np.ndarray, weight: np.ndarray, out=None) -> np.ndarray:
+    """The state int_0^t w dW at knots 0..m for the left-point weights w of
+    the m steps, written to `out` when given."""
+    m = len(weight)
     b = np.empty((dW.shape[0], m + 1)) if out is None else out
     b[:, 0] = 0.0
-    np.multiply(dW[:, :m], w_left, out=b[:, 1:])
+    np.multiply(dW[:, :m], weight, out=b[:, 1:])
     np.cumsum(b[:, 1:], axis=1, out=b[:, 1:])
     return b
+
+
+def _drift_rows(grid: TimeGrid, insider: InsiderSpec) -> tuple[np.ndarray, np.ndarray]:
+    """signal_drift's rows phi_weight(t_i) and ||phi_weight||^2_[t_i, T0]."""
+    T0, t_left = float(insider.T0), grid.knots[: grid.index_T]
+    if np.any(t_left >= T0):
+        raise DomainError("information drift is not defined at or beyond T0")
+    return insider.phi_weight(t_left), phi_norm_sq(insider, t_left, T0)
 
 
 def signal_drift(grid: TimeGrid, insider: InsiderSpec):
     """The information drift phi_i = (y0 - b) * phi_weight(t_i) /
     ||phi_weight||^2_[t_i, T0] as drift(y0, b, i, out), for the running
-    signal b at the left knot of step i (an index or a slice); raises
-    DomainError if a step of [0, T) starts at or beyond T0."""
-    T0 = float(insider.T0)
-    t_left = grid.knots[: grid.index_T]
-    if np.any(t_left >= T0):
-        raise DomainError("information drift is not defined at or beyond T0")
-    w_left = insider.phi_weight(t_left)
-    norm_left = phi_norm_sq(insider, t_left, T0)
+    signal b at the left knot of step i (an index or a slice), from rows kept
+    on the grid; raises DomainError if a step of [0, T) starts at or beyond T0."""
+    w_left, norm_left = grid.once(("signal_drift", insider), lambda: _drift_rows(grid, insider))
 
     def drift(y0, b, i=slice(None), out=None) -> np.ndarray:
         out = np.subtract(y0, b, out=out)

@@ -124,13 +124,13 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     # on the sweep input the bsde commands build, with the batch released first
     del batch, prof, const_prof, log_eps
     sweep = bsde.stream_sweep_paths(cfg)
-    sqrt_pi = np.exp(0.5 * bsde.log_pi_star(sweep, market, insider))
+    sqrt_pi = np.exp(0.5 * bsde.log_pi_star(sweep, market))
     gap_pi, se_pi = simulate.mean_se(sqrt_pi - bsde.enlargement_normalizer(market, insider, sweep.Y0))
     z_pi = abs(gap_pi) / se_pi
     check("pi_functional_tower", z_pi < 4.0, z_pi)
 
     # linear closed form starts at the initial wealth
-    sol = bsde.solve_linear_closed_form(sweep, market, insider)
+    sol = bsde.solve_linear_closed_form(sweep, market)
     check("linear_closed_form_initial", sol.residual < 1e-10, sol.residual)
 
     # critical horizon satisfies its defining equation
@@ -143,9 +143,10 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     )
     check("critical_t0_equation", gap <= 1e-6, gap)
 
-    # adapted constant integrand: forward quadrature approaches c * W_t
+    # adapted constant integrand at unit iota, so the state is W_t: forward sums approach c * W_t
     ncfg = ScenarioConfig(
-        market=market, insider=InsiderSpec.none(), n_steps=512, n_paths=500, seed=seed + 1
+        market=MarketParams(r=0.0, mu0=1.0, sigma=1.0, varrho=0.0, T=1.0, X0=1.0),
+        insider=InsiderSpec.none(), n_steps=512, n_paths=500, seed=seed + 1,
     )
     nb = sample_paths(ncfg)
     W = nb.level

@@ -105,10 +105,16 @@ def sweep_lsmc_enl(config_lsmc_enl):
 
 
 @pytest.fixture(scope="session")
-def brownian_levels(market, no_insider):
+def unit_iota_market():
+    """iota = 1, so that the no-signal state int_0^t iota dW is W_t bit for bit."""
+    return MarketParams(r=0.0, mu0=1.0, sigma=1.0, varrho=0.0, T=1.0, X0=1.0)
+
+
+@pytest.fixture(scope="session")
+def brownian_levels(unit_iota_market, no_insider):
     """W at the knots of a fine uniform grid, for the anticipating tests."""
     cfg = ScenarioConfig(
-        market=market, insider=no_insider, n_steps=4096, n_paths=2000, seed=911250
+        market=unit_iota_market, insider=no_insider, n_steps=4096, n_paths=2000, seed=911250
     )
     batch = sample_paths(cfg)
     return batch.grid, batch.level

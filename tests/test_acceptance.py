@@ -140,16 +140,15 @@ def test_criterion_4_entropy_identity(batch_mc_enl, market, insider):
     )
 
 
-def test_criterion_5_linear_solver_oracle(sweep_lsmc_flat, sweep_lsmc_enl, market, insider,
-                                          no_insider):
+def test_criterion_5_linear_solver_oracle(sweep_lsmc_flat, sweep_lsmc_enl, market):
     start = time.time()
     results = []
-    for paths, ins, budget in (
-        (sweep_lsmc_flat, no_insider, 0.05),
-        (sweep_lsmc_enl, insider, 0.10),
+    for paths, budget in (
+        (sweep_lsmc_flat, 0.05),
+        (sweep_lsmc_enl, 0.10),
     ):
-        oracle = solve_linear_closed_form(paths, market, ins)
-        sol = solve_linear_lsmc(paths, market, ins)
+        oracle = solve_linear_closed_form(paths, market)
+        sol = solve_linear_lsmc(paths, market)
         y0_err = abs(mean_se(sol.Y[:, 0])[0] - market.X0) / market.X0
         assert y0_err <= 0.01, y0_err
         m = paths.grid.index_T
@@ -172,15 +171,15 @@ def test_criterion_5_linear_solver_oracle(sweep_lsmc_flat, sweep_lsmc_enl, marke
     )
 
 
-def test_criterion_6_quadratic_solver(sweep_lsmc_flat, market, market_impact, no_insider):
-    sol = solve_quadratic_lsmc(sweep_lsmc_flat, market, no_insider)
+def test_criterion_6_quadratic_solver(sweep_lsmc_flat, market, market_impact):
+    sol = solve_quadratic_lsmc(sweep_lsmc_flat, market)
     v, se = value_from_bsde(sol)
     z_rmse = math.sqrt(float(np.mean(sol.Z**2)))
     assert z_rmse <= 1e-2
     assert abs(v - V1) <= max(1e-3, 3.0 * se)
     assert sol.residual <= 1e-3
 
-    sol_imp = solve_quadratic_lsmc(sweep_lsmc_flat, market_impact, no_insider)
+    sol_imp = solve_quadratic_lsmc(sweep_lsmc_flat, market_impact)
     v_imp, _ = value_from_bsde(sol_imp)
     assert v_imp >= V1
     assert sol_imp.residual <= 1e-3

@@ -144,9 +144,9 @@ def _matrix_residual(W, dt, k):
 
 
 @pytest.fixture(scope="module")
-def tiny_levels(market, no_insider):
+def tiny_levels(unit_iota_market, no_insider):
     # 3 steps, so the 8-step window runs past the horizon from the first knot
-    cfg = ScenarioConfig(market=market, insider=no_insider, n_steps=3, n_paths=7, seed=5)
+    cfg = ScenarioConfig(market=unit_iota_market, insider=no_insider, n_steps=3, n_paths=7, seed=5)
     batch = sample_paths(cfg)
     return batch.grid, batch.level
 

@@ -58,10 +58,10 @@ class TestPiStarFunctional:
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=20, n_paths=16, seed=1)
         paths = stream_sweep_paths(cfg)
         # r != 0 contributes the deterministic discount only
-        np.testing.assert_allclose(np.exp(log_pi_star(paths, flat, no_insider)), math.exp(-0.05), atol=1e-12)
+        np.testing.assert_allclose(np.exp(log_pi_star(paths, flat)), math.exp(-0.05), atol=1e-12)
 
-    def test_gaussian_mean_of_square_root(self, sweep_lsmc_flat, market, no_insider):
-        mean, se = mean_se(np.sqrt(np.exp(log_pi_star(sweep_lsmc_flat, market, no_insider))))
+    def test_gaussian_mean_of_square_root(self, sweep_lsmc_flat, market):
+        mean, se = mean_se(np.sqrt(np.exp(log_pi_star(sweep_lsmc_flat, market))))
         assert abs(mean - math.exp(-IOTA_SQ / 8.0)) < 3.0 * se
 
     def test_matches_whole_matrix_exponent(self, batch_small, sweep_small, market, insider):
@@ -72,10 +72,10 @@ class TestPiStarFunctional:
         phit = iota(market, t_left) + batch_small.phi
         expo = -(market.r(t_left) + 0.5 * phit**2) * batch_small.grid.dt[:m] - phit * batch_small.dWH
         transposed = SweepPaths(grid=batch_small.grid, level=batch_small.level.T.copy(),
-                                dWH=batch_small.dWH.T.copy(), Y0=batch_small.Y0)
-        got = log_pi_star(transposed, market, insider)
+                                dWH=batch_small.dWH.T.copy(), Y0=batch_small.Y0, insider=insider)
+        got = log_pi_star(transposed, market)
         np.testing.assert_allclose(got, expo.sum(axis=1), rtol=1e-12, atol=1e-14)
-        assert np.array_equal(log_pi_star(sweep_small, market, insider), got)
+        assert np.array_equal(log_pi_star(sweep_small, market), got)
 
 
 class TestLinearClosedForm:
@@ -83,34 +83,33 @@ class TestLinearClosedForm:
         flat = MarketParams(r=0.03, mu0=0.03, sigma=0.35, varrho=0.0, T=1.0, X0=2.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=20, n_paths=8, seed=2)
         paths = stream_sweep_paths(cfg)
-        sol = solve_linear_closed_form(paths, flat, no_insider)
+        sol = solve_linear_closed_form(paths, flat)
         i = paths.grid.index_of(0.5)
         np.testing.assert_allclose(sol.Y[:, i], 2.0 * math.exp(0.015), atol=1e-12)
         np.testing.assert_allclose(sol.Z, 0.0, atol=1e-14)
 
-    def test_initial_condition_exact(self, sweep_lsmc_flat, sweep_lsmc_enl, market, insider, no_insider):
-        for paths, ins in ((sweep_lsmc_flat, no_insider), (sweep_lsmc_enl, insider)):
-            sol = solve_linear_closed_form(paths, market, ins)
+    def test_initial_condition_exact(self, sweep_lsmc_flat, sweep_lsmc_enl, market):
+        for paths in (sweep_lsmc_flat, sweep_lsmc_enl):
+            sol = solve_linear_closed_form(paths, market)
             np.testing.assert_allclose(sol.Y[:, 0], market.X0, atol=1e-10)
 
-    def test_terminal_pathwise_gaussian_form(self, batch_lsmc_flat, sweep_lsmc_flat, market, no_insider):
+    def test_terminal_pathwise_gaussian_form(self, batch_lsmc_flat, sweep_lsmc_flat, market):
         # X_T = X0 exp{iota W_T / 2 + 3 iota^2 T / 8} pathwise at r = 0
-        sol = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
+        sol = solve_linear_closed_form(sweep_lsmc_flat, market)
         w_T = batch_lsmc_flat.dW.sum(axis=1)
         target = math.exp(0.375 * IOTA_SQ) * np.exp(0.5 * IOTA * w_T)
         np.testing.assert_allclose(sol.Y[:, -1], target, rtol=1e-12)
 
-    def test_inverse_terminal_moment_identity(self, sweep_lsmc_flat, market, no_insider):
+    def test_inverse_terminal_moment_identity(self, sweep_lsmc_flat, market):
         # E[1/X_T] equals E[sqrt(Pi(0,T))]^2 / X0 = exp(-iota^2 T / 4)
-        sol = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
+        sol = solve_linear_closed_form(sweep_lsmc_flat, market)
         mean, se = mean_se(1.0 / sol.Y[:, -1])
         assert abs(mean - math.exp(-IOTA_SQ / 4.0)) < 3.0 * se
 
-    def test_matches_simulated_optimal_wealth_no_insider(self, batch_lsmc_flat, sweep_lsmc_flat, market,
-                                                         no_insider, insider):
+    def test_matches_simulated_optimal_wealth_no_insider(self, batch_lsmc_flat, sweep_lsmc_flat, market, insider):
         # exact pathwise agreement: the closed form is the log-Euler path.  At
         # r = 0, trading only up to knot k ends with the wealth of knot k.
-        sol = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
+        sol = solve_linear_closed_form(sweep_lsmc_flat, market)
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_lsmc_flat, market, insider)
         m = batch_lsmc_flat.grid.index_T
         for k in range(m + 1):
@@ -126,7 +125,7 @@ class TestLinearClosedForm:
             cfg = ScenarioConfig(market=market, insider=insider, n_steps=n_steps,
                                  n_paths=1000, seed=32)
             batch = sample_paths(cfg)
-            sol = solve_linear_closed_form(stream_sweep_paths(cfg), market, insider)
+            sol = solve_linear_closed_form(stream_sweep_paths(cfg), market)
             prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch, market, insider)
             log_wealth = simulate_wealth(batch, prof, market)
             diff = np.log(sol.Y[:, -1]) - log_wealth
@@ -135,30 +134,31 @@ class TestLinearClosedForm:
         assert gaps[1] < gaps[0]
 
     def test_control_is_fraction_times_wealth(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
-        sol = solve_linear_closed_form(sweep_lsmc_enl, market, insider)
+        sol = solve_linear_closed_form(sweep_lsmc_enl, market)
         prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
         m = batch_lsmc_enl.grid.index_T
         np.testing.assert_allclose(sol.Z, 0.35 * prof.pi * sol.Y[:, :m], rtol=1e-12)
 
     def test_normalizer_tower_property(self, sweep_lsmc_enl, market, insider):
         # E[sqrt(Pi(0,T)) p(Y0)] = E[normalizer(Y0) p(Y0)] for polynomial p
-        sq = np.sqrt(np.exp(log_pi_star(sweep_lsmc_enl, market, insider)))
+        sq = np.sqrt(np.exp(log_pi_star(sweep_lsmc_enl, market)))
         norm = enlargement_normalizer(market, insider, sweep_lsmc_enl.Y0)
         for k in range(3):
             weight = sweep_lsmc_enl.Y0**k
             diff, se = mean_se((sq - norm) * weight)
             assert abs(diff) < 4.0 * se, (k, diff, se)
 
-    def test_unsupported_weight_rejected(self, sweep_lsmc_enl, market):
+    def test_unsupported_weight_rejected(self, market):
         ins = InsiderSpec.enlargement(T0=2.0, phi_weight=2.0)
+        paths = stream_sweep_paths(ScenarioConfig(market=market, insider=ins, n_steps=10, n_paths=16, seed=1))
         with pytest.raises(Exception, match="unit signal weight"):
-            solve_linear_closed_form(sweep_lsmc_enl, market, ins)
+            solve_linear_closed_form(paths, market)
 
 
 class TestLinearLsmc:
-    def test_no_insider_against_closed_form(self, sweep_lsmc_flat, market, no_insider):
-        oracle = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
-        sol = solve_linear_lsmc(sweep_lsmc_flat, market, no_insider)
+    def test_no_insider_against_closed_form(self, sweep_lsmc_flat, market):
+        oracle = solve_linear_closed_form(sweep_lsmc_flat, market)
+        sol = solve_linear_lsmc(sweep_lsmc_flat, market)
         assert abs(mean_se(sol.Y[:, 0])[0] - market.X0) < 0.01 * market.X0
         mask, _ = interior_mask(sweep_lsmc_flat.grid)
         m = sweep_lsmc_flat.grid.index_T
@@ -170,7 +170,7 @@ class TestLinearLsmc:
     def test_zero_exposure_degenerate_case(self, no_insider):
         flat = MarketParams(r=0.03, mu0=0.03, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=25, n_paths=20_000, seed=6)
-        sol = solve_linear_lsmc(stream_sweep_paths(cfg), flat, no_insider)
+        sol = solve_linear_lsmc(stream_sweep_paths(cfg), flat)
         assert math.sqrt(float(np.mean(sol.Z**2))) <= 1e-3
 
     @pytest.mark.parametrize("coefficient", [{"mu0": PiecewiseConstant((0.0, 0.5), (0.02, 0.6))},
@@ -182,14 +182,14 @@ class TestLinearLsmc:
                                  **coefficient})
         cfg = ScenarioConfig(market=market, insider=no_insider, n_steps=50, n_paths=100_000, seed=1)
         paths = stream_sweep_paths(cfg)
-        sol = solve_linear_lsmc(paths, market, no_insider)
-        _, rows = knot_table(sol, solve_linear_closed_form(paths, market, no_insider))
+        sol = solve_linear_lsmc(paths, market)
+        _, rows = knot_table(sol, solve_linear_closed_form(paths, market))
         assert abs(mean_se(sol.Y[:, 0])[0] - market.X0) <= 0.01 * market.X0
         assert max(row[5] for row in rows) <= 0.03
 
-    def test_enlargement_against_closed_form(self, sweep_lsmc_enl, market, insider):
-        oracle = solve_linear_closed_form(sweep_lsmc_enl, market, insider)
-        sol = solve_linear_lsmc(sweep_lsmc_enl, market, insider)
+    def test_enlargement_against_closed_form(self, sweep_lsmc_enl, market):
+        oracle = solve_linear_closed_form(sweep_lsmc_enl, market)
+        sol = solve_linear_lsmc(sweep_lsmc_enl, market)
         assert abs(mean_se(sol.Y[:, 0])[0] - market.X0) < 0.01 * market.X0
         mask, _ = interior_mask(sweep_lsmc_enl.grid)
         m = sweep_lsmc_enl.grid.index_T
@@ -201,15 +201,15 @@ class TestLinearLsmc:
     def test_rank_deficient_design_raises(self, market, insider):
         cfg = ScenarioConfig(market=market, insider=insider, n_steps=10, n_paths=4, seed=3)
         with pytest.raises(RegressionError) as err:
-            solve_linear_lsmc(stream_sweep_paths(cfg), market, insider)
+            solve_linear_lsmc(stream_sweep_paths(cfg), market)
         assert err.value.rank < err.value.n_columns
 
 
 class TestQuadraticLsmc:
-    def test_degenerate_no_impact_is_exact(self, sweep_lsmc_flat, market, no_insider):
+    def test_degenerate_no_impact_is_exact(self, sweep_lsmc_flat, market):
         # z* = 0: the control-variate regression reproduces it exactly and the
         # value equals the uninformed robust value
-        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market, no_insider)
+        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market)
         v, _ = value_from_bsde(sol)
         assert abs(v - VALUE1) <= 1e-9
         assert math.sqrt(float(np.mean(sol.Z**2))) <= 1e-2
@@ -219,13 +219,13 @@ class TestQuadraticLsmc:
     def test_trivial_market(self, no_insider):
         flat = MarketParams(r=0.0, mu0=0.0, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=20, n_paths=5000, seed=9)
-        sol = solve_quadratic_lsmc(stream_sweep_paths(cfg), flat, no_insider)
+        sol = solve_quadratic_lsmc(stream_sweep_paths(cfg), flat)
         assert sol.c == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(sol.Y, 0.0, atol=1e-12)
 
-    def test_impact_raises_value(self, sweep_lsmc_flat, market_impact, no_insider):
+    def test_impact_raises_value(self, sweep_lsmc_flat, market_impact):
         # sigma_tilde = sigma/2: value = iota^2 T sigma/(2(sigma+sigma_tilde))
-        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market_impact, no_insider)
+        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market_impact)
         v, _ = value_from_bsde(sol)
         assert v >= VALUE1
         assert v == pytest.approx(IOTA_SQ / 3.0, abs=1e-9)
@@ -234,7 +234,7 @@ class TestQuadraticLsmc:
     def test_enlargement_value_and_controls(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
         # no impact: the quadratic route must reproduce the informed robust
         # solution; ln(eps X) has z = sigma pi + theta with both closed forms
-        sol = solve_quadratic_lsmc(sweep_lsmc_enl, market, insider)
+        sol = solve_quadratic_lsmc(sweep_lsmc_enl, market)
         v, se = value_from_bsde(sol)
         assert abs(v - VALUE2) < 6.5e-3  # first-order step bias at dt = 0.02
         grid = batch_lsmc_enl.grid
@@ -256,7 +256,7 @@ class TestQuadraticLsmc:
         sweeps = count_calls(_backward_sweep)
         tracemalloc.start()
         try:
-            sol = solve_quadratic_lsmc(paths, market, insider_spec)
+            sol = solve_quadratic_lsmc(paths, market)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -279,11 +279,11 @@ class TestQuadraticLsmc:
         mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=mk, insider=insider_spec, n_steps=20, n_paths=4000, seed=13)
         paths = stream_sweep_paths(cfg)
-        sol = solve_quadratic_lsmc(paths, mk, insider_spec)
+        sol = solve_quadratic_lsmc(paths, mk)
         c = np.atleast_1d(sol.c)
         signal = np.zeros(paths.n_paths) if paths.Y0 is None else paths.Y0
         terminal = sum(ck * signal**k for k, ck in enumerate(c))
-        L, Z = _backward_sweep(paths, terminal, _quadratic_driver(paths, mk, insider_spec))
+        L, Z = _backward_sweep(paths, terminal, _quadratic_driver(paths, mk))
         np.testing.assert_allclose(L.T, sol.Y, rtol=0, atol=1e-12)
         np.testing.assert_allclose(Z.T, sol.Z, rtol=0, atol=1e-12)
         assert [row[0] for row in sol.trace] == [0, 1]
@@ -300,7 +300,7 @@ class TestQuadraticLsmc:
         # the terminal basis shifts L by c(Y0) at every knot and leaves Z as it is
         cfg = ScenarioConfig(market=market_impact, insider=insider_spec, n_steps=20, n_paths=3000, seed=21)
         paths = stream_sweep_paths(cfg)
-        driver = _quadratic_driver(paths, market_impact, insider_spec)
+        driver = _quadratic_driver(paths, market_impact)
         signal = np.zeros(paths.n_paths) if paths.Y0 is None else paths.Y0
         base = 0.1 * np.ones(paths.n_paths)
         c = sum(ck * signal**k for k, ck in enumerate(shift))
@@ -313,12 +313,12 @@ class TestQuadraticLsmc:
         # 4 paths cannot fit the 10 monomials of the regression basis
         cfg = ScenarioConfig(market=market, insider=insider, n_steps=10, n_paths=4, seed=3)
         with pytest.raises(RegressionError) as err:
-            solve_quadratic_lsmc(stream_sweep_paths(cfg), market, insider)
+            solve_quadratic_lsmc(stream_sweep_paths(cfg), market)
         assert err.value.rank < err.value.n_columns
 
     def test_enlargement_terminal_matches_quadratic_truth(self, sweep_lsmc_enl, market, insider):
         # true terminal: c2(y) = ln X0 - 2 ln normalizer(y), exactly quadratic
-        sol = solve_quadratic_lsmc(sweep_lsmc_enl, market, insider)
+        sol = solve_quadratic_lsmc(sweep_lsmc_enl, market)
         coef = np.asarray(sol.c)
         y = np.linspace(-2.5, 2.5, 11)
         fitted = coef[0] + coef[1] * y + coef[2] * y**2
@@ -344,9 +344,9 @@ class TestRegressionEngine:
         np.testing.assert_allclose(fitted, raw.T @ coef, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("varrho", [0.0, 0.01, 0.25 * 0.35**2, 0.05])
-    def test_quadratic_driver_leading_coefficient(self, sweep_small, insider, varrho):
+    def test_quadratic_driver_leading_coefficient(self, sweep_small, varrho):
         mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
-        f = _quadratic_driver(sweep_small, mk, insider)
+        f = _quadratic_driver(sweep_small, mk)
         st = 0.35 - 2.0 * varrho / 0.35
         one = np.ones(sweep_small.n_paths)
         for i in (0, 25, sweep_small.grid.index_T - 1):
@@ -356,9 +356,9 @@ class TestRegressionEngine:
 
 class TestRecoverControls:
     def test_degenerate_quadratic_reproduces_uninformed_robust(
-        self, batch_lsmc_flat, sweep_lsmc_flat, market, no_insider
+        self, batch_lsmc_flat, sweep_lsmc_flat, market
     ):
-        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market, no_insider)
+        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market)
         pi, theta = every_knot_controls(sol, market, batch_lsmc_flat)
         np.testing.assert_allclose(pi, IOTA / (2 * 0.35), atol=1e-10)
         np.testing.assert_allclose(theta, -IOTA / 2, atol=1e-10)
@@ -379,7 +379,7 @@ class TestRecoverControls:
 
     def test_linear_inversion_recovers_fraction(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
         # the linear equation's control is z = sigma pi X, and theta = sigma pi - phitilde
-        sol = solve_linear_closed_form(sweep_lsmc_enl, market, insider)
+        sol = solve_linear_closed_form(sweep_lsmc_enl, market)
         m = batch_lsmc_enl.grid.index_T
         t_left = batch_lsmc_enl.grid.knots[:m]
         sig = market.sigma(t_left)
@@ -390,9 +390,9 @@ class TestRecoverControls:
         np.testing.assert_allclose(theta, expect.theta, atol=1e-10)
 
 
-def test_knot_table_shape(sweep_lsmc_flat, market, no_insider):
-    oracle = solve_linear_closed_form(sweep_lsmc_flat, market, no_insider)
-    sol = solve_linear_lsmc(sweep_lsmc_flat, market, no_insider)
+def test_knot_table_shape(sweep_lsmc_flat, market):
+    oracle = solve_linear_closed_form(sweep_lsmc_flat, market)
+    sol = solve_linear_lsmc(sweep_lsmc_flat, market)
     header, rows = knot_table(sol, oracle)
     assert header[0] == "t"
     assert len(rows) == sweep_lsmc_flat.grid.index_T + 1
@@ -403,8 +403,8 @@ def test_knot_table_rmse_finite_at_huge_wealth(no_insider):
     # the gaps near X0 = 1e300 square past the largest float unless scaled first
     huge = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1e300)
     paths = stream_sweep_paths(ScenarioConfig(market=huge, insider=no_insider, n_steps=20, n_paths=2000, seed=1))
-    sol = solve_linear_lsmc(paths, huge, no_insider)
-    oracle = solve_linear_closed_form(paths, huge, no_insider)
+    sol = solve_linear_lsmc(paths, huge)
+    oracle = solve_linear_closed_form(paths, huge)
     _, rows = knot_table(sol, oracle)
     rmse = [row[-1] for row in rows]
     assert all(math.isfinite(r) for r in rmse)
@@ -412,14 +412,14 @@ def test_knot_table_rmse_finite_at_huge_wealth(no_insider):
     # the scaling is by a power of two, so at X0 = 1 it is the plain RMS up to the sum's order
     unit = replace(huge, X0=1.0)
     paths = stream_sweep_paths(ScenarioConfig(market=unit, insider=no_insider, n_steps=20, n_paths=2000, seed=1))
-    sol, oracle = solve_linear_lsmc(paths, unit, no_insider), solve_linear_closed_form(paths, unit, no_insider)
+    sol, oracle = solve_linear_lsmc(paths, unit), solve_linear_closed_form(paths, unit)
     _, rows = knot_table(sol, oracle)
     for i, row in enumerate(rows):
         assert row[-1] == pytest.approx(math.sqrt(np.mean((sol.Y[:, i] - oracle.Y[:, i]) ** 2)), rel=1e-12)
 
 
-def test_knot_table_path_order_insensitive(sweep_small, market, insider):
-    oracle = solve_linear_closed_form(sweep_small, market, insider)
+def test_knot_table_path_order_insensitive(sweep_small, market):
+    oracle = solve_linear_closed_form(sweep_small, market)
     rng = np.random.default_rng(5)
     sol = BsdeSolution(grid=oracle.grid, Y=oracle.Y * np.exp(0.01 * rng.normal(size=oracle.Y.shape)),
                        Z=oracle.Z + 0.01 * rng.normal(size=oracle.Z.shape), c=0.0, residual=0.0)
@@ -432,7 +432,7 @@ def test_knot_table_path_order_insensitive(sweep_small, market, insider):
     assert knot_table(sol) == knot_table(permuted(sol))
 
 
-def test_report_cells_path_order_insensitive(sweep_small, market_impact, insider):
+def test_report_cells_path_order_insensitive(sweep_small, market_impact):
     # Y0_mean, mean_abs_z, mean_pi_0 and the enlargement shooting residual
     # depend only on the multiset of values
     paths = sweep_small
@@ -442,7 +442,7 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact, insider
                        Z=rng.normal(size=(n, m)), c=0.0, residual=0.0)
 
     def reports(s, p):
-        pi_0, _ = initial_controls(s, market_impact, p, insider)
+        pi_0, _ = initial_controls(s, market_impact, p)
         return repr((_linear_report(s, market_impact), _quadratic_report(s, pi_0)))
 
     # a signal and mismatch on a coarse dyadic lattice keep every sum over
@@ -466,6 +466,6 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact, insider
         shuffled = BsdeSolution(grid=sol.grid, Y=sol.Y[perm], Z=sol.Z[perm], c=sol.c,
                                 residual=sol.residual)
         shuffled_paths = SweepPaths(grid=paths.grid, level=paths.level[:, perm],
-                                    dWH=paths.dWH[:, perm], Y0=paths.Y0[perm])
+                                    dWH=paths.dWH[:, perm], Y0=paths.Y0[perm], insider=paths.insider)
         assert reports(shuffled, shuffled_paths) == reports(sol, paths)
         assert repr(shooting_residual(perm)) == repr(residual)

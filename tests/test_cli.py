@@ -201,6 +201,8 @@ class TestConfigParsing:
             ("value", [], BASE_CFG + "n_steps_tail = 7\n", "config_key"),
             ("value", [], BASE_CFG + "[markt]\nr = 0.0\n", "config_key"),
             ("value", [], "[DEFAULT]\nseed = 3\n" + BASE_CFG, "config_key"),
+            ("simulate", ["--regime", "small_insider_robust", "--kind", "none"], None, "signal_required"),
+            ("simulate", ["--regime", "small_insider_nonrobust", "--kind", "none"], None, "signal_required"),
         ],
     )
     def test_malformed_input_exits_one_with_code(self, tmp_path, capsys, command, flags, cfg_text, code):

@@ -9,6 +9,7 @@ from insiderlab.model import (
     PiecewiseConstant,
     ScenarioConfig,
     ValidationError,
+    iota,
     phi_norm_sq,
 )
 from insiderlab.paths import (
@@ -144,19 +145,22 @@ class TestRunningSignal:
         InsiderSpec.none(),
         InsiderSpec(phi_weight=2.0),  # no signal: the weight plays no part
     ])
-    def test_level_is_partial_signals(self, market, insider):
-        batch = sample_paths(make_config(market, insider, n_paths=300, seed=11))
-        m = batch.grid.index_T
-        assert batch.level.shape == (300, m + 1)
-        assert not np.any(batch.level[:, 0])
-        np.testing.assert_array_equal(batch.level, partial_signals(batch.grid, batch.dW, insider))
-        w = insider.phi_weight(batch.grid.knots[:m]) if insider.has_signal() else 1.0
-        if np.all(w == 1.0):
-            # unit weight: the plain cumulative sum, bit for bit
-            np.testing.assert_array_equal(batch.level[:, 1:], np.cumsum(batch.dW[:, :m], axis=1))
-        else:
-            np.testing.assert_allclose(batch.level[:, 1:], np.cumsum(batch.dW[:, :m] * w, axis=1),
-                                       rtol=0, atol=1e-12)
+    def test_level_is_partial_signals(self, market, unit_iota_market, insider):
+        # the state int_0^t w dW: w = phi_w under a signal, iota without one
+        for mk in (market, unit_iota_market):
+            batch = sample_paths(make_config(mk, insider, n_paths=300, seed=11))
+            m = batch.grid.index_T
+            assert batch.level.shape == (300, m + 1)
+            assert not np.any(batch.level[:, 0])
+            t_left = batch.grid.knots[:m]
+            w = insider.phi_weight(t_left) if insider.has_signal() else iota(mk, t_left)
+            np.testing.assert_array_equal(batch.level, partial_signals(batch.dW, w))
+            if np.all(w == 1.0):
+                # unit weight: the plain cumulative sum, bit for bit
+                np.testing.assert_array_equal(batch.level[:, 1:], np.cumsum(batch.dW[:, :m], axis=1))
+            else:
+                np.testing.assert_allclose(batch.level[:, 1:], np.cumsum(batch.dW[:, :m] * w, axis=1),
+                                           rtol=0, atol=1e-12)
 
 
 class TestInformationDrift:
@@ -170,7 +174,7 @@ class TestInformationDrift:
         batch = sample_paths(make_config(market, insider, n_paths=4, seed=5))
         grid = batch.grid
         i = grid.index_of(0.5)
-        b = partial_signals(grid, np.zeros_like(batch.dW), insider)
+        b = partial_signals(np.zeros_like(batch.dW), insider.phi_weight(grid.knots[:-1]))
         y0 = np.ones(4)
         phi = information_drift(grid, b, y0, insider)
         assert phi[:, i] == pytest.approx(1.0 / 1.5, abs=1e-12)
@@ -178,7 +182,7 @@ class TestInformationDrift:
     def test_zero_residual_signal_gives_zero_drift(self, market, insider):
         # flat path: the partial sums equal the signal, so the drift vanishes
         batch = sample_paths(make_config(market, insider, n_paths=4, seed=5))
-        b = partial_signals(batch.grid, np.zeros_like(batch.dW), insider)
+        b = partial_signals(np.zeros_like(batch.dW), insider.phi_weight(batch.grid.knots[:-1]))
         phi = information_drift(batch.grid, b, np.zeros(4), insider)
         assert not np.any(phi)
 
@@ -228,7 +232,7 @@ class TestEnlargementCorrectness:
             m = fine.grid.index_T
 
             def drift_integral(dW, grid):
-                phi = information_drift(grid, partial_signals(grid, dW, ins), fine.Y0, ins)
+                phi = information_drift(grid, partial_signals(dW, ins.phi_weight(grid.knots[:-1])), fine.Y0, ins)
                 return np.sum(phi * grid.dt, axis=1)
 
             i_fine = drift_integral(fine.dW[:, :m], fine.grid)

@@ -16,10 +16,11 @@ from insiderlab.model import (
     ScenarioConfig,
     ValidationError,
 )
-from insiderlab.bsde import stream_sweep_paths
+from insiderlab.bsde import log_pi_star, stream_sweep_paths
 from insiderlab.paths import (
     _BLOCK,
     _L2_BYTES,
+    _drift_rows,
     _for_each_block,
     build_grid,
     partial_signals,
@@ -183,9 +184,27 @@ def test_running_signal_computed_once_per_tile(stream, insider, count_calls):
     assert len(calls) == 29  # one per tile: 13 + 13 + 3 tiles of at most 326 paths
 
 
+@pytest.mark.parametrize("insider", [UNIT, PIECEWISE])
+@pytest.mark.parametrize("stream", ["game", "sweep"])
+def test_signal_drift_rows_formed_once_per_stream(stream, insider, count_calls):
+    # every tile forms its drift from rows kept on the grid, and a solve on
+    # the sweep input reads the same rows
+    config = ScenarioConfig(market=MARKET, insider=insider, n_steps=200, n_paths=9000, seed=3)
+    builds, tiles = count_calls(_drift_rows), count_calls(partial_signals)
+    if stream == "game":
+        market, profile_of = regime("small_insider_robust", insider)
+        stream_game(config, profile_of, market)
+    else:
+        log_pi_star(stream_sweep_paths(config), MARKET)
+    assert len(tiles) == 29
+    assert len(builds) == 1
+
+
 @pytest.mark.parametrize("other", [
     ScenarioConfig(market=MARKET, insider=InsiderSpec.enlargement(T0=3.0), n_steps=20, n_paths=5000, seed=7),
     ScenarioConfig(market=replace(MARKET, mu0=PiecewiseConstant.constant(0.1)), insider=UNIT, n_steps=20,
+                   n_paths=5000, seed=7),
+    ScenarioConfig(market=MARKET, insider=InsiderSpec.enlargement(T0=2.0, phi_weight=2.0), n_steps=20,
                    n_paths=5000, seed=7),
 ])
 def test_back_to_back_streams_on_equal_shape_grids_match_their_own_runs(other):
@@ -215,6 +234,21 @@ def test_back_to_back_streams_on_equal_shape_grids_match_their_own_runs(other):
     assert np.array_equal(build_grid(first).knots, build_grid(other).knots)
     for config in (first, other, first, other):
         assert repr(streamed(config)) == repr(reference(config))
+
+
+def test_drift_rows_kept_on_one_grid_follow_the_signal_weight():
+    # streams on one grid whose signals differ only in phi_w: rows kept under
+    # the grid alone would serve the second stream the first one's drift
+    configs = [ScenarioConfig(market=MARKET, insider=insider, n_steps=20, n_paths=500, seed=7)
+               for insider in (UNIT, InsiderSpec.enlargement(T0=2.0, phi_weight=2.0), UNIT)]
+    grid = build_grid(configs[0])
+    for config in configs:
+        whole = sample_paths(config)
+
+        def check(rows, tile):
+            assert np.array_equal(tile.dWH, whole.dWH[rows])
+
+        stream_paths(config, grid, check)
 
 
 def _peak_bytes(n_blocks):

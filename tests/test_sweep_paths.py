@@ -24,6 +24,8 @@ from insiderlab.simulate import ordered_mean
 
 MARKET = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
 IMPACT = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.02, T=1.0, X0=1.0)
+# iota jumps at 0.5, so the state int_0^t iota dW is not a multiple of W_t
+JUMP = MarketParams(r=0.0, mu0=PiecewiseConstant((0.0, 0.5), (0.02, 0.6)), sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
 UNIT = InsiderSpec.enlargement(T0=2.0)
 PIECEWISE = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.5, 1.5), (1.0, 0.5, 2.0)))
 NONE = InsiderSpec.none()
@@ -33,41 +35,33 @@ def config_of(insider, n_paths, market=MARKET, n_steps=10, seed=29):
     return ScenarioConfig(market=market, insider=insider, n_steps=n_steps, n_paths=n_paths, seed=seed)
 
 
-def sweep_state(batch, market):
-    """The knot-major regression state of a whole batch: the running signal,
-    or without one int_0^t iota dW, summed knot by knot."""
-    if batch.insider.has_signal():
-        return batch.level.T.copy()
-    m = batch.grid.index_T
-    iota_left = iota(market, batch.grid.knots[:m])
-    level = np.zeros((m + 1, batch.n_paths))
-    for i in range(m):
-        level[i + 1] = level[i] + iota_left[i] * batch.dW[:, i]
-    return level
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n_paths", [1, _BLOCK - 1, _BLOCK + 1, 9000])
 @pytest.mark.parametrize("insider", [PIECEWISE, NONE])
 def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, threads):
-    config = config_of(insider, n_paths)
-    batch = sample_paths(config)
-    m = batch.grid.index_T
-    streamed = stream_sweep_paths(config, threads)
-    if insider.has_signal():
-        assert np.array_equal(batch.level, partial_signals(batch.grid, batch.dW, insider))
-        assert np.array_equal(streamed.Y0, batch.Y0)
-    else:
-        assert streamed.Y0 is None
-    assert np.array_equal(streamed.level, sweep_state(batch, MARKET))
-    assert np.array_equal(streamed.dWH, batch.dWH.T)
-    assert streamed.level.flags.c_contiguous and streamed.dWH.flags.c_contiguous
-    # the drift formed from the state is information_drift's, bit for bit
-    phitilde = _phitilde(streamed, MARKET, insider)
-    iota_left = iota(MARKET, batch.grid.knots[:m])
-    for i in range(m):
-        expect = np.broadcast_to(iota_left[i] + batch.phi[:, i], (n_paths,))
-        assert np.array_equal(np.broadcast_to(phitilde(i), (n_paths,)), expect), i
+    for market in (MARKET, JUMP):
+        config = config_of(insider, n_paths, market)
+        batch = sample_paths(config)
+        m = batch.grid.index_T
+        t_left = batch.grid.knots[:m]
+        # one state, int_0^t w dW: w = phi_w under a signal, iota without one
+        weight = insider.phi_weight(t_left) if insider.has_signal() else iota(market, t_left)
+        assert np.array_equal(batch.level, partial_signals(batch.dW, weight))
+        streamed = stream_sweep_paths(config, threads)
+        assert streamed.insider == insider
+        if insider.has_signal():
+            assert np.array_equal(streamed.Y0, batch.Y0)
+        else:
+            assert streamed.Y0 is None
+        assert np.array_equal(streamed.level, batch.level.T)
+        assert np.array_equal(streamed.dWH, batch.dWH.T)
+        assert streamed.level.flags.c_contiguous and streamed.dWH.flags.c_contiguous
+        # the drift formed from the state is information_drift's, bit for bit
+        phitilde = _phitilde(streamed, market)
+        iota_left = iota(market, t_left)
+        for i in range(m):
+            expect = np.broadcast_to(iota_left[i] + batch.phi[:, i], (n_paths,))
+            assert np.array_equal(np.broadcast_to(phitilde(i), (n_paths,)), expect), (market, i)
 
 
 def api_tables(solver, config, market):
@@ -75,15 +69,15 @@ def api_tables(solver, config, market):
     sample_paths(config), transposed to knot-major."""
     batch = sample_paths(config)
     insider = config.insider
-    paths = SweepPaths(grid=batch.grid, level=sweep_state(batch, market), dWH=batch.dWH.T.copy(),
-                       Y0=batch.Y0 if insider.has_signal() else None)
+    paths = SweepPaths(grid=batch.grid, level=batch.level.T.copy(), dWH=batch.dWH.T.copy(),
+                       Y0=batch.Y0 if insider.has_signal() else None, insider=insider)
     if solver == "linear":
-        sol = solve_linear_lsmc(paths, market, insider)
+        sol = solve_linear_lsmc(paths, market)
         report = [sol.residual, sol.c if np.ndim(sol.c) == 0 else "",
                   ordered_mean(sol.Y[:, 0]), market.X0]
-        return {"bsde_linear.csv": knot_table(sol, solve_linear_closed_form(paths, market, insider)),
+        return {"bsde_linear.csv": knot_table(sol, solve_linear_closed_form(paths, market)),
                 "bsde_linear_report.csv": (["residual", "normalizer_mc", "Y0_mean", "X0"], [report])}
-    sol = solve_quadratic_lsmc(paths, market, insider)
+    sol = solve_quadratic_lsmc(paths, market)
     m = batch.grid.index_T
     t_left = batch.grid.knots[:m]
     pi, _ = _controls(sol.Z, iota(market, t_left) + batch.phi, market.sigma(t_left), sigma_tilde(market, t_left))
