@@ -25,17 +25,20 @@ is exact.  Controls are recovered via pi = (z + phitilde) /
 Both numerical solvers are explicit backward Euler schemes with conditional
 expectations estimated by polynomial least-squares regression on the Markov
 state: int_0^t iota dW without a signal, and the running signal B_t plus
-the signal Y0 under enlargement.
+the signal Y0 under enlargement.  Each step's design is regressed on as
+built; only its small Gram matrix is equilibrated.  A solve whose values
+overflow ends in a ValidationError (`solution_finite`), not in nan cells.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InsiderSpec, MarketParams, ScenarioConfig, iota, sigma_tilde, validate
+from .model import InsiderSpec, MarketParams, ScenarioConfig, ValidationError, iota, sigma_tilde, validate
 from .paths import PathBatch, TimeGrid, build_grid, signal_drift, stream_paths
 from .simulate import mean_se, ordered_mean
 from .strategies import _pi_small_robust_line, pi_no_insider_robust
@@ -307,29 +310,44 @@ def _monomials(rows: np.ndarray, x: np.ndarray, y: np.ndarray | None, order: int
         start = nxt
 
 
-def _factor(design: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scale the (k, n_paths) design's rows in place to unit max-abs; return
-    (scale, G^-1) for the Gram matrix G of the nonzero rows, via Cholesky and
-    0 on zero rows.  Fitted values of y are  G^-1 (design @ y) @ design.
-    Cholesky completes when 20 k^(3/2) eps cond(G) < 1 (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10): the rank counts the Gram
-    eigenvalues above that fraction of the largest."""
-    scale = np.maximum(design.max(axis=1), -design.min(axis=1))
-    keep = scale > 1e-12
-    keep[0] = True
-    scale = np.where(keep, scale, 1.0)
-    design /= scale[:, None]
-    gram = (design @ design.T)[np.ix_(keep, keep)]
-    eig = np.linalg.eigvalsh(gram)
+def _require_finite(what: str, *values) -> None:
+    """The LSMC solvers' one finiteness check: ValidationError
+    `solution_finite` when any of the arrays or scalars holds a nan or an
+    infinity.  Arrays are read one row at a time, so that no temporary is
+    as large as a solution: pass a solution knot-major."""
+    if not all(np.isfinite(row).all() for v in values for row in np.atleast_2d(v)):
+        raise ValidationError("solution_finite", f"{what} is not a finite float")
+
+
+def _factor(design: np.ndarray, t: float) -> np.ndarray:
+    """G^-1 for the Gram matrix G = design @ design.T of the (k, n_paths)
+    design as built, and 0 on its zero rows (RMS over paths <= 1e-12); the
+    design is not written.  Fitted values of y are  G^-1 (design @ y) @ design.
+
+    G is equilibrated by its own diagonal, S G S with S = diag(G)^(-1/2) on
+    the nonzero rows, which is within a factor k of the best diagonal
+    scaling (van der Sluis); G^-1 = S (S G S)^-1 S.  Cholesky of S G S
+    completes when 20 k^(3/2) eps cond(S G S) < 1 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10): the rank counts its
+    eigenvalues above that fraction of the largest.  A design whose powers
+    overflow gives a G that is not finite, refused as `solution_finite`."""
+    gram = design @ design.T
+    _require_finite(f"the regression Gram matrix at t={t}", gram)
+    sum_sq = np.diag(gram)
+    keep = sum_sq > 1e-24 * design.shape[1]
+    unscale = np.sqrt(sum_sq[keep])
+    outer = np.outer(unscale, unscale)
+    equilibrated = gram[np.ix_(keep, keep)] / outer
+    eig = np.linalg.eigvalsh(equilibrated)
     k = len(eig)
     rank = int(np.count_nonzero(eig > 20.0 * k**1.5 * np.finfo(float).eps * eig[-1]))
     if rank < k:
         cond = math.sqrt(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
         raise RegressionError(t=t, rank=rank, n_columns=k, cond=cond)
-    inv_chol = np.linalg.inv(np.linalg.cholesky(gram))
-    inv_gram = np.zeros((len(keep), len(keep)))
-    inv_gram[np.ix_(keep, keep)] = inv_chol.T @ inv_chol
-    return scale, inv_gram
+    inv_chol = np.linalg.inv(np.linalg.cholesky(equilibrated))
+    inv_gram = np.zeros_like(gram)
+    inv_gram[np.ix_(keep, keep)] = (inv_chol.T @ inv_chol) / outer
+    return inv_gram
 
 
 def _backward_sweep(paths: SweepPaths, terminal, driver) -> tuple[np.ndarray, np.ndarray]:
@@ -352,13 +370,20 @@ def _backward_sweep(paths: SweepPaths, terminal, driver) -> tuple[np.ndarray, np
 
     L, Z = _sweep_pair(paths)
     L[m] = l_next = terminal
+    resid = np.empty(paths.n_paths)
     for i in range(m - 1, -1, -1):
         _monomials(design, paths.level[i], signal, _BASIS_ORDER)
-        _, inv_gram = _factor(design, grid.knots[i])
-        l_hat = inv_gram @ (design @ l_next) @ design
-        z = inv_gram @ (design @ ((l_next - l_hat) * paths.dWH[i])) @ design / grid.dt[i]
-        L[i] = l_next = l_hat + driver(i, z) * grid.dt[i]
-        Z[i] = z
+        inv_gram = _factor(design, grid.knots[i])
+        # L_i and Z_i are formed in their rows of L and Z
+        l_hat = np.matmul(inv_gram @ (design @ l_next), design, out=L[i])
+        np.subtract(l_next, l_hat, out=resid)
+        resid *= paths.dWH[i]
+        z = np.matmul(inv_gram @ (design @ resid), design, out=Z[i])
+        z /= grid.dt[i]
+        step = driver(i, z)
+        step *= grid.dt[i]
+        l_hat += step
+        l_next = l_hat
     return L, Z
 
 
@@ -368,6 +393,23 @@ def _sweep_pair(paths: SweepPaths) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((m + 1, n)), np.empty((m, n))
 
 
+def _finite_solution(solve):
+    """An LSMC solver run with numpy's overflow, invalid and divide warnings
+    off, whose solution is refused by _require_finite when a value (Y, Z,
+    the terminal or normaliser, the residual) is not finite: an overflow on
+    the way shows there as an infinity or a nan."""
+
+    @functools.wraps(solve)
+    def checked(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sol = solve(paths, market)
+        _require_finite(f"the {solve.__name__} solution", sol.Y.T, sol.Z.T, sol.c, sol.residual)
+        return sol
+
+    return checked
+
+
+@_finite_solution
 def solve_linear_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
     """Explicit backward Euler with regression for the linear equation,
     integrated in logarithmic coordinates.
@@ -396,16 +438,22 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
     log_pi_T = log_pi_star(paths, market)
     if paths.Y0 is None:
         normalizer = ordered_mean(np.exp(0.5 * log_pi_T))
-        log_norm = math.log(normalizer)
+        # exp underflows to 0 on every path once iota^2 T runs into the thousands
+        log_norm = math.log(normalizer) if normalizer > 0.0 else -math.inf
     else:
         normalizer = enlargement_normalizer(market, paths.insider, paths.Y0)
         log_norm = np.log(normalizer)
+    _require_finite("the log normaliser", log_norm)
     terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
     r = market.r(grid.knots[:m])
     phitilde = _phitilde(paths, market)
 
-    def driver(i, zeta):
-        return -(r[i] + phitilde(i) * zeta - 0.5 * zeta**2)
+    def driver(i, zeta):  # -(r + phitilde zeta - zeta^2/2), in four whole-path operations
+        out = 0.5 * zeta
+        out -= phitilde(i)
+        out *= zeta
+        out -= r[i]
+        return out
 
     Y, Z = _backward_sweep(paths, terminal, driver)
     np.exp(Y, out=Y)  # L -> Y = exp(L), so exp(L) never sits beside L
@@ -418,25 +466,34 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
 
 
 def _quadratic_driver(paths: SweepPaths, market: MarketParams):
-    """f_Q(t, z) with the impact weight; its z^2 coefficient 1/4 - k reduces
-    to sigma_tilde / (2 (sigma + sigma_tilde))."""
+    """f_Q(t, z) with the impact weight k = (sigma - sigma_tilde) /
+    (4 (sigma + sigma_tilde)), collected by powers of z and phitilde:
+
+        f_Q = z (a z + b phitilde) + c phitilde^2 - r,
+        a = 1/4 - k,  b = -1/2 - 2k,  c = -1/4 - k,
+
+    where a reduces to sigma_tilde / (2 (sigma + sigma_tilde)).  The rows
+    a, b, c are formed once per solve; with a signal a step takes eight
+    whole-path operations, five of them in place."""
     m = paths.grid.index_T
     t_left = paths.grid.knots[:m]
     sig = market.sigma(t_left)
     st = sigma_tilde(market, t_left)
     r = market.r(t_left)
     k = (sig - st) / (4.0 * (sig + st))
+    a, b, c = 0.25 - k, -0.5 - 2.0 * k, -0.25 - k
     phitilde = _phitilde(paths, market)
 
     def f(i: int, z: np.ndarray) -> np.ndarray:
-        phit_i = phitilde(i)
-        return (
-            0.25 * z**2
-            - 0.5 * phit_i * z
-            - r[i]
-            - 0.25 * phit_i**2
-            - k[i] * (z + phit_i) ** 2
-        )
+        phit = phitilde(i)
+        out = a[i] * z
+        out += b[i] * phit
+        out *= z
+        tail = c[i] * phit
+        tail *= phit
+        tail -= r[i]
+        out += tail
+        return out
 
     return f
 
@@ -448,6 +505,7 @@ def _projected_mismatch(y_design, inv_gram, mismatch) -> tuple[np.ndarray, float
     return delta, math.sqrt(ordered_mean((delta @ y_design) ** 2))
 
 
+@_finite_solution
 def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
     """Backward solve of the quadratic equation, its terminal shot so that
     L_0 = ln X0.
@@ -467,7 +525,7 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolutio
     degree = 0 if paths.Y0 is None else _TERMINAL_DEGREE
     y_design = np.empty((degree + 1, n))
     _monomials(y_design, paths.Y0, None, degree)
-    scale, inv_gram = _factor(y_design, 0.0)
+    inv_gram = _factor(y_design, 0.0)
     coef = np.zeros(degree + 1)
     coef[0] = ln_x0
     L, Z = _backward_sweep(paths, np.full(n, ln_x0), _quadratic_driver(paths, market))
@@ -482,7 +540,7 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolutio
         return (iteration, tuple(coef.tolist()), resid, l0), delta
 
     swept, delta = trace_row(0)
-    coef -= delta / scale
+    coef -= delta
     L -= delta @ y_design
     shot, _ = trace_row(1)
     return BsdeSolution(grid=paths.grid, Y=L.T, Z=Z.T, c=shot[1], residual=abs(shot[2]),

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from insiderlab.analysis import value_no_insider_robust, value_small_insider_robust
 from insiderlab.bsde import (
@@ -13,6 +14,7 @@ from insiderlab.bsde import (
     _controls,
     _factor,
     _monomials,
+    _phitilde,
     _projected_mismatch,
     _quadratic_driver,
     RegressionError,
@@ -337,11 +339,50 @@ class TestRegressionEngine:
         raw = design.copy()
         expected = [x ** (d - a) * y**a for d in range(4) for a in range(d + 1)]
         np.testing.assert_allclose(raw, expected, rtol=1e-14, atol=0)
-        _, inv_gram = _factor(design, 0.0)
+        inv_gram = _factor(design, 0.0)
         target = np.sin(x) + 0.25 * y**2 + rng.normal(size=n)
         coef, *_ = np.linalg.lstsq(raw.T, target, rcond=None)
         fitted = inv_gram @ (design @ target) @ design
         np.testing.assert_allclose(fitted, raw.T @ coef, rtol=0, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.floats(-6.0, 6.0), max_size=4),
+           zero_at=st.integers(0, 6), duplicate=st.integers(0, 5))
+    def test_factor_fits_rows_of_any_scale_without_writing(self, seed, exponents, zero_at, duplicate):
+        # rows at scales from 1e-6 to 1e6 and one all-zero row, regressed on as built
+        rng = np.random.default_rng(seed)
+        n = 400
+        rows = [rng.normal(size=n) * 10.0**e for e in (-6.0, 6.0, *exponents)]
+        live = np.array(rows)
+        rows.insert(zero_at % (len(rows) + 1), np.zeros(n))
+        design = np.array(rows)
+        before = design.tobytes()
+        inv_gram = _factor(design, 0.0)
+        assert design.tobytes() == before
+        y = rng.normal(size=n)
+        fitted = inv_gram @ (design @ y) @ design
+        # lstsq on the nonzero rows at unit norm: the same span, condition near 1
+        unit = (live / np.linalg.norm(live, axis=1)[:, None]).T
+        coef, *_ = np.linalg.lstsq(unit, y, rcond=None)
+        expected = unit @ coef
+        np.testing.assert_allclose(fitted, expected, rtol=0, atol=1e-9 * np.max(np.abs(expected)))
+        with pytest.raises(RegressionError):
+            _factor(np.vstack([design, live[duplicate % len(live)]]), 0.0)
+
+    @pytest.mark.parametrize("signal", [True, False])
+    def test_factored_driver_matches_expanded_f_q(self, signal):
+        mk = MarketParams(r=0.03, mu0=0.15, sigma=0.35, varrho=0.02, T=1.0, X0=1.0)
+        spec = InsiderSpec.enlargement(T0=2.0) if signal else InsiderSpec.none()
+        paths = stream_sweep_paths(ScenarioConfig(market=mk, insider=spec, n_steps=20, n_paths=512, seed=8))
+        f = _quadratic_driver(paths, mk)
+        sig, st_ = 0.35, sigma_tilde(mk, 0.0)
+        k = (sig - st_) / (4.0 * (sig + st_))
+        assert k > 0.0
+        z = np.random.default_rng(3).normal(scale=2.0, size=paths.n_paths)
+        for i in (0, 7, paths.grid.index_T - 1):
+            phit = _phitilde(paths, mk)(i)
+            terms = [0.25 * z**2, -0.5 * phit * z, -0.03 + 0.0 * z, -0.25 * phit**2, -k * (z + phit) ** 2]
+            np.testing.assert_array_less(np.abs(f(i, z) - sum(terms)), 1e-12 * sum(np.abs(t) for t in terms))
 
     @pytest.mark.parametrize("varrho", [0.0, 0.01, 0.25 * 0.35**2, 0.05])
     def test_quadratic_driver_leading_coefficient(self, sweep_small, varrho):
@@ -454,7 +495,7 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
     def shooting_residual(order):
         design = np.empty((3, len(order)))
         _monomials(design, signal[order], None, 2)
-        _, inv_gram = _factor(design, 0.0)
+        inv_gram = _factor(design, 0.0)
         return _projected_mismatch(design, inv_gram, mismatch[order])[1]
 
     residual = shooting_residual(np.arange(n))

@@ -229,6 +229,25 @@ class TestConfigParsing:
         assert "validation error: value_finite:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["bsde-linear", "--kind", "none", "--mu", "10", "--n-paths", "20000", "--n-steps", "50"],
+                     id="linear-mu-10"),
+        pytest.param(["bsde-quadratic", "--mu", "1e120", "--n-paths", "20000", "--n-steps", "50"],
+                     id="quadratic-mu-1e120"),
+        # exp(ln Pi / 2) underflows on every path, so the normaliser is 0
+        pytest.param(["bsde-linear", "--kind", "none", "--mu", "30", "--n-paths", "2000", "--n-steps", "10"],
+                     id="linear-mu-30-normaliser"),
+        # the square of the state overflows: the regression's Gram matrix is not finite
+        pytest.param(["bsde-quadratic", "--kind", "none", "--mu", "1e200", "--n-paths", "2000", "--n-steps", "10"],
+                     id="quadratic-mu-1e200-gram"),
+    ])
+    def test_non_finite_lsmc_solution_exits_one_with_code(self, tmp_path, capsys, argv):
+        # valid markets whose backward solve overflows; a warning on the way
+        # would fail the test, as -W error::RuntimeWarning fails the command
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("validation error: solution_finite:")
+        assert not (tmp_path / "out").exists()
+
     def test_failed_command_keeps_an_existing_out(self, tmp_path, capsys):
         (tmp_path / "keep").write_text("keep")
         assert run(["value", "--t0", "1e160", "--out", str(tmp_path)]) == 1
