@@ -7,12 +7,12 @@ import csv
 
 
 def format_cell(x) -> str:
+    if hasattr(x, "item"):  # a numpy scalar, np.float64 (a float) included
+        return format_cell(x.item())
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
         return repr(x)
-    if hasattr(x, "item"):  # numpy scalar
-        return format_cell(x.item())
     return str(x)
 
 

@@ -24,16 +24,17 @@ from .model import (
     MarketParams,
     PiecewiseConstant,
     ValidationError,
+    breakpoints,
     iota,
     phi_norm_sq,
     sigma_tilde,
 )
 from .strategies import (
     StrategyKind,
-    _run_out,
     market_for,
     pi_insider_nonrobust,
     pi_small_insider_robust,
+    run_out,
 )
 
 __all__ = [
@@ -67,24 +68,16 @@ class ValueBreakdown:
 # -- exact piecewise quadratures -------------------------------------------------
 
 
-def _pieces(market: MarketParams, insider: InsiderSpec | None = None) -> list[tuple[float, float]]:
-    """The pieces of [0, T] on which the coefficients, and the signal weight
-    when an insider is given, are constant."""
-    inner = market.breakpoints_union()
-    if insider is not None:
-        inner = sorted(set(inner).union(b for b in insider.phi_weight.breakpoints if 0.0 < b < market.T))
-    knots = [0.0] + inner + [market.T]
+def _pieces(market: MarketParams, weight: PiecewiseConstant | None = None) -> list[tuple[float, float]]:
+    """The pieces [a, b) of [0, T] between model.breakpoints."""
+    knots = [0.0, *breakpoints(market, weight), market.T]
     return list(zip(knots, knots[1:]))
-
-
-def integral_r(market: MarketParams) -> float:
-    return market.r.integral(0.0, market.T)
 
 
 def integral_weighted_iota(market: MarketParams, insider: InsiderSpec) -> float:
     """int_0^T phi_w iota dt."""
     w = insider.phi_weight
-    return sum(w(a) * iota(market, a) * (b - a) for a, b in _pieces(market, insider))
+    return sum(w(a) * iota(market, a) * (b - a) for a, b in _pieces(market, w))
 
 
 def integral_iota_sq(market: MarketParams) -> float:
@@ -107,7 +100,7 @@ def _require_insider(insider: InsiderSpec, T: float, what: str) -> float:
 
 
 def _base(market: MarketParams) -> float:
-    return math.log(market.X0) + integral_r(market)
+    return math.log(market.X0) + market.r.integral(0.0, market.T)
 
 
 # -- value functions ---------------------------------------------------------------
@@ -174,7 +167,7 @@ def value_insider_nonrobust(market: MarketParams, insider: InsiderSpec) -> Value
     phi_w = 1 and constant coefficients the rent is (1/2) ln(T0 / (T0 - T)).
     """
     T0 = _require_insider(insider, market.T, "the informed non-robust value")
-    pieces = _pieces(market, insider)
+    pieces = _pieces(market, insider.phi_weight)
     norms = phi_norm_sq(insider, np.array([a for a, _ in pieces] + [market.T]), T0).tolist()
     rent = sum(
         market.sigma(a) / sigma_tilde(market, a) * math.log(n_a / n_b)
@@ -308,7 +301,7 @@ def strategy_line_slopes(market: MarketParams, insider: InsiderSpec, t: float) -
     """Exact derivative of each informed fraction with respect to the running
     weighted noise B_t (W_t for phi_w = 1), at fixed signal."""
     _require_insider(insider, market.T, "strategy line slopes")
-    w, norm_t, norm_T, _ = _run_out(market, insider, t)
+    w, norm_t, norm_T, _ = run_out(market, insider, t)
     sig = market.sigma(t)
     return {
         "small_insider_robust": -w / (sig * (norm_t + norm_T)),

@@ -21,11 +21,12 @@ from enum import Enum
 import numpy as np
 
 from .model import DomainError
-from .paths import _L2_BYTES
+from .paths import l2_rows
 from .simulate import ordered_mean
 
 __all__ = [
     "TestIntegrand",
+    "EPS_STEPS",
     "integrand_values",
     "integrand_oracle",
     "forward_riemann",
@@ -103,42 +104,35 @@ def ito_residual(W: np.ndarray, dt: float, eps_steps: int, out=None) -> np.ndarr
 
 
 # the windows eps of convergence_table, in grid steps, coarsest first
-_EPS_STEPS = (8, 4, 2)
-
-
-def _chunk_rows(n_steps: int) -> int:
-    """Paths per chunk of convergence_table on a grid of n_steps steps: one
-    window buffer holds _L2_BYTES, so a chunk's two buffers and its rows of
-    W stay in a core's L2."""
-    return max(1, _L2_BYTES // (8 * n_steps))
+EPS_STEPS = (8, 4, 2)
 
 
 def convergence_table(W: np.ndarray, dt: float, kind: TestIntegrand) -> tuple[list[str], list[list]]:
     """(eps, rms_error, rel_rms_error) rows for the integrand's oracle over
     the whole path (unit constant for ADAPTED_CONST) at each window of
-    _EPS_STEPS, and the change-of-variable residual RMS at the same windows.
+    EPS_STEPS, and the change-of-variable residual RMS at the same windows.
 
-    W is walked in chunks of _chunk_rows paths through two window buffers
-    allocated once, which stay in cache; the per-path values do not depend on
-    the chunk.
+    W is walked in chunks of paths.l2_rows(n_steps) paths through two window
+    buffers allocated once, so a chunk's buffers and its rows of W stay in a
+    core's L2; the per-path values do not depend on the chunk.
     """
     n_paths, n = W.shape[0], W.shape[1] - 1
-    est = np.empty((len(_EPS_STEPS), n_paths))
+    est = np.empty((len(EPS_STEPS), n_paths))
     resid = np.empty_like(est)
-    step = _chunk_rows(n)
+    step = l2_rows(n)
     buffers = np.empty((2, min(step, n_paths), n))
     for lo in range(0, n_paths, step):
         chunk = W[lo : lo + step]
         pair = buffers[:, : len(chunk)]
         u = integrand_values(kind, chunk)
-        for j, k in enumerate(_EPS_STEPS):
+        for j, k in enumerate(EPS_STEPS):
             est[j, lo : lo + step] = forward_riemann(chunk, u, k, out=pair[1])
             resid[j, lo : lo + step] = ito_residual(chunk, dt, k, out=pair)
     target = integrand_oracle(kind, W)
     target_rms = math.sqrt(ordered_mean(target**2))
     header = ["eps", "rms_error", "rel_rms_error", "ito_residual_rms"]
     rows = []
-    for j, k in enumerate(_EPS_STEPS):
+    for j, k in enumerate(EPS_STEPS):
         rms = math.sqrt(ordered_mean((est[j] - target) ** 2))
         resid_rms = math.sqrt(ordered_mean(resid[j] ** 2))
         rows.append([k * dt, rms, rms / target_rms if target_rms > 0 else 0.0, resid_rms])

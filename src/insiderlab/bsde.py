@@ -41,7 +41,7 @@ import numpy as np
 from .model import InsiderSpec, MarketParams, ScenarioConfig, ValidationError, iota, sigma_tilde, validate
 from .paths import PathBatch, TimeGrid, build_grid, signal_drift, stream_paths
 from .simulate import mean_se, ordered_mean
-from .strategies import _pi_small_robust_line, pi_no_insider_robust
+from .strategies import pi_no_insider_robust, pi_small_insider_robust
 
 __all__ = [
     "RegressionError",
@@ -265,7 +265,6 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams, out=None) 
         shift = 0.5 * io * (T - knots)
         scale = market.X0 * np.sqrt(a0 / a_t)
         start = (paths.Y0 + 0.5 * io * T) ** 2 / (2.0 * a0)
-        intercept, slope = _pi_small_robust_line(market, insider, t_left)
 
     Y, Z = _sweep_pair(paths) if out is None else out
     for i in range(m + 1):
@@ -278,10 +277,7 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams, out=None) 
             m_t = paths.Y0 - W + shift[i]
             y = scale[i] * np.exp(drift[i] + 0.5 * io * W - m_t**2 / (2.0 * a_t[i]) + start)
             if i < m:
-                pi = np.subtract(paths.Y0, W)  # pi_small_insider_robust on this knot
-                pi *= slope[i]
-                pi += intercept[i]
-                Z[i] = sig[i] * pi * y
+                Z[i] = sig[i] * pi_small_insider_robust(market, insider, paths.Y0, W, t_left[i]) * y
         Y[i] = y
     residual = abs(ordered_mean(Y[0]) - market.X0)
     return BsdeSolution(grid=grid, Y=Y.T, Z=Z.T, c=normalizer, residual=residual)

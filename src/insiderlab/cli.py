@@ -33,7 +33,7 @@ from .bsde import (
     stream_sweep_paths,
     value_from_bsde,
 )
-from .anticipating import _EPS_STEPS, TestIntegrand, convergence_table
+from .anticipating import EPS_STEPS, TestIntegrand, convergence_table
 from .model import (
     DomainError,
     InsiderKind,
@@ -437,8 +437,8 @@ def _check_flags(args) -> None:
     if not math.isfinite(getattr(args, "signal_level", 0.0)):
         raise ValidationError("signal_level_finite", f"need a finite --signal-level, got {args.signal_level}")
     # every window of the convergence table must fit inside [0, T]
-    if getattr(args, "forward_steps", _EPS_STEPS[0] + 1) <= _EPS_STEPS[0]:
-        raise ValidationError("forward_steps_min", f"need --forward-steps > {_EPS_STEPS[0]}, "
+    if getattr(args, "forward_steps", EPS_STEPS[0] + 1) <= EPS_STEPS[0]:
+        raise ValidationError("forward_steps_min", f"need --forward-steps > {EPS_STEPS[0]}, "
                               f"the widest window in steps, got {args.forward_steps}")
 
 
@@ -456,7 +456,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out if args.out is not None else os.environ.get("INSIDERLAB_OUT", "out")
     start = time.time()
-    made = []  # the directories this run creates for out_dir
+    made, code = [], 1  # the directories this run creates for out_dir; the exit code so far
     try:
         config = load_config(args.config, args)
         _check_flags(args)
@@ -467,17 +467,19 @@ def main(argv=None) -> int:
             raise ValidationError("out_dir", f"cannot create output directory {out_dir}: {exc}") from None
         code, tables = args.handler(args, config)
     except (ValidationError, DomainError) as exc:
-        # nothing is written yet, so a failed run leaves no directory it made
-        for path in made:
-            try:
-                os.rmdir(path)
-            except OSError:  # no longer empty, or never made
-                pass
         print(f"validation error: {exc}", file=sys.stderr)
-        return 1
     except RegressionError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    finally:
+        if code != 0:  # the one failure path: no CSV is written, and no directory made is left
+            for path in made:
+                try:
+                    os.rmdir(path)
+                except OSError:  # no longer empty, or never made
+                    pass
+    if code != 0:
+        return code
     outputs = [write_csv(os.path.join(out_dir, name), header, rows)
                for name, (header, rows) in tables.items()]
     wall = time.time() - start

@@ -33,6 +33,7 @@ __all__ = [
     "iota",
     "sigma_tilde",
     "phi_norm_sq",
+    "breakpoints",
     "validate",
 ]
 
@@ -150,13 +151,6 @@ class MarketParams:
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "X0", float(self.X0))
 
-    def breakpoints_union(self) -> list[float]:
-        """Sorted coefficient breakpoints inside (0, T)."""
-        pts = set()
-        for fn in (self.r, self.mu0, self.sigma, self.varrho):
-            pts.update(b for b in fn.breakpoints if 0.0 < b < self.T)
-        return sorted(pts)
-
     def has_impact(self) -> bool:
         return any(v != 0.0 for v in self.varrho.values)
 
@@ -254,6 +248,16 @@ def phi_norm_sq(insider: InsiderSpec, s, t: float):
     return insider.phi_weight.integral(s, t, power=2)
 
 
+def breakpoints(market: MarketParams, weight: PiecewiseConstant | None = None) -> list[float]:
+    """Sorted breakpoints inside (0, T) of the coefficients, and of the signal
+    weight when given: the inner ends of the pieces of [0, T] on which all of
+    them are constant, where every time integral is exact."""
+    fns = [market.r, market.mu0, market.sigma, market.varrho]
+    if weight is not None:
+        fns.append(weight)
+    return sorted({b for fn in fns for b in fn.breakpoints if 0.0 < b < market.T})
+
+
 # -- validation ---------------------------------------------------------------
 
 # the lower bound eps that validate enforces on sigma
@@ -269,9 +273,8 @@ def _validate_market(market: MarketParams) -> None:
         fn: PiecewiseConstant = getattr(market, name)
         if not all(np.isfinite(v) for v in fn.values):
             raise ValidationError("coefficient_bounded", f"{name} must be finite on [0, T]")
-    # check on the union of pieces so every constant segment is covered
-    pts = [0.0] + market.breakpoints_union()
-    for t in pts:
+    # check at the start of every piece, so every constant segment is covered
+    for t in [0.0, *breakpoints(market)]:
         sig = market.sigma(t)
         rho = market.varrho(t)
         if sig < _SIGMA_FLOOR:

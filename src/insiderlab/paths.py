@@ -22,7 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InsiderSpec, ScenarioConfig, DomainError, iota, phi_norm_sq, validate
+from .model import (
+    DomainError,
+    InsiderSpec,
+    ScenarioConfig,
+    ValidationError,
+    breakpoints,
+    iota,
+    phi_norm_sq,
+    validate,
+)
 
 __all__ = [
     "TimeGrid",
@@ -30,6 +39,7 @@ __all__ = [
     "build_grid",
     "sample_paths",
     "stream_paths",
+    "l2_rows",
     "information_drift",
     "decompose",
     "partial_signals",
@@ -39,9 +49,11 @@ __all__ = [
 # paths per RNG block; fixed so path i's draws never depend on n_paths or workers
 _BLOCK = 4096
 
-# bytes of one path array of a stream_paths tile (and of a window buffer of
-# anticipating.convergence_table): a tile's arrays stay in a core's L2
+# bytes of one array of a group of l2_rows paths, which stays in a core's L2
 _L2_BYTES = 512 * 1024
+
+# knots closer than this are one knot of a grid
+_KNOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,30 +105,26 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Index of knot t; t must lie on the grid."""
-        i = int(np.searchsorted(self.knots, t - 1e-12))
+        i = int(np.searchsorted(self.knots, t - _KNOT_TOL))
         if i >= len(self.knots) or abs(self.knots[i] - t) > 1e-9:
             raise DomainError(f"{t} is not a grid knot")
         return i
 
 
-def _merge_knots(*arrays) -> np.ndarray:
-    k = np.unique(np.concatenate([np.asarray(a, dtype=float) for a in arrays]))
-    # collapse floating-point near-duplicates from linspace/breakpoint overlap,
-    # keeping both ends exact: a breakpoint just below the end must not replace it
-    keep = np.concatenate(([True], np.diff(k) > 1e-12))
-    merged = k[keep]
-    merged[-1] = k[-1]
-    return merged
-
-
 def build_grid(config: ScenarioConfig) -> TimeGrid:
     """Uniform resolution n_steps on [0, T] plus every coefficient and
-    signal-weight breakpoint inside (0, T)."""
-    market = config.market
-    T = market.T
-    main = np.linspace(0.0, T, config.n_steps + 1)
-    phi_bps = [b for b in config.insider.phi_weight.breakpoints if 0.0 < b < T]
-    return TimeGrid(knots=_merge_knots(main, market.breakpoints_union(), phi_bps))
+    signal-weight breakpoint inside (0, T).  A uniform step that is not above
+    the knot tolerance is a ValidationError (`grid_step_min`)."""
+    main = np.linspace(0.0, config.market.T, config.n_steps + 1)
+    if not np.all(np.diff(main) > _KNOT_TOL):
+        raise ValidationError("grid_step_min", f"need T / n_steps above {_KNOT_TOL}, got "
+                              f"{config.market.T!r} / {config.n_steps}")
+    k = np.unique(np.concatenate([main, breakpoints(config.market, config.insider.phi_weight)]))
+    # collapse floating-point near-duplicates from linspace/breakpoint overlap,
+    # keeping both ends exact: a breakpoint just below the end must not replace it
+    knots = k[np.concatenate(([True], np.diff(k) > _KNOT_TOL))]
+    knots[-1] = k[-1]
+    return TimeGrid(knots=knots)
 
 
 @dataclass(frozen=True)
@@ -215,14 +223,16 @@ def _filler(config: ScenarioConfig, grid: TimeGrid):
 
 
 def _generator(seed: int, block: int) -> np.random.Generator:
-    """The counter-based stream of RNG block `block`."""
-    return np.random.Generator(np.random.Philox(key=[seed, block]))
+    """The counter-based stream of RNG block `block`, keyed by the unsigned
+    pair (seed, block), so each seed below 2^64 has its own streams."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _tile_rows(grid: TimeGrid) -> int:
-    """Paths per tile of stream_paths: one path array of a tile, at most
-    index_T + 1 values a path, fits in _L2_BYTES."""
-    return max(1, _L2_BYTES // (8 * (grid.index_T + 1)))
+def l2_rows(width: int) -> int:
+    """Paths per group (a tile of stream_paths, a chunk of
+    anticipating.convergence_table) whose array of `width` floats a path
+    fits in _L2_BYTES; at least one."""
+    return max(1, _L2_BYTES // (8 * width))
 
 
 def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
@@ -246,13 +256,13 @@ def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
 def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1) -> None:
     """Call fn(rows, tile) for every tile of the ensemble of a validated
     `config` on its grid build_grid(config), where `tile` equals rows `rows`
-    of sample_paths(config) bit for bit.  A tile is _tile_rows(grid)
+    of sample_paths(config) bit for bit.  A tile is l2_rows(index_T + 1)
     consecutive paths of one RNG block, or the block's rest, so each path
     array of a tile stays within _L2_BYTES and in a core's L2.  Each block
     draws its tiles in order from one generator into one buffer set, so a
     tile is valid only during its call: fn copies or reduces what it keeps.
     The path arrays held do not grow with n_paths."""
-    fill, seed, step = _filler(config, grid), int(config.seed), _tile_rows(grid)
+    fill, seed, step = _filler(config, grid), int(config.seed), l2_rows(grid.index_T + 1)
 
     def run(block: int, rows: slice) -> None:
         gen = _generator(seed, block)

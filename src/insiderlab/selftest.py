@@ -146,7 +146,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     # adapted constant integrand at unit iota, so the state is W_t: forward sums approach c * W_t
     ncfg = ScenarioConfig(
         market=MarketParams(r=0.0, mu0=1.0, sigma=1.0, varrho=0.0, T=1.0, X0=1.0),
-        insider=InsiderSpec.none(), n_steps=512, n_paths=500, seed=seed + 1,
+        insider=InsiderSpec.none(), n_steps=512, n_paths=500, seed=(seed + 1) % 2**64,
     )
     nb = sample_paths(ncfg)
     W = nb.level

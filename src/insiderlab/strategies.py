@@ -27,6 +27,7 @@ from .model import (
     MarketParams,
     PiecewiseConstant,
     ValidationError,
+    breakpoints,
     iota,
     phi_norm_sq,
     sigma_tilde,
@@ -39,6 +40,7 @@ __all__ = [
     "NO_IMPACT_KINDS",
     "UNINFORMED_KINDS",
     "market_for",
+    "run_out",
     "pi_no_insider_robust",
     "theta_no_insider_robust",
     "pi_small_insider_robust",
@@ -121,14 +123,15 @@ def pi_no_insider_nonrobust(market: MarketParams, t):
 # (n_paths, len(t)) residual: one call evaluates a whole profile.
 
 
-def _run_out(market, insider, t):
+def run_out(market: MarketParams, insider: InsiderSpec, t):
     """phi_w(t), ||phi_w||^2_[t,T0], ||phi_w||^2_[T,T0] and int_t^T phi_w iota ds
-    for t in [0, T), exact on the merged constant pieces."""
+    for t in [0, T), a scalar or an array, exact on the pieces of
+    model.breakpoints."""
     T = market.T
     if np.any(np.asarray(t) >= T):
         raise DomainError(f"strategy defined on [0, T), got t up to {np.max(t)}")
     phi = insider.phi_weight
-    knots = np.union1d(market.breakpoints_union(), [b for b in phi.breakpoints if b < T])
+    knots = [0.0, *breakpoints(market, phi)]
     weighted_iota = PiecewiseConstant(knots, phi(knots) * iota(market, knots))
     return (
         phi(t),
@@ -157,15 +160,7 @@ def pi_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b_t,
     with B_t the running weighted noise integral.  For phi_w = 1 this reduces
     to iota/(2 sigma) + (W_T0 - W_t + (1/2) int_t^T iota ds) / (sigma (2T0 - t - T)).
     """
-    return _affine(*_pi_small_robust_line(market, insider, t), y0, b_t)
-
-
-def _pi_small_robust_line(market: MarketParams, insider: InsiderSpec, t):
-    """Intercept and slope of pi_small_insider_robust in the residual Y0 - B_t."""
-    w, norm_t, norm_T, cross = _run_out(market, insider, t)
-    sig = market.sigma(t)
-    slope = w / (sig * (norm_t + norm_T))
-    return iota(market, t) / (2.0 * sig) + 0.5 * cross * slope, slope
+    return _affine(*_small_robust_lines(market, insider, t)[:2], y0, b_t)
 
 
 def theta_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):
@@ -175,14 +170,17 @@ def theta_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b
                   / (||phi_w||^2_[t,T0] + ||phi_w||^2_[T,T0])
                 - phi_w(t) (Y0 - B_t) / ||phi_w||^2_[t,T0].
     """
-    return _affine(*_theta_small_robust_line(market, insider, t), y0, b_t)
+    return _affine(*_small_robust_lines(market, insider, t)[2:], y0, b_t)
 
 
-def _theta_small_robust_line(market: MarketParams, insider: InsiderSpec, t):
-    """Intercept and slope of theta_small_insider_robust in the residual Y0 - B_t."""
-    w, norm_t, norm_T, cross = _run_out(market, insider, t)
-    slope = w / (norm_t + norm_T)
-    return -0.5 * iota(market, t) + 0.5 * cross * slope, slope - w / norm_t
+def _small_robust_lines(market: MarketParams, insider: InsiderSpec, t):
+    """Intercept and slope in the residual Y0 - B_t of pi_small_insider_robust,
+    then those of theta_small_insider_robust, from one run-out evaluation."""
+    w, norm_t, norm_T, cross = run_out(market, insider, t)
+    io, sig = iota(market, t), market.sigma(t)
+    pi_slope, theta_slope = w / (sig * (norm_t + norm_T)), w / (norm_t + norm_T)
+    return (io / (2.0 * sig) + 0.5 * cross * pi_slope, pi_slope,
+            -0.5 * io + 0.5 * cross * theta_slope, theta_slope - w / norm_t)
 
 
 def pi_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):
@@ -199,7 +197,7 @@ def pi_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, b_t, t)
 
 def _pi_nonrobust_line(market: MarketParams, insider: InsiderSpec, t):
     """Intercept and slope of pi_insider_nonrobust in the residual Y0 - B_t."""
-    w, norm_t, _, _ = _run_out(market, insider, t)
+    w, norm_t, _, _ = run_out(market, insider, t)
     st = sigma_tilde(market, t)
     return iota(market, t) / st, w / (norm_t * st)
 
@@ -231,7 +229,7 @@ def _profile_rows(kind: StrategyKind, market: MarketParams, insider: InsiderSpec
             row.flags.writeable = False  # every profile on the grid shares them
         return rows
     if kind is StrategyKind.SMALL_INSIDER_ROBUST:
-        return (*_pi_small_robust_line(market, insider, t), *_theta_small_robust_line(market, insider, t))
+        return _small_robust_lines(market, insider, t)
     return _pi_nonrobust_line(market, insider, t)
 
 

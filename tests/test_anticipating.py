@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from insiderlab.anticipating import (
-    _EPS_STEPS,
+    EPS_STEPS,
     TestIntegrand,
-    _chunk_rows,
     convergence_table,
     forward_riemann,
     integrand_oracle,
@@ -14,7 +13,7 @@ from insiderlab.anticipating import (
     ito_residual,
 )
 from insiderlab.model import DomainError, ScenarioConfig
-from insiderlab.paths import sample_paths
+from insiderlab.paths import l2_rows, sample_paths
 from insiderlab.simulate import ordered_mean
 
 
@@ -158,7 +157,7 @@ def test_per_path_forms_match_matrix_forms(request, levels, kind):
     dt = float(grid.dt[0])
     u = integrand_values(kind, W, const=2.0)
     assert np.array_equal(integrand_oracle(kind, W), _matrix_oracle(kind, W))
-    for k in _EPS_STEPS:
+    for k in EPS_STEPS:
         expect = _matrix_forward(W, _matrix_integrand(kind, W, 2.0), k)
         assert np.array_equal(forward_riemann(W, u, k), expect), k
         assert np.array_equal(ito_residual(W, dt, k), _matrix_residual(W, dt, k)), k
@@ -169,7 +168,7 @@ def _matrix_table(W, dt, kind):
     target = _matrix_oracle(kind, W)
     target_rms = math.sqrt(ordered_mean(target**2))
     rows = []
-    for k in _EPS_STEPS:
+    for k in EPS_STEPS:
         est = _matrix_forward(W, _matrix_integrand(kind, W, 1.0), k)
         err = math.sqrt(ordered_mean((est - target) ** 2))
         resid = math.sqrt(ordered_mean(_matrix_residual(W, dt, k) ** 2))
@@ -180,7 +179,7 @@ def _matrix_table(W, dt, kind):
 @pytest.mark.parametrize("n_steps", [9, 4096])
 @pytest.mark.parametrize("paths", ["one", "chunk-1", "chunk+1", "1001"])
 def test_chunking_does_not_change_the_table(n_steps, paths):
-    chunk = _chunk_rows(n_steps)
+    chunk = l2_rows(n_steps)
     n_paths = {"one": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1, "1001": 1001}[paths]
     dt = 1.0 / n_steps
     W = np.zeros((n_paths, n_steps + 1))

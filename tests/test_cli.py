@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from insiderlab import analysis
 from insiderlab.cli import _build_parser, echo_config, load_config, main, parse_piecewise
@@ -203,6 +203,12 @@ class TestConfigParsing:
             ("value", [], "[DEFAULT]\nseed = 3\n" + BASE_CFG, "config_key"),
             ("simulate", ["--regime", "small_insider_robust", "--kind", "none"], None, "signal_required"),
             ("simulate", ["--regime", "small_insider_nonrobust", "--kind", "none"], None, "signal_required"),
+            ("value", ["--kind", "bogus"], None, "insider_kind"),
+            ("martingale", ["--perturb-pi", "nan"], None, "profile_finite"),
+            # uniform steps within the knot-merge tolerance, refused where the grid is built
+            ("simulate", ["--T", "1e-9", "--n-steps", "2000"], None, "grid_step_min"),
+            ("forward-check", ["--T", "1e-300"], None, "grid_step_min"),
+            ("bsde-linear", ["--T", "1e-12", "--n-steps", "2"], None, "grid_step_min"),
         ],
     )
     def test_malformed_input_exits_one_with_code(self, tmp_path, capsys, command, flags, cfg_text, code):
@@ -247,6 +253,26 @@ class TestConfigParsing:
         assert run([*argv, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("validation error: solution_finite:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        # 1 path cannot fit the regression basis: exit 2
+        (["bsde-linear", "--n-paths", "1", "--n-steps", "5"], 2),
+        (["selftest"], 1),
+    ], ids=["non-convergence", "failed-selftest"])
+    def test_every_failed_run_removes_the_directories_it_made(self, tmp_path, capsys, monkeypatch,
+                                                              argv, code):
+        monkeypatch.setattr("insiderlab.cli.run_selftest", lambda seed: [("stub", False, 1.0)])
+        assert run([*argv, "--out", str(tmp_path / "new" / "sub")]) == code
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_crash_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        def crash(args, config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("insiderlab.cli._cmd_value", crash)
+        with pytest.raises(RuntimeError):
+            run(["value", "--out", str(tmp_path / "new" / "sub")])
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_command_keeps_an_existing_out(self, tmp_path, capsys):
         (tmp_path / "keep").write_text("keep")
@@ -303,6 +329,8 @@ INVALID_INPUTS = st.one_of(
     # finite weights whose square overflows: ||phi_w||^2 on [0, T0] is infinite
     (_finite(min_value=1e155) | _finite(max_value=-1e155)).map(
         lambda w: (_arg("phi", w), "phi_norm_finite")),
+    # T / 200 default steps within the 1e-12 knot tolerance
+    st.floats(min_value=0.0, max_value=1e-10, exclude_min=True).map(lambda T: (_arg("T", T), "grid_step_min")),
 )
 
 
@@ -312,6 +340,7 @@ class TestExitCodes:
            command=st.sampled_from(["value", "simulate", "martingale", "bsde-linear", "critical-t0"]))
     def test_invalid_input_gives_its_code_and_exit_one(self, invalid, command):
         flag, code = invalid
+        assume(code != "grid_step_min" or command not in ("value", "critical-t0"))  # they build no grid
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
             assert run([command, flag, "--out", os.path.join(tmp, "out")]) == 1
@@ -461,6 +490,17 @@ class TestSimulationCommands:
         assert row["analytic_value"] == repr(analysis.value_of(kind, cfg.market, cfg.insider).total)
         assert float(row["J_mean"]) != 0.0
 
+    @pytest.mark.parametrize("flags, regime", [
+        (["--kind", "none"], "no_insider_nonrobust"),
+        ([], "small_insider_nonrobust"),
+        (["--varrho", "0.030625"], "large_insider_nonrobust"),
+    ])
+    def test_non_robust_default_regimes(self, tmp_path, cfg_file, flags, regime):
+        # --robust false picks the regime from the signal and the price impact
+        assert run(["simulate", "--robust", "false", *flags, "--n-paths", "500", "--config", cfg_file,
+                    "--out", str(tmp_path)]) == 0
+        assert read_table(tmp_path / "j_report.csv")[0]["regime"] == regime
+
     @pytest.mark.parametrize("command", [
         ["simulate"], ["martingale"], ["bsde-quadratic"], ["bsde-linear"],
         # forward-check ignores --n-paths and draws its own paths
@@ -577,6 +617,29 @@ class TestAnalysisCommands:
             assert row["no_insider_nonrobust"] == values["no_insider_nonrobust"]["total"]
             assert float(row["no_insider_nonrobust_no_impact"]) == pytest.approx(no_impact, abs=1e-15)
             assert row["small_insider_robust"] != ""
+
+    def test_fig1_bsde_column_is_the_quadratic_solve(self, tmp_path, cfg_file):
+        # the T0 = 2 cell is bsde-quadratic's value at T0 = 2, less ln X0, bit for bit
+        size = ["--seed", "5", "--x0", "2.0", "--config", cfg_file]
+        assert run(["figures", "--fig-kind", "fig1", "--with-bsde", "--bsde-paths", "3000",
+                    "--bsde-steps", "10", *size, "--out", str(tmp_path)]) == 0
+        assert run(["bsde-quadratic", "--t0", "2", "--n-paths", "3000", "--n-steps", "10", *size,
+                    "--out", str(tmp_path)]) == 0
+        cells = {row["T0"]: row["large_insider_robust_bsde"] for row in read_table(tmp_path / "fig1.csv")}
+        value = float(read_table(tmp_path / "bsde_quadratic_value.csv")[0]["value"])
+        assert len(cells) == 11 and all(cells.values())
+        assert cells["2.0"] == repr(value - math.log(2.0))
+
+    @pytest.mark.parametrize("mu, expect", [(None, 0.08), ("0.2", 0.2)])
+    def test_fig3_defaults_to_mu_0_08(self, tmp_path, cfg_file, mu, expect):
+        flags = [] if mu is None else ["--mu", mu]
+        assert run(["figures", "--fig-kind", "fig3", *flags, "--config", cfg_file,
+                    "--out", str(tmp_path)]) == 0
+        cfg = load_config(cfg_file, argparse.Namespace(mu=expect))
+        t0s = [1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0]  # the multiples of T = 1
+        header, rows = analysis.fig_value_table(cfg.market, t0s)
+        lines = (tmp_path / "fig3.csv").read_text().splitlines()
+        assert lines == [",".join(header)] + [",".join(repr(x) for x in row) for row in rows]
 
     def test_figures_strategy_lines(self, tmp_path, cfg_file):
         assert run(["figures", "--fig-kind", "strategy_lines", "--config", cfg_file,

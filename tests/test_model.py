@@ -10,6 +10,7 @@ from insiderlab.model import (
     PiecewiseConstant,
     ScenarioConfig,
     ValidationError,
+    breakpoints,
     iota,
     phi_norm_sq,
     sigma_tilde,
@@ -128,6 +129,17 @@ class TestPhiNormSq:
     def test_reversed_bounds_rejected(self, insider):
         with pytest.raises(DomainError):
             phi_norm_sq(insider, 1.0, 0.5)
+
+
+def test_breakpoints_are_the_inner_ends_of_the_constant_pieces():
+    # shared breakpoints count once; 0, T and those beyond T are not inner
+    def steps(*bps):
+        return PiecewiseConstant((0.0, *bps), [0.1] * (len(bps) + 1))
+
+    market = MarketParams(r=steps(0.5, 2.0), mu0=steps(0.25, 0.5), sigma=steps(1.0), varrho=steps(0.75),
+                          T=1.0, X0=1.0)
+    assert breakpoints(market) == [0.25, 0.5, 0.75]
+    assert breakpoints(market, steps(0.1, 0.75, 1.5)) == [0.1, 0.25, 0.5, 0.75]
 
 
 class TestValidate:

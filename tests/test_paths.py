@@ -9,10 +9,12 @@ from insiderlab.model import (
     PiecewiseConstant,
     ScenarioConfig,
     ValidationError,
+    breakpoints,
     iota,
     phi_norm_sq,
 )
 from insiderlab.paths import (
+    _generator,
     build_grid,
     decompose,
     information_drift,
@@ -84,12 +86,20 @@ class TestGrid:
         grid = build_grid(make_config(m, ins, n_steps=n_steps))
         assert grid.knots[0] == 0.0 and grid.knots[-1] == grid.T == T
         assert np.all(np.diff(grid.knots) > 0)
-        for b in [*m.breakpoints_union(), *(b for b in phi_bps if b < T)]:
+        for b in [*breakpoints(m), *(b for b in phi_bps if b < T)]:
             grid.index_of(b)  # raises DomainError off the grid
 
     def test_zero_step_grid_rejected(self, market, insider):
         with pytest.raises(ValidationError):
             sample_paths(make_config(market, insider, n_steps=0))
+
+    @pytest.mark.parametrize("T, n_steps", [(1e-9, 2000), (1e-12, 2), (1e-300, 4096), (5e-324, 2)])
+    def test_steps_within_the_knot_tolerance_rejected(self, insider, T, n_steps):
+        # uniform knots that the merge would collapse: a code, not a grid of fewer knots
+        m = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=T, X0=1.0)
+        with pytest.raises(ValidationError) as exc:
+            build_grid(make_config(m, insider, n_steps=n_steps))
+        assert exc.value.code == "grid_step_min"
 
 
 class TestSampling:
@@ -99,6 +109,17 @@ class TestSampling:
         b = sample_paths(cfg)
         np.testing.assert_array_equal(a.dW, b.dW)
         np.testing.assert_array_equal(a.dWH, b.dWH)
+
+    def test_seeds_draw_their_own_streams(self, market, insider):
+        # the Philox key is the unsigned pair (seed, block): seeds from 2^63 up
+        # neither share a key nor warn (pytest fails a RuntimeWarning), and
+        # a seed below 2^63 keeps the key of the plain integer pair
+        seeds = [0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1024, 2**64 - 1]
+        draws = [sample_paths(make_config(market, insider, n_paths=2, seed=s)).dW for s in seeds]
+        assert len({d.tobytes() for d in draws}) == len(seeds)
+        for seed in (0, 7, 2**63 - 1):
+            expect = np.random.Generator(np.random.Philox(key=[seed, 0])).standard_normal(5)
+            assert np.array_equal(_generator(seed, 0).standard_normal(5), expect)
 
     def test_paths_independent_of_ensemble_size(self, market, insider):
         small = sample_paths(make_config(market, insider, n_paths=100, seed=9))

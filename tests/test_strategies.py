@@ -11,17 +11,18 @@ from insiderlab.model import (
     PiecewiseConstant,
     ScenarioConfig,
     ValidationError,
+    breakpoints,
     iota,
     sigma_tilde,
 )
 from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.strategies import (
     StrategyKind,
-    _run_out,
     build_profile,
     pi_insider_nonrobust,
     pi_no_insider_robust,
     pi_small_insider_robust,
+    run_out,
     theta_from_pi,
     theta_no_insider_robust,
     theta_small_insider_robust,
@@ -307,10 +308,10 @@ def test_run_out_integrals_match_fsum_at_every_knot(market, insider):
     # every knot of [0, T), breakpoints included, in one vectorised call
     t = KNOTS[:20]
     phi = insider.phi_weight
-    w, norm_t, norm_T, cross = _run_out(market, insider, t)
+    w, norm_t, norm_T, cross = run_out(market, insider, t)
     np.testing.assert_array_equal(w, phi(t))
     assert abs(norm_T - _fsum(lambda s: phi(s) ** 2, phi.breakpoints, 1.0, 2.0)) <= 1e-13
-    breaks = [*phi.breakpoints, *market.breakpoints_union()]
+    breaks = [*phi.breakpoints, *breakpoints(market)]
     for i, a in enumerate(t):
         assert abs(norm_t[i] - _fsum(lambda s: phi(s) ** 2, phi.breakpoints, a, 2.0)) <= 1e-13
         product = _fsum(lambda s: phi(s) * iota(market, s), breaks, a, 1.0)
