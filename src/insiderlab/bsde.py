@@ -22,6 +22,10 @@ is exact.  Controls are recovered via pi = (z + phitilde) /
 (sigma + sigma_tilde), theta = (sigma_tilde z - sigma phitilde) /
 (sigma + sigma_tilde).
 
+In log coordinates both drivers belong to one family, built by one function:
+f = z (a z + b phitilde) + c phitilde^2 - r, with (a, b, c) = (1/2, -1, 0)
+for the linear equation in (ln X, z / X) and rows in sigma, sigma_tilde for f_Q.
+
 Both numerical solvers are explicit backward Euler schemes with conditional
 expectations estimated by polynomial least-squares regression on the Markov
 state: int_0^t iota dW without a signal, and the running signal B_t plus
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InsiderSpec, MarketParams, ScenarioConfig, ValidationError, iota, sigma_tilde, validate
+from .model import InsiderSpec, MarketParams, ScenarioConfig, ValidationError, breakpoints, iota, sigma_tilde, validate
 from .paths import PathBatch, TimeGrid, build_grid, signal_drift, stream_paths
 from .simulate import mean_se, ordered_mean
 from .strategies import pi_no_insider_robust, pi_small_insider_robust
@@ -166,10 +170,12 @@ def log_pi_star(paths: SweepPaths, market: MarketParams) -> np.ndarray:
 
 def require_gaussian_oracle(market: MarketParams, insider: InsiderSpec) -> None:
     """The preconditions of the Gaussian closed forms: none without a signal;
-    constant coefficients and unit weight with one."""
-    if insider.has_signal():
-        market.require_constant("the Gaussian closed form")
-        insider.require_unit_weight("the Gaussian closed form")
+    with one, coefficients constant on [0, T] (`constant_required`) and unit
+    weight on all of [0, T0] (`unsupported_phi`), which v = T0 - T assumes."""
+    if insider.has_signal() and breakpoints(market):
+        raise ValidationError("constant_required", "the Gaussian closed form needs coefficients constant on [0, T]")
+    if insider.has_signal() and insider.phi_weight.values != (1.0,):
+        raise ValidationError("unsupported_phi", "the Gaussian closed form needs unit signal weight")
 
 
 def enlargement_normalizer(market: MarketParams, insider: InsiderSpec, y) -> np.ndarray:
@@ -389,6 +395,31 @@ def _sweep_pair(paths: SweepPaths) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((m + 1, n)), np.empty((m, n))
 
 
+def _driver(paths: SweepPaths, market: MarketParams, a, b, c):
+    """f(i, z) = z (a z + b phitilde) + c phitilde^2 - r for per-step rows or
+    constants a, b, c, with the r row and phitilde formed once per solve.  A
+    step forms the tail c phitilde^2 - r first, then b phitilde in the fresh
+    phitilde row: with a signal, eight whole-path operations, six in place."""
+    m = paths.grid.index_T
+    a, b, c = (np.broadcast_to(x, (m,)) for x in (a, b, c))
+    r = market.r(paths.grid.knots[:m])
+    phitilde = _phitilde(paths, market)
+
+    def f(i: int, z: np.ndarray) -> np.ndarray:
+        phit = phitilde(i)
+        tail = c[i] * phit
+        tail *= phit
+        tail -= r[i]
+        phit *= b[i]
+        out = a[i] * z
+        out += phit
+        out *= z
+        out += tail
+        return out
+
+    return f
+
+
 def _finite_solution(solve):
     """An LSMC solver run with numpy's overflow, invalid and divide warnings
     off, whose solution is refused by _require_finite when a value (Y, Z,
@@ -424,7 +455,8 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
         zeta = z / X,
 
     stay inside the polynomial family step by step.  The backward sweep runs
-    on (L, zeta) with driver -(r + phitilde zeta - zeta^2/2), and turns them
+    on (L, zeta) with driver -(r + phitilde zeta - zeta^2/2), the member
+    (a, b, c) = (1/2, -1, 0) of _driver's family, and turns them
     into (Y, Z) = (exp L, zeta exp L) in place.  The terminal uses the
     pathwise Pi(0,T); the conditional normaliser is a Monte-Carlo scalar
     without a signal and the Gaussian closed form under enlargement.
@@ -441,17 +473,7 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
         log_norm = np.log(normalizer)
     _require_finite("the log normaliser", log_norm)
     terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
-    r = market.r(grid.knots[:m])
-    phitilde = _phitilde(paths, market)
-
-    def driver(i, zeta):  # -(r + phitilde zeta - zeta^2/2), in four whole-path operations
-        out = 0.5 * zeta
-        out -= phitilde(i)
-        out *= zeta
-        out -= r[i]
-        return out
-
-    Y, Z = _backward_sweep(paths, terminal, driver)
+    Y, Z = _backward_sweep(paths, terminal, _driver(paths, market, 0.5, -1.0, 0.0))
     np.exp(Y, out=Y)  # L -> Y = exp(L), so exp(L) never sits beside L
     Z *= Y[:m]  # zeta -> Z = zeta Y
     residual = abs(ordered_mean(Y[0]) - market.X0)
@@ -468,30 +490,12 @@ def _quadratic_driver(paths: SweepPaths, market: MarketParams):
         f_Q = z (a z + b phitilde) + c phitilde^2 - r,
         a = 1/4 - k,  b = -1/2 - 2k,  c = -1/4 - k,
 
-    where a reduces to sigma_tilde / (2 (sigma + sigma_tilde)).  The rows
-    a, b, c are formed once per solve; with a signal a step takes eight
-    whole-path operations, five of them in place."""
-    m = paths.grid.index_T
-    t_left = paths.grid.knots[:m]
+    where a reduces to sigma_tilde / (2 (sigma + sigma_tilde))."""
+    t_left = paths.grid.knots[: paths.grid.index_T]
     sig = market.sigma(t_left)
     st = sigma_tilde(market, t_left)
-    r = market.r(t_left)
     k = (sig - st) / (4.0 * (sig + st))
-    a, b, c = 0.25 - k, -0.5 - 2.0 * k, -0.25 - k
-    phitilde = _phitilde(paths, market)
-
-    def f(i: int, z: np.ndarray) -> np.ndarray:
-        phit = phitilde(i)
-        out = a[i] * z
-        out += b[i] * phit
-        out *= z
-        tail = c[i] * phit
-        tail *= phit
-        tail -= r[i]
-        out += tail
-        return out
-
-    return f
+    return _driver(paths, market, 0.25 - k, -0.5 - 2.0 * k, -0.25 - k)
 
 
 def _projected_mismatch(y_design, inv_gram, mismatch) -> tuple[np.ndarray, float]:

@@ -85,7 +85,7 @@ class PiecewiseConstant:
         idx = np.searchsorted(self.breakpoints, t, side="right") - 1
         idx = np.clip(idx, 0, len(self.values) - 1)
         out = np.asarray(self.values, dtype=float)[idx]
-        return float(out) if np.ndim(t) == 0 else out
+        return out
 
     def integral(self, a, b: float, power: int = 1):
         """Exact integral of f(t)**power over [a, b]; `a` may be an array of
@@ -162,10 +162,6 @@ class MarketParams:
         if self.has_impact():
             raise ValidationError("impact_not_allowed", f"{what} requires varrho = 0")
 
-    def require_constant(self, what: str) -> None:
-        if any(len(fn.breakpoints) > 1 for fn in (self.r, self.mu0, self.sigma, self.varrho)):
-            raise ValidationError("constant_required", f"{what} needs constant coefficients")
-
 
 class InsiderKind(Enum):
     NO_INSIDER = "none"
@@ -204,10 +200,6 @@ class InsiderSpec:
     def require_signal(self, what: str) -> None:
         if not self.has_signal():
             raise ValidationError("signal_required", f"{what} needs an insider signal")
-
-    def require_unit_weight(self, what: str) -> None:
-        if self.phi_weight != PiecewiseConstant.constant(1.0):
-            raise ValidationError("unsupported_phi", f"{what} needs unit signal weight")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from insiderlab.bsde import (
     SweepPaths,
     _backward_sweep,
     _controls,
+    _driver,
     _factor,
     _monomials,
     _phitilde,
@@ -383,6 +384,23 @@ class TestRegressionEngine:
             phit = _phitilde(paths, mk)(i)
             terms = [0.25 * z**2, -0.5 * phit * z, -0.03 + 0.0 * z, -0.25 * phit**2, -k * (z + phit) ** 2]
             np.testing.assert_array_less(np.abs(f(i, z) - sum(terms)), 1e-12 * sum(np.abs(t) for t in terms))
+
+    @pytest.mark.parametrize("signal", [True, False])
+    def test_linear_member_is_the_linear_driver_bit_for_bit(self, signal):
+        # the linear equation's driver in (ln X, zeta) as it was written
+        # before the family, -(r + phitilde zeta - zeta^2/2), under piecewise r
+        mk = MarketParams(r=PiecewiseConstant((0.0, 0.5), (0.03, 0.01)), mu0=0.15, sigma=0.35,
+                          varrho=0.0, T=1.0, X0=1.0)
+        spec = InsiderSpec.enlargement(T0=2.0) if signal else InsiderSpec.none()
+        paths = stream_sweep_paths(ScenarioConfig(market=mk, insider=spec, n_steps=20, n_paths=512, seed=8))
+        m = paths.grid.index_T
+        f, r = _driver(paths, mk, 0.5, -1.0, 0.0), mk.r(paths.grid.knots[:m])
+        z = np.random.default_rng(5).normal(scale=2.0, size=paths.n_paths)
+        assert len(set(r)) == 2
+        for i in range(m):
+            phit = _phitilde(paths, mk)(i)
+            expected = ((0.5 * z) - phit) * z - r[i]
+            assert f(i, z).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("varrho", [0.0, 0.01, 0.25 * 0.35**2, 0.05])
     def test_quadratic_driver_leading_coefficient(self, sweep_small, varrho):

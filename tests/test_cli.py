@@ -282,6 +282,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("flags, mu0, code", [
         (["--phi", "0:1,0.5:3"], "0.15", "unsupported_phi"),
+        # unit weight on [T, T0] too: the normaliser's v = T0 - T assumes it there
+        (["--phi", "0:1,1.5:2"], "0.15", "unsupported_phi"),
         ([], "0:0.15, 0.5:0.2", "constant_required"),
     ])
     def test_bsde_linear_oracle_preconditions_before_any_path(self, tmp_path, capsys, monkeypatch,
@@ -293,6 +295,19 @@ class TestConfigParsing:
         assert run(["bsde-linear", *flags, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"validation error: {code}:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new", [("mu0 = 0.15", "mu0 = 0:0.15, 1.5:0.2"),
+                                          ("sigma = 0.35", "sigma = 0:0.35, 1:0.4")])
+    def test_bsde_linear_oracle_reads_only_the_coefficients_on_0_T(self, tmp_path, old, new):
+        # breakpoints at or beyond T = 1 leave the coefficients constant on [0, T]
+        outputs = []
+        for name, cfg in (("constant", BASE_CFG), ("beyond", BASE_CFG.replace(old, new))):
+            (tmp_path / f"{name}.cfg").write_text(cfg)
+            out = tmp_path / name
+            assert run(["bsde-linear", "--config", str(tmp_path / f"{name}.cfg"), "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0]) == ["bsde_linear.csv", "bsde_linear_report.csv"]
 
 
 def _arg(flag, value):
