@@ -30,7 +30,11 @@ Both numerical solvers are explicit backward Euler schemes with conditional
 expectations estimated by polynomial least-squares regression on the Markov
 state: int_0^t iota dW without a signal, and the running signal B_t plus
 the signal Y0 under enlargement.  Each step's design is regressed on as
-built; only its small Gram matrix is equilibrated.  A solve whose values
+built; only its small Gram matrix is equilibrated.  The sweep holds two
+rows of the value and one of the control, and hands each knot's rows to an
+observer once it is done with them, so a caller reduces the solution knot
+by knot: the linear solver holds no field over all knots, and the quadratic
+one holds only L, which its shot moves at every knot.  A solve whose values
 overflow ends in a ValidationError (`solution_finite`), not in nan cells.
 """
 
@@ -60,6 +64,7 @@ __all__ = [
     "solve_quadratic_lsmc",
     "initial_controls",
     "value_from_bsde",
+    "KNOT_HEADER",
     "knot_table",
 ]
 
@@ -207,34 +212,39 @@ def enlargement_normalizer(market: MarketParams, insider: InsiderSpec, y) -> np.
 
 @dataclass(frozen=True)
 class BsdeSolution:
-    """Backward-solved fields on the grid of [0, T].
+    """What a backward solve on the grid of [0, T] keeps once its sweep is
+    done; the sweep hands every knot's rows to an observer as it passes them
+    (see _backward_sweep), so no whole field is held unless kept here.
 
-    Y (n_paths, index_T + 1) holds the value at every knot (wealth X for the
-    linear equation, L for the quadratic one); Z (n_paths, index_T) the
-    control on every step.  The solvers store both knot-major and return
-    Y and Z as transposed views, so a knot's column Y[:, i] is contiguous.
+    y0, z0 : (n_paths,) the value (wealth X for the linear equation, L for
+             the quadratic one) at knot 0 and the control on step 0, and
+    y0_mean: the ordered mean of y0.
+    Y      : the quadratic solver's shot L at every knot, (n_paths,
+             index_T + 1), a transposed view of a knot-major array so that a
+             knot's column Y[:, i] is contiguous; None for the linear solver.
     `c` is the shot terminal (scalar, or polynomial coefficients in the
     signal under enlargement; the Monte-Carlo normaliser for the linear
-    solver).  `residual` is |Y_0 - target| for the linear solvers and the
+    solver).  `residual` is |mean Y_0 - X0| for the linear solver and the
     RMS projected mismatch of L_0 - ln X0 left after the shot for the
     quadratic one; `trace` holds the quadratic solver's two rows
     (iteration, c2, residual, mean L_0): the sweep from ln X0, then the shot.
     """
 
     grid: object
-    Y: np.ndarray
-    Z: np.ndarray
+    y0: np.ndarray
+    z0: np.ndarray
+    y0_mean: float
     c: object
     residual: float
+    Y: np.ndarray | None = None
     trace: tuple = field(default_factory=tuple)
 
 
-def solve_linear_closed_form(paths: SweepPaths, market: MarketParams, out=None) -> BsdeSolution:
-    """Exact solution of the linear backward equation, evaluated knot by knot
-    into the knot-major pair `out`, (index_T + 1, n_paths) and
-    (index_T, n_paths), or a new one.  `out` may be (paths.level, paths.dWH)
-    when `paths` is not needed again: each knot's input is read before that
-    knot is written.
+def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
+    """Exact solution of the linear backward equation, as the function
+    knot(i) -> (Y_i, Z_i) of the knot index, Z_index_T = None: each call
+    evaluates one knot from the sweep input, which it does not write, so no
+    field is held whole.
 
     Without a signal (valid for piecewise-constant coefficients):
 
@@ -246,6 +256,8 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams, out=None) 
         X_t = X0 sqrt(a0/a_t) exp{r t + (3/8) iota^2 t + (1/2) iota W_t
                                   - m_t^2/(2 a_t) + m_0^2/(2 a0)}.
     """
+    # with a signal: constant coefficients and unit weight, so B_t is W_t
+    require_gaussian_oracle(market, paths.insider)
     grid = paths.grid
     m = grid.index_T
     knots, t_left = grid.knots, grid.knots[:m]
@@ -257,36 +269,32 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams, out=None) 
         cum_io2 = np.concatenate(([0.0], np.cumsum(io_left**2 * grid.dt)))
         drift = cum_r + 0.375 * cum_io2
         sig_pi = sig * pi_no_insider_robust(market, t_left)
-        normalizer = math.exp(-0.5 * cum_r[-1] - cum_io2[-1] / 8.0)
-    else:
-        # the normaliser checks constant coefficients and unit weight first,
-        # so the running signal B_t is W_t
-        insider = paths.insider
-        normalizer = enlargement_normalizer(market, insider, paths.Y0)
-        T, T0 = market.T, float(insider.T0)
-        io, r = iota(market, 0.0), market.r(0.0)
-        a0 = 2.0 * T0 - T
-        a_t = 2.0 * T0 - T - knots
-        drift = r * knots + 0.375 * io**2 * knots
-        shift = 0.5 * io * (T - knots)
-        scale = market.X0 * np.sqrt(a0 / a_t)
-        start = (paths.Y0 + 0.5 * io * T) ** 2 / (2.0 * a0)
 
-    Y, Z = _sweep_pair(paths) if out is None else out
-    for i in range(m + 1):
-        if paths.Y0 is None:
+        def knot(i: int) -> tuple[np.ndarray, np.ndarray | None]:
             y = market.X0 * np.exp(drift[i] + 0.5 * paths.level[i])
-            if i < m:
-                Z[i] = sig_pi[i] * y
-        else:
-            W = paths.level[i]
-            m_t = paths.Y0 - W + shift[i]
-            y = scale[i] * np.exp(drift[i] + 0.5 * io * W - m_t**2 / (2.0 * a_t[i]) + start)
-            if i < m:
-                Z[i] = sig[i] * pi_small_insider_robust(market, insider, paths.Y0, W, t_left[i]) * y
-        Y[i] = y
-    residual = abs(ordered_mean(Y[0]) - market.X0)
-    return BsdeSolution(grid=grid, Y=Y.T, Z=Z.T, c=normalizer, residual=residual)
+            return y, (sig_pi[i] * y if i < m else None)
+
+        return knot
+
+    insider = paths.insider
+    T, T0 = market.T, float(insider.T0)
+    io, r = iota(market, 0.0), market.r(0.0)
+    a0 = 2.0 * T0 - T
+    a_t = 2.0 * T0 - T - knots
+    drift = r * knots + 0.375 * io**2 * knots
+    shift = 0.5 * io * (T - knots)
+    scale = market.X0 * np.sqrt(a0 / a_t)
+    start = (paths.Y0 + 0.5 * io * T) ** 2 / (2.0 * a0)
+
+    def knot(i: int) -> tuple[np.ndarray, np.ndarray | None]:
+        W = paths.level[i]
+        m_t = paths.Y0 - W + shift[i]
+        y = scale[i] * np.exp(drift[i] + 0.5 * io * W - m_t**2 / (2.0 * a_t[i]) + start)
+        if i == m:
+            return y, None
+        return y, sig[i] * pi_small_insider_robust(market, insider, paths.Y0, W, t_left[i]) * y
+
+    return knot
 
 
 # -- least-squares regression machinery ------------------------------------------
@@ -352,7 +360,7 @@ def _factor(design: np.ndarray, t: float) -> np.ndarray:
     return inv_gram
 
 
-def _backward_sweep(paths: SweepPaths, terminal, driver) -> tuple[np.ndarray, np.ndarray]:
+def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.ndarray, np.ndarray | None]:
     """One explicit backward Euler pass with regression (Gobet, Lemor & Warin):
 
         Z_i = E[(L_{i+1} - E[L_{i+1}|s_i]) dWH_i | s_i] / dt_i,
@@ -360,39 +368,37 @@ def _backward_sweep(paths: SweepPaths, terminal, driver) -> tuple[np.ndarray, np
 
     on the basis of all monomials of total degree <= _BASIS_ORDER in the
     state s_i (paths.level[i], plus the signal if any), factored once per
-    step.  Returns the knot-major L (index_T + 1, n_paths) and
-    Z (index_T, n_paths).
+    step.  Two L rows and one Z row are held: observe(i, L_i, Z_i) is called
+    for i = index_T, ..., 0 (Z_index_T = None) once the sweep no longer
+    reads knot i, and the rows are then reused, so an observer reduces a row
+    or copies what it keeps; it may write the rows in place.  Returns the
+    rows of knot 0 as the observer left them.
     """
     grid = paths.grid
-    m = grid.index_T
+    m, n = grid.index_T, paths.n_paths
     signal = paths.Y0
     k = _BASIS_ORDER + 1
     n_rows = k if signal is None else k * (k + 1) // 2
-    design = np.empty((n_rows, paths.n_paths))
+    design = np.empty((n_rows, n))
 
-    L, Z = _sweep_pair(paths)
-    L[m] = l_next = terminal
-    resid = np.empty(paths.n_paths)
+    l_next, l_hat = np.empty(n), np.empty(n)
+    l_next[:] = terminal
+    z, z_row, resid = None, np.empty(n), np.empty(n)
     for i in range(m - 1, -1, -1):
         _monomials(design, paths.level[i], signal, _BASIS_ORDER)
         inv_gram = _factor(design, grid.knots[i])
-        # L_i and Z_i are formed in their rows of L and Z
-        l_hat = np.matmul(inv_gram @ (design @ l_next), design, out=L[i])
+        np.matmul(inv_gram @ (design @ l_next), design, out=l_hat)
         np.subtract(l_next, l_hat, out=resid)
         resid *= paths.dWH[i]
-        z = np.matmul(inv_gram @ (design @ resid), design, out=Z[i])
+        observe(i + 1, l_next, z)  # knot i + 1 is read no more
+        z = np.matmul(inv_gram @ (design @ resid), design, out=z_row)
         z /= grid.dt[i]
         step = driver(i, z)
         step *= grid.dt[i]
         l_hat += step
-        l_next = l_hat
-    return L, Z
-
-
-def _sweep_pair(paths: SweepPaths) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialised knot-major (L, Z), or (Y, Z), for one solution."""
-    m, n = paths.grid.index_T, paths.n_paths
-    return np.empty((m + 1, n)), np.empty((m, n))
+        l_next, l_hat = l_hat, l_next
+    observe(0, l_next, z)
+    return l_next, z
 
 
 def _driver(paths: SweepPaths, market: MarketParams, a, b, c):
@@ -422,24 +428,40 @@ def _driver(paths: SweepPaths, market: MarketParams, a, b, c):
 
 def _finite_solution(solve):
     """An LSMC solver run with numpy's overflow, invalid and divide warnings
-    off, whose solution is refused by _require_finite when a value (Y, Z,
-    the terminal or normaliser, the residual) is not finite: an overflow on
+    off, the observer's reductions included.  Each (Y_i, Z_i) the solver
+    hands to the observer is checked as it is made, but a solution with a
+    value (a row, the terminal or normaliser, the residual) that is not
+    finite is refused by _require_finite only once the solve is over, so a
+    RegressionError later in the sweep keeps its precedence: an overflow on
     the way shows there as an infinity or a nan."""
 
     @functools.wraps(solve)
-    def checked(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
+    def checked(paths: SweepPaths, market: MarketParams, observe=None) -> BsdeSolution:
+        finite = True
+
+        def checked_observe(i: int, y: np.ndarray, z: np.ndarray | None) -> None:
+            nonlocal finite
+            finite = finite and bool(np.isfinite(y).all()) and (z is None or bool(np.isfinite(z).all()))
+            if observe is not None:
+                observe(i, y, z)
+
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sol = solve(paths, market)
-        _require_finite(f"the {solve.__name__} solution", sol.Y.T, sol.Z.T, sol.c, sol.residual)
+            sol = solve(paths, market, checked_observe)
+        what = f"the {solve.__name__} solution"
+        if not finite:
+            raise ValidationError("solution_finite", f"{what} is not a finite float")
+        _require_finite(what, *(() if sol.Y is None else (sol.Y.T,)), sol.c, sol.residual)
         return sol
 
     return checked
 
 
 @_finite_solution
-def solve_linear_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
+def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeSolution:
     """Explicit backward Euler with regression for the linear equation,
-    integrated in logarithmic coordinates.
+    integrated in logarithmic coordinates; observe(i, Y_i, Z_i) reads, and
+    does not write, each knot's wealth and control rows as _backward_sweep
+    hands them on.
 
     The unknown X is positive with exponential spread across paths (it loses
     finite variance as T0 approaches 2T), so least-squares fits of X levels
@@ -456,13 +478,11 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
 
     stay inside the polynomial family step by step.  The backward sweep runs
     on (L, zeta) with driver -(r + phitilde zeta - zeta^2/2), the member
-    (a, b, c) = (1/2, -1, 0) of _driver's family, and turns them
-    into (Y, Z) = (exp L, zeta exp L) in place.  The terminal uses the
+    (a, b, c) = (1/2, -1, 0) of _driver's family, and each knot's rows are
+    turned into (Y, Z) = (exp L, zeta exp L) in place.  The terminal uses the
     pathwise Pi(0,T); the conditional normaliser is a Monte-Carlo scalar
     without a signal and the Gaussian closed form under enlargement.
     """
-    grid = paths.grid
-    m = grid.index_T
     log_pi_T = log_pi_star(paths, market)
     if paths.Y0 is None:
         normalizer = ordered_mean(np.exp(0.5 * log_pi_T))
@@ -473,11 +493,17 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
         log_norm = np.log(normalizer)
     _require_finite("the log normaliser", log_norm)
     terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
-    Y, Z = _backward_sweep(paths, terminal, _driver(paths, market, 0.5, -1.0, 0.0))
-    np.exp(Y, out=Y)  # L -> Y = exp(L), so exp(L) never sits beside L
-    Z *= Y[:m]  # zeta -> Z = zeta Y
-    residual = abs(ordered_mean(Y[0]) - market.X0)
-    return BsdeSolution(grid=grid, Y=Y.T, Z=Z.T, c=normalizer, residual=residual)
+
+    def to_wealth(i: int, y: np.ndarray, z: np.ndarray | None) -> None:
+        np.exp(y, out=y)  # L -> Y = exp(L), so exp(L) never sits beside L
+        if z is not None:
+            z *= y  # zeta -> Z = zeta Y
+        observe(i, y, z)
+
+    y0, z0 = _backward_sweep(paths, terminal, _driver(paths, market, 0.5, -1.0, 0.0), to_wealth)
+    y0_mean = ordered_mean(y0)
+    return BsdeSolution(grid=paths.grid, y0=y0, z0=z0, y0_mean=y0_mean, c=normalizer,
+                        residual=abs(y0_mean - market.X0))
 
 
 # -- quadratic equation -----------------------------------------------------------
@@ -506,9 +532,10 @@ def _projected_mismatch(y_design, inv_gram, mismatch) -> tuple[np.ndarray, float
 
 
 @_finite_solution
-def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolution:
+def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeSolution:
     """Backward solve of the quadratic equation, its terminal shot so that
-    L_0 = ln X0.
+    L_0 = ln X0; observe(i, L_i, Z_i) reads, and does not write, each
+    knot's rows of the sweep from ln X0, before the shot.
 
     The terminal is a constant c2 without a signal and a polynomial c2(Y0)
     of degree _TERMINAL_DEGREE under enlargement.  f_Q does not read L, and
@@ -517,8 +544,9 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolutio
     as it is.  The shot is therefore exact after one sweep from the terminal
     ln X0: the mismatch L_0 - ln X0 is projected on the terminal basis (its
     ordered mean without a signal) and subtracted from the terminal and from
-    L at every knot.  The residual is what the projection finds left after
-    the shot: |mean| without a signal, the RMS projected mismatch with one.
+    L at every knot, which is why L is held whole.  The residual is what the
+    projection finds left after the shot: |mean| without a signal, the RMS
+    projected mismatch with one.
     """
     n = paths.n_paths
     ln_x0 = math.log(market.X0)
@@ -528,7 +556,13 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolutio
     inv_gram = _factor(y_design, 0.0)
     coef = np.zeros(degree + 1)
     coef[0] = ln_x0
-    L, Z = _backward_sweep(paths, np.full(n, ln_x0), _quadratic_driver(paths, market))
+    L = np.empty((paths.grid.index_T + 1, n))
+
+    def keep(i: int, l: np.ndarray, z: np.ndarray | None) -> None:
+        L[i] = l
+        observe(i, l, z)
+
+    _, z0 = _backward_sweep(paths, np.full(n, ln_x0), _quadratic_driver(paths, market), keep)
 
     def trace_row(iteration: int) -> tuple[tuple, np.ndarray]:
         """(iteration, c2, residual, mean L_0), and the mismatch's coefficients."""
@@ -543,8 +577,8 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams) -> BsdeSolutio
     coef -= delta
     L -= delta @ y_design
     shot, _ = trace_row(1)
-    return BsdeSolution(grid=paths.grid, Y=L.T, Z=Z.T, c=shot[1], residual=abs(shot[2]),
-                        trace=(swept, shot))
+    return BsdeSolution(grid=paths.grid, y0=L[0], z0=z0, y0_mean=shot[3], c=shot[1],
+                        residual=abs(shot[2]), Y=L.T, trace=(swept, shot))
 
 
 # -- controls and reductions --------------------------------------------------------
@@ -572,33 +606,34 @@ def initial_controls(
     t_left = paths.grid.knots[: paths.grid.index_T]
     sig, st = market.sigma(t_left), sigma_tilde(market, t_left)
     phit = _phitilde(paths, market)(0)
-    return _controls(sol.Z[:, 0], phit, sig[0], st[0])
+    return _controls(sol.z0, phit, sig[0], st[0])
 
 
 def value_from_bsde(sol: BsdeSolution) -> tuple[float, float]:
-    """Game value estimate E[L_T] with its standard error."""
+    """Game value estimate E[L_T] of a quadratic solution, with its standard error."""
     return mean_se(sol.Y[:, -1])
 
 
-def knot_table(sol: BsdeSolution, oracle: BsdeSolution | None = None) -> tuple[list[str], list[list]]:
-    """Per-knot summary rows (t, mean Y, mean Z, oracle Y, oracle Z, RMSE),
-    one path column at a time, with means that do not depend on path order."""
-    grid = sol.grid
-    m = grid.index_T
-    header = ["t", "mean_Y", "mean_Z", "oracle_Y", "oracle_Z", "rmse_Y"]
-    rows = []
-    for i in range(m + 1):
-        t = float(grid.knots[i])
-        mean_y = ordered_mean(sol.Y[:, i])
-        mean_z = ordered_mean(sol.Z[:, i]) if i < m else ""
-        if oracle is not None:
-            o_y = ordered_mean(oracle.Y[:, i])
-            o_z = ordered_mean(oracle.Z[:, i]) if i < m else ""
-            gap = sol.Y[:, i] - oracle.Y[:, i]
-            # squared after an exact power-of-two scaling, so that no square overflows
-            unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(gap))))[1])
-            rmse = unit * math.sqrt(ordered_mean((gap / unit) ** 2))
-        else:
-            o_y, o_z, rmse = "", "", ""
-        rows.append([t, mean_y, mean_z, o_y, o_z, rmse])
-    return header, rows
+KNOT_HEADER = ["t", "mean_Y", "mean_Z", "oracle_Y", "oracle_Z", "rmse_Y"]
+
+
+def knot_table(t: float, y: np.ndarray, z: np.ndarray | None = None, oracle=None,
+               mean_y: float | None = None, mean_z: float | None = None) -> list:
+    """The row of the knot table (KNOT_HEADER) at knot time t, from that
+    knot's value row y and control row z, and the oracle's pair (Y_i, Z_i):
+    t, mean Y, mean Z, oracle Y, oracle Z and the RMSE of y against the
+    oracle, with means that do not depend on path order.  mean_y and mean_z
+    are the ordered means of y and z where they were already taken; a cell
+    with neither its row nor its mean (Z at the last knot, the oracle's
+    cells without one) is blank."""
+    mean_y = ordered_mean(y) if mean_y is None else mean_y
+    if mean_z is None:
+        mean_z = "" if z is None else ordered_mean(z)
+    if oracle is None:
+        return [float(t), mean_y, mean_z, "", "", ""]
+    o_y, o_z = oracle
+    gap = y - o_y
+    # squared after an exact power-of-two scaling, so that no square overflows
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(gap))))[1])
+    rmse = unit * math.sqrt(ordered_mean((gap / unit) ** 2))
+    return [float(t), mean_y, mean_z, ordered_mean(o_y), "" if o_z is None else ordered_mean(o_z), rmse]

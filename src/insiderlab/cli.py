@@ -23,6 +23,7 @@ import numpy as np
 from . import analysis
 from ._csvio import write_csv
 from .bsde import (
+    KNOT_HEADER,
     RegressionError,
     initial_controls,
     knot_table,
@@ -235,18 +236,17 @@ def _cmd_martingale(args, config: ScenarioConfig):
 def _linear_report(sol, market: MarketParams):
     return (
         ["residual", "normalizer_mc", "Y0_mean", "X0"],
-        [[sol.residual, sol.c if np.ndim(sol.c) == 0 else "", ordered_mean(sol.Y[:, 0]), market.X0]],
+        [[sol.residual, sol.c if np.ndim(sol.c) == 0 else "", sol.y0_mean, market.X0]],
     )
 
 
-def _quadratic_report(sol, pi_0: np.ndarray):
+def _quadratic_report(sol, abs_z_means, pi_0: np.ndarray):
     """The value row; mean_abs_z is the mean over the knots of each knot's
-    mean |Z|, and pi_0 the fraction at knot 0 on every path."""
+    mean |Z| (abs_z_means), and pi_0 the fraction at knot 0 on every path."""
     v, se = value_from_bsde(sol)
-    mean_abs_z = ordered_mean(np.array([ordered_mean(np.abs(z)) for z in sol.Z.T]))
     return (
         ["value", "value_se", "residual", "mean_abs_z", "mean_pi_0"],
-        [[v, se, sol.residual, mean_abs_z, ordered_mean(pi_0)]],
+        [[v, se, sol.residual, ordered_mean(np.array(abs_z_means)), ordered_mean(pi_0)]],
     )
 
 
@@ -254,11 +254,18 @@ def _cmd_bsde_linear(args, config: ScenarioConfig):
     market, insider = config.market.without_impact(), config.insider
     require_gaussian_oracle(market, insider)  # before any path is drawn
     paths = stream_sweep_paths(config, threads=args.threads)
-    sol = solve_linear_lsmc(paths, market)
-    # the solve is done with its input, so the oracle overwrites it knot by knot
-    oracle = solve_linear_closed_form(paths, market, out=(paths.level, paths.dWH))
+    oracle = solve_linear_closed_form(paths, market)
+    knots = paths.grid.knots
+    rows = []
+
+    def reduce(i, y, z):
+        if i > 0:  # knot 0 is reduced with the solver's mean of Y_0
+            rows.append(knot_table(knots[i], y, z, oracle(i)))
+
+    sol = solve_linear_lsmc(paths, market, reduce)
+    rows.append(knot_table(knots[0], sol.y0, sol.z0, oracle(0), mean_y=sol.y0_mean))
     return 0, {
-        "bsde_linear.csv": knot_table(sol, oracle),
+        "bsde_linear.csv": (KNOT_HEADER, rows[::-1]),
         "bsde_linear_report.csv": _linear_report(sol, market),
     }
 
@@ -266,15 +273,24 @@ def _cmd_bsde_linear(args, config: ScenarioConfig):
 def _cmd_bsde_quadratic(args, config: ScenarioConfig):
     paths = stream_sweep_paths(config, threads=args.threads)
     market = config.market
-    sol = solve_quadratic_lsmc(paths, market)
+    mean_z, abs_z_means = {}, []
+
+    def reduce(i, _, z):
+        if z is not None:
+            mean_z[i] = ordered_mean(z)
+            abs_z_means.append(ordered_mean(np.abs(z)))
+
+    sol = solve_quadratic_lsmc(paths, market, reduce)
     pi_0, _ = initial_controls(sol, market, paths)
+    knots = paths.grid.knots
+    rows = [knot_table(knots[i], sol.Y[:, i], mean_z=mean_z.get(i)) for i in range(paths.grid.index_T + 1)]
     return 0, {
-        "bsde_quadratic.csv": knot_table(sol),
+        "bsde_quadratic.csv": (KNOT_HEADER, rows),
         "bsde_quadratic_trace.csv": (
             ["iteration", "c2", "residual", "L0_mean"],
             [[it, repr(c2), resid, l0] for it, c2, resid, l0 in sol.trace],
         ),
-        "bsde_quadratic_value.csv": _quadratic_report(sol, pi_0),
+        "bsde_quadratic_value.csv": _quadratic_report(sol, abs_z_means, pi_0),
     }
 
 

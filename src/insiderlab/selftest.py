@@ -130,8 +130,9 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     check("pi_functional_tower", z_pi < 4.0, z_pi)
 
     # linear closed form starts at the initial wealth
-    sol = bsde.solve_linear_closed_form(sweep, market)
-    check("linear_closed_form_initial", sol.residual < 1e-10, sol.residual)
+    y0, _ = bsde.solve_linear_closed_form(sweep, market)(0)
+    residual = abs(simulate.ordered_mean(y0) - market.X0)
+    check("linear_closed_form_initial", residual < 1e-10, residual)
 
     # critical horizon satisfies its defining equation
     t0_star = analysis.critical_T0(market)

@@ -1,8 +1,9 @@
 import sys
 
+import numpy as np
 import pytest
 
-from insiderlab.bsde import stream_sweep_paths
+from insiderlab.bsde import knot_table, solve_linear_closed_form, stream_sweep_paths
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
 from insiderlab.paths import sample_paths
 
@@ -138,3 +139,51 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def _whole(solve, paths, market):
+    """(result, Y, Z): solve(paths, market, observe) with the rows
+    (Y_i, Z_i) it hands to observe copied into whole fields, Y
+    (n_paths, index_T + 1) and Z (n_paths, index_T), transposed views of
+    knot-major arrays.  solve_linear_closed_form's knot function is run over
+    every knot the same way.  The quadratic solver hands on its sweep before
+    the shot, so its Y is that sweep's L; the shot L is result.Y."""
+    m, n = paths.grid.index_T, paths.n_paths
+    Y, Z = np.empty((m + 1, n)), np.empty((m, n))
+
+    def observe(i, y, z):
+        Y[i] = y
+        if z is not None:
+            Z[i] = z
+
+    if solve is solve_linear_closed_form:
+        result = solve(paths, market)
+        for i in range(m, -1, -1):
+            observe(i, *result(i))
+    else:
+        result = solve(paths, market, observe)
+    return result, Y.T, Z.T
+
+
+@pytest.fixture(scope="session")
+def whole():
+    """The LSMC solvers' whole fields, collected knot by knot; see _whole."""
+    return _whole
+
+
+def _table(Y, Z, grid, oracle=None):
+    """knot_table's rows at every knot of the whole fields Y and Z, and of
+    the oracle's pair of whole fields, one path column at a time."""
+    m = grid.index_T
+    rows = []
+    for i in range(m + 1):
+        z = Z[:, i] if i < m else None
+        pair = None if oracle is None else (oracle[0][:, i], oracle[1][:, i] if i < m else None)
+        rows.append(knot_table(grid.knots[i], Y[:, i], z, pair))
+    return rows
+
+
+@pytest.fixture(scope="session")
+def whole_table():
+    """The knot table of whole fields; see _table."""
+    return _table

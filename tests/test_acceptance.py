@@ -140,23 +140,23 @@ def test_criterion_4_entropy_identity(batch_mc_enl, market, insider):
     )
 
 
-def test_criterion_5_linear_solver_oracle(sweep_lsmc_flat, sweep_lsmc_enl, market):
+def test_criterion_5_linear_solver_oracle(sweep_lsmc_flat, sweep_lsmc_enl, market, whole):
     start = time.time()
     results = []
     for paths, budget in (
         (sweep_lsmc_flat, 0.05),
         (sweep_lsmc_enl, 0.10),
     ):
-        oracle = solve_linear_closed_form(paths, market)
-        sol = solve_linear_lsmc(paths, market)
-        y0_err = abs(mean_se(sol.Y[:, 0])[0] - market.X0) / market.X0
+        _, oracle_Y, oracle_Z = whole(solve_linear_closed_form, paths, market)
+        _, Y, Z = whole(solve_linear_lsmc, paths, market)
+        y0_err = abs(mean_se(Y[:, 0])[0] - market.X0) / market.X0
         assert y0_err <= 0.01, y0_err
         m = paths.grid.index_T
         t_left = paths.grid.knots[:m]
         mask = (t_left >= 0.1) & (t_left <= 0.9)
-        pi_hat = sol.Z / (0.35 * sol.Y[:, :m])
+        pi_hat = Z / (0.35 * Y[:, :m])
         pi_star = np.broadcast_to(
-            oracle.Z / (0.35 * oracle.Y[:, :m]), pi_hat.shape
+            oracle_Z / (0.35 * oracle_Y[:, :m]), pi_hat.shape
         )
         rmse = math.sqrt(float(np.mean((pi_hat[:, mask] - pi_star[:, mask]) ** 2)))
         rel = rmse / math.sqrt(float(np.mean(pi_star[:, mask] ** 2)))
@@ -171,10 +171,10 @@ def test_criterion_5_linear_solver_oracle(sweep_lsmc_flat, sweep_lsmc_enl, marke
     )
 
 
-def test_criterion_6_quadratic_solver(sweep_lsmc_flat, market, market_impact):
-    sol = solve_quadratic_lsmc(sweep_lsmc_flat, market)
+def test_criterion_6_quadratic_solver(sweep_lsmc_flat, market, market_impact, whole):
+    sol, _, Z = whole(solve_quadratic_lsmc, sweep_lsmc_flat, market)
     v, se = value_from_bsde(sol)
-    z_rmse = math.sqrt(float(np.mean(sol.Z**2)))
+    z_rmse = math.sqrt(float(np.mean(Z**2)))
     assert z_rmse <= 1e-2
     assert abs(v - V1) <= max(1e-3, 3.0 * se)
     assert sol.residual <= 1e-3

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from insiderlab.analysis import value_no_insider_robust, value_small_insider_robust
 from insiderlab.bsde import (
+    KNOT_HEADER,
     BsdeSolution,
     SweepPaths,
     _backward_sweep,
@@ -21,7 +22,6 @@ from insiderlab.bsde import (
     RegressionError,
     enlargement_normalizer,
     initial_controls,
-    knot_table,
     log_pi_star,
     solve_linear_closed_form,
     solve_linear_lsmc,
@@ -32,7 +32,7 @@ from insiderlab.bsde import (
 from insiderlab.cli import _linear_report, _quadratic_report
 from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota, sigma_tilde
 from insiderlab.paths import partial_signals, sample_paths
-from insiderlab.simulate import mean_se, simulate_wealth
+from insiderlab.simulate import mean_se, ordered_mean, simulate_wealth
 from insiderlab.strategies import StrategyKind, StrategyProfile, build_profile
 
 IOTA = 0.15 / 0.35
@@ -41,13 +41,27 @@ VALUE1 = 0.045918367346938776
 VALUE2 = 0.28678267429077676
 
 
-def every_knot_controls(sol, market, batch):
-    """(pi, theta) of the quadratic solution `sol` at every knot of [0, T),
-    from the batch's phitilde."""
+def every_knot_controls(Z, market, batch):
+    """(pi, theta) of the quadratic control Z (n_paths, index_T) at every
+    knot of [0, T), from the batch's phitilde."""
     m = batch.grid.index_T
     t_left = batch.grid.knots[:m]
     phit = iota(market, t_left) + batch.phi
-    return _controls(sol.Z, phit, market.sigma(t_left), sigma_tilde(market, t_left))
+    return _controls(Z, phit, market.sigma(t_left), sigma_tilde(market, t_left))
+
+
+def swept(paths, terminal, driver):
+    """The knot-major (L, Z) of one _backward_sweep, copied knot by knot."""
+    m, n = paths.grid.index_T, paths.n_paths
+    L, Z = np.empty((m + 1, n)), np.empty((m, n))
+
+    def observe(i, l, z):
+        L[i] = l
+        if z is not None:
+            Z[i] = z
+
+    _backward_sweep(paths, terminal, driver, observe)
+    return L, Z
 
 
 def interior_mask(grid):
@@ -82,65 +96,66 @@ class TestPiStarFunctional:
 
 
 class TestLinearClosedForm:
-    def test_bond_only_when_no_excess_return(self, no_insider):
+    def test_bond_only_when_no_excess_return(self, no_insider, whole):
         flat = MarketParams(r=0.03, mu0=0.03, sigma=0.35, varrho=0.0, T=1.0, X0=2.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=20, n_paths=8, seed=2)
         paths = stream_sweep_paths(cfg)
-        sol = solve_linear_closed_form(paths, flat)
+        _, Y, Z = whole(solve_linear_closed_form, paths, flat)
         i = paths.grid.index_of(0.5)
-        np.testing.assert_allclose(sol.Y[:, i], 2.0 * math.exp(0.015), atol=1e-12)
-        np.testing.assert_allclose(sol.Z, 0.0, atol=1e-14)
+        np.testing.assert_allclose(Y[:, i], 2.0 * math.exp(0.015), atol=1e-12)
+        np.testing.assert_allclose(Z, 0.0, atol=1e-14)
 
-    def test_initial_condition_exact(self, sweep_lsmc_flat, sweep_lsmc_enl, market):
+    def test_initial_condition_exact(self, sweep_lsmc_flat, sweep_lsmc_enl, market, whole):
         for paths in (sweep_lsmc_flat, sweep_lsmc_enl):
-            sol = solve_linear_closed_form(paths, market)
-            np.testing.assert_allclose(sol.Y[:, 0], market.X0, atol=1e-10)
+            _, Y, _ = whole(solve_linear_closed_form, paths, market)
+            np.testing.assert_allclose(Y[:, 0], market.X0, atol=1e-10)
 
-    def test_terminal_pathwise_gaussian_form(self, batch_lsmc_flat, sweep_lsmc_flat, market):
+    def test_terminal_pathwise_gaussian_form(self, batch_lsmc_flat, sweep_lsmc_flat, market, whole):
         # X_T = X0 exp{iota W_T / 2 + 3 iota^2 T / 8} pathwise at r = 0
-        sol = solve_linear_closed_form(sweep_lsmc_flat, market)
+        _, Y, _ = whole(solve_linear_closed_form, sweep_lsmc_flat, market)
         w_T = batch_lsmc_flat.dW.sum(axis=1)
         target = math.exp(0.375 * IOTA_SQ) * np.exp(0.5 * IOTA * w_T)
-        np.testing.assert_allclose(sol.Y[:, -1], target, rtol=1e-12)
+        np.testing.assert_allclose(Y[:, -1], target, rtol=1e-12)
 
-    def test_inverse_terminal_moment_identity(self, sweep_lsmc_flat, market):
+    def test_inverse_terminal_moment_identity(self, sweep_lsmc_flat, market, whole):
         # E[1/X_T] equals E[sqrt(Pi(0,T))]^2 / X0 = exp(-iota^2 T / 4)
-        sol = solve_linear_closed_form(sweep_lsmc_flat, market)
-        mean, se = mean_se(1.0 / sol.Y[:, -1])
+        _, Y, _ = whole(solve_linear_closed_form, sweep_lsmc_flat, market)
+        mean, se = mean_se(1.0 / Y[:, -1])
         assert abs(mean - math.exp(-IOTA_SQ / 4.0)) < 3.0 * se
 
-    def test_matches_simulated_optimal_wealth_no_insider(self, batch_lsmc_flat, sweep_lsmc_flat, market, insider):
+    def test_matches_simulated_optimal_wealth_no_insider(self, batch_lsmc_flat, sweep_lsmc_flat, market, insider,
+                                                         whole):
         # exact pathwise agreement: the closed form is the log-Euler path.  At
         # r = 0, trading only up to knot k ends with the wealth of knot k.
-        sol = solve_linear_closed_form(sweep_lsmc_flat, market)
+        _, Y, _ = whole(solve_linear_closed_form, sweep_lsmc_flat, market)
         prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_lsmc_flat, market, insider)
         m = batch_lsmc_flat.grid.index_T
         for k in range(m + 1):
             stopped = StrategyProfile(pi=np.where(np.arange(m) < k, prof.pi, 0.0), theta=prof.theta,
                                       grid=prof.grid)
             log_wealth = simulate_wealth(batch_lsmc_flat, stopped, market)
-            np.testing.assert_allclose(np.log(sol.Y[:, k]), log_wealth, atol=1e-12)
+            np.testing.assert_allclose(np.log(Y[:, k]), log_wealth, atol=1e-12)
 
-    def test_matches_simulated_optimal_wealth_enlargement(self, market, insider):
+    def test_matches_simulated_optimal_wealth_enlargement(self, market, insider, whole):
         # continuous formula vs discrete simulation: strong gap shrinks in dt
         gaps = []
         for n_steps in (100, 400):
             cfg = ScenarioConfig(market=market, insider=insider, n_steps=n_steps,
                                  n_paths=1000, seed=32)
             batch = sample_paths(cfg)
-            sol = solve_linear_closed_form(stream_sweep_paths(cfg), market)
+            _, Y, _ = whole(solve_linear_closed_form, stream_sweep_paths(cfg), market)
             prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch, market, insider)
             log_wealth = simulate_wealth(batch, prof, market)
-            diff = np.log(sol.Y[:, -1]) - log_wealth
+            diff = np.log(Y[:, -1]) - log_wealth
             gaps.append(math.sqrt(float(np.mean(diff**2))))
         assert gaps[0] < 0.05
         assert gaps[1] < gaps[0]
 
-    def test_control_is_fraction_times_wealth(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
-        sol = solve_linear_closed_form(sweep_lsmc_enl, market)
+    def test_control_is_fraction_times_wealth(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider, whole):
+        _, Y, Z = whole(solve_linear_closed_form, sweep_lsmc_enl, market)
         prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
         m = batch_lsmc_enl.grid.index_T
-        np.testing.assert_allclose(sol.Z, 0.35 * prof.pi * sol.Y[:, :m], rtol=1e-12)
+        np.testing.assert_allclose(Z, 0.35 * prof.pi * Y[:, :m], rtol=1e-12)
 
     def test_normalizer_tower_property(self, sweep_lsmc_enl, market, insider):
         # E[sqrt(Pi(0,T)) p(Y0)] = E[normalizer(Y0) p(Y0)] for polynomial p
@@ -159,45 +174,46 @@ class TestLinearClosedForm:
 
 
 class TestLinearLsmc:
-    def test_no_insider_against_closed_form(self, sweep_lsmc_flat, market):
-        oracle = solve_linear_closed_form(sweep_lsmc_flat, market)
-        sol = solve_linear_lsmc(sweep_lsmc_flat, market)
-        assert abs(mean_se(sol.Y[:, 0])[0] - market.X0) < 0.01 * market.X0
+    def test_no_insider_against_closed_form(self, sweep_lsmc_flat, market, whole):
+        _, oracle_Y, oracle_Z = whole(solve_linear_closed_form, sweep_lsmc_flat, market)
+        _, Y, Z = whole(solve_linear_lsmc, sweep_lsmc_flat, market)
+        assert abs(mean_se(Y[:, 0])[0] - market.X0) < 0.01 * market.X0
         mask, _ = interior_mask(sweep_lsmc_flat.grid)
         m = sweep_lsmc_flat.grid.index_T
-        pi_hat = sol.Z / (0.35 * sol.Y[:, :m])
-        pi_star = oracle.Z / (0.35 * oracle.Y[:, :m])
+        pi_hat = Z / (0.35 * Y[:, :m])
+        pi_star = oracle_Z / (0.35 * oracle_Y[:, :m])
         rmse = math.sqrt(float(np.mean((pi_hat[:, mask] - pi_star[:, mask]) ** 2)))
         assert rmse / math.sqrt(float(np.mean(pi_star[:, mask] ** 2))) < 0.05
 
-    def test_zero_exposure_degenerate_case(self, no_insider):
+    def test_zero_exposure_degenerate_case(self, no_insider, whole):
         flat = MarketParams(r=0.03, mu0=0.03, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=25, n_paths=20_000, seed=6)
-        sol = solve_linear_lsmc(stream_sweep_paths(cfg), flat)
-        assert math.sqrt(float(np.mean(sol.Z**2))) <= 1e-3
+        _, _, Z = whole(solve_linear_lsmc, stream_sweep_paths(cfg), flat)
+        assert math.sqrt(float(np.mean(Z**2))) <= 1e-3
 
     @pytest.mark.parametrize("coefficient", [{"mu0": PiecewiseConstant((0.0, 0.5), (0.02, 0.6))},
                                              {"sigma": PiecewiseConstant((0.0, 0.5), (0.35, 0.2))}])
-    def test_no_insider_piecewise_coefficients_against_closed_form(self, no_insider, coefficient):
+    def test_no_insider_piecewise_coefficients_against_closed_form(self, no_insider, coefficient, whole,
+                                                                    whole_table):
         # the solution is a function of int_0^t iota dW, which is not W_t once
         # iota jumps: a W_t state put Y0 29% (mu0) and 1% (sigma) above X0
         market = MarketParams(**{"r": 0.0, "mu0": 0.15, "sigma": 0.35, "varrho": 0.0, "T": 1.0, "X0": 1.0,
                                  **coefficient})
         cfg = ScenarioConfig(market=market, insider=no_insider, n_steps=50, n_paths=100_000, seed=1)
         paths = stream_sweep_paths(cfg)
-        sol = solve_linear_lsmc(paths, market)
-        _, rows = knot_table(sol, solve_linear_closed_form(paths, market))
-        assert abs(mean_se(sol.Y[:, 0])[0] - market.X0) <= 0.01 * market.X0
+        _, Y, Z = whole(solve_linear_lsmc, paths, market)
+        rows = whole_table(Y, Z, paths.grid, whole(solve_linear_closed_form, paths, market)[1:])
+        assert abs(mean_se(Y[:, 0])[0] - market.X0) <= 0.01 * market.X0
         assert max(row[5] for row in rows) <= 0.03
 
-    def test_enlargement_against_closed_form(self, sweep_lsmc_enl, market):
-        oracle = solve_linear_closed_form(sweep_lsmc_enl, market)
-        sol = solve_linear_lsmc(sweep_lsmc_enl, market)
-        assert abs(mean_se(sol.Y[:, 0])[0] - market.X0) < 0.01 * market.X0
+    def test_enlargement_against_closed_form(self, sweep_lsmc_enl, market, whole):
+        _, oracle_Y, oracle_Z = whole(solve_linear_closed_form, sweep_lsmc_enl, market)
+        _, Y, Z = whole(solve_linear_lsmc, sweep_lsmc_enl, market)
+        assert abs(mean_se(Y[:, 0])[0] - market.X0) < 0.01 * market.X0
         mask, _ = interior_mask(sweep_lsmc_enl.grid)
         m = sweep_lsmc_enl.grid.index_T
-        pi_hat = sol.Z / (0.35 * sol.Y[:, :m])
-        pi_star = oracle.Z / (0.35 * oracle.Y[:, :m])
+        pi_hat = Z / (0.35 * Y[:, :m])
+        pi_star = oracle_Z / (0.35 * oracle_Y[:, :m])
         rmse = math.sqrt(float(np.mean((pi_hat[:, mask] - pi_star[:, mask]) ** 2)))
         assert rmse / math.sqrt(float(np.mean(pi_star[:, mask] ** 2))) < 0.10
 
@@ -209,13 +225,13 @@ class TestLinearLsmc:
 
 
 class TestQuadraticLsmc:
-    def test_degenerate_no_impact_is_exact(self, sweep_lsmc_flat, market):
+    def test_degenerate_no_impact_is_exact(self, sweep_lsmc_flat, market, whole):
         # z* = 0: the control-variate regression reproduces it exactly and the
         # value equals the uninformed robust value
-        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market)
+        sol, _, Z = whole(solve_quadratic_lsmc, sweep_lsmc_flat, market)
         v, _ = value_from_bsde(sol)
         assert abs(v - VALUE1) <= 1e-9
-        assert math.sqrt(float(np.mean(sol.Z**2))) <= 1e-2
+        assert math.sqrt(float(np.mean(Z**2))) <= 1e-2
         assert sol.residual <= 1e-3
         assert sol.c == pytest.approx(VALUE1, abs=1e-9)
 
@@ -234,10 +250,10 @@ class TestQuadraticLsmc:
         assert v == pytest.approx(IOTA_SQ / 3.0, abs=1e-9)
         assert sol.residual <= 1e-3
 
-    def test_enlargement_value_and_controls(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
+    def test_enlargement_value_and_controls(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider, whole):
         # no impact: the quadratic route must reproduce the informed robust
         # solution; ln(eps X) has z = sigma pi + theta with both closed forms
-        sol = solve_quadratic_lsmc(sweep_lsmc_enl, market)
+        sol, _, Z = whole(solve_quadratic_lsmc, sweep_lsmc_enl, market)
         v, se = value_from_bsde(sol)
         assert abs(v - VALUE2) < 6.5e-3  # first-order step bias at dt = 0.02
         grid = batch_lsmc_enl.grid
@@ -245,7 +261,7 @@ class TestQuadraticLsmc:
         prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
         z_true = 0.35 * prof.pi + prof.theta
         mask, _ = interior_mask(grid)
-        rmse = math.sqrt(float(np.mean((sol.Z[:, mask] - z_true[:, mask]) ** 2)))
+        rmse = math.sqrt(float(np.mean((Z[:, mask] - z_true[:, mask]) ** 2)))
         assert rmse / math.sqrt(float(np.mean(z_true[:, mask] ** 2))) < 0.10
 
     @pytest.mark.parametrize("insider_spec", [InsiderSpec.none(), InsiderSpec.enlargement(T0=2.0)],
@@ -276,19 +292,19 @@ class TestQuadraticLsmc:
         (InsiderSpec.enlargement(T0=2.0), 0.0),
         (InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.5), (1.0, 3.0))), 0.030625),
     ])
-    def test_shot_is_exact(self, insider_spec, varrho):
+    def test_shot_is_exact(self, insider_spec, varrho, whole):
         # f_Q does not read L and the regression basis holds the terminal's
         # monomials: a fresh sweep from the shot terminal is the shot solution
         mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=mk, insider=insider_spec, n_steps=20, n_paths=4000, seed=13)
         paths = stream_sweep_paths(cfg)
-        sol = solve_quadratic_lsmc(paths, mk)
+        sol, _, sol_Z = whole(solve_quadratic_lsmc, paths, mk)
         c = np.atleast_1d(sol.c)
         signal = np.zeros(paths.n_paths) if paths.Y0 is None else paths.Y0
         terminal = sum(ck * signal**k for k, ck in enumerate(c))
-        L, Z = _backward_sweep(paths, terminal, _quadratic_driver(paths, mk))
+        L, Z = swept(paths, terminal, _quadratic_driver(paths, mk))
         np.testing.assert_allclose(L.T, sol.Y, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(Z.T, sol.Z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Z.T, sol_Z, rtol=0, atol=1e-12)
         assert [row[0] for row in sol.trace] == [0, 1]
         assert sol.trace[1][1] == sol.c
         assert sol.residual <= 1e-12
@@ -307,8 +323,8 @@ class TestQuadraticLsmc:
         signal = np.zeros(paths.n_paths) if paths.Y0 is None else paths.Y0
         base = 0.1 * np.ones(paths.n_paths)
         c = sum(ck * signal**k for k, ck in enumerate(shift))
-        L0, Z0 = _backward_sweep(paths, base, driver)
-        L1, Z1 = _backward_sweep(paths, base + c, driver)
+        L0, Z0 = swept(paths, base, driver)
+        L1, Z1 = swept(paths, base + c, driver)
         np.testing.assert_allclose(L1 - L0, np.broadcast_to(c, L0.shape), rtol=0, atol=1e-12)
         np.testing.assert_allclose(Z1, Z0, rtol=0, atol=1e-12)
 
@@ -415,10 +431,10 @@ class TestRegressionEngine:
 
 class TestRecoverControls:
     def test_degenerate_quadratic_reproduces_uninformed_robust(
-        self, batch_lsmc_flat, sweep_lsmc_flat, market
+        self, batch_lsmc_flat, sweep_lsmc_flat, market, whole
     ):
-        sol = solve_quadratic_lsmc(sweep_lsmc_flat, market)
-        pi, theta = every_knot_controls(sol, market, batch_lsmc_flat)
+        _, _, Z = whole(solve_quadratic_lsmc, sweep_lsmc_flat, market)
+        pi, theta = every_knot_controls(Z, market, batch_lsmc_flat)
         np.testing.assert_allclose(pi, IOTA / (2 * 0.35), atol=1e-10)
         np.testing.assert_allclose(theta, -IOTA / 2, atol=1e-10)
 
@@ -427,68 +443,65 @@ class TestRecoverControls:
         m = batch_small.grid.index_T
         t_left = batch_small.grid.knots[:m]
         z = rng.normal(size=(batch_small.n_paths, m))
-        sol = BsdeSolution(grid=batch_small.grid, Y=np.ones((batch_small.n_paths, m + 1)),
-                           Z=z, c=0.0, residual=0.0)
-        pi, theta = every_knot_controls(sol, market_impact, batch_small)
+        pi, theta = every_knot_controls(z, market_impact, batch_small)
         sig = market_impact.sigma(t_left)
         st = sig - 2 * market_impact.varrho(t_left) / sig
         phit = 0.15 / 0.35 + batch_small.phi
         np.testing.assert_allclose(sig * pi + theta, z, atol=1e-12)
         np.testing.assert_allclose(theta, st * pi - phit, atol=1e-12)
 
-    def test_linear_inversion_recovers_fraction(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider):
+    def test_linear_inversion_recovers_fraction(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider, whole):
         # the linear equation's control is z = sigma pi X, and theta = sigma pi - phitilde
-        sol = solve_linear_closed_form(sweep_lsmc_enl, market)
+        _, Y, Z = whole(solve_linear_closed_form, sweep_lsmc_enl, market)
         m = batch_lsmc_enl.grid.index_T
         t_left = batch_lsmc_enl.grid.knots[:m]
         sig = market.sigma(t_left)
-        pi = sol.Z / (sig * sol.Y[:, :m])
+        pi = Z / (sig * Y[:, :m])
         theta = sig * pi - (iota(market, t_left) + batch_lsmc_enl.phi)
         expect = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
         np.testing.assert_allclose(pi, expect.pi, rtol=1e-10)
         np.testing.assert_allclose(theta, expect.theta, atol=1e-10)
 
 
-def test_knot_table_shape(sweep_lsmc_flat, market):
-    oracle = solve_linear_closed_form(sweep_lsmc_flat, market)
-    sol = solve_linear_lsmc(sweep_lsmc_flat, market)
-    header, rows = knot_table(sol, oracle)
+def test_knot_table_shape(sweep_lsmc_flat, market, whole, whole_table):
+    _, Y, Z = whole(solve_linear_lsmc, sweep_lsmc_flat, market)
+    rows = whole_table(Y, Z, sweep_lsmc_flat.grid, whole(solve_linear_closed_form, sweep_lsmc_flat, market)[1:])
+    header = KNOT_HEADER
     assert header[0] == "t"
     assert len(rows) == sweep_lsmc_flat.grid.index_T + 1
     assert all(len(r) == len(header) for r in rows)
 
 
-def test_knot_table_rmse_finite_at_huge_wealth(no_insider):
+def test_knot_table_rmse_finite_at_huge_wealth(no_insider, whole, whole_table):
     # the gaps near X0 = 1e300 square past the largest float unless scaled first
     huge = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1e300)
     paths = stream_sweep_paths(ScenarioConfig(market=huge, insider=no_insider, n_steps=20, n_paths=2000, seed=1))
-    sol = solve_linear_lsmc(paths, huge)
-    oracle = solve_linear_closed_form(paths, huge)
-    _, rows = knot_table(sol, oracle)
+    _, Y, Z = whole(solve_linear_lsmc, paths, huge)
+    rows = whole_table(Y, Z, paths.grid, whole(solve_linear_closed_form, paths, huge)[1:])
     rmse = [row[-1] for row in rows]
     assert all(math.isfinite(r) for r in rmse)
     assert max(rmse) > 1e290
     # the scaling is by a power of two, so at X0 = 1 it is the plain RMS up to the sum's order
     unit = replace(huge, X0=1.0)
     paths = stream_sweep_paths(ScenarioConfig(market=unit, insider=no_insider, n_steps=20, n_paths=2000, seed=1))
-    sol, oracle = solve_linear_lsmc(paths, unit), solve_linear_closed_form(paths, unit)
-    _, rows = knot_table(sol, oracle)
+    _, Y, Z = whole(solve_linear_lsmc, paths, unit)
+    _, oracle_Y, oracle_Z = whole(solve_linear_closed_form, paths, unit)
+    rows = whole_table(Y, Z, paths.grid, (oracle_Y, oracle_Z))
     for i, row in enumerate(rows):
-        assert row[-1] == pytest.approx(math.sqrt(np.mean((sol.Y[:, i] - oracle.Y[:, i]) ** 2)), rel=1e-12)
+        assert row[-1] == pytest.approx(math.sqrt(np.mean((Y[:, i] - oracle_Y[:, i]) ** 2)), rel=1e-12)
 
 
-def test_knot_table_path_order_insensitive(sweep_small, market):
-    oracle = solve_linear_closed_form(sweep_small, market)
+def test_knot_table_path_order_insensitive(sweep_small, market, whole, whole_table):
+    _, oracle_Y, oracle_Z = whole(solve_linear_closed_form, sweep_small, market)
     rng = np.random.default_rng(5)
-    sol = BsdeSolution(grid=oracle.grid, Y=oracle.Y * np.exp(0.01 * rng.normal(size=oracle.Y.shape)),
-                       Z=oracle.Z + 0.01 * rng.normal(size=oracle.Z.shape), c=0.0, residual=0.0)
+    Y = oracle_Y * np.exp(0.01 * rng.normal(size=oracle_Y.shape))
+    Z = oracle_Z + 0.01 * rng.normal(size=oracle_Z.shape)
     perm = rng.permutation(sweep_small.n_paths)
+    grid = sweep_small.grid
 
-    def permuted(s):
-        return BsdeSolution(grid=s.grid, Y=s.Y[perm], Z=s.Z[perm], c=s.c, residual=s.residual)
-
-    assert knot_table(sol, oracle) == knot_table(permuted(sol), permuted(oracle))
-    assert knot_table(sol) == knot_table(permuted(sol))
+    oracle, permuted = (oracle_Y, oracle_Z), (oracle_Y[perm], oracle_Z[perm])
+    assert whole_table(Y, Z, grid, oracle) == whole_table(Y[perm], Z[perm], grid, permuted)
+    assert whole_table(Y, Z, grid) == whole_table(Y[perm], Z[perm], grid)
 
 
 def test_report_cells_path_order_insensitive(sweep_small, market_impact):
@@ -497,12 +510,15 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
     paths = sweep_small
     m, n = paths.grid.index_T, paths.n_paths
     rng = np.random.default_rng(8)
-    sol = BsdeSolution(grid=paths.grid, Y=np.exp(rng.normal(size=(n, m + 1))),
-                       Z=rng.normal(size=(n, m)), c=0.0, residual=0.0)
+    Y, Z = np.exp(rng.normal(size=(n, m + 1))), rng.normal(size=(n, m))
 
-    def reports(s, p):
+    def reports(Y, Z, p):
+        # the solution and the per-knot |Z| means as the solvers and commands form them
+        s = BsdeSolution(grid=p.grid, y0=Y[:, 0], z0=Z[:, 0], y0_mean=ordered_mean(Y[:, 0]), c=0.0,
+                         residual=0.0, Y=Y)
         pi_0, _ = initial_controls(s, market_impact, p)
-        return repr((_linear_report(s, market_impact), _quadratic_report(s, pi_0)))
+        abs_z_means = [ordered_mean(np.abs(z)) for z in Z.T]
+        return repr((_linear_report(s, market_impact), _quadratic_report(s, abs_z_means, pi_0)))
 
     # a signal and mismatch on a coarse dyadic lattice keep every sum over
     # paths exact, so the projection is the same in any order and only the
@@ -522,9 +538,7 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
     # one permutation leaves a plain np.mean unchanged about half the time
     for _ in range(8):
         perm = rng.permutation(n)
-        shuffled = BsdeSolution(grid=sol.grid, Y=sol.Y[perm], Z=sol.Z[perm], c=sol.c,
-                                residual=sol.residual)
         shuffled_paths = SweepPaths(grid=paths.grid, level=paths.level[:, perm],
                                     dWH=paths.dWH[:, perm], Y0=paths.Y0[perm], insider=paths.insider)
-        assert reports(shuffled, shuffled_paths) == reports(sol, paths)
+        assert reports(Y[perm], Z[perm], shuffled_paths) == reports(Y, Z, paths)
         assert repr(shooting_residual(perm)) == repr(residual)

@@ -238,6 +238,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("argv", [
         pytest.param(["bsde-linear", "--kind", "none", "--mu", "10", "--n-paths", "20000", "--n-steps", "50"],
                      id="linear-mu-10"),
+        # informed, so the per-knot enlargement oracle meets the non-finite rows
+        pytest.param(["bsde-linear", "--mu", "10", "--n-paths", "20000", "--n-steps", "50", "--seed", "1"],
+                     id="informed-linear-mu-10"),
         pytest.param(["bsde-quadratic", "--mu", "1e120", "--n-paths", "20000", "--n-steps", "50"],
                      id="quadratic-mu-1e120"),
         # exp(ln Pi / 2) underflows on every path, so the normaliser is 0

@@ -8,10 +8,10 @@ import pytest
 
 from insiderlab import cli
 from insiderlab.bsde import (
+    KNOT_HEADER,
     SweepPaths,
     _controls,
     _phitilde,
-    knot_table,
     solve_linear_closed_form,
     solve_linear_lsmc,
     solve_quadratic_lsmc,
@@ -64,26 +64,29 @@ def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, 
             assert np.array_equal(np.broadcast_to(phitilde(i), (n_paths,)), expect), (market, i)
 
 
-def api_tables(solver, config, market):
+def api_tables(solver, config, market, whole, whole_table):
     """The tables of the bsde command from solve_*_lsmc on the whole batch
-    sample_paths(config), transposed to knot-major."""
+    sample_paths(config), transposed to knot-major, with every knot's rows
+    collected into whole fields and reduced one knot column at a time."""
     batch = sample_paths(config)
     insider = config.insider
-    paths = SweepPaths(grid=batch.grid, level=batch.level.T.copy(), dWH=batch.dWH.T.copy(),
+    grid = batch.grid
+    paths = SweepPaths(grid=grid, level=batch.level.T.copy(), dWH=batch.dWH.T.copy(),
                        Y0=batch.Y0 if insider.has_signal() else None, insider=insider)
     if solver == "linear":
-        sol = solve_linear_lsmc(paths, market)
+        sol, Y, Z = whole(solve_linear_lsmc, paths, market)
         report = [sol.residual, sol.c if np.ndim(sol.c) == 0 else "",
-                  ordered_mean(sol.Y[:, 0]), market.X0]
-        return {"bsde_linear.csv": knot_table(sol, solve_linear_closed_form(paths, market)),
+                  ordered_mean(Y[:, 0]), market.X0]
+        oracle = whole(solve_linear_closed_form, paths, market)[1:]
+        return {"bsde_linear.csv": (KNOT_HEADER, whole_table(Y, Z, grid, oracle)),
                 "bsde_linear_report.csv": (["residual", "normalizer_mc", "Y0_mean", "X0"], [report])}
-    sol = solve_quadratic_lsmc(paths, market)
-    m = batch.grid.index_T
-    t_left = batch.grid.knots[:m]
-    pi, _ = _controls(sol.Z, iota(market, t_left) + batch.phi, market.sigma(t_left), sigma_tilde(market, t_left))
-    mean_abs_z = ordered_mean(np.array([ordered_mean(np.abs(sol.Z[:, i])) for i in range(m)]))
+    sol, _, Z = whole(solve_quadratic_lsmc, paths, market)
+    m = grid.index_T
+    t_left = grid.knots[:m]
+    pi, _ = _controls(Z, iota(market, t_left) + batch.phi, market.sigma(t_left), sigma_tilde(market, t_left))
+    mean_abs_z = ordered_mean(np.array([ordered_mean(np.abs(Z[:, i])) for i in range(m)]))
     return {
-        "bsde_quadratic.csv": knot_table(sol),
+        "bsde_quadratic.csv": (KNOT_HEADER, whole_table(sol.Y, Z, grid)),
         "bsde_quadratic_trace.csv": (["iteration", "c2", "residual", "L0_mean"],
                                      [[it, repr(c2), r, l0] for it, c2, r, l0 in sol.trace]),
         "bsde_quadratic_value.csv": (
@@ -96,18 +99,22 @@ def api_tables(solver, config, market):
 @pytest.mark.parametrize("solver, insider, market", [
     ("linear", UNIT, MARKET),
     ("linear", NONE, MARKET),
+    ("linear", NONE, JUMP),
     ("quadratic", UNIT, IMPACT),
     ("quadratic", PIECEWISE, IMPACT),
     ("quadratic", NONE, IMPACT),
+    ("quadratic", PIECEWISE, JUMP),
+    ("quadratic", NONE, JUMP),
 ])
-def test_cli_tables_equal_the_whole_batch_api(solver, insider, market):
+def test_cli_tables_equal_the_whole_batch_api(solver, insider, market, whole, whole_table):
     config = config_of(insider, 9000, market)
     args = argparse.Namespace(threads=2)
     handler = cli._cmd_bsde_linear if solver == "linear" else cli._cmd_bsde_quadratic
     code, tables = handler(args, config)
     assert code == 0
     # the linear command solves in the small trader's market
-    expect = api_tables(solver, config, market.without_impact() if solver == "linear" else market)
+    expect = api_tables(solver, config, market.without_impact() if solver == "linear" else market,
+                        whole, whole_table)
     # repr tells -0.0 from 0.0, so equal reprs mean equal bits
     assert repr(tables) == repr(expect)
 
@@ -122,11 +129,22 @@ def _peak_bytes(argv, tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["enlargement", "none"])
-def test_bsde_quadratic_holds_about_four_path_sized_arrays(tmp_path, kind):
-    # state, dWH, L and Z are four (n_paths x m) arrays; the design and the
-    # per-step vectors add about half of one.  A whole PathBatch, a second
-    # (L, Z) pair or full controls would each add one or more.
+def test_bsde_quadratic_holds_about_three_path_sized_arrays(tmp_path, kind):
+    # state, dWH and L are three (n_paths x m) arrays; the design and the
+    # per-step rows add under half of one.  A whole PathBatch, a whole Z or
+    # full controls would each add one or more.
     n_paths, n_steps = 6 * _BLOCK, 40
     peak = _peak_bytes(["bsde-quadratic", "--kind", kind, "--n-paths", str(n_paths),
                         "--n-steps", str(n_steps), "--seed", "3"], tmp_path)
-    assert peak <= 5.5 * n_paths * (n_steps + 1) * 8
+    assert peak <= 4.25 * n_paths * (n_steps + 1) * 8
+
+
+@pytest.mark.parametrize("kind", ["enlargement", "none"])
+def test_bsde_linear_holds_about_two_path_sized_arrays(tmp_path, kind):
+    # state and dWH are two (n_paths x m) arrays; the sweep, the oracle and
+    # the reductions hold rows only.  A whole Y or Z, of the solve or of
+    # the oracle, would add one.
+    n_paths, n_steps = 6 * _BLOCK, 40
+    peak = _peak_bytes(["bsde-linear", "--kind", kind, "--n-paths", str(n_paths),
+                        "--n-steps", str(n_steps), "--seed", "3"], tmp_path)
+    assert peak <= 3.0 * n_paths * (n_steps + 1) * 8
