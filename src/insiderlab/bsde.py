@@ -49,7 +49,7 @@ import numpy as np
 from .model import InsiderSpec, MarketParams, ScenarioConfig, ValidationError, breakpoints, iota, sigma_tilde, validate
 from .paths import PathBatch, TimeGrid, build_grid, signal_drift, stream_paths
 from .simulate import mean_se, ordered_mean
-from .strategies import pi_no_insider_robust, pi_small_insider_robust
+from .strategies import StrategyKind, closed_form_lines, pi_no_insider_robust
 
 __all__ = [
     "RegressionError",
@@ -230,7 +230,6 @@ class BsdeSolution:
     (iteration, c2, residual, mean L_0): the sweep from ln X0, then the shot.
     """
 
-    grid: object
     y0: np.ndarray
     z0: np.ndarray
     y0_mean: float
@@ -255,6 +254,9 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
 
         X_t = X0 sqrt(a0/a_t) exp{r t + (3/8) iota^2 t + (1/2) iota W_t
                                   - m_t^2/(2 a_t) + m_0^2/(2 a0)}.
+
+    In both cases Z = sigma pi X with pi the robust fraction; under a signal
+    its lines in Y0 - W_t are formed once per solve, not once per knot.
     """
     # with a signal: constant coefficients and unit weight, so B_t is W_t
     require_gaussian_oracle(market, paths.insider)
@@ -276,8 +278,7 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
 
         return knot
 
-    insider = paths.insider
-    T, T0 = market.T, float(insider.T0)
+    T, T0 = market.T, float(paths.insider.T0)
     io, r = iota(market, 0.0), market.r(0.0)
     a0 = 2.0 * T0 - T
     a_t = 2.0 * T0 - T - knots
@@ -285,6 +286,8 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
     shift = 0.5 * io * (T - knots)
     scale = market.X0 * np.sqrt(a0 / a_t)
     start = (paths.Y0 + 0.5 * io * T) ** 2 / (2.0 * a0)
+    # the fraction's lines over the time axis, applied knot by knot
+    pi_a, pi_b = closed_form_lines(StrategyKind.SMALL_INSIDER_ROBUST, market, paths.insider, t_left)[:2]
 
     def knot(i: int) -> tuple[np.ndarray, np.ndarray | None]:
         W = paths.level[i]
@@ -292,7 +295,7 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
         y = scale[i] * np.exp(drift[i] + 0.5 * io * W - m_t**2 / (2.0 * a_t[i]) + start)
         if i == m:
             return y, None
-        return y, sig[i] * pi_small_insider_robust(market, insider, paths.Y0, W, t_left[i]) * y
+        return y, sig[i] * ((paths.Y0 - W) * pi_b[i] + pi_a[i]) * y
 
     return knot
 
@@ -502,7 +505,7 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeS
 
     y0, z0 = _backward_sweep(paths, terminal, _driver(paths, market, 0.5, -1.0, 0.0), to_wealth)
     y0_mean = ordered_mean(y0)
-    return BsdeSolution(grid=paths.grid, y0=y0, z0=z0, y0_mean=y0_mean, c=normalizer,
+    return BsdeSolution(y0=y0, z0=z0, y0_mean=y0_mean, c=normalizer,
                         residual=abs(y0_mean - market.X0))
 
 
@@ -577,7 +580,7 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe) -> Bs
     coef -= delta
     L -= delta @ y_design
     shot, _ = trace_row(1)
-    return BsdeSolution(grid=paths.grid, y0=L[0], z0=z0, y0_mean=shot[3], c=shot[1],
+    return BsdeSolution(y0=L[0], z0=z0, y0_mean=shot[3], c=shot[1],
                         residual=abs(shot[2]), Y=L.T, trace=(swept, shot))
 
 

@@ -324,8 +324,6 @@ def _cmd_critical_t0(args, config: ScenarioConfig):
 
 def _cmd_figures(args, config: ScenarioConfig):
     market = config.market
-    if args.fig_kind == "fig3" and args.mu is None:
-        market = replace(market, mu0=PiecewiseConstant.constant(0.08))
     T = market.T
     if args.fig_kind in ("fig1", "fig3"):
         t0s = [x * T for x in (1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0)]
@@ -349,7 +347,6 @@ def _cmd_figures(args, config: ScenarioConfig):
         sigmas = [0.25, 0.30, 0.35, 0.40, 0.45]
         table = analysis.fig_critical_table(market, mus, sigmas)
     else:  # strategy_lines
-        config.insider.require_signal("strategy lines")
         w_values = [(-2.0 + 0.1 * i) for i in range(41)]
         table = analysis.strategy_line_table(
             market, config.insider, t=0.5 * T, w_values=w_values, y0=args.signal_level
@@ -473,6 +470,8 @@ def main(argv=None) -> int:
     out_dir = args.out if args.out is not None else os.environ.get("INSIDERLAB_OUT", "out")
     start = time.time()
     made, code = [], 1  # the directories this run creates for out_dir; the exit code so far
+    if getattr(args, "fig_kind", None) == "fig3" and args.mu is None:
+        args.mu = 0.08  # fig3 is drawn at mu0 = 0.08 unless --mu says otherwise, and echoed so
     try:
         config = load_config(args.config, args)
         _check_flags(args)

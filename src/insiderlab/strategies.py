@@ -6,12 +6,16 @@ trader).  Every closed-form regime satisfies the first-order relation
 
     theta* = sigma_tilde * pi* - (iota + phi)
 
-with phi the information drift (zero without a signal), and pi* is affine in
-the residual signal, so slopes with respect to the current noise level are
-exact.  Every informed form holds for any signal weight phi_w, and the small
-and large non-robust insiders share one form, each in the market it trades
-in (`market_for`).  The robust large trader has no closed form; recover it
-from the quadratic backward solver instead.
+with phi the information drift (zero without a signal), and both pi* and
+theta* are affine in the residual signal Y0 - B_t, so slopes with respect to
+the current noise level are exact.  Each regime's formula is written once,
+in `closed_form_lines`, as its intercepts and slopes over the time axis:
+the profiles, the pointwise forms and the Gaussian oracle of the linear
+backward equation all read those lines.  Every informed form holds for any
+signal weight phi_w, and the small and large non-robust insiders share one
+form, each in the market it trades in (`market_for`).  The robust large
+trader has no closed form; recover it from the quadratic backward solver
+instead.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "pi_small_insider_robust",
     "theta_small_insider_robust",
     "pi_insider_nonrobust",
+    "closed_form_lines",
     "theta_from_pi",
     "build_profile",
 ]
@@ -80,8 +85,9 @@ def market_for(kind: StrategyKind, market: MarketParams) -> MarketParams:
 class StrategyProfile:
     """Per-path, per-step (pi, theta) at left endpoints of the steps in [0, T).
 
-    Arrays broadcast over paths: deterministic regimes store a single row.
-    theta is identically zero for non-robust kinds.
+    Arrays broadcast over paths: a row that does not depend on the path (pi
+    and theta of an uninformed regime, the zero theta of a non-robust one) is
+    a single read-only (1, index_T) row shared by every profile on the grid.
     """
 
     pi: np.ndarray
@@ -141,6 +147,36 @@ def run_out(market: MarketParams, insider: InsiderSpec, t):
     )
 
 
+def closed_form_lines(kind: StrategyKind, market: MarketParams, insider: InsiderSpec, t) -> tuple:
+    """The closed form of `kind` as lines in the residual signal Y0 - B_t:
+    (pi intercept, pi slope, theta intercept, theta slope) at the times t, a
+    scalar or an array, with the coefficients of the market given (see
+    market_for).  Uninformed kinds have zero slopes and non-robust kinds zero
+    theta rows; `insider` is read only by the informed kinds."""
+    if kind is StrategyKind.LARGE_INSIDER_ROBUST:
+        raise ValidationError(
+            "no_closed_form",
+            "the robust large insider has no closed form; solve the quadratic "
+            "backward equation and use bsde.initial_controls",
+        )
+    if kind in UNINFORMED_KINDS:
+        robust = kind is StrategyKind.NO_INSIDER_ROBUST
+        pi = pi_no_insider_robust(market, t) if robust else pi_no_insider_nonrobust(market, t)
+        zero = np.zeros_like(pi)
+        return pi, zero, theta_no_insider_robust(market, t) if robust else zero, zero
+    insider.require_signal(kind.value)
+    w, norm_t, norm_T, cross = run_out(market, insider, t)
+    io = iota(market, t)
+    if kind is StrategyKind.SMALL_INSIDER_ROBUST:
+        sig = market.sigma(t)
+        pi_slope, theta_slope = w / (sig * (norm_t + norm_T)), w / (norm_t + norm_T)
+        return (io / (2.0 * sig) + 0.5 * cross * pi_slope, pi_slope,
+                -0.5 * io + 0.5 * cross * theta_slope, theta_slope - w / norm_t)
+    st = sigma_tilde(market, t)
+    zero = np.zeros_like(io)
+    return io / st, w / (norm_t * st), zero, zero
+
+
 def _affine(intercept, slope, y0, b_t):
     """intercept + slope * (y0 - b_t), built in place in one array, so a whole
     profile holds no full-size temporary beyond its result."""
@@ -160,7 +196,7 @@ def pi_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b_t,
     with B_t the running weighted noise integral.  For phi_w = 1 this reduces
     to iota/(2 sigma) + (W_T0 - W_t + (1/2) int_t^T iota ds) / (sigma (2T0 - t - T)).
     """
-    return _affine(*_small_robust_lines(market, insider, t)[:2], y0, b_t)
+    return _affine(*closed_form_lines(StrategyKind.SMALL_INSIDER_ROBUST, market, insider, t)[:2], y0, b_t)
 
 
 def theta_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):
@@ -170,17 +206,7 @@ def theta_small_insider_robust(market: MarketParams, insider: InsiderSpec, y0, b
                   / (||phi_w||^2_[t,T0] + ||phi_w||^2_[T,T0])
                 - phi_w(t) (Y0 - B_t) / ||phi_w||^2_[t,T0].
     """
-    return _affine(*_small_robust_lines(market, insider, t)[2:], y0, b_t)
-
-
-def _small_robust_lines(market: MarketParams, insider: InsiderSpec, t):
-    """Intercept and slope in the residual Y0 - B_t of pi_small_insider_robust,
-    then those of theta_small_insider_robust, from one run-out evaluation."""
-    w, norm_t, norm_T, cross = run_out(market, insider, t)
-    io, sig = iota(market, t), market.sigma(t)
-    pi_slope, theta_slope = w / (sig * (norm_t + norm_T)), w / (norm_t + norm_T)
-    return (io / (2.0 * sig) + 0.5 * cross * pi_slope, pi_slope,
-            -0.5 * io + 0.5 * cross * theta_slope, theta_slope - w / norm_t)
+    return _affine(*closed_form_lines(StrategyKind.SMALL_INSIDER_ROBUST, market, insider, t)[2:], y0, b_t)
 
 
 def pi_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, b_t, t):
@@ -192,14 +218,7 @@ def pi_insider_nonrobust(market: MarketParams, insider: InsiderSpec, y0, b_t, t)
     Without impact sigma_tilde is sigma; for phi_w = 1 the drift is
     (W_T0 - W_t) / (T0 - t).
     """
-    return _affine(*_pi_nonrobust_line(market, insider, t), y0, b_t)
-
-
-def _pi_nonrobust_line(market: MarketParams, insider: InsiderSpec, t):
-    """Intercept and slope of pi_insider_nonrobust in the residual Y0 - B_t."""
-    w, norm_t, _, _ = run_out(market, insider, t)
-    st = sigma_tilde(market, t)
-    return iota(market, t) / st, w / (norm_t * st)
+    return _affine(*closed_form_lines(StrategyKind.LARGE_INSIDER_NONROBUST, market, insider, t)[:2], y0, b_t)
 
 
 def theta_from_pi(market: MarketParams, phi, pi, t):
@@ -213,63 +232,38 @@ def theta_from_pi(market: MarketParams, phi, pi, t):
 # -- profile assembly -----------------------------------------------------------
 
 
-def _profile_rows(kind: StrategyKind, market: MarketParams, insider: InsiderSpec, t) -> tuple:
-    """The time-axis rows of the closed form of `kind` at the times t: the
-    read-only (1, len(t)) rows (pi, theta) of an uninformed kind; else the
-    intercept and slope of pi in the residual Y0 - B_t, followed by those of
-    theta for the robust insider."""
-    if kind in UNINFORMED_KINDS:
-        if kind is StrategyKind.NO_INSIDER_ROBUST:
-            pi, theta = pi_no_insider_robust(market, t), theta_no_insider_robust(market, t)
-        else:
-            pi = pi_no_insider_nonrobust(market, t)
-            theta = np.zeros_like(pi)
-        rows = (pi[None, :], theta[None, :])
-        for row in rows:
-            row.flags.writeable = False  # every profile on the grid shares them
-        return rows
-    if kind is StrategyKind.SMALL_INSIDER_ROBUST:
-        return _small_robust_lines(market, insider, t)
-    return _pi_nonrobust_line(market, insider, t)
-
-
 def build_profile(
     kind: StrategyKind,
     batch: PathBatch,
     market: MarketParams,
     insider: InsiderSpec,
 ) -> StrategyProfile:
-    """Evaluate the closed form of `kind` on every path and step of `batch`;
-    its time-axis rows are formed once per grid, and a tile of a stream
-    only applies them to its paths."""
+    """Evaluate the closed form of `kind` on every path and step of `batch`:
+    its lines are formed once per grid as read-only (1, index_T) rows, and a
+    tile of a stream only applies them to its paths."""
     grid = batch.grid
     if kind in NO_IMPACT_KINDS:
         market.require_no_impact(kind.value)
-    if kind is StrategyKind.LARGE_INSIDER_ROBUST:
-        raise ValidationError(
-            "no_closed_form",
-            "the robust large insider has no closed form; solve the quadratic "
-            "backward equation and use bsde.initial_controls",
-        )
-    if kind not in UNINFORMED_KINDS:
-        insider.require_signal(kind.value)
-    rows = grid.once((kind, market, insider),
-                     lambda: _profile_rows(kind, market, insider, grid.knots[: grid.index_T]))
 
+    def rows():
+        lines = closed_form_lines(kind, market, insider, grid.knots[: grid.index_T])
+        for line in lines:
+            line.flags.writeable = False  # every profile on the grid shares them
+        return tuple(line[None, :] for line in lines)
+
+    pi_intercept, pi_slope, theta_intercept, theta_slope = grid.once((kind, market, insider), rows)
     if kind in UNINFORMED_KINDS:
-        pi, theta = rows
+        return StrategyProfile(pi=pi_intercept, theta=theta_intercept, grid=grid)
+    # one residual Y0 - B_t, whose memory becomes a non-robust insider's pi
+    # (its theta is the shared zero row) or a robust insider's theta
+    resid = np.subtract(batch.Y0[:, None], batch.level[:, :-1])
+    if kind in (StrategyKind.SMALL_INSIDER_NONROBUST, StrategyKind.LARGE_INSIDER_NONROBUST):
+        pi, theta = resid, theta_intercept
+        pi *= pi_slope
     else:
-        y0, b = batch.Y0[:, None], batch.level[:, :-1]
-        if kind is StrategyKind.SMALL_INSIDER_ROBUST:
-            # both lines of one residual Y0 - B_t; theta is built in its memory
-            pi_intercept, pi_slope, theta_intercept, theta_slope = rows
-            theta = np.subtract(y0, b)
-            pi = np.multiply(theta, pi_slope)
-            pi += pi_intercept
-            theta *= theta_slope
-            theta += theta_intercept
-        else:
-            pi = _affine(*rows, y0, b)
-            theta = np.zeros_like(pi)
-
+        pi = np.multiply(resid, pi_slope)
+        theta = resid
+        theta *= theta_slope
+        theta += theta_intercept
+    pi += pi_intercept
     return StrategyProfile(pi=pi, theta=theta, grid=grid)

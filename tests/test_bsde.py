@@ -33,7 +33,7 @@ from insiderlab.cli import _linear_report, _quadratic_report
 from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota, sigma_tilde
 from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.simulate import mean_se, ordered_mean, simulate_wealth
-from insiderlab.strategies import StrategyKind, StrategyProfile, build_profile
+from insiderlab.strategies import StrategyKind, StrategyProfile, build_profile, pi_small_insider_robust, run_out
 
 IOTA = 0.15 / 0.35
 IOTA_SQ = IOTA**2
@@ -156,6 +156,27 @@ class TestLinearClosedForm:
         prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
         m = batch_lsmc_enl.grid.index_T
         np.testing.assert_allclose(Z, 0.35 * prof.pi * Y[:, :m], rtol=1e-12)
+
+    def test_control_is_pointwise_fraction_bit_for_bit(self, sweep_lsmc_enl, market):
+        # the lines read once per solve give, knot by knot, the bytes of the
+        # pointwise closed form evaluated at that knot
+        paths = sweep_lsmc_enl
+        m = paths.grid.index_T
+        t_left = paths.grid.knots[:m]
+        sig = market.sigma(t_left)
+        knot = solve_linear_closed_form(paths, market)
+        for i in range(m):
+            y, z = knot(i)
+            expect = sig[i] * pi_small_insider_robust(market, paths.insider, paths.Y0, paths.level[i], t_left[i]) * y
+            assert z.tobytes() == expect.tobytes(), i
+        assert knot(m)[1] is None
+
+    def test_run_out_once_per_solve(self, sweep_lsmc_enl, market, count_calls):
+        calls = count_calls(run_out)
+        knot = solve_linear_closed_form(sweep_lsmc_enl, market)
+        for i in range(sweep_lsmc_enl.grid.index_T + 1):
+            knot(i)
+        assert len(calls) == 1
 
     def test_normalizer_tower_property(self, sweep_lsmc_enl, market, insider):
         # E[sqrt(Pi(0,T)) p(Y0)] = E[normalizer(Y0) p(Y0)] for polynomial p
@@ -514,8 +535,7 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
 
     def reports(Y, Z, p):
         # the solution and the per-knot |Z| means as the solvers and commands form them
-        s = BsdeSolution(grid=p.grid, y0=Y[:, 0], z0=Z[:, 0], y0_mean=ordered_mean(Y[:, 0]), c=0.0,
-                         residual=0.0, Y=Y)
+        s = BsdeSolution(y0=Y[:, 0], z0=Z[:, 0], y0_mean=ordered_mean(Y[:, 0]), c=0.0, residual=0.0, Y=Y)
         pi_0, _ = initial_controls(s, market_impact, p)
         abs_z_means = [ordered_mean(np.abs(z)) for z in Z.T]
         return repr((_linear_report(s, market_impact), _quadratic_report(s, abs_z_means, pi_0)))

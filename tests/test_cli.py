@@ -60,12 +60,27 @@ def read_table(path):
     return list(csv.DictReader(io.StringIO(path.read_text())))
 
 
+# the horizons T0 of fig1 and fig3, as multiples of T
+FIG_T0_MULTIPLES = [1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0]
+
 # the INI section of every key echo_config writes
 SECTION = {
     **dict.fromkeys(("r", "mu0", "sigma", "varrho", "T", "X0"), "market"),
     **dict.fromkeys(("kind", "T0", "phi"), "insider"),
     **dict.fromkeys(("robust", "n_steps", "n_paths", "seed"), "run"),
 }
+
+
+def load_echo(echo: str, directory) -> ScenarioConfig:
+    """The config that an echo_config line reads back to, through an INI file."""
+    sections = {}
+    for token in echo.split():
+        key, value = token.split("=", 1)
+        sections.setdefault(SECTION[key], []).append(f"{key} = {value}")
+    path = os.path.join(directory, "echo.cfg")
+    with open(path, "w") as fh:
+        fh.write("".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()))
+    return load_config(path, argparse.Namespace())
 
 
 def step_functions(lo, hi):
@@ -135,16 +150,8 @@ class TestConfigParsing:
     @settings(max_examples=100, deadline=None)
     @given(config=scenarios())
     def test_echo_round_trips_through_a_config_file(self, config):
-        sections = {}
-        for token in echo_config(config).split():
-            key, value = token.split("=", 1)
-            sections.setdefault(SECTION[key], []).append(f"{key} = {value}")
-        text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "echo.cfg")
-            with open(path, "w") as fh:
-                fh.write(text)
-            assert load_config(path, argparse.Namespace()) == config
+            assert load_echo(echo_config(config), tmp) == config
 
     @pytest.mark.parametrize("text, robust", [("TRUE", True), ("Yes", True), ("on", True),
                                               ("1", True), ("False", False), ("NO", False),
@@ -203,6 +210,7 @@ class TestConfigParsing:
             ("value", [], "[DEFAULT]\nseed = 3\n" + BASE_CFG, "config_key"),
             ("simulate", ["--regime", "small_insider_robust", "--kind", "none"], None, "signal_required"),
             ("simulate", ["--regime", "small_insider_nonrobust", "--kind", "none"], None, "signal_required"),
+            ("figures", ["--fig-kind", "strategy_lines", "--kind", "none"], None, "signal_required"),
             ("value", ["--kind", "bogus"], None, "insider_kind"),
             ("martingale", ["--perturb-pi", "nan"], None, "profile_finite"),
             # uniform steps within the knot-merge tolerance, refused where the grid is built
@@ -654,8 +662,18 @@ class TestAnalysisCommands:
         assert run(["figures", "--fig-kind", "fig3", *flags, "--config", cfg_file,
                     "--out", str(tmp_path)]) == 0
         cfg = load_config(cfg_file, argparse.Namespace(mu=expect))
-        t0s = [1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0]  # the multiples of T = 1
-        header, rows = analysis.fig_value_table(cfg.market, t0s)
+        header, rows = analysis.fig_value_table(cfg.market, FIG_T0_MULTIPLES)  # T = 1
+        lines = (tmp_path / "fig3.csv").read_text().splitlines()
+        assert lines == [",".join(header)] + [",".join(repr(x) for x in row) for row in rows]
+
+    @pytest.mark.parametrize("flags", [[], ["--mu", "0.2"]])
+    def test_fig3_echo_is_the_market_it_ran(self, tmp_path, cfg_file, capsys, flags):
+        # the echoed config is the resolved one, fig3's default drift included
+        assert run(["figures", "--fig-kind", "fig3", *flags, "--config", cfg_file,
+                    "--out", str(tmp_path)]) == 0
+        echo = re.search(r"^config=(.*)$", capsys.readouterr().out, re.M).group(1)
+        market = load_echo(echo, tmp_path).market
+        header, rows = analysis.fig_value_table(market, [x * market.T for x in FIG_T0_MULTIPLES])
         lines = (tmp_path / "fig3.csv").read_text().splitlines()
         assert lines == [",".join(header)] + [",".join(repr(x) for x in row) for row in rows]
 

@@ -15,7 +15,7 @@ from insiderlab.model import (
     iota,
     sigma_tilde,
 )
-from insiderlab.paths import partial_signals, sample_paths
+from insiderlab.paths import build_grid, partial_signals, sample_paths, stream_paths
 from insiderlab.strategies import (
     StrategyKind,
     build_profile,
@@ -263,6 +263,30 @@ class TestProfiles:
         with pytest.raises(ValidationError) as err:
             build_profile(StrategyKind.LARGE_INSIDER_ROBUST, batch_small, market, insider)
         assert err.value.code == "no_closed_form"
+
+    @pytest.mark.parametrize("kind", [StrategyKind.SMALL_INSIDER_NONROBUST, StrategyKind.LARGE_INSIDER_NONROBUST])
+    def test_nonrobust_tiles_share_one_zero_theta_row(self, market, insider, kind):
+        # no path-sized zero theta: every tile of a stream reads one read-only row
+        cfg = ScenarioConfig(market=market, insider=insider, n_steps=50, n_paths=5000, seed=4)
+        grid = build_grid(cfg)
+        thetas = []
+        stream_paths(cfg, grid, lambda rows, tile: thetas.append(build_profile(kind, tile, market, insider).theta))
+        assert len(thetas) > 1
+        for theta in thetas:
+            assert theta.shape == (1, grid.index_T) and not theta.flags.writeable and not np.any(theta)
+            assert np.shares_memory(theta, thetas[0])
+
+    @pytest.mark.parametrize("kind, code", [
+        (StrategyKind.SMALL_INSIDER_ROBUST, "impact_not_allowed"),
+        (StrategyKind.LARGE_INSIDER_ROBUST, "no_closed_form"),
+        (StrategyKind.LARGE_INSIDER_NONROBUST, "signal_required"),
+    ])
+    def test_precondition_order_without_signal(self, market_impact, batch_small, kind, code):
+        # with impact and no signal: impact_not_allowed, then no_closed_form,
+        # then signal_required
+        with pytest.raises(ValidationError) as err:
+            build_profile(kind, batch_small, market_impact, InsiderSpec.none())
+        assert err.value.code == code
 
     def test_impact_rejected_for_small_trader_forms(self, market_impact, insider, batch_small):
         with pytest.raises(ValidationError) as err:
