@@ -33,9 +33,9 @@ the signal Y0 under enlargement.  Each step's design is regressed on as
 built; only its small Gram matrix is equilibrated.  The sweep holds two
 rows of the value and one of the control, and hands each knot's rows to an
 observer once it is done with them, so a caller reduces the solution knot
-by knot: the linear solver holds no field over all knots, and the quadratic
-one holds only L, which its shot moves at every knot.  A solve whose values
-overflow ends in a ValidationError (`solution_finite`), not in nan cells.
+by knot: neither solver holds a field over all knots, and the quadratic
+shot moves every knot by one per-path row.  A solve whose values overflow
+ends in a ValidationError (`solution_finite`), not in nan cells.
 """
 
 from __future__ import annotations
@@ -219,9 +219,9 @@ class BsdeSolution:
     y0, z0 : (n_paths,) the value (wealth X for the linear equation, L for
              the quadratic one) at knot 0 and the control on step 0, and
     y0_mean: the ordered mean of y0.
-    Y      : the quadratic solver's shot L at every knot, (n_paths,
-             index_T + 1), a transposed view of a knot-major array so that a
-             knot's column Y[:, i] is contiguous; None for the linear solver.
+    y_T, shift: the quadratic solver's shot L at knot index_T and the
+             (n_paths,) row the shot subtracts from the swept L at every
+             knot; None for the linear solver.
     `c` is the shot terminal (scalar, or polynomial coefficients in the
     signal under enlargement; the Monte-Carlo normaliser for the linear
     solver).  `residual` is |mean Y_0 - X0| for the linear solver and the
@@ -235,7 +235,8 @@ class BsdeSolution:
     y0_mean: float
     c: object
     residual: float
-    Y: np.ndarray | None = None
+    y_T: np.ndarray | None = None
+    shift: np.ndarray | None = None
     trace: tuple = field(default_factory=tuple)
 
 
@@ -326,9 +327,8 @@ def _monomials(rows: np.ndarray, x: np.ndarray, y: np.ndarray | None, order: int
 def _require_finite(what: str, *values) -> None:
     """The LSMC solvers' one finiteness check: ValidationError
     `solution_finite` when any of the arrays or scalars holds a nan or an
-    infinity.  Arrays are read one row at a time, so that no temporary is
-    as large as a solution: pass a solution knot-major."""
-    if not all(np.isfinite(row).all() for v in values for row in np.atleast_2d(v)):
+    infinity."""
+    if not all(np.isfinite(v).all() for v in values):
         raise ValidationError("solution_finite", f"{what} is not a finite float")
 
 
@@ -453,7 +453,7 @@ def _finite_solution(solve):
         what = f"the {solve.__name__} solution"
         if not finite:
             raise ValidationError("solution_finite", f"{what} is not a finite float")
-        _require_finite(what, *(() if sol.Y is None else (sol.Y.T,)), sol.c, sol.residual)
+        _require_finite(what, sol.c, sol.residual)
         return sol
 
     return checked
@@ -547,9 +547,11 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe) -> Bs
     as it is.  The shot is therefore exact after one sweep from the terminal
     ln X0: the mismatch L_0 - ln X0 is projected on the terminal basis (its
     ordered mean without a signal) and subtracted from the terminal and from
-    L at every knot, which is why L is held whole.  The residual is what the
-    projection finds left after the shot: |mean| without a signal, the RMS
-    projected mismatch with one.
+    L at every knot: knot 0 and the terminal here, any other knot by its
+    reader, as the swept row less `shift`.  fl(x - s) is monotone in x, so
+    the shot rows are all finite exactly when the shot per-path minimum and
+    maximum of the swept rows are.  The residual is what the projection
+    finds left: |mean| without a signal, the RMS projected mismatch with one.
     """
     n = paths.n_paths
     ln_x0 = math.log(market.X0)
@@ -559,29 +561,32 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe) -> Bs
     inv_gram = _factor(y_design, 0.0)
     coef = np.zeros(degree + 1)
     coef[0] = ln_x0
-    L = np.empty((paths.grid.index_T + 1, n))
+    lo, hi = np.full(n, ln_x0), np.full(n, ln_x0)
 
-    def keep(i: int, l: np.ndarray, z: np.ndarray | None) -> None:
-        L[i] = l
+    def bound(i: int, l: np.ndarray, z: np.ndarray | None) -> None:
+        np.minimum(lo, l, out=lo)
+        np.maximum(hi, l, out=hi)
         observe(i, l, z)
 
-    _, z0 = _backward_sweep(paths, np.full(n, ln_x0), _quadratic_driver(paths, market), keep)
+    y0, z0 = _backward_sweep(paths, np.full(n, ln_x0), _quadratic_driver(paths, market), bound)
 
     def trace_row(iteration: int) -> tuple[tuple, np.ndarray]:
         """(iteration, c2, residual, mean L_0), and the mismatch's coefficients."""
-        l0 = ordered_mean(L[0])
+        l0 = ordered_mean(y0)
         if paths.Y0 is None:
             resid = l0 - ln_x0  # the trace keeps its sign
             return (iteration, float(coef[0]), resid, l0), np.array([resid])
-        delta, resid = _projected_mismatch(y_design, inv_gram, L[0] - ln_x0)
+        delta, resid = _projected_mismatch(y_design, inv_gram, y0 - ln_x0)
         return (iteration, tuple(coef.tolist()), resid, l0), delta
 
     swept, delta = trace_row(0)
     coef -= delta
-    L -= delta @ y_design
+    shift = delta @ y_design
+    y0 -= shift
     shot, _ = trace_row(1)
-    return BsdeSolution(y0=L[0], z0=z0, y0_mean=shot[3], c=shot[1],
-                        residual=abs(shot[2]), Y=L.T, trace=(swept, shot))
+    _require_finite("the solve_quadratic_lsmc solution", lo - shift, hi - shift)
+    return BsdeSolution(y0=y0, z0=z0, y0_mean=shot[3], c=shot[1], residual=abs(shot[2]),
+                        y_T=ln_x0 - shift, shift=shift, trace=(swept, shot))
 
 
 # -- controls and reductions --------------------------------------------------------
@@ -613,8 +618,8 @@ def initial_controls(
 
 
 def value_from_bsde(sol: BsdeSolution) -> tuple[float, float]:
-    """Game value estimate E[L_T] of a quadratic solution, with its standard error."""
-    return mean_se(sol.Y[:, -1])
+    """Game value estimate E[L_T] of a quadratic solution, from its shot row y_T, with its standard error."""
+    return mean_se(sol.y_T)
 
 
 KNOT_HEADER = ["t", "mean_Y", "mean_Z", "oracle_Y", "oracle_Z", "rmse_Y"]

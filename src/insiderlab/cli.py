@@ -273,17 +273,22 @@ def _cmd_bsde_linear(args, config: ScenarioConfig):
 def _cmd_bsde_quadratic(args, config: ScenarioConfig):
     paths = stream_sweep_paths(config, threads=args.threads)
     market = config.market
-    mean_z, abs_z_means = {}, []
+    m = paths.grid.index_T
+    mean_y, mean_z, abs_z_means = {}, {}, []
 
-    def reduce(i, _, z):
+    def reduce(i, l, z):
+        if 0 < i < m:  # the swept row; knots 0 and m are shot by the solver
+            mean_y[i] = ordered_mean(l)
         if z is not None:
             mean_z[i] = ordered_mean(z)
             abs_z_means.append(ordered_mean(np.abs(z)))
 
     sol = solve_quadratic_lsmc(paths, market, reduce)
     pi_0, _ = initial_controls(sol, market, paths)
+    mean_shift = ordered_mean(sol.shift)
+    mean_y = {i: mean - mean_shift for i, mean in mean_y.items()} | {0: sol.y0_mean, m: ordered_mean(sol.y_T)}
     knots = paths.grid.knots
-    rows = [knot_table(knots[i], sol.Y[:, i], mean_z=mean_z.get(i)) for i in range(paths.grid.index_T + 1)]
+    rows = [knot_table(knots[i], None, mean_y=mean_y[i], mean_z=mean_z.get(i)) for i in range(m + 1)]
     return 0, {
         "bsde_quadratic.csv": (KNOT_HEADER, rows),
         "bsde_quadratic_trace.csv": (

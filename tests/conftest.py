@@ -147,7 +147,8 @@ def _whole(solve, paths, market):
     (n_paths, index_T + 1) and Z (n_paths, index_T), transposed views of
     knot-major arrays.  solve_linear_closed_form's knot function is run over
     every knot the same way.  The quadratic solver hands on its sweep before
-    the shot, so its Y is that sweep's L; the shot L is result.Y."""
+    the shot, so its Y is that sweep's L; the shot L is Y less result.shift
+    at every knot, Y - result.shift[:, None]."""
     m, n = paths.grid.index_T, paths.n_paths
     Y, Z = np.empty((m + 1, n)), np.empty((m, n))
 

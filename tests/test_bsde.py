@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from insiderlab.analysis import value_no_insider_robust, value_small_insider_robust
 from insiderlab.bsde import (
@@ -30,11 +31,16 @@ from insiderlab.bsde import (
     value_from_bsde,
 )
 from insiderlab.cli import _linear_report, _quadratic_report
-from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota, sigma_tilde
+from insiderlab.model import (InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, ValidationError, iota,
+                              sigma_tilde)
 from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.simulate import mean_se, ordered_mean, simulate_wealth
 from insiderlab.strategies import StrategyKind, StrategyProfile, build_profile, pi_small_insider_robust, run_out
 
+# finite floats, with extra weight near the largest ones
+HUGE_OR_ANY = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-1.7976931348623157e308, -1.7e308, -8.9e307, 8.9e307, 1.7e308,
+                                         1.7976931348623157e308]))
 IOTA = 0.15 / 0.35
 IOTA_SQ = IOTA**2
 VALUE1 = 0.045918367346938776
@@ -256,12 +262,12 @@ class TestQuadraticLsmc:
         assert sol.residual <= 1e-3
         assert sol.c == pytest.approx(VALUE1, abs=1e-9)
 
-    def test_trivial_market(self, no_insider):
+    def test_trivial_market(self, no_insider, whole):
         flat = MarketParams(r=0.0, mu0=0.0, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=flat, insider=no_insider, n_steps=20, n_paths=5000, seed=9)
-        sol = solve_quadratic_lsmc(stream_sweep_paths(cfg), flat)
+        sol, Y, _ = whole(solve_quadratic_lsmc, stream_sweep_paths(cfg), flat)
         assert sol.c == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(sol.Y, 0.0, atol=1e-12)
+        np.testing.assert_allclose(Y - sol.shift[:, None], 0.0, atol=1e-12)
 
     def test_impact_raises_value(self, sweep_lsmc_flat, market_impact):
         # sigma_tilde = sigma/2: value = iota^2 T sigma/(2(sigma+sigma_tilde))
@@ -303,10 +309,10 @@ class TestQuadraticLsmc:
         assert len(sweeps) == 1
         assert len(sol.trace) == 2
         assert not signals
-        # the (L, Z) pair is as large as (level, dWH); the design, the factors
-        # and the per-step vectors add about half of dWH more, a copy of level
-        # or dWH at least one dWH
-        assert peak < paths.level.nbytes + 2 * paths.dWH.nbytes
+        # the design, the factors and the per-step rows take under half of
+        # dWH: a field over all knots (L, Z, a copy of level or dWH) would
+        # take at least one dWH
+        assert peak < paths.dWH.nbytes
 
     @pytest.mark.parametrize("insider_spec, varrho", [
         (InsiderSpec.none(), 0.0),
@@ -319,12 +325,12 @@ class TestQuadraticLsmc:
         mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
         cfg = ScenarioConfig(market=mk, insider=insider_spec, n_steps=20, n_paths=4000, seed=13)
         paths = stream_sweep_paths(cfg)
-        sol, _, sol_Z = whole(solve_quadratic_lsmc, paths, mk)
+        sol, sol_Y, sol_Z = whole(solve_quadratic_lsmc, paths, mk)
         c = np.atleast_1d(sol.c)
         signal = np.zeros(paths.n_paths) if paths.Y0 is None else paths.Y0
         terminal = sum(ck * signal**k for k, ck in enumerate(c))
         L, Z = swept(paths, terminal, _quadratic_driver(paths, mk))
-        np.testing.assert_allclose(L.T, sol.Y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(L.T, sol_Y - sol.shift[:, None], rtol=0, atol=1e-12)
         np.testing.assert_allclose(Z.T, sol_Z, rtol=0, atol=1e-12)
         assert [row[0] for row in sol.trace] == [0, 1]
         assert sol.trace[1][1] == sol.c
@@ -364,6 +370,60 @@ class TestQuadraticLsmc:
         fitted = coef[0] + coef[1] * y + coef[2] * y**2
         truth = -2.0 * np.log(enlargement_normalizer(market, insider, y))
         assert np.max(np.abs(fitted - truth)) < 0.05
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(HUGE_OR_ANY, min_size=3, max_size=3), min_size=2, max_size=2),
+           shift=st.lists(HUGE_OR_ANY, min_size=3, max_size=3))
+    @example(rows=[[1.7e308, 0.0, -1.0], [0.0, 1.0, 2.0]], shift=[-1.7e308, 0.0, 0.0])
+    @example(rows=[[1.7e308, 0.0, -1.0], [0.0, 1.0, 2.0]], shift=[1.7e308, 0.0, 0.0])
+    def test_shot_bounds_are_finite_exactly_when_every_shot_row_is(self, rows, shift):
+        # what the solver's refusal rests on: per path, fl(x - s) is monotone
+        # in x, so the shot minimum and maximum over the rows are both finite
+        # exactly when the shot of every row is
+        rows, shift = np.array(rows), np.array(shift)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bounds = np.isfinite(rows.min(axis=0) - shift) & np.isfinite(rows.max(axis=0) - shift)
+            every = np.isfinite(rows - shift).all(axis=0)
+        assert np.array_equal(bounds, every)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(HUGE_OR_ANY, min_size=2, max_size=2), min_size=2, max_size=2),
+           l0=st.one_of(st.floats(-8e307, 8e307), st.sampled_from([-8e307, -1e307, 0.0, 1e307, 8e307])))
+    @example(rows=[[-1.7e308, 0.0], [1.0, 2.0]], l0=8e307)  # -2.5e308: refused
+    @example(rows=[[1.7e308, 0.0], [1.0, 2.0]], l0=8e307)  # 9e307: kept
+    @example(rows=[[0.0, 1.7e308], [1.0, -1.7e308]], l0=-8e307)  # 2.5e308: refused
+    def test_shot_refused_exactly_when_some_knot_overflows(self, rows, l0):
+        # a sweep of two paths whose finite rows reach +-1.7e308: L_0 = l0 on
+        # both paths, so the shot subtracts l0 from every knot, and only a
+        # shot row can overflow (the shot L_0 is 0, c2 is -l0)
+        market = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
+        paths = stream_sweep_paths(ScenarioConfig(market=market, insider=InsiderSpec.none(),
+                                                  n_steps=3, n_paths=2, seed=1))
+        interior = np.array(rows)
+
+        def sweep(paths, terminal, driver, observe):
+            z = np.zeros(2)
+            observe(3, terminal.copy(), None)
+            for i in (2, 1):
+                observe(i, interior[i - 1].copy(), z)
+            l0_row = np.full(2, l0)
+            observe(0, l0_row, z)
+            return l0_row, z
+
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(interior - l0).all()
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            patch.setattr("insiderlab.bsde._backward_sweep", sweep)
+            try:
+                sol = solve_quadratic_lsmc(paths, market)
+            except ValidationError as err:
+                assert err.code == "solution_finite"
+                assert overflows
+            else:
+                assert not overflows
+                assert np.array_equal(sol.shift, np.full(2, l0))
+                assert np.array_equal(sol.y0, np.zeros(2))
 
 
 class TestRegressionEngine:
@@ -535,7 +595,8 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
 
     def reports(Y, Z, p):
         # the solution and the per-knot |Z| means as the solvers and commands form them
-        s = BsdeSolution(y0=Y[:, 0], z0=Z[:, 0], y0_mean=ordered_mean(Y[:, 0]), c=0.0, residual=0.0, Y=Y)
+        s = BsdeSolution(y0=Y[:, 0], z0=Z[:, 0], y0_mean=ordered_mean(Y[:, 0]), c=0.0, residual=0.0,
+                         y_T=Y[:, -1])
         pi_0, _ = initial_controls(s, market_impact, p)
         abs_z_means = [ordered_mean(np.abs(z)) for z in Z.T]
         return repr((_linear_report(s, market_impact), _quadratic_report(s, abs_z_means, pi_0)))

@@ -16,11 +16,10 @@ from insiderlab.bsde import (
     solve_linear_lsmc,
     solve_quadratic_lsmc,
     stream_sweep_paths,
-    value_from_bsde,
 )
 from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota, sigma_tilde
 from insiderlab.paths import _BLOCK, partial_signals, sample_paths
-from insiderlab.simulate import ordered_mean
+from insiderlab.simulate import mean_se, ordered_mean
 
 MARKET = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
 IMPACT = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.02, T=1.0, X0=1.0)
@@ -64,36 +63,60 @@ def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, 
             assert np.array_equal(np.broadcast_to(phitilde(i), (n_paths,)), expect), (market, i)
 
 
-def api_tables(solver, config, market, whole, whole_table):
-    """The tables of the bsde command from solve_*_lsmc on the whole batch
-    sample_paths(config), transposed to knot-major, with every knot's rows
-    collected into whole fields and reduced one knot column at a time."""
+def whole_batch(config):
+    """The batch sample_paths(config) and its sweep input, transposed to
+    knot-major."""
     batch = sample_paths(config)
     insider = config.insider
-    grid = batch.grid
-    paths = SweepPaths(grid=grid, level=batch.level.T.copy(), dWH=batch.dWH.T.copy(),
+    paths = SweepPaths(grid=batch.grid, level=batch.level.T.copy(), dWH=batch.dWH.T.copy(),
                        Y0=batch.Y0 if insider.has_signal() else None, insider=insider)
-    if solver == "linear":
-        sol, Y, Z = whole(solve_linear_lsmc, paths, market)
-        report = [sol.residual, sol.c if np.ndim(sol.c) == 0 else "",
-                  ordered_mean(Y[:, 0]), market.X0]
-        oracle = whole(solve_linear_closed_form, paths, market)[1:]
-        return {"bsde_linear.csv": (KNOT_HEADER, whole_table(Y, Z, grid, oracle)),
-                "bsde_linear_report.csv": (["residual", "normalizer_mc", "Y0_mean", "X0"], [report])}
-    sol, _, Z = whole(solve_quadratic_lsmc, paths, market)
+    return batch, paths
+
+
+def shot_tables(config, market, whole, whole_table):
+    """(tables, sol, Y): the tables of bsde-quadratic from solve_quadratic_lsmc
+    on the whole batch, reduced one knot column at a time from the whole shot
+    L, the swept rows Y less sol.shift at every knot."""
+    batch, paths = whole_batch(config)
+    grid = batch.grid
+    sol, Y, Z = whole(solve_quadratic_lsmc, paths, market)
+    L = Y - sol.shift[:, None]
     m = grid.index_T
     t_left = grid.knots[:m]
     pi, _ = _controls(Z, iota(market, t_left) + batch.phi, market.sigma(t_left), sigma_tilde(market, t_left))
     mean_abs_z = ordered_mean(np.array([ordered_mean(np.abs(Z[:, i])) for i in range(m)]))
-    return {
-        "bsde_quadratic.csv": (KNOT_HEADER, whole_table(sol.Y, Z, grid)),
+    tables = {
+        "bsde_quadratic.csv": (KNOT_HEADER, whole_table(L, Z, grid)),
         "bsde_quadratic_trace.csv": (["iteration", "c2", "residual", "L0_mean"],
-                                     [[it, repr(c2), r, l0] for it, c2, r, l0 in sol.trace]),
+                                     [[it, repr(c2), r, ordered_mean(l[:, 0])]
+                                      for (it, c2, r, _), l in zip(sol.trace, (Y, L))]),
         "bsde_quadratic_value.csv": (
             ["value", "value_se", "residual", "mean_abs_z", "mean_pi_0"],
-            [[*value_from_bsde(sol), sol.residual, mean_abs_z, ordered_mean(pi[:, 0])]],
+            [[*mean_se(L[:, m]), sol.residual, mean_abs_z, ordered_mean(pi[:, 0])]],
         ),
     }
+    return tables, sol, Y
+
+
+def api_tables(solver, config, market, whole, whole_table):
+    """The tables of the bsde command from solve_*_lsmc on the whole batch
+    sample_paths(config), transposed to knot-major, with every knot's rows
+    collected into whole fields and reduced one knot column at a time.  The
+    quadratic command means each swept row between the ends before the shot
+    is known, and subtracts the mean of sol.shift from it."""
+    if solver == "linear":
+        batch, paths = whole_batch(config)
+        sol, Y, Z = whole(solve_linear_lsmc, paths, market)
+        report = [sol.residual, sol.c if np.ndim(sol.c) == 0 else "",
+                  ordered_mean(Y[:, 0]), market.X0]
+        oracle = whole(solve_linear_closed_form, paths, market)[1:]
+        return {"bsde_linear.csv": (KNOT_HEADER, whole_table(Y, Z, batch.grid, oracle)),
+                "bsde_linear_report.csv": (["residual", "normalizer_mc", "Y0_mean", "X0"], [report])}
+    tables, sol, Y = shot_tables(config, market, whole, whole_table)
+    rows = tables["bsde_quadratic.csv"][1]
+    for i in range(1, len(rows) - 1):
+        rows[i][1] = ordered_mean(Y[:, i]) - ordered_mean(sol.shift)
+    return tables
 
 
 @pytest.mark.parametrize("solver, insider, market", [
@@ -119,6 +142,29 @@ def test_cli_tables_equal_the_whole_batch_api(solver, insider, market, whole, wh
     assert repr(tables) == repr(expect)
 
 
+QUADRATIC_CASES = [(UNIT, IMPACT), (PIECEWISE, IMPACT), (NONE, IMPACT), (PIECEWISE, JUMP), (NONE, JUMP)]
+
+
+@pytest.mark.parametrize("insider, market", QUADRATIC_CASES)
+def test_quadratic_mean_y_is_the_mean_of_the_whole_shot_l(insider, market, whole, whole_table):
+    # the command's mean_Y of a knot between the ends is its swept mean less
+    # the shift's mean, within a few ulps of the mean of the shot L; the
+    # ends and every other cell are the bytes of a whole shot L
+    config = config_of(insider, 9000, market)
+    code, tables = cli._cmd_bsde_quadratic(argparse.Namespace(threads=1), config)
+    assert code == 0
+    expect, _, _ = shot_tables(config, market, whole, whole_table)
+    rows, want = tables["bsde_quadratic.csv"][1], expect["bsde_quadratic.csv"][1]
+    assert len(rows) == len(want) == config.n_steps + 1
+    for i, (row, cells) in enumerate(zip(rows, want)):
+        assert abs(row[1] - cells[1]) <= 1e-15
+        if i in (0, len(rows) - 1):
+            assert repr(row[1]) == repr(cells[1])
+        assert repr(row[:1] + row[2:]) == repr(cells[:1] + cells[2:])
+    for name in ("bsde_quadratic_trace.csv", "bsde_quadratic_value.csv"):
+        assert repr(tables[name]) == repr(expect[name])
+
+
 def _peak_bytes(argv, tmp_path):
     tracemalloc.start()
     try:
@@ -129,14 +175,14 @@ def _peak_bytes(argv, tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["enlargement", "none"])
-def test_bsde_quadratic_holds_about_three_path_sized_arrays(tmp_path, kind):
-    # state, dWH and L are three (n_paths x m) arrays; the design and the
-    # per-step rows add under half of one.  A whole PathBatch, a whole Z or
-    # full controls would each add one or more.
+def test_bsde_quadratic_holds_about_two_path_sized_arrays(tmp_path, kind):
+    # state and dWH are two (n_paths x m) arrays; the design and the
+    # per-step rows add under two thirds of one.  A whole PathBatch, a whole
+    # L or Z or full controls would each add one or more.
     n_paths, n_steps = 6 * _BLOCK, 40
     peak = _peak_bytes(["bsde-quadratic", "--kind", kind, "--n-paths", str(n_paths),
                         "--n-steps", str(n_steps), "--seed", "3"], tmp_path)
-    assert peak <= 4.25 * n_paths * (n_steps + 1) * 8
+    assert peak <= 3.0 * n_paths * (n_steps + 1) * 8
 
 
 @pytest.mark.parametrize("kind", ["enlargement", "none"])
