@@ -29,13 +29,18 @@ for the linear equation in (ln X, z / X) and rows in sigma, sigma_tilde for f_Q.
 Both numerical solvers are explicit backward Euler schemes with conditional
 expectations estimated by polynomial least-squares regression on the Markov
 state: int_0^t iota dW without a signal, and the running signal B_t plus
-the signal Y0 under enlargement.  Each step's design is regressed on as
-built; only its small Gram matrix is equilibrated.  The sweep holds two
-rows of the value and one of the control, and hands each knot's rows to an
-observer once it is done with them, so a caller reduces the solution knot
-by knot: neither solver holds a field over all knots, and the quadratic
-shot moves every knot by one per-path row.  A solve whose values overflow
-ends in a ValidationError (`solution_finite`), not in nan cells.
+the signal Y0 under enlargement.  Their input, SweepPaths, stores the
+increments dW and the state at about every sqrt(m)-th of the m + 1 knots;
+a pass over the knots regenerates the other state rows a chunk at a time
+and dWH a row at a time, with the bytes of a whole batch (checkpointing:
+Griewank & Walther, ACM TOMS 26(1), 2000).  Each step's design is
+regressed on as built; only its small Gram matrix is equilibrated.  The
+sweep holds two rows of the value and one of the control, and hands each
+knot's rows to an observer once it is done with them, so a caller reduces
+the solution knot by knot: neither solver holds a field over all knots,
+and the quadratic shot moves every knot by one per-path row.  A solve
+whose values overflow ends in a ValidationError (`solution_finite`), not in
+nan cells.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import InsiderSpec, MarketParams, ScenarioConfig, ValidationError, breakpoints, iota, sigma_tilde, validate
-from .paths import PathBatch, TimeGrid, build_grid, signal_drift, stream_paths
+from .paths import PathBatch, TimeGrid, build_grid, signal_drift, state_weight, stream_paths
 from .simulate import mean_se, ordered_mean
 from .strategies import StrategyKind, closed_form_lines, pi_no_insider_robust
 
@@ -86,30 +91,118 @@ class RegressionError(RuntimeError):
 # -- the sweep input -------------------------------------------------------------
 
 
+def _stride(m: int) -> int:
+    """Knots per checkpoint of a sweep input on m steps: ceil(sqrt(m + 1)),
+    so checkpoints and one chunk between two of them take about 2 sqrt(m)
+    state rows."""
+    return math.isqrt(m) + 1
+
+
+def _read_only(row: np.ndarray) -> np.ndarray:
+    view = row.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class SweepPaths:
     """The paths as the backward solvers read them, knot-major, so that the
     values of one knot across all paths are one contiguous row.
 
-    level : (index_T + 1, n_paths) PathBatch.level, knot-major: the state
-            int_0^t w dW, w = phi_w under a signal and iota without one.
-    dWH   : (index_T, n_paths) enlarged-filtration increments on [0, T].
-    Y0    : (n_paths,) the signal, None without one.
+    dW     : (index_T, n_paths) Brownian increments on [0, T].
+    weight : (index_T,) the state's left-point weights w, state_weight's row.
+    checkpoints : (index_T // c + 1, n_paths) the state int_0^t w dW
+             (PathBatch.level) at knots 0, c, 2c, ..., c = _stride(index_T).
+    Y0     : (n_paths,) the signal, None without one.
     insider : the InsiderSpec the paths were drawn under.
 
-    The information drift is not held: step i's drift is formed from the
-    state when it is needed.
+    level(i) and dWH(i) give knot i's state and step i's enlarged-filtration
+    increment, the rows of PathBatch.level and PathBatch.dWH bit for bit.  A
+    state row between two checkpoints is regenerated with the other c - 1
+    rows of its chunk, level[j + 1] = level[j] + w_j dW_j, the additions of
+    partial_signals' cumsum in its order.  Under a signal, phi(i) is step
+    i's information drift formed from the state, and dWH_i = dW_i - phi_i
+    dt_i, the operations of information_drift and decompose; without one,
+    dWH_i is dW_i.  The rows returned are read-only and held in buffers of
+    one row (phi, dWH) or one chunk, which the next read of another step or
+    chunk overwrites, so a pass over the knots in either order regenerates
+    each chunk once.
     """
 
     grid: TimeGrid
-    level: np.ndarray
-    dWH: np.ndarray
+    dW: np.ndarray
+    weight: np.ndarray
+    checkpoints: np.ndarray
     Y0: np.ndarray | None
     insider: InsiderSpec
+    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
-        return self.dWH.shape[1]
+        return self.dW.shape[1]
+
+    def level(self, i: int) -> np.ndarray:
+        """The state int_0^t w dW at knot i."""
+        k, j = divmod(i, _stride(self.grid.index_T))
+        return _read_only(self.checkpoints[k] if j == 0 else self._chunk(k)[j - 1])
+
+    def phi(self, i: int) -> np.ndarray:
+        """The information drift on step i under a signal, formed from the
+        state by signal_drift."""
+        scratch = self._scratch
+        if scratch.get("phi_step") != i:
+            if "drift" not in scratch:
+                scratch["drift"] = signal_drift(self.grid, self.insider)
+            scratch["phi_step"] = None  # a failed drift leaves no row behind
+            scratch["phi"] = scratch["drift"](self.Y0, self.level(i), i, out=scratch.get("phi"))
+            scratch["phi_step"] = i
+        return _read_only(scratch["phi"])
+
+    def dWH(self, i: int) -> np.ndarray:
+        """The increment dWH on step i."""
+        if self.Y0 is None:
+            return _read_only(self.dW[i])
+        row = self._scratch["dWH"] = np.multiply(self.phi(i), self.grid.dt[i], out=self._scratch.get("dWH"))
+        return _read_only(np.subtract(self.dW[i], row, out=row))
+
+    def _chunk(self, k: int) -> np.ndarray:
+        """The state at knots kc + 1, ..., kc + c - 1 (at most index_T), in
+        one buffer of c - 1 rows that the next chunk reuses."""
+        scratch, m = self._scratch, self.grid.index_T
+        if scratch.get("chunk") == k:
+            return scratch["rows"]
+        c = _stride(m)
+        if "rows" not in scratch:
+            scratch["rows"] = np.empty((c - 1, self.n_paths))
+        rows, lo = scratch["rows"], k * c
+        scratch["chunk"] = None  # a failed regeneration leaves no chunk behind
+        prev = self.checkpoints[k]
+        for j in range(lo, min(lo + c - 1, m)):
+            row = np.multiply(self.dW[j], self.weight[j], out=rows[j - lo])
+            if j > 0:  # cumsum's first sum is its first term, so no 0 + term
+                row += prev
+            prev = row
+        scratch["chunk"] = k
+        return rows
+
+
+def _sweep_tiler(config: ScenarioConfig, grid: TimeGrid):
+    """(paths, tile): an unfilled SweepPaths of the ensemble of `config` on
+    `grid`, and tile(rows, batch), which copies what paths stores of the
+    PathBatch `batch` of paths `rows`."""
+    m, n, insider = grid.index_T, config.n_paths, config.insider
+    c = _stride(m)
+    paths = SweepPaths(grid=grid, dW=np.empty((m, n)), weight=state_weight(config, grid),
+                       checkpoints=np.empty((m // c + 1, n)),
+                       Y0=np.empty(n) if insider.has_signal() else None, insider=insider)
+
+    def tile(rows: slice, batch: PathBatch) -> None:
+        paths.dW[:, rows] = batch.dW[:, :m].T
+        paths.checkpoints[:, rows] = batch.level[:, ::c].T
+        if paths.Y0 is not None:
+            paths.Y0[rows] = batch.Y0
+
+    return paths, tile
 
 
 def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
@@ -118,33 +211,21 @@ def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
     held."""
     validate(config)
     grid = build_grid(config)
-    m, n, insider = grid.index_T, config.n_paths, config.insider
-    paths = SweepPaths(grid=grid, level=np.empty((m + 1, n)), dWH=np.empty((m, n)),
-                       Y0=np.empty(n) if insider.has_signal() else None, insider=insider)
-
-    def tile(rows: slice, batch: PathBatch) -> None:
-        paths.level[:, rows] = batch.level.T
-        paths.dWH[:, rows] = batch.dWH.T
-        if paths.Y0 is not None:
-            paths.Y0[rows] = batch.Y0
-
+    paths, tile = _sweep_tiler(config, grid)
     stream_paths(config, grid, tile, threads)
     return paths
 
 
 def _phitilde(paths: SweepPaths, market: MarketParams):
-    """phitilde = iota + phi on step i, as a function of i; signal_drift forms
-    the drift from the state, as information_drift does for a batch."""
+    """phitilde = iota + phi on step i, as a function of i, in a fresh row
+    under a signal."""
     m = paths.grid.index_T
     iota_left = iota(market, paths.grid.knots[:m])
     if paths.Y0 is None:
         return lambda i: iota_left[i]
-    drift = signal_drift(paths.grid, paths.insider)
 
     def phitilde(i: int) -> np.ndarray:
-        phit = drift(paths.Y0, paths.level[i], i)
-        phit += iota_left[i]
-        return phit
+        return np.add(paths.phi(i), iota_left[i])
 
     return phitilde
 
@@ -166,7 +247,7 @@ def log_pi_star(paths: SweepPaths, market: MarketParams) -> np.ndarray:
     log_pi = np.zeros(paths.n_paths)
     for i in range(m):
         phit = phitilde(i)
-        log_pi += -(r[i] + 0.5 * phit**2) * dt[i] - phit * paths.dWH[i]
+        log_pi += -(r[i] + 0.5 * phit**2) * dt[i] - phit * paths.dWH(i)
     return log_pi
 
 
@@ -274,7 +355,7 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
         sig_pi = sig * pi_no_insider_robust(market, t_left)
 
         def knot(i: int) -> tuple[np.ndarray, np.ndarray | None]:
-            y = market.X0 * np.exp(drift[i] + 0.5 * paths.level[i])
+            y = market.X0 * np.exp(drift[i] + 0.5 * paths.level(i))
             return y, (sig_pi[i] * y if i < m else None)
 
         return knot
@@ -291,7 +372,7 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
     pi_a, pi_b = closed_form_lines(StrategyKind.SMALL_INSIDER_ROBUST, market, paths.insider, t_left)[:2]
 
     def knot(i: int) -> tuple[np.ndarray, np.ndarray | None]:
-        W = paths.level[i]
+        W = paths.level(i)
         m_t = paths.Y0 - W + shift[i]
         y = scale[i] * np.exp(drift[i] + 0.5 * io * W - m_t**2 / (2.0 * a_t[i]) + start)
         if i == m:
@@ -370,7 +451,7 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.nd
         L_i = E[L_{i+1}|s_i] + driver(i, Z_i) dt_i,     L_m = terminal,
 
     on the basis of all monomials of total degree <= _BASIS_ORDER in the
-    state s_i (paths.level[i], plus the signal if any), factored once per
+    state s_i (paths.level(i), plus the signal if any), factored once per
     step.  Two L rows and one Z row are held: observe(i, L_i, Z_i) is called
     for i = index_T, ..., 0 (Z_index_T = None) once the sweep no longer
     reads knot i, and the rows are then reused, so an observer reduces a row
@@ -388,11 +469,11 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.nd
     l_next[:] = terminal
     z, z_row, resid = None, np.empty(n), np.empty(n)
     for i in range(m - 1, -1, -1):
-        _monomials(design, paths.level[i], signal, _BASIS_ORDER)
+        _monomials(design, paths.level(i), signal, _BASIS_ORDER)
         inv_gram = _factor(design, grid.knots[i])
         np.matmul(inv_gram @ (design @ l_next), design, out=l_hat)
         np.subtract(l_next, l_hat, out=resid)
-        resid *= paths.dWH[i]
+        resid *= paths.dWH(i)
         observe(i + 1, l_next, z)  # knot i + 1 is read no more
         z = np.matmul(inv_gram @ (design @ resid), design, out=z_row)
         z /= grid.dt[i]
@@ -640,8 +721,12 @@ def knot_table(t: float, y: np.ndarray, z: np.ndarray | None = None, oracle=None
     if oracle is None:
         return [float(t), mean_y, mean_z, "", "", ""]
     o_y, o_z = oracle
+    # squared after an exact power-of-two scaling, so that no square
+    # overflows, and sorted as ordered_mean sorts: all in the one row gap
     gap = y - o_y
-    # squared after an exact power-of-two scaling, so that no square overflows
-    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(gap))))[1])
-    rmse = unit * math.sqrt(ordered_mean((gap / unit) ** 2))
+    unit = math.ldexp(1.0, math.frexp(max(float(gap.max()), -float(gap.min())))[1])
+    gap /= unit
+    np.square(gap, out=gap)
+    gap.sort()
+    rmse = unit * math.sqrt(float(gap.sum()) / len(gap))
     return [float(t), mean_y, mean_z, ordered_mean(o_y), "" if o_z is None else ordered_mean(o_z), rmse]

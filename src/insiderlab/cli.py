@@ -458,6 +458,11 @@ def _check_flags(args) -> None:
     if getattr(args, "forward_steps", EPS_STEPS[0] + 1) <= EPS_STEPS[0]:
         raise ValidationError("forward_steps_min", f"need --forward-steps > {EPS_STEPS[0]}, "
                               f"the widest window in steps, got {args.forward_steps}")
+    # the flags that stand in for n_paths and n_steps of the config, with its minima
+    for flag, least in (("forward_paths", 1), ("bsde_paths", 1), ("bsde_steps", 2)):
+        if getattr(args, flag, least) < least:
+            name = flag.replace("_", "-")
+            raise ValidationError(f"{flag}_min", f"need --{name} >= {least}, got {getattr(args, flag)}")
 
 
 def _missing_dirs(path: str) -> list[str]:

@@ -43,6 +43,7 @@ __all__ = [
     "information_drift",
     "decompose",
     "partial_signals",
+    "state_weight",
     "signal_drift",
 ]
 
@@ -208,7 +209,7 @@ def _filler(config: ScenarioConfig, grid: TimeGrid):
     signal = insider.has_signal()
     var = np.append(grid.dt, phi_norm_sq(insider, grid.T, insider.T0)) if signal else grid.dt
     scale = np.sqrt(var)
-    weight = insider.phi_weight(grid.knots[:m]) if signal else iota(config.market, grid.knots[:m])
+    weight = state_weight(config, grid)
 
     def fill(batch: PathBatch, gen: np.random.Generator) -> None:
         dW = gen.standard_normal(out=batch.dW)
@@ -285,6 +286,13 @@ def partial_signals(dW: np.ndarray, weight: np.ndarray, out=None) -> np.ndarray:
     np.multiply(dW[:, :m], weight, out=b[:, 1:])
     np.cumsum(b[:, 1:], axis=1, out=b[:, 1:])
     return b
+
+
+def state_weight(config: ScenarioConfig, grid: TimeGrid) -> np.ndarray:
+    """The left-point weights w of the state int_0^t w dW on the m steps of
+    `grid`: phi_weight under a signal, iota without one."""
+    t_left = grid.knots[: grid.index_T]
+    return config.insider.phi_weight(t_left) if config.insider.has_signal() else iota(config.market, t_left)
 
 
 def _drift_rows(grid: TimeGrid, insider: InsiderSpec) -> tuple[np.ndarray, np.ndarray]:

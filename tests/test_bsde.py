@@ -11,7 +11,6 @@ from insiderlab.analysis import value_no_insider_robust, value_small_insider_rob
 from insiderlab.bsde import (
     KNOT_HEADER,
     BsdeSolution,
-    SweepPaths,
     _backward_sweep,
     _controls,
     _driver,
@@ -87,18 +86,15 @@ class TestPiStarFunctional:
         mean, se = mean_se(np.sqrt(np.exp(log_pi_star(sweep_lsmc_flat, market))))
         assert abs(mean - math.exp(-IOTA_SQ / 8.0)) < 3.0 * se
 
-    def test_matches_whole_matrix_exponent(self, batch_small, sweep_small, market, insider):
-        # the step-by-step sum on the whole batch, transposed to knot-major,
-        # against the exponent built from the batch's phi
+    def test_matches_whole_matrix_exponent(self, batch_small, sweep_small, market):
+        # the step-by-step sum on the streamed sweep input against the
+        # exponent built from the whole batch's phi
         m = batch_small.grid.index_T
         t_left = batch_small.grid.knots[:m]
         phit = iota(market, t_left) + batch_small.phi
         expo = -(market.r(t_left) + 0.5 * phit**2) * batch_small.grid.dt[:m] - phit * batch_small.dWH
-        transposed = SweepPaths(grid=batch_small.grid, level=batch_small.level.T.copy(),
-                                dWH=batch_small.dWH.T.copy(), Y0=batch_small.Y0, insider=insider)
-        got = log_pi_star(transposed, market)
+        got = log_pi_star(sweep_small, market)
         np.testing.assert_allclose(got, expo.sum(axis=1), rtol=1e-12, atol=1e-14)
-        assert np.array_equal(log_pi_star(sweep_small, market), got)
 
 
 class TestLinearClosedForm:
@@ -173,7 +169,7 @@ class TestLinearClosedForm:
         knot = solve_linear_closed_form(paths, market)
         for i in range(m):
             y, z = knot(i)
-            expect = sig[i] * pi_small_insider_robust(market, paths.insider, paths.Y0, paths.level[i], t_left[i]) * y
+            expect = sig[i] * pi_small_insider_robust(market, paths.insider, paths.Y0, paths.level(i), t_left[i]) * y
             assert z.tobytes() == expect.tobytes(), i
         assert knot(m)[1] is None
 
@@ -309,10 +305,10 @@ class TestQuadraticLsmc:
         assert len(sweeps) == 1
         assert len(sol.trace) == 2
         assert not signals
-        # the design, the factors and the per-step rows take under half of
-        # dWH: a field over all knots (L, Z, a copy of level or dWH) would
-        # take at least one dWH
-        assert peak < paths.dWH.nbytes
+        # the design, the factors, the per-step rows and one chunk of the
+        # state take under dW: a field over all knots (L, Z, the whole state
+        # or dWH) would take at least one dW
+        assert peak < paths.dW.nbytes
 
     @pytest.mark.parametrize("insider_spec, varrho", [
         (InsiderSpec.none(), 0.0),
@@ -619,7 +615,7 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
     # one permutation leaves a plain np.mean unchanged about half the time
     for _ in range(8):
         perm = rng.permutation(n)
-        shuffled_paths = SweepPaths(grid=paths.grid, level=paths.level[:, perm],
-                                    dWH=paths.dWH[:, perm], Y0=paths.Y0[perm], insider=paths.insider)
+        shuffled_paths = replace(paths, dW=paths.dW[:, perm], checkpoints=paths.checkpoints[:, perm],
+                                 Y0=paths.Y0[perm])
         assert reports(Y[perm], Z[perm], shuffled_paths) == reports(Y, Z, paths)
         assert repr(shooting_residual(perm)) == repr(residual)

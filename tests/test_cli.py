@@ -205,6 +205,9 @@ class TestConfigParsing:
              "signal_level_finite"),
             ("forward-check", ["--forward-steps", "2"], None, "forward_steps_min"),
             ("forward-check", ["--forward-steps", "8"], None, "forward_steps_min"),
+            ("forward-check", ["--forward-paths", "0"], None, "forward_paths_min"),
+            ("figures", ["--with-bsde", "--bsde-paths", "0"], None, "bsde_paths_min"),
+            ("figures", ["--with-bsde", "--bsde-steps", "1"], None, "bsde_steps_min"),
             ("value", [], BASE_CFG + "n_steps_tail = 7\n", "config_key"),
             ("value", [], BASE_CFG + "[markt]\nr = 0.0\n", "config_key"),
             ("value", [], "[DEFAULT]\nseed = 3\n" + BASE_CFG, "config_key"),

@@ -9,16 +9,16 @@ import pytest
 from insiderlab import cli
 from insiderlab.bsde import (
     KNOT_HEADER,
-    SweepPaths,
     _controls,
     _phitilde,
+    _sweep_tiler,
     solve_linear_closed_form,
     solve_linear_lsmc,
     solve_quadratic_lsmc,
     stream_sweep_paths,
 )
 from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota, sigma_tilde
-from insiderlab.paths import _BLOCK, partial_signals, sample_paths
+from insiderlab.paths import _BLOCK, l2_rows, partial_signals, sample_paths
 from insiderlab.simulate import mean_se, ordered_mean
 
 MARKET = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
@@ -52,9 +52,10 @@ def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, 
             assert np.array_equal(streamed.Y0, batch.Y0)
         else:
             assert streamed.Y0 is None
-        assert np.array_equal(streamed.level, batch.level.T)
-        assert np.array_equal(streamed.dWH, batch.dWH.T)
-        assert streamed.level.flags.c_contiguous and streamed.dWH.flags.c_contiguous
+        assert streamed.dW.flags.c_contiguous and streamed.checkpoints.flags.c_contiguous
+        assert np.array_equal(streamed.dW, batch.dW[:, :m].T)
+        for i in range(m + 1):
+            assert np.array_equal(streamed.level(i), batch.level[:, i]), (market, i)
         # the drift formed from the state is information_drift's, bit for bit
         phitilde = _phitilde(streamed, market)
         iota_left = iota(market, t_left)
@@ -63,14 +64,40 @@ def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, 
             assert np.array_equal(np.broadcast_to(phitilde(i), (n_paths,)), expect), (market, i)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("insider", [NONE, UNIT, PIECEWISE], ids=["none", "unit", "piecewise"])
+@pytest.mark.parametrize("n_steps", [2, 3, 7, 8, 48, 50])
+def test_regenerated_rows_equal_the_whole_batch_in_any_order(n_steps, insider, threads):
+    # checkpoints every ceil(sqrt(m + 1)) knots, with m + 1 a multiple of
+    # that stride or not; JUMP adds a breakpoint knot to the grid.  The
+    # paths fill one RNG block and part of a second, and end mid-tile.
+    rng = np.random.default_rng(n_steps)
+    for market in (MARKET, JUMP):
+        config = config_of(insider, _BLOCK + 777, market, n_steps)
+        batch = sample_paths(config)
+        m = batch.grid.index_T
+        assert config.n_paths % l2_rows(m + 1)
+        level, dWH = batch.level.T, batch.dWH.T
+        for paths in (stream_sweep_paths(config, threads), sweep_paths_of(config, batch)):
+            backward, forward = range(m, -1, -1), range(m + 1)
+            for i in [*backward, *forward, *rng.permutation(m + 1), *rng.integers(0, m + 1, size=m)]:
+                assert paths.level(i).tobytes() == level[i].tobytes(), (market, i)
+                if i < m:
+                    assert paths.dWH(i).tobytes() == dWH[i].tobytes(), (market, i)
+                    assert not paths.level(i).flags.writeable and not paths.dWH(i).flags.writeable
+
+
+def sweep_paths_of(config, batch):
+    """The sweep input of the whole batch, through the stream's tile copy."""
+    paths, tile = _sweep_tiler(config, batch.grid)
+    tile(slice(None), batch)
+    return paths
+
+
 def whole_batch(config):
-    """The batch sample_paths(config) and its sweep input, transposed to
-    knot-major."""
+    """The batch sample_paths(config) and its knot-major sweep input."""
     batch = sample_paths(config)
-    insider = config.insider
-    paths = SweepPaths(grid=batch.grid, level=batch.level.T.copy(), dWH=batch.dWH.T.copy(),
-                       Y0=batch.Y0 if insider.has_signal() else None, insider=insider)
-    return batch, paths
+    return batch, sweep_paths_of(config, batch)
 
 
 def shot_tables(config, market, whole, whole_table):
@@ -176,21 +203,23 @@ def _peak_bytes(argv, tmp_path):
 
 @pytest.mark.parametrize("kind", ["enlargement", "none"])
 def test_bsde_quadratic_holds_about_two_path_sized_arrays(tmp_path, kind):
-    # state and dWH are two (n_paths x m) arrays; the design and the
-    # per-step rows add under two thirds of one.  A whole PathBatch, a whole
-    # L or Z or full controls would each add one or more.
+    # dW is one (n_paths x m) array, the checkpoints and one chunk of the
+    # state 12 rows; the design and the per-step rows add under two thirds
+    # of one.  A whole state, dWH, PathBatch, L or Z or full controls would
+    # each add one or more.
     n_paths, n_steps = 6 * _BLOCK, 40
     peak = _peak_bytes(["bsde-quadratic", "--kind", kind, "--n-paths", str(n_paths),
                         "--n-steps", str(n_steps), "--seed", "3"], tmp_path)
-    assert peak <= 3.0 * n_paths * (n_steps + 1) * 8
+    assert peak <= 2.5 * n_paths * (n_steps + 1) * 8
 
 
 @pytest.mark.parametrize("kind", ["enlargement", "none"])
 def test_bsde_linear_holds_about_two_path_sized_arrays(tmp_path, kind):
-    # state and dWH are two (n_paths x m) arrays; the sweep, the oracle and
-    # the reductions hold rows only.  A whole Y or Z, of the solve or of
-    # the oracle, would add one.
+    # dW is one (n_paths x m) array, the checkpoints and one chunk of the
+    # state 12 rows; the sweep, the oracle and the reductions hold rows
+    # only.  A whole state or dWH, or a whole Y or Z of the solve or of the
+    # oracle, would add one.
     n_paths, n_steps = 6 * _BLOCK, 40
     peak = _peak_bytes(["bsde-linear", "--kind", kind, "--n-paths", str(n_paths),
                         "--n-steps", str(n_steps), "--seed", "3"], tmp_path)
-    assert peak <= 3.0 * n_paths * (n_steps + 1) * 8
+    assert peak <= 2.5 * n_paths * (n_steps + 1) * 8
