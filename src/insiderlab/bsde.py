@@ -26,21 +26,19 @@ In log coordinates both drivers belong to one family, built by one function:
 f = z (a z + b phitilde) + c phitilde^2 - r, with (a, b, c) = (1/2, -1, 0)
 for the linear equation in (ln X, z / X) and rows in sigma, sigma_tilde for f_Q.
 
-Both numerical solvers are explicit backward Euler schemes with conditional
-expectations estimated by polynomial least-squares regression on the Markov
-state: int_0^t iota dW without a signal, and the running signal B_t plus
-the signal Y0 under enlargement.  Their input, SweepPaths, stores the
-increments dW and the state at about every sqrt(m)-th of the m + 1 knots;
-a pass over the knots regenerates the other state rows a chunk at a time
-and dWH a row at a time, with the bytes of a whole batch (checkpointing:
-Griewank & Walther, ACM TOMS 26(1), 2000).  Each step's design is
-regressed on as built; only its small Gram matrix is equilibrated.  The
-sweep holds two rows of the value and one of the control, and hands each
-knot's rows to an observer once it is done with them, so a caller reduces
-the solution knot by knot: neither solver holds a field over all knots,
-and the quadratic shot moves every knot by one per-path row.  A solve
-whose values overflow ends in a ValidationError (`solution_finite`), not in
-nan cells.
+Both numerical solvers are explicit backward Euler schemes with regression
+later on the Markov state (int_0^t iota dW without a signal; the running
+signal B_t and the signal Y0 under enlargement): each knot's value is fitted
+once on a degree-2 basis of its own state, and both conditional expectations
+of a step are taken from that fit exactly, by the Gaussian one-step law of
+the state.  Their input, SweepPaths, stores the increments dW and the state
+at about every sqrt(m)-th knot, and regenerates the other state rows a chunk
+at a time and dWH a row at a time, with the bytes of a whole batch
+(checkpointing: Griewank & Walther, ACM TOMS 26(1), 2000).  The sweep hands
+each knot's rows to an observer once it has fitted them, so neither solver
+holds a field over all knots, and the quadratic shot moves every knot by one
+per-path row.  A solve whose values overflow ends in a ValidationError
+(`solution_finite`), not in nan cells.
 """
 
 from __future__ import annotations
@@ -384,8 +382,11 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
 
 # -- least-squares regression machinery ------------------------------------------
 
-# total degree of the regression basis in the Markov state
-_BASIS_ORDER = 3
+# total degree of the regression basis in the Markov state, at which the
+# family is closed (see _backward_sweep) and _gaussian_moments is written out
+_BASIS_ORDER = 2
+# paths per partial sum of the sweep's cross-path products, which stays in cache
+_PARTIAL = 4096
 # degree of the shot terminal c2(Y0) under enlargement; the exact one is
 # quadratic for constant coefficients and unit signal weight
 _TERMINAL_DEGREE = 2
@@ -405,6 +406,44 @@ def _monomials(rows: np.ndarray, x: np.ndarray, y: np.ndarray | None, order: int
         start = nxt
 
 
+def _gaussian_moments(kappa, w, c, signal: bool) -> np.ndarray:
+    """The one-step Gaussian law of the state s = (x, y) as maps (..., 2,
+    k, k) on the degree-2 basis p of _monomials, for the broadcast rows
+    kappa, w, c: given s, with xi ~ N(0, 1),
+
+        x' = x + kappa (y - x) + w sqrt(c) xi,   y' = y,   dWH = sqrt(c) xi,
+        M p(s) = E[p(s') | s],   N p(s) = E[p(s') dWH | s] = w c E[d_x p(s') | s]
+
+    (Stein's lemma).  With mu = x + kappa (y - x), p = (1, x, y, x^2, xy,
+    y^2) has E[p(s') | s] = (1, mu, y, mu^2 + w^2 c, mu y, y^2) and d_x p =
+    (0, 1, 0, 2x, y, 0).  Without a signal kappa = 0 and p = (1, x, x^2)."""
+    kappa, w, c = np.broadcast_arrays(kappa, w, c)
+    a, g = 1.0 - kappa, w * c
+    maps = np.zeros(kappa.shape + (2, 6, 6))
+    M, N = maps[..., 0, :, :], maps[..., 1, :, :]
+    M[..., 0, 0] = M[..., 2, 2] = M[..., 5, 5] = 1.0
+    M[..., 1, 1], M[..., 1, 2] = a, kappa
+    M[..., 3, 0], M[..., 3, 3], M[..., 3, 4], M[..., 3, 5] = w * g, a * a, 2.0 * a * kappa, kappa * kappa
+    M[..., 4, 4], M[..., 4, 5] = a, kappa
+    for row, prime, factor in ((1, 0, 1.0), (3, 1, 2.0), (4, 2, 1.0)):  # d_x: x -> 1, x^2 -> 2x, xy -> y
+        N[..., row, :] = (factor * g)[..., None] * M[..., prime, :]
+    basis = slice(None) if signal else [0, 1, 3]
+    return maps[..., basis, :][..., basis]
+
+
+def _step_moments(paths: SweepPaths) -> np.ndarray:
+    """(index_T, 2, k, k): M_i and N_i / dt_i of _gaussian_moments on step i
+    of the sweep input, where the state moves by w_i dW_i, and dW_i given
+    s_i has mean phi_i dt_i (signal_drift's) and variance c_i = dt_i (1 -
+    kappa_i), kappa_i = w_i^2 dt_i / ||phi_w||^2_[t_i,T0] (0 without a signal)."""
+    grid, w, signal = paths.grid, paths.weight, paths.Y0 is not None
+    # signal_drift at y - x = 1 is w_i / ||phi_w||^2_[t_i,T0]
+    kappa = w * grid.dt * signal_drift(grid, paths.insider)(1.0, 0.0) if signal else 0.0
+    maps = _gaussian_moments(kappa, w, grid.dt * (1.0 - kappa), signal)
+    maps[:, 1] /= grid.dt[:, None, None]
+    return maps
+
+
 def _require_finite(what: str, *values) -> None:
     """The LSMC solvers' one finiteness check: ValidationError
     `solution_finite` when any of the arrays or scalars holds a nan or an
@@ -413,10 +452,11 @@ def _require_finite(what: str, *values) -> None:
         raise ValidationError("solution_finite", f"{what} is not a finite float")
 
 
-def _factor(design: np.ndarray, t: float) -> np.ndarray:
+def _factor(design: np.ndarray, t: float, gram: np.ndarray | None = None) -> np.ndarray:
     """G^-1 for the Gram matrix G = design @ design.T of the (k, n_paths)
-    design as built, and 0 on its zero rows (RMS over paths <= 1e-12); the
-    design is not written.  Fitted values of y are  G^-1 (design @ y) @ design.
+    design as built (`gram` when the caller has formed it), and 0 on its zero
+    rows (RMS over paths <= 1e-12); the design is not written.  Fitted values
+    of y are  G^-1 (design @ y) @ design.
 
     G is equilibrated by its own diagonal, S G S with S = diag(G)^(-1/2) on
     the nonzero rows, which is within a factor k of the best diagonal
@@ -425,7 +465,7 @@ def _factor(design: np.ndarray, t: float) -> np.ndarray:
     Stability of Numerical Algorithms, ch. 10): the rank counts its
     eigenvalues above that fraction of the largest.  A design whose powers
     overflow gives a G that is not finite, refused as `solution_finite`."""
-    gram = design @ design.T
+    gram = design @ design.T if gram is None else gram
     _require_finite(f"the regression Gram matrix at t={t}", gram)
     sum_sq = np.diag(gram)
     keep = sum_sq > 1e-24 * design.shape[1]
@@ -444,45 +484,45 @@ def _factor(design: np.ndarray, t: float) -> np.ndarray:
     return inv_gram
 
 
-def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.ndarray, np.ndarray | None]:
-    """One explicit backward Euler pass with regression (Gobet, Lemor & Warin):
+def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.ndarray, np.ndarray]:
+    """One explicit backward Euler pass with regression later (Glasserman &
+    Yu, MCQMC 2002; Bender & Steiner, Numerical Methods in Finance, 2012):
 
-        Z_i = E[(L_{i+1} - E[L_{i+1}|s_i]) dWH_i | s_i] / dt_i,
-        L_i = E[L_{i+1}|s_i] + driver(i, Z_i) dt_i,     L_m = terminal,
+        L_{i+1} ~ alpha . p(s_{i+1}),  least squares on knot i + 1's basis,
+        Z_i = E[L_{i+1} dWH_i | s_i] / dt_i = (w_i c_i / dt_i) E[d_x L_{i+1} | s_i],
+        L_i = E[L_{i+1} | s_i] + driver(i, Z_i) dt_i,     L_m = terminal,
 
-    on the basis of all monomials of total degree <= _BASIS_ORDER in the
-    state s_i (paths.level(i), plus the signal if any), factored once per
-    step.  Two L rows and one Z row are held: observe(i, L_i, Z_i) is called
-    for i = index_T, ..., 0 (Z_index_T = None) once the sweep no longer
-    reads knot i, and the rows are then reused, so an observer reduces a row
-    or copies what it keeps; it may write the rows in place.  Returns the
-    rows of knot 0 as the observer left them.
+    with p the monomials of degree <= _BASIS_ORDER in the state s_i
+    (paths.level(i), plus the signal if any).  Both expectations are exact
+    for the fitted polynomial: alpha @ _step_moments(paths)[i], evaluated on
+    knot i's basis in one product.  At degree 2 the family is closed (Z is
+    affine, so the drivers keep L quadratic) and every fit but the
+    terminal's is exact to rounding.  Each knot's basis is built once; one
+    product of the rows [basis; L_i], summed _PARTIAL paths at a time, gives
+    its Gram and basis @ L_i.  observe(i, L_i, Z_i) is called for
+    i = index_T, ..., 0 (Z_index_T = None) once knot i is fitted; the rows
+    are then reused, so an observer reduces or copies them, and may write
+    them in place.  Returns copies of knot 0's rows as the observer left them.
     """
-    grid = paths.grid
-    m, n = grid.index_T, paths.n_paths
-    signal = paths.Y0
-    k = _BASIS_ORDER + 1
-    n_rows = k if signal is None else k * (k + 1) // 2
-    design = np.empty((n_rows, n))
-
-    l_next, l_hat = np.empty(n), np.empty(n)
-    l_next[:] = terminal
-    z, z_row, resid = None, np.empty(n), np.empty(n)
-    for i in range(m - 1, -1, -1):
-        _monomials(design, paths.level(i), signal, _BASIS_ORDER)
-        inv_gram = _factor(design, grid.knots[i])
-        np.matmul(inv_gram @ (design @ l_next), design, out=l_hat)
-        np.subtract(l_next, l_hat, out=resid)
-        resid *= paths.dWH(i)
-        observe(i + 1, l_next, z)  # knot i + 1 is read no more
-        z = np.matmul(inv_gram @ (design @ resid), design, out=z_row)
-        z /= grid.dt[i]
-        step = driver(i, z)
-        step *= grid.dt[i]
-        l_hat += step
-        l_next, l_hat = l_hat, l_next
-    observe(0, l_next, z)
-    return l_next, z
+    grid, signal, m = paths.grid, paths.Y0, paths.grid.index_T
+    maps = _step_moments(paths)
+    k = maps.shape[-1]
+    rows = np.empty((k + 2, paths.n_paths))  # a knot's basis, then L and Z there
+    design, l, z = rows[:k], rows[k], rows[k + 1]
+    l[:] = terminal
+    _monomials(design, paths.level(m), signal, _BASIS_ORDER)
+    for i in range(m, 0, -1):
+        cross = sum(rows[: k + 1, lo : lo + _PARTIAL] @ design[:, lo : lo + _PARTIAL].T
+                    for lo in range(0, paths.n_paths, _PARTIAL))
+        alpha = _factor(design, grid.knots[i], cross[:k]) @ cross[k]
+        observe(i, l, z if i < m else None)  # knot i is read no more
+        _monomials(design, paths.level(i - 1), signal, _BASIS_ORDER)
+        np.matmul(alpha @ maps[i - 1], design, out=rows[k:])
+        step = driver(i - 1, z)
+        step *= grid.dt[i - 1]
+        l += step
+    observe(0, l, z)
+    return l.copy(), z.copy()
 
 
 def _driver(paths: SweepPaths, market: MarketParams, a, b, c):

@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 import warnings
@@ -6,19 +7,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 
-from insiderlab.analysis import value_no_insider_robust, value_small_insider_robust
+from insiderlab.analysis import value_no_insider_robust, value_of, value_small_insider_robust
 from insiderlab.bsde import (
+    _BASIS_ORDER,
+    _TERMINAL_DEGREE,
     KNOT_HEADER,
     BsdeSolution,
     _backward_sweep,
     _controls,
     _driver,
     _factor,
+    _gaussian_moments,
     _monomials,
     _phitilde,
     _projected_mismatch,
     _quadratic_driver,
+    _step_moments,
     RegressionError,
     enlargement_normalizer,
     initial_controls,
@@ -29,9 +35,9 @@ from insiderlab.bsde import (
     stream_sweep_paths,
     value_from_bsde,
 )
-from insiderlab.cli import _linear_report, _quadratic_report
+from insiderlab.cli import _linear_report, _quadratic_report, main
 from insiderlab.model import (InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, ValidationError, iota,
-                              sigma_tilde)
+                              phi_norm_sq, sigma_tilde)
 from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.simulate import mean_se, ordered_mean, simulate_wealth
 from insiderlab.strategies import StrategyKind, StrategyProfile, build_profile, pi_small_insider_robust, run_out
@@ -352,7 +358,7 @@ class TestQuadraticLsmc:
         np.testing.assert_allclose(Z1, Z0, rtol=0, atol=1e-12)
 
     def test_rank_deficient_design_raises(self, market, insider):
-        # 4 paths cannot fit the 10 monomials of the regression basis
+        # 4 paths cannot fit the 6 monomials of the regression basis
         cfg = ScenarioConfig(market=market, insider=insider, n_steps=10, n_paths=4, seed=3)
         with pytest.raises(RegressionError) as err:
             solve_quadratic_lsmc(stream_sweep_paths(cfg), market)
@@ -504,6 +510,120 @@ class TestRegressionEngine:
         for i in (0, 25, sweep_small.grid.index_T - 1):
             lead = 0.5 * (f(i, one) + f(i, -one) - 2.0 * f(i, 0.0 * one))
             np.testing.assert_allclose(lead, st / (2.0 * (0.35 + st)), rtol=0, atol=1e-12)
+
+
+def basis_at(x, y, signal):
+    """The regression basis p(s) at the one state s = (x, y)."""
+    p = np.empty((6 if signal else 3, 1))
+    _monomials(p, np.array([x]), np.array([y]) if signal else None, _BASIS_ORDER)
+    return p[:, 0]
+
+
+def quadrature_moments(kappa, w, c, x, y, signal):
+    """E[p(s') | s] and E[p(s') dWH | s] by Gauss-Hermite quadrature of
+    x' = x + kappa (y - x) + w dWH, y' = y, dWH = sqrt(c) xi (exact for these
+    degree-3 integrands at 8 nodes), and their scales E|p(s')| and
+    E|p(s') dWH|, plus the smallest normal float."""
+    nodes, weights = hermegauss(8)
+    weights = weights / weights.sum()
+    dwh = math.sqrt(c) * nodes
+    p = np.empty((6 if signal else 3, len(nodes)))
+    _monomials(p, x + kappa * (y - x) + w * dwh, np.full(len(nodes), y) if signal else None, _BASIS_ORDER)
+    tiny = np.finfo(float).tiny  # products in the subnormal range keep no relative precision
+    return p @ weights, p @ (weights * dwh), np.abs(p) @ weights + tiny, np.abs(p) @ (weights * np.abs(dwh)) + tiny
+
+
+class TestRegressionLater:
+    @settings(max_examples=300, deadline=None)
+    @given(kappa=st.floats(0.0, 1.0, exclude_max=True), w=st.floats(-3.0, 3.0).filter(lambda u: abs(u) > 1e-3),
+           c=st.floats(1e-4, 2.0), x=st.floats(-5.0, 5.0), y=st.floats(-5.0, 5.0), signal=st.booleans())
+    @example(kappa=0.0, w=1.0, c=1.0, x=0.0, y=5e-324, signal=True)
+    def test_moment_maps_match_quadrature(self, kappa, w, c, x, y, signal):
+        # M p(s) = E[p(s') | s] and N p(s) = E[p(s') dWH | s] for every basis
+        # monomial, with v = w^2 c and g = w c; without a signal kappa = 0
+        kappa = kappa if signal else 0.0
+        M, N = _gaussian_moments(kappa, w, c, signal)
+        p = basis_at(x, y, signal)
+        e_p, e_p_dwh, scale, scale_dwh = quadrature_moments(kappa, w, c, x, y, signal)
+        assert np.all(np.abs(M @ p - e_p) <= 1e-12 * scale)
+        assert np.all(np.abs(N @ p - e_p_dwh) <= 1e-12 * scale_dwh)
+
+    @pytest.mark.parametrize("insider_spec", [
+        InsiderSpec.none(),
+        InsiderSpec.enlargement(T0=2.0),
+        InsiderSpec.enlargement(T0=1.5, phi_weight=PiecewiseConstant((0.0, 0.5), (1.0, 3.0))),
+    ], ids=["none", "unit", "piecewise"])
+    def test_step_moments_are_the_one_step_law_of_the_sweep_input(self, insider_spec):
+        # kappa_i = w_i^2 dt_i / ||phi_w||^2_[t_i,T0] and c_i = dt_i (1 -
+        # kappa_i), from the state's weights; N_i is divided by dt_i
+        mk = MarketParams(r=PiecewiseConstant((0.0, 0.3), (0.0, 0.02)), mu0=0.15, sigma=0.35, varrho=0.0,
+                          T=1.0, X0=1.0)
+        paths = stream_sweep_paths(ScenarioConfig(market=mk, insider=insider_spec, n_steps=10, n_paths=8, seed=2))
+        grid, w, signal = paths.grid, paths.weight, paths.Y0 is not None
+        dt = grid.dt
+        t_left = grid.knots[: grid.index_T]
+        kappa = w**2 * dt / phi_norm_sq(insider_spec, t_left, float(insider_spec.T0)) if signal else 0.0 * dt
+        maps = _step_moments(paths)
+        assert maps.shape == (grid.index_T, 2, 6 if signal else 3, 6 if signal else 3)
+        for i in range(grid.index_T):
+            for x, y in ((0.3, -1.2), (2.0, 0.5)):
+                p = basis_at(x, y, signal)
+                e_p, e_p_dwh, scale, scale_dwh = quadrature_moments(kappa[i], w[i], dt[i] * (1.0 - kappa[i]),
+                                                                    x, y, signal)
+                assert np.all(np.abs(maps[i, 0] @ p - e_p) <= 1e-12 * scale)
+                assert np.all(np.abs(maps[i, 1] @ p * dt[i] - e_p_dwh) <= 1e-12 * scale_dwh)
+
+    def test_terminal_basis_lies_in_the_regression_basis(self):
+        # the exact one-sweep shot adds a polynomial of the signal to L at
+        # every knot, which needs its monomials in every knot's basis
+        assert _TERMINAL_DEGREE <= _BASIS_ORDER
+
+    @pytest.mark.parametrize("insider_spec, varrho", [
+        (InsiderSpec.enlargement(T0=2.0), 0.0),
+        (InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.5), (1.0, 3.0))), 0.030625),
+    ], ids=["unit", "piecewise-impact"])
+    def test_closed_family_fits_are_exact_at_every_interior_knot(self, insider_spec, varrho):
+        # the quadratic equation: with a quadratic fit at knot i + 1, Z_i is
+        # affine and L_i a quadratic polynomial of the state at knot i, so a
+        # least-squares fit of it leaves only rounding
+        mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
+        paths = stream_sweep_paths(ScenarioConfig(market=mk, insider=insider_spec, n_steps=20, n_paths=4000, seed=5))
+        m, n = paths.grid.index_T, paths.n_paths
+        misfit = {}
+
+        def observe(i, l, z):
+            if 0 < i < m:
+                design = np.empty((6, n))
+                _monomials(design, paths.level(i), paths.Y0, _BASIS_ORDER)
+                coef, *_ = np.linalg.lstsq(design.T, l, rcond=None)
+                misfit[i] = float(np.max(np.abs(l - coef @ design)) / np.max(np.abs(l)))
+
+        solve_quadratic_lsmc(paths, mk, observe)
+        assert sorted(misfit) == list(range(1, m))
+        assert max(misfit.values()) < 1e-12
+
+    def test_informed_linear_y0_scatter_across_seeds_is_small(self, market, insider):
+        # the seed-to-seed scatter of the informed Y0 is regression noise,
+        # which exact conditional moments take out; the time bias stays
+        errors = []
+        for seed in range(1, 9):
+            paths = stream_sweep_paths(ScenarioConfig(market=market, insider=insider, n_steps=50,
+                                                      n_paths=20_000, seed=seed))
+            errors.append(solve_linear_lsmc(paths, market).y0_mean / market.X0 - 1.0)
+        assert max(errors) - min(errors) < 0.0025
+
+    @pytest.mark.parametrize("mu", [5.0, 20.0])
+    def test_quadratic_value_at_large_iota_is_near_the_exact_value(self, tmp_path, mu):
+        # varrho = 0, so the small robust insider's closed form is the exact
+        # value; 1.5% covers the first-order time error at 50 steps
+        out = tmp_path / "out"
+        assert main(["bsde-quadratic", "--mu", str(mu), "--n-paths", "2000", "--n-steps", "50", "--seed", "1",
+                     "--out", str(out)]) == 0
+        with open(out / "bsde_quadratic_value.csv", newline="") as fh:
+            report = next(csv.DictReader(fh))
+        mk = MarketParams(r=0.0, mu0=mu, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
+        exact = value_of(StrategyKind.SMALL_INSIDER_ROBUST, mk, InsiderSpec.enlargement(T0=2.0)).total
+        assert abs(float(report["value"]) - exact) <= 0.015 * exact + 4.0 * float(report["value_se"])
 
 
 class TestRecoverControls:
