@@ -199,12 +199,13 @@ def _cmd_value(args, config: ScenarioConfig):
 
 
 def _regime(args, config: ScenarioConfig, pi_factor: float = 1.0):
-    """The regime, the market it trades in and its profile of a tile of paths."""
+    """The regime, the market it trades in and its profile of a tile of paths,
+    built in the stream's rows `out`."""
     kind = StrategyKind(args.regime or _default_regime(config))
     market = market_for(kind, config.market)
 
-    def profile_of(batch):
-        profile = build_profile(kind, batch, market, config.insider)
+    def profile_of(batch, out):
+        profile = build_profile(kind, batch, market, config.insider, out)
         return profile if pi_factor == 1.0 else profile.scaled(pi_factor=pi_factor)
 
     return kind, market, profile_of

@@ -17,6 +17,7 @@ of the grid steps, consistent with left-continuous controls.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -131,9 +132,9 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
 @dataclass(frozen=True)
 class PathBatch:
     """Simulated paths: the whole ensemble from sample_paths, or one tile of
-    stream_paths.  A tile's arrays are views of its block's buffers, which
-    the next tile overwrites, so a tile is valid only during the call that
-    receives it.
+    stream_paths.  A tile's arrays are views of its worker's buffers, which
+    the worker's next tile overwrites, so a tile is valid only during the
+    call that receives it.
 
     dW    : (n_paths, index_T) Brownian increments on [0, T]; with a signal,
             one more column holds the tail Y0 - B_T = int_T^T0 phi_weight dW.
@@ -260,14 +261,18 @@ def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1) -
     of sample_paths(config) bit for bit.  A tile is l2_rows(index_T + 1)
     consecutive paths of one RNG block, or the block's rest, so each path
     array of a tile stays within _L2_BYTES and in a core's L2.  Each block
-    draws its tiles in order from one generator into one buffer set, so a
-    tile is valid only during its call: fn copies or reduces what it keeps.
-    The path arrays held do not grow with n_paths."""
+    draws its tiles in order from its own generator; each worker draws every
+    tile it runs into one buffer set, made on its first tile and kept for
+    the whole stream, so a tile is valid only during its call: fn copies or
+    reduces what it keeps.  The path arrays held do not grow with n_paths."""
     fill, seed, step = _filler(config, grid), int(config.seed), l2_rows(grid.index_T + 1)
+    worker = threading.local()
 
     def run(block: int, rows: slice) -> None:
-        gen = _generator(seed, block)
-        buffers = _allocate(grid, config.insider, min(step, rows.stop - rows.start))
+        gen, n = _generator(seed, block), min(step, rows.stop - rows.start)
+        buffers = getattr(worker, "buffers", None)
+        if buffers is None or buffers.n_paths < n:
+            buffers = worker.buffers = _allocate(grid, config.insider, n)
         for lo in range(rows.start, rows.stop, step):
             hi = min(lo + step, rows.stop)
             tile = _rows(buffers, slice(0, hi - lo))

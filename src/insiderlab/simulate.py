@@ -16,24 +16,35 @@ per-path values before the next is drawn, and pass the collected per-path
 vectors once to `estimate_J`, `entropy_identity_check` and
 `martingale_diagnostic`, which see only per-path values.  A whole batch
 from `sample_paths` through the same kernels gives the same bytes, while
-the streams hold only one tile of paths per worker.
+the streams hold only one tile of paths per worker.  Each worker of a
+stream also keeps one workspace, made on its first tile: the two profile
+rows `build_profile` writes to (`profile_of(batch, out)`) and the flat work
+row of the kernels, so no tile allocates a path-sized array.
 
 The kernels build only what the estimators read: the terminal log-wealth
 (`simulate_wealth`), the log-density at every knot (`simulate_density`,
 whose left-point values the penalty reads) and one increment sum per
 checkpoint.  Their step terms come from per-step coefficient rows (r dt,
 (mu0 - r) dt, sigma and the varrho dt terms) evaluated once per grid, and
-each kernel works in one path-sized buffer at a time.
+each kernel works in one path-sized buffer at a time: a new one, or the
+optional `work` row, a flat float array of at least n_paths * (index_T + 1)
+entries.
+
+The streams run with numpy's float warnings off; a per-path log-density,
+per-path value, mean or standard error that is not a finite float is
+refused as a ValidationError (`estimate_finite`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MarketParams, ScenarioConfig, validate
+from .model import MarketParams, ScenarioConfig, ValidationError, validate
 from .paths import PathBatch, build_grid, stream_paths
 from .strategies import StrategyProfile
 
@@ -55,6 +66,11 @@ __all__ = [
 ]
 
 
+# numpy's float warnings off, for kernels and reductions whose results are
+# checked for finiteness instead
+_quiet = functools.partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
+
+
 def ordered_mean(x: np.ndarray) -> float:
     """Order-insensitive sample mean of a 1-d array."""
     return float(np.sort(x).sum()) / len(x)
@@ -67,8 +83,26 @@ def mean_se(x: np.ndarray) -> tuple[float, float]:
     m = float(x.sum()) / n
     if n < 2:
         return m, 0.0
-    var = float(np.square(x - m).sum()) / (n - 1)
+    x -= m  # the sorted copy is this function's own
+    var = float(np.square(x, out=x).sum()) / (n - 1)
     return m, math.sqrt(var / n)
+
+
+def _require_finite(what: str, *values) -> None:
+    """ValidationError `estimate_finite` when any of the arrays or scalars
+    holds a nan or an infinity."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValidationError("estimate_finite", f"{what} is not a finite float")
+
+
+def _estimate(what: str, x: np.ndarray) -> tuple[float, float]:
+    """mean_se of the per-path values x of `what`, refused as
+    `estimate_finite` unless the mean and the SE are finite, as they are not
+    when a value is not."""
+    with _quiet():
+        mean, se = mean_se(x)
+    _require_finite(f"the mean or standard error of the {what}", mean, se)
+    return mean, se
 
 
 @dataclass(frozen=True)
@@ -131,7 +165,13 @@ def _coefficient_rows(grid, market: MarketParams):
     return grid.once(("coefficients", market), build)
 
 
-def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketParams) -> np.ndarray:
+def _rows(work, n: int, width: int) -> np.ndarray:
+    """An (n, width) array: a new one, or the first n * width entries of
+    the flat work row `work`."""
+    return np.empty((n, width)) if work is None else work[: n * width].reshape(n, width)
+
+
+def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketParams, work=None) -> np.ndarray:
     """Terminal log-wealth ln X_T (n_paths,) by the exact log-Euler step of the
     wealth dynamics under the original measure,
 
@@ -143,12 +183,14 @@ def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketPa
 
         ln X_T = ln X0 + sum_i r dt + sum_i pi (c pi + b) + sum_i pi sigma dW,
         b = (mu0 - r) dt,  c = (varrho - sigma^2/2) dt.
+
+    The buffer is `work`'s memory when given.
     """
     _check_grid(batch, profile)
     m = batch.grid.index_T
     sig, r_dt, b, c, _ = _coefficient_rows(batch.grid, market)
     pi = profile.pi
-    steps = np.multiply(pi, c, out=np.empty((batch.n_paths, m)))
+    steps = np.multiply(pi, c, out=_rows(work, batch.n_paths, m))
     steps += b
     steps *= pi
     log_x = np.sum(steps, axis=1)
@@ -159,14 +201,14 @@ def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketPa
     return log_x
 
 
-def simulate_density(batch: PathBatch, profile: StrategyProfile) -> np.ndarray:
+def simulate_density(batch: PathBatch, profile: StrategyProfile, work=None) -> np.ndarray:
     """log of the exponential density of the distorted measure, logE
     (n_paths, index_T + 1) at every knot of [0, T]:
     dln(eps) = theta dWH - theta^2/2 dt, formed as theta (dWH - theta dt/2)
-    and summed in place in the result."""
+    and summed in place in the result, which lies in `work` when given."""
     _check_grid(batch, profile)
     m = batch.grid.index_T
-    logE = np.empty((batch.n_paths, m + 1))
+    logE = _rows(work, batch.n_paths, m + 1)
     logE[:, 0] = 0.0
     incr = np.multiply(profile.theta, 0.5 * batch.grid.dt, out=logE[:, 1:])
     np.subtract(batch.dWH, incr, out=incr)
@@ -176,19 +218,22 @@ def simulate_density(batch: PathBatch, profile: StrategyProfile) -> np.ndarray:
 
 
 def game_terms(
-    batch: PathBatch, profile: StrategyProfile, market: MarketParams
+    batch: PathBatch, profile: StrategyProfile, market: MarketParams, work=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-path (J term, penalty, relative entropy) of `batch` under `profile`:
 
         eps_T ln X_T + int eps_s theta_s^2/2 ds,  int eps_s theta_s^2/2 ds,  eps_T ln eps_T,
 
-    with left-point eps and theta in the penalty.
+    with left-point eps and theta in the penalty; a log-density at T that is
+    not finite is refused as `estimate_finite`.
     """
-    logE = simulate_density(batch, profile)
+    logE = simulate_density(batch, profile, work)
     log_eps_T = logE[:, -1].copy()
+    _require_finite("a per-path log-density at T", log_eps_T)
     # the penalty integrand overwrites the left-point log-density it is made
-    # from, and logE is dropped before simulate_wealth takes its buffer, so
-    # one path-sized array at a time is live beside the paths and their profile
+    # from, and logE is dropped before simulate_wealth takes its buffer (the
+    # same `work`), so one path-sized array at a time is live beside the
+    # paths and their profile
     integrand = np.exp(logE[:, :-1], out=logE[:, :-1])
     integrand *= profile.theta
     integrand *= profile.theta
@@ -196,13 +241,13 @@ def game_terms(
     penalty = np.sum(integrand, axis=1)
     del logE, integrand
     eps_T = np.exp(log_eps_T)
-    return eps_T * simulate_wealth(batch, profile, market) + penalty, penalty, eps_T * log_eps_T
+    return eps_T * simulate_wealth(batch, profile, market, work) + penalty, penalty, eps_T * log_eps_T
 
 
 def estimate_J(j_terms: np.ndarray) -> JEstimate:
     """Game functional J = E[eps_T ln X_T + int eps_s theta_s^2/2 ds] from its
     per-path terms."""
-    mean, se = mean_se(j_terms)
+    mean, se = _estimate("J term", j_terms)
     return JEstimate(mean=mean, std_error=se, n_paths=len(j_terms))
 
 
@@ -210,22 +255,46 @@ def entropy_identity_check(penalty: np.ndarray, entropy: np.ndarray) -> EntropyC
     """Monte-Carlo check that the accumulated penalty equals the relative
     entropy E[eps_T ln eps_T] of the distorted measure, from the per-path
     penalty and eps_T ln eps_T."""
-    return EntropyCheck(*mean_se(penalty), *mean_se(entropy), *mean_se(penalty - entropy))
+    lhs, rhs = _estimate("penalty", penalty), _estimate("relative entropy", entropy)
+    with _quiet():
+        gap = penalty - entropy
+    return EntropyCheck(*lhs, *rhs, *_estimate("entropy gap", gap))
+
+
+def _stream(config: ScenarioConfig, grid, kernel, threads: int) -> None:
+    """stream_paths over `grid`, calling kernel(rows, batch, out, work) with
+    numpy's float warnings off and the calling worker's own workspace: the
+    two (n, index_T) profile rows `out` that build_profile writes to and the
+    flat work row of the per-path kernels, made on the worker's first tile
+    (again only for a larger one) and kept for the whole stream."""
+    m, worker = grid.index_T, threading.local()
+
+    def tile(rows: slice, batch: PathBatch) -> None:
+        n = batch.n_paths
+        space = getattr(worker, "space", None)
+        if space is None or len(space[0]) < n:
+            space = worker.space = (np.empty((n, m)), np.empty((n, m)), np.empty(n * (m + 1)))
+        pi, theta, work = space
+        with _quiet():
+            kernel(rows, batch, (pi[:n], theta[:n]), work)
+
+    stream_paths(config, grid, tile, threads)
 
 
 def stream_game(
     config: ScenarioConfig, profile_of, market: MarketParams, threads: int = 1
 ) -> tuple[JEstimate, EntropyCheck]:
     """estimate_J and entropy_identity_check of sample_paths(config) under the
-    profile `profile_of(batch)`, one tile of paths at a time."""
+    profile `profile_of(batch, out)`, one tile of paths at a time, where
+    `out` is build_profile's rows in the worker's workspace."""
     validate(config)
     n = config.n_paths
     j_terms, penalty, entropy = np.empty(n), np.empty(n), np.empty(n)
 
-    def tile(rows: slice, batch: PathBatch) -> None:
-        j_terms[rows], penalty[rows], entropy[rows] = game_terms(batch, profile_of(batch), market)
+    def tile(rows: slice, batch: PathBatch, out, work) -> None:
+        j_terms[rows], penalty[rows], entropy[rows] = game_terms(batch, profile_of(batch, out), market, work)
 
-    stream_paths(config, build_grid(config), tile, threads)
+    _stream(config, build_grid(config), tile, threads)
     return estimate_J(j_terms), entropy_identity_check(penalty, entropy)
 
 
@@ -242,6 +311,7 @@ def weighted_increments(
     profile: StrategyProfile,
     market: MarketParams,
     checkpoints: list[tuple[float, float]],
+    work=None,
 ) -> np.ndarray:
     """Per-path eps_T (m_{t+h} - m_t) of the optimality martingale
 
@@ -251,15 +321,20 @@ def weighted_increments(
     are summed in turn in one buffer, from per-step coefficient rows:
 
         dm = pi (2 varrho - sigma^2) dt + (mu0 - r) dt + sigma dW.
+
+    The log-density and then the step terms lie in `work` when given; a
+    log-density at T that is not finite is refused as `estimate_finite`.
     """
     _check_grid(batch, profile)
     grid = batch.grid
     spans = grid.once(("spans", tuple(checkpoints)),
                       lambda: [(grid.index_of(t), grid.index_of(t + h)) for t, h in checkpoints])
     m = grid.index_T
-    eps_T = np.exp(simulate_density(batch, profile)[:, -1])
+    log_eps_T = simulate_density(batch, profile, work)[:, -1]
+    _require_finite("a per-path log-density at T", log_eps_T)
+    eps_T = np.exp(log_eps_T)
     sig, _, b, _, c = _coefficient_rows(grid, market)
-    steps = np.multiply(profile.pi, c, out=np.empty((batch.n_paths, m)))
+    steps = np.multiply(profile.pi, c, out=_rows(work, batch.n_paths, m))
     steps += b
     out = np.stack([np.sum(steps[:, i:j], axis=1) for i, j in spans])
     np.multiply(batch.dW[:, :m], sig, out=steps)
@@ -279,21 +354,23 @@ def martingale_diagnostic(
     E[eps_T (m_{t+h} - m_t)] = 0 for every interval; each statistic is the
     weighted-increment mean over paths with its standard error.
     """
-    return [MartingaleStat(t, h, *mean_se(w)) for (t, h), w in zip(checkpoints, weighted)]
+    return [MartingaleStat(t, h, *_estimate(f"weighted increment on [{t}, {t + h}]", w))
+            for (t, h), w in zip(checkpoints, weighted)]
 
 
 def stream_martingale(
     config: ScenarioConfig, profile_of, market: MarketParams, threads: int = 1
 ) -> list[MartingaleStat]:
     """martingale_diagnostic of sample_paths(config) at the default checkpoints
-    under the profile `profile_of(batch)`, one tile of paths at a time."""
+    under the profile `profile_of(batch, out)`, one tile of paths at a time,
+    where `out` is build_profile's rows in the worker's workspace."""
     validate(config)
     grid = build_grid(config)
     checkpoints = _default_checkpoints(grid)
     weighted = np.empty((len(checkpoints), config.n_paths))
 
-    def tile(rows: slice, batch: PathBatch) -> None:
-        weighted[:, rows] = weighted_increments(batch, profile_of(batch), market, checkpoints)
+    def tile(rows: slice, batch: PathBatch, out, work) -> None:
+        weighted[:, rows] = weighted_increments(batch, profile_of(batch, out), market, checkpoints, work)
 
-    stream_paths(config, grid, tile, threads)
+    _stream(config, grid, tile, threads)
     return martingale_diagnostic(weighted, checkpoints)

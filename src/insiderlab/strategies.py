@@ -99,8 +99,11 @@ class StrategyProfile:
             raise ValidationError("profile_finite", "pi and theta must be finite everywhere")
 
     def scaled(self, pi_factor: float = 1.0, theta_factor: float = 1.0) -> "StrategyProfile":
-        """Perturbed copy (for saddle checks and negative controls)."""
-        return StrategyProfile(pi=self.pi * pi_factor, theta=self.theta * theta_factor, grid=self.grid)
+        """Perturbed copy (for saddle checks and negative controls); a
+        product that overflows is refused as `profile_finite`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            pi, theta = self.pi * pi_factor, self.theta * theta_factor
+        return StrategyProfile(pi=pi, theta=theta, grid=self.grid)
 
 
 # -- no insider ----------------------------------------------------------------
@@ -237,10 +240,14 @@ def build_profile(
     batch: PathBatch,
     market: MarketParams,
     insider: InsiderSpec,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> StrategyProfile:
     """Evaluate the closed form of `kind` on every path and step of `batch`:
     its lines are formed once per grid as read-only (1, index_T) rows, and a
-    tile of a stream only applies them to its paths."""
+    tile of a stream only applies them to its paths.  An informed profile
+    writes its path-sized rows to `out` = (pi rows, theta rows), two
+    (n_paths, index_T) arrays, when given: a non-robust insider's pi to the
+    first, a robust insider's pi and theta to both."""
     grid = batch.grid
     if kind in NO_IMPACT_KINDS:
         market.require_no_impact(kind.value)
@@ -254,14 +261,16 @@ def build_profile(
     pi_intercept, pi_slope, theta_intercept, theta_slope = grid.once((kind, market, insider), rows)
     if kind in UNINFORMED_KINDS:
         return StrategyProfile(pi=pi_intercept, theta=theta_intercept, grid=grid)
+    pi_out, theta_out = (None, None) if out is None else out
     # one residual Y0 - B_t, whose memory becomes a non-robust insider's pi
     # (its theta is the shared zero row) or a robust insider's theta
-    resid = np.subtract(batch.Y0[:, None], batch.level[:, :-1])
-    if kind in (StrategyKind.SMALL_INSIDER_NONROBUST, StrategyKind.LARGE_INSIDER_NONROBUST):
+    nonrobust = kind in (StrategyKind.SMALL_INSIDER_NONROBUST, StrategyKind.LARGE_INSIDER_NONROBUST)
+    resid = np.subtract(batch.Y0[:, None], batch.level[:, :-1], out=pi_out if nonrobust else theta_out)
+    if nonrobust:
         pi, theta = resid, theta_intercept
         pi *= pi_slope
     else:
-        pi = np.multiply(resid, pi_slope)
+        pi = np.multiply(resid, pi_slope, out=pi_out)
         theta = resid
         theta *= theta_slope
         theta += theta_intercept

@@ -216,6 +216,12 @@ class TestConfigParsing:
             ("figures", ["--fig-kind", "strategy_lines", "--kind", "none"], None, "signal_required"),
             ("value", ["--kind", "bogus"], None, "insider_kind"),
             ("martingale", ["--perturb-pi", "nan"], None, "profile_finite"),
+            # valid input whose game kernels or reductions overflow, refused
+            # without a RuntimeWarning (an error under pytest's filterwarnings)
+            ("martingale", ["--perturb-pi", "1e308", "--n-paths", "200", "--n-steps", "10"], None,
+             "profile_finite"),
+            ("simulate", ["--mu", "1e100", "--n-paths", "200", "--n-steps", "10"], None, "estimate_finite"),
+            ("martingale", ["--mu", "1e160", "--n-paths", "200", "--n-steps", "10"], None, "estimate_finite"),
             # uniform steps within the knot-merge tolerance, refused where the grid is built
             ("simulate", ["--T", "1e-9", "--n-steps", "2000"], None, "grid_step_min"),
             ("forward-check", ["--T", "1e-300"], None, "grid_step_min"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insiderlab.analysis import value_no_insider_robust, value_small_insider_robust
-from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig
+from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, ValidationError
 from insiderlab.paths import sample_paths
 from insiderlab.simulate import (
     EntropyCheck,
@@ -19,6 +19,7 @@ from insiderlab.simulate import (
     mean_se,
     simulate_density,
     simulate_wealth,
+    stream_martingale,
     weighted_increments,
 )
 from insiderlab.strategies import StrategyKind, StrategyProfile, build_profile
@@ -312,6 +313,45 @@ class TestReductions:
         m2, s2 = mean_se(x[perm])
         assert abs(m1 - m2) <= 1e-12 * abs(m1)
         assert abs(s1 - s2) <= 1e-12 * abs(s1)
+
+
+class TestNonFiniteEstimates:
+    # refused with a code and no RuntimeWarning, which pytest turns into an error
+    @pytest.mark.parametrize("estimate", [
+        lambda x: estimate_J(x),
+        lambda x: entropy_identity_check(x, np.zeros_like(x)),
+        lambda x: entropy_identity_check(np.zeros_like(x), x),
+        lambda x: martingale_diagnostic(x[None, :], [(0.0, 0.1)]),
+    ], ids=["J", "penalty", "entropy", "martingale"])
+    @pytest.mark.parametrize("values", [
+        [1.0, math.inf], [1.0, math.nan], [-math.inf, math.inf],
+        [1e300, -1e300],  # finite, but the square in the SE overflows
+        [1e308, 1e308],  # finite, but their sum overflows
+    ])
+    def test_non_finite_value_mean_or_se_is_refused(self, estimate, values):
+        with pytest.raises(ValidationError) as err:
+            estimate(np.array(values))
+        assert err.value.code == "estimate_finite"
+
+    def test_overflowing_entropy_gap_is_refused(self):
+        # one path: each side has a finite mean and SE 0, and only the gap overflows
+        with pytest.raises(ValidationError) as err:
+            entropy_identity_check(np.array([1.7e308]), np.array([-1.7e308]))
+        assert err.value.code == "estimate_finite"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_density_on_workers_is_refused(self, threads):
+        # the workers run the kernels with warnings off too
+        market = MarketParams(r=0.0, mu0=1e160, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
+        config = ScenarioConfig(market=market, insider=InsiderSpec.enlargement(T0=2.0), n_steps=10,
+                                n_paths=5000, seed=1)
+
+        def profile_of(batch, out):
+            return build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch, market, config.insider, out)
+
+        with pytest.raises(ValidationError) as err:
+            stream_martingale(config, profile_of, market, threads)
+        assert err.value.code == "estimate_finite"
 
 
 class TestZeroStandardError:

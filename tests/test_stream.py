@@ -23,10 +23,12 @@ from insiderlab.paths import (
     _drift_rows,
     _for_each_block,
     build_grid,
+    l2_rows,
     partial_signals,
     sample_paths,
     stream_paths,
 )
+from insiderlab import simulate
 from insiderlab.simulate import (
     _default_checkpoints,
     entropy_identity_check,
@@ -68,8 +70,8 @@ CASES = [
 def regime(kind, insider, pi_factor=1.0, market=MARKET):
     market = market_for(StrategyKind(kind), market)
 
-    def profile_of(batch):
-        profile = build_profile(StrategyKind(kind), batch, market, insider)
+    def profile_of(batch, out=None):
+        profile = build_profile(StrategyKind(kind), batch, market, insider, out)
         return profile if pi_factor == 1.0 else profile.scaled(pi_factor=pi_factor)
 
     return market, profile_of
@@ -93,6 +95,72 @@ def test_streamed_results_equal_whole_batch_bit_for_bit(n_paths, kind, insider, 
                 stream_martingale(config, profile_of, market))
     # repr tells -0.0 from 0.0, so equal reprs mean equal bits
     assert repr(streamed) == repr(whole)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind, insider, pi_factor", CASES)
+def test_multi_tile_blocks_equal_whole_batch_bit_for_bit(kind, insider, pi_factor, threads):
+    # at 100 steps a tile is 648 paths, so block 0 is drawn in 7 tiles (the
+    # last one short) and block 1 in 2: each worker's buffers and workspace
+    # serve several tiles, and a short tile reuses the rows of a long one
+    config = ScenarioConfig(market=MARKET, insider=insider, n_steps=100, n_paths=_BLOCK + 700, seed=97)
+    grid = build_grid(config)
+    assert l2_rows(grid.index_T + 1) == 648
+    tiles = []
+    stream_paths(config, grid, lambda rows, tile: tiles.append(rows.stop - rows.start))
+    assert sorted(tiles) == sorted([648] * 6 + [_BLOCK - 6 * 648, 648, 700 - 648])
+    market, profile_of = regime(kind, insider, pi_factor)
+    batch = sample_paths(config)
+    profile = profile_of(batch)
+    j_terms, penalty, entropy = game_terms(batch, profile, market)
+    checkpoints = _default_checkpoints(batch.grid)
+    whole = (
+        estimate_J(j_terms),
+        entropy_identity_check(penalty, entropy),
+        martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints),
+    )
+    streamed = (*stream_game(config, profile_of, market, threads),
+                stream_martingale(config, profile_of, market, threads))
+    assert repr(streamed) == repr(whole)
+
+
+@pytest.mark.parametrize("kind", sorted({kind for kind, _, _ in CASES}))
+def test_build_profile_into_out_equals_the_allocating_call(kind):
+    insider = NONE if kind.startswith("no_insider") else PIECEWISE
+    config = ScenarioConfig(market=MARKET, insider=insider, n_steps=20, n_paths=700, seed=5)
+    market, profile_of = regime(kind, insider)
+    batch = sample_paths(config)
+    shape = (batch.n_paths, batch.grid.index_T)
+    out = (np.full(shape, np.nan), np.full(shape, np.nan))
+    into, allocated = profile_of(batch, out), profile_of(batch)
+    for name in ("pi", "theta"):
+        assert repr(getattr(into, name).tolist()) == repr(getattr(allocated, name).tolist()), name
+    if insider.has_signal():
+        assert np.shares_memory(into.pi, out[0])
+        if kind == "small_insider_robust":
+            assert np.shares_memory(into.theta, out[1])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_worker_keeps_one_buffer_set_and_one_workspace(threads, monkeypatch):
+    # 16 tiles over three blocks; a worker draws, profiles and reduces every
+    # tile it runs in the same memory.  The arrays seen are kept alive, so
+    # memory made anew for a tile could not come back at an old address
+    config = ScenarioConfig(market=MARKET, insider=UNIT, n_steps=100, n_paths=2 * _BLOCK + 700, seed=3)
+    market, profile_of = regime("small_insider_robust", UNIT)
+    seen, kernel = [], simulate.game_terms
+
+    def recorded(batch, profile, market, work):
+        seen.append((batch.dW, batch.level, profile.pi, profile.theta, work))
+        return kernel(batch, profile, market, work)
+
+    def owner(array):
+        return id(array if array.base is None else array.base)
+
+    monkeypatch.setattr(simulate, "game_terms", recorded)
+    stream_game(config, profile_of, market, threads)
+    assert len(seen) == 16
+    assert 1 <= len({tuple(map(owner, arrays)) for arrays in seen}) <= threads
 
 
 def test_more_workers_than_cores_give_the_serial_bytes():
