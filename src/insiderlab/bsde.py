@@ -206,24 +206,26 @@ def _sweep_tiler(config: ScenarioConfig, grid: TimeGrid):
 def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
     """The sweep input of sample_paths(config), bit for bit, copied one tile
     of paths at a time on up to `threads` workers: a whole PathBatch is never
-    held."""
+    held, and the tiles' dWH, which the sweep input regenerates, is not
+    formed."""
     validate(config)
     grid = build_grid(config)
     paths, tile = _sweep_tiler(config, grid)
-    stream_paths(config, grid, tile, threads)
+    stream_paths(config, grid, tile, threads, dWH=False)
     return paths
 
 
 def _phitilde(paths: SweepPaths, market: MarketParams):
-    """phitilde = iota + phi on step i, as a function of i, in a fresh row
-    under a signal."""
+    """phitilde = iota + phi on step i, as a function (i, out=None) of i:
+    a scalar without a signal; under one a row, written to `out` when given,
+    else fresh."""
     m = paths.grid.index_T
     iota_left = iota(market, paths.grid.knots[:m])
     if paths.Y0 is None:
-        return lambda i: iota_left[i]
+        return lambda i, out=None: iota_left[i]
 
-    def phitilde(i: int) -> np.ndarray:
-        return np.add(paths.phi(i), iota_left[i])
+    def phitilde(i: int, out: np.ndarray | None = None) -> np.ndarray:
+        return np.add(paths.phi(i), iota_left[i], out=out)
 
     return phitilde
 
@@ -236,16 +238,28 @@ def log_pi_star(paths: SweepPaths, market: MarketParams) -> np.ndarray:
 
         ln Pi(0,T) = sum_i -(r_i + phitilde_i^2/2) dt_i - phitilde_i dWH_i
 
-    taken step by step, so neither phitilde nor the summands are held as an
-    (index_T, n_paths) matrix."""
+    taken step by step in two rows made once, so neither phitilde nor the
+    summands are held as an (index_T, n_paths) matrix."""
     grid = paths.grid
     m, dt = grid.index_T, grid.dt
     r = market.r(grid.knots[:m])
     phitilde = _phitilde(paths, market)
     log_pi = np.zeros(paths.n_paths)
+    # a step's phitilde and then its summand in one row, -(r + phitilde^2/2) dt in the other
+    row, head_row = np.empty((2, paths.n_paths))
     for i in range(m):
-        phit = phitilde(i)
-        log_pi += -(r[i] + 0.5 * phit**2) * dt[i] - phit * paths.dWH(i)
+        phit = phitilde(i, row)
+        if paths.Y0 is None:  # a scalar phitilde, whose **2 is pow (a row's is np.square, which can differ)
+            head = -(r[i] + 0.5 * phit**2) * dt[i]
+        else:
+            head = np.square(phit, out=head_row)
+            head *= 0.5
+            head += r[i]
+            np.negative(head, out=head)
+            head *= dt[i]
+        np.multiply(phit, paths.dWH(i), out=row)
+        np.subtract(head, row, out=row)
+        log_pi += row
     return log_pi
 
 
@@ -321,9 +335,12 @@ class BsdeSolution:
 
 def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
     """Exact solution of the linear backward equation, as the function
-    knot(i) -> (Y_i, Z_i) of the knot index, Z_index_T = None: each call
-    evaluates one knot from the sweep input, which it does not write, so no
-    field is held whole.
+    knot(i, out=None) -> (Y_i, Z_i) of the knot index, Z_index_T = None:
+    each call evaluates one knot from the sweep input, which it does not
+    write, so no field is held whole.  Without `out` the rows are fresh; with
+    it, two rows (2, n_paths) that take Y_i and Z_i in place, and without a
+    signal Z_i = c_i Y_i comes back as its factor c_i, for knot_table to
+    reduce from the sorted Y_i.
 
     Without a signal (valid for piecewise-constant coefficients):
 
@@ -352,9 +369,14 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
         drift = cum_r + 0.375 * cum_io2
         sig_pi = sig * pi_no_insider_robust(market, t_left)
 
-        def knot(i: int) -> tuple[np.ndarray, np.ndarray | None]:
-            y = market.X0 * np.exp(drift[i] + 0.5 * paths.level(i))
-            return y, (sig_pi[i] * y if i < m else None)
+        def knot(i: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | float | None]:
+            y = np.multiply(paths.level(i), 0.5, out=None if out is None else out[0])
+            y += drift[i]
+            np.exp(y, out=y)
+            y *= market.X0
+            if i == m:
+                return y, None
+            return y, (sig_pi[i] * y if out is None else float(sig_pi[i]))
 
         return knot
 
@@ -369,13 +391,28 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
     # the fraction's lines over the time axis, applied knot by knot
     pi_a, pi_b = closed_form_lines(StrategyKind.SMALL_INSIDER_ROBUST, market, paths.insider, t_left)[:2]
 
-    def knot(i: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def knot(i: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
         W = paths.level(i)
-        m_t = paths.Y0 - W + shift[i]
-        y = scale[i] * np.exp(drift[i] + 0.5 * io * W - m_t**2 / (2.0 * a_t[i]) + start)
+        y_row, z_row = (None, None) if out is None else out
+        # scale exp{drift + io W / 2 - m_t^2 / (2 a_t) + start}, with m_t in Z's row
+        m_t = np.subtract(paths.Y0, W, out=z_row)
+        m_t += shift[i]
+        np.square(m_t, out=m_t)
+        m_t /= 2.0 * a_t[i]
+        y = np.multiply(W, 0.5 * io, out=y_row)
+        y += drift[i]
+        y -= m_t
+        y += start
+        np.exp(y, out=y)
+        y *= scale[i]
         if i == m:
             return y, None
-        return y, sig[i] * ((paths.Y0 - W) * pi_b[i] + pi_a[i]) * y
+        z = np.subtract(paths.Y0, W, out=m_t)  # sig ((Y0 - W) pi_b + pi_a) Y
+        z *= pi_b[i]
+        z += pi_a[i]
+        z *= sig[i]
+        z *= y
+        return y, z
 
     return knot
 
@@ -499,7 +536,9 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.nd
     affine, so the drivers keep L quadratic) and every fit but the
     terminal's is exact to rounding.  Each knot's basis is built once; one
     product of the rows [basis; L_i], summed _PARTIAL paths at a time, gives
-    its Gram and basis @ L_i.  observe(i, L_i, Z_i) is called for
+    its Gram and basis @ L_i; driver(i, Z_i, out) writes the step's driver
+    to one more row of the sweep's, so no step allocates a path-sized row.
+    observe(i, L_i, Z_i) is called for
     i = index_T, ..., 0 (Z_index_T = None) once knot i is fitted; the rows
     are then reused, so an observer reduces or copies them, and may write
     them in place.  Returns copies of knot 0's rows as the observer left them.
@@ -507,8 +546,8 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.nd
     grid, signal, m = paths.grid, paths.Y0, paths.grid.index_T
     maps = _step_moments(paths)
     k = maps.shape[-1]
-    rows = np.empty((k + 2, paths.n_paths))  # a knot's basis, then L and Z there
-    design, l, z = rows[:k], rows[k], rows[k + 1]
+    rows = np.empty((k + 3, paths.n_paths))  # a knot's basis, then L, Z and the driver step there
+    design, l, z, step = rows[:k], rows[k], rows[k + 1], rows[k + 2]
     l[:] = terminal
     _monomials(design, paths.level(m), signal, _BASIS_ORDER)
     for i in range(m, 0, -1):
@@ -517,8 +556,8 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.nd
         alpha = _factor(design, grid.knots[i], cross[:k]) @ cross[k]
         observe(i, l, z if i < m else None)  # knot i is read no more
         _monomials(design, paths.level(i - 1), signal, _BASIS_ORDER)
-        np.matmul(alpha @ maps[i - 1], design, out=rows[k:])
-        step = driver(i - 1, z)
+        np.matmul(alpha @ maps[i - 1], design, out=rows[k : k + 2])
+        driver(i - 1, z, out=step)
         step *= grid.dt[i - 1]
         l += step
     observe(0, l, z)
@@ -526,22 +565,26 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.nd
 
 
 def _driver(paths: SweepPaths, market: MarketParams, a, b, c):
-    """f(i, z) = z (a z + b phitilde) + c phitilde^2 - r for per-step rows or
-    constants a, b, c, with the r row and phitilde formed once per solve.  A
-    step forms the tail c phitilde^2 - r first, then b phitilde in the fresh
-    phitilde row: with a signal, eight whole-path operations, six in place."""
+    """f(i, z, out=None) = z (a z + b phitilde) + c phitilde^2 - r for
+    per-step rows or constants a, b, c, with the r row and phitilde formed
+    once per solve, written to `out` when given, else to a fresh row.  A
+    step forms the tail c phitilde^2 - r first, then b phitilde in the
+    phitilde row: with a signal, eight whole-path operations, all in place
+    in rows made once per solve."""
     m = paths.grid.index_T
     a, b, c = (np.broadcast_to(x, (m,)) for x in (a, b, c))
     r = market.r(paths.grid.knots[:m])
     phitilde = _phitilde(paths, market)
+    # phitilde and the tail are scalars without a signal
+    phit_row, tail_row = (None, None) if paths.Y0 is None else np.empty((2, paths.n_paths))
 
-    def f(i: int, z: np.ndarray) -> np.ndarray:
-        phit = phitilde(i)
-        tail = c[i] * phit
+    def f(i: int, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        phit = phitilde(i, phit_row)
+        tail = np.multiply(c[i], phit, out=tail_row)
         tail *= phit
         tail -= r[i]
         phit *= b[i]
-        out = a[i] * z
+        out = np.multiply(a[i], z, out=out)
         out += phit
         out *= z
         out += tail
@@ -747,26 +790,40 @@ KNOT_HEADER = ["t", "mean_Y", "mean_Z", "oracle_Y", "oracle_Z", "rmse_Y"]
 
 
 def knot_table(t: float, y: np.ndarray, z: np.ndarray | None = None, oracle=None,
-               mean_y: float | None = None, mean_z: float | None = None) -> list:
+               mean_y: float | None = None, mean_z: float | None = None, work: np.ndarray | None = None) -> list:
     """The row of the knot table (KNOT_HEADER) at knot time t, from that
     knot's value row y and control row z, and the oracle's pair (Y_i, Z_i):
     t, mean Y, mean Z, oracle Y, oracle Z and the RMSE of y against the
     oracle, with means that do not depend on path order.  mean_y and mean_z
     are the ordered means of y and z where they were already taken; a cell
     with neither its row nor its mean (Z at the last knot, the oracle's
-    cells without one) is blank."""
-    mean_y = ordered_mean(y) if mean_y is None else mean_y
+    cells without one) is blank.  An oracle Z given as a number c stands for
+    the row c Y_i (solve_linear_closed_form's with `out`, without a signal).
+    Every sort and the RMSE's gap row go to the one row `work` (n_paths
+    floats, overwritten) when given, else to fresh rows; y, z and the
+    oracle's rows are not written."""
+    mean_y = ordered_mean(y, work) if mean_y is None else mean_y
     if mean_z is None:
-        mean_z = "" if z is None else ordered_mean(z)
+        mean_z = "" if z is None else ordered_mean(z, work)
     if oracle is None:
         return [float(t), mean_y, mean_z, "", "", ""]
     o_y, o_z = oracle
     # squared after an exact power-of-two scaling, so that no square
     # overflows, and sorted as ordered_mean sorts: all in the one row gap
-    gap = y - o_y
+    gap = np.subtract(y, o_y, out=work)
     unit = math.ldexp(1.0, math.frexp(max(float(gap.max()), -float(gap.min())))[1])
     gap /= unit
     np.square(gap, out=gap)
     gap.sort()
     rmse = unit * math.sqrt(float(gap.sum()) / len(gap))
-    return [float(t), mean_y, mean_z, ordered_mean(o_y), "" if o_z is None else ordered_mean(o_z), rmse]
+    mean_oy = ordered_mean(o_y, gap)  # gap now holds the sorted Y_i
+    if o_z is None:
+        mean_oz = ""
+    elif np.ndim(o_z):
+        mean_oz = ordered_mean(o_z, gap)
+    else:
+        # rounding is monotone, so the sorted fl(c y) is fl(c sorted y), in
+        # reverse order when c < 0: ordered_mean of c Y_i without a sort
+        np.multiply(gap, o_z, out=gap)
+        mean_oz = float((gap[::-1] if o_z < 0.0 else gap).sum()) / len(gap)
+    return [float(t), mean_y, mean_z, mean_oy, mean_oz, rmse]

@@ -258,13 +258,14 @@ def _cmd_bsde_linear(args, config: ScenarioConfig):
     oracle = solve_linear_closed_form(paths, market)
     knots = paths.grid.knots
     rows = []
+    work = np.empty((3, paths.n_paths))  # the oracle's Y and Z, and knot_table's row
 
     def reduce(i, y, z):
         if i > 0:  # knot 0 is reduced with the solver's mean of Y_0
-            rows.append(knot_table(knots[i], y, z, oracle(i)))
+            rows.append(knot_table(knots[i], y, z, oracle(i, work[:2]), work=work[2]))
 
     sol = solve_linear_lsmc(paths, market, reduce)
-    rows.append(knot_table(knots[0], sol.y0, sol.z0, oracle(0), mean_y=sol.y0_mean))
+    rows.append(knot_table(knots[0], sol.y0, sol.z0, oracle(0, work[:2]), mean_y=sol.y0_mean, work=work[2]))
     return 0, {
         "bsde_linear.csv": (KNOT_HEADER, rows[::-1]),
         "bsde_linear_report.csv": _linear_report(sol, market),
@@ -276,18 +277,19 @@ def _cmd_bsde_quadratic(args, config: ScenarioConfig):
     market = config.market
     m = paths.grid.index_T
     mean_y, mean_z, abs_z_means = {}, {}, []
+    work = np.empty(paths.n_paths)  # every sort of the reductions, and |Z|
 
     def reduce(i, l, z):
         if 0 < i < m:  # the swept row; knots 0 and m are shot by the solver
-            mean_y[i] = ordered_mean(l)
+            mean_y[i] = ordered_mean(l, work)
         if z is not None:
-            mean_z[i] = ordered_mean(z)
-            abs_z_means.append(ordered_mean(np.abs(z)))
+            mean_z[i] = ordered_mean(z, work)
+            abs_z_means.append(ordered_mean(np.abs(z, out=work), work))
 
     sol = solve_quadratic_lsmc(paths, market, reduce)
     pi_0, _ = initial_controls(sol, market, paths)
-    mean_shift = ordered_mean(sol.shift)
-    mean_y = {i: mean - mean_shift for i, mean in mean_y.items()} | {0: sol.y0_mean, m: ordered_mean(sol.y_T)}
+    mean_shift = ordered_mean(sol.shift, work)
+    mean_y = {i: mean - mean_shift for i, mean in mean_y.items()} | {0: sol.y0_mean, m: ordered_mean(sol.y_T, work)}
     knots = paths.grid.knots
     rows = [knot_table(knots[i], None, mean_y=mean_y[i], mean_z=mean_z.get(i)) for i in range(m + 1)]
     return 0, {
@@ -374,7 +376,7 @@ def _cmd_selftest(args, config: ScenarioConfig):
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="INI config file with [market]/[insider]/[run] sections")
     p.add_argument("--out", default=None, help="output directory (default $INSIDERLAB_OUT or ./out)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks, each of which draws and decomposes its paths in L2-sized tiles; simulate and martingale also evaluate the strategy on each tile there, while the LSMC sweep of bsde-* runs on one thread; results do not depend on it")
+    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks, each of which draws its paths in L2-sized tiles; simulate and martingale also decompose them and evaluate the strategy on each tile there, while the LSMC sweep of bsde-* runs on one thread; results do not depend on it")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit integer)")
     p.add_argument("--n-paths", dest="n_paths", type=int, default=None, help="Monte-Carlo ensemble size")
     p.add_argument("--n-steps", dest="n_steps", type=int, default=None, help="grid steps on [0, T]")

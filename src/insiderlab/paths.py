@@ -198,14 +198,16 @@ def _rows(batch: PathBatch, rows: slice) -> PathBatch:
                      level=batch.level[rows], dWH=batch.dWH[rows], insider=batch.insider)
 
 
-def _filler(config: ScenarioConfig, grid: TimeGrid):
+def _filler(config: ScenarioConfig, grid: TimeGrid, dWH: bool = True):
     """fill(batch, gen) builds consecutive paths of one RNG block in place
     from the Philox generator `gen` of that block, with the time-axis rows
     formed once here.  Draws are counter-based and row-major, so path i's
     draws depend only on (seed, i): one standard normal per step of [0, T],
     then, with a signal, one for the tail; a block filled in consecutive
     tiles from one generator gets the bytes of one fill of the whole block.
-    The drift is formed from the state in dWH's memory."""
+    Under a signal the drift is formed from the state in dWH's memory and
+    decomposed there; with dWH=False, for a caller that reads dW, Y0 and
+    the state only, neither is run and the batch's dWH is not written."""
     insider, m = config.insider, grid.index_T
     signal = insider.has_signal()
     var = np.append(grid.dt, phi_norm_sq(insider, grid.T, insider.T0)) if signal else grid.dt
@@ -218,8 +220,9 @@ def _filler(config: ScenarioConfig, grid: TimeGrid):
         partial_signals(dW, weight, out=batch.level)
         if signal:
             np.add(batch.level[:, m], dW[:, m], out=batch.Y0)
-            information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
-            decompose(grid, dW, batch.dWH, out=batch.dWH)
+            if dWH:
+                information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
+                decompose(grid, dW, batch.dWH, out=batch.dWH)
 
     return fill
 
@@ -255,17 +258,19 @@ def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
     return batch
 
 
-def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1) -> None:
+def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1, dWH: bool = True) -> None:
     """Call fn(rows, tile) for every tile of the ensemble of a validated
     `config` on its grid build_grid(config), where `tile` equals rows `rows`
-    of sample_paths(config) bit for bit.  A tile is l2_rows(index_T + 1)
-    consecutive paths of one RNG block, or the block's rest, so each path
-    array of a tile stays within _L2_BYTES and in a core's L2.  Each block
-    draws its tiles in order from its own generator; each worker draws every
-    tile it runs into one buffer set, made on its first tile and kept for
-    the whole stream, so a tile is valid only during its call: fn copies or
-    reduces what it keeps.  The path arrays held do not grow with n_paths."""
-    fill, seed, step = _filler(config, grid), int(config.seed), l2_rows(grid.index_T + 1)
+    of sample_paths(config) bit for bit (but for its dWH under a signal with
+    dWH=False, which is not written; see _filler).  A tile is
+    l2_rows(index_T + 1) consecutive paths of one RNG block, or the block's
+    rest, so each path array of a tile stays within _L2_BYTES and in a
+    core's L2.  Each block draws its tiles in order from its own generator;
+    each worker draws every tile it runs into one buffer set, made on its
+    first tile and kept for the whole stream, so a tile is valid only during
+    its call: fn copies or reduces what it keeps.  The path arrays held do
+    not grow with n_paths."""
+    fill, seed, step = _filler(config, grid, dWH), int(config.seed), l2_rows(grid.index_T + 1)
     worker = threading.local()
 
     def run(block: int, rows: slice) -> None:

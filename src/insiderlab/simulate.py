@@ -71,9 +71,17 @@ __all__ = [
 _quiet = functools.partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
 
 
-def ordered_mean(x: np.ndarray) -> float:
-    """Order-insensitive sample mean of a 1-d array."""
-    return float(np.sort(x).sum()) / len(x)
+def ordered_mean(x: np.ndarray, work: np.ndarray | None = None) -> float:
+    """Order-insensitive sample mean of a 1-d array: the sum of its sorted
+    values over their count.  The sorted copy goes to `work` when given (a
+    row of len(x) floats, which may be x itself) and is left there, else to
+    a fresh array."""
+    if work is None:
+        work = np.sort(x)
+    else:
+        np.copyto(work, x)
+        work.sort()
+    return float(work.sum()) / len(work)
 
 
 def mean_se(x: np.ndarray) -> tuple[float, float]:

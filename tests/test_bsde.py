@@ -28,6 +28,7 @@ from insiderlab.bsde import (
     RegressionError,
     enlargement_normalizer,
     initial_controls,
+    knot_table,
     log_pi_star,
     solve_linear_closed_form,
     solve_linear_lsmc,
@@ -40,7 +41,8 @@ from insiderlab.model import (InsiderSpec, MarketParams, PiecewiseConstant, Scen
                               phi_norm_sq, sigma_tilde)
 from insiderlab.paths import partial_signals, sample_paths
 from insiderlab.simulate import mean_se, ordered_mean, simulate_wealth
-from insiderlab.strategies import StrategyKind, StrategyProfile, build_profile, pi_small_insider_robust, run_out
+from insiderlab.strategies import (StrategyKind, StrategyProfile, build_profile, closed_form_lines,
+                                   pi_no_insider_robust, pi_small_insider_robust, run_out)
 
 # finite floats, with extra weight near the largest ones
 HUGE_OR_ANY = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -739,3 +741,159 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
                                  Y0=paths.Y0[perm])
         assert reports(Y[perm], Z[perm], shuffled_paths) == reports(Y, Z, paths)
         assert repr(shooting_residual(perm)) == repr(residual)
+
+
+# -- the LSMC rows made once per solve, against the expressions that allocate --
+
+
+def log_pi_star_fresh(paths, market):
+    """log_pi_star with a fresh row for every operation of a step."""
+    m, dt = paths.grid.index_T, paths.grid.dt
+    r, phitilde = market.r(paths.grid.knots[:m]), _phitilde(paths, market)
+    log_pi = np.zeros(paths.n_paths)
+    for i in range(m):
+        phit = phitilde(i)
+        log_pi += -(r[i] + 0.5 * phit**2) * dt[i] - phit * paths.dWH(i)
+    return log_pi
+
+
+def driver_fresh(paths, market, a, b, c):
+    """_driver with fresh phitilde, tail and result rows at every step."""
+    m = paths.grid.index_T
+    a, b, c = (np.broadcast_to(x, (m,)) for x in (a, b, c))
+    r, phitilde = market.r(paths.grid.knots[:m]), _phitilde(paths, market)
+
+    def f(i, z):
+        phit = phitilde(i)
+        tail = c[i] * phit
+        tail *= phit
+        tail -= r[i]
+        phit *= b[i]
+        out = a[i] * z
+        out += phit
+        out *= z
+        out += tail
+        return out
+
+    return f
+
+
+def closed_form_fresh(paths, market):
+    """solve_linear_closed_form's knot function in whole-row expressions."""
+    grid, m = paths.grid, paths.grid.index_T
+    knots, t_left = grid.knots, grid.knots[:m]
+    sig = market.sigma(t_left)
+    if paths.Y0 is None:
+        io_left = iota(market, t_left)
+        cum_r = np.concatenate(([0.0], np.cumsum(market.r(t_left) * grid.dt)))
+        drift = cum_r + 0.375 * np.concatenate(([0.0], np.cumsum(io_left**2 * grid.dt)))
+        sig_pi = sig * pi_no_insider_robust(market, t_left)
+
+        def knot(i):
+            y = market.X0 * np.exp(drift[i] + 0.5 * paths.level(i))
+            return y, (sig_pi[i] * y if i < m else None)
+
+        return knot
+    T, T0 = market.T, float(paths.insider.T0)
+    io, r = iota(market, 0.0), market.r(0.0)
+    a0, a_t = 2.0 * T0 - T, 2.0 * T0 - T - knots
+    drift, shift = r * knots + 0.375 * io**2 * knots, 0.5 * io * (T - knots)
+    scale, start = market.X0 * np.sqrt(a0 / a_t), (paths.Y0 + 0.5 * io * T) ** 2 / (2.0 * a0)
+    pi_a, pi_b = closed_form_lines(StrategyKind.SMALL_INSIDER_ROBUST, market, paths.insider, t_left)[:2]
+
+    def knot(i):
+        W = paths.level(i)
+        m_t = paths.Y0 - W + shift[i]
+        y = scale[i] * np.exp(drift[i] + 0.5 * io * W - m_t**2 / (2.0 * a_t[i]) + start)
+        return y, (sig[i] * ((paths.Y0 - W) * pi_b[i] + pi_a[i]) * y if i < m else None)
+
+    return knot
+
+
+CONSTANT = MarketParams(r=0.03, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
+PIECEWISE = MarketParams(r=PiecewiseConstant((0.0, 0.5), (0.03, 0.01)),
+                         mu0=PiecewiseConstant((0.0, 0.3), (0.15, 0.4)), sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
+# (signal, market): the closed form under a signal needs constant coefficients
+SOLVE_CASES = [(True, CONSTANT), (False, CONSTANT), (False, PIECEWISE)]
+
+
+def sweep_input(market, signal, n_paths=9000):
+    spec = InsiderSpec.enlargement(T0=2.0) if signal else InsiderSpec.none()
+    return stream_sweep_paths(ScenarioConfig(market=market, insider=spec, n_steps=20, n_paths=n_paths, seed=8))
+
+
+class TestRowsMadeOncePerSolve:
+    @pytest.mark.parametrize("signal, mk", SOLVE_CASES)
+    def test_log_pi_star_is_the_fresh_row_sum_bit_for_bit(self, signal, mk):
+        paths = sweep_input(mk, signal)
+        assert log_pi_star(paths, mk).tobytes() == log_pi_star_fresh(paths, mk).tobytes()
+
+    @pytest.mark.parametrize("signal, mk", SOLVE_CASES)
+    @pytest.mark.parametrize("varrho", [0.0, 0.02])
+    def test_driver_into_out_is_the_fresh_driver_bit_for_bit(self, signal, mk, varrho):
+        mk = replace(mk, varrho=varrho)
+        paths = sweep_input(mk, signal)
+        t_left = paths.grid.knots[: paths.grid.index_T]
+        sig, st_ = mk.sigma(t_left), sigma_tilde(mk, t_left)
+        k = (sig - st_) / (4.0 * (sig + st_))
+        f, fresh = _quadratic_driver(paths, mk), driver_fresh(paths, mk, 0.25 - k, -0.5 - 2.0 * k, -0.25 - k)
+        z = np.random.default_rng(5).normal(scale=2.0, size=paths.n_paths)
+        out = np.empty_like(z)
+        for i in range(paths.grid.index_T):
+            expect = fresh(i, z).tobytes()
+            assert f(i, z).tobytes() == expect
+            assert f(i, z, out=out) is out and out.tobytes() == expect
+
+    @pytest.mark.parametrize("signal, mk", SOLVE_CASES)
+    def test_closed_form_into_out_is_the_fresh_closed_form_bit_for_bit(self, signal, mk):
+        paths = sweep_input(mk, signal)
+        m = paths.grid.index_T
+        knot, fresh = solve_linear_closed_form(paths, mk), closed_form_fresh(paths, mk)
+        out = np.empty((2, paths.n_paths))
+        for i in range(m, -1, -1):
+            y, z = fresh(i)
+            got_y, got_z = knot(i)
+            assert got_y.tobytes() == y.tobytes()
+            assert got_z is None if i == m else got_z.tobytes() == z.tobytes()
+            got_y, got_z = knot(i, out)
+            assert np.shares_memory(got_y, out[0]) and got_y.tobytes() == y.tobytes()
+            if i == m:
+                assert got_z is None
+            elif signal:
+                assert np.shares_memory(got_z, out[1]) and got_z.tobytes() == z.tobytes()
+            else:  # the factor c of Z = c Y
+                assert (got_z * y).tobytes() == z.tobytes()
+
+    # mu0 > r, mu0 = r and mu0 < r: the uninformed oracle's factor c = sigma pi is positive, zero and negative
+    @pytest.mark.parametrize("mu0, sign", [(0.15, 1.0), (0.03, 0.0), (0.01, -1.0)])
+    def test_oracle_z_mean_from_the_sorted_y_is_the_ordered_mean_of_z(self, mu0, sign):
+        mk = replace(CONSTANT, mu0=PiecewiseConstant.constant(mu0))
+        paths = sweep_input(mk, False, n_paths=20_000)
+        m, knots = paths.grid.index_T, paths.grid.knots
+        knot, out, work = solve_linear_closed_form(paths, mk), np.empty((2, paths.n_paths)), np.empty(paths.n_paths)
+        rng = np.random.default_rng(2)
+        for i in range(m + 1):
+            o_y, o_z = knot(i)
+            y = o_y * np.exp(0.01 * rng.normal(size=paths.n_paths))
+            z = None if i == m else o_z + 0.01 * rng.normal(size=paths.n_paths)
+            expect = knot_table(knots[i], y, z, (o_y, o_z))
+            pair = knot(i, out)
+            if i < m:
+                assert np.sign(pair[1]) == sign
+            assert repr(knot_table(knots[i], y, z, pair, work=work)) == repr(expect)
+
+    @pytest.mark.parametrize("c", [2.5, 1.0, 0.0, -0.0, -1.0, -2.5])
+    @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, -0.0, None])
+    def test_knot_table_of_a_factor_is_that_of_its_row(self, c, special):
+        # rows longer than numpy's 8192-element reduction buffer; any
+        # non-finite float ends in the same CSV cell either way
+        rng = np.random.default_rng(13)
+        o_y = rng.lognormal(sigma=3.0, size=20_000) * rng.choice([-1.0, 1.0], size=20_000)
+        if special is not None:
+            o_y[::97] = special
+        y = o_y + rng.normal(size=o_y.size)
+        work = np.empty_like(o_y)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect = knot_table(0.5, y, None, (o_y, c * o_y))
+            got = knot_table(0.5, y, None, (o_y, c), work=work)
+        assert repr(got) == repr(expect)

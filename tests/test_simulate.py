@@ -17,6 +17,7 @@ from insiderlab.simulate import (
     game_terms,
     martingale_diagnostic,
     mean_se,
+    ordered_mean,
     simulate_density,
     simulate_wealth,
     stream_martingale,
@@ -313,6 +314,21 @@ class TestReductions:
         m2, s2 = mean_se(x[perm])
         assert abs(m1 - m2) <= 1e-12 * abs(m1)
         assert abs(s1 - s2) <= 1e-12 * abs(s1)
+
+    @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, -0.0])
+    def test_ordered_mean_into_a_work_row_is_the_allocating_mean(self, special):
+        # rows longer than numpy's 8192-element reduction buffer, and a row of signed zeros
+        rng = np.random.default_rng(4)
+        x = rng.lognormal(sigma=3.0, size=20_000) * rng.choice([-1.0, 1.0], size=20_000)
+        x[::97] = special
+        zeros = np.where(rng.random(20_000) < 0.5, -0.0, 0.0)
+        for row in (x, zeros, -np.abs(zeros)):
+            expect, before = ordered_mean(row), row.tobytes()
+            work = np.empty_like(row)
+            assert np.float64(ordered_mean(row, work)).tobytes() == np.float64(expect).tobytes()
+            assert row.tobytes() == before
+            assert work.tobytes() == np.sort(row).tobytes()
+            assert np.float64(ordered_mean(row, row)).tobytes() == np.float64(expect).tobytes()  # x its own work row
 
 
 class TestNonFiniteEstimates:

@@ -23,6 +23,8 @@ from insiderlab.paths import (
     _drift_rows,
     _for_each_block,
     build_grid,
+    decompose,
+    information_drift,
     l2_rows,
     partial_signals,
     sample_paths,
@@ -266,6 +268,18 @@ def test_signal_drift_rows_formed_once_per_stream(stream, insider, count_calls):
         log_pi_star(stream_sweep_paths(config), MARKET)
     assert len(tiles) == 29
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("insider", [UNIT, PIECEWISE])
+def test_sweep_tiles_form_no_drift_and_no_dwh(insider, count_calls):
+    # the sweep input regenerates phi and dWH from the state; the game stream's tiles still form both
+    config = ScenarioConfig(market=MARKET, insider=insider, n_steps=200, n_paths=9000, seed=3)
+    calls = count_calls(information_drift), count_calls(decompose)
+    stream_sweep_paths(config)
+    assert calls == ([], [])
+    market, profile_of = regime("small_insider_robust", insider)
+    stream_game(config, profile_of, market)
+    assert [len(c) for c in calls] == [29, 29]
 
 
 @pytest.mark.parametrize("other", [

@@ -1,6 +1,11 @@
 """The streamed, knot-major LSMC input against the whole-batch API."""
 
 import argparse
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -223,3 +228,23 @@ def test_bsde_linear_holds_about_two_path_sized_arrays(tmp_path, kind):
     peak = _peak_bytes(["bsde-linear", "--kind", kind, "--n-paths", str(n_paths),
                         "--n-steps", str(n_steps), "--seed", "3"], tmp_path)
     assert peak <= 2.5 * n_paths * (n_steps + 1) * 8
+
+
+@pytest.mark.parametrize("command", [["bsde-linear", "--kind", "none"], ["bsde-linear"], ["bsde-quadratic"],
+                                     ["bsde-quadratic", "--phi", "0:1,0.5:3", "--varrho", "0.030625"]], ids=" ".join)
+def test_lsmc_bytes_do_not_depend_on_blas_or_worker_threads(command, tmp_path):
+    # OpenBLAS reads its thread count when numpy is loaded, so every setting runs in a process of its own
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    outputs = {}
+    for blas, threads in itertools.product("12", "12"):
+        out = tmp_path / f"blas{blas}-threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "insiderlab.cli", *command, "--n-paths", "9000", "--n-steps", "20",
+                        "--seed", "3", "--threads", threads, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs[blas, threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+    reference = outputs.pop(("1", "1"))
+    assert len(reference) >= 2
+    for crossing, files in outputs.items():
+        assert files == reference, crossing
