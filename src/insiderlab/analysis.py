@@ -45,6 +45,7 @@ __all__ = [
     "value_insider_nonrobust",
     "VALUE_KINDS",
     "value_of",
+    "horizon_gap",
     "critical_T0",
     "fig_value_table",
     "fig_critical_table",
@@ -65,6 +66,10 @@ class ValueBreakdown:
         return self.base + self.merton + self.rent + self.penalty_adjust
 
 
+# the signal weight phi_w = 1 of the standard figures
+_UNIT_WEIGHT = PiecewiseConstant.constant(1.0)
+
+
 # -- exact piecewise quadratures -------------------------------------------------
 
 
@@ -74,10 +79,9 @@ def _pieces(market: MarketParams, weight: PiecewiseConstant | None = None) -> li
     return list(zip(knots, knots[1:]))
 
 
-def integral_weighted_iota(market: MarketParams, insider: InsiderSpec) -> float:
-    """int_0^T phi_w iota dt."""
-    w = insider.phi_weight
-    return sum(w(a) * iota(market, a) * (b - a) for a, b in _pieces(market, w))
+def integral_weighted_iota(market: MarketParams, weight: PiecewiseConstant) -> float:
+    """int_0^T phi_w iota dt for the signal weight phi_w = `weight`."""
+    return sum(weight(a) * iota(market, a) * (b - a) for a, b in _pieces(market, weight))
 
 
 def integral_iota_sq(market: MarketParams) -> float:
@@ -140,18 +144,22 @@ def value_small_insider_robust(market: MarketParams, insider: InsiderSpec) -> Va
     market.require_no_impact("the informed robust value")
     T0 = _require_insider(insider, market.T, "the informed robust value")
     s0, sT = phi_norm_sq(insider, np.array([0.0, market.T]), T0).tolist()
-    cross = integral_weighted_iota(market, insider)
     i2 = integral_iota_sq(market)
-    rent = (
-        0.5 * math.log((s0 + sT) ** 2 / (4.0 * s0 * sT))
-        + (s0 - sT) / (2.0 * (s0 + sT))
-        + cross**2 / (4.0 * (s0 + sT))
-    )
     return ValueBreakdown(
         base=_base(market),
         merton=0.5 * i2,
-        rent=rent,
+        rent=_robust_rent(s0, sT, integral_weighted_iota(market, insider.phi_weight)),
         penalty_adjust=-0.25 * i2,
+    )
+
+
+def _robust_rent(s0: float, sT: float, cross: float) -> float:
+    """The rent of value_small_insider_robust from s0 = ||phi_w||^2_[0,T0],
+    sT = ||phi_w||^2_[T,T0] and cross = int_0^T phi_w iota dt."""
+    return (
+        0.5 * math.log((s0 + sT) ** 2 / (4.0 * s0 * sT))
+        + (s0 - sT) / (2.0 * (s0 + sT))
+        + cross**2 / (4.0 * (s0 + sT))
     )
 
 
@@ -197,10 +205,16 @@ def value_of(kind: StrategyKind, market: MarketParams, insider: InsiderSpec) -> 
     """Closed-form value of regime `kind` (one of VALUE_KINDS) in the market it
     trades in: `market`, without impact for a small trader.  A value too large
     for a float is a ValidationError (`value_finite`)."""
+    return _finite_value(kind, lambda: _VALUES[kind](market_for(kind, market), insider))
+
+
+def _finite_value(kind: StrategyKind, value) -> ValueBreakdown:
+    """value(), the ValueBreakdown of regime `kind`, refused as
+    `value_finite` when its total is not a finite float."""
     try:
-        value = _VALUES[kind](market_for(kind, market), insider)
-        if math.isfinite(value.total):
-            return value
+        breakdown = value()
+        if math.isfinite(breakdown.total):
+            return breakdown
     except ArithmeticError:  # a float ** that overflows, or a quotient of underflowed norms
         pass
     raise ValidationError("value_finite", f"the {kind.value} value overflows a float")
@@ -209,23 +223,48 @@ def value_of(kind: StrategyKind, market: MarketParams, insider: InsiderSpec) -> 
 # -- critical information horizon ----------------------------------------------
 
 
-def critical_T0(market: MarketParams) -> float:
-    """Bisection for the horizon T0 at which the robust informed value equals
-    the ambiguity-neutral uninformed value (both with varrho = 0), to a value
-    gap of at most 1e-6.
+def horizon_gap(market: MarketParams, weight: PiecewiseConstant = _UNIT_WEIGHT):
+    """gap(T0): the robust informed value at information horizon T0 under
+    the signal weight `weight` less the ambiguity-neutral uninformed value,
+    both with varrho = 0; bit for bit
+
+        value_of(SMALL_INSIDER_ROBUST, market, enlargement(T0, weight)).total
+            - value_of(NO_INSIDER_NONROBUST, market, none).total.
+
+    The terms that do not depend on T0 (ln X0 + int r, int iota^2, int
+    phi_w iota and the uninformed value) are evaluated here, once; gap(T0)
+    forms s0 and sT by the scalar integral, which equals the array one bit
+    for bit, and the rent, and sums the breakdown in value_of's order."""
+    market.require_no_impact("the critical horizon")
+    kind = StrategyKind.SMALL_INSIDER_ROBUST
+    small = market_for(kind, market)
+    target = value_of(StrategyKind.NO_INSIDER_NONROBUST, market, InsiderSpec.none()).total
+    base, i2, cross = _base(small), integral_iota_sq(small), integral_weighted_iota(small, weight)
+
+    def gap(T0: float) -> float:
+        if not T0 > small.T:
+            raise ValidationError("t0_after_horizon", "the informed robust value needs T0 > T")
+        s0, sT = weight.integral(0.0, T0, 2), weight.integral(small.T, T0, 2)
+        value = _finite_value(kind, lambda: ValueBreakdown(base, 0.5 * i2, _robust_rent(s0, sT, cross), -0.25 * i2))
+        return value.total - target
+
+    return gap
+
+
+def critical_T0(market: MarketParams, weight: PiecewiseConstant = _UNIT_WEIGHT) -> float:
+    """Bisection for the horizon T0 at which the robust informed value under
+    the signal weight `weight` equals the ambiguity-neutral uninformed value
+    (both with varrho = 0), to a value gap of at most 1e-6: a root of
+    horizon_gap(market, weight).
 
     The search runs on [1.05 T, 1000 T].  Raises if that interval does not
     straddle the root (e.g. when iota = 0 and there is no robustness loss to
-    offset).
+    offset), or if the weight has no mass on [T, 1.05 T] (`phi_tail_norm`).
     """
-    market.require_no_impact("the critical horizon")
-    target = value_of(StrategyKind.NO_INSIDER_NONROBUST, market, InsiderSpec.none()).total
-
-    def gap(T0: float) -> float:
-        insider = InsiderSpec.enlargement(T0=T0)
-        return value_of(StrategyKind.SMALL_INSIDER_ROBUST, market, insider).total - target
-
+    gap = horizon_gap(market, weight)
     lo, hi = 1.05 * market.T, 1000.0 * market.T
+    if not weight.integral(market.T, lo, 2) > 0.0:
+        raise ValidationError("phi_tail_norm", f"signal weight must have mass on [T, {lo}]")
     f_lo, f_hi = gap(lo), gap(hi)
     if f_lo == 0.0:
         return lo
@@ -254,10 +293,12 @@ def fig_value_table(
     market: MarketParams,
     t0_values,
     bsde_values: dict[float, float] | None = None,
+    weight: PiecewiseConstant = _UNIT_WEIGHT,
 ) -> tuple[list[str], list[list]]:
     """Utility gain (value - ln X0) of every regime against the information
-    horizon, each in the market it trades in (value_of's rule): small traders
-    without impact, the others in `market` as given.  The extra column
+    horizon, under the signal weight `weight`, each in the market it trades
+    in (value_of's rule): small traders without impact, the others in
+    `market` as given.  The extra column
     `no_insider_nonrobust_no_impact` is the uninformed neutral curve without
     impact, against which the critical horizon is defined; it equals
     `no_insider_nonrobust` when varrho = 0.  `bsde_values` optionally adds the
@@ -270,7 +311,7 @@ def fig_value_table(
         header.append("large_insider_robust_bsde")
     rows = []
     for t0 in t0_values:
-        insider = InsiderSpec.enlargement(T0=float(t0))
+        insider = InsiderSpec.enlargement(T0=float(t0), phi_weight=weight)
         row = [float(t0)] + [value_of(k, market, insider).total - ln_x0 for k in VALUE_KINDS]
         row.append(reference)
         if bsde_values is not None:
@@ -280,9 +321,10 @@ def fig_value_table(
 
 
 def fig_critical_table(
-    market: MarketParams, mu_values, sigma_values
+    market: MarketParams, mu_values, sigma_values, weight: PiecewiseConstant = _UNIT_WEIGHT
 ) -> tuple[list[str], list[list]]:
-    """Long-format critical horizon over a (mu0, sigma) grid."""
+    """Long-format critical horizon under the signal weight `weight` over a
+    (mu0, sigma) grid."""
     header = ["mu", "sigma", "T0_star"]
     rows = []
     base = market.without_impact()
@@ -293,7 +335,7 @@ def fig_critical_table(
                 mu0=PiecewiseConstant.constant(float(mu)),
                 sigma=PiecewiseConstant.constant(float(sig)),
             )
-            rows.append([float(mu), float(sig), critical_T0(mkt)])
+            rows.append([float(mu), float(sig), critical_T0(mkt, weight)])
     return header, rows
 
 

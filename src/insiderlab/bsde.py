@@ -45,11 +45,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import InsiderSpec, MarketParams, ScenarioConfig, ValidationError, breakpoints, iota, sigma_tilde, validate
+from .model import (
+    InsiderSpec,
+    MarketParams,
+    ScenarioConfig,
+    ValidationError,
+    breakpoints,
+    iota,
+    phi_norm_sq,
+    sigma_tilde,
+    validate,
+)
 from .paths import PathBatch, TimeGrid, build_grid, signal_drift, state_weight, stream_paths
 from .simulate import mean_se, ordered_mean
 from .strategies import StrategyKind, closed_form_lines, pi_no_insider_robust
@@ -59,6 +69,7 @@ __all__ = [
     "SweepPaths",
     "BsdeSolution",
     "stream_sweep_paths",
+    "stream_horizon_paths",
     "log_pi_star",
     "require_gaussian_oracle",
     "enlargement_normalizer",
@@ -213,6 +224,38 @@ def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
     paths, tile = _sweep_tiler(config, grid)
     stream_paths(config, grid, tile, threads, dWH=False)
     return paths
+
+
+def stream_horizon_paths(config: ScenarioConfig, t0s, threads: int = 1):
+    """The sweep inputs of `config` under the signal of its weight at each
+    information horizon T0 of `t0s`, in order, from one draw: each equals
+    stream_sweep_paths of `config` with that T0 bit for bit.  Only the
+    signal depends on T0, Y0 = B_T + fl(z sqrt(||phi_w||^2_[T,T0])) for the
+    standard normal tail draw z of each path, so the grid, dW, the weight
+    and the checkpoints are drawn and stored once and shared; each
+    horizon's SweepPaths has its own Y0 and its own scratch.  A generator:
+    every horizon's config is validated before the draw, at the first
+    horizon asked for."""
+    weight = config.insider.phi_weight
+    configs = [replace(config, insider=InsiderSpec.enlargement(T0=t0, phi_weight=weight)) for t0 in t0s]
+    for cfg in configs:
+        validate(cfg)
+    if not configs:
+        return
+    grid = build_grid(configs[0])  # no knot depends on T0
+    m = grid.index_T
+    shared, tile = _sweep_tiler(configs[0], grid)  # its Y0 is B_T: the tail is not drawn in
+    z = np.empty(config.n_paths)
+
+    def tile_tail(rows: slice, batch: PathBatch) -> None:
+        tile(rows, batch)
+        z[rows] = batch.dW[:, m]
+
+    stream_paths(configs[0], grid, tile_tail, threads, dWH=False, tail=False)
+    for cfg in configs:
+        y0 = np.multiply(z, math.sqrt(phi_norm_sq(cfg.insider, grid.T, cfg.insider.T0)))
+        y0 += shared.Y0
+        yield replace(shared, Y0=y0, insider=cfg.insider)
 
 
 def _phitilde(paths: SweepPaths, market: MarketParams):

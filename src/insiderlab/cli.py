@@ -31,6 +31,7 @@ from .bsde import (
     solve_linear_closed_form,
     solve_linear_lsmc,
     solve_quadratic_lsmc,
+    stream_horizon_paths,
     stream_sweep_paths,
     value_from_bsde,
 )
@@ -318,10 +319,9 @@ def _cmd_forward_check(args, config: ScenarioConfig):
 
 
 def _cmd_critical_t0(args, config: ScenarioConfig):
-    market = config.market.without_impact()
-    t0_star = analysis.critical_T0(market)
-    informed = analysis.value_of(StrategyKind.SMALL_INSIDER_ROBUST, market, InsiderSpec.enlargement(T0=t0_star))
-    gap = informed.total - analysis.value_of(StrategyKind.NO_INSIDER_NONROBUST, market, InsiderSpec.none()).total
+    market, weight = config.market.without_impact(), config.insider.phi_weight
+    t0_star = analysis.critical_T0(market, weight)
+    gap = analysis.horizon_gap(market, weight)(t0_star)
     return 0, {
         "critical_t0.csv": (
             ["mu", "sigma", "r", "T", "T0_star", "equation_gap"],
@@ -331,29 +331,24 @@ def _cmd_critical_t0(args, config: ScenarioConfig):
 
 
 def _cmd_figures(args, config: ScenarioConfig):
-    market = config.market
+    market, weight = config.market, config.insider.phi_weight
     T = market.T
     if args.fig_kind in ("fig1", "fig3"):
         t0s = [x * T for x in (1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0)]
         bsde_values = None
-        if args.with_bsde:
-            bsde_values = {}
+        if args.with_bsde:  # one ensemble for all horizons; the sweep validates each horizon's config
+            sweep = replace(config, n_paths=args.bsde_paths, n_steps=args.bsde_steps)
+            ln_x0 = math.log(market.X0)
+            bsde_values = {t0: value_from_bsde(solve_quadratic_lsmc(paths, market))[0] - ln_x0
+                           for t0, paths in zip(t0s, stream_horizon_paths(sweep, t0s, threads=args.threads))}
+        else:  # a horizon whose weight has no mass on [T, T0] is phi_tail_norm, not value_finite
             for t0 in t0s:
-                cfg = replace(
-                    config,
-                    market=market,
-                    insider=InsiderSpec.enlargement(T0=t0),
-                    n_paths=args.bsde_paths,
-                    n_steps=args.bsde_steps,
-                )
-                paths = stream_sweep_paths(cfg, threads=args.threads)
-                sol = solve_quadratic_lsmc(paths, market)
-                bsde_values[t0] = value_from_bsde(sol)[0] - math.log(market.X0)
-        table = analysis.fig_value_table(market, t0s, bsde_values)
+                validate(replace(config, insider=InsiderSpec.enlargement(T0=t0, phi_weight=weight)))
+        table = analysis.fig_value_table(market, t0s, bsde_values, weight)
     elif args.fig_kind == "fig2":
         mus = [0.10, 0.125, 0.15, 0.175, 0.20]
         sigmas = [0.25, 0.30, 0.35, 0.40, 0.45]
-        table = analysis.fig_critical_table(market, mus, sigmas)
+        table = analysis.fig_critical_table(market, mus, sigmas, weight)
     else:  # strategy_lines
         w_values = [(-2.0 + 0.1 * i) for i in range(41)]
         table = analysis.strategy_line_table(

@@ -8,6 +8,7 @@ from insiderlab.analysis import (
     critical_T0,
     fig_critical_table,
     fig_value_table,
+    horizon_gap,
     integral_iota_sq,
     integral_weighted_iota,
     strategy_line_slopes,
@@ -15,6 +16,7 @@ from insiderlab.analysis import (
     value_insider_nonrobust,
     value_no_insider_nonrobust,
     value_no_insider_robust,
+    value_of,
     value_small_insider_robust,
 )
 from insiderlab.bsde import enlargement_normalizer
@@ -199,7 +201,8 @@ class TestPiecewiseQuadratures:
         assert integral_iota_sq(m) == pytest.approx(float(np.sum(io**2 * dt)), rel=1e-14)
         weighted = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.3), (1.0, -2.0)))
         w = np.where(t < 0.3, 1.0, -2.0)
-        assert integral_weighted_iota(m, weighted) == pytest.approx(float(np.sum(w * io * dt)), rel=1e-14)
+        expect = float(np.sum(w * io * dt))
+        assert integral_weighted_iota(m, weighted.phi_weight) == pytest.approx(expect, rel=1e-14)
 
     def test_nonrobust_rent_matches_quadrature(self):
         # (1/2) int_0^T (sigma/sigma_tilde) phi_w^2 / ||phi_w||^2_[t,T0] dt by the
@@ -259,6 +262,118 @@ class TestCriticalHorizon:
         with pytest.raises(ValidationError) as err:
             critical_T0(flat_market(mu=0.0))
         assert err.value.code == "bracket_no_root"
+
+
+def step_functions(lo, hi, max_breaks=3):
+    """Piecewise-constant functions with up to max_breaks breakpoints in (0, 3)."""
+    return st.lists(st.floats(1e-3, 3.0), unique=True, max_size=max_breaks).flatmap(
+        lambda bps: st.lists(st.floats(lo, hi), min_size=len(bps) + 1, max_size=len(bps) + 1).map(
+            lambda vals: PiecewiseConstant((0.0, *sorted(bps)), vals)
+        )
+    )
+
+
+@st.composite
+def gap_markets(draw):
+    """Markets without impact with piecewise r, mu0 and sigma, and a signal
+    weight: unit or piecewise, with mass everywhere."""
+    market = MarketParams(
+        r=draw(step_functions(-0.05, 0.05)),
+        mu0=draw(step_functions(-0.2, 0.4)),
+        sigma=draw(step_functions(0.1, 1.0)),
+        varrho=0.0,
+        T=draw(st.floats(0.1, 3.0)),
+        X0=draw(st.floats(0.01, 100.0)),
+    )
+    weight = draw(st.just(PiecewiseConstant.constant(1.0)) | step_functions(0.2, 3.0))
+    return market, weight
+
+
+def reference_critical_T0(market, weight):
+    """critical_T0 as a bisection over value_of on the whole informed value."""
+    target = value_of(StrategyKind.NO_INSIDER_NONROBUST, market, InsiderSpec.none()).total
+
+    def gap(T0):
+        insider = InsiderSpec.enlargement(T0=T0, phi_weight=weight)
+        return value_of(StrategyKind.SMALL_INSIDER_ROBUST, market, insider).total - target
+
+    lo, hi = 1.05 * market.T, 1000.0 * market.T
+    f_lo, f_hi = gap(lo), gap(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+        return "bracket_no_root"
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = gap(mid)
+        if abs(f_mid) <= 1e-6:
+            return mid
+        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return "bisection_stalled"
+
+
+class TestLeanBisection:
+    @settings(max_examples=200, deadline=None)
+    @given(case=gap_markets(), frac=st.floats(0.0, 1.0, exclude_min=True), data=st.data())
+    def test_gap_is_the_value_of_gap_bit_for_bit(self, case, frac, data):
+        market, weight = case
+        # T0 in (T, 1000 T], at the ends of the search and between them
+        T0 = data.draw(st.sampled_from([market.T + frac * 999.0 * market.T, 1.05 * market.T,
+                                        1000.0 * market.T, np.nextafter(market.T, np.inf)]))
+        target = value_of(StrategyKind.NO_INSIDER_NONROBUST, market, InsiderSpec.none()).total
+        insider = InsiderSpec.enlargement(T0=T0, phi_weight=weight)
+        try:
+            expect = value_of(StrategyKind.SMALL_INSIDER_ROBUST, market, insider).total - target
+        except ValidationError as err:
+            with pytest.raises(ValidationError) as got:
+                horizon_gap(market, weight)(T0)
+            assert got.value.code == err.code
+            return
+        assert np.float64(horizon_gap(market, weight)(T0)).tobytes() == np.float64(expect).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=gap_markets())
+    def test_critical_T0_is_the_value_of_bisection(self, case):
+        market, weight = case
+        expect = reference_critical_T0(market, weight)
+        if isinstance(expect, str):
+            with pytest.raises(ValidationError) as err:
+                critical_T0(market, weight)
+            assert err.value.code == expect
+        else:
+            got = critical_T0(market, weight)
+            assert type(got) is float and got == expect
+
+    def test_critical_T0_at_unit_weight_is_the_default(self, market):
+        assert critical_T0(market) == critical_T0(market, PiecewiseConstant.constant(1.0))
+        assert critical_T0(market, PiecewiseConstant((0.0, 0.5), (1.0, 3.0))) != critical_T0(market)
+
+    def test_overflowing_market_is_value_finite(self):
+        # ln X0 + int r overflows a float at every horizon
+        market = flat_market(r=1e300, T=1e10)
+        with pytest.raises(ValidationError) as err:
+            horizon_gap(market)(2e10)
+        assert err.value.code == "value_finite"
+        with pytest.raises(ValidationError) as err:
+            critical_T0(market)
+        assert err.value.code == "value_finite"
+
+    def test_weight_without_mass_after_T_is_phi_tail_norm(self, market):
+        # no mass on [T, 1.05 T]: the search cannot start there
+        weight = PiecewiseConstant((0.0, 1.0, 1.2), (1.0, 0.0, 1.0))
+        with pytest.raises(ValidationError) as err:
+            critical_T0(market, weight)
+        assert err.value.code == "phi_tail_norm"
+
+    def test_impact_is_refused(self, market_impact):
+        with pytest.raises(ValidationError) as err:
+            critical_T0(market_impact)
+        assert err.value.code == "impact_not_allowed"
 
 
 class TestFigureData:

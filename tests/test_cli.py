@@ -664,16 +664,73 @@ class TestAnalysisCommands:
             assert row["small_insider_robust"] != ""
 
     def test_fig1_bsde_column_is_the_quadratic_solve(self, tmp_path, cfg_file):
-        # the T0 = 2 cell is bsde-quadratic's value at T0 = 2, less ln X0, bit for bit
+        # every cell is bsde-quadratic's value at its T0, less ln X0, bit for bit,
+        # with the same paths, steps and seed: on one and two workers, and under
+        # a piecewise weight, which both commands take from --phi
         size = ["--seed", "5", "--x0", "2.0", "--config", cfg_file]
-        assert run(["figures", "--fig-kind", "fig1", "--with-bsde", "--bsde-paths", "3000",
-                    "--bsde-steps", "10", *size, "--out", str(tmp_path)]) == 0
-        assert run(["bsde-quadratic", "--t0", "2", "--n-paths", "3000", "--n-steps", "10", *size,
-                    "--out", str(tmp_path)]) == 0
-        cells = {row["T0"]: row["large_insider_robust_bsde"] for row in read_table(tmp_path / "fig1.csv")}
-        value = float(read_table(tmp_path / "bsde_quadratic_value.csv")[0]["value"])
-        assert len(cells) == 11 and all(cells.values())
-        assert cells["2.0"] == repr(value - math.log(2.0))
+        tables = {}
+        for threads, flags in (("1", []), ("2", []), ("1", ["--phi", "0:1,0.5:3"])):
+            out = tmp_path / f"threads{threads}{''.join(flags)}"
+            common = [*size, *flags, "--threads", threads, "--out", str(out)]
+            assert run(["figures", "--fig-kind", "fig1", "--with-bsde", "--bsde-paths", "3000",
+                        "--bsde-steps", "10", *common]) == 0
+            tables[threads, *flags] = (out / "fig1.csv").read_bytes()
+            cells = {row["T0"]: row["large_insider_robust_bsde"] for row in read_table(out / "fig1.csv")}
+            assert list(cells) == [repr(x) for x in FIG_T0_MULTIPLES]  # T = 1
+            for t0, cell in cells.items():
+                assert run(["bsde-quadratic", "--t0", t0, "--n-paths", "3000", "--n-steps", "10", *common]) == 0
+                value = float(read_table(out / "bsde_quadratic_value.csv")[0]["value"])
+                assert cell == repr(value - math.log(2.0)), (threads, flags, t0)
+        assert tables["1",] == tables["2",]
+        assert tables["1",] != tables["1", "--phi", "0:1,0.5:3"]
+
+    @pytest.mark.parametrize("fig", ["fig1", "fig3"])
+    def test_value_figures_use_the_configured_weight(self, tmp_path, cfg_file, capsys, fig):
+        phi = "0:1,0.5:3"
+        assert run(["figures", "--fig-kind", fig, "--phi", phi, "--config", cfg_file, "--out", str(tmp_path)]) == 0
+        echo = re.search(r"^config=(.*)$", capsys.readouterr().out, re.M).group(1)
+        config = load_echo(echo, tmp_path)
+        assert config.insider.phi_weight == parse_piecewise(phi)
+        lines = (tmp_path / f"{fig}.csv").read_text().splitlines()
+        header, rows = analysis.fig_value_table(config.market, FIG_T0_MULTIPLES, weight=parse_piecewise(phi))
+        assert lines == [",".join(header)] + [",".join(repr(x) for x in row) for row in rows]
+        _, unit_rows = analysis.fig_value_table(config.market, FIG_T0_MULTIPLES)
+        assert rows != unit_rows
+
+    def test_critical_horizons_use_the_configured_weight(self, tmp_path, cfg_file):
+        phi = "0:1,0.5:3"
+        weight = parse_piecewise(phi)
+        for command in (["critical-t0"], ["figures", "--fig-kind", "fig2"]):
+            assert run([*command, "--phi", phi, "--config", cfg_file, "--out", str(tmp_path)]) == 0
+        market = load_config(cfg_file, argparse.Namespace()).market
+        row = read_table(tmp_path / "critical_t0.csv")[0]
+        t0_star = analysis.critical_T0(market, weight)
+        assert t0_star != analysis.critical_T0(market)
+        assert row["T0_star"] == repr(t0_star)
+        assert row["equation_gap"] == repr(analysis.horizon_gap(market, weight)(t0_star))
+        header, rows = analysis.fig_critical_table(market, [0.10, 0.125, 0.15, 0.175, 0.20],
+                                                   [0.25, 0.30, 0.35, 0.40, 0.45], weight)
+        lines = (tmp_path / "fig2.csv").read_text().splitlines()
+        assert lines == [",".join(header)] + [",".join(repr(x) for x in row) for row in rows]
+
+    @pytest.mark.parametrize("argv, code", [
+        # mass on [T, T0 = 2] but none on [T, 1.3]: the first horizons have no signal
+        (["figures", "--fig-kind", "fig1"], "phi_tail_norm"),
+        (["figures", "--fig-kind", "fig1", "--with-bsde", "--bsde-paths", "500", "--bsde-steps", "4"],
+         "phi_tail_norm"),
+        (["figures", "--fig-kind", "fig3"], "phi_tail_norm"),
+        (["critical-t0"], "phi_tail_norm"),
+        (["figures", "--fig-kind", "fig2"], "phi_tail_norm"),
+    ], ids=lambda x: "-".join(x) if isinstance(x, list) else x)
+    def test_weight_without_mass_at_a_horizon_exits_one(self, tmp_path, capsys, cfg_file, argv, code):
+        assert run([*argv, "--phi", "0:1,1:0,1.3:1", "--config", cfg_file, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: {code}:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("phi", ["1", "0:1,0.5:3"])
+    def test_critical_t0_without_a_root_exits_one(self, tmp_path, capsys, phi):
+        assert run(["critical-t0", "--mu", "0", "--phi", phi, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("validation error: bracket_no_root:")
 
     @pytest.mark.parametrize("mu, expect", [(None, 0.08), ("0.2", 0.2)])
     def test_fig3_defaults_to_mu_0_08(self, tmp_path, cfg_file, mu, expect):

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,18 @@ from insiderlab.bsde import (
     solve_linear_closed_form,
     solve_linear_lsmc,
     solve_quadratic_lsmc,
+    stream_horizon_paths,
     stream_sweep_paths,
 )
-from insiderlab.model import InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, iota, sigma_tilde
+from insiderlab.model import (
+    InsiderSpec,
+    MarketParams,
+    PiecewiseConstant,
+    ScenarioConfig,
+    ValidationError,
+    iota,
+    sigma_tilde,
+)
 from insiderlab.paths import _BLOCK, l2_rows, partial_signals, sample_paths
 from insiderlab.simulate import mean_se, ordered_mean
 
@@ -90,6 +100,41 @@ def test_regenerated_rows_equal_the_whole_batch_in_any_order(n_steps, insider, t
                 if i < m:
                     assert paths.dWH(i).tobytes() == dWH[i].tobytes(), (market, i)
                     assert not paths.level(i).flags.writeable and not paths.dWH(i).flags.writeable
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("insider", [UNIT, PIECEWISE, NONE], ids=["unit", "piecewise", "none"])
+def test_horizon_sweep_inputs_equal_one_stream_per_horizon(insider, threads):
+    # one draw for every horizon: each input has the dW, checkpoints and Y0
+    # bytes of the stream of its own config, whose signal has the config's
+    # weight (unit without a signal); JUMP adds a breakpoint knot
+    horizons = [1.2, 1.5, 2.0, 5.0, 12.0]
+    for market in (MARKET, JUMP):
+        config = config_of(insider, _BLOCK + 777, market)
+        sweeps = list(stream_horizon_paths(config, horizons, threads))
+        assert len(sweeps) == len(horizons)
+        for t0, paths in zip(horizons, sweeps):
+            signal = InsiderSpec.enlargement(T0=t0, phi_weight=insider.phi_weight)
+            own = stream_sweep_paths(replace(config, insider=signal), threads)
+            assert paths.insider == signal
+            assert paths.dW.tobytes() == own.dW.tobytes()
+            assert paths.checkpoints.tobytes() == own.checkpoints.tobytes()
+            assert paths.Y0.tobytes() == own.Y0.tobytes()
+            assert paths.weight.tobytes() == own.weight.tobytes()
+            # drawn once: the horizons share dW, the weight and the checkpoints
+            assert paths.dW is sweeps[0].dW and paths.checkpoints is sweeps[0].checkpoints
+            assert paths.weight is sweeps[0].weight
+        assert len({paths.Y0.tobytes() for paths in sweeps}) == len(horizons)
+
+
+def test_horizon_sweep_validates_every_horizon_before_the_draw(monkeypatch):
+    # the weight has mass on [T, 2] but none on [T, 1.2]
+    weight = PiecewiseConstant((0.0, 1.0, 1.3), (1.0, 0.0, 1.0))
+    config = config_of(InsiderSpec.enlargement(T0=2.0, phi_weight=weight), 100)
+    monkeypatch.setattr("insiderlab.bsde.stream_paths", lambda *a, **k: pytest.fail("drew paths"))
+    with pytest.raises(ValidationError) as err:
+        next(stream_horizon_paths(config, [2.0, 1.2]))
+    assert err.value.code == "phi_tail_norm"
 
 
 def sweep_paths_of(config, batch):
