@@ -143,24 +143,23 @@ def value_small_insider_robust(market: MarketParams, insider: InsiderSpec) -> Va
     """
     market.require_no_impact("the informed robust value")
     T0 = _require_insider(insider, market.T, "the informed robust value")
-    s0, sT = phi_norm_sq(insider, np.array([0.0, market.T]), T0).tolist()
-    i2 = integral_iota_sq(market)
-    return ValueBreakdown(
-        base=_base(market),
-        merton=0.5 * i2,
-        rent=_robust_rent(s0, sT, integral_weighted_iota(market, insider.phi_weight)),
-        penalty_adjust=-0.25 * i2,
-    )
+    return _robust_value(market, insider.phi_weight)(T0)
 
 
-def _robust_rent(s0: float, sT: float, cross: float) -> float:
-    """The rent of value_small_insider_robust from s0 = ||phi_w||^2_[0,T0],
-    sT = ||phi_w||^2_[T,T0] and cross = int_0^T phi_w iota dt."""
-    return (
-        0.5 * math.log((s0 + sT) ** 2 / (4.0 * s0 * sT))
-        + (s0 - sT) / (2.0 * (s0 + sT))
-        + cross**2 / (4.0 * (s0 + sT))
-    )
+def _robust_value(market: MarketParams, weight: PiecewiseConstant):
+    """value(T0): value_small_insider_robust in `market` under the signal
+    weight `weight` at the horizon T0 > T, with the terms that do not depend
+    on T0 (ln X0 + int r, int iota^2 and int_0^T phi_w iota dt) formed here,
+    once."""
+    base, i2, cross = _base(market), integral_iota_sq(market), integral_weighted_iota(market, weight)
+
+    def value(T0: float) -> ValueBreakdown:
+        s0, sT = weight.integral(0.0, T0, 2), weight.integral(market.T, T0, 2)
+        rent = (0.5 * math.log((s0 + sT) ** 2 / (4.0 * s0 * sT)) + (s0 - sT) / (2.0 * (s0 + sT))
+                + cross**2 / (4.0 * (s0 + sT)))
+        return ValueBreakdown(base=base, merton=0.5 * i2, rent=rent, penalty_adjust=-0.25 * i2)
+
+    return value
 
 
 def value_insider_nonrobust(market: MarketParams, insider: InsiderSpec) -> ValueBreakdown:
@@ -231,22 +230,18 @@ def horizon_gap(market: MarketParams, weight: PiecewiseConstant = _UNIT_WEIGHT):
         value_of(SMALL_INSIDER_ROBUST, market, enlargement(T0, weight)).total
             - value_of(NO_INSIDER_NONROBUST, market, none).total.
 
-    The terms that do not depend on T0 (ln X0 + int r, int iota^2, int
-    phi_w iota and the uninformed value) are evaluated here, once; gap(T0)
-    forms s0 and sT by the scalar integral, which equals the array one bit
-    for bit, and the rent, and sums the breakdown in value_of's order."""
+    The uninformed value and the informed value's terms that do not depend
+    on T0 are formed here, once, the uninformed one first, so that a market
+    whose values overflow is `value_finite`."""
     market.require_no_impact("the critical horizon")
     kind = StrategyKind.SMALL_INSIDER_ROBUST
-    small = market_for(kind, market)
     target = value_of(StrategyKind.NO_INSIDER_NONROBUST, market, InsiderSpec.none()).total
-    base, i2, cross = _base(small), integral_iota_sq(small), integral_weighted_iota(small, weight)
+    value = _robust_value(market_for(kind, market), weight)
 
     def gap(T0: float) -> float:
-        if not T0 > small.T:
+        if not T0 > market.T:
             raise ValidationError("t0_after_horizon", "the informed robust value needs T0 > T")
-        s0, sT = weight.integral(0.0, T0, 2), weight.integral(small.T, T0, 2)
-        value = _finite_value(kind, lambda: ValueBreakdown(base, 0.5 * i2, _robust_rent(s0, sT, cross), -0.25 * i2))
-        return value.total - target
+        return _finite_value(kind, lambda: value(T0)).total - target
 
     return gap
 
@@ -305,7 +300,7 @@ def fig_value_table(
     numerically solved robust large-trader series keyed by T0.
     """
     ln_x0 = math.log(market.X0)
-    reference = value_no_insider_nonrobust(market.without_impact()).total - ln_x0
+    reference = value_of(StrategyKind.NO_INSIDER_NONROBUST, market.without_impact(), InsiderSpec.none()).total - ln_x0
     header = ["T0", *(kind.value for kind in VALUE_KINDS), "no_insider_nonrobust_no_impact"]
     if bsde_values is not None:
         header.append("large_insider_robust_bsde")

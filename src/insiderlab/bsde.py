@@ -195,67 +195,59 @@ class SweepPaths:
         return rows
 
 
-def _sweep_tiler(config: ScenarioConfig, grid: TimeGrid):
-    """(paths, tile): an unfilled SweepPaths of the ensemble of `config` on
-    `grid`, and tile(rows, batch), which copies what paths stores of the
-    PathBatch `batch` of paths `rows`."""
-    m, n, insider = grid.index_T, config.n_paths, config.insider
+def _sweep_inputs(config: ScenarioConfig, insiders, threads: int):
+    """The sweep inputs under each of `insiders`, in order, from one raw
+    stream of the validated `config`, whose insider differs from theirs in
+    T0 at most.  The grid, dW, the weight, the checkpoints and the tail's
+    standard normal draw z do not depend on T0 and are stored once; each
+    input has its own scratch and its own signal Y0 = B_T + fl(z
+    sqrt(||phi_w||^2_[T,T0])), sample_paths' operations in its order, the
+    last formed in z's row.  Without a signal, `insiders` is config's alone."""
+    grid = build_grid(config)
+    m, n = grid.index_T, config.n_paths
     c = _stride(m)
-    paths = SweepPaths(grid=grid, dW=np.empty((m, n)), weight=state_weight(config, grid),
-                       checkpoints=np.empty((m // c + 1, n)),
-                       Y0=np.empty(n) if insider.has_signal() else None, insider=insider)
+    dW, checkpoints = np.empty((m, n)), np.empty((m // c + 1, n))
+    z = np.empty(n) if config.insider.has_signal() else None
 
     def tile(rows: slice, batch: PathBatch) -> None:
-        paths.dW[:, rows] = batch.dW[:, :m].T
-        paths.checkpoints[:, rows] = batch.level[:, ::c].T
-        if paths.Y0 is not None:
-            paths.Y0[rows] = batch.Y0
+        dW[:, rows] = batch.dW[:, :m].T
+        checkpoints[:, rows] = batch.level[:, ::c].T
+        if z is not None:
+            z[rows] = batch.dW[:, m]
 
-    return paths, tile
+    stream_paths(config, grid, tile, threads, raw=True)
+    paths = SweepPaths(grid=grid, dW=dW, weight=state_weight(config, grid), checkpoints=checkpoints,
+                       Y0=z, insider=insiders[-1])
+    if z is None:
+        yield paths
+        return
+    b_T = paths.level(m)
+    for k, insider in enumerate(insiders, 1 - len(insiders)):  # k = 0 at the last
+        y0 = np.multiply(z, math.sqrt(phi_norm_sq(insider, grid.T, insider.T0)), out=None if k else z)
+        y0 += b_T
+        yield replace(paths, Y0=y0, insider=insider) if k else paths
 
 
 def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
     """The sweep input of sample_paths(config), bit for bit, copied one tile
     of paths at a time on up to `threads` workers: a whole PathBatch is never
-    held, and the tiles' dWH, which the sweep input regenerates, is not
-    formed."""
+    held, and the tiles' Y0 and dWH, which the sweep input forms itself, are
+    not."""
     validate(config)
-    grid = build_grid(config)
-    paths, tile = _sweep_tiler(config, grid)
-    stream_paths(config, grid, tile, threads, dWH=False)
-    return paths
+    return next(_sweep_inputs(config, [config.insider], threads))
 
 
 def stream_horizon_paths(config: ScenarioConfig, t0s, threads: int = 1):
     """The sweep inputs of `config` under the signal of its weight at each
-    information horizon T0 of `t0s`, in order, from one draw: each equals
-    stream_sweep_paths of `config` with that T0 bit for bit.  Only the
-    signal depends on T0, Y0 = B_T + fl(z sqrt(||phi_w||^2_[T,T0])) for the
-    standard normal tail draw z of each path, so the grid, dW, the weight
-    and the checkpoints are drawn and stored once and shared; each
-    horizon's SweepPaths has its own Y0 and its own scratch.  A generator:
-    every horizon's config is validated before the draw, at the first
-    horizon asked for."""
+    information horizon T0 of `t0s`, in order, from one draw, each equal to
+    stream_sweep_paths of `config` with that T0 bit for bit.  Every
+    horizon's config is validated here; an iterator that draws on the first
+    input asked for."""
     weight = config.insider.phi_weight
     configs = [replace(config, insider=InsiderSpec.enlargement(T0=t0, phi_weight=weight)) for t0 in t0s]
     for cfg in configs:
         validate(cfg)
-    if not configs:
-        return
-    grid = build_grid(configs[0])  # no knot depends on T0
-    m = grid.index_T
-    shared, tile = _sweep_tiler(configs[0], grid)  # its Y0 is B_T: the tail is not drawn in
-    z = np.empty(config.n_paths)
-
-    def tile_tail(rows: slice, batch: PathBatch) -> None:
-        tile(rows, batch)
-        z[rows] = batch.dW[:, m]
-
-    stream_paths(configs[0], grid, tile_tail, threads, dWH=False, tail=False)
-    for cfg in configs:
-        y0 = np.multiply(z, math.sqrt(phi_norm_sq(cfg.insider, grid.T, cfg.insider.T0)))
-        y0 += shared.Y0
-        yield replace(shared, Y0=y0, insider=cfg.insider)
+    return _sweep_inputs(configs[0], [cfg.insider for cfg in configs], threads) if configs else iter(())
 
 
 def _phitilde(paths: SweepPaths, market: MarketParams):
@@ -832,24 +824,20 @@ def value_from_bsde(sol: BsdeSolution) -> tuple[float, float]:
 KNOT_HEADER = ["t", "mean_Y", "mean_Z", "oracle_Y", "oracle_Z", "rmse_Y"]
 
 
-def knot_table(t: float, y: np.ndarray, z: np.ndarray | None = None, oracle=None,
-               mean_y: float | None = None, mean_z: float | None = None, work: np.ndarray | None = None) -> list:
+def knot_table(t: float, y: np.ndarray, z: np.ndarray | None, oracle, mean_y: float | None = None,
+               work: np.ndarray | None = None) -> list:
     """The row of the knot table (KNOT_HEADER) at knot time t, from that
     knot's value row y and control row z, and the oracle's pair (Y_i, Z_i):
     t, mean Y, mean Z, oracle Y, oracle Z and the RMSE of y against the
-    oracle, with means that do not depend on path order.  mean_y and mean_z
-    are the ordered means of y and z where they were already taken; a cell
-    with neither its row nor its mean (Z at the last knot, the oracle's
-    cells without one) is blank.  An oracle Z given as a number c stands for
-    the row c Y_i (solve_linear_closed_form's with `out`, without a signal).
-    Every sort and the RMSE's gap row go to the one row `work` (n_paths
-    floats, overwritten) when given, else to fresh rows; y, z and the
-    oracle's rows are not written."""
+    oracle, with means that do not depend on path order.  mean_y is the
+    ordered mean of y where it was already taken; a cell without its row
+    (Z at the last knot, the oracle's Z there) is blank.  An oracle Z given
+    as a number c stands for the row c Y_i (solve_linear_closed_form's with
+    `out`, without a signal).  Every sort and the RMSE's gap row go to the
+    one row `work` (n_paths floats, overwritten) when given, else to fresh
+    rows; y, z and the oracle's rows are not written."""
     mean_y = ordered_mean(y, work) if mean_y is None else mean_y
-    if mean_z is None:
-        mean_z = "" if z is None else ordered_mean(z, work)
-    if oracle is None:
-        return [float(t), mean_y, mean_z, "", "", ""]
+    mean_z = "" if z is None else ordered_mean(z, work)
     o_y, o_z = oracle
     # squared after an exact power-of-two scaling, so that no square
     # overflows, and sorted as ordered_mean sorts: all in the one row gap

@@ -291,8 +291,7 @@ def _cmd_bsde_quadratic(args, config: ScenarioConfig):
     pi_0, _ = initial_controls(sol, market, paths)
     mean_shift = ordered_mean(sol.shift, work)
     mean_y = {i: mean - mean_shift for i, mean in mean_y.items()} | {0: sol.y0_mean, m: ordered_mean(sol.y_T, work)}
-    knots = paths.grid.knots
-    rows = [knot_table(knots[i], None, mean_y=mean_y[i], mean_z=mean_z.get(i)) for i in range(m + 1)]
+    rows = [[float(t), mean_y[i], mean_z.get(i, ""), "", "", ""] for i, t in enumerate(paths.grid.knots)]
     return 0, {
         "bsde_quadratic.csv": (KNOT_HEADER, rows),
         "bsde_quadratic_trace.csv": (
@@ -419,8 +418,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("forward-check", help="forward-integral convergence tables")
     _add_common(p)
     p.add_argument("--integrand", choices=[k.value for k in TestIntegrand], default="wt")
-    p.add_argument("--forward-steps", dest="forward_steps", type=int, default=4096)
-    p.add_argument("--forward-paths", dest="forward_paths", type=int, default=2000)
+    p.add_argument("--forward-steps", dest="forward_steps", type=int, default=4096,
+                   help="uniform grid steps on [0, T] of the convergence tables, more than the widest window of 8 steps")
+    p.add_argument("--forward-paths", dest="forward_paths", type=int, default=2000,
+                   help="Monte-Carlo paths of the convergence tables")
     p.set_defaults(handler=_cmd_forward_check)
 
     p = sub.add_parser("critical-t0", help="horizon where robust informed = neutral uninformed")
@@ -433,8 +434,10 @@ def _build_parser() -> _Parser:
                    choices=["fig1", "fig2", "fig3", "strategy_lines"], default="fig1")
     p.add_argument("--with-bsde", dest="with_bsde", action="store_true",
                    help="add the numerically solved robust large-trader series")
-    p.add_argument("--bsde-paths", dest="bsde_paths", type=int, default=20000)
-    p.add_argument("--bsde-steps", dest="bsde_steps", type=int, default=50)
+    p.add_argument("--bsde-paths", dest="bsde_paths", type=int, default=20000,
+                   help="Monte-Carlo paths of the one ensemble that --with-bsde solves at every horizon")
+    p.add_argument("--bsde-steps", dest="bsde_steps", type=int, default=50,
+                   help="grid steps on [0, T] of the --with-bsde ensemble")
     p.add_argument("--signal-level", dest="signal_level", type=float, default=1.0,
                    help="fixed signal Y0 (W_T0 for unit weight) for strategy lines")
     p.set_defaults(handler=_cmd_figures)

@@ -145,6 +145,8 @@ class PathBatch:
     dWH   : (n_paths, index_T) enlarged-filtration increments dW - phi*dt on
             [0, T]; a view of dW without a signal.
     The information drift phi is not stored but derived from (Y0, level).
+    A raw tile keeps the tail's standard normal draw z in place of the tail
+    and writes neither Y0 nor dWH.
     """
 
     grid: TimeGrid
@@ -198,24 +200,23 @@ def _rows(batch: PathBatch, rows: slice) -> PathBatch:
                      level=batch.level[rows], dWH=batch.dWH[rows], insider=batch.insider)
 
 
-def _filler(config: ScenarioConfig, grid: TimeGrid, dWH: bool = True, tail: bool = True):
+def _filler(config: ScenarioConfig, grid: TimeGrid, raw: bool = False):
     """fill(batch, gen) builds consecutive paths of one RNG block in place
     from the Philox generator `gen` of that block, with the time-axis rows
     formed once here.  Draws are counter-based and row-major, so path i's
     draws depend only on (seed, i): one standard normal per step of [0, T],
     then, with a signal, one for the tail; a block filled in consecutive
     tiles from one generator gets the bytes of one fill of the whole block.
-    Under a signal the drift is formed from the state in dWH's memory and
-    decomposed there; with dWH=False, for a caller that reads dW, Y0 and
-    the state only, neither is run and the batch's dWH is not written.
-    With tail=False, for a caller that scales the tail itself, the tail
-    column keeps its standard normal draw, Y0 holds the running signal B_T
-    without the tail, and dWH is not written."""
+    Under a signal the tail is scaled, Y0 = B_T + tail is formed, and the
+    drift is formed from the state in dWH's memory and decomposed there.
+    With raw=True, for a caller that reads dW on [0, T] and the state and
+    forms the signal itself, the tail column keeps its standard normal draw
+    z, and neither Y0 nor dWH is written."""
     insider, m = config.insider, grid.index_T
     signal = insider.has_signal()
     var = grid.dt
     if signal:  # a unit variance keeps the tail's draw: fl(z * 1) = z
-        var = np.append(grid.dt, phi_norm_sq(insider, grid.T, insider.T0) if tail else 1.0)
+        var = np.append(grid.dt, 1.0 if raw else phi_norm_sq(insider, grid.T, insider.T0))
     scale = np.sqrt(var)
     weight = state_weight(config, grid)
 
@@ -223,13 +224,10 @@ def _filler(config: ScenarioConfig, grid: TimeGrid, dWH: bool = True, tail: bool
         dW = gen.standard_normal(out=batch.dW)
         dW *= scale
         partial_signals(dW, weight, out=batch.level)
-        if signal and not tail:
-            np.copyto(batch.Y0, batch.level[:, m])
-        elif signal:
+        if signal and not raw:
             np.add(batch.level[:, m], dW[:, m], out=batch.Y0)
-            if dWH:
-                information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
-                decompose(grid, dW, batch.dWH, out=batch.dWH)
+            information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
+            decompose(grid, dW, batch.dWH, out=batch.dWH)
 
     return fill
 
@@ -265,22 +263,19 @@ def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
     return batch
 
 
-def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1, dWH: bool = True,
-                 tail: bool = True) -> None:
+def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1, raw: bool = False) -> None:
     """Call fn(rows, tile) for every tile of the ensemble of a validated
     `config` on its grid build_grid(config), where `tile` equals rows `rows`
-    of sample_paths(config) bit for bit (but for its dWH under a signal with
-    dWH=False, which is not written, and with tail=False for its tail
-    column, which keeps the standard normal draw, its Y0, which is B_T, and
-    its dWH; see _filler).  A tile is
-    l2_rows(index_T + 1) consecutive paths of one RNG block, or the block's
-    rest, so each path array of a tile stays within _L2_BYTES and in a
-    core's L2.  Each block draws its tiles in order from its own generator;
-    each worker draws every tile it runs into one buffer set, made on its
-    first tile and kept for the whole stream, so a tile is valid only during
-    its call: fn copies or reduces what it keeps.  The path arrays held do
-    not grow with n_paths."""
-    fill, seed, step = _filler(config, grid, dWH, tail), int(config.seed), l2_rows(grid.index_T + 1)
+    of sample_paths(config) bit for bit, but that a raw tile (raw=True) holds
+    only dW, with the tail's standard normal draw z, and the state; see
+    _filler.  A tile is l2_rows(index_T + 1) consecutive paths of one RNG
+    block, or the block's rest, so each path array of a tile stays within
+    _L2_BYTES and in a core's L2.  Each block draws its tiles in order from
+    its own generator; each worker draws every tile it runs into one buffer
+    set, made on its first tile and kept for the whole stream, so a tile is
+    valid only during its call: fn copies or reduces what it keeps.  The
+    path arrays held do not grow with n_paths."""
+    fill, seed, step = _filler(config, grid, raw), int(config.seed), l2_rows(grid.index_T + 1)
     worker = threading.local()
 
     def run(block: int, rows: slice) -> None:

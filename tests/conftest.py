@@ -6,6 +6,7 @@ import pytest
 from insiderlab.bsde import knot_table, solve_linear_closed_form, stream_sweep_paths
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
 from insiderlab.paths import sample_paths
+from insiderlab.simulate import ordered_mean
 
 # Shared scenario: mu0 = 0.15, sigma = 0.35, r = 0, T = 1, X0 = 1,
 # information horizon T0 = 2 with unit signal weight.
@@ -174,13 +175,16 @@ def whole():
 
 def _table(Y, Z, grid, oracle=None):
     """knot_table's rows at every knot of the whole fields Y and Z, and of
-    the oracle's pair of whole fields, one path column at a time."""
+    the oracle's pair of whole fields, one path column at a time; without an
+    oracle, the row bsde-quadratic lays out from the ordered means."""
     m = grid.index_T
     rows = []
     for i in range(m + 1):
         z = Z[:, i] if i < m else None
-        pair = None if oracle is None else (oracle[0][:, i], oracle[1][:, i] if i < m else None)
-        rows.append(knot_table(grid.knots[i], Y[:, i], z, pair))
+        if oracle is None:
+            rows.append([float(grid.knots[i]), ordered_mean(Y[:, i]), "" if z is None else ordered_mean(z), "", "", ""])
+        else:
+            rows.append(knot_table(grid.knots[i], Y[:, i], z, (oracle[0][:, i], oracle[1][:, i] if i < m else None)))
     return rows
 
 

@@ -244,6 +244,9 @@ class TestConfigParsing:
         ["simulate", "--t0", "1e160"],
         ["figures", "--fig-kind", "fig1", "--T", "1e160", "--t0", "1e161"],
         ["critical-t0", "--T", "1e152", "--t0", "2e152"],
+        # the uninformed reference column without impact overflows first
+        pytest.param(["figures", "--fig-kind", "fig1", "--mu", "1e200"], id="figures-fig1-mu"),
+        pytest.param(["figures", "--fig-kind", "fig3", "--mu", "1e200"], id="figures-fig3-mu"),
     ], ids=lambda argv: "-".join(argv[:2]))
     def test_unrepresentable_value_exits_one_with_code(self, tmp_path, capsys, argv):
         # valid input whose closed-form value overflows a float; found once the

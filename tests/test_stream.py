@@ -16,7 +16,7 @@ from insiderlab.model import (
     ScenarioConfig,
     ValidationError,
 )
-from insiderlab.bsde import log_pi_star, stream_sweep_paths
+from insiderlab.bsde import log_pi_star, stream_horizon_paths, stream_sweep_paths
 from insiderlab.paths import (
     _BLOCK,
     _L2_BYTES,
@@ -272,11 +272,15 @@ def test_signal_drift_rows_formed_once_per_stream(stream, insider, count_calls):
 
 @pytest.mark.parametrize("insider", [UNIT, PIECEWISE])
 def test_sweep_tiles_form_no_drift_and_no_dwh(insider, count_calls):
-    # the sweep input regenerates phi and dWH from the state; the game stream's tiles still form both
+    # the sweep inputs regenerate phi and dWH from the state, one or five
+    # horizons from one tile pass; the game stream's tiles still form both
     config = ScenarioConfig(market=MARKET, insider=insider, n_steps=200, n_paths=9000, seed=3)
     calls = count_calls(information_drift), count_calls(decompose)
     stream_sweep_paths(config)
     assert calls == ([], [])
+    tiles = count_calls(partial_signals)
+    assert len(list(stream_horizon_paths(config, [1.2, 1.5, 2.0, 5.0, 12.0]))) == 5
+    assert calls == ([], []) and len(tiles) == 29
     market, profile_of = regime("small_insider_robust", insider)
     stream_game(config, profile_of, market)
     assert [len(c) for c in calls] == [29, 29]

@@ -16,8 +16,9 @@ from insiderlab import cli
 from insiderlab.bsde import (
     KNOT_HEADER,
     _controls,
+    SweepPaths,
     _phitilde,
-    _sweep_tiler,
+    _stride,
     solve_linear_closed_form,
     solve_linear_lsmc,
     solve_quadratic_lsmc,
@@ -33,7 +34,7 @@ from insiderlab.model import (
     iota,
     sigma_tilde,
 )
-from insiderlab.paths import _BLOCK, l2_rows, partial_signals, sample_paths
+from insiderlab.paths import _BLOCK, l2_rows, partial_signals, sample_paths, state_weight
 from insiderlab.simulate import mean_se, ordered_mean
 
 MARKET = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
@@ -51,7 +52,7 @@ def config_of(insider, n_paths, market=MARKET, n_steps=10, seed=29):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n_paths", [1, _BLOCK - 1, _BLOCK + 1, 9000])
-@pytest.mark.parametrize("insider", [PIECEWISE, NONE])
+@pytest.mark.parametrize("insider", [PIECEWISE, NONE, UNIT])
 def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, threads):
     for market in (MARKET, JUMP):
         config = config_of(insider, n_paths, market)
@@ -105,8 +106,8 @@ def test_regenerated_rows_equal_the_whole_batch_in_any_order(n_steps, insider, t
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("insider", [UNIT, PIECEWISE, NONE], ids=["unit", "piecewise", "none"])
 def test_horizon_sweep_inputs_equal_one_stream_per_horizon(insider, threads):
-    # one draw for every horizon: each input has the dW, checkpoints and Y0
-    # bytes of the stream of its own config, whose signal has the config's
+    # one draw for every horizon: each input has the dW, state and Y0 bytes
+    # of the whole batch of its own config, whose signal has the config's
     # weight (unit without a signal); JUMP adds a breakpoint knot
     horizons = [1.2, 1.5, 2.0, 5.0, 12.0]
     for market in (MARKET, JUMP):
@@ -115,12 +116,14 @@ def test_horizon_sweep_inputs_equal_one_stream_per_horizon(insider, threads):
         assert len(sweeps) == len(horizons)
         for t0, paths in zip(horizons, sweeps):
             signal = InsiderSpec.enlargement(T0=t0, phi_weight=insider.phi_weight)
-            own = stream_sweep_paths(replace(config, insider=signal), threads)
+            batch = sample_paths(replace(config, insider=signal))
+            m = batch.grid.index_T
             assert paths.insider == signal
-            assert paths.dW.tobytes() == own.dW.tobytes()
-            assert paths.checkpoints.tobytes() == own.checkpoints.tobytes()
-            assert paths.Y0.tobytes() == own.Y0.tobytes()
-            assert paths.weight.tobytes() == own.weight.tobytes()
+            assert paths.dW.tobytes() == np.ascontiguousarray(batch.dW[:, :m].T).tobytes()
+            for i in range(m + 1):
+                assert paths.level(i).tobytes() == batch.level[:, i].tobytes(), (market, t0, i)
+            assert paths.Y0.tobytes() == batch.Y0.tobytes()
+            assert paths.weight.tobytes() == state_weight(replace(config, insider=signal), batch.grid).tobytes()
             # drawn once: the horizons share dW, the weight and the checkpoints
             assert paths.dW is sweeps[0].dW and paths.checkpoints is sweeps[0].checkpoints
             assert paths.weight is sweeps[0].weight
@@ -138,10 +141,13 @@ def test_horizon_sweep_validates_every_horizon_before_the_draw(monkeypatch):
 
 
 def sweep_paths_of(config, batch):
-    """The sweep input of the whole batch, through the stream's tile copy."""
-    paths, tile = _sweep_tiler(config, batch.grid)
-    tile(slice(None), batch)
-    return paths
+    """The sweep input of the whole batch: its dW on [0, T] and its state at
+    the checkpoint knots, knot-major, and its signal."""
+    m = batch.grid.index_T
+    return SweepPaths(grid=batch.grid, dW=np.ascontiguousarray(batch.dW[:, :m].T),
+                      weight=state_weight(config, batch.grid),
+                      checkpoints=np.ascontiguousarray(batch.level[:, ::_stride(m)].T),
+                      Y0=batch.Y0 if config.insider.has_signal() else None, insider=config.insider)
 
 
 def whole_batch(config):
