@@ -59,7 +59,7 @@ def integrand_oracle(kind: TestIntegrand, W: np.ndarray) -> np.ndarray:
     return (integrand_values(kind, W) * W[:, -1:])[:, 0]
 
 
-def forward_riemann(W: np.ndarray, u: np.ndarray | float, eps_steps: int, out=None) -> np.ndarray:
+def forward_riemann(W: np.ndarray, u: np.ndarray | float, eps_steps: int, out: np.ndarray) -> np.ndarray:
     """Left-point quadrature of the defining average over the whole path on a
     uniform grid, where eps = k dt cancels the step dt:
 
@@ -68,8 +68,7 @@ def forward_riemann(W: np.ndarray, u: np.ndarray | float, eps_steps: int, out=No
 
     u is an (n_paths, n) matrix or anything that broadcasts against one.
     eps must span at least two grid steps so the averaging window is resolved.
-    The window increments go to `out`, a C-ordered (n_paths, n) buffer, or to
-    a new one.
+    The window increments go to `out`, a C-ordered (n_paths, n) buffer.
     """
     n = W.shape[1] - 1
     if eps_steps < 2:
@@ -77,14 +76,13 @@ def forward_riemann(W: np.ndarray, u: np.ndarray | float, eps_steps: int, out=No
     # one C-ordered buffer, so the row sum keeps its summation order; the
     # last k windows run past T and end at W_T
     k = min(eps_steps, n)
-    incr = np.empty((W.shape[0], n)) if out is None else out
-    np.subtract(W[:, k:n], W[:, : n - k], out=incr[:, : n - k])
-    np.subtract(W[:, n:], W[:, n - k : n], out=incr[:, n - k :])
-    incr *= u
-    return np.sum(incr, axis=1) / eps_steps
+    np.subtract(W[:, k:n], W[:, : n - k], out=out[:, : n - k])
+    np.subtract(W[:, n:], W[:, n - k : n], out=out[:, n - k :])
+    out *= u
+    return np.sum(out, axis=1) / eps_steps
 
 
-def ito_residual(W: np.ndarray, dt: float, eps_steps: int, out=None) -> np.ndarray:
+def ito_residual(W: np.ndarray, dt: float, eps_steps: int, out: np.ndarray) -> np.ndarray:
     """Pathwise defect over [0, T] of the anticipating change-of-variable
     formula for f(x) = x^2 applied to X_t = W_T W_t (the forward integral of
     u = W_T):
@@ -92,13 +90,13 @@ def ito_residual(W: np.ndarray, dt: float, eps_steps: int, out=None) -> np.ndarr
         f(X_T) - f(X_0) - 2 * forward(X u, T) - int_0^T u^2 ds.
 
     Converges to zero pathwise as eps -> 0.  `out` is a pair of C-ordered
-    (n_paths, n) buffers for X u and the window increments, or None.
+    (n_paths, n) buffers for X u and the window increments.
     """
     w_T = W[:, -1]
-    xu, incr = (None, None) if out is None else out
-    xu = np.multiply(W[:, :-1], W[:, -1:], out=xu)
+    xu, incr = out
+    np.multiply(W[:, :-1], W[:, -1:], out=xu)
     xu *= W[:, -1:]
-    fwd = forward_riemann(W, xu, eps_steps, out=incr)
+    fwd = forward_riemann(W, xu, eps_steps, incr)
     quad = w_T**2 * ((W.shape[1] - 1) * dt)
     return (w_T * w_T) ** 2 - (w_T * W[:, 0]) ** 2 - 2.0 * fwd - quad
 
@@ -126,8 +124,8 @@ def convergence_table(W: np.ndarray, dt: float, kind: TestIntegrand) -> tuple[li
         pair = buffers[:, : len(chunk)]
         u = integrand_values(kind, chunk)
         for j, k in enumerate(EPS_STEPS):
-            est[j, lo : lo + step] = forward_riemann(chunk, u, k, out=pair[1])
-            resid[j, lo : lo + step] = ito_residual(chunk, dt, k, out=pair)
+            est[j, lo : lo + step] = forward_riemann(chunk, u, k, pair[1])
+            resid[j, lo : lo + step] = ito_residual(chunk, dt, k, pair)
     target = integrand_oracle(kind, W)
     target_rms = math.sqrt(ordered_mean(target**2))
     header = ["eps", "rms_error", "rel_rms_error", "ito_residual_rms"]

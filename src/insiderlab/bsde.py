@@ -35,10 +35,12 @@ the state.  Their input, SweepPaths, stores the increments dW and the state
 at about every sqrt(m)-th knot, and regenerates the other state rows a chunk
 at a time and dWH a row at a time, with the bytes of a whole batch
 (checkpointing: Griewank & Walther, ACM TOMS 26(1), 2000).  The sweep hands
-each knot's rows to an observer once it has fitted them, so neither solver
-holds a field over all knots, and the quadratic shot moves every knot by one
-per-path row.  A solve whose values overflow ends in a ValidationError
-(`solution_finite`), not in nan cells.
+each knot's rows to an observer once it has fitted them, and lends it that
+knot's basis rows, free until the next knot's basis is built, for its work,
+so neither solver nor observer holds a field over all knots or a row of its
+own, and the quadratic shot moves every knot by one per-path row.  A solve
+whose values overflow ends in a ValidationError (`solution_finite`), not in
+nan cells.
 """
 
 from __future__ import annotations
@@ -370,12 +372,12 @@ class BsdeSolution:
 
 def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
     """Exact solution of the linear backward equation, as the function
-    knot(i, out=None) -> (Y_i, Z_i) of the knot index, Z_index_T = None:
-    each call evaluates one knot from the sweep input, which it does not
-    write, so no field is held whole.  Without `out` the rows are fresh; with
-    it, two rows (2, n_paths) that take Y_i and Z_i in place, and without a
-    signal Z_i = c_i Y_i comes back as its factor c_i, for knot_table to
-    reduce from the sorted Y_i.
+    knot(i, out) -> (Y_i, Z_i) of the knot index, Z_index_T = None: each
+    call evaluates one knot from the sweep input, which it does not write,
+    into the two rows `out` (2, n_paths), so no field is held whole.  Y_i is
+    written to out[0]; under a signal Z_i to out[1], and without one Z_i =
+    c_i Y_i comes back as its factor c_i, for knot_table to reduce from the
+    sorted Y_i.
 
     Without a signal (valid for piecewise-constant coefficients):
 
@@ -404,14 +406,12 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
         drift = cum_r + 0.375 * cum_io2
         sig_pi = sig * pi_no_insider_robust(market, t_left)
 
-        def knot(i: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | float | None]:
-            y = np.multiply(paths.level(i), 0.5, out=None if out is None else out[0])
+        def knot(i: int, out: np.ndarray) -> tuple[np.ndarray, float | None]:
+            y = np.multiply(paths.level(i), 0.5, out=out[0])
             y += drift[i]
             np.exp(y, out=y)
             y *= market.X0
-            if i == m:
-                return y, None
-            return y, (sig_pi[i] * y if out is None else float(sig_pi[i]))
+            return y, (None if i == m else float(sig_pi[i]))
 
         return knot
 
@@ -426,15 +426,14 @@ def solve_linear_closed_form(paths: SweepPaths, market: MarketParams):
     # the fraction's lines over the time axis, applied knot by knot
     pi_a, pi_b = closed_form_lines(StrategyKind.SMALL_INSIDER_ROBUST, market, paths.insider, t_left)[:2]
 
-    def knot(i: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    def knot(i: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         W = paths.level(i)
-        y_row, z_row = (None, None) if out is None else out
         # scale exp{drift + io W / 2 - m_t^2 / (2 a_t) + start}, with m_t in Z's row
-        m_t = np.subtract(paths.Y0, W, out=z_row)
+        m_t = np.subtract(paths.Y0, W, out=out[1])
         m_t += shift[i]
         np.square(m_t, out=m_t)
         m_t /= 2.0 * a_t[i]
-        y = np.multiply(W, 0.5 * io, out=y_row)
+        y = np.multiply(W, 0.5 * io, out=out[0])
         y += drift[i]
         y -= m_t
         y += start
@@ -573,10 +572,13 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.nd
     product of the rows [basis; L_i], summed _PARTIAL paths at a time, gives
     its Gram and basis @ L_i; driver(i, Z_i, out) writes the step's driver
     to one more row of the sweep's, so no step allocates a path-sized row.
-    observe(i, L_i, Z_i) is called for
-    i = index_T, ..., 0 (Z_index_T = None) once knot i is fitted; the rows
-    are then reused, so an observer reduces or copies them, and may write
-    them in place.  Returns copies of knot 0's rows as the observer left them.
+    observe(i, L_i, Z_i, work) is called for i = index_T, ..., 0 (Z_index_T
+    = None) once knot i is fitted, where `work` is knot i's basis, the same
+    (k, n_paths) block at every knot (k = 3, or 6 with a signal): its rows
+    are free from the fit until the next knot's basis is built over them, so
+    the observer may write any of them.  L_i and Z_i are then reused, so an
+    observer reduces or copies them, and may write them in place.  Returns
+    copies of knot 0's rows as the observer left them.
     """
     grid, signal, m = paths.grid, paths.Y0, paths.grid.index_T
     maps = _step_moments(paths)
@@ -589,23 +591,24 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.nd
         cross = sum(rows[: k + 1, lo : lo + _PARTIAL] @ design[:, lo : lo + _PARTIAL].T
                     for lo in range(0, paths.n_paths, _PARTIAL))
         alpha = _factor(design, grid.knots[i], cross[:k]) @ cross[k]
-        observe(i, l, z if i < m else None)  # knot i is read no more
+        observe(i, l, z if i < m else None, design)  # knot i and its basis are read no more
         _monomials(design, paths.level(i - 1), signal, _BASIS_ORDER)
         np.matmul(alpha @ maps[i - 1], design, out=rows[k : k + 2])
-        driver(i - 1, z, out=step)
+        driver(i - 1, z, step)
         step *= grid.dt[i - 1]
         l += step
-    observe(0, l, z)
+    observe(0, l, z, design)
     return l.copy(), z.copy()
 
 
 def _driver(paths: SweepPaths, market: MarketParams, a, b, c):
-    """f(i, z, out=None) = z (a z + b phitilde) + c phitilde^2 - r for
-    per-step rows or constants a, b, c, with the r row and phitilde formed
-    once per solve, written to `out` when given, else to a fresh row.  A
-    step forms the tail c phitilde^2 - r first, then b phitilde in the
-    phitilde row: with a signal, eight whole-path operations, all in place
-    in rows made once per solve."""
+    """f(i, z, out) = z (a z + b phitilde) + c phitilde^2 - r for per-step
+    rows or constants a, b, c, with the r row and phitilde formed once per
+    solve, written to the row `out`.  A step forms the tail c phitilde^2 - r
+    first, then b phitilde in the phitilde row: with a signal, eight
+    whole-path operations, all in place in rows made once per solve.  The
+    driver keeps these two rows of its own, since the sweep's basis rows are
+    in use while it runs."""
     m = paths.grid.index_T
     a, b, c = (np.broadcast_to(x, (m,)) for x in (a, b, c))
     r = market.r(paths.grid.knots[:m])
@@ -613,7 +616,7 @@ def _driver(paths: SweepPaths, market: MarketParams, a, b, c):
     # phitilde and the tail are scalars without a signal
     phit_row, tail_row = (None, None) if paths.Y0 is None else np.empty((2, paths.n_paths))
 
-    def f(i: int, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def f(i: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         phit = phitilde(i, phit_row)
         tail = np.multiply(c[i], phit, out=tail_row)
         tail *= phit
@@ -641,11 +644,11 @@ def _finite_solution(solve):
     def checked(paths: SweepPaths, market: MarketParams, observe=None) -> BsdeSolution:
         finite = True
 
-        def checked_observe(i: int, y: np.ndarray, z: np.ndarray | None) -> None:
+        def checked_observe(i: int, y: np.ndarray, z: np.ndarray | None, work: np.ndarray) -> None:
             nonlocal finite
             finite = finite and bool(np.isfinite(y).all()) and (z is None or bool(np.isfinite(z).all()))
             if observe is not None:
-                observe(i, y, z)
+                observe(i, y, z, work)
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sol = solve(paths, market, checked_observe)
@@ -661,9 +664,9 @@ def _finite_solution(solve):
 @_finite_solution
 def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeSolution:
     """Explicit backward Euler with regression for the linear equation,
-    integrated in logarithmic coordinates; observe(i, Y_i, Z_i) reads, and
-    does not write, each knot's wealth and control rows as _backward_sweep
-    hands them on.
+    integrated in logarithmic coordinates; observe(i, Y_i, Z_i, work)
+    reads, and does not write, each knot's wealth and control rows as
+    _backward_sweep hands them on, with its work rows.
 
     The unknown X is positive with exponential spread across paths (it loses
     finite variance as T0 approaches 2T), so least-squares fits of X levels
@@ -696,11 +699,11 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeS
     _require_finite("the log normaliser", log_norm)
     terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
 
-    def to_wealth(i: int, y: np.ndarray, z: np.ndarray | None) -> None:
+    def to_wealth(i: int, y: np.ndarray, z: np.ndarray | None, work: np.ndarray) -> None:
         np.exp(y, out=y)  # L -> Y = exp(L), so exp(L) never sits beside L
         if z is not None:
             z *= y  # zeta -> Z = zeta Y
-        observe(i, y, z)
+        observe(i, y, z, work)
 
     y0, z0 = _backward_sweep(paths, terminal, _driver(paths, market, 0.5, -1.0, 0.0), to_wealth)
     y0_mean = ordered_mean(y0)
@@ -736,8 +739,9 @@ def _projected_mismatch(y_design, inv_gram, mismatch) -> tuple[np.ndarray, float
 @_finite_solution
 def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeSolution:
     """Backward solve of the quadratic equation, its terminal shot so that
-    L_0 = ln X0; observe(i, L_i, Z_i) reads, and does not write, each
-    knot's rows of the sweep from ln X0, before the shot.
+    L_0 = ln X0; observe(i, L_i, Z_i, work) reads, and does not write, each
+    knot's rows of the sweep from ln X0, before the shot, with the sweep's
+    work rows.
 
     The terminal is a constant c2 without a signal and a polynomial c2(Y0)
     of degree _TERMINAL_DEGREE under enlargement.  f_Q does not read L, and
@@ -762,10 +766,10 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe) -> Bs
     coef[0] = ln_x0
     lo, hi = np.full(n, ln_x0), np.full(n, ln_x0)
 
-    def bound(i: int, l: np.ndarray, z: np.ndarray | None) -> None:
+    def bound(i: int, l: np.ndarray, z: np.ndarray | None, work: np.ndarray) -> None:
         np.minimum(lo, l, out=lo)
         np.maximum(hi, l, out=hi)
-        observe(i, l, z)
+        observe(i, l, z, work)
 
     y0, z0 = _backward_sweep(paths, np.full(n, ln_x0), _quadratic_driver(paths, market), bound)
 
@@ -824,19 +828,17 @@ def value_from_bsde(sol: BsdeSolution) -> tuple[float, float]:
 KNOT_HEADER = ["t", "mean_Y", "mean_Z", "oracle_Y", "oracle_Z", "rmse_Y"]
 
 
-def knot_table(t: float, y: np.ndarray, z: np.ndarray | None, oracle, mean_y: float | None = None,
-               work: np.ndarray | None = None) -> list:
+def knot_table(t: float, y: np.ndarray, z: np.ndarray | None, oracle, work: np.ndarray) -> list:
     """The row of the knot table (KNOT_HEADER) at knot time t, from that
     knot's value row y and control row z, and the oracle's pair (Y_i, Z_i):
     t, mean Y, mean Z, oracle Y, oracle Z and the RMSE of y against the
-    oracle, with means that do not depend on path order.  mean_y is the
-    ordered mean of y where it was already taken; a cell without its row
-    (Z at the last knot, the oracle's Z there) is blank.  An oracle Z given
-    as a number c stands for the row c Y_i (solve_linear_closed_form's with
-    `out`, without a signal).  Every sort and the RMSE's gap row go to the
-    one row `work` (n_paths floats, overwritten) when given, else to fresh
-    rows; y, z and the oracle's rows are not written."""
-    mean_y = ordered_mean(y, work) if mean_y is None else mean_y
+    oracle, with means that do not depend on path order.  A cell without its
+    row (Z at the last knot, the oracle's Z there) is blank.  An oracle Z
+    given as a number c stands for the row c Y_i (solve_linear_closed_form's
+    without a signal).  Every sort and the RMSE's gap row go to the one row
+    `work` (n_paths floats, overwritten); y, z and the oracle's rows are not
+    written."""
+    mean_y = ordered_mean(y, work)
     mean_z = "" if z is None else ordered_mean(z, work)
     o_y, o_z = oracle
     # squared after an exact power-of-two scaling, so that no square

@@ -259,14 +259,11 @@ def _cmd_bsde_linear(args, config: ScenarioConfig):
     oracle = solve_linear_closed_form(paths, market)
     knots = paths.grid.knots
     rows = []
-    work = np.empty((3, paths.n_paths))  # the oracle's Y and Z, and knot_table's row
 
-    def reduce(i, y, z):
-        if i > 0:  # knot 0 is reduced with the solver's mean of Y_0
-            rows.append(knot_table(knots[i], y, z, oracle(i, work[:2]), work=work[2]))
+    def reduce(i, y, z, work):  # the oracle's Y and Z and knot_table's row go to the sweep's work rows
+        rows.append(knot_table(knots[i], y, z, oracle(i, work[:2]), work[2]))
 
     sol = solve_linear_lsmc(paths, market, reduce)
-    rows.append(knot_table(knots[0], sol.y0, sol.z0, oracle(0, work[:2]), mean_y=sol.y0_mean, work=work[2]))
     return 0, {
         "bsde_linear.csv": (KNOT_HEADER, rows[::-1]),
         "bsde_linear_report.csv": _linear_report(sol, market),
@@ -278,19 +275,19 @@ def _cmd_bsde_quadratic(args, config: ScenarioConfig):
     market = config.market
     m = paths.grid.index_T
     mean_y, mean_z, abs_z_means = {}, {}, []
-    work = np.empty(paths.n_paths)  # every sort of the reductions, and |Z|
 
-    def reduce(i, l, z):
+    def reduce(i, l, z, work):
+        row = work[0]  # every sort of the reductions, and |Z|
         if 0 < i < m:  # the swept row; knots 0 and m are shot by the solver
-            mean_y[i] = ordered_mean(l, work)
+            mean_y[i] = ordered_mean(l, row)
         if z is not None:
-            mean_z[i] = ordered_mean(z, work)
-            abs_z_means.append(ordered_mean(np.abs(z, out=work), work))
+            mean_z[i] = ordered_mean(z, row)
+            abs_z_means.append(ordered_mean(np.abs(z, out=row), row))
 
     sol = solve_quadratic_lsmc(paths, market, reduce)
     pi_0, _ = initial_controls(sol, market, paths)
-    mean_shift = ordered_mean(sol.shift, work)
-    mean_y = {i: mean - mean_shift for i, mean in mean_y.items()} | {0: sol.y0_mean, m: ordered_mean(sol.y_T, work)}
+    mean_shift = ordered_mean(sol.shift)
+    mean_y = {i: mean - mean_shift for i, mean in mean_y.items()} | {0: sol.y0_mean, m: ordered_mean(sol.y_T)}
     rows = [[float(t), mean_y[i], mean_z.get(i, ""), "", "", ""] for i, t in enumerate(paths.grid.knots)]
     return 0, {
         "bsde_quadratic.csv": (KNOT_HEADER, rows),

@@ -223,11 +223,11 @@ def _filler(config: ScenarioConfig, grid: TimeGrid, raw: bool = False):
     def fill(batch: PathBatch, gen: np.random.Generator) -> None:
         dW = gen.standard_normal(out=batch.dW)
         dW *= scale
-        partial_signals(dW, weight, out=batch.level)
+        partial_signals(dW, weight, batch.level)
         if signal and not raw:
             np.add(batch.level[:, m], dW[:, m], out=batch.Y0)
             information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
-            decompose(grid, dW, batch.dWH, out=batch.dWH)
+            decompose(grid, dW, batch.dWH, batch.dWH)
 
     return fill
 
@@ -292,15 +292,14 @@ def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1, r
     _for_each_block(config.n_paths, run, threads)
 
 
-def partial_signals(dW: np.ndarray, weight: np.ndarray, out=None) -> np.ndarray:
+def partial_signals(dW: np.ndarray, weight: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The state int_0^t w dW at knots 0..m for the left-point weights w of
-    the m steps, written to `out` when given."""
+    the m steps, written to `out` (n_paths, m + 1)."""
     m = len(weight)
-    b = np.empty((dW.shape[0], m + 1)) if out is None else out
-    b[:, 0] = 0.0
-    np.multiply(dW[:, :m], weight, out=b[:, 1:])
-    np.cumsum(b[:, 1:], axis=1, out=b[:, 1:])
-    return b
+    out[:, 0] = 0.0
+    np.multiply(dW[:, :m], weight, out=out[:, 1:])
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    return out
 
 
 def state_weight(config: ScenarioConfig, grid: TimeGrid) -> np.ndarray:
@@ -343,8 +342,8 @@ def information_drift(grid: TimeGrid, level, y0, insider: InsiderSpec, out=None)
     return signal_drift(grid, insider)(y0[:, None], level[:, : grid.index_T], out=out)
 
 
-def decompose(grid: TimeGrid, dW: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
+def decompose(grid: TimeGrid, dW: np.ndarray, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Enlarged-filtration increments dWH_i = dW_i - phi_i * dt_i on [0, T],
-    written to `out` when given; `out` may be `phi` itself."""
+    written to `out` (n_paths, index_T), which may be `phi` itself."""
     drift = np.multiply(phi, grid.dt, out=out)
     return np.subtract(dW[:, : grid.index_T], drift, out=out)

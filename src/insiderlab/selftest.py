@@ -130,7 +130,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     check("pi_functional_tower", z_pi < 4.0, z_pi)
 
     # linear closed form starts at the initial wealth
-    y0, _ = bsde.solve_linear_closed_form(sweep, market)(0)
+    y0, _ = bsde.solve_linear_closed_form(sweep, market)(0, np.empty((2, sweep.n_paths)))
     residual = abs(simulate.ordered_mean(y0) - market.X0)
     check("linear_closed_form_initial", residual < 1e-10, residual)
 
@@ -152,7 +152,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     nb = sample_paths(ncfg)
     W = nb.level
     u = integrand_values(TestIntegrand.ADAPTED_CONST, W, const=2.0)
-    est = forward_riemann(W, u, 2)
+    est = forward_riemann(W, u, 2, np.empty((nb.n_paths, nb.grid.index_T)))
     rms = math.sqrt(simulate.ordered_mean((est - 2.0 * W[:, -1]) ** 2))
     check("forward_adapted_const", rms < 0.2, rms)
 

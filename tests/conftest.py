@@ -147,21 +147,25 @@ def _whole(solve, paths, market):
     (Y_i, Z_i) it hands to observe copied into whole fields, Y
     (n_paths, index_T + 1) and Z (n_paths, index_T), transposed views of
     knot-major arrays.  solve_linear_closed_form's knot function is run over
-    every knot the same way.  The quadratic solver hands on its sweep before
-    the shot, so its Y is that sweep's L; the shot L is Y less result.shift
-    at every knot, Y - result.shift[:, None]."""
+    every knot the same way, into two rows of its own, with Z = c Y formed
+    from its factor c without a signal.  The quadratic solver hands on its
+    sweep before the shot, so its Y is that sweep's L; the shot L is Y less
+    result.shift at every knot, Y - result.shift[:, None]."""
     m, n = paths.grid.index_T, paths.n_paths
     Y, Z = np.empty((m + 1, n)), np.empty((m, n))
 
-    def observe(i, y, z):
+    def observe(i, y, z, work):
         Y[i] = y
         if z is not None:
             Z[i] = z
 
     if solve is solve_linear_closed_form:
-        result = solve(paths, market)
+        result, out = solve(paths, market), np.empty((2, n))
         for i in range(m, -1, -1):
-            observe(i, *result(i))
+            y, z = result(i, out)
+            if paths.Y0 is None and z is not None:  # the factor c of Z = c Y
+                z = z * y
+            observe(i, y, z, None)
     else:
         result = solve(paths, market, observe)
     return result, Y.T, Z.T
@@ -178,13 +182,14 @@ def _table(Y, Z, grid, oracle=None):
     the oracle's pair of whole fields, one path column at a time; without an
     oracle, the row bsde-quadratic lays out from the ordered means."""
     m = grid.index_T
-    rows = []
+    rows, work = [], np.empty(Y.shape[0])
     for i in range(m + 1):
         z = Z[:, i] if i < m else None
         if oracle is None:
             rows.append([float(grid.knots[i]), ordered_mean(Y[:, i]), "" if z is None else ordered_mean(z), "", "", ""])
         else:
-            rows.append(knot_table(grid.knots[i], Y[:, i], z, (oracle[0][:, i], oracle[1][:, i] if i < m else None)))
+            pair = (oracle[0][:, i], oracle[1][:, i] if i < m else None)
+            rows.append(knot_table(grid.knots[i], Y[:, i], z, pair, work))
     return rows
 
 

@@ -21,12 +21,22 @@ def rms(x):
     return math.sqrt(float(np.mean(np.asarray(x) ** 2)))
 
 
+def forward(W, u, k):
+    """forward_riemann with its window increments in a buffer of its own."""
+    return forward_riemann(W, u, k, np.empty((W.shape[0], W.shape[1] - 1)))
+
+
+def residual(W, dt, k):
+    """ito_residual with its pair of buffers of its own."""
+    return ito_residual(W, dt, k, np.empty((2, W.shape[0], W.shape[1] - 1)))
+
+
 class TestForwardRiemann:
     def test_adapted_constant_recovers_scaled_noise(self, brownian_levels):
         grid, W = brownian_levels
         dt = float(grid.dt[0])
         u = integrand_values(TestIntegrand.ADAPTED_CONST, W, const=3.0)
-        est = forward_riemann(W, u, 2)
+        est = forward(W, u, 2)
         err = est - 3.0 * W[:, -1]
         # exact up to the boundary averaging window, which is O(sqrt(eps))
         assert rms(err) < 3.0 * math.sqrt(2 * dt / 3)
@@ -35,7 +45,7 @@ class TestForwardRiemann:
         # anticipating case: Skorohod value (W_T W_t - t) plus trace t
         grid, W = brownian_levels
         u = integrand_values(TestIntegrand.WT, W)
-        est = forward_riemann(W, u, 2)
+        est = forward(W, u, 2)
         target = integrand_oracle(TestIntegrand.WT, W)
         np.testing.assert_array_equal(target, W[:, -1] ** 2)
         assert rms(est - target) / rms(target) < 0.02
@@ -44,7 +54,7 @@ class TestForwardRiemann:
         # Skorohod value W_T^3 - 2 W_T T plus trace 2 W_T T
         grid, W = brownian_levels
         u = integrand_values(TestIntegrand.WT_SQUARED, W)
-        est = forward_riemann(W, u, 4)
+        est = forward(W, u, 4)
         target = W[:, -1] ** 3
         assert rms(est - target) / rms(target) < 0.05
 
@@ -52,7 +62,7 @@ class TestForwardRiemann:
         grid, W = brownian_levels
         u = integrand_values(TestIntegrand.WT, W)
         with pytest.raises(DomainError):
-            forward_riemann(W, u, 1)
+            forward(W, u, 1)
 
     def test_convergence_monotone_and_tight(self, brownian_levels):
         # halving the window shrinks the error; the finest level is <= 2%
@@ -67,9 +77,9 @@ class TestItoResidual:
     def test_residual_shrinks_with_window(self, brownian_levels):
         grid, W = brownian_levels
         dt = float(grid.dt[0])
-        r8 = rms(ito_residual(W, dt, 8))
-        r4 = rms(ito_residual(W, dt, 4))
-        r2 = rms(ito_residual(W, dt, 2))
+        r8 = rms(residual(W, dt, 8))
+        r4 = rms(residual(W, dt, 4))
+        r2 = rms(residual(W, dt, 2))
         assert r8 > r4 > r2
 
     def test_adapted_case_matches_classical_formula(self, brownian_levels):
@@ -80,7 +90,7 @@ class TestItoResidual:
         n = grid.index_T
         X = c * W
         xu = X[:, :-1] * c
-        fwd = forward_riemann(W, xu, 2)
+        fwd = forward(W, xu, 2)
         resid = X[:, -1] ** 2 - 2.0 * fwd - c**2 * (n * dt)
         assert rms(resid) < 0.15
 
@@ -159,8 +169,8 @@ def test_per_path_forms_match_matrix_forms(request, levels, kind):
     assert np.array_equal(integrand_oracle(kind, W), _matrix_oracle(kind, W))
     for k in EPS_STEPS:
         expect = _matrix_forward(W, _matrix_integrand(kind, W, 2.0), k)
-        assert np.array_equal(forward_riemann(W, u, k), expect), k
-        assert np.array_equal(ito_residual(W, dt, k), _matrix_residual(W, dt, k)), k
+        assert np.array_equal(forward(W, u, k), expect), k
+        assert np.array_equal(residual(W, dt, k), _matrix_residual(W, dt, k)), k
 
 
 def _matrix_table(W, dt, kind):

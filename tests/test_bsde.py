@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.hermite_e import hermegauss
 
-from insiderlab.analysis import value_no_insider_robust, value_of, value_small_insider_robust
+from insiderlab.analysis import value_of
 from insiderlab.bsde import (
     _BASIS_ORDER,
     _TERMINAL_DEGREE,
@@ -68,7 +68,7 @@ def swept(paths, terminal, driver):
     m, n = paths.grid.index_T, paths.n_paths
     L, Z = np.empty((m + 1, n)), np.empty((m, n))
 
-    def observe(i, l, z):
+    def observe(i, l, z, work):
         L[i] = l
         if z is not None:
             Z[i] = z
@@ -174,18 +174,18 @@ class TestLinearClosedForm:
         m = paths.grid.index_T
         t_left = paths.grid.knots[:m]
         sig = market.sigma(t_left)
-        knot = solve_linear_closed_form(paths, market)
+        knot, out = solve_linear_closed_form(paths, market), np.empty((2, paths.n_paths))
         for i in range(m):
-            y, z = knot(i)
+            y, z = knot(i, out)
             expect = sig[i] * pi_small_insider_robust(market, paths.insider, paths.Y0, paths.level(i), t_left[i]) * y
             assert z.tobytes() == expect.tobytes(), i
-        assert knot(m)[1] is None
+        assert knot(m, out)[1] is None
 
     def test_run_out_once_per_solve(self, sweep_lsmc_enl, market, count_calls):
         calls = count_calls(run_out)
-        knot = solve_linear_closed_form(sweep_lsmc_enl, market)
+        knot, out = solve_linear_closed_form(sweep_lsmc_enl, market), np.empty((2, sweep_lsmc_enl.n_paths))
         for i in range(sweep_lsmc_enl.grid.index_T + 1):
-            knot(i)
+            knot(i, out)
         assert len(calls) == 1
 
     def test_normalizer_tower_property(self, sweep_lsmc_enl, market, insider):
@@ -406,12 +406,12 @@ class TestQuadraticLsmc:
         interior = np.array(rows)
 
         def sweep(paths, terminal, driver, observe):
-            z = np.zeros(2)
-            observe(3, terminal.copy(), None)
+            z, work = np.zeros(2), np.empty((3, 2))
+            observe(3, terminal.copy(), None, work)
             for i in (2, 1):
-                observe(i, interior[i - 1].copy(), z)
+                observe(i, interior[i - 1].copy(), z, work)
             l0_row = np.full(2, l0)
-            observe(0, l0_row, z)
+            observe(0, l0_row, z, work)
             return l0_row, z
 
         with np.errstate(over="ignore"):
@@ -481,10 +481,11 @@ class TestRegressionEngine:
         k = (sig - st_) / (4.0 * (sig + st_))
         assert k > 0.0
         z = np.random.default_rng(3).normal(scale=2.0, size=paths.n_paths)
+        out = np.empty_like(z)
         for i in (0, 7, paths.grid.index_T - 1):
             phit = _phitilde(paths, mk)(i)
             terms = [0.25 * z**2, -0.5 * phit * z, -0.03 + 0.0 * z, -0.25 * phit**2, -k * (z + phit) ** 2]
-            np.testing.assert_array_less(np.abs(f(i, z) - sum(terms)), 1e-12 * sum(np.abs(t) for t in terms))
+            np.testing.assert_array_less(np.abs(f(i, z, out) - sum(terms)), 1e-12 * sum(np.abs(t) for t in terms))
 
     @pytest.mark.parametrize("signal", [True, False])
     def test_linear_member_is_the_linear_driver_bit_for_bit(self, signal):
@@ -497,11 +498,12 @@ class TestRegressionEngine:
         m = paths.grid.index_T
         f, r = _driver(paths, mk, 0.5, -1.0, 0.0), mk.r(paths.grid.knots[:m])
         z = np.random.default_rng(5).normal(scale=2.0, size=paths.n_paths)
+        out = np.empty_like(z)
         assert len(set(r)) == 2
         for i in range(m):
             phit = _phitilde(paths, mk)(i)
             expected = ((0.5 * z) - phit) * z - r[i]
-            assert f(i, z).tobytes() == expected.tobytes()
+            assert f(i, z, out).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("varrho", [0.0, 0.01, 0.25 * 0.35**2, 0.05])
     def test_quadratic_driver_leading_coefficient(self, sweep_small, varrho):
@@ -509,8 +511,9 @@ class TestRegressionEngine:
         f = _quadratic_driver(sweep_small, mk)
         st = 0.35 - 2.0 * varrho / 0.35
         one = np.ones(sweep_small.n_paths)
+        plus, minus, zero = np.empty((3, sweep_small.n_paths))
         for i in (0, 25, sweep_small.grid.index_T - 1):
-            lead = 0.5 * (f(i, one) + f(i, -one) - 2.0 * f(i, 0.0 * one))
+            lead = 0.5 * (f(i, one, plus) + f(i, -one, minus) - 2.0 * f(i, 0.0 * one, zero))
             np.testing.assert_allclose(lead, st / (2.0 * (0.35 + st)), rtol=0, atol=1e-12)
 
 
@@ -593,7 +596,7 @@ class TestRegressionLater:
         m, n = paths.grid.index_T, paths.n_paths
         misfit = {}
 
-        def observe(i, l, z):
+        def observe(i, l, z, work):
             if 0 < i < m:
                 design = np.empty((6, n))
                 _monomials(design, paths.level(i), paths.Y0, _BASIS_ORDER)
@@ -840,9 +843,7 @@ class TestRowsMadeOncePerSolve:
         z = np.random.default_rng(5).normal(scale=2.0, size=paths.n_paths)
         out = np.empty_like(z)
         for i in range(paths.grid.index_T):
-            expect = fresh(i, z).tobytes()
-            assert f(i, z).tobytes() == expect
-            assert f(i, z, out=out) is out and out.tobytes() == expect
+            assert f(i, z, out) is out and out.tobytes() == fresh(i, z).tobytes()
 
     @pytest.mark.parametrize("signal, mk", SOLVE_CASES)
     def test_closed_form_into_out_is_the_fresh_closed_form_bit_for_bit(self, signal, mk):
@@ -852,9 +853,6 @@ class TestRowsMadeOncePerSolve:
         out = np.empty((2, paths.n_paths))
         for i in range(m, -1, -1):
             y, z = fresh(i)
-            got_y, got_z = knot(i)
-            assert got_y.tobytes() == y.tobytes()
-            assert got_z is None if i == m else got_z.tobytes() == z.tobytes()
             got_y, got_z = knot(i, out)
             assert np.shares_memory(got_y, out[0]) and got_y.tobytes() == y.tobytes()
             if i == m:
@@ -870,17 +868,18 @@ class TestRowsMadeOncePerSolve:
         mk = replace(CONSTANT, mu0=PiecewiseConstant.constant(mu0))
         paths = sweep_input(mk, False, n_paths=20_000)
         m, knots = paths.grid.index_T, paths.grid.knots
-        knot, out, work = solve_linear_closed_form(paths, mk), np.empty((2, paths.n_paths)), np.empty(paths.n_paths)
+        knot, fresh = solve_linear_closed_form(paths, mk), closed_form_fresh(paths, mk)
+        out, work = np.empty((2, paths.n_paths)), np.empty(paths.n_paths)
         rng = np.random.default_rng(2)
         for i in range(m + 1):
-            o_y, o_z = knot(i)
+            o_y, o_z = fresh(i)
             y = o_y * np.exp(0.01 * rng.normal(size=paths.n_paths))
             z = None if i == m else o_z + 0.01 * rng.normal(size=paths.n_paths)
-            expect = knot_table(knots[i], y, z, (o_y, o_z))
+            expect = knot_table(knots[i], y, z, (o_y, o_z), work)
             pair = knot(i, out)
             if i < m:
                 assert np.sign(pair[1]) == sign
-            assert repr(knot_table(knots[i], y, z, pair, work=work)) == repr(expect)
+            assert repr(knot_table(knots[i], y, z, pair, work)) == repr(expect)
 
     @pytest.mark.parametrize("c", [2.5, 1.0, 0.0, -0.0, -1.0, -2.5])
     @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, -0.0, None])
@@ -894,6 +893,35 @@ class TestRowsMadeOncePerSolve:
         y = o_y + rng.normal(size=o_y.size)
         work = np.empty_like(o_y)
         with np.errstate(invalid="ignore", over="ignore"):
-            expect = knot_table(0.5, y, None, (o_y, c * o_y))
-            got = knot_table(0.5, y, None, (o_y, c), work=work)
+            expect = knot_table(0.5, y, None, (o_y, c * o_y), work)
+            got = knot_table(0.5, y, None, (o_y, c), work)
         assert repr(got) == repr(expect)
+
+    @pytest.mark.parametrize("signal", [True, False])
+    @pytest.mark.parametrize("solve", [solve_linear_lsmc, solve_quadratic_lsmc])
+    def test_the_sweep_lends_one_free_block_of_work_rows_to_the_observer(self, solve, signal):
+        # the same block at every knot, of at least 3 rows of n_paths apart
+        # from L_i and Z_i, and free: wiping it at every knot changes nothing
+        paths = sweep_input(CONSTANT, signal, n_paths=2000)
+        n = paths.n_paths
+
+        def recorder(wipe):
+            seen, blocks = [], set()
+
+            def observe(i, l, z, work):
+                blocks.add((work.ctypes.data, work.shape, work.strides))
+                assert work.ndim == 2 and work.shape[0] >= 3 and work.shape[1] == n
+                assert not np.shares_memory(work, l) and (z is None or not np.shares_memory(work, z))
+                if wipe:
+                    work.fill(np.nan)
+                seen.append((i, l.tobytes(), None if z is None else z.tobytes()))
+
+            return seen, blocks, observe
+
+        runs = []
+        for wipe in (False, True):
+            seen, blocks, observe = recorder(wipe)
+            sol = solve(paths, CONSTANT, observe)
+            assert len(seen) == paths.grid.index_T + 1 and len(blocks) == 1
+            runs.append((seen, sol.y0.tobytes(), sol.z0.tobytes(), repr(sol.c), repr(sol.residual)))
+        assert runs[1] == runs[0]

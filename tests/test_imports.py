@@ -1,4 +1,5 @@
-"""Each module of insiderlab uses only the public names of its siblings."""
+"""Each module of insiderlab uses only the public names of its siblings, and
+every module of insiderlab and of its tests uses every name it imports."""
 
 import ast
 import pathlib
@@ -9,6 +10,9 @@ import insiderlab
 
 PACKAGE = pathlib.Path(insiderlab.__file__).parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+TESTS = pathlib.Path(__file__).parent
+# every module but a package's __init__, whose imports are its re-exports
+IMPORTERS = sorted(str(p) for p in (*PACKAGE.glob("*.py"), *TESTS.glob("*.py")) if p.name != "__init__.py")
 
 
 def private_reach_ins(source: str) -> list[str]:
@@ -45,3 +49,34 @@ def test_the_check_finds_both_forms():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_name_of_a_sibling_is_used(module):
     assert private_reach_ins((PACKAGE / module).read_text()) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that an import of `source` binds and the module never
+    reads, in order; a `from __future__` import and a name listed in
+    `__all__` do not count."""
+    tree = ast.parse(source)
+    bound, read, exported = [], set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names if a.name != "*"]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+              and isinstance(node.value, (ast.List, ast.Tuple))):
+            exported |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [name for name in bound if name not in read and name not in exported]
+
+
+def test_the_import_check_finds_an_unused_name():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from .model import iota, validate\n__all__ = ['validate']\nnp.ones(1)\n")
+    assert unused_imports(source) == ["os", "iota"]
+    assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda path: pathlib.Path(path).name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(pathlib.Path(path).read_text()) == []

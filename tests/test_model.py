@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from insiderlab.model import (
     DomainError,
-    InsiderKind,
     InsiderSpec,
     MarketParams,
     PiecewiseConstant,

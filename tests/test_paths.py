@@ -175,7 +175,7 @@ class TestRunningSignal:
             assert not np.any(batch.level[:, 0])
             t_left = batch.grid.knots[:m]
             w = insider.phi_weight(t_left) if insider.has_signal() else iota(mk, t_left)
-            np.testing.assert_array_equal(batch.level, partial_signals(batch.dW, w))
+            np.testing.assert_array_equal(batch.level, partial_signals(batch.dW, w, np.empty_like(batch.level)))
             if np.all(w == 1.0):
                 # unit weight: the plain cumulative sum, bit for bit
                 np.testing.assert_array_equal(batch.level[:, 1:], np.cumsum(batch.dW[:, :m], axis=1))
@@ -195,7 +195,7 @@ class TestInformationDrift:
         batch = sample_paths(make_config(market, insider, n_paths=4, seed=5))
         grid = batch.grid
         i = grid.index_of(0.5)
-        b = partial_signals(np.zeros_like(batch.dW), insider.phi_weight(grid.knots[:-1]))
+        b = partial_signals(np.zeros_like(batch.dW), insider.phi_weight(grid.knots[:-1]), np.empty_like(batch.level))
         y0 = np.ones(4)
         phi = information_drift(grid, b, y0, insider)
         assert phi[:, i] == pytest.approx(1.0 / 1.5, abs=1e-12)
@@ -203,7 +203,8 @@ class TestInformationDrift:
     def test_zero_residual_signal_gives_zero_drift(self, market, insider):
         # flat path: the partial sums equal the signal, so the drift vanishes
         batch = sample_paths(make_config(market, insider, n_paths=4, seed=5))
-        b = partial_signals(np.zeros_like(batch.dW), insider.phi_weight(batch.grid.knots[:-1]))
+        b = partial_signals(np.zeros_like(batch.dW), insider.phi_weight(batch.grid.knots[:-1]),
+                            np.empty_like(batch.level))
         phi = information_drift(batch.grid, b, np.zeros(4), insider)
         assert not np.any(phi)
 
@@ -213,7 +214,7 @@ class TestInformationDrift:
         m = grid.index_T
         c = 0.7
         phi = np.full((1, m), c)
-        dwh = decompose(grid, batch.dW, phi)
+        dwh = decompose(grid, batch.dW, phi, np.empty((batch.n_paths, m)))
         w_T = batch.dW[:, :m].sum(axis=1)
         np.testing.assert_allclose(dwh.sum(axis=1), w_T - c * grid.T, atol=1e-12)
 
@@ -253,7 +254,8 @@ class TestEnlargementCorrectness:
             m = fine.grid.index_T
 
             def drift_integral(dW, grid):
-                phi = information_drift(grid, partial_signals(dW, ins.phi_weight(grid.knots[:-1])), fine.Y0, ins)
+                b = partial_signals(dW, ins.phi_weight(grid.knots[:-1]), np.empty((len(dW), grid.index_T + 1)))
+                phi = information_drift(grid, b, fine.Y0, ins)
                 return np.sum(phi * grid.dt, axis=1)
 
             i_fine = drift_integral(fine.dW[:, :m], fine.grid)

@@ -317,7 +317,7 @@ class TestProfiles:
                 # bit for bit the closed form over the whole time axis
                 whole = form(mk, ins, batch.Y0[:, None], batch.level[:, :-1], t_left)
                 assert np.array_equal(getattr(prof, name), whole), name
-            b = partial_signals(batch.dW, ins.phi_weight(t_left))
+            b = partial_signals(batch.dW, ins.phi_weight(t_left), np.empty_like(batch.level))
             for i, t in enumerate(batch.grid.knots[: batch.grid.index_T]):
                 for name, form in forms.items():
                     expect = form(mk, ins, batch.Y0, b[:, i], float(t))

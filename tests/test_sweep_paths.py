@@ -61,7 +61,7 @@ def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, 
         t_left = batch.grid.knots[:m]
         # one state, int_0^t w dW: w = phi_w under a signal, iota without one
         weight = insider.phi_weight(t_left) if insider.has_signal() else iota(market, t_left)
-        assert np.array_equal(batch.level, partial_signals(batch.dW, weight))
+        assert np.array_equal(batch.level, partial_signals(batch.dW, weight, np.empty_like(batch.level)))
         streamed = stream_sweep_paths(config, threads)
         assert streamed.insider == insider
         if insider.has_signal():
