@@ -54,11 +54,13 @@ import numpy as np
 from .model import (
     InsiderSpec,
     MarketParams,
+    PiecewiseConstant,
     ScenarioConfig,
     ValidationError,
-    breakpoints,
     iota,
     phi_norm_sq,
+    quiet,
+    require_finite,
     sigma_tilde,
     validate,
 )
@@ -253,15 +255,15 @@ def stream_horizon_paths(config: ScenarioConfig, t0s, threads: int = 1):
 
 
 def _phitilde(paths: SweepPaths, market: MarketParams):
-    """phitilde = iota + phi on step i, as a function (i, out=None) of i:
-    a scalar without a signal; under one a row, written to `out` when given,
-    else fresh."""
+    """phitilde = iota + phi on step i, as a function (i, out) of i: a
+    scalar without a signal, which leaves the row `out` as it is; under one
+    a row, written to `out`."""
     m = paths.grid.index_T
     iota_left = iota(market, paths.grid.knots[:m])
     if paths.Y0 is None:
-        return lambda i, out=None: iota_left[i]
+        return lambda i, out: iota_left[i]
 
-    def phitilde(i: int, out: np.ndarray | None = None) -> np.ndarray:
+    def phitilde(i: int, out: np.ndarray) -> np.ndarray:
         return np.add(paths.phi(i), iota_left[i], out=out)
 
     return phitilde
@@ -303,13 +305,19 @@ def log_pi_star(paths: SweepPaths, market: MarketParams) -> np.ndarray:
 # -- Gaussian closed forms -------------------------------------------------------
 
 
+def _values(fn: PiecewiseConstant, end: float) -> set[float]:
+    """The values fn takes on [0, end): those of its pieces that start before end."""
+    return {v for b, v in zip(fn.breakpoints, fn.values) if b < end}
+
+
 def require_gaussian_oracle(market: MarketParams, insider: InsiderSpec) -> None:
-    """The preconditions of the Gaussian closed forms: none without a signal;
-    with one, coefficients constant on [0, T] (`constant_required`) and unit
-    weight on all of [0, T0] (`unsupported_phi`), which v = T0 - T assumes."""
-    if insider.has_signal() and breakpoints(market):
+    """The preconditions of the Gaussian closed forms, read from values: none
+    without a signal; with one, r, mu0 and sigma each of one value on [0, T]
+    (`constant_required`) and weight 1 on all of [0, T0] (`unsupported_phi`),
+    which v = T0 - T assumes."""
+    if insider.has_signal() and any(len(_values(fn, market.T)) > 1 for fn in (market.r, market.mu0, market.sigma)):
         raise ValidationError("constant_required", "the Gaussian closed form needs coefficients constant on [0, T]")
-    if insider.has_signal() and insider.phi_weight.values != (1.0,):
+    if insider.has_signal() and _values(insider.phi_weight, insider.T0) != {1.0}:
         raise ValidationError("unsupported_phi", "the Gaussian closed form needs unit signal weight")
 
 
@@ -515,17 +523,9 @@ def _step_moments(paths: SweepPaths) -> np.ndarray:
     return maps
 
 
-def _require_finite(what: str, *values) -> None:
-    """The LSMC solvers' one finiteness check: ValidationError
-    `solution_finite` when any of the arrays or scalars holds a nan or an
-    infinity."""
-    if not all(np.isfinite(v).all() for v in values):
-        raise ValidationError("solution_finite", f"{what} is not a finite float")
-
-
-def _factor(design: np.ndarray, t: float, gram: np.ndarray | None = None) -> np.ndarray:
-    """G^-1 for the Gram matrix G = design @ design.T of the (k, n_paths)
-    design as built (`gram` when the caller has formed it), and 0 on its zero
+def _factor(design: np.ndarray, t: float, gram: np.ndarray) -> np.ndarray:
+    """G^-1 for the Gram matrix `gram` = G = design @ design.T of the
+    (k, n_paths) design as built, which the caller forms, and 0 on its zero
     rows (RMS over paths <= 1e-12); the design is not written.  Fitted values
     of y are  G^-1 (design @ y) @ design.
 
@@ -536,8 +536,7 @@ def _factor(design: np.ndarray, t: float, gram: np.ndarray | None = None) -> np.
     Stability of Numerical Algorithms, ch. 10): the rank counts its
     eigenvalues above that fraction of the largest.  A design whose powers
     overflow gives a G that is not finite, refused as `solution_finite`."""
-    gram = design @ design.T if gram is None else gram
-    _require_finite(f"the regression Gram matrix at t={t}", gram)
+    require_finite("solution_finite", f"the regression Gram matrix at t={t}", gram)
     sum_sq = np.diag(gram)
     keep = sum_sq > 1e-24 * design.shape[1]
     unscale = np.sqrt(sum_sq[keep])
@@ -636,7 +635,7 @@ def _finite_solution(solve):
     off, the observer's reductions included.  Each (Y_i, Z_i) the solver
     hands to the observer is checked as it is made, but a solution with a
     value (a row, the terminal or normaliser, the residual) that is not
-    finite is refused by _require_finite only once the solve is over, so a
+    finite is refused as `solution_finite` only once the solve is over, so a
     RegressionError later in the sweep keeps its precedence: an overflow on
     the way shows there as an infinity or a nan."""
 
@@ -650,12 +649,12 @@ def _finite_solution(solve):
             if observe is not None:
                 observe(i, y, z, work)
 
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with quiet():
             sol = solve(paths, market, checked_observe)
         what = f"the {solve.__name__} solution"
         if not finite:
             raise ValidationError("solution_finite", f"{what} is not a finite float")
-        _require_finite(what, sol.c, sol.residual)
+        require_finite("solution_finite", what, sol.c, sol.residual)
         return sol
 
     return checked
@@ -696,7 +695,7 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeS
     else:
         normalizer = enlargement_normalizer(market, paths.insider, paths.Y0)
         log_norm = np.log(normalizer)
-    _require_finite("the log normaliser", log_norm)
+    require_finite("solution_finite", "the log normaliser", log_norm)
     terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
 
     def to_wealth(i: int, y: np.ndarray, z: np.ndarray | None, work: np.ndarray) -> None:
@@ -761,7 +760,7 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe) -> Bs
     degree = 0 if paths.Y0 is None else _TERMINAL_DEGREE
     y_design = np.empty((degree + 1, n))
     _monomials(y_design, paths.Y0, None, degree)
-    inv_gram = _factor(y_design, 0.0)
+    inv_gram = _factor(y_design, 0.0, y_design @ y_design.T)
     coef = np.zeros(degree + 1)
     coef[0] = ln_x0
     lo, hi = np.full(n, ln_x0), np.full(n, ln_x0)
@@ -787,7 +786,7 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe) -> Bs
     shift = delta @ y_design
     y0 -= shift
     shot, _ = trace_row(1)
-    _require_finite("the solve_quadratic_lsmc solution", lo - shift, hi - shift)
+    require_finite("solution_finite", "the solve_quadratic_lsmc solution", lo - shift, hi - shift)
     return BsdeSolution(y0=y0, z0=z0, y0_mean=shot[3], c=shot[1], residual=abs(shot[2]),
                         y_T=ln_x0 - shift, shift=shift, trace=(swept, shot))
 
@@ -816,7 +815,7 @@ def initial_controls(
     _controls."""
     t_left = paths.grid.knots[: paths.grid.index_T]
     sig, st = market.sigma(t_left), sigma_tilde(market, t_left)
-    phit = _phitilde(paths, market)(0)
+    phit = _phitilde(paths, market)(0, np.empty(paths.n_paths))
     return _controls(sol.z0, phit, sig[0], st[0])
 
 

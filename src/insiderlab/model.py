@@ -17,6 +17,7 @@ for some weight function phi on [0, T0] with T0 beyond the trading horizon T.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -30,6 +31,8 @@ __all__ = [
     "ScenarioConfig",
     "ValidationError",
     "DomainError",
+    "quiet",
+    "require_finite",
     "iota",
     "sigma_tilde",
     "phi_norm_sq",
@@ -48,6 +51,17 @@ class ValidationError(ValueError):
 
 class DomainError(ValueError):
     """Evaluation requested outside the declared time domain."""
+
+
+# numpy's float warnings off, for results that require_finite checks instead
+quiet = functools.partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
+
+
+def require_finite(code: str, what: str, *values) -> None:
+    """ValidationError `code` when any of the arrays or scalars holds a nan
+    or an infinity."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValidationError(code, f"{what} is not a finite float")
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,9 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
         market=market, insider=insider, n_steps=100, n_paths=20_000, seed=seed
     )
     batch = sample_paths(cfg)
+    # build_profile's pair of rows and the kernels' flat work row, for every profile and kernel below
+    n, m = batch.n_paths, batch.grid.index_T
+    out, work = np.empty((2, n, m)), np.empty(n * (m + 1))
 
     # reproducibility: identical seed => bit-identical increments
     check("path_determinism", np.array_equal(batch.dW, sample_paths(cfg).dW), 0.0)
@@ -60,7 +63,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     check("analytic_value_suite", err < 1e-9, err)
 
     # quadrature consistency: exact integral equals step-sum on the grid
-    t_left = batch.grid.knots[: batch.grid.index_T]
+    t_left = batch.grid.knots[:m]
     step_sum = float(np.sum((market.mu0(t_left) / market.sigma(t_left)) ** 2 * batch.grid.dt))
     exact = analysis.integral_iota_sq(market)
     rel = abs(step_sum - exact) / exact
@@ -74,7 +77,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
         (strategies.StrategyKind.SMALL_INSIDER_ROBUST, phi),
         (strategies.StrategyKind.SMALL_INSIDER_NONROBUST, phi),
     ):
-        prof = strategies.build_profile(kind, batch, market, insider)
+        prof = strategies.build_profile(kind, batch, market, insider, out)
         implied = strategies.theta_from_pi(market, drift, prof.pi, t_left)
         worst = max(worst, float(np.max(np.abs(implied - prof.theta))))
     check("first_order_relation", worst < 1e-12, worst)
@@ -101,18 +104,18 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
 
     # exponential density is mean one under the worst-case distortion
     prof = strategies.build_profile(
-        strategies.StrategyKind.SMALL_INSIDER_ROBUST, batch, market, insider
+        strategies.StrategyKind.SMALL_INSIDER_ROBUST, batch, market, insider, out
     )
-    log_eps = simulate.simulate_density(batch, prof)
+    log_eps = simulate.simulate_density(batch, prof, work)
     m_eps, se_eps = simulate.mean_se(np.exp(log_eps[:, -1]))
     z_eps = abs(m_eps - 1.0) / se_eps
     check("density_mean_one", z_eps < 4.0, z_eps)
 
     # entropy identity for a constant distortion, against the Gaussian value
     const_prof = strategies.build_profile(
-        strategies.StrategyKind.NO_INSIDER_ROBUST, batch, market, insider
+        strategies.StrategyKind.NO_INSIDER_ROBUST, batch, market, insider, out
     )
-    _, penalty, entropy = simulate.game_terms(batch, const_prof, market)
+    _, penalty, entropy = simulate.game_terms(batch, const_prof, market, work)
     ent = simulate.entropy_identity_check(penalty, entropy)
     io = market.mu0(0.0) / market.sigma(0.0)
     gauss = io**2 * market.T / 8.0
@@ -122,7 +125,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     # tower property of the multiplicative functional: the closed-form
     # normaliser is E[sqrt(Pi(0,T)) | Y0], so the paired gap has mean zero;
     # on the sweep input the bsde commands build, with the batch released first
-    del batch, prof, const_prof, log_eps
+    del batch, prof, const_prof, log_eps, out, work
     sweep = bsde.stream_sweep_paths(cfg)
     sqrt_pi = np.exp(0.5 * bsde.log_pi_star(sweep, market))
     gap_pi, se_pi = simulate.mean_se(sqrt_pi - bsde.enlargement_normalizer(market, insider, sweep.Y0))

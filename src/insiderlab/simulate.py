@@ -26,9 +26,8 @@ The kernels build only what the estimators read: the terminal log-wealth
 whose left-point values the penalty reads) and one increment sum per
 checkpoint.  Their step terms come from per-step coefficient rows (r dt,
 (mu0 - r) dt, sigma and the varrho dt terms) evaluated once per grid, and
-each kernel works in one path-sized buffer at a time: a new one, or the
-optional `work` row, a flat float array of at least n_paths * (index_T + 1)
-entries.
+each kernel works in one path-sized buffer at a time, in its caller's
+`work` row, a flat float array of at least n_paths * (index_T + 1) entries.
 
 The streams run with numpy's float warnings off; a per-path log-density,
 per-path value, mean or standard error that is not a finite float is
@@ -37,14 +36,13 @@ refused as a ValidationError (`estimate_finite`).
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MarketParams, ScenarioConfig, ValidationError, validate
+from .model import MarketParams, ScenarioConfig, quiet, require_finite, validate
 from .paths import PathBatch, build_grid, stream_paths
 from .strategies import StrategyProfile
 
@@ -64,11 +62,6 @@ __all__ = [
     "mean_se",
     "ordered_mean",
 ]
-
-
-# numpy's float warnings off, for kernels and reductions whose results are
-# checked for finiteness instead
-_quiet = functools.partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
 
 
 def ordered_mean(x: np.ndarray, work: np.ndarray | None = None) -> float:
@@ -96,20 +89,13 @@ def mean_se(x: np.ndarray) -> tuple[float, float]:
     return m, math.sqrt(var / n)
 
 
-def _require_finite(what: str, *values) -> None:
-    """ValidationError `estimate_finite` when any of the arrays or scalars
-    holds a nan or an infinity."""
-    if not all(np.isfinite(v).all() for v in values):
-        raise ValidationError("estimate_finite", f"{what} is not a finite float")
-
-
 def _estimate(what: str, x: np.ndarray) -> tuple[float, float]:
     """mean_se of the per-path values x of `what`, refused as
     `estimate_finite` unless the mean and the SE are finite, as they are not
     when a value is not."""
-    with _quiet():
+    with quiet():
         mean, se = mean_se(x)
-    _require_finite(f"the mean or standard error of the {what}", mean, se)
+    require_finite("estimate_finite", f"the mean or standard error of the {what}", mean, se)
     return mean, se
 
 
@@ -173,13 +159,12 @@ def _coefficient_rows(grid, market: MarketParams):
     return grid.once(("coefficients", market), build)
 
 
-def _rows(work, n: int, width: int) -> np.ndarray:
-    """An (n, width) array: a new one, or the first n * width entries of
-    the flat work row `work`."""
-    return np.empty((n, width)) if work is None else work[: n * width].reshape(n, width)
+def _rows(work: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The first n * width entries of the flat work row `work`, as (n, width)."""
+    return work[: n * width].reshape(n, width)
 
 
-def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketParams, work=None) -> np.ndarray:
+def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketParams, work: np.ndarray) -> np.ndarray:
     """Terminal log-wealth ln X_T (n_paths,) by the exact log-Euler step of the
     wealth dynamics under the original measure,
 
@@ -192,7 +177,7 @@ def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketPa
         ln X_T = ln X0 + sum_i r dt + sum_i pi (c pi + b) + sum_i pi sigma dW,
         b = (mu0 - r) dt,  c = (varrho - sigma^2/2) dt.
 
-    The buffer is `work`'s memory when given.
+    The buffer is `work`'s memory.
     """
     _check_grid(batch, profile)
     m = batch.grid.index_T
@@ -209,11 +194,11 @@ def simulate_wealth(batch: PathBatch, profile: StrategyProfile, market: MarketPa
     return log_x
 
 
-def simulate_density(batch: PathBatch, profile: StrategyProfile, work=None) -> np.ndarray:
+def simulate_density(batch: PathBatch, profile: StrategyProfile, work: np.ndarray) -> np.ndarray:
     """log of the exponential density of the distorted measure, logE
     (n_paths, index_T + 1) at every knot of [0, T]:
     dln(eps) = theta dWH - theta^2/2 dt, formed as theta (dWH - theta dt/2)
-    and summed in place in the result, which lies in `work` when given."""
+    and summed in place in the result, which lies in `work`."""
     _check_grid(batch, profile)
     m = batch.grid.index_T
     logE = _rows(work, batch.n_paths, m + 1)
@@ -226,7 +211,7 @@ def simulate_density(batch: PathBatch, profile: StrategyProfile, work=None) -> n
 
 
 def game_terms(
-    batch: PathBatch, profile: StrategyProfile, market: MarketParams, work=None
+    batch: PathBatch, profile: StrategyProfile, market: MarketParams, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-path (J term, penalty, relative entropy) of `batch` under `profile`:
 
@@ -237,7 +222,7 @@ def game_terms(
     """
     logE = simulate_density(batch, profile, work)
     log_eps_T = logE[:, -1].copy()
-    _require_finite("a per-path log-density at T", log_eps_T)
+    require_finite("estimate_finite", "a per-path log-density at T", log_eps_T)
     # the penalty integrand overwrites the left-point log-density it is made
     # from, and logE is dropped before simulate_wealth takes its buffer (the
     # same `work`), so one path-sized array at a time is live beside the
@@ -264,7 +249,7 @@ def entropy_identity_check(penalty: np.ndarray, entropy: np.ndarray) -> EntropyC
     entropy E[eps_T ln eps_T] of the distorted measure, from the per-path
     penalty and eps_T ln eps_T."""
     lhs, rhs = _estimate("penalty", penalty), _estimate("relative entropy", entropy)
-    with _quiet():
+    with quiet():
         gap = penalty - entropy
     return EntropyCheck(*lhs, *rhs, *_estimate("entropy gap", gap))
 
@@ -283,7 +268,7 @@ def _stream(config: ScenarioConfig, grid, kernel, threads: int) -> None:
         if space is None or len(space[0]) < n:
             space = worker.space = (np.empty((n, m)), np.empty((n, m)), np.empty(n * (m + 1)))
         pi, theta, work = space
-        with _quiet():
+        with quiet():
             kernel(rows, batch, (pi[:n], theta[:n]), work)
 
     stream_paths(config, grid, tile, threads)
@@ -319,7 +304,7 @@ def weighted_increments(
     profile: StrategyProfile,
     market: MarketParams,
     checkpoints: list[tuple[float, float]],
-    work=None,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Per-path eps_T (m_{t+h} - m_t) of the optimality martingale
 
@@ -330,8 +315,8 @@ def weighted_increments(
 
         dm = pi (2 varrho - sigma^2) dt + (mu0 - r) dt + sigma dW.
 
-    The log-density and then the step terms lie in `work` when given; a
-    log-density at T that is not finite is refused as `estimate_finite`.
+    The log-density and then the step terms lie in `work`; a log-density at
+    T that is not finite is refused as `estimate_finite`.
     """
     _check_grid(batch, profile)
     grid = batch.grid
@@ -339,7 +324,7 @@ def weighted_increments(
                       lambda: [(grid.index_of(t), grid.index_of(t + h)) for t, h in checkpoints])
     m = grid.index_T
     log_eps_T = simulate_density(batch, profile, work)[:, -1]
-    _require_finite("a per-path log-density at T", log_eps_T)
+    require_finite("estimate_finite", "a per-path log-density at T", log_eps_T)
     eps_T = np.exp(log_eps_T)
     sig, _, b, _, c = _coefficient_rows(grid, market)
     steps = np.multiply(profile.pi, c, out=_rows(work, batch.n_paths, m))

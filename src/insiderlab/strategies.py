@@ -235,19 +235,14 @@ def theta_from_pi(market: MarketParams, phi, pi, t):
 # -- profile assembly -----------------------------------------------------------
 
 
-def build_profile(
-    kind: StrategyKind,
-    batch: PathBatch,
-    market: MarketParams,
-    insider: InsiderSpec,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> StrategyProfile:
+def build_profile(kind: StrategyKind, batch: PathBatch, market: MarketParams, insider: InsiderSpec,
+                  out) -> StrategyProfile:
     """Evaluate the closed form of `kind` on every path and step of `batch`:
     its lines are formed once per grid as read-only (1, index_T) rows, and a
     tile of a stream only applies them to its paths.  An informed profile
     writes its path-sized rows to `out` = (pi rows, theta rows), two
-    (n_paths, index_T) arrays, when given: a non-robust insider's pi to the
-    first, a robust insider's pi and theta to both."""
+    (n_paths, index_T) arrays: a non-robust insider's pi to the first, a
+    robust insider's pi and theta to both; an uninformed one writes neither."""
     grid = batch.grid
     if kind in NO_IMPACT_KINDS:
         market.require_no_impact(kind.value)
@@ -261,7 +256,7 @@ def build_profile(
     pi_intercept, pi_slope, theta_intercept, theta_slope = grid.once((kind, market, insider), rows)
     if kind in UNINFORMED_KINDS:
         return StrategyProfile(pi=pi_intercept, theta=theta_intercept, grid=grid)
-    pi_out, theta_out = (None, None) if out is None else out
+    pi_out, theta_out = out
     # one residual Y0 - B_t, whose memory becomes a non-robust insider's pi
     # (its theta is the shared zero row) or a robust insider's theta
     nonrobust = kind in (StrategyKind.SMALL_INSIDER_NONROBUST, StrategyKind.LARGE_INSIDER_NONROBUST)

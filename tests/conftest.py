@@ -122,6 +122,21 @@ def brownian_levels(unit_iota_market, no_insider):
     return batch.grid, batch.level
 
 
+def _kernel_rows(batch):
+    """Fresh rows for one profile and one kernel call on `batch`: the pair
+    `out` of (n_paths, index_T) rows that build_profile writes to, and the
+    flat `work` row of n_paths * (index_T + 1) floats of the per-path
+    kernels, which a kernel's result may lie in."""
+    n, m = batch.n_paths, batch.grid.index_T
+    return np.empty((2, n, m)), np.empty(n * (m + 1))
+
+
+@pytest.fixture(scope="session")
+def kernel_rows():
+    """(out, work) = kernel_rows(batch), fresh at every call; see _kernel_rows."""
+    return _kernel_rows
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """count_calls(fn) returns a list that grows by one on every call of fn

@@ -61,13 +61,14 @@ def batch_mc_enl(market, insider):
     return sample_paths(cfg)
 
 
-def _game_terms(batch, kind, market, insider):
-    return game_terms(batch, build_profile(kind, batch, market, insider), market)
+def _game_terms(batch, kind, market, insider, rows):
+    out, work = rows
+    return game_terms(batch, build_profile(kind, batch, market, insider, out), market, work)
 
 
-def _martingale(batch, profile, market):
+def _martingale(batch, profile, market, work):
     checkpoints = _default_checkpoints(batch.grid)
-    return martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints)
+    return martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints, work), checkpoints)
 
 
 def test_criterion_1_analytic_value_suite(market, market_impact, insider):
@@ -87,16 +88,18 @@ def test_criterion_1_analytic_value_suite(market, market_impact, insider):
     print(f"PASS criterion 1: analytic value suite, max error {worst:.2e} in {elapsed:.3f}s")
 
 
-def test_criterion_2_monte_carlo_game_value(batch_mc_flat, batch_mc_enl, market, insider):
+def test_criterion_2_monte_carlo_game_value(batch_mc_flat, batch_mc_enl, market, insider, kernel_rows):
     start = time.time()
-    j_flat = estimate_J(_game_terms(batch_mc_flat, StrategyKind.NO_INSIDER_ROBUST, market, insider)[0])
+    j_flat = estimate_J(_game_terms(batch_mc_flat, StrategyKind.NO_INSIDER_ROBUST, market, insider,
+                                     kernel_rows(batch_mc_flat))[0])
     t_flat = time.time() - start
     z_flat = (j_flat.mean - V1) / j_flat.std_error
     assert abs(z_flat) <= 3.0
     assert t_flat < 60.0
 
     start = time.time()
-    j_enl = estimate_J(_game_terms(batch_mc_enl, StrategyKind.SMALL_INSIDER_ROBUST, market, insider)[0])
+    j_enl = estimate_J(_game_terms(batch_mc_enl, StrategyKind.SMALL_INSIDER_ROBUST, market, insider,
+                                    kernel_rows(batch_mc_enl))[0])
     t_enl = time.time() - start
     z_enl = (j_enl.mean - V2) / j_enl.std_error
     assert abs(z_enl) <= 3.0
@@ -107,13 +110,15 @@ def test_criterion_2_monte_carlo_game_value(batch_mc_flat, batch_mc_enl, market,
     )
 
 
-def test_criterion_3_martingale_theorem(batch_mc_flat, batch_mc_enl, market, insider):
+def test_criterion_3_martingale_theorem(batch_mc_flat, batch_mc_enl, market, insider, kernel_rows):
     start = time.time()
-    prof_flat = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_mc_flat, market, insider)
-    stats_flat = _martingale(batch_mc_flat, prof_flat, market)
-    prof_enl = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_mc_enl, market, insider)
-    stats_enl = _martingale(batch_mc_enl, prof_enl, market)
-    neg = _martingale(batch_mc_flat, prof_flat.scaled(pi_factor=1.2), market)
+    # the two batches have one shape, so one set of rows serves both
+    out, work = kernel_rows(batch_mc_flat)
+    prof_flat = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_mc_flat, market, insider, out)
+    stats_flat = _martingale(batch_mc_flat, prof_flat, market, work)
+    prof_enl = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_mc_enl, market, insider, out)
+    stats_enl = _martingale(batch_mc_enl, prof_enl, market, work)
+    neg = _martingale(batch_mc_flat, prof_flat.scaled(pi_factor=1.2), market, work)
     elapsed = time.time() - start
 
     assert len(stats_flat) == 10 and len(stats_enl) == 10
@@ -128,9 +133,9 @@ def test_criterion_3_martingale_theorem(batch_mc_flat, batch_mc_enl, market, ins
     )
 
 
-def test_criterion_4_entropy_identity(batch_mc_enl, market, insider):
+def test_criterion_4_entropy_identity(batch_mc_enl, market, insider, kernel_rows):
     _, penalty, entropy = _game_terms(
-        batch_mc_enl, StrategyKind.SMALL_INSIDER_ROBUST, market, insider
+        batch_mc_enl, StrategyKind.SMALL_INSIDER_ROBUST, market, insider, kernel_rows(batch_mc_enl)
     )
     res = entropy_identity_check(penalty, entropy)
     assert abs(res.z) <= 3.0

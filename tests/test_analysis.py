@@ -100,7 +100,7 @@ class TestValueFunctions:
         small = value_insider_nonrobust(market, insider)
         assert small.rent == pytest.approx(0.5 * math.log(2.0), abs=1e-14)
 
-    def test_informed_neutral_piecewise_weight(self, market):
+    def test_informed_neutral_piecewise_weight(self, market, kernel_rows):
         # phi_w = 1 on [0, 1.5), 2 on [1.5, 2]: rent (1/2) ln(3.5 / 2.5), which the
         # Monte-Carlo game value of the closed-form fraction confirms
         ins = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 1.5), (1.0, 2.0)))
@@ -109,8 +109,9 @@ class TestValueFunctions:
         assert b.total == pytest.approx(V_NN + 0.5 * math.log(3.5 / 2.5), abs=1e-12)
         cfg = ScenarioConfig(market=market, insider=ins, n_steps=100, n_paths=50_000, seed=5)
         batch = sample_paths(cfg)
-        prof = build_profile(StrategyKind.SMALL_INSIDER_NONROBUST, batch, market, ins)
-        j = estimate_J(game_terms(batch, prof, market)[0])
+        out, work = kernel_rows(batch)
+        prof = build_profile(StrategyKind.SMALL_INSIDER_NONROBUST, batch, market, ins, out)
+        j = estimate_J(game_terms(batch, prof, market, work)[0])
         assert abs(j.mean - b.total) < 4.0 * j.std_error
 
     def test_unit_weight_required_where_assumed(self, market, market_impact):

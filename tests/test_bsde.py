@@ -21,7 +21,6 @@ from insiderlab.bsde import (
     _factor,
     _gaussian_moments,
     _monomials,
-    _phitilde,
     _projected_mismatch,
     _quadratic_driver,
     _step_moments,
@@ -82,6 +81,13 @@ def interior_mask(grid):
     return (t_left >= 0.1 * grid.T) & (t_left <= 0.9 * grid.T), t_left
 
 
+def phitilde_at(paths, market, i):
+    """phitilde = iota + phi on step i of the sweep input, pointwise: a
+    scalar without a signal."""
+    io = iota(market, paths.grid.knots[: paths.grid.index_T])[i]
+    return io if paths.Y0 is None else paths.phi(i) + io
+
+
 class TestPiStarFunctional:
     def test_unit_when_driftless(self, no_insider):
         flat = MarketParams(r=0.05, mu0=0.05, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
@@ -134,19 +140,20 @@ class TestLinearClosedForm:
         assert abs(mean - math.exp(-IOTA_SQ / 4.0)) < 3.0 * se
 
     def test_matches_simulated_optimal_wealth_no_insider(self, batch_lsmc_flat, sweep_lsmc_flat, market, insider,
-                                                         whole):
+                                                         whole, kernel_rows):
         # exact pathwise agreement: the closed form is the log-Euler path.  At
         # r = 0, trading only up to knot k ends with the wealth of knot k.
         _, Y, _ = whole(solve_linear_closed_form, sweep_lsmc_flat, market)
-        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_lsmc_flat, market, insider)
+        out, work = kernel_rows(batch_lsmc_flat)
+        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_lsmc_flat, market, insider, out)
         m = batch_lsmc_flat.grid.index_T
         for k in range(m + 1):
             stopped = StrategyProfile(pi=np.where(np.arange(m) < k, prof.pi, 0.0), theta=prof.theta,
                                       grid=prof.grid)
-            log_wealth = simulate_wealth(batch_lsmc_flat, stopped, market)
+            log_wealth = simulate_wealth(batch_lsmc_flat, stopped, market, work)
             np.testing.assert_allclose(np.log(Y[:, k]), log_wealth, atol=1e-12)
 
-    def test_matches_simulated_optimal_wealth_enlargement(self, market, insider, whole):
+    def test_matches_simulated_optimal_wealth_enlargement(self, market, insider, whole, kernel_rows):
         # continuous formula vs discrete simulation: strong gap shrinks in dt
         gaps = []
         for n_steps in (100, 400):
@@ -154,16 +161,19 @@ class TestLinearClosedForm:
                                  n_paths=1000, seed=32)
             batch = sample_paths(cfg)
             _, Y, _ = whole(solve_linear_closed_form, stream_sweep_paths(cfg), market)
-            prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch, market, insider)
-            log_wealth = simulate_wealth(batch, prof, market)
+            out, work = kernel_rows(batch)
+            prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch, market, insider, out)
+            log_wealth = simulate_wealth(batch, prof, market, work)
             diff = np.log(Y[:, -1]) - log_wealth
             gaps.append(math.sqrt(float(np.mean(diff**2))))
         assert gaps[0] < 0.05
         assert gaps[1] < gaps[0]
 
-    def test_control_is_fraction_times_wealth(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider, whole):
+    def test_control_is_fraction_times_wealth(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider, whole,
+                                              kernel_rows):
         _, Y, Z = whole(solve_linear_closed_form, sweep_lsmc_enl, market)
-        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
+        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider,
+                             kernel_rows(batch_lsmc_enl)[0])
         m = batch_lsmc_enl.grid.index_T
         np.testing.assert_allclose(Z, 0.35 * prof.pi * Y[:, :m], rtol=1e-12)
 
@@ -281,7 +291,8 @@ class TestQuadraticLsmc:
         assert v == pytest.approx(IOTA_SQ / 3.0, abs=1e-9)
         assert sol.residual <= 1e-3
 
-    def test_enlargement_value_and_controls(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider, whole):
+    def test_enlargement_value_and_controls(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider, whole,
+                                            kernel_rows):
         # no impact: the quadratic route must reproduce the informed robust
         # solution; ln(eps X) has z = sigma pi + theta with both closed forms
         sol, _, Z = whole(solve_quadratic_lsmc, sweep_lsmc_enl, market)
@@ -289,7 +300,8 @@ class TestQuadraticLsmc:
         assert abs(v - VALUE2) < 6.5e-3  # first-order step bias at dt = 0.02
         grid = batch_lsmc_enl.grid
         m = grid.index_T
-        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
+        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider,
+                             kernel_rows(batch_lsmc_enl)[0])
         z_true = 0.35 * prof.pi + prof.theta
         mask, _ = interior_mask(grid)
         rmse = math.sqrt(float(np.mean((Z[:, mask] - z_true[:, mask]) ** 2)))
@@ -441,7 +453,7 @@ class TestRegressionEngine:
         raw = design.copy()
         expected = [x ** (d - a) * y**a for d in range(4) for a in range(d + 1)]
         np.testing.assert_allclose(raw, expected, rtol=1e-14, atol=0)
-        inv_gram = _factor(design, 0.0)
+        inv_gram = _factor(design, 0.0, design @ design.T)
         target = np.sin(x) + 0.25 * y**2 + rng.normal(size=n)
         coef, *_ = np.linalg.lstsq(raw.T, target, rcond=None)
         fitted = inv_gram @ (design @ target) @ design
@@ -459,7 +471,7 @@ class TestRegressionEngine:
         rows.insert(zero_at % (len(rows) + 1), np.zeros(n))
         design = np.array(rows)
         before = design.tobytes()
-        inv_gram = _factor(design, 0.0)
+        inv_gram = _factor(design, 0.0, design @ design.T)
         assert design.tobytes() == before
         y = rng.normal(size=n)
         fitted = inv_gram @ (design @ y) @ design
@@ -468,8 +480,9 @@ class TestRegressionEngine:
         coef, *_ = np.linalg.lstsq(unit, y, rcond=None)
         expected = unit @ coef
         np.testing.assert_allclose(fitted, expected, rtol=0, atol=1e-9 * np.max(np.abs(expected)))
+        duplicated = np.vstack([design, live[duplicate % len(live)]])
         with pytest.raises(RegressionError):
-            _factor(np.vstack([design, live[duplicate % len(live)]]), 0.0)
+            _factor(duplicated, 0.0, duplicated @ duplicated.T)
 
     @pytest.mark.parametrize("signal", [True, False])
     def test_factored_driver_matches_expanded_f_q(self, signal):
@@ -483,7 +496,7 @@ class TestRegressionEngine:
         z = np.random.default_rng(3).normal(scale=2.0, size=paths.n_paths)
         out = np.empty_like(z)
         for i in (0, 7, paths.grid.index_T - 1):
-            phit = _phitilde(paths, mk)(i)
+            phit = phitilde_at(paths, mk, i)
             terms = [0.25 * z**2, -0.5 * phit * z, -0.03 + 0.0 * z, -0.25 * phit**2, -k * (z + phit) ** 2]
             np.testing.assert_array_less(np.abs(f(i, z, out) - sum(terms)), 1e-12 * sum(np.abs(t) for t in terms))
 
@@ -501,7 +514,7 @@ class TestRegressionEngine:
         out = np.empty_like(z)
         assert len(set(r)) == 2
         for i in range(m):
-            phit = _phitilde(paths, mk)(i)
+            phit = phitilde_at(paths, mk, i)
             expected = ((0.5 * z) - phit) * z - r[i]
             assert f(i, z, out).tobytes() == expected.tobytes()
 
@@ -652,7 +665,8 @@ class TestRecoverControls:
         np.testing.assert_allclose(sig * pi + theta, z, atol=1e-12)
         np.testing.assert_allclose(theta, st * pi - phit, atol=1e-12)
 
-    def test_linear_inversion_recovers_fraction(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider, whole):
+    def test_linear_inversion_recovers_fraction(self, batch_lsmc_enl, sweep_lsmc_enl, market, insider, whole,
+                                                kernel_rows):
         # the linear equation's control is z = sigma pi X, and theta = sigma pi - phitilde
         _, Y, Z = whole(solve_linear_closed_form, sweep_lsmc_enl, market)
         m = batch_lsmc_enl.grid.index_T
@@ -660,7 +674,8 @@ class TestRecoverControls:
         sig = market.sigma(t_left)
         pi = Z / (sig * Y[:, :m])
         theta = sig * pi - (iota(market, t_left) + batch_lsmc_enl.phi)
-        expect = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider)
+        expect = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_lsmc_enl, market, insider,
+                               kernel_rows(batch_lsmc_enl)[0])
         np.testing.assert_allclose(pi, expect.pi, rtol=1e-10)
         np.testing.assert_allclose(theta, expect.theta, atol=1e-10)
 
@@ -731,7 +746,7 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
     def shooting_residual(order):
         design = np.empty((3, len(order)))
         _monomials(design, signal[order], None, 2)
-        inv_gram = _factor(design, 0.0)
+        inv_gram = _factor(design, 0.0, design @ design.T)
         return _projected_mismatch(design, inv_gram, mismatch[order])[1]
 
     residual = shooting_residual(np.arange(n))
@@ -752,10 +767,10 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
 def log_pi_star_fresh(paths, market):
     """log_pi_star with a fresh row for every operation of a step."""
     m, dt = paths.grid.index_T, paths.grid.dt
-    r, phitilde = market.r(paths.grid.knots[:m]), _phitilde(paths, market)
+    r = market.r(paths.grid.knots[:m])
     log_pi = np.zeros(paths.n_paths)
     for i in range(m):
-        phit = phitilde(i)
+        phit = phitilde_at(paths, market, i)
         log_pi += -(r[i] + 0.5 * phit**2) * dt[i] - phit * paths.dWH(i)
     return log_pi
 
@@ -764,10 +779,10 @@ def driver_fresh(paths, market, a, b, c):
     """_driver with fresh phitilde, tail and result rows at every step."""
     m = paths.grid.index_T
     a, b, c = (np.broadcast_to(x, (m,)) for x in (a, b, c))
-    r, phitilde = market.r(paths.grid.knots[:m]), _phitilde(paths, market)
+    r = market.r(paths.grid.knots[:m])
 
     def f(i, z):
-        phit = phitilde(i)
+        phit = phitilde_at(paths, market, i)
         tail = c[i] * phit
         tail *= phit
         tail -= r[i]

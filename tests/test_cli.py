@@ -329,6 +329,30 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith(f"validation error: {code}:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, mu0", [
+        (["--phi", "0:1,1.5:1"], "0.15"),  # unit weight written as two pieces
+        (["--phi", "0:1,2.5:7"], "0.15"),  # weight 1 on all of [0, T0 = 2]
+        ([], "0:0.15, 0.5:0.15"),  # one value of mu0 written as two pieces
+    ])
+    def test_bsde_linear_oracle_reads_values_not_how_they_are_written(self, tmp_path, flags, mu0):
+        # the same solve as at unit weight and constant mu0: the same report,
+        # and the knot table within rounding of it
+        outputs = []
+        for name, cfg, extra in (("unit", BASE_CFG, []),
+                                 ("written", BASE_CFG.replace("mu0 = 0.15", f"mu0 = {mu0}"), flags)):
+            (tmp_path / f"{name}.cfg").write_text(cfg)
+            out = tmp_path / name
+            assert run(["bsde-linear", "--config", str(tmp_path / f"{name}.cfg"), *extra, "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_text() for p in sorted(out.iterdir())})
+        unit, written = outputs
+        assert sorted(written) == sorted(unit) == ["bsde_linear.csv", "bsde_linear_report.csv"]
+        assert written["bsde_linear_report.csv"] == unit["bsde_linear_report.csv"]
+        tables = [list(csv.reader(io.StringIO(o["bsde_linear.csv"]))) for o in outputs]
+        assert tables[1][0] == tables[0][0] and len(tables[1]) == len(tables[0])
+        for got, expect in zip(tables[1][1:], tables[0][1:]):
+            assert [c == "" for c in got] == [c == "" for c in expect]
+            assert [float(c) for c in got if c] == pytest.approx([float(c) for c in expect if c], rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("old, new", [("mu0 = 0.15", "mu0 = 0:0.15, 1.5:0.2"),
                                           ("sigma = 0.35", "sigma = 0:0.35, 1:0.4")])
     def test_bsde_linear_oracle_reads_only_the_coefficients_on_0_T(self, tmp_path, old, new):

@@ -80,3 +80,51 @@ def test_the_import_check_finds_an_unused_name():
 @pytest.mark.parametrize("path", IMPORTERS, ids=lambda path: pathlib.Path(path).name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(pathlib.Path(path).read_text()) == []
+
+
+# the rows a caller hands a kernel; a default of None would let the kernel
+# allocate its own
+ROW_PARAMETERS = {"out", "work", "gram"}
+# the fallbacks kept on purpose: ordered_mean's sort, and the information
+# drift of a whole batch (PathBatch.phi) with the closure it is formed by
+KEPT_FALLBACKS = {"simulate.ordered_mean(work)", "paths.information_drift(out)", "paths.signal_drift.drift(out)"}
+
+
+def defaulted_rows(source: str, module: str) -> list[str]:
+    """`module.function(parameter)` for every parameter named in
+    ROW_PARAMETERS whose default is None, of every function and lambda of
+    `source`, in order; a nested function or a method is named after the
+    functions and classes that enclose it, and a lambda as `<lambda>`."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+                args = child.args
+                positional = args.posonlyargs + args.args
+                pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                         *zip(args.kwonlyargs, args.kw_defaults)]
+                found.extend(f"{name}({arg.arg})" for arg, default in pairs
+                             if arg.arg in ROW_PARAMETERS and isinstance(default, ast.Constant)
+                             and default.value is None)
+                visit(child, name)
+            else:
+                visit(child, f"{prefix}.{child.name}" if isinstance(child, ast.ClassDef) else prefix)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_the_row_check_finds_every_defaulted_row():
+    source = ("def f(x, out=None, gram=0):\n    def g(*, work=None):\n        pass\n"
+              "    return lambda i, out=None: i\n\nclass C:\n    def h(self, work: int | None = None, y=None):\n"
+              "        pass\n\ndef kept(x, out):\n    return x\n")
+    assert defaulted_rows(source, "m") == ["m.f(out)", "m.f.g(work)", "m.f.<lambda>(out)", "m.C.h(work)"]
+
+
+def test_no_kernel_allocates_a_row_its_caller_did_not_hand_it():
+    found = [row for module in MODULES
+             for row in defaulted_rows((PACKAGE / module).read_text(), module.removesuffix(".py"))]
+    assert [row for row in found if row not in KEPT_FALLBACKS] == []
+    assert sorted(set(found)) == sorted(KEPT_FALLBACKS)

@@ -38,13 +38,13 @@ def constant_profile(batch, pi_value, theta_value):
     )
 
 
-def entropy_check(batch, profile, market):
-    return entropy_identity_check(*game_terms(batch, profile, market)[1:])
+def entropy_check(batch, profile, market, work):
+    return entropy_identity_check(*game_terms(batch, profile, market, work)[1:])
 
 
-def martingale_stats(batch, profile, market, checkpoints=None):
+def martingale_stats(batch, profile, market, work, checkpoints=None):
     checkpoints = checkpoints or _default_checkpoints(batch.grid)
-    return martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints)
+    return martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints, work), checkpoints)
 
 
 def per_path_J(batch, profile, log_wealth, log_density):
@@ -56,87 +56,92 @@ def per_path_J(batch, profile, log_wealth, log_density):
 
 
 class TestWealth:
-    def test_bond_only(self, batch_flat_100k):
+    def test_bond_only(self, batch_flat_100k, kernel_rows):
         market = MarketParams(r=0.03, mu0=0.03, sigma=0.35, varrho=0.0, T=1.0, X0=2.0)
         prof = constant_profile(batch_flat_100k, 0.0, 0.0)
-        log_wealth = simulate_wealth(batch_flat_100k, prof, market)
+        log_wealth = simulate_wealth(batch_flat_100k, prof, market, kernel_rows(batch_flat_100k)[1])
         assert np.allclose(log_wealth, math.log(2.0) + 0.03, atol=1e-12)
 
-    def test_constant_exposure_pathwise_identity(self, batch_flat_100k, market):
+    def test_constant_exposure_pathwise_identity(self, batch_flat_100k, market, kernel_rows):
         flat = MarketParams(r=0.0, mu0=0.0, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
         c = 0.2
         prof = constant_profile(batch_flat_100k, c / 0.35, 0.0)
-        log_wealth = simulate_wealth(batch_flat_100k, prof, flat)
+        log_wealth = simulate_wealth(batch_flat_100k, prof, flat, kernel_rows(batch_flat_100k)[1])
         w_T = batch_flat_100k.dW.sum(axis=1)
         np.testing.assert_allclose(log_wealth, -0.5 * c**2 + c * w_T, atol=1e-10)
 
-    def test_expected_log_wealth_robust_fraction(self, batch_flat_100k, market, insider):
+    def test_expected_log_wealth_robust_fraction(self, batch_flat_100k, market, insider, kernel_rows):
         # E[ln X_T] = (iota c - c^2/2) T with c = iota/2: frozen 0.0688775510
-        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
-        log_wealth = simulate_wealth(batch_flat_100k, prof, market)
+        out, work = kernel_rows(batch_flat_100k)
+        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider, out)
+        log_wealth = simulate_wealth(batch_flat_100k, prof, market, work)
         mean, se = mean_se(log_wealth)
         assert abs(mean - 0.06887755102040816) < 3.0 * se
 
-    def test_grid_mismatch_rejected(self, batch_flat_100k, batch_small, market):
+    def test_grid_mismatch_rejected(self, batch_flat_100k, batch_small, market, kernel_rows):
         prof = constant_profile(batch_small, 0.1, 0.0)
         with pytest.raises(ValueError):
-            simulate_wealth(batch_flat_100k, prof, market)
+            simulate_wealth(batch_flat_100k, prof, market, kernel_rows(batch_flat_100k)[1])
 
 
 class TestDensity:
-    def test_zero_distortion_gives_unit_density(self, batch_small):
+    def test_zero_distortion_gives_unit_density(self, batch_small, kernel_rows):
         prof = constant_profile(batch_small, 0.3, 0.0)
-        log_dens = simulate_density(batch_small, prof)
+        log_dens = simulate_density(batch_small, prof, kernel_rows(batch_small)[1])
         assert not np.any(log_dens)
 
-    def test_martingale_property_constant_theta(self, batch_flat_100k):
+    def test_martingale_property_constant_theta(self, batch_flat_100k, kernel_rows):
         prof = constant_profile(batch_flat_100k, 0.0, -0.5 * IOTA)
-        log_dens = simulate_density(batch_flat_100k, prof)
+        log_dens = simulate_density(batch_flat_100k, prof, kernel_rows(batch_flat_100k)[1])
         mean, se = mean_se(np.exp(log_dens[:, -1]))
         assert abs(mean - 1.0) < 3.0 * se
 
-    def test_mean_one_at_every_knot(self, batch_100k, market):
+    def test_mean_one_at_every_knot(self, batch_100k, market, kernel_rows):
         # positive exact exponential per path; unit mean within 4 SE throughout
+        out, work = kernel_rows(batch_100k)
         prof = build_profile(
-            StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, InsiderSpec.enlargement(T0=2.0)
+            StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, InsiderSpec.enlargement(T0=2.0), out
         )
-        log_dens = simulate_density(batch_100k, prof)
+        log_dens = simulate_density(batch_100k, prof, work)
         assert np.all(np.exp(log_dens) > 0.0)
         for i in range(20, batch_100k.grid.index_T + 1, 40):
             mean, se = mean_se(np.exp(log_dens[:, i]))
             assert abs(mean - 1.0) < 4.0 * se, (i, mean, se)
 
-    def test_gaussian_tilt_entropy(self, batch_flat_100k):
+    def test_gaussian_tilt_entropy(self, batch_flat_100k, kernel_rows):
         # E[eps_T ln eps_T] = theta^2 T / 2 for constant theta
         prof = constant_profile(batch_flat_100k, 0.0, -0.5 * IOTA)
-        log_dens = simulate_density(batch_flat_100k, prof)
+        log_dens = simulate_density(batch_flat_100k, prof, kernel_rows(batch_flat_100k)[1])
         val = np.exp(log_dens[:, -1]) * log_dens[:, -1]
         mean, se = mean_se(val)
         assert abs(mean - IOTA_SQ / 8.0) < 3.0 * se
 
 
 class TestEstimateJ:
-    def test_reduces_to_expected_log_utility(self, batch_flat_100k, market, insider):
-        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
+    def test_reduces_to_expected_log_utility(self, batch_flat_100k, market, insider, kernel_rows):
+        out, work = kernel_rows(batch_flat_100k)
+        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider, out)
         no_theta = prof.scaled(theta_factor=0.0)
-        log_wealth = simulate_wealth(batch_flat_100k, no_theta, market)
-        j = estimate_J(game_terms(batch_flat_100k, no_theta, market)[0])
+        log_wealth = simulate_wealth(batch_flat_100k, no_theta, market, work)
+        j = estimate_J(game_terms(batch_flat_100k, no_theta, market, work)[0])
         mean, _ = mean_se(log_wealth)
         assert j.mean == pytest.approx(mean, abs=1e-12)
 
-    def test_matches_uninformed_robust_value(self, batch_flat_100k, market, insider):
-        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
-        j = estimate_J(game_terms(batch_flat_100k, prof, market)[0])
+    def test_matches_uninformed_robust_value(self, batch_flat_100k, market, insider, kernel_rows):
+        out, work = kernel_rows(batch_flat_100k)
+        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider, out)
+        j = estimate_J(game_terms(batch_flat_100k, prof, market, work)[0])
         assert abs(j.mean - value_no_insider_robust(market).total) < 3.0 * j.std_error
         assert j.std_error > 0.0
 
-    def test_matches_informed_robust_value(self, batch_100k, market, insider):
-        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, insider)
-        j = estimate_J(game_terms(batch_100k, prof, market)[0])
+    def test_matches_informed_robust_value(self, batch_100k, market, insider, kernel_rows):
+        out, work = kernel_rows(batch_100k)
+        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, insider, out)
+        j = estimate_J(game_terms(batch_100k, prof, market, work)[0])
         target = value_small_insider_robust(market, insider).total
         assert abs(j.mean - target) < 3.0 * j.std_error
 
-    def test_discretisation_bias_below_noise(self, market, insider, no_insider):
+    def test_discretisation_bias_below_noise(self, market, insider, no_insider, kernel_rows):
         # doubling the grid moves the estimate by less than one standard error
         js = []
         for n_steps in (200, 400):
@@ -145,17 +150,19 @@ class TestEstimateJ:
                 n_paths=100_000, seed=998877,
             )
             batch = sample_paths(cfg)
-            prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch, market, insider)
-            js.append(estimate_J(game_terms(batch, prof, market)[0]))
+            out, work = kernel_rows(batch)
+            prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch, market, insider, out)
+            js.append(estimate_J(game_terms(batch, prof, market, work)[0]))
         assert abs(js[0].mean - js[1].mean) < max(js[0].std_error, js[1].std_error)
 
-    def test_saddle_point(self, batch_flat_100k, market, insider):
+    def test_saddle_point(self, batch_flat_100k, market, insider, kernel_rows):
         # local max in pi, local min in theta, via paired comparisons
-        base = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
+        out, work = kernel_rows(batch_flat_100k)
+        base = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider, out)
 
         def j_per_path(profile):
-            log_wealth = simulate_wealth(batch_flat_100k, profile, market)
-            log_dens = simulate_density(batch_flat_100k, profile)
+            log_wealth = simulate_wealth(batch_flat_100k, profile, market, work)
+            log_dens = simulate_density(batch_flat_100k, profile, work)
             return per_path_J(batch_flat_100k, profile, log_wealth, log_dens)
 
         j_star = j_per_path(base)
@@ -167,44 +174,49 @@ class TestEstimateJ:
 
 
 class TestEntropyIdentity:
-    def test_zero_distortion_trivial(self, batch_small, market):
+    def test_zero_distortion_trivial(self, batch_small, market, kernel_rows):
         prof = constant_profile(batch_small, 0.2, 0.0)
-        res = entropy_check(batch_small, prof, market)
+        res = entropy_check(batch_small, prof, market, kernel_rows(batch_small)[1])
         assert res.lhs_mean == 0.0
         assert res.rhs_mean == 0.0
 
-    def test_constant_theta_gaussian_value(self, batch_flat_100k, market):
+    def test_constant_theta_gaussian_value(self, batch_flat_100k, market, kernel_rows):
         prof = constant_profile(batch_flat_100k, 0.0, -0.5 * IOTA)
-        res = entropy_check(batch_flat_100k, prof, market)
+        res = entropy_check(batch_flat_100k, prof, market, kernel_rows(batch_flat_100k)[1])
         assert abs(res.lhs_mean - IOTA_SQ / 8.0) < 3.0 * res.lhs_se
         assert abs(res.rhs_mean - IOTA_SQ / 8.0) < 3.0 * res.rhs_se
 
-    def test_informed_robust_gap_within_tolerance(self, batch_100k, market, insider):
-        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, insider)
-        res = entropy_check(batch_100k, prof, market)
+    def test_informed_robust_gap_within_tolerance(self, batch_100k, market, insider, kernel_rows):
+        out, work = kernel_rows(batch_100k)
+        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, insider, out)
+        res = entropy_check(batch_100k, prof, market, work)
         assert abs(res.z) < 3.0
 
 
 class TestMartingaleDiagnostic:
-    def test_uninformed_robust_within_tolerance(self, batch_flat_100k, market, insider):
-        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
-        stats = martingale_stats(batch_flat_100k, prof, market)
+    def test_uninformed_robust_within_tolerance(self, batch_flat_100k, market, insider, kernel_rows):
+        out, work = kernel_rows(batch_flat_100k)
+        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider, out)
+        stats = martingale_stats(batch_flat_100k, prof, market, work)
         assert len(stats) == 10
         assert all(abs(s.z) < 4.0 for s in stats), [round(s.z, 2) for s in stats]
 
-    def test_informed_robust_within_tolerance(self, batch_100k, market, insider):
-        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, insider)
-        stats = martingale_stats(batch_100k, prof, market)
+    def test_informed_robust_within_tolerance(self, batch_100k, market, insider, kernel_rows):
+        out, work = kernel_rows(batch_100k)
+        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_100k, market, insider, out)
+        stats = martingale_stats(batch_100k, prof, market, work)
         assert all(abs(s.z) < 4.0 for s in stats), [round(s.z, 2) for s in stats]
 
-    def test_perturbed_fraction_detected(self, batch_flat_100k, market, insider):
-        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider)
-        stats = martingale_stats(batch_flat_100k, prof.scaled(pi_factor=1.3), market)
+    def test_perturbed_fraction_detected(self, batch_flat_100k, market, insider, kernel_rows):
+        out, work = kernel_rows(batch_flat_100k)
+        prof = build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_flat_100k, market, insider, out)
+        stats = martingale_stats(batch_flat_100k, prof.scaled(pi_factor=1.3), market, work)
         assert any(abs(s.z) > 4.0 for s in stats), [round(s.z, 2) for s in stats]
 
-    def test_custom_checkpoints(self, batch_small, market, insider):
-        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_small, market, insider)
-        stats = martingale_stats(batch_small, prof, market, checkpoints=[(0.0, 0.5)])
+    def test_custom_checkpoints(self, batch_small, market, insider, kernel_rows):
+        out, work = kernel_rows(batch_small)
+        prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch_small, market, insider, out)
+        stats = martingale_stats(batch_small, prof, market, work, checkpoints=[(0.0, 0.5)])
         assert len(stats) == 1
         assert stats[0].t == 0.0 and stats[0].h == 0.5
 
@@ -261,8 +273,9 @@ class TestKernelAlgebra:
 
     @settings(max_examples=60, deadline=None)
     @given(case=kernel_cases())
-    def test_kernels_match_matrix_formulas(self, case):
+    def test_kernels_match_matrix_formulas(self, case, kernel_rows):
         batch, profile, market = case
+        work = kernel_rows(batch)[1]
         grid = batch.grid
         m = grid.index_T
         t_left = grid.knots[:m]
@@ -277,17 +290,17 @@ class TestKernelAlgebra:
         wealth_scale = abs(math.log(market.X0)) + np.sum(
             np.abs(r * dt) + np.abs((mu0 - r) * pi * dt) + np.abs((rho - 0.5 * sig**2) * pi**2 * dt)
             + np.abs(sig * pi * dW), axis=1)
-        assert_reassociated(simulate_wealth(batch, profile, market), log_x[:, -1], wealth_scale)
+        assert_reassociated(simulate_wealth(batch, profile, market, work), log_x[:, -1], wealth_scale)
 
         # log-density at every knot
         d_log_e = theta * batch.dWH - 0.5 * theta**2 * dt
         log_e = np.zeros((batch.n_paths, m + 1))
         np.cumsum(d_log_e, axis=1, out=log_e[:, 1:])
         density_scale = np.cumsum(np.abs(theta * batch.dWH) + 0.5 * theta**2 * dt, axis=1)
-        assert_reassociated(simulate_density(batch, profile)[:, 1:], log_e[:, 1:], density_scale)
+        assert_reassociated(simulate_density(batch, profile, work)[:, 1:], log_e[:, 1:], density_scale)
 
         # penalty and relative entropy
-        _, penalty, entropy = game_terms(batch, profile, market)
+        _, penalty, entropy = game_terms(batch, profile, market, work)
         old_penalty = np.sum(np.exp(log_e[:, :-1]) * 0.5 * theta**2 * dt, axis=1)
         np.testing.assert_allclose(penalty, old_penalty, rtol=1e-12, atol=0.0)
         eps_T = np.exp(log_e[:, -1])
@@ -298,7 +311,7 @@ class TestKernelAlgebra:
         checkpoints = _default_checkpoints(grid)
         dm = (mu0 + 2.0 * rho * pi - r - sig**2 * pi) * dt + sig * dW
         dm_abs = (np.abs(mu0 - r) + np.abs((2.0 * rho - sig**2) * pi)) * dt + np.abs(sig * dW)
-        weighted = weighted_increments(batch, profile, market, checkpoints)
+        weighted = weighted_increments(batch, profile, market, checkpoints, work)
         for k, (t, h) in enumerate(checkpoints):
             i, j = grid.index_of(t), grid.index_of(t + h)
             assert_reassociated(weighted[k], eps_T * np.sum(dm[:, i:j], axis=1),

@@ -177,10 +177,10 @@ class TestThetaFromPi:
 
 
 class TestRegimeDegeneracyLattice:
-    def test_large_without_impact_is_small_nonrobust(self, market, batch_small):
+    def test_large_without_impact_is_small_nonrobust(self, market, batch_small, kernel_rows):
         # one form in two markets: without impact the two profiles are one
         insider = batch_small.insider
-        small, large = (build_profile(kind, batch_small, market, insider).pi for kind in
+        small, large = (build_profile(kind, batch_small, market, insider, kernel_rows(batch_small)[0]).pi for kind in
                         (StrategyKind.SMALL_INSIDER_NONROBUST, StrategyKind.LARGE_INSIDER_NONROBUST))
         assert np.array_equal(small, large)
 
@@ -214,17 +214,17 @@ class TestLinearityInSignal:
 
 
 class TestProfiles:
-    def test_nonrobust_profiles_have_zero_theta(self, market, insider, batch_small):
+    def test_nonrobust_profiles_have_zero_theta(self, market, insider, batch_small, kernel_rows):
         for kind in (
             StrategyKind.NO_INSIDER_NONROBUST,
             StrategyKind.SMALL_INSIDER_NONROBUST,
             StrategyKind.LARGE_INSIDER_NONROBUST,
         ):
-            prof = build_profile(kind, batch_small, market, insider)
+            prof = build_profile(kind, batch_small, market, insider, kernel_rows(batch_small)[0])
             assert not np.any(prof.theta)
             assert np.all(np.isfinite(prof.pi))
 
-    def test_half_characterization_identity(self, market, insider, batch_small):
+    def test_half_characterization_identity(self, market, insider, batch_small, kernel_rows):
         # mu0 + 2 varrho pi - r - sigma^2 pi + sigma (phi + theta) = 0 per knot
         grid = batch_small.grid
         t = grid.knots[: grid.index_T]
@@ -234,7 +234,7 @@ class TestProfiles:
             (StrategyKind.SMALL_INSIDER_NONROBUST, batch_small.phi),
             (StrategyKind.LARGE_INSIDER_NONROBUST, batch_small.phi),
         ):
-            prof = build_profile(kind, batch_small, market, insider)
+            prof = build_profile(kind, batch_small, market, insider, kernel_rows(batch_small)[0])
             resid = (
                 market.mu0(t)
                 + 2.0 * market.varrho(t) * prof.pi
@@ -244,9 +244,9 @@ class TestProfiles:
             )
             assert np.max(np.abs(resid)) < 1e-12, kind
 
-    def test_half_characterization_with_impact(self, market_impact, insider, batch_small):
+    def test_half_characterization_with_impact(self, market_impact, insider, batch_small, kernel_rows):
         prof = build_profile(
-            StrategyKind.LARGE_INSIDER_NONROBUST, batch_small, market_impact, insider
+            StrategyKind.LARGE_INSIDER_NONROBUST, batch_small, market_impact, insider, kernel_rows(batch_small)[0]
         )
         grid = batch_small.grid
         t = grid.knots[: grid.index_T]
@@ -259,18 +259,19 @@ class TestProfiles:
         )
         assert np.max(np.abs(resid)) < 1e-12
 
-    def test_large_insider_robust_is_delegated(self, market, insider, batch_small):
+    def test_large_insider_robust_is_delegated(self, market, insider, batch_small, kernel_rows):
         with pytest.raises(ValidationError) as err:
-            build_profile(StrategyKind.LARGE_INSIDER_ROBUST, batch_small, market, insider)
+            build_profile(StrategyKind.LARGE_INSIDER_ROBUST, batch_small, market, insider, kernel_rows(batch_small)[0])
         assert err.value.code == "no_closed_form"
 
     @pytest.mark.parametrize("kind", [StrategyKind.SMALL_INSIDER_NONROBUST, StrategyKind.LARGE_INSIDER_NONROBUST])
-    def test_nonrobust_tiles_share_one_zero_theta_row(self, market, insider, kind):
+    def test_nonrobust_tiles_share_one_zero_theta_row(self, market, insider, kind, kernel_rows):
         # no path-sized zero theta: every tile of a stream reads one read-only row
         cfg = ScenarioConfig(market=market, insider=insider, n_steps=50, n_paths=5000, seed=4)
         grid = build_grid(cfg)
         thetas = []
-        stream_paths(cfg, grid, lambda rows, tile: thetas.append(build_profile(kind, tile, market, insider).theta))
+        stream_paths(cfg, grid, lambda rows, tile: thetas.append(
+            build_profile(kind, tile, market, insider, kernel_rows(tile)[0]).theta))
         assert len(thetas) > 1
         for theta in thetas:
             assert theta.shape == (1, grid.index_T) and not theta.flags.writeable and not np.any(theta)
@@ -281,21 +282,22 @@ class TestProfiles:
         (StrategyKind.LARGE_INSIDER_ROBUST, "no_closed_form"),
         (StrategyKind.LARGE_INSIDER_NONROBUST, "signal_required"),
     ])
-    def test_precondition_order_without_signal(self, market_impact, batch_small, kind, code):
+    def test_precondition_order_without_signal(self, market_impact, batch_small, kind, code, kernel_rows):
         # with impact and no signal: impact_not_allowed, then no_closed_form,
         # then signal_required
         with pytest.raises(ValidationError) as err:
-            build_profile(kind, batch_small, market_impact, InsiderSpec.none())
+            build_profile(kind, batch_small, market_impact, InsiderSpec.none(), kernel_rows(batch_small)[0])
         assert err.value.code == code
 
-    def test_impact_rejected_for_small_trader_forms(self, market_impact, insider, batch_small):
+    def test_impact_rejected_for_small_trader_forms(self, market_impact, insider, batch_small, kernel_rows):
         with pytest.raises(ValidationError) as err:
-            build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_small, market_impact, insider)
+            build_profile(StrategyKind.NO_INSIDER_ROBUST, batch_small, market_impact, insider,
+                          kernel_rows(batch_small)[0])
         assert err.value.code == "impact_not_allowed"
 
     @settings(max_examples=30, deadline=None)
     @given(market=markets(), weighted=signal_weights())
-    def test_profile_matches_pointwise_formula(self, market, weighted):
+    def test_profile_matches_pointwise_formula(self, market, weighted, kernel_rows):
         # each closed-form profile is the closed form over the time axis, and
         # every column the closed form at that knot, for piecewise
         # coefficients and signal weights
@@ -311,7 +313,7 @@ class TestProfiles:
         for kind, mk, ins, forms in cases:
             cfg = ScenarioConfig(market=mk, insider=ins, n_steps=20, n_paths=64, seed=3)
             batch = sample_paths(cfg)
-            prof = build_profile(kind, batch, mk, ins)
+            prof = build_profile(kind, batch, mk, ins, kernel_rows(batch)[0])
             t_left = batch.grid.knots[: batch.grid.index_T]
             for name, form in forms.items():
                 # bit for bit the closed form over the whole time axis

@@ -46,6 +46,7 @@ from insiderlab.strategies import (
     StrategyProfile,
     build_profile,
     market_for,
+    pi_insider_nonrobust,
     pi_small_insider_robust,
     theta_small_insider_robust,
 )
@@ -72,7 +73,7 @@ CASES = [
 def regime(kind, insider, pi_factor=1.0, market=MARKET):
     market = market_for(StrategyKind(kind), market)
 
-    def profile_of(batch, out=None):
+    def profile_of(batch, out):
         profile = build_profile(StrategyKind(kind), batch, market, insider, out)
         return profile if pi_factor == 1.0 else profile.scaled(pi_factor=pi_factor)
 
@@ -81,17 +82,18 @@ def regime(kind, insider, pi_factor=1.0, market=MARKET):
 
 @pytest.mark.parametrize("n_paths", [1, _BLOCK - 1, _BLOCK + 1, 9000])
 @pytest.mark.parametrize("kind, insider, pi_factor", CASES)
-def test_streamed_results_equal_whole_batch_bit_for_bit(n_paths, kind, insider, pi_factor):
+def test_streamed_results_equal_whole_batch_bit_for_bit(n_paths, kind, insider, pi_factor, kernel_rows):
     config = ScenarioConfig(market=MARKET, insider=insider, n_steps=10, n_paths=n_paths, seed=97)
     market, profile_of = regime(kind, insider, pi_factor)
     batch = sample_paths(config)
-    profile = profile_of(batch)
-    j_terms, penalty, entropy = game_terms(batch, profile, market)
+    out, work = kernel_rows(batch)
+    profile = profile_of(batch, out)
+    j_terms, penalty, entropy = game_terms(batch, profile, market, work)
     checkpoints = _default_checkpoints(batch.grid)
     whole = (
         estimate_J(j_terms),
         entropy_identity_check(penalty, entropy),
-        martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints),
+        martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints, work), checkpoints),
     )
     streamed = (*stream_game(config, profile_of, market),
                 stream_martingale(config, profile_of, market))
@@ -101,7 +103,7 @@ def test_streamed_results_equal_whole_batch_bit_for_bit(n_paths, kind, insider, 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind, insider, pi_factor", CASES)
-def test_multi_tile_blocks_equal_whole_batch_bit_for_bit(kind, insider, pi_factor, threads):
+def test_multi_tile_blocks_equal_whole_batch_bit_for_bit(kind, insider, pi_factor, threads, kernel_rows):
     # at 100 steps a tile is 648 paths, so block 0 is drawn in 7 tiles (the
     # last one short) and block 1 in 2: each worker's buffers and workspace
     # serve several tiles, and a short tile reuses the rows of a long one
@@ -113,34 +115,49 @@ def test_multi_tile_blocks_equal_whole_batch_bit_for_bit(kind, insider, pi_facto
     assert sorted(tiles) == sorted([648] * 6 + [_BLOCK - 6 * 648, 648, 700 - 648])
     market, profile_of = regime(kind, insider, pi_factor)
     batch = sample_paths(config)
-    profile = profile_of(batch)
-    j_terms, penalty, entropy = game_terms(batch, profile, market)
+    out, work = kernel_rows(batch)
+    profile = profile_of(batch, out)
+    j_terms, penalty, entropy = game_terms(batch, profile, market, work)
     checkpoints = _default_checkpoints(batch.grid)
     whole = (
         estimate_J(j_terms),
         entropy_identity_check(penalty, entropy),
-        martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints),
+        martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints, work), checkpoints),
     )
     streamed = (*stream_game(config, profile_of, market, threads),
                 stream_martingale(config, profile_of, market, threads))
     assert repr(streamed) == repr(whole)
 
 
+# the pointwise closed forms (pi, theta) of the informed regimes, as
+# functions of (market, insider, y0, b_t, t); None for the zero theta
+POINTWISE = {
+    "small_insider_robust": (pi_small_insider_robust, theta_small_insider_robust),
+    "small_insider_nonrobust": (pi_insider_nonrobust, None),
+    "large_insider_nonrobust": (pi_insider_nonrobust, None),
+}
+
+
 @pytest.mark.parametrize("kind", sorted({kind for kind, _, _ in CASES}))
-def test_build_profile_into_out_equals_the_allocating_call(kind):
+def test_build_profile_writes_the_pointwise_closed_form_to_out(kind):
+    # rows of nan, so a cell the profile leaves unwritten shows
     insider = NONE if kind.startswith("no_insider") else PIECEWISE
     config = ScenarioConfig(market=MARKET, insider=insider, n_steps=20, n_paths=700, seed=5)
     market, profile_of = regime(kind, insider)
     batch = sample_paths(config)
     shape = (batch.n_paths, batch.grid.index_T)
     out = (np.full(shape, np.nan), np.full(shape, np.nan))
-    into, allocated = profile_of(batch, out), profile_of(batch)
-    for name in ("pi", "theta"):
-        assert repr(getattr(into, name).tolist()) == repr(getattr(allocated, name).tolist()), name
-    if insider.has_signal():
-        assert np.shares_memory(into.pi, out[0])
-        if kind == "small_insider_robust":
-            assert np.shares_memory(into.theta, out[1])
+    profile = profile_of(batch, out)
+    if kind not in POINTWISE:  # an uninformed profile is the shared rows and writes neither
+        assert np.isnan(out).all() and profile.pi.shape == profile.theta.shape == (1, shape[1])
+        return
+    args = (market, insider, batch.Y0[:, None], batch.level[:, :-1], batch.grid.knots[:-1])
+    for name, form, row in zip(("pi", "theta"), POINTWISE[kind], out):
+        got = getattr(profile, name)
+        expect = np.zeros_like(got) if form is None else form(*args)
+        # repr tells -0.0 from 0.0, so equal reprs mean equal bits
+        assert repr(got.tolist()) == repr(expect.tolist()), name
+        assert np.shares_memory(got, row) == (form is not None), name
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -293,7 +310,7 @@ def test_sweep_tiles_form_no_drift_and_no_dwh(insider, count_calls):
     ScenarioConfig(market=MARKET, insider=InsiderSpec.enlargement(T0=2.0, phi_weight=2.0), n_steps=20,
                    n_paths=5000, seed=7),
 ])
-def test_back_to_back_streams_on_equal_shape_grids_match_their_own_runs(other):
+def test_back_to_back_streams_on_equal_shape_grids_match_their_own_runs(other, kernel_rows):
     # the time-axis rows are kept per grid; rows kept under anything but the
     # grid and the inputs they are formed from would serve one stream the
     # other's rows, as the two grids have equal knots
@@ -308,10 +325,10 @@ def test_back_to_back_streams_on_equal_shape_grids_match_their_own_runs(other):
         args = (market, config.insider, batch.Y0[:, None], batch.level[:, :-1], t_left)
         profile = StrategyProfile(pi=pi_small_insider_robust(*args), theta=theta_small_insider_robust(*args),
                                   grid=batch.grid)
-        checkpoints = _default_checkpoints(batch.grid)
-        j_terms, penalty, entropy = game_terms(batch, profile, market)
+        checkpoints, work = _default_checkpoints(batch.grid), kernel_rows(batch)[1]
+        j_terms, penalty, entropy = game_terms(batch, profile, market, work)
         return (estimate_J(j_terms), entropy_identity_check(penalty, entropy),
-                martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints), checkpoints))
+                martingale_diagnostic(weighted_increments(batch, profile, market, checkpoints, work), checkpoints))
 
     def streamed(config):
         market, profile_of = regime("small_insider_robust", config.insider, market=config.market)

@@ -73,11 +73,11 @@ def test_streamed_sweep_input_equals_sample_paths_bit_for_bit(insider, n_paths, 
         for i in range(m + 1):
             assert np.array_equal(streamed.level(i), batch.level[:, i]), (market, i)
         # the drift formed from the state is information_drift's, bit for bit
-        phitilde = _phitilde(streamed, market)
+        phitilde, row = _phitilde(streamed, market), np.empty(n_paths)
         iota_left = iota(market, t_left)
         for i in range(m):
             expect = np.broadcast_to(iota_left[i] + batch.phi[:, i], (n_paths,))
-            assert np.array_equal(np.broadcast_to(phitilde(i), (n_paths,)), expect), (market, i)
+            assert np.array_equal(np.broadcast_to(phitilde(i, row), (n_paths,)), expect), (market, i)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
