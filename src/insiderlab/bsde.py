@@ -31,10 +31,12 @@ later on the Markov state (int_0^t iota dW without a signal; the running
 signal B_t and the signal Y0 under enlargement): each knot's value is fitted
 once on a degree-2 basis of its own state, and both conditional expectations
 of a step are taken from that fit exactly, by the Gaussian one-step law of
-the state.  Their input, SweepPaths, stores the increments dW and the state
-at about every sqrt(m)-th knot, and regenerates the other state rows a chunk
-at a time and dWH a row at a time, with the bytes of a whole batch
-(checkpointing: Griewank & Walther, ACM TOMS 26(1), 2000).  The sweep hands
+the state.  Their input, SweepPaths, is drawn coarse to fine: it stores the
+state at about every sqrt(m)-th knot and the Brownian increment between two
+of them, and fills the knots of one chunk between two checkpoints by the
+Brownian bridge when a pass reaches it, from a counter-based substream that
+gives the same bytes on every pass (checkpointing: Griewank & Walther, ACM
+TOMS 26(1), 2000; Philox: Salmon et al., SC11).  The sweep hands
 each knot's rows to an observer once it has fitted them, and lends it that
 knot's basis rows, free until the next knot's basis is built, for its work,
 so neither solver nor observer holds a field over all knots or a row of its
@@ -45,6 +47,7 @@ nan cells.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -64,7 +67,7 @@ from .model import (
     sigma_tilde,
     validate,
 )
-from .paths import PathBatch, TimeGrid, build_grid, signal_drift, state_weight, stream_paths
+from .paths import TimeGrid, build_grid, draw_blocks, signal_drift, state_weight
 from .simulate import mean_se, ordered_mean
 from .strategies import StrategyKind, closed_form_lines, pi_no_insider_robust
 
@@ -106,9 +109,18 @@ class RegressionError(RuntimeError):
 
 def _stride(m: int) -> int:
     """Knots per checkpoint of a sweep input on m steps: ceil(sqrt(m + 1)),
-    so checkpoints and one chunk between two of them take about 2 sqrt(m)
-    state rows."""
+    so its checkpoints, the chunks' increments and one filled chunk take
+    about 3 sqrt(m) rows."""
     return math.isqrt(m) + 1
+
+
+def _checkpoint_knots(weight: np.ndarray) -> tuple[int, ...]:
+    """The checkpoint knots of a sweep input whose m steps have the state
+    weights `weight`: 0, c, 2c, ... (c = _stride(m)), the last knot m, and
+    every knot where the weight changes, so that it is constant on a chunk."""
+    m = len(weight)
+    changes = np.flatnonzero(weight[1:] != weight[:-1]) + 1
+    return tuple(int(k) for k in np.unique(np.concatenate([np.arange(0, m, _stride(m)), changes, [m]])))
 
 
 def _read_only(row: np.ndarray) -> np.ndarray:
@@ -117,47 +129,111 @@ def _read_only(row: np.ndarray) -> np.ndarray:
     return view
 
 
+def _bridge(rows: np.ndarray, end: np.ndarray, t: np.ndarray, seed: int, substream: int, work: np.ndarray) -> None:
+    """Fill rows (len(t) - 2, n_paths) with Brownian paths at the interior
+    times of t that start at 0 at t[0] and end at `end` at t[-1] (Glasserman,
+    Monte Carlo Methods in Financial Engineering, 2004, 3.1), knot by knot:
+
+        U_j = U_{j-1} + (end - U_{j-1}) h_j / (t_b - t_{j-1})
+              + sqrt(h_j (t_b - t_j) / (t_b - t_{j-1})) xi_j,   h_j = t_j - t_{j-1}.
+
+    Each RNG block draws its xi from its own substream `substream`, path by
+    path, so a path's draws depend only on (seed, its index, t), and a
+    refill writes the same bytes.  `work` is one row of n_paths floats."""
+    n_knots, n = rows.shape
+    if n_knots == 0:
+        return
+    h, rest = np.diff(t[:-1]), t[-1] - t[:-2]
+    frac, scale = h / rest, np.sqrt(h * (t[-1] - t[1:-1]) / rest)
+
+    def draw(cols: slice, gen: np.random.Generator) -> None:
+        rows[:, cols] = gen.standard_normal((cols.stop - cols.start, n_knots)).T
+
+    draw_blocks(seed, n, draw, substream=substream)
+    for j in range(n_knots):  # work: the pull towards the end, frac_j (end - U_{j-1}), then plus U_{j-1}
+        rows[j] *= scale[j]
+        if j:
+            np.subtract(end, rows[j - 1], out=work)
+            work *= frac[j]
+            work += rows[j - 1]
+        else:
+            np.multiply(end, frac[0], out=work)
+        rows[j] += work
+
+
 @dataclass(frozen=True)
 class SweepPaths:
     """The paths as the backward solvers read them, knot-major, so that the
-    values of one knot across all paths are one contiguous row.
+    values of one knot across all paths are one contiguous row.  They are
+    drawn coarse to fine, and no (index_T, n_paths) array is held.
 
-    dW     : (index_T, n_paths) Brownian increments on [0, T].
     weight : (index_T,) the state's left-point weights w, state_weight's row.
-    checkpoints : (index_T // c + 1, n_paths) the state int_0^t w dW
-             (PathBatch.level) at knots 0, c, 2c, ..., c = _stride(index_T).
+    checkpoint_knots : the knots 0 = a_0 < ... < a_K = index_T of
+             _checkpoint_knots(weight); chunk k runs from a_k to a_{k+1},
+             and w is constant on it.
+    checkpoints : (K + 1, n_paths) the state int_0^t w dW at those knots.
+    increments : (K, n_paths) the Brownian increment over each chunk.
+    seed   : the seed the paths were drawn from.
     Y0     : (n_paths,) the signal, None without one.
     insider : the InsiderSpec the paths were drawn under.
 
-    level(i) and dWH(i) give knot i's state and step i's enlarged-filtration
-    increment, the rows of PathBatch.level and PathBatch.dWH bit for bit.  A
-    state row between two checkpoints is regenerated with the other c - 1
-    rows of its chunk, level[j + 1] = level[j] + w_j dW_j, the additions of
-    partial_signals' cumsum in its order.  Under a signal, phi(i) is step
-    i's information drift formed from the state, and dWH_i = dW_i - phi_i
-    dt_i, the operations of information_drift and decompose; without one,
-    dWH_i is dW_i.  The rows returned are read-only and held in buffers of
-    one row (phi, dWH) or one chunk, which the next read of another step or
-    chunk overwrites, so a pass over the knots in either order regenerates
-    each chunk once.
+    The Brownian motion inside chunk k, less its value at a_k, is filled
+    when a read first reaches the chunk, by the bridge from 0 to the chunk's
+    increment (_bridge) on substream k + 1 of each RNG block, into one
+    buffer that the next chunk reuses; Philox is counter-based, so a chunk
+    filled again has the same bytes, and a pass over the knots in either
+    order fills each chunk once.  level(i) is knot i's state: its checkpoint,
+    or the chunk's starting checkpoint plus w times the filled row.  dW(i) is
+    the difference of the two filled rows around step i (0 at the chunk
+    start, the increment at its end).  Under a signal, phi(i) is step i's
+    information drift formed from the state by signal_drift, and dWH_i =
+    dW_i - phi_i dt_i; without one, dWH_i is dW_i.  The rows returned are
+    read-only; each comes from a checkpoint, the chunk buffer or a buffer of
+    one row that the next read of the same kind (for level(i), also the next
+    fill) overwrites, so a caller reduces or copies a row before it reads
+    another.
     """
 
     grid: TimeGrid
-    dW: np.ndarray
     weight: np.ndarray
+    checkpoint_knots: tuple[int, ...]
     checkpoints: np.ndarray
+    increments: np.ndarray
+    seed: int
     Y0: np.ndarray | None
     insider: InsiderSpec
     _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
-        return self.dW.shape[1]
+        return self.checkpoints.shape[1]
+
+    def _chunk_of(self, i: int) -> tuple[int, int]:
+        """(k, a_k): the chunk whose knots a_k <= i < a_{k+1} hold knot or step i."""
+        k = bisect.bisect_right(self.checkpoint_knots, i) - 1
+        return k, self.checkpoint_knots[k]
 
     def level(self, i: int) -> np.ndarray:
         """The state int_0^t w dW at knot i."""
-        k, j = divmod(i, _stride(self.grid.index_T))
-        return _read_only(self.checkpoints[k] if j == 0 else self._chunk(k)[j - 1])
+        k, a = self._chunk_of(i)
+        if i == a:
+            return _read_only(self.checkpoints[k])
+        scratch = self._scratch
+        if scratch.get("level_knot") != i:
+            row = np.multiply(self._chunk(k)[i - a - 1], self.weight[a], out=scratch["buffer"][-1])
+            row += self.checkpoints[k]
+            scratch["level_knot"] = i
+        return _read_only(scratch["buffer"][-1])
+
+    def dW(self, i: int) -> np.ndarray:
+        """The Brownian increment on step i."""
+        k, a = self._chunk_of(i)
+        rows = self._chunk(k)
+        end = self.increments[k] if i - a == len(rows) else rows[i - a]
+        if i == a:
+            return _read_only(end)
+        row = self._scratch["dW"] = np.subtract(end, rows[i - a - 1], out=self._scratch.get("dW"))
+        return _read_only(row)
 
     def phi(self, i: int) -> np.ndarray:
         """The information drift on step i under a signal, formed from the
@@ -174,58 +250,63 @@ class SweepPaths:
     def dWH(self, i: int) -> np.ndarray:
         """The increment dWH on step i."""
         if self.Y0 is None:
-            return _read_only(self.dW[i])
+            return self.dW(i)
+        dW = self.dW(i)
         row = self._scratch["dWH"] = np.multiply(self.phi(i), self.grid.dt[i], out=self._scratch.get("dWH"))
-        return _read_only(np.subtract(self.dW[i], row, out=row))
+        return _read_only(np.subtract(dW, row, out=row))
 
     def _chunk(self, k: int) -> np.ndarray:
-        """The state at knots kc + 1, ..., kc + c - 1 (at most index_T), in
-        one buffer of c - 1 rows that the next chunk reuses."""
-        scratch, m = self._scratch, self.grid.index_T
+        """W less its value at a_k at the interior knots of chunk k, in one
+        buffer that the next chunk reuses; the fill works in level()'s row."""
+        scratch, knots = self._scratch, self.checkpoint_knots
         if scratch.get("chunk") == k:
             return scratch["rows"]
-        c = _stride(m)
-        if "rows" not in scratch:
-            scratch["rows"] = np.empty((c - 1, self.n_paths))
-        rows, lo = scratch["rows"], k * c
-        scratch["chunk"] = None  # a failed regeneration leaves no chunk behind
-        prev = self.checkpoints[k]
-        for j in range(lo, min(lo + c - 1, m)):
-            row = np.multiply(self.dW[j], self.weight[j], out=rows[j - lo])
-            if j > 0:  # cumsum's first sum is its first term, so no 0 + term
-                row += prev
-            prev = row
-        scratch["chunk"] = k
+        if "buffer" not in scratch:  # the chunk's rows, then the row of level() and of the fill's work
+            scratch["buffer"] = np.empty((max(np.diff(knots)), self.n_paths))
+        a, b = knots[k], knots[k + 1]
+        rows = scratch["buffer"][: b - a - 1]
+        scratch["chunk"] = scratch["level_knot"] = None  # a failed fill leaves no chunk behind
+        _bridge(rows, self.increments[k], self.grid.knots[a : b + 1], self.seed, k + 1, scratch["buffer"][-1])
+        scratch["rows"], scratch["chunk"] = rows, k
         return rows
 
 
 def _sweep_inputs(config: ScenarioConfig, insiders, threads: int):
-    """The sweep inputs under each of `insiders`, in order, from one raw
-    stream of the validated `config`, whose insider differs from theirs in
-    T0 at most.  The grid, dW, the weight, the checkpoints and the tail's
-    standard normal draw z do not depend on T0 and are stored once; each
-    input has its own scratch and its own signal Y0 = B_T + fl(z
-    sqrt(||phi_w||^2_[T,T0])), sample_paths' operations in its order, the
-    last formed in z's row.  Without a signal, `insiders` is config's alone."""
+    """The sweep inputs under each of `insiders`, in order, from one coarse
+    draw of the validated `config`, whose insider differs from theirs in T0
+    at most.  Each RNG block draws, path by path from its own stream, one
+    standard normal per chunk and, with a signal, one more for the tail, on
+    up to `threads` workers.  The chunks' increments, the checkpoints and
+    the tail's draw z do not depend on T0 and are stored once; each input
+    has its own scratch and its own signal Y0 = B_T + fl(z
+    sqrt(||phi_w||^2_[T,T0])), the last formed in z's row.  Without a
+    signal, `insiders` is config's alone."""
     grid = build_grid(config)
-    m, n = grid.index_T, config.n_paths
-    c = _stride(m)
-    dW, checkpoints = np.empty((m, n)), np.empty((m // c + 1, n))
+    n, seed, weight = config.n_paths, int(config.seed), state_weight(config, grid)
+    knots = _checkpoint_knots(weight)
+    n_chunks, chunk_weight = len(knots) - 1, weight[list(knots[:-1])]
+    scale = np.sqrt(np.diff(grid.knots[list(knots)]))
+    checkpoints, increments = np.empty((n_chunks + 1, n)), np.empty((n_chunks, n))
     z = np.empty(n) if config.insider.has_signal() else None
 
-    def tile(rows: slice, batch: PathBatch) -> None:
-        dW[:, rows] = batch.dW[:, :m].T
-        checkpoints[:, rows] = batch.level[:, ::c].T
+    def draw(cols: slice, gen: np.random.Generator) -> None:
+        normals = gen.standard_normal((cols.stop - cols.start, n_chunks + (z is not None))).T
+        np.multiply(normals[:n_chunks], scale[:, None], out=increments[:, cols])
+        state = checkpoints[:, cols]
+        state[0] = 0.0
+        for k in range(n_chunks):  # checkpoint + w increment, as a chunk's fill forms its state
+            np.multiply(increments[k, cols], chunk_weight[k], out=state[k + 1])
+            state[k + 1] += state[k]
         if z is not None:
-            z[rows] = batch.dW[:, m]
+            z[cols] = normals[n_chunks]
 
-    stream_paths(config, grid, tile, threads, raw=True)
-    paths = SweepPaths(grid=grid, dW=dW, weight=state_weight(config, grid), checkpoints=checkpoints,
-                       Y0=z, insider=insiders[-1])
+    draw_blocks(seed, n, draw, threads)
+    paths = SweepPaths(grid=grid, weight=weight, checkpoint_knots=knots, checkpoints=checkpoints,
+                       increments=increments, seed=seed, Y0=z, insider=insiders[-1])
     if z is None:
         yield paths
         return
-    b_T = paths.level(m)
+    b_T = paths.level(grid.index_T)
     for k, insider in enumerate(insiders, 1 - len(insiders)):  # k = 0 at the last
         y0 = np.multiply(z, math.sqrt(phi_norm_sq(insider, grid.T, insider.T0)), out=None if k else z)
         y0 += b_T
@@ -233,10 +314,9 @@ def _sweep_inputs(config: ScenarioConfig, insiders, threads: int):
 
 
 def stream_sweep_paths(config: ScenarioConfig, threads: int = 1) -> SweepPaths:
-    """The sweep input of sample_paths(config), bit for bit, copied one tile
-    of paths at a time on up to `threads` workers: a whole PathBatch is never
-    held, and the tiles' Y0 and dWH, which the sweep input forms itself, are
-    not."""
+    """The sweep input of `config`: its coarse draw runs over the RNG blocks
+    on up to `threads` workers, and its bytes do not depend on them.  It is
+    not sample_paths' ensemble: the same seed draws other paths."""
     validate(config)
     return next(_sweep_inputs(config, [config.insider], threads))
 
@@ -275,27 +355,29 @@ def _phitilde(paths: SweepPaths, market: MarketParams):
 def log_pi_star(paths: SweepPaths, market: MarketParams) -> np.ndarray:
     """Per-path ln Pi(0, T), the left-point sum
 
-        ln Pi(0,T) = sum_i -(r_i + phitilde_i^2/2) dt_i - phitilde_i dWH_i
+        ln Pi(0,T) = sum_i -(r_i + phitilde_i^2/2) dt_i - phitilde_i dWH_i.
 
-    taken step by step in two rows made once, so neither phitilde nor the
+    Without a signal phitilde = iota is the state's weight, so the last sum
+    is the state at T and no chunk is filled.  Under one the sum is taken
+    step by step in two rows made once, so neither phitilde nor the
     summands are held as an (index_T, n_paths) matrix."""
     grid = paths.grid
     m, dt = grid.index_T, grid.dt
     r = market.r(grid.knots[:m])
+    if paths.Y0 is None:
+        head = float(np.sum((r + 0.5 * iota(market, grid.knots[:m]) ** 2) * dt))
+        return np.subtract(-head, paths.level(m))
     phitilde = _phitilde(paths, market)
     log_pi = np.zeros(paths.n_paths)
     # a step's phitilde and then its summand in one row, -(r + phitilde^2/2) dt in the other
     row, head_row = np.empty((2, paths.n_paths))
     for i in range(m):
         phit = phitilde(i, row)
-        if paths.Y0 is None:  # a scalar phitilde, whose **2 is pow (a row's is np.square, which can differ)
-            head = -(r[i] + 0.5 * phit**2) * dt[i]
-        else:
-            head = np.square(phit, out=head_row)
-            head *= 0.5
-            head += r[i]
-            np.negative(head, out=head)
-            head *= dt[i]
+        head = np.square(phit, out=head_row)
+        head *= 0.5
+        head += r[i]
+        np.negative(head, out=head)
+        head *= dt[i]
         np.multiply(phit, paths.dWH(i), out=row)
         np.subtract(head, row, out=row)
         log_pi += row
@@ -361,10 +443,12 @@ class BsdeSolution:
              (n_paths,) row the shot subtracts from the swept L at every
              knot; None for the linear solver.
     `c` is the shot terminal (scalar, or polynomial coefficients in the
-    signal under enlargement; the Monte-Carlo normaliser for the linear
-    solver).  `residual` is |mean Y_0 - X0| for the linear solver and the
-    RMS projected mismatch of L_0 - ln X0 left after the shot for the
-    quadratic one; `trace` holds the quadratic solver's two rows
+    signal under enlargement) for the quadratic solver, and the linear
+    solver's normaliser E[sqrt Pi(0,T) | H_0]: the scalar exact for the
+    grid's left-point sum without a signal, the per-path Gaussian closed
+    form under enlargement.  `residual` is |mean Y_0 - X0| for the linear
+    solver and the RMS projected mismatch of L_0 - ln X0 left after the
+    shot for the quadratic one; `trace` holds the quadratic solver's two rows
     (iteration, c2, residual, mean L_0): the sweep from ln X0, then the shot.
     """
 
@@ -684,14 +768,17 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeS
     on (L, zeta) with driver -(r + phitilde zeta - zeta^2/2), the member
     (a, b, c) = (1/2, -1, 0) of _driver's family, and each knot's rows are
     turned into (Y, Z) = (exp L, zeta exp L) in place.  The terminal uses the
-    pathwise Pi(0,T); the conditional normaliser is a Monte-Carlo scalar
-    without a signal and the Gaussian closed form under enlargement.
+    pathwise Pi(0,T) and the conditional normaliser in log space.  Without
+    a signal, sum_i iota_i dW_i is N(0, sum_i iota_i^2 dt_i), so the
+    left-point sum has the exact ln E[sqrt Pi(0,T)] = -(1/2) sum_i r_i dt_i
+    - (1/8) sum_i iota_i^2 dt_i on the grid; under enlargement the
+    normaliser is the Gaussian closed form.
     """
     log_pi_T = log_pi_star(paths, market)
     if paths.Y0 is None:
-        normalizer = ordered_mean(np.exp(0.5 * log_pi_T))
-        # exp underflows to 0 on every path once iota^2 T runs into the thousands
-        log_norm = math.log(normalizer) if normalizer > 0.0 else -math.inf
+        t_left = paths.grid.knots[: paths.grid.index_T]
+        log_norm = -float(np.sum((0.5 * market.r(t_left) + 0.125 * iota(market, t_left) ** 2) * paths.grid.dt))
+        normalizer = float(np.exp(log_norm))  # 0 once it underflows; the terminal stays in log space
     else:
         normalizer = enlargement_normalizer(market, paths.insider, paths.Y0)
         log_norm = np.log(normalizer)

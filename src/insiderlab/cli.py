@@ -236,6 +236,11 @@ def _cmd_martingale(args, config: ScenarioConfig):
 
 
 def _linear_report(sol, market: MarketParams):
+    """The report row.  normalizer_mc is E[sqrt Pi(0,T)] without a signal:
+    no longer a Monte-Carlo mean but the exact value of the grid's
+    left-point sum (0 once it underflows); the column keeps its name, which
+    perfbench's checks read.  It is blank under a signal, where the
+    normaliser is the per-path Gaussian closed form."""
     return (
         ["residual", "normalizer_mc", "Y0_mean", "X0"],
         [[sol.residual, sol.c if np.ndim(sol.c) == 0 else "", sol.y0_mean, market.X0]],
@@ -367,7 +372,7 @@ def _cmd_selftest(args, config: ScenarioConfig):
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="INI config file with [market]/[insider]/[run] sections")
     p.add_argument("--out", default=None, help="output directory (default $INSIDERLAB_OUT or ./out)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks, each of which draws its paths in L2-sized tiles; simulate and martingale also decompose them and evaluate the strategy on each tile there, while the LSMC sweep of bsde-* runs on one thread; results do not depend on it")
+    p.add_argument("--threads", type=int, default=1, help="worker threads over the 4096-path RNG blocks: simulate and martingale draw each block's paths in L2-sized tiles there, decompose them and evaluate the strategy on each tile; bsde-* draw each block's coarse checkpoints there, while their chunk fills and LSMC sweep run on one thread; results do not depend on it")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit integer)")
     p.add_argument("--n-paths", dest="n_paths", type=int, default=None, help="Monte-Carlo ensemble size")
     p.add_argument("--n-steps", dest="n_steps", type=int, default=None, help="grid steps on [0, T]")

@@ -256,12 +256,15 @@ def phi_norm_sq(insider: InsiderSpec, s, t: float):
 
 def breakpoints(market: MarketParams, weight: PiecewiseConstant | None = None) -> list[float]:
     """Sorted breakpoints inside (0, T) of the coefficients, and of the signal
-    weight when given: the inner ends of the pieces of [0, T] on which all of
-    them are constant, where every time integral is exact."""
+    weight when given, where the value changes: the inner ends of the
+    largest pieces of [0, T] on which all of them are constant, where every
+    time integral is exact.  A function written in more pieces than values
+    has the breakpoints of its values."""
     fns = [market.r, market.mu0, market.sigma, market.varrho]
     if weight is not None:
         fns.append(weight)
-    return sorted({b for fn in fns for b in fn.breakpoints if 0.0 < b < market.T})
+    return sorted({b for fn in fns for b, before, after in zip(fn.breakpoints[1:], fn.values, fn.values[1:])
+                   if before != after and 0.0 < b < market.T})
 
 
 # -- validation ---------------------------------------------------------------

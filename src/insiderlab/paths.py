@@ -40,6 +40,7 @@ __all__ = [
     "build_grid",
     "sample_paths",
     "stream_paths",
+    "draw_blocks",
     "l2_rows",
     "information_drift",
     "decompose",
@@ -62,8 +63,9 @@ _KNOT_TOL = 1e-12
 class TimeGrid:
     """Strictly increasing knots 0 = t_0 < ... < t_m = T of [0, T].
 
-    Knots include every coefficient and signal-weight breakpoint inside
-    (0, T).  Steps i = 0..m-1 run over [knots[i], knots[i+1]).
+    Knots include every breakpoint inside (0, T) where a coefficient or the
+    signal weight changes value (model.breakpoints).  Steps i = 0..m-1 run
+    over [knots[i], knots[i+1]).
     """
 
     knots: np.ndarray
@@ -114,9 +116,10 @@ class TimeGrid:
 
 
 def build_grid(config: ScenarioConfig) -> TimeGrid:
-    """Uniform resolution n_steps on [0, T] plus every coefficient and
-    signal-weight breakpoint inside (0, T).  A uniform step that is not above
-    the knot tolerance is a ValidationError (`grid_step_min`)."""
+    """Uniform resolution n_steps on [0, T] plus model.breakpoints: every
+    breakpoint inside (0, T) where a coefficient or the signal weight
+    changes value.  A uniform step that is not above the knot tolerance is a
+    ValidationError (`grid_step_min`)."""
     main = np.linspace(0.0, config.market.T, config.n_steps + 1)
     if not np.all(np.diff(main) > _KNOT_TOL):
         raise ValidationError("grid_step_min", f"need T / n_steps above {_KNOT_TOL}, got "
@@ -145,8 +148,6 @@ class PathBatch:
     dWH   : (n_paths, index_T) enlarged-filtration increments dW - phi*dt on
             [0, T]; a view of dW without a signal.
     The information drift phi is not stored but derived from (Y0, level).
-    A raw tile keeps the tail's standard normal draw z in place of the tail
-    and writes neither Y0 nor dWH.
     """
 
     grid: TimeGrid
@@ -200,7 +201,7 @@ def _rows(batch: PathBatch, rows: slice) -> PathBatch:
                      level=batch.level[rows], dWH=batch.dWH[rows], insider=batch.insider)
 
 
-def _filler(config: ScenarioConfig, grid: TimeGrid, raw: bool = False):
+def _filler(config: ScenarioConfig, grid: TimeGrid):
     """fill(batch, gen) builds consecutive paths of one RNG block in place
     from the Philox generator `gen` of that block, with the time-axis rows
     formed once here.  Draws are counter-based and row-major, so path i's
@@ -208,15 +209,10 @@ def _filler(config: ScenarioConfig, grid: TimeGrid, raw: bool = False):
     then, with a signal, one for the tail; a block filled in consecutive
     tiles from one generator gets the bytes of one fill of the whole block.
     Under a signal the tail is scaled, Y0 = B_T + tail is formed, and the
-    drift is formed from the state in dWH's memory and decomposed there.
-    With raw=True, for a caller that reads dW on [0, T] and the state and
-    forms the signal itself, the tail column keeps its standard normal draw
-    z, and neither Y0 nor dWH is written."""
+    drift is formed from the state in dWH's memory and decomposed there."""
     insider, m = config.insider, grid.index_T
     signal = insider.has_signal()
-    var = grid.dt
-    if signal:  # a unit variance keeps the tail's draw: fl(z * 1) = z
-        var = np.append(grid.dt, 1.0 if raw else phi_norm_sq(insider, grid.T, insider.T0))
+    var = np.append(grid.dt, phi_norm_sq(insider, grid.T, insider.T0)) if signal else grid.dt
     scale = np.sqrt(var)
     weight = state_weight(config, grid)
 
@@ -224,7 +220,7 @@ def _filler(config: ScenarioConfig, grid: TimeGrid, raw: bool = False):
         dW = gen.standard_normal(out=batch.dW)
         dW *= scale
         partial_signals(dW, weight, batch.level)
-        if signal and not raw:
+        if signal:
             np.add(batch.level[:, m], dW[:, m], out=batch.Y0)
             information_drift(grid, batch.level, batch.Y0, insider, out=batch.dWH)
             decompose(grid, dW, batch.dWH, batch.dWH)
@@ -232,10 +228,24 @@ def _filler(config: ScenarioConfig, grid: TimeGrid, raw: bool = False):
     return fill
 
 
-def _generator(seed: int, block: int) -> np.random.Generator:
+def _generator(seed: int, block: int, substream: int = 0) -> np.random.Generator:
     """The counter-based stream of RNG block `block`, keyed by the unsigned
-    pair (seed, block), so each seed below 2^64 has its own streams."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    pair (seed, block), so each seed below 2^64 has its own streams.  A
+    Philox key has two words, so substream s of the block starts in the high
+    word of the 256-bit counter, s * 2^192 counter steps on: disjoint from
+    substream 0 (the stream itself) and from every other substream."""
+    counter = np.array([0, 0, 0, substream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=np.array([seed, block], dtype=np.uint64)))
+
+
+def draw_blocks(seed: int, n_paths: int, fn, threads: int = 1, substream: int = 0) -> None:
+    """Call fn(rows, gen) for every RNG block of `n_paths` paths, on up to
+    `threads` workers, with the block's paths `rows` and its Philox
+    generator on substream `substream` (see _generator).  A block that
+    draws its paths in order, each path's draws together, gives path i
+    draws that depend only on (seed, i), whatever n_paths or the worker
+    count."""
+    _for_each_block(n_paths, lambda block, rows: fn(rows, _generator(seed, block, substream)), threads)
 
 
 def l2_rows(width: int) -> int:
@@ -263,19 +273,18 @@ def sample_paths(config: ScenarioConfig, threads: int = 1) -> PathBatch:
     return batch
 
 
-def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1, raw: bool = False) -> None:
+def stream_paths(config: ScenarioConfig, grid: TimeGrid, fn, threads: int = 1) -> None:
     """Call fn(rows, tile) for every tile of the ensemble of a validated
     `config` on its grid build_grid(config), where `tile` equals rows `rows`
-    of sample_paths(config) bit for bit, but that a raw tile (raw=True) holds
-    only dW, with the tail's standard normal draw z, and the state; see
-    _filler.  A tile is l2_rows(index_T + 1) consecutive paths of one RNG
-    block, or the block's rest, so each path array of a tile stays within
-    _L2_BYTES and in a core's L2.  Each block draws its tiles in order from
-    its own generator; each worker draws every tile it runs into one buffer
-    set, made on its first tile and kept for the whole stream, so a tile is
-    valid only during its call: fn copies or reduces what it keeps.  The
-    path arrays held do not grow with n_paths."""
-    fill, seed, step = _filler(config, grid, raw), int(config.seed), l2_rows(grid.index_T + 1)
+    of sample_paths(config) bit for bit; see _filler.  A tile is
+    l2_rows(index_T + 1) consecutive paths of one RNG block, or the block's
+    rest, so each path array of a tile stays within _L2_BYTES and in a
+    core's L2.  Each block draws its tiles in order from its own generator;
+    each worker draws every tile it runs into one buffer set, made on its
+    first tile and kept for the whole stream, so a tile is valid only during
+    its call: fn copies or reduces what it keeps.  The path arrays held do
+    not grow with n_paths."""
+    fill, seed, step = _filler(config, grid), int(config.seed), l2_rows(grid.index_T + 1)
     worker = threading.local()
 
     def run(block: int, rows: slice) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from insiderlab.bsde import knot_table, solve_linear_closed_form, stream_sweep_paths
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
-from insiderlab.paths import sample_paths
+from insiderlab.paths import PathBatch, sample_paths
 from insiderlab.simulate import ordered_mean
 
 # Shared scenario: mu0 = 0.15, sigma = 0.35, r = 0, T = 1, X0 = 1,
@@ -71,9 +71,30 @@ def config_lsmc_enl(market, insider):
     return ScenarioConfig(market=market, insider=insider, n_steps=50, n_paths=100_000, seed=424243)
 
 
-# Each ensemble as a whole PathBatch and as the knot-major sweep input the
-# backward solvers take; the two hold the same bits
-# (test_streamed_sweep_input_equals_sample_paths_bit_for_bit).
+def _batch_of(paths):
+    """The sweep input's own paths as a whole PathBatch: its dW, state and
+    dWH rows at every knot, path-major, and with a signal the tail column
+    Y0 - B_T.  The batch's drift, formed from its state by
+    information_drift, is the sweep input's phi(i) bit for bit, and its dWH
+    the sweep input's."""
+    grid, m, n = paths.grid, paths.grid.index_T, paths.n_paths
+    signal = paths.Y0 is not None
+    dW, level = np.empty((n, m + 1 if signal else m)), np.empty((n, m + 1))
+    dWH = np.empty((n, m)) if signal else dW[:, :m]
+    for i in range(m + 1):
+        level[:, i] = paths.level(i)
+    for i in range(m):
+        dW[:, i] = paths.dW(i)
+        dWH[:, i] = paths.dWH(i)
+    if signal:
+        dW[:, m] = paths.Y0 - level[:, m]
+    return PathBatch(grid=grid, dW=dW, Y0=paths.Y0 if signal else np.zeros(n), level=level, dWH=dWH,
+                     insider=paths.insider)
+
+
+# The small ensemble as a whole PathBatch from sample_paths; each LSMC
+# ensemble as the knot-major sweep input the backward solvers take and as
+# the PathBatch of the same paths (_batch_of).
 
 
 @pytest.fixture(scope="session")
@@ -87,8 +108,8 @@ def sweep_small(config_small):
 
 
 @pytest.fixture(scope="session")
-def batch_lsmc_flat(config_lsmc_flat):
-    return sample_paths(config_lsmc_flat)
+def batch_lsmc_flat(sweep_lsmc_flat):
+    return _batch_of(sweep_lsmc_flat)
 
 
 @pytest.fixture(scope="session")
@@ -97,13 +118,19 @@ def sweep_lsmc_flat(config_lsmc_flat):
 
 
 @pytest.fixture(scope="session")
-def batch_lsmc_enl(config_lsmc_enl):
-    return sample_paths(config_lsmc_enl)
+def batch_lsmc_enl(sweep_lsmc_enl):
+    return _batch_of(sweep_lsmc_enl)
 
 
 @pytest.fixture(scope="session")
 def sweep_lsmc_enl(config_lsmc_enl):
     return stream_sweep_paths(config_lsmc_enl)
+
+
+@pytest.fixture(scope="session")
+def batch_of():
+    """The PathBatch of a sweep input's own paths; see _batch_of."""
+    return _batch_of
 
 
 @pytest.fixture(scope="session")

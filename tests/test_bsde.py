@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -38,7 +39,7 @@ from insiderlab.bsde import (
 from insiderlab.cli import _linear_report, _quadratic_report, main
 from insiderlab.model import (InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, ValidationError, iota,
                               phi_norm_sq, sigma_tilde)
-from insiderlab.paths import partial_signals, sample_paths
+from insiderlab.paths import partial_signals
 from insiderlab.simulate import mean_se, ordered_mean, simulate_wealth
 from insiderlab.strategies import (StrategyKind, StrategyProfile, build_profile, closed_form_lines,
                                    pi_no_insider_robust, pi_small_insider_robust, run_out)
@@ -100,13 +101,14 @@ class TestPiStarFunctional:
         mean, se = mean_se(np.sqrt(np.exp(log_pi_star(sweep_lsmc_flat, market))))
         assert abs(mean - math.exp(-IOTA_SQ / 8.0)) < 3.0 * se
 
-    def test_matches_whole_matrix_exponent(self, batch_small, sweep_small, market):
+    def test_matches_whole_matrix_exponent(self, sweep_small, market, batch_of):
         # the step-by-step sum on the streamed sweep input against the
-        # exponent built from the whole batch's phi
-        m = batch_small.grid.index_T
-        t_left = batch_small.grid.knots[:m]
-        phit = iota(market, t_left) + batch_small.phi
-        expo = -(market.r(t_left) + 0.5 * phit**2) * batch_small.grid.dt[:m] - phit * batch_small.dWH
+        # exponent built from the whole batch of its paths and its phi
+        batch = batch_of(sweep_small)
+        m = batch.grid.index_T
+        t_left = batch.grid.knots[:m]
+        phit = iota(market, t_left) + batch.phi
+        expo = -(market.r(t_left) + 0.5 * phit**2) * batch.grid.dt[:m] - phit * batch.dWH
         got = log_pi_star(sweep_small, market)
         np.testing.assert_allclose(got, expo.sum(axis=1), rtol=1e-12, atol=1e-14)
 
@@ -153,14 +155,15 @@ class TestLinearClosedForm:
             log_wealth = simulate_wealth(batch_lsmc_flat, stopped, market, work)
             np.testing.assert_allclose(np.log(Y[:, k]), log_wealth, atol=1e-12)
 
-    def test_matches_simulated_optimal_wealth_enlargement(self, market, insider, whole, kernel_rows):
+    def test_matches_simulated_optimal_wealth_enlargement(self, market, insider, whole, kernel_rows, batch_of):
         # continuous formula vs discrete simulation: strong gap shrinks in dt
         gaps = []
         for n_steps in (100, 400):
             cfg = ScenarioConfig(market=market, insider=insider, n_steps=n_steps,
                                  n_paths=1000, seed=32)
-            batch = sample_paths(cfg)
-            _, Y, _ = whole(solve_linear_closed_form, stream_sweep_paths(cfg), market)
+            paths = stream_sweep_paths(cfg)
+            batch = batch_of(paths)
+            _, Y, _ = whole(solve_linear_closed_form, paths, market)
             out, work = kernel_rows(batch)
             prof = build_profile(StrategyKind.SMALL_INSIDER_ROBUST, batch, market, insider, out)
             log_wealth = simulate_wealth(batch, prof, market, work)
@@ -326,9 +329,9 @@ class TestQuadraticLsmc:
         assert len(sol.trace) == 2
         assert not signals
         # the design, the factors, the per-step rows and one chunk of the
-        # state take under dW: a field over all knots (L, Z, the whole state
-        # or dWH) would take at least one dW
-        assert peak < paths.dW.nbytes
+        # state take under one (n_paths, index_T) array: a field over all
+        # knots (L, Z, the whole state, dW or dWH) would take at least one
+        assert peak < paths.n_paths * paths.grid.index_T * 8
 
     @pytest.mark.parametrize("insider_spec, varrho", [
         (InsiderSpec.none(), 0.0),
@@ -697,7 +700,8 @@ def test_knot_table_rmse_finite_at_huge_wealth(no_insider, whole, whole_table):
     rows = whole_table(Y, Z, paths.grid, whole(solve_linear_closed_form, paths, huge)[1:])
     rmse = [row[-1] for row in rows]
     assert all(math.isfinite(r) for r in rmse)
-    assert max(rmse) > 1e290
+    # a gap this large squares past the largest float
+    assert max(rmse) > math.sqrt(sys.float_info.max)
     # the scaling is by a power of two, so at X0 = 1 it is the plain RMS up to the sum's order
     unit = replace(huge, X0=1.0)
     paths = stream_sweep_paths(ScenarioConfig(market=unit, insider=no_insider, n_steps=20, n_paths=2000, seed=1))
@@ -755,8 +759,9 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
     # one permutation leaves a plain np.mean unchanged about half the time
     for _ in range(8):
         perm = rng.permutation(n)
-        shuffled_paths = replace(paths, dW=paths.dW[:, perm], checkpoints=paths.checkpoints[:, perm],
-                                 Y0=paths.Y0[perm])
+        # the reports read knot 0 and Y0 only, which the stored rows hold
+        shuffled_paths = replace(paths, checkpoints=paths.checkpoints[:, perm],
+                                 increments=paths.increments[:, perm], Y0=paths.Y0[perm])
         assert reports(Y[perm], Z[perm], shuffled_paths) == reports(Y, Z, paths)
         assert repr(shooting_residual(perm)) == repr(residual)
 
@@ -844,7 +849,15 @@ class TestRowsMadeOncePerSolve:
     @pytest.mark.parametrize("signal, mk", SOLVE_CASES)
     def test_log_pi_star_is_the_fresh_row_sum_bit_for_bit(self, signal, mk):
         paths = sweep_input(mk, signal)
-        assert log_pi_star(paths, mk).tobytes() == log_pi_star_fresh(paths, mk).tobytes()
+        if signal:
+            assert log_pi_star(paths, mk).tobytes() == log_pi_star_fresh(paths, mk).tobytes()
+            return
+        # without a signal sum_i iota_i dWH_i is the state at T: the sum
+        # takes no step's row, and is the row sum up to rounding
+        m, t_left = paths.grid.index_T, paths.grid.knots[:-1]
+        head = float(np.sum((mk.r(t_left) + 0.5 * iota(mk, t_left) ** 2) * paths.grid.dt))
+        assert log_pi_star(paths, mk).tobytes() == (-head - paths.level(m)).tobytes()
+        np.testing.assert_allclose(log_pi_star(paths, mk), log_pi_star_fresh(paths, mk), rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("signal, mk", SOLVE_CASES)
     @pytest.mark.parametrize("varrho", [0.0, 0.02])

@@ -263,7 +263,7 @@ class TestConfigParsing:
                      id="informed-linear-mu-20"),
         pytest.param(["bsde-quadratic", "--mu", "1e120", "--n-paths", "20000", "--n-steps", "50"],
                      id="quadratic-mu-1e120"),
-        # exp(ln Pi / 2) underflows on every path, so the normaliser is 0
+        # the exact normaliser underflows to 0, and exp of the terminal overflows
         pytest.param(["bsde-linear", "--kind", "none", "--mu", "30", "--n-paths", "2000", "--n-steps", "10"],
                      id="linear-mu-30-normaliser"),
         # the square of the state overflows: the regression's Gram matrix is not finite
@@ -277,8 +277,6 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith("validation error: solution_finite:")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.xfail(strict=True, reason="the uninformed Monte-Carlo normaliser reads orders of magnitude "
-                                           "low at large iota, and the solve exits 0 (ROADMAP item 12)")
     def test_uninformed_linear_at_large_iota_is_refused_or_meets_its_gate(self, tmp_path):
         out = tmp_path / "out"
         code = run(["bsde-linear", "--kind", "none", "--mu", "10", "--n-paths", "20000", "--n-steps", "50",
@@ -352,6 +350,20 @@ class TestConfigParsing:
         for got, expect in zip(tables[1][1:], tables[0][1:]):
             assert [c == "" for c in got] == [c == "" for c in expect]
             assert [float(c) for c in got if c] == pytest.approx([float(c) for c in expect if c], rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("command", [["simulate", "--regime", "small_insider_robust"], ["bsde-linear"]],
+                             ids=["simulate", "bsde-linear"])
+    def test_one_value_written_as_two_pieces_writes_the_bytes_of_the_constant(self, tmp_path, command):
+        # a breakpoint whose two sides agree adds no knot, so the grid, the
+        # draw and every CSV are those of the constant
+        outputs, pieces = [], BASE_CFG.replace("mu0 = 0.15", "mu0 = 0:0.15, 0.37:0.15")
+        for name, cfg in (("constant", BASE_CFG), ("pieces", pieces)):
+            (tmp_path / f"{name}.cfg").write_text(cfg)
+            out = tmp_path / name
+            assert run([*command, "--config", str(tmp_path / f"{name}.cfg"), "--n-paths", "20000", "--n-steps", "50",
+                        "--seed", "1", "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("old, new", [("mu0 = 0.15", "mu0 = 0:0.15, 1.5:0.2"),
                                           ("sigma = 0.35", "sigma = 0:0.35, 1:0.4")])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -133,12 +135,23 @@ class TestPhiNormSq:
 def test_breakpoints_are_the_inner_ends_of_the_constant_pieces():
     # shared breakpoints count once; 0, T and those beyond T are not inner
     def steps(*bps):
-        return PiecewiseConstant((0.0, *bps), [0.1] * (len(bps) + 1))
+        return PiecewiseConstant((0.0, *bps), [0.1 * (k + 1) for k in range(len(bps) + 1)])
 
     market = MarketParams(r=steps(0.5, 2.0), mu0=steps(0.25, 0.5), sigma=steps(1.0), varrho=steps(0.75),
                           T=1.0, X0=1.0)
     assert breakpoints(market) == [0.25, 0.5, 0.75]
     assert breakpoints(market, steps(0.1, 0.75, 1.5)) == [0.1, 0.25, 0.5, 0.75]
+
+
+def test_breakpoints_where_the_value_does_not_change_are_dropped():
+    # a function written in more pieces than values has the breakpoints of its values
+    mu0 = PiecewiseConstant((0.0, 0.37, 0.5, 0.8), (0.15, 0.15, 0.2, 0.2))
+    market = MarketParams(r=0.0, mu0=mu0, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
+    assert breakpoints(market) == [0.5]
+    assert breakpoints(market, PiecewiseConstant((0.0, 0.25, 0.5, 0.9), (1.0, 1.0, 3.0, 2.0))) == [0.5, 0.9]
+    flat = MarketParams(r=0.0, mu0=PiecewiseConstant((0.0, 0.37), (0.15, 0.15)), sigma=0.35, varrho=0.0,
+                        T=1.0, X0=1.0)
+    assert breakpoints(flat) == breakpoints(replace(flat, mu0=PiecewiseConstant.constant(0.15))) == []
 
 
 class TestValidate:

@@ -77,8 +77,8 @@ class TestGrid:
         # T and every coefficient or signal-weight breakpoint in (0, T) are
         # knots, whatever the resolution, and the grid ends at T; the example
         # puts breakpoints within 1e-12 below T
-        def steps(bps, value):
-            return PiecewiseConstant((0.0, *sorted(bps)), [value] * (len(bps) + 1))
+        def steps(bps, value):  # the value changes at every breakpoint
+            return PiecewiseConstant((0.0, *sorted(bps)), [value + 0.01 * (k % 2) for k in range(len(bps) + 1)])
 
         coefs = [steps(b, v) for b, v in zip(coef_bps, (0.0, 0.15, 0.35, 0.0))]
         m = MarketParams(*coefs, T=T, X0=1.0)

@@ -24,6 +24,7 @@ from insiderlab.paths import (
     _for_each_block,
     build_grid,
     decompose,
+    draw_blocks,
     information_drift,
     l2_rows,
     partial_signals,
@@ -260,15 +261,18 @@ def test_failing_block_raises_and_cancels_the_blocks_not_started():
 @pytest.mark.parametrize("insider", [UNIT, PIECEWISE, NONE])
 @pytest.mark.parametrize("stream", ["game", "sweep"])
 def test_running_signal_computed_once_per_tile(stream, insider, count_calls):
+    # the game stream forms the state once per tile; the sweep input forms
+    # its checkpoints in one coarse draw over the RNG blocks, and no tile
     config = ScenarioConfig(market=MARKET, insider=insider, n_steps=200, n_paths=9000, seed=3)
-    calls = count_calls(partial_signals)
+    calls, draws = count_calls(partial_signals), count_calls(draw_blocks)
     if stream == "game":
         market, profile_of = regime("small_insider_robust" if insider.has_signal() else "no_insider_robust",
                                     insider)
         stream_game(config, profile_of, market)
+        assert len(calls) == 29  # one per tile: 13 + 13 + 3 tiles of at most 326 paths
     else:
         stream_sweep_paths(config)
-    assert len(calls) == 29  # one per tile: 13 + 13 + 3 tiles of at most 326 paths
+        assert not calls and len(draws) == 1
 
 
 @pytest.mark.parametrize("insider", [UNIT, PIECEWISE])
@@ -283,21 +287,21 @@ def test_signal_drift_rows_formed_once_per_stream(stream, insider, count_calls):
         stream_game(config, profile_of, market)
     else:
         log_pi_star(stream_sweep_paths(config), MARKET)
-    assert len(tiles) == 29
+    assert len(tiles) == (29 if stream == "game" else 0)
     assert len(builds) == 1
 
 
 @pytest.mark.parametrize("insider", [UNIT, PIECEWISE])
 def test_sweep_tiles_form_no_drift_and_no_dwh(insider, count_calls):
-    # the sweep inputs regenerate phi and dWH from the state, one or five
-    # horizons from one tile pass; the game stream's tiles still form both
+    # the sweep inputs form phi and dWH from the state when read, one or
+    # five horizons from one coarse draw; the game stream's tiles still form both
     config = ScenarioConfig(market=MARKET, insider=insider, n_steps=200, n_paths=9000, seed=3)
     calls = count_calls(information_drift), count_calls(decompose)
     stream_sweep_paths(config)
     assert calls == ([], [])
-    tiles = count_calls(partial_signals)
+    tiles, draws = count_calls(partial_signals), count_calls(draw_blocks)
     assert len(list(stream_horizon_paths(config, [1.2, 1.5, 2.0, 5.0, 12.0]))) == 5
-    assert calls == ([], []) and len(tiles) == 29
+    assert calls == ([], []) and not tiles and len(draws) == 1
     market, profile_of = regime("small_insider_robust", insider)
     stream_game(config, profile_of, market)
     assert [len(c) for c in calls] == [29, 29]
