@@ -40,9 +40,11 @@ TOMS 26(1), 2000; Philox: Salmon et al., SC11).  The sweep hands
 each knot's rows to an observer once it has fitted them, and lends it that
 knot's basis rows, free until the next knot's basis is built, for its work,
 so neither solver nor observer holds a field over all knots or a row of its
-own, and the quadratic shot moves every knot by one per-path row.  A solve
-whose values overflow ends in a ValidationError (`solution_finite`), not in
-nan cells.
+own, and the quadratic shot moves every knot by one per-path row.  The
+sweep solves the inputs of one draw together (the information horizons of
+fig1 and fig3), on rows stacked over them, each with the bytes of its own
+solve.  A solve whose values overflow ends in a ValidationError
+(`solution_finite`), not in nan cells.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ __all__ = [
     "solve_linear_closed_form",
     "solve_linear_lsmc",
     "solve_quadratic_lsmc",
+    "solve_quadratic_horizons",
     "initial_controls",
     "value_from_bsde",
     "KNOT_HEADER",
@@ -326,7 +329,8 @@ def stream_horizon_paths(config: ScenarioConfig, t0s, threads: int = 1):
     information horizon T0 of `t0s`, in order, from one draw, each equal to
     stream_sweep_paths of `config` with that T0 bit for bit.  Every
     horizon's config is validated here; an iterator that draws on the first
-    input asked for."""
+    input asked for.  The inputs share the state, so solve_quadratic_horizons
+    solves them all in one backward sweep that fills each chunk once."""
     weight = config.insider.phi_weight
     configs = [replace(config, insider=InsiderSpec.enlargement(T0=t0, phi_weight=weight)) for t0 in t0s]
     for cfg in configs:
@@ -334,17 +338,26 @@ def stream_horizon_paths(config: ScenarioConfig, t0s, threads: int = 1):
     return _sweep_inputs(configs[0], [cfg.insider for cfg in configs], threads) if configs else iter(())
 
 
-def _phitilde(paths: SweepPaths, market: MarketParams):
-    """phitilde = iota + phi on step i, as a function (i, out) of i: a
-    scalar without a signal, which leaves the row `out` as it is; under one
-    a row, written to `out`."""
+def _phitilde(inputs, market: MarketParams):
+    """phitilde = iota + phi on step i for the sweep inputs `inputs` of one
+    draw, as a function (i, out) of i: a scalar without a signal, which
+    leaves the rows `out` as they are; under one the rows of the first
+    len(out) inputs, written to `out` (len(out), n_paths).  Each input's
+    drift is formed by signal_drift from the state, which the inputs of one
+    draw share, read once from the first."""
+    paths = inputs[0]
     m = paths.grid.index_T
     iota_left = iota(market, paths.grid.knots[:m])
     if paths.Y0 is None:
         return lambda i, out: iota_left[i]
+    drifts = [(p.Y0, signal_drift(p.grid, p.insider)) for p in inputs]
 
     def phitilde(i: int, out: np.ndarray) -> np.ndarray:
-        return np.add(paths.phi(i), iota_left[i], out=out)
+        state = paths.level(i)
+        for (y0, drift), row in zip(drifts, out):
+            drift(y0, state, i, out=row)
+        out += iota_left[i]
+        return out
 
     return phitilde
 
@@ -363,16 +376,15 @@ def log_pi_star(paths: SweepPaths, market: MarketParams) -> np.ndarray:
     summands are held as an (index_T, n_paths) matrix."""
     grid = paths.grid
     m, dt = grid.index_T, grid.dt
-    r = market.r(grid.knots[:m])
+    r, iota_left = market.r(grid.knots[:m]), iota(market, grid.knots[:m])
     if paths.Y0 is None:
-        head = float(np.sum((r + 0.5 * iota(market, grid.knots[:m]) ** 2) * dt))
+        head = float(np.sum((r + 0.5 * iota_left**2) * dt))
         return np.subtract(-head, paths.level(m))
-    phitilde = _phitilde(paths, market)
     log_pi = np.zeros(paths.n_paths)
     # a step's phitilde and then its summand in one row, -(r + phitilde^2/2) dt in the other
     row, head_row = np.empty((2, paths.n_paths))
     for i in range(m):
-        phit = phitilde(i, row)
+        phit = np.add(paths.phi(i), iota_left[i], out=row)  # dWH(i) reads the same drift row
         head = np.square(phit, out=head_row)
         head *= 0.5
         head += r[i]
@@ -557,7 +569,8 @@ _TERMINAL_DEGREE = 2
 
 def _monomials(rows: np.ndarray, x: np.ndarray, y: np.ndarray | None, order: int) -> None:
     """Fill rows with all monomials of total degree <= order in x (and y),
-    each degree from the previous one: 1, x, x^2, ... or 1, x, y, x^2, xy, ..."""
+    each degree from the previous one: 1, x, x^2, ... or 1, x, y, x^2, xy,
+    ...; a monomial's row, rows[j], broadcasts with x and y."""
     rows[0] = 1.0
     start, size = 0, 1  # the previous degree's rows
     for _ in range(order):
@@ -607,38 +620,63 @@ def _step_moments(paths: SweepPaths) -> np.ndarray:
     return maps
 
 
-def _factor(design: np.ndarray, t: float, gram: np.ndarray) -> np.ndarray:
-    """G^-1 for the Gram matrix `gram` = G = design @ design.T of the
-    (k, n_paths) design as built, which the caller forms, and 0 on its zero
-    rows (RMS over paths <= 1e-12); the design is not written.  Fitted values
-    of y are  G^-1 (design @ y) @ design.
+def _factor(n_paths: int, t: float, gram: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+    """(G^-1, error) for the stack `gram` (H, k, k) of Gram matrices G =
+    design @ design.T of designs (k, n_paths) as built, which the caller
+    forms, with 0 on a design's zero rows (RMS over paths <= 1e-12).  Fitted
+    values of y are G^-1 (design @ y) @ design.  The stack is factored up to
+    its first G that fails, whose error comes back with the inverses of
+    those before it; error is None when none fails.
 
     G is equilibrated by its own diagonal, S G S with S = diag(G)^(-1/2) on
     the nonzero rows, which is within a factor k of the best diagonal
     scaling (van der Sluis); G^-1 = S (S G S)^-1 S.  Cholesky of S G S
     completes when 20 k^(3/2) eps cond(S G S) < 1 (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 10): the rank counts its
-    eigenvalues above that fraction of the largest.  A design whose powers
-    overflow gives a G that is not finite, refused as `solution_finite`."""
-    require_finite("solution_finite", f"the regression Gram matrix at t={t}", gram)
-    sum_sq = np.diag(gram)
-    keep = sum_sq > 1e-24 * design.shape[1]
-    unscale = np.sqrt(sum_sq[keep])
-    outer = np.outer(unscale, unscale)
-    equilibrated = gram[np.ix_(keep, keep)] / outer
-    eig = np.linalg.eigvalsh(equilibrated)
-    k = len(eig)
-    rank = int(np.count_nonzero(eig > 20.0 * k**1.5 * np.finfo(float).eps * eig[-1]))
-    if rank < k:
-        cond = math.sqrt(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
-        raise RegressionError(t=t, rank=rank, n_columns=k, cond=cond)
-    inv_chol = np.linalg.inv(np.linalg.cholesky(equilibrated))
-    inv_gram = np.zeros_like(gram)
-    inv_gram[np.ix_(keep, keep)] = (inv_chol.T @ inv_chol) / outer
-    return inv_gram
+    eigenvalues above that fraction of the largest, and one below k is a
+    RegressionError.  A design whose powers overflow gives a G that is not
+    finite, refused as `solution_finite`.  Matrices that keep the same rows
+    are factored in one stacked call each of eigvalsh, cholesky and inv,
+    which give each matrix the bytes of a call on it alone."""
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    end = len(gram) if finite.all() else int(np.argmin(finite))
+    error = None if end == len(gram) else ValidationError(
+        "solution_finite", f"the regression Gram matrix at t={t} is not a finite float")
+    sum_sq = np.diagonal(gram[:end], axis1=1, axis2=2)
+    keep = sum_sq > 1e-24 * n_paths
+    inv_gram = np.zeros_like(gram[:end])
+    # one group for a stack whose matrices keep the same rows, else one per matrix
+    same = end and (keep == keep[0]).all()
+    for group in [slice(0, end)] if same else [slice(h, h + 1) for h in range(end)]:
+        kept = np.flatnonzero(keep[group.start])
+        unscale = np.sqrt(sum_sq[group, kept])
+        outer = unscale[:, :, None] * unscale[:, None, :]
+        equilibrated = gram[group, kept[:, None], kept] / outer
+        eig = np.linalg.eigvalsh(equilibrated)
+        k = eig.shape[1]
+        rank = np.count_nonzero(eig > 20.0 * k**1.5 * np.finfo(float).eps * eig[:, -1:], axis=1)
+        if (rank < k).any():
+            h = int(np.argmax(rank < k))
+            cond = math.sqrt(eig[h, -1] / eig[h, 0]) if eig[h, 0] > 0 else math.inf
+            end, error = group.start + h, RegressionError(t=t, rank=int(rank[h]), n_columns=k, cond=cond)
+            equilibrated, outer = equilibrated[:h], outer[:h]
+        inv_chol = np.linalg.inv(np.linalg.cholesky(equilibrated))
+        inv_gram[group.start : group.start + len(outer), kept[:, None], kept] = (
+            inv_chol.transpose(0, 2, 1) @ inv_chol) / outer
+        if end < group.stop:
+            break
+    return inv_gram[:end], error
 
 
-def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.ndarray, np.ndarray]:
+def _signals(inputs) -> np.ndarray | None:
+    """The signals Y0 of the sweep inputs `inputs` of one draw as rows (H,
+    n_paths), a view for one input; None without a signal."""
+    if inputs[0].Y0 is None:
+        return None
+    return inputs[0].Y0[None] if len(inputs) == 1 else np.stack([paths.Y0 for paths in inputs])
+
+
+def _backward_sweep(inputs, terminal, driver, observe) -> tuple[np.ndarray, np.ndarray, Exception | None]:
     """One explicit backward Euler pass with regression later (Glasserman &
     Yu, MCQMC 2002; Bender & Steiner, Numerical Methods in Finance, 2012):
 
@@ -647,61 +685,90 @@ def _backward_sweep(paths: SweepPaths, terminal, driver, observe) -> tuple[np.nd
         L_i = E[L_{i+1} | s_i] + driver(i, Z_i) dt_i,     L_m = terminal,
 
     with p the monomials of degree <= _BASIS_ORDER in the state s_i
-    (paths.level(i), plus the signal if any).  Both expectations are exact
-    for the fitted polynomial: alpha @ _step_moments(paths)[i], evaluated on
-    knot i's basis in one product.  At degree 2 the family is closed (Z is
-    affine, so the drivers keep L quadratic) and every fit but the
-    terminal's is exact to rounding.  Each knot's basis is built once; one
-    product of the rows [basis; L_i], summed _PARTIAL paths at a time, gives
-    its Gram and basis @ L_i; driver(i, Z_i, out) writes the step's driver
-    to one more row of the sweep's, so no step allocates a path-sized row.
+    (level(i), plus the signal if any).  Both expectations are exact for the
+    fitted polynomial: alpha @ _step_moments(paths)[i], evaluated on knot i's
+    basis in one product.  At degree 2 the family is closed (Z is affine, so
+    the drivers keep L quadratic) and every fit but the terminal's is exact
+    to rounding.
+
+    The pass solves the sweep inputs `inputs` of one draw (H of them: the
+    horizons of stream_horizon_paths, or one input) together.  They share
+    the state, so each knot's level(i) is read once, from the first input,
+    and each chunk is filled once for all of them; each input has its own
+    signal, one-step law and rows.  The rows of every kind are stacked over
+    the inputs, (k + 3, H, n_paths): each knot's basis, then L_i, Z_i and
+    the driver step there (k = 3, or 6 with a signal).  A knot makes one
+    stacked product of the rows [basis; L_i], summed _PARTIAL paths at a
+    time, for every input's Gram and basis @ L_i, one stacked _factor, one
+    stacked projection and one driver pass; each stacked call gives every
+    input the bytes of a call on its own rows.  driver(i, Z_i, out) writes
+    the step's driver to one more row of the sweep's, so no step allocates
+    a path-sized row.
+
     observe(i, L_i, Z_i, work) is called for i = index_T, ..., 0 (Z_index_T
-    = None) once knot i is fitted, where `work` is knot i's basis, the same
-    (k, n_paths) block at every knot (k = 3, or 6 with a signal): its rows
+    = None) once knot i is fitted, with rows (H', n_paths) of the inputs
+    still swept, where `work` is knot i's basis (k, H', n_paths): its rows
     are free from the fit until the next knot's basis is built over them, so
     the observer may write any of them.  L_i and Z_i are then reused, so an
-    observer reduces or copies them, and may write them in place.  Returns
-    copies of knot 0's rows as the observer left them.
+    observer reduces or copies them, and may write them in place.  When the
+    fit of input h fails (see _factor), the inputs from h on are swept no
+    more, so H' only falls and its error is that of input H'; the pass
+    raises it when no input is left.  Returns copies of knot 0's rows as the
+    observer left them, and the error of input H' (None when every input
+    was swept).
     """
-    grid, signal, m = paths.grid, paths.Y0, paths.grid.index_T
-    maps = _step_moments(paths)
+    paths = inputs[0]
+    grid, m, n = paths.grid, paths.grid.index_T, paths.n_paths
+    signal, maps = _signals(inputs), np.stack([_step_moments(p) for p in inputs])
     k = maps.shape[-1]
-    rows = np.empty((k + 3, paths.n_paths))  # a knot's basis, then L, Z and the driver step there
-    design, l, z, step = rows[:k], rows[k], rows[k + 1], rows[k + 2]
-    l[:] = terminal
-    _monomials(design, paths.level(m), signal, _BASIS_ORDER)
+    rows = np.empty((k + 3, len(inputs), n))  # a knot's basis, then L, Z and the driver step there
+    rows[k] = terminal
+    error = None
+    _monomials(rows[:k], paths.level(m), signal, _BASIS_ORDER)
     for i in range(m, 0, -1):
-        cross = sum(rows[: k + 1, lo : lo + _PARTIAL] @ design[:, lo : lo + _PARTIAL].T
-                    for lo in range(0, paths.n_paths, _PARTIAL))
-        alpha = _factor(design, grid.knots[i], cross[:k]) @ cross[k]
+        lead = rows[: k + 1].transpose(1, 0, 2)  # (H', k + 1, n_paths): each input's basis and L_i
+        cross = sum(lead[:, :, lo : lo + _PARTIAL] @ lead[:, :k, lo : lo + _PARTIAL].transpose(0, 2, 1)
+                    for lo in range(0, n, _PARTIAL))
+        inv_gram, failed = _factor(n, grid.knots[i], cross[:, :k])
+        if failed is not None:  # the inputs from the failing one on are swept no more
+            if not len(inv_gram):
+                raise failed
+            rows, error = rows[:, : len(inv_gram)], failed
+            signal = None if signal is None else signal[: len(inv_gram)]
+        alpha = inv_gram @ cross[: len(inv_gram), k, :, None]
+        design, l, z, step = rows[:k], rows[k], rows[k + 1], rows[k + 2]
         observe(i, l, z if i < m else None, design)  # knot i and its basis are read no more
         _monomials(design, paths.level(i - 1), signal, _BASIS_ORDER)
-        np.matmul(alpha @ maps[i - 1], design, out=rows[k : k + 2])
+        coef = alpha.transpose(0, 2, 1)[:, None] @ maps[: len(l), i - 1]
+        np.matmul(coef[:, :, 0], design.transpose(1, 0, 2), out=rows[k : k + 2].transpose(1, 0, 2))
         driver(i - 1, z, step)
         step *= grid.dt[i - 1]
         l += step
-    observe(0, l, z, design)
-    return l.copy(), z.copy()
+    observe(0, rows[k], rows[k + 1], rows[:k])
+    return rows[k].copy(), rows[k + 1].copy(), error
 
 
-def _driver(paths: SweepPaths, market: MarketParams, a, b, c):
+def _driver(inputs, market: MarketParams, a, b, c):
     """f(i, z, out) = z (a z + b phitilde) + c phitilde^2 - r for per-step
     rows or constants a, b, c, with the r row and phitilde formed once per
-    solve, written to the row `out`.  A step forms the tail c phitilde^2 - r
-    first, then b phitilde in the phitilde row: with a signal, eight
-    whole-path operations, all in place in rows made once per solve.  The
-    driver keeps these two rows of its own, since the sweep's basis rows are
-    in use while it runs."""
+    solve, written to the rows `out`; z and out (H', n_paths) hold the first
+    H' of the sweep inputs `inputs`.  A step forms the tail c phitilde^2 - r
+    first, then b phitilde in the phitilde rows: with a signal, eight
+    whole-stack operations after the drifts, all in place in rows made once
+    per solve.  The driver keeps these rows of its own, since the sweep's
+    basis rows are in use while it runs."""
+    paths = inputs[0]
     m = paths.grid.index_T
     a, b, c = (np.broadcast_to(x, (m,)) for x in (a, b, c))
     r = market.r(paths.grid.knots[:m])
-    phitilde = _phitilde(paths, market)
+    phitilde = _phitilde(inputs, market)
     # phitilde and the tail are scalars without a signal
-    phit_row, tail_row = (None, None) if paths.Y0 is None else np.empty((2, paths.n_paths))
+    rows = None if paths.Y0 is None else np.empty((2, len(inputs), paths.n_paths))
 
     def f(i: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        phit = phitilde(i, phit_row)
-        tail = np.multiply(c[i], phit, out=tail_row)
+        phit_rows, tail_rows = (None, None) if rows is None else rows[:, : len(z)]
+        phit = phitilde(i, phit_rows)
+        tail = np.multiply(c[i], phit, out=tail_rows)
         tail *= phit
         tail -= r[i]
         phit *= b[i]
@@ -714,38 +781,80 @@ def _driver(paths: SweepPaths, market: MarketParams, a, b, c):
     return f
 
 
-def _finite_solution(solve):
-    """An LSMC solver run with numpy's overflow, invalid and divide warnings
-    off, the observer's reductions included.  Each (Y_i, Z_i) the solver
-    hands to the observer is checked as it is made, but a solution with a
-    value (a row, the terminal or normaliser, the residual) that is not
-    finite is refused as `solution_finite` only once the solve is over, so a
-    RegressionError later in the sweep keeps its precedence: an overflow on
+def _finite_solutions(name: str):
+    """The solver `solve(inputs, market, observe)` of the sweep inputs of one
+    draw, run with numpy's overflow, invalid and divide warnings off, the
+    observer's reductions included, as a solver that returns every input's
+    BsdeSolution, in order, or raises the error of the first input that
+    fails, as a solve of each input alone, in order, would.  `solve`
+    returns, for the leading inputs, each one's solution or the error that
+    ended its solve.  The rows (Y_i, Z_i) the solver hands to the observer
+    are checked as they are made, but an input whose rows, terminal or
+    normaliser, or residual are not finite is refused as `solution_finite`
+    (as "the `name` solution") only once the solve is over, so a
+    RegressionError later in its sweep keeps its precedence: an overflow on
     the way shows there as an infinity or a nan."""
 
-    @functools.wraps(solve)
-    def checked(paths: SweepPaths, market: MarketParams, observe=None) -> BsdeSolution:
-        finite = True
+    def checked_solver(solve):
+        @functools.wraps(solve)
+        def checked(inputs, market: MarketParams, observe) -> list[BsdeSolution]:
+            finite = np.ones(len(inputs), dtype=bool)
 
-        def checked_observe(i: int, y: np.ndarray, z: np.ndarray | None, work: np.ndarray) -> None:
-            nonlocal finite
-            finite = finite and bool(np.isfinite(y).all()) and (z is None or bool(np.isfinite(z).all()))
-            if observe is not None:
-                observe(i, y, z, work)
+            def checked_observe(i: int, y: np.ndarray, z: np.ndarray | None, work: np.ndarray) -> None:
+                finite[: len(y)] &= np.isfinite(y).all(axis=1) & (z is None or np.isfinite(z).all(axis=1))
+                if observe is not None:
+                    observe(i, y, z, work)
 
-        with quiet():
-            sol = solve(paths, market, checked_observe)
-        what = f"the {solve.__name__} solution"
-        if not finite:
-            raise ValidationError("solution_finite", f"{what} is not a finite float")
-        require_finite("solution_finite", what, sol.c, sol.residual)
-        return sol
+            with quiet():
+                results = solve(inputs, market, checked_observe)
+            what = f"the {name} solution"
+            for sol, ok in zip(results, finite):
+                if isinstance(sol, Exception):
+                    raise sol
+                if not ok:
+                    raise ValidationError("solution_finite", f"{what} is not a finite float")
+                require_finite("solution_finite", what, sol.c, sol.residual)
+            return results
 
-    return checked
+        return checked
+
+    return checked_solver
 
 
-@_finite_solution
-def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeSolution:
+def _one_input(observe):
+    """An observer of one sweep input's rows (n_paths,) and work rows (k,
+    n_paths), as an observer of the stacked rows of one input."""
+    if observe is None:
+        return None
+    return lambda i, y, z, work: observe(i, y[0], None if z is None else z[0], work[:, 0])
+
+
+@_finite_solutions("solve_linear_lsmc")
+def _linear_lsmc(inputs, market: MarketParams, observe) -> list:
+    (paths,) = inputs
+    log_pi_T = log_pi_star(paths, market)
+    if paths.Y0 is None:
+        t_left = paths.grid.knots[: paths.grid.index_T]
+        log_norm = -float(np.sum((0.5 * market.r(t_left) + 0.125 * iota(market, t_left) ** 2) * paths.grid.dt))
+        normalizer = float(np.exp(log_norm))  # 0 once it underflows; the terminal stays in log space
+    else:
+        normalizer = enlargement_normalizer(market, paths.insider, paths.Y0)
+        log_norm = np.log(normalizer)
+    require_finite("solution_finite", "the log normaliser", log_norm)
+    terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
+
+    def to_wealth(i: int, y: np.ndarray, z: np.ndarray | None, work: np.ndarray) -> None:
+        np.exp(y, out=y)  # L -> Y = exp(L), so exp(L) never sits beside L
+        if z is not None:
+            z *= y  # zeta -> Z = zeta Y
+        observe(i, y, z, work)
+
+    y0, z0, _ = _backward_sweep(inputs, terminal, _driver(inputs, market, 0.5, -1.0, 0.0), to_wealth)
+    y0_mean = ordered_mean(y0[0])
+    return [BsdeSolution(y0=y0[0], z0=z0[0], y0_mean=y0_mean, c=normalizer, residual=abs(y0_mean - market.X0))]
+
+
+def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, observe=None) -> BsdeSolution:
     """Explicit backward Euler with regression for the linear equation,
     integrated in logarithmic coordinates; observe(i, Y_i, Z_i, work)
     reads, and does not write, each knot's wealth and control rows as
@@ -772,35 +881,16 @@ def solve_linear_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeS
     a signal, sum_i iota_i dW_i is N(0, sum_i iota_i^2 dt_i), so the
     left-point sum has the exact ln E[sqrt Pi(0,T)] = -(1/2) sum_i r_i dt_i
     - (1/8) sum_i iota_i^2 dt_i on the grid; under enlargement the
-    normaliser is the Gaussian closed form.
+    normaliser is the Gaussian closed form.  A solution that is not finite
+    is refused as `solution_finite` (see _finite_solutions).
     """
-    log_pi_T = log_pi_star(paths, market)
-    if paths.Y0 is None:
-        t_left = paths.grid.knots[: paths.grid.index_T]
-        log_norm = -float(np.sum((0.5 * market.r(t_left) + 0.125 * iota(market, t_left) ** 2) * paths.grid.dt))
-        normalizer = float(np.exp(log_norm))  # 0 once it underflows; the terminal stays in log space
-    else:
-        normalizer = enlargement_normalizer(market, paths.insider, paths.Y0)
-        log_norm = np.log(normalizer)
-    require_finite("solution_finite", "the log normaliser", log_norm)
-    terminal = math.log(market.X0) - log_norm - 0.5 * log_pi_T
-
-    def to_wealth(i: int, y: np.ndarray, z: np.ndarray | None, work: np.ndarray) -> None:
-        np.exp(y, out=y)  # L -> Y = exp(L), so exp(L) never sits beside L
-        if z is not None:
-            z *= y  # zeta -> Z = zeta Y
-        observe(i, y, z, work)
-
-    y0, z0 = _backward_sweep(paths, terminal, _driver(paths, market, 0.5, -1.0, 0.0), to_wealth)
-    y0_mean = ordered_mean(y0)
-    return BsdeSolution(y0=y0, z0=z0, y0_mean=y0_mean, c=normalizer,
-                        residual=abs(y0_mean - market.X0))
+    return _linear_lsmc([paths], market, _one_input(observe))[0]
 
 
 # -- quadratic equation -----------------------------------------------------------
 
 
-def _quadratic_driver(paths: SweepPaths, market: MarketParams):
+def _quadratic_driver(inputs, market: MarketParams):
     """f_Q(t, z) with the impact weight k = (sigma - sigma_tilde) /
     (4 (sigma + sigma_tilde)), collected by powers of z and phitilde:
 
@@ -808,11 +898,11 @@ def _quadratic_driver(paths: SweepPaths, market: MarketParams):
         a = 1/4 - k,  b = -1/2 - 2k,  c = -1/4 - k,
 
     where a reduces to sigma_tilde / (2 (sigma + sigma_tilde))."""
-    t_left = paths.grid.knots[: paths.grid.index_T]
+    t_left = inputs[0].grid.knots[: inputs[0].grid.index_T]
     sig = market.sigma(t_left)
     st = sigma_tilde(market, t_left)
     k = (sig - st) / (4.0 * (sig + st))
-    return _driver(paths, market, 0.25 - k, -0.5 - 2.0 * k, -0.25 - k)
+    return _driver(inputs, market, 0.25 - k, -0.5 - 2.0 * k, -0.25 - k)
 
 
 def _projected_mismatch(y_design, inv_gram, mismatch) -> tuple[np.ndarray, float]:
@@ -822,42 +912,49 @@ def _projected_mismatch(y_design, inv_gram, mismatch) -> tuple[np.ndarray, float
     return delta, math.sqrt(ordered_mean((delta @ y_design) ** 2))
 
 
-@_finite_solution
-def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe) -> BsdeSolution:
-    """Backward solve of the quadratic equation, its terminal shot so that
-    L_0 = ln X0; observe(i, L_i, Z_i, work) reads, and does not write, each
-    knot's rows of the sweep from ln X0, before the shot, with the sweep's
-    work rows.
-
-    The terminal is a constant c2 without a signal and a polynomial c2(Y0)
-    of degree _TERMINAL_DEGREE under enlargement.  f_Q does not read L, and
-    the regression basis holds every monomial of the terminal basis, so
-    adding c(Y0) to the terminal adds c(Y0) to L at every knot and leaves Z
-    as it is.  The shot is therefore exact after one sweep from the terminal
-    ln X0: the mismatch L_0 - ln X0 is projected on the terminal basis (its
-    ordered mean without a signal) and subtracted from the terminal and from
-    L at every knot: knot 0 and the terminal here, any other knot by its
-    reader, as the swept row less `shift`.  fl(x - s) is monotone in x, so
-    the shot rows are all finite exactly when the shot per-path minimum and
-    maximum of the swept rows are.  The residual is what the projection
-    finds left: |mean| without a signal, the RMS projected mismatch with one.
-    """
-    n = paths.n_paths
-    ln_x0 = math.log(market.X0)
-    degree = 0 if paths.Y0 is None else _TERMINAL_DEGREE
-    y_design = np.empty((degree + 1, n))
-    _monomials(y_design, paths.Y0, None, degree)
-    inv_gram = _factor(y_design, 0.0, y_design @ y_design.T)
-    coef = np.zeros(degree + 1)
-    coef[0] = ln_x0
-    lo, hi = np.full(n, ln_x0), np.full(n, ln_x0)
+@_finite_solutions("solve_quadratic_lsmc")
+def _quadratic_lsmc(inputs, market: MarketParams, observe) -> list:
+    """The quadratic solve of each of the sweep inputs `inputs` of one draw,
+    in one backward sweep: see solve_quadratic_lsmc.  An input whose
+    terminal fit fails ends the inputs solved, as a failing fit in the
+    sweep does."""
+    n, ln_x0 = inputs[0].n_paths, math.log(market.X0)
+    inv_gram, error = _factor(n, 0.0, np.stack([y_design @ y_design.T
+                                                for y_design in map(_terminal_basis, inputs)]))
+    if not len(inv_gram):
+        raise error
+    lo, hi = np.full((2, len(inv_gram), n), ln_x0)
 
     def bound(i: int, l: np.ndarray, z: np.ndarray | None, work: np.ndarray) -> None:
-        np.minimum(lo, l, out=lo)
-        np.maximum(hi, l, out=hi)
+        np.minimum(lo[: len(l)], l, out=lo[: len(l)])
+        np.maximum(hi[: len(l)], l, out=hi[: len(l)])
         observe(i, l, z, work)
 
-    y0, z0 = _backward_sweep(paths, np.full(n, ln_x0), _quadratic_driver(paths, market), bound)
+    solved = inputs[: len(inv_gram)]
+    y0, z0, failed = _backward_sweep(solved, ln_x0, _quadratic_driver(solved, market), bound)
+    results = [_shot(paths, y0[h], z0[h], inv_gram[h], lo[h], hi[h], ln_x0)
+               for h, paths in enumerate(solved[: len(y0)])]
+    error = failed or error  # the sweep's failure is an input's before the terminal fit's
+    return results if error is None else results + [error]
+
+
+def _terminal_basis(paths: SweepPaths) -> np.ndarray:
+    """The shot's basis (degree + 1, n_paths): the monomials of degree <=
+    _TERMINAL_DEGREE in the signal Y0, the constant row without one."""
+    degree = 0 if paths.Y0 is None else _TERMINAL_DEGREE
+    y_design = np.empty((degree + 1, paths.n_paths))
+    _monomials(y_design, paths.Y0, None, degree)
+    return y_design
+
+
+def _shot(paths: SweepPaths, y0, z0, inv_gram, lo, hi, ln_x0: float):
+    """The quadratic solution of the sweep input `paths` from its swept rows
+    at knot 0 (y0, shot in place, and z0), the inverse Gram of its terminal
+    basis and the per-path bounds lo, hi of its swept rows; or the
+    `solution_finite` error when a shot row is not finite."""
+    y_design = _terminal_basis(paths)
+    coef = np.zeros(len(y_design))
+    coef[0] = ln_x0
 
     def trace_row(iteration: int) -> tuple[tuple, np.ndarray]:
         """(iteration, c2, residual, mean L_0), and the mismatch's coefficients."""
@@ -873,9 +970,43 @@ def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe) -> Bs
     shift = delta @ y_design
     y0 -= shift
     shot, _ = trace_row(1)
-    require_finite("solution_finite", "the solve_quadratic_lsmc solution", lo - shift, hi - shift)
+    if not (np.isfinite(lo - shift).all() and np.isfinite(hi - shift).all()):
+        return ValidationError("solution_finite", "the solve_quadratic_lsmc solution is not a finite float")
     return BsdeSolution(y0=y0, z0=z0, y0_mean=shot[3], c=shot[1], residual=abs(shot[2]),
                         y_T=ln_x0 - shift, shift=shift, trace=(swept, shot))
+
+
+def solve_quadratic_lsmc(paths: SweepPaths, market: MarketParams, observe=None) -> BsdeSolution:
+    """Backward solve of the quadratic equation, its terminal shot so that
+    L_0 = ln X0; observe(i, L_i, Z_i, work) reads, and does not write, each
+    knot's rows of the sweep from ln X0, before the shot, with the sweep's
+    work rows.
+
+    The terminal is a constant c2 without a signal and a polynomial c2(Y0)
+    of degree _TERMINAL_DEGREE under enlargement.  f_Q does not read L, and
+    the regression basis holds every monomial of the terminal basis, so
+    adding c(Y0) to the terminal adds c(Y0) to L at every knot and leaves Z
+    as it is.  The shot is therefore exact after one sweep from the terminal
+    ln X0: the mismatch L_0 - ln X0 is projected on the terminal basis (its
+    ordered mean without a signal) and subtracted from the terminal and from
+    L at every knot: knot 0 and the terminal here, any other knot by its
+    reader, as the swept row less `shift`.  fl(x - s) is monotone in x, so
+    the shot rows are all finite exactly when the shot per-path minimum and
+    maximum of the swept rows are, else the solve is refused as
+    `solution_finite` (see _finite_solutions).  The residual is what the
+    projection finds left: |mean| without a signal, the RMS projected
+    mismatch with one.
+    """
+    return _quadratic_lsmc([paths], market, _one_input(observe))[0]
+
+
+def solve_quadratic_horizons(inputs, market: MarketParams) -> list[BsdeSolution]:
+    """solve_quadratic_lsmc of each of the sweep inputs `inputs` of one draw
+    (stream_horizon_paths' horizons), in one backward sweep that fills each
+    chunk once for all of them: each solution has the bytes of that input's
+    own solve, and a failure is the error of the first input, in order,
+    whose own solve fails."""
+    return _quadratic_lsmc(list(inputs), market, None)
 
 
 # -- controls and reductions --------------------------------------------------------
@@ -902,8 +1033,8 @@ def initial_controls(
     _controls."""
     t_left = paths.grid.knots[: paths.grid.index_T]
     sig, st = market.sigma(t_left), sigma_tilde(market, t_left)
-    phit = _phitilde(paths, market)(0, np.empty(paths.n_paths))
-    return _controls(sol.z0, phit, sig[0], st[0])
+    phit = _phitilde([paths], market)(0, np.empty((1, paths.n_paths)))
+    return _controls(sol.z0, np.ravel(phit), sig[0], st[0])
 
 
 def value_from_bsde(sol: BsdeSolution) -> tuple[float, float]:

@@ -30,6 +30,7 @@ from .bsde import (
     require_gaussian_oracle,
     solve_linear_closed_form,
     solve_linear_lsmc,
+    solve_quadratic_horizons,
     solve_quadratic_lsmc,
     stream_horizon_paths,
     stream_sweep_paths,
@@ -337,11 +338,11 @@ def _cmd_figures(args, config: ScenarioConfig):
     if args.fig_kind in ("fig1", "fig3"):
         t0s = [x * T for x in (1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0)]
         bsde_values = None
-        if args.with_bsde:  # one ensemble for all horizons; the sweep validates each horizon's config
+        if args.with_bsde:  # one ensemble and one sweep for all horizons; the draw validates each horizon's config
             sweep = replace(config, n_paths=args.bsde_paths, n_steps=args.bsde_steps)
             ln_x0 = math.log(market.X0)
-            bsde_values = {t0: value_from_bsde(solve_quadratic_lsmc(paths, market))[0] - ln_x0
-                           for t0, paths in zip(t0s, stream_horizon_paths(sweep, t0s, threads=args.threads))}
+            sols = solve_quadratic_horizons(stream_horizon_paths(sweep, t0s, threads=args.threads), market)
+            bsde_values = {t0: value_from_bsde(sol)[0] - ln_x0 for t0, sol in zip(t0s, sols)}
         else:  # a horizon whose weight has no mass on [T, T0] is phi_tail_norm, not value_finite
             for t0 in t0s:
                 validate(replace(config, insider=InsiderSpec.enlargement(T0=t0, phi_weight=weight)))

@@ -32,7 +32,9 @@ from insiderlab.bsde import (
     log_pi_star,
     solve_linear_closed_form,
     solve_linear_lsmc,
+    solve_quadratic_horizons,
     solve_quadratic_lsmc,
+    stream_horizon_paths,
     stream_sweep_paths,
     value_from_bsde,
 )
@@ -69,11 +71,11 @@ def swept(paths, terminal, driver):
     L, Z = np.empty((m + 1, n)), np.empty((m, n))
 
     def observe(i, l, z, work):
-        L[i] = l
+        L[i] = l[0]
         if z is not None:
-            Z[i] = z
+            Z[i] = z[0]
 
-    _backward_sweep(paths, terminal, driver, observe)
+    _backward_sweep([paths], terminal, driver, observe)
     return L, Z
 
 
@@ -348,7 +350,7 @@ class TestQuadraticLsmc:
         c = np.atleast_1d(sol.c)
         signal = np.zeros(paths.n_paths) if paths.Y0 is None else paths.Y0
         terminal = sum(ck * signal**k for k, ck in enumerate(c))
-        L, Z = swept(paths, terminal, _quadratic_driver(paths, mk))
+        L, Z = swept(paths, terminal, _quadratic_driver([paths], mk))
         np.testing.assert_allclose(L.T, sol_Y - sol.shift[:, None], rtol=0, atol=1e-12)
         np.testing.assert_allclose(Z.T, sol_Z, rtol=0, atol=1e-12)
         assert [row[0] for row in sol.trace] == [0, 1]
@@ -365,7 +367,7 @@ class TestQuadraticLsmc:
         # the terminal basis shifts L by c(Y0) at every knot and leaves Z as it is
         cfg = ScenarioConfig(market=market_impact, insider=insider_spec, n_steps=20, n_paths=3000, seed=21)
         paths = stream_sweep_paths(cfg)
-        driver = _quadratic_driver(paths, market_impact)
+        driver = _quadratic_driver([paths], market_impact)
         signal = np.zeros(paths.n_paths) if paths.Y0 is None else paths.Y0
         base = 0.1 * np.ones(paths.n_paths)
         c = sum(ck * signal**k for k, ck in enumerate(shift))
@@ -420,14 +422,14 @@ class TestQuadraticLsmc:
                                                   n_steps=3, n_paths=2, seed=1))
         interior = np.array(rows)
 
-        def sweep(paths, terminal, driver, observe):
-            z, work = np.zeros(2), np.empty((3, 2))
-            observe(3, terminal.copy(), None, work)
+        def sweep(inputs, terminal, driver, observe):
+            z, work = np.zeros((1, 2)), np.empty((3, 1, 2))
+            observe(3, np.full((1, 2), terminal), None, work)
             for i in (2, 1):
-                observe(i, interior[i - 1].copy(), z, work)
-            l0_row = np.full(2, l0)
+                observe(i, interior[i - 1][None].copy(), z, work)
+            l0_row = np.full((1, 2), l0)
             observe(0, l0_row, z, work)
-            return l0_row, z
+            return l0_row, z, None
 
         with np.errstate(over="ignore"):
             overflows = not np.isfinite(interior - l0).all()
@@ -445,6 +447,89 @@ class TestQuadraticLsmc:
                 assert np.array_equal(sol.y0, np.zeros(2))
 
 
+class TestHorizonSweep:
+    """solve_quadratic_horizons solves the horizons of one draw in one sweep;
+    each must come out as its own solve_quadratic_lsmc, failures included."""
+
+    HORIZONS = [1.2, 1.5, 2.0, 3.0, 5.0, 12.0]
+
+    @staticmethod
+    def at_knot(i):
+        # the signal equal to the state at knot i: the basis' x and y columns
+        # coincide there, and only there
+        return lambda paths: np.array(paths.level(i))
+
+    @staticmethod
+    def scaled(factor):
+        return lambda paths: paths.Y0 * factor
+
+    def inputs(self, mu, n_paths, signals):
+        """The market and the horizon inputs of one draw, with the signal of
+        horizon h replaced by signals[h](its input)."""
+        market = MarketParams(r=0.0, mu0=mu, sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
+        config = ScenarioConfig(market=market, insider=InsiderSpec.enlargement(T0=2.0), n_steps=20,
+                                n_paths=n_paths, seed=17)
+        inputs = stream_horizon_paths(config, self.HORIZONS)
+        return market, [replace(p, Y0=signals[h](p)) if h in signals else p for h, p in enumerate(inputs)]
+
+    @pytest.mark.parametrize("signals", [
+        {},
+        # a signal so small that its square is a zero row: this horizon keeps
+        # other rows than the rest, and is factored on its own
+        {5: scaled(1e-11)},
+        {0: scaled(1e-11), 3: scaled(1e-12)},
+    ], ids=["unit", "one-keeps-fewer-rows", "two-keep-fewer-rows"])
+    def test_each_solution_is_its_own_solve_bit_for_bit(self, signals):
+        def fields(sol):
+            return [sol.y0.tobytes(), sol.z0.tobytes(), sol.shift.tobytes(), sol.y_T.tobytes(),
+                    repr((sol.c, sol.trace, sol.residual, sol.y0_mean))]
+
+        market, alone = self.inputs(0.15, 3000, signals)
+        expected = [fields(solve_quadratic_lsmc(paths, market)) for paths in alone]
+        market, inputs = self.inputs(0.15, 3000, signals)
+        assert [fields(sol) for sol in solve_quadratic_horizons(inputs, market)] == expected
+
+    @pytest.mark.parametrize("mu, n_paths, signals, first", [
+        # rank deficiency at two knots: the sweep meets horizon 1's first
+        (0.15, 2000, {3: at_knot(5), 1: at_knot(15)}, 1),
+        # and here horizon 3's first, but horizon 1 comes first in order
+        (0.15, 2000, {1: at_knot(5), 3: at_knot(15)}, 1),
+        # an overflowing terminal Gram matrix before a rank deficiency, and after one
+        (0.15, 2000, {2: scaled(1e80), 4: at_knot(10)}, 2),
+        (0.15, 2000, {4: scaled(1e80), 2: at_knot(10)}, 2),
+        # an overflow found after the sweep, before a rank deficiency the sweep met first
+        (0.15, 2000, {1: scaled(1e40), 3: at_knot(15)}, 1),
+        # a signal of two values: the terminal fit itself is rank deficient
+        (0.15, 2000, {2: lambda paths: np.sign(paths.Y0), 4: at_knot(10)}, 2),
+        # a horizon's rank deficiency keeps its precedence over its own
+        # overflow, which is refused after the sweep: here its rows overflow
+        # from knot 18 on, and it is rank deficient at knot 10
+        (0.15, 2000, {2: lambda paths: np.array(paths.level(10)) * 1e40}, 2),
+        (1e120, 2000, {0: at_knot(10)}, 0),
+        (1e120, 2000, {3: at_knot(10)}, 0),
+        # every horizon's first fit has more columns than paths
+        (0.15, 5, {}, 0),
+    ])
+    def test_first_failing_horizon_raises_its_own_first_error(self, mu, n_paths, signals, first):
+        def failure(solve):
+            with pytest.raises((RegressionError, ValidationError)) as err:
+                solve()
+            e = err.value
+            return type(e), str(e), getattr(e, "code", None), getattr(e, "t", None), getattr(e, "rank", None)
+
+        def in_order(market, inputs):
+            for h, paths in enumerate(inputs):
+                try:
+                    solve_quadratic_lsmc(paths, market)
+                except (RegressionError, ValidationError):
+                    assert h == first
+                    raise
+
+        alone = failure(lambda: in_order(*self.inputs(mu, n_paths, signals)))
+        market, inputs = self.inputs(mu, n_paths, signals)
+        assert failure(lambda: solve_quadratic_horizons(inputs, market)) == alone
+
+
 class TestRegressionEngine:
     def test_gram_fit_matches_lstsq(self):
         rng = np.random.default_rng(11)
@@ -456,7 +541,7 @@ class TestRegressionEngine:
         raw = design.copy()
         expected = [x ** (d - a) * y**a for d in range(4) for a in range(d + 1)]
         np.testing.assert_allclose(raw, expected, rtol=1e-14, atol=0)
-        inv_gram = _factor(design, 0.0, design @ design.T)
+        (inv_gram,), _ = _factor(design.shape[1], 0.0, (design @ design.T)[None])
         target = np.sin(x) + 0.25 * y**2 + rng.normal(size=n)
         coef, *_ = np.linalg.lstsq(raw.T, target, rcond=None)
         fitted = inv_gram @ (design @ target) @ design
@@ -474,7 +559,7 @@ class TestRegressionEngine:
         rows.insert(zero_at % (len(rows) + 1), np.zeros(n))
         design = np.array(rows)
         before = design.tobytes()
-        inv_gram = _factor(design, 0.0, design @ design.T)
+        (inv_gram,), _ = _factor(design.shape[1], 0.0, (design @ design.T)[None])
         assert design.tobytes() == before
         y = rng.normal(size=n)
         fitted = inv_gram @ (design @ y) @ design
@@ -484,24 +569,24 @@ class TestRegressionEngine:
         expected = unit @ coef
         np.testing.assert_allclose(fitted, expected, rtol=0, atol=1e-9 * np.max(np.abs(expected)))
         duplicated = np.vstack([design, live[duplicate % len(live)]])
-        with pytest.raises(RegressionError):
-            _factor(duplicated, 0.0, duplicated @ duplicated.T)
+        assert isinstance(_factor(n, 0.0, (duplicated @ duplicated.T)[None])[1], RegressionError)
 
     @pytest.mark.parametrize("signal", [True, False])
     def test_factored_driver_matches_expanded_f_q(self, signal):
         mk = MarketParams(r=0.03, mu0=0.15, sigma=0.35, varrho=0.02, T=1.0, X0=1.0)
         spec = InsiderSpec.enlargement(T0=2.0) if signal else InsiderSpec.none()
         paths = stream_sweep_paths(ScenarioConfig(market=mk, insider=spec, n_steps=20, n_paths=512, seed=8))
-        f = _quadratic_driver(paths, mk)
+        f = _quadratic_driver([paths], mk)
         sig, st_ = 0.35, sigma_tilde(mk, 0.0)
         k = (sig - st_) / (4.0 * (sig + st_))
         assert k > 0.0
         z = np.random.default_rng(3).normal(scale=2.0, size=paths.n_paths)
-        out = np.empty_like(z)
+        out = np.empty((1, paths.n_paths))
         for i in (0, 7, paths.grid.index_T - 1):
             phit = phitilde_at(paths, mk, i)
             terms = [0.25 * z**2, -0.5 * phit * z, -0.03 + 0.0 * z, -0.25 * phit**2, -k * (z + phit) ** 2]
-            np.testing.assert_array_less(np.abs(f(i, z, out) - sum(terms)), 1e-12 * sum(np.abs(t) for t in terms))
+            np.testing.assert_array_less(np.abs(f(i, z[None], out)[0] - sum(terms)),
+                                         1e-12 * sum(np.abs(t) for t in terms))
 
     @pytest.mark.parametrize("signal", [True, False])
     def test_linear_member_is_the_linear_driver_bit_for_bit(self, signal):
@@ -512,22 +597,22 @@ class TestRegressionEngine:
         spec = InsiderSpec.enlargement(T0=2.0) if signal else InsiderSpec.none()
         paths = stream_sweep_paths(ScenarioConfig(market=mk, insider=spec, n_steps=20, n_paths=512, seed=8))
         m = paths.grid.index_T
-        f, r = _driver(paths, mk, 0.5, -1.0, 0.0), mk.r(paths.grid.knots[:m])
+        f, r = _driver([paths], mk, 0.5, -1.0, 0.0), mk.r(paths.grid.knots[:m])
         z = np.random.default_rng(5).normal(scale=2.0, size=paths.n_paths)
-        out = np.empty_like(z)
+        out = np.empty((1, paths.n_paths))
         assert len(set(r)) == 2
         for i in range(m):
             phit = phitilde_at(paths, mk, i)
             expected = ((0.5 * z) - phit) * z - r[i]
-            assert f(i, z, out).tobytes() == expected.tobytes()
+            assert f(i, z[None], out).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("varrho", [0.0, 0.01, 0.25 * 0.35**2, 0.05])
     def test_quadratic_driver_leading_coefficient(self, sweep_small, varrho):
         mk = MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
-        f = _quadratic_driver(sweep_small, mk)
+        f = _quadratic_driver([sweep_small], mk)
         st = 0.35 - 2.0 * varrho / 0.35
-        one = np.ones(sweep_small.n_paths)
-        plus, minus, zero = np.empty((3, sweep_small.n_paths))
+        one = np.ones((1, sweep_small.n_paths))
+        plus, minus, zero = np.empty((3, 1, sweep_small.n_paths))
         for i in (0, 25, sweep_small.grid.index_T - 1):
             lead = 0.5 * (f(i, one, plus) + f(i, -one, minus) - 2.0 * f(i, 0.0 * one, zero))
             np.testing.assert_allclose(lead, st / (2.0 * (0.35 + st)), rtol=0, atol=1e-12)
@@ -750,7 +835,7 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
     def shooting_residual(order):
         design = np.empty((3, len(order)))
         _monomials(design, signal[order], None, 2)
-        inv_gram = _factor(design, 0.0, design @ design.T)
+        (inv_gram,), _ = _factor(design.shape[1], 0.0, (design @ design.T)[None])
         return _projected_mismatch(design, inv_gram, mismatch[order])[1]
 
     residual = shooting_residual(np.arange(n))
@@ -867,11 +952,11 @@ class TestRowsMadeOncePerSolve:
         t_left = paths.grid.knots[: paths.grid.index_T]
         sig, st_ = mk.sigma(t_left), sigma_tilde(mk, t_left)
         k = (sig - st_) / (4.0 * (sig + st_))
-        f, fresh = _quadratic_driver(paths, mk), driver_fresh(paths, mk, 0.25 - k, -0.5 - 2.0 * k, -0.25 - k)
+        f, fresh = _quadratic_driver([paths], mk), driver_fresh(paths, mk, 0.25 - k, -0.5 - 2.0 * k, -0.25 - k)
         z = np.random.default_rng(5).normal(scale=2.0, size=paths.n_paths)
-        out = np.empty_like(z)
+        out = np.empty((1, paths.n_paths))
         for i in range(paths.grid.index_T):
-            assert f(i, z, out) is out and out.tobytes() == fresh(i, z).tobytes()
+            assert f(i, z[None], out) is out and out.tobytes() == fresh(i, z).tobytes()
 
     @pytest.mark.parametrize("signal, mk", SOLVE_CASES)
     def test_closed_form_into_out_is_the_fresh_closed_form_bit_for_bit(self, signal, mk):

@@ -7,12 +7,14 @@ import os
 import pathlib
 import re
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from insiderlab import analysis
+from insiderlab import analysis, bsde
+from insiderlab.bsde import RegressionError, solve_quadratic_lsmc, stream_horizon_paths, stream_sweep_paths
 from insiderlab.cli import _build_parser, echo_config, load_config, main, parse_piecewise
 from insiderlab.model import (
     InsiderSpec,
@@ -707,8 +709,12 @@ class TestAnalysisCommands:
         # with the same paths, steps and seed: on one and two workers, and under
         # a piecewise weight, which both commands take from --phi
         size = ["--seed", "5", "--x0", "2.0", "--config", cfg_file]
+        # with impact, and with a breakpoint of mu0 inside (0, T), which only a config file can give
+        piecewise = tmp_path / "piecewise-mu0.cfg"
+        piecewise.write_text(BASE_CFG.replace("mu0 = 0.15", "mu0 = 0:0.15, 0.5:0.2"))
         tables = {}
-        for threads, flags in (("1", []), ("2", []), ("1", ["--phi", "0:1,0.5:3"])):
+        for threads, flags in (("1", []), ("2", []), ("1", ["--phi", "0:1,0.5:3"]), ("1", ["--varrho", "0.030625"]),
+                               ("2", ["--config", str(piecewise)])):
             out = tmp_path / f"threads{threads}{''.join(flags)}"
             common = [*size, *flags, "--threads", threads, "--out", str(out)]
             assert run(["figures", "--fig-kind", "fig1", "--with-bsde", "--bsde-paths", "3000",
@@ -722,6 +728,34 @@ class TestAnalysisCommands:
                 assert cell == repr(value - math.log(2.0)), (threads, flags, t0)
         assert tables["1",] == tables["2",]
         assert tables["1",] != tables["1", "--phi", "0:1,0.5:3"]
+
+    @pytest.mark.parametrize("steps", ["10", "50"])
+    def test_fig1_bsde_fills_each_chunk_once(self, tmp_path, cfg_file, count_calls, steps):
+        # the eleven horizons share one backward sweep, which fills each
+        # chunk of the one draw once for all of them
+        config = replace(load_config(cfg_file, argparse.Namespace()), n_steps=int(steps), n_paths=500)
+        n_chunks = len(stream_sweep_paths(config).checkpoint_knots) - 1
+        fills = count_calls(bsde._bridge)
+        assert run(["figures", "--fig-kind", "fig1", "--with-bsde", "--bsde-paths", "500", "--bsde-steps", steps,
+                    "--config", cfg_file, "--out", str(tmp_path)]) == 0
+        assert n_chunks > 1
+        assert sorted(args[4] for args in fills) == list(range(1, n_chunks + 1))  # substream k + 1 fills chunk k
+
+    def test_failing_fig1_bsde_exits_as_its_first_horizon_alone(self, tmp_path, cfg_file, capsys):
+        # five paths cannot fit the six columns of the first knot's basis, at
+        # every horizon: the first horizon's error is the one reported
+        code = run(["figures", "--fig-kind", "fig1", "--with-bsde", "--bsde-paths", "5", "--bsde-steps", "10",
+                    "--config", cfg_file, "--out", str(tmp_path / "out")])
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert code == 2
+        assert last == ("numerical non-convergence: rank-deficient regression at t=1.0: rank 5 < 6 columns "
+                        "(condition number 2.853e+08)")
+        config = replace(load_config(cfg_file, argparse.Namespace()), n_steps=10, n_paths=5)
+        first = next(stream_horizon_paths(config, [x * config.market.T for x in FIG_T0_MULTIPLES]))
+        with pytest.raises(RegressionError) as err:
+            solve_quadratic_lsmc(first, config.market)
+        assert last == f"numerical non-convergence: {err.value}"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fig", ["fig1", "fig3"])
     def test_value_figures_use_the_configured_weight(self, tmp_path, cfg_file, capsys, fig):

@@ -82,10 +82,10 @@ def test_the_first_paths_of_an_input_are_the_input_of_that_many_paths(insider, n
                 assert small.dWH(i).tobytes() == dWH[i][:n_paths].tobytes(), (market, i)
         # the drift formed from the state is information_drift's, bit for bit
         batch, iota_left = batch_of(small), iota(market, small.grid.knots[:m])
-        phitilde, row = _phitilde(small, market), np.empty(n_paths)
+        phitilde, row = _phitilde([small], market), np.empty((1, n_paths))
         for i in range(m):
-            expect = np.broadcast_to(iota_left[i] + batch.phi[:, i], (n_paths,))
-            assert np.array_equal(np.broadcast_to(phitilde(i, row), (n_paths,)), expect), (market, i)
+            expect = np.broadcast_to(iota_left[i] + batch.phi[:, i], (1, n_paths))
+            assert np.array_equal(np.broadcast_to(phitilde(i, row), (1, n_paths)), expect), (market, i)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
