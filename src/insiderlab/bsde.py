@@ -753,7 +753,7 @@ def _driver(inputs, market: MarketParams, a, b, c):
     rows or constants a, b, c, with the r row and phitilde formed once per
     solve, written to the rows `out`; z and out (H', n_paths) hold the first
     H' of the sweep inputs `inputs`.  A step forms the tail c phitilde^2 - r
-    first, then b phitilde in the phitilde rows: with a signal, eight
+    first, then b phitilde in the phitilde rows: with a signal, nine
     whole-stack operations after the drifts, all in place in rows made once
     per solve.  The driver keeps these rows of its own, since the sweep's
     basis rows are in use while it runs."""
@@ -782,18 +782,17 @@ def _driver(inputs, market: MarketParams, a, b, c):
 
 
 def _finite_solutions(name: str):
-    """The solver `solve(inputs, market, observe)` of the sweep inputs of one
-    draw, run with numpy's overflow, invalid and divide warnings off, the
-    observer's reductions included, as a solver that returns every input's
-    BsdeSolution, in order, or raises the error of the first input that
-    fails, as a solve of each input alone, in order, would.  `solve`
-    returns, for the leading inputs, each one's solution or the error that
-    ended its solve.  The rows (Y_i, Z_i) the solver hands to the observer
-    are checked as they are made, but an input whose rows, terminal or
-    normaliser, or residual are not finite is refused as `solution_finite`
-    (as "the `name` solution") only once the solve is over, so a
-    RegressionError later in its sweep keeps its precedence: an overflow on
-    the way shows there as an infinity or a nan."""
+    """A decorator for a solver solve(inputs, market, observe) of the sweep
+    inputs of one draw that returns, for the leading inputs, each one's
+    BsdeSolution or the error that ended its solve.  The checked solver runs
+    it with numpy's overflow, invalid and divide warnings off, the
+    observer's reductions included, and returns every input's solution, or
+    raises the error that solving each input alone, in order, raises first.
+    The rows (Y_i, Z_i) handed to the observer are checked as they are made,
+    but an input whose rows, terminal or normaliser, or residual are not
+    finite is refused as `solution_finite` ("the `name` solution") only once
+    the solve is over, so a RegressionError later in its sweep keeps its
+    precedence: an overflow on the way shows there as an infinity or a nan."""
 
     def checked_solver(solve):
         @functools.wraps(solve)
