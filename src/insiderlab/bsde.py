@@ -185,16 +185,15 @@ class SweepPaths:
     increment (_bridge) on substream k + 1 of each RNG block, into one
     buffer that the next chunk reuses; Philox is counter-based, so a chunk
     filled again has the same bytes, and a pass over the knots in either
-    order fills each chunk once.  level(i) is knot i's state: its checkpoint,
-    or the chunk's starting checkpoint plus w times the filled row.  dW(i) is
-    the difference of the two filled rows around step i (0 at the chunk
-    start, the increment at its end).  Under a signal, phi(i) is step i's
-    information drift formed from the state by signal_drift, and dWH_i =
-    dW_i - phi_i dt_i; without one, dWH_i is dW_i.  The rows returned are
-    read-only; each comes from a checkpoint, the chunk buffer or a buffer of
-    one row that the next read of the same kind (for level(i), also the next
-    fill) overwrites, so a caller reduces or copies a row before it reads
-    another.
+    order fills each chunk once.  It has two readers: level(i), knot i's
+    state, its checkpoint or the chunk's starting checkpoint plus w times
+    the filled row; and dW(i), the difference of the two filled rows around
+    step i (0 at the chunk start, the increment at its end).  A caller
+    under a signal forms the information drift from level(i) and Y0 by
+    signal_drift.  The rows returned are read-only; each comes from a
+    checkpoint, the chunk buffer or a buffer of one row that the next read
+    of the same kind (for level(i), also the next fill) overwrites, so a
+    caller reduces or copies a row before it reads another.
     """
 
     grid: TimeGrid
@@ -237,26 +236,6 @@ class SweepPaths:
             return _read_only(end)
         row = self._scratch["dW"] = np.subtract(end, rows[i - a - 1], out=self._scratch.get("dW"))
         return _read_only(row)
-
-    def phi(self, i: int) -> np.ndarray:
-        """The information drift on step i under a signal, formed from the
-        state by signal_drift."""
-        scratch = self._scratch
-        if scratch.get("phi_step") != i:
-            if "drift" not in scratch:
-                scratch["drift"] = signal_drift(self.grid, self.insider)
-            scratch["phi_step"] = None  # a failed drift leaves no row behind
-            scratch["phi"] = scratch["drift"](self.Y0, self.level(i), i, out=scratch.get("phi"))
-            scratch["phi_step"] = i
-        return _read_only(scratch["phi"])
-
-    def dWH(self, i: int) -> np.ndarray:
-        """The increment dWH on step i."""
-        if self.Y0 is None:
-            return self.dW(i)
-        dW = self.dW(i)
-        row = self._scratch["dWH"] = np.multiply(self.phi(i), self.grid.dt[i], out=self._scratch.get("dWH"))
-        return _read_only(np.subtract(dW, row, out=row))
 
     def _chunk(self, k: int) -> np.ndarray:
         """W less its value at a_k at the interior knots of chunk k, in one
@@ -371,8 +350,10 @@ def log_pi_star(paths: SweepPaths, market: MarketParams) -> np.ndarray:
         ln Pi(0,T) = sum_i -(r_i + phitilde_i^2/2) dt_i - phitilde_i dWH_i.
 
     Without a signal phitilde = iota is the state's weight, so the last sum
-    is the state at T and no chunk is filled.  Under one the sum is taken
-    step by step in two rows made once, so neither phitilde nor the
+    is the state at T and no chunk is filled.  Under one, step i's drift
+    phi_i is formed from level(i) by signal_drift, then phitilde_i, then
+    dWH_i = dW(i) - phi_i dt_i in phi's row, and the sum is taken step by
+    step in these three rows made once, so neither phitilde nor the
     summands are held as an (index_T, n_paths) matrix."""
     grid = paths.grid
     m, dt = grid.index_T, grid.dt
@@ -380,17 +361,20 @@ def log_pi_star(paths: SweepPaths, market: MarketParams) -> np.ndarray:
     if paths.Y0 is None:
         head = float(np.sum((r + 0.5 * iota_left**2) * dt))
         return np.subtract(-head, paths.level(m))
-    log_pi = np.zeros(paths.n_paths)
-    # a step's phitilde and then its summand in one row, -(r + phitilde^2/2) dt in the other
-    row, head_row = np.empty((2, paths.n_paths))
+    drift, log_pi = signal_drift(grid, paths.insider), np.zeros(paths.n_paths)
+    # phi and then dWH in one row, phitilde and then the summand in the next, -(r + phitilde^2/2) dt in the last
+    phi_row, row, head_row = np.empty((3, paths.n_paths))
     for i in range(m):
-        phit = np.add(paths.phi(i), iota_left[i], out=row)  # dWH(i) reads the same drift row
+        phi = drift(paths.Y0, paths.level(i), i, out=phi_row)
+        phit = np.add(phi, iota_left[i], out=row)
+        phi *= dt[i]
+        dWH = np.subtract(paths.dW(i), phi, out=phi)
         head = np.square(phit, out=head_row)
         head *= 0.5
         head += r[i]
         np.negative(head, out=head)
         head *= dt[i]
-        np.multiply(phit, paths.dWH(i), out=row)
+        np.multiply(phit, dWH, out=row)
         np.subtract(head, row, out=row)
         log_pi += row
     return log_pi

@@ -31,25 +31,6 @@ def _base_market(varrho: float = 0.0) -> MarketParams:
     return MarketParams(r=0.0, mu0=0.15, sigma=0.35, varrho=varrho, T=1.0, X0=1.0)
 
 
-class _BatchSweep:
-    """A whole batch read as the solvers read bsde.SweepPaths: grid,
-    insider, Y0, n_paths and the rows level(i), phi(i) and dWH(i) of knot or
-    step i, here columns of the batch, with its drift formed once."""
-
-    def __init__(self, batch):
-        self.grid, self.insider, self.Y0, self.n_paths = batch.grid, batch.insider, batch.Y0, batch.n_paths
-        self._level, self._phi, self._dWH = batch.level, batch.phi, batch.dWH
-
-    def level(self, i: int) -> np.ndarray:
-        return self._level[:, i]
-
-    def phi(self, i: int) -> np.ndarray:
-        return self._phi[:, i]
-
-    def dWH(self, i: int) -> np.ndarray:
-        return self._dWH[:, i]
-
-
 def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     rows: list[tuple[str, bool, float]] = []
 
@@ -143,9 +124,9 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
 
     # tower property of the multiplicative functional: the closed-form
     # normaliser is E[sqrt(Pi(0,T)) | Y0], so the paired gap has mean zero;
-    # on the batch, read knot by knot as the solvers read their sweep input
-    del prof, const_prof, log_eps, out, work
-    sweep = _BatchSweep(batch)
+    # on the backward solvers' own input, which draws other paths
+    del batch, prof, const_prof, log_eps, out, work
+    sweep = bsde.stream_sweep_paths(cfg)
     sqrt_pi = np.exp(0.5 * bsde.log_pi_star(sweep, market))
     gap_pi, se_pi = simulate.mean_se(sqrt_pi - bsde.enlargement_normalizer(market, insider, sweep.Y0))
     z_pi = abs(gap_pi) / se_pi
@@ -155,7 +136,7 @@ def run_selftest(seed: int = 20240801) -> list[tuple[str, bool, float]]:
     y0, _ = bsde.solve_linear_closed_form(sweep, market)(0, np.empty((2, sweep.n_paths)))
     residual = abs(simulate.ordered_mean(y0) - market.X0)
     check("linear_closed_form_initial", residual < 1e-10, residual)
-    del batch, sweep
+    del sweep
 
     # critical horizon satisfies its defining equation
     t0_star = analysis.critical_T0(market)

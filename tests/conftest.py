@@ -5,7 +5,7 @@ import pytest
 
 from insiderlab.bsde import knot_table, solve_linear_closed_form, stream_sweep_paths
 from insiderlab.model import InsiderSpec, MarketParams, ScenarioConfig
-from insiderlab.paths import PathBatch, sample_paths
+from insiderlab.paths import PathBatch, decompose, information_drift, sample_paths
 from insiderlab.simulate import ordered_mean
 
 # Shared scenario: mu0 = 0.15, sigma = 0.35, r = 0, T = 1, X0 = 1,
@@ -72,11 +72,12 @@ def config_lsmc_enl(market, insider):
 
 
 def _batch_of(paths):
-    """The sweep input's own paths as a whole PathBatch: its dW, state and
-    dWH rows at every knot, path-major, and with a signal the tail column
-    Y0 - B_T.  The batch's drift, formed from its state by
-    information_drift, is the sweep input's phi(i) bit for bit, and its dWH
-    the sweep input's."""
+    """The sweep input's own paths as a whole PathBatch: its dW and state
+    rows at every knot, path-major, and with a signal the tail column Y0 -
+    B_T, from which the drift and dWH are formed by information_drift and
+    decompose, as sample_paths forms them.  The batch's drift is then the
+    one log_pi_star and the driver form from level(i) by signal_drift, bit
+    for bit."""
     grid, m, n = paths.grid, paths.grid.index_T, paths.n_paths
     signal = paths.Y0 is not None
     dW, level = np.empty((n, m + 1 if signal else m)), np.empty((n, m + 1))
@@ -85,9 +86,10 @@ def _batch_of(paths):
         level[:, i] = paths.level(i)
     for i in range(m):
         dW[:, i] = paths.dW(i)
-        dWH[:, i] = paths.dWH(i)
     if signal:
         dW[:, m] = paths.Y0 - level[:, m]
+        information_drift(grid, level, paths.Y0, paths.insider, out=dWH)
+        decompose(grid, dW, dWH, dWH)
     return PathBatch(grid=grid, dW=dW, Y0=paths.Y0 if signal else np.zeros(n), level=level, dWH=dWH,
                      insider=paths.insider)
 

@@ -25,6 +25,7 @@ from insiderlab.bsde import (
     _projected_mismatch,
     _quadratic_driver,
     _step_moments,
+    _stride,
     RegressionError,
     enlargement_normalizer,
     initial_controls,
@@ -41,7 +42,7 @@ from insiderlab.bsde import (
 from insiderlab.cli import _linear_report, _quadratic_report, main
 from insiderlab.model import (InsiderSpec, MarketParams, PiecewiseConstant, ScenarioConfig, ValidationError, iota,
                               phi_norm_sq, sigma_tilde)
-from insiderlab.paths import partial_signals
+from insiderlab.paths import partial_signals, signal_drift
 from insiderlab.simulate import mean_se, ordered_mean, simulate_wealth
 from insiderlab.strategies import (StrategyKind, StrategyProfile, build_profile, closed_form_lines,
                                    pi_no_insider_robust, pi_small_insider_robust, run_out)
@@ -84,11 +85,17 @@ def interior_mask(grid):
     return (t_left >= 0.1 * grid.T) & (t_left <= 0.9 * grid.T), t_left
 
 
+def phi_at(paths, i):
+    """The information drift on step i of the sweep input under a signal,
+    formed from its state by signal_drift."""
+    return signal_drift(paths.grid, paths.insider)(paths.Y0, paths.level(i), i)
+
+
 def phitilde_at(paths, market, i):
     """phitilde = iota + phi on step i of the sweep input, pointwise: a
     scalar without a signal."""
     io = iota(market, paths.grid.knots[: paths.grid.index_T])[i]
-    return io if paths.Y0 is None else paths.phi(i) + io
+    return io if paths.Y0 is None else phi_at(paths, i) + io
 
 
 class TestPiStarFunctional:
@@ -855,13 +862,15 @@ def test_report_cells_path_order_insensitive(sweep_small, market_impact):
 
 
 def log_pi_star_fresh(paths, market):
-    """log_pi_star with a fresh row for every operation of a step."""
+    """log_pi_star with a fresh row for every operation of a step, and dWH =
+    dW - phi dt (dW without a signal)."""
     m, dt = paths.grid.index_T, paths.grid.dt
     r = market.r(paths.grid.knots[:m])
     log_pi = np.zeros(paths.n_paths)
     for i in range(m):
         phit = phitilde_at(paths, market, i)
-        log_pi += -(r[i] + 0.5 * phit**2) * dt[i] - phit * paths.dWH(i)
+        dWH = paths.dW(i) if paths.Y0 is None else paths.dW(i) - phi_at(paths, i) * dt[i]
+        log_pi += -(r[i] + 0.5 * phit**2) * dt[i] - phit * dWH
     return log_pi
 
 
@@ -923,17 +932,27 @@ PIECEWISE = MarketParams(r=PiecewiseConstant((0.0, 0.5), (0.03, 0.01)),
                          mu0=PiecewiseConstant((0.0, 0.3), (0.15, 0.4)), sigma=0.35, varrho=0.0, T=1.0, X0=1.0)
 # (signal, market): the closed form under a signal needs constant coefficients
 SOLVE_CASES = [(True, CONSTANT), (False, CONSTANT), (False, PIECEWISE)]
+# the signal weight 0:1,0.5:3, whose change is knot 12 of 24 steps: a checkpoint off the stride of 5
+STEP_WEIGHT = PiecewiseConstant((0.0, 0.5), (1.0, 3.0))
 
 
-def sweep_input(market, signal, n_paths=9000):
-    spec = InsiderSpec.enlargement(T0=2.0) if signal else InsiderSpec.none()
-    return stream_sweep_paths(ScenarioConfig(market=market, insider=spec, n_steps=20, n_paths=n_paths, seed=8))
+def sweep_input(market, signal, n_paths=9000, weight=1.0, n_steps=20):
+    spec = InsiderSpec.enlargement(T0=2.0, phi_weight=weight) if signal else InsiderSpec.none()
+    return stream_sweep_paths(ScenarioConfig(market=market, insider=spec, n_steps=n_steps, n_paths=n_paths, seed=8))
 
 
 class TestRowsMadeOncePerSolve:
-    @pytest.mark.parametrize("signal, mk", SOLVE_CASES)
-    def test_log_pi_star_is_the_fresh_row_sum_bit_for_bit(self, signal, mk):
-        paths = sweep_input(mk, signal)
+    # log_pi_star has no precondition on the coefficients or the weight, so
+    # it also takes a signal under piecewise r and mu0 and under STEP_WEIGHT
+    @pytest.mark.parametrize("signal, mk, weight, n_steps", [
+        *((signal, mk, 1.0, 20) for signal, mk in SOLVE_CASES),
+        (True, PIECEWISE, 1.0, 20),
+        (True, CONSTANT, STEP_WEIGHT, 24),
+    ])
+    def test_log_pi_star_is_the_fresh_row_sum_bit_for_bit(self, signal, mk, weight, n_steps):
+        paths = sweep_input(mk, signal, weight=weight, n_steps=n_steps)
+        if weight is STEP_WEIGHT:
+            assert 12 in paths.checkpoint_knots and 12 % _stride(24) and len(set(paths.weight)) == 2
         if signal:
             assert log_pi_star(paths, mk).tobytes() == log_pi_star_fresh(paths, mk).tobytes()
             return

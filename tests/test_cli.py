@@ -23,6 +23,7 @@ from insiderlab.model import (
     ScenarioConfig,
     ValidationError,
 )
+from insiderlab.selftest import run_selftest
 from insiderlab.strategies import StrategyKind, pi_insider_nonrobust, pi_small_insider_robust
 
 BASE_CFG = """
@@ -741,6 +742,23 @@ class TestAnalysisCommands:
         assert n_chunks > 1
         assert sorted(args[4] for args in fills) == list(range(1, n_chunks + 1))  # substream k + 1 fills chunk k
 
+    @pytest.mark.parametrize("command, forward", [(["bsde-linear"], True), (["bsde-linear", "--kind", "none"], False),
+                                                  (["bsde-quadratic"], False)], ids=["informed", "none", "quadratic"])
+    def test_lsmc_commands_fill_each_chunk_once_a_pass(self, tmp_path, cfg_file, count_calls, command, forward):
+        # the informed linear solve fills the chunks forward for log_pi_star,
+        # then backward in its sweep, which starts on the last chunk, still
+        # in the buffer; without a signal ln Pi(0, T) reads the last
+        # checkpoint only, so the sweep is the one pass
+        config = replace(load_config(cfg_file, argparse.Namespace()), n_steps=50, n_paths=500)
+        n_chunks = len(stream_sweep_paths(config).checkpoint_knots) - 1
+        fills = count_calls(bsde._bridge)
+        assert run([*command, "--n-paths", "500", "--n-steps", "50", "--config", cfg_file,
+                    "--out", str(tmp_path)]) == 0
+        assert n_chunks > 1
+        # substream k + 1 fills chunk k
+        order = [*range(1, n_chunks + 1), *range(n_chunks - 1, 0, -1)] if forward else [*range(n_chunks, 0, -1)]
+        assert [args[4] for args in fills] == order
+
     def test_failing_fig1_bsde_exits_as_its_first_horizon_alone(self, tmp_path, cfg_file, capsys):
         # five paths cannot fit the six columns of the first knot's basis, at
         # every horizon: the first horizon's error is the one reported
@@ -876,6 +894,15 @@ class TestSelftestCommand:
         assert lines[0] == "check,passed,metric"
         assert all(line.split(",")[1] == "true" for line in lines[1:])
         assert "PASS" in capsys.readouterr().out
+
+    def test_tower_check_fails_on_a_wrong_normalizer_alone(self, monkeypatch):
+        # a normaliser 10% too large fails the tower check on the sweep input,
+        # and no other check reads it
+        normalizer = bsde.enlargement_normalizer
+        monkeypatch.setattr(bsde, "enlargement_normalizer", lambda *args: 1.1 * normalizer(*args))
+        passed = {name: ok for name, ok, _ in run_selftest()}
+        assert passed.pop("pi_functional_tower") is False
+        assert passed and all(passed.values()), passed
 
     def test_selftest_takes_seed_from_config_and_validates_flags(self, tmp_path, cfg_file,
                                                                   monkeypatch, capsys):

@@ -52,10 +52,9 @@ def config_of(insider, n_paths, market=MARKET, n_steps=10, seed=29):
 
 
 def rows_of(paths):
-    """Copies of every knot's state and every step's dW and dWH, read forward."""
+    """Copies of every knot's state and every step's dW, read forward."""
     m = paths.grid.index_T
-    return ([paths.level(i).copy() for i in range(m + 1)], [paths.dW(i).copy() for i in range(m)],
-            [paths.dWH(i).copy() for i in range(m)])
+    return [paths.level(i).copy() for i in range(m + 1)], [paths.dW(i).copy() for i in range(m)]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -74,14 +73,16 @@ def test_the_first_paths_of_an_input_are_the_input_of_that_many_paths(insider, n
         assert (small.Y0 is None) == (large.Y0 is None) == (not insider.has_signal())
         if insider.has_signal():
             assert small.Y0.tobytes() == large.Y0[:n_paths].tobytes()
-        level, dW, dWH = rows_of(large)
+        level, dW = rows_of(large)
         for i in range(m, -1, -1):
             assert small.level(i).tobytes() == level[i][:n_paths].tobytes(), (market, i)
             if i < m:
                 assert small.dW(i).tobytes() == dW[i][:n_paths].tobytes(), (market, i)
-                assert small.dWH(i).tobytes() == dWH[i][:n_paths].tobytes(), (market, i)
-        # the drift formed from the state is information_drift's, bit for bit
-        batch, iota_left = batch_of(small), iota(market, small.grid.knots[:m])
+        # so are dWH = dW - phi dt, formed by information_drift and decompose
+        batch = batch_of(small)
+        assert batch.dWH.tobytes() == batch_of(large).dWH[:n_paths].tobytes()
+        # and the drift formed from the state is information_drift's, bit for bit
+        iota_left = iota(market, small.grid.knots[:m])
         phitilde, row = _phitilde([small], market), np.empty((1, n_paths))
         for i in range(m):
             expect = np.broadcast_to(iota_left[i] + batch.phi[:, i], (1, n_paths))
@@ -98,7 +99,7 @@ def test_chunks_regenerate_the_same_rows_in_any_order(n_steps, insider, threads)
     rng = np.random.default_rng(n_steps)
     for market in (MARKET, JUMP):
         config = config_of(insider, _BLOCK + 777, market, n_steps)
-        level, dW, dWH = rows_of(stream_sweep_paths(config))
+        level, dW = rows_of(stream_sweep_paths(config))
         paths = stream_sweep_paths(config, threads)
         m = paths.grid.index_T
         backward, forward = range(m, -1, -1), range(m + 1)
@@ -106,8 +107,7 @@ def test_chunks_regenerate_the_same_rows_in_any_order(n_steps, insider, threads)
             assert paths.level(i).tobytes() == level[i].tobytes(), (market, i)
             if i < m:
                 assert paths.dW(i).tobytes() == dW[i].tobytes(), (market, i)
-                assert paths.dWH(i).tobytes() == dWH[i].tobytes(), (market, i)
-                assert not paths.level(i).flags.writeable and not paths.dWH(i).flags.writeable
+                assert not paths.level(i).flags.writeable and not paths.dW(i).flags.writeable
 
 
 @pytest.mark.parametrize("insider", [NONE, UNIT, PIECEWISE], ids=["none", "unit", "piecewise"])
@@ -172,7 +172,7 @@ def test_horizon_sweep_inputs_equal_one_stream_per_horizon(insider, threads):
             alone = stream_sweep_paths(replace(config, insider=signal))
             m = alone.grid.index_T
             assert paths.insider == signal
-            level, dW, _ = rows_of(alone)
+            level, dW = rows_of(alone)
             for i in range(m + 1):
                 assert paths.level(i).tobytes() == level[i].tobytes(), (market, t0, i)
                 if i < m:
