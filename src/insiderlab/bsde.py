@@ -32,11 +32,12 @@ signal B_t and the signal Y0 under enlargement): each knot's value is fitted
 once on a degree-2 basis of its own state, and both conditional expectations
 of a step are taken from that fit exactly, by the Gaussian one-step law of
 the state.  Their input, SweepPaths, is drawn coarse to fine: it stores the
-state at about every sqrt(m)-th knot and the Brownian increment between two
-of them, and fills the knots of one chunk between two checkpoints by the
-Brownian bridge when a pass reaches it, from a counter-based substream that
-gives the same bytes on every pass (checkpointing: Griewank & Walther, ACM
-TOMS 26(1), 2000; Philox: Salmon et al., SC11).  The sweep hands
+Brownian increment between two checkpoints, at about every sqrt(m)-th knot,
+sums the state at a checkpoint from them when a pass reaches it, and fills
+the knots of one chunk between two checkpoints by the Brownian bridge, from
+a counter-based substream that gives the same bytes on every pass
+(checkpointing: Griewank & Walther, ACM TOMS 26(1), 2000; Philox: Salmon et
+al., SC11).  The sweep hands
 each knot's rows to an observer once it has fitted them, and lends it that
 knot's basis rows, free until the next knot's basis is built, for its work,
 so neither solver nor observer holds a field over all knots or a row of its
@@ -112,8 +113,8 @@ class RegressionError(RuntimeError):
 
 def _stride(m: int) -> int:
     """Knots per checkpoint of a sweep input on m steps: ceil(sqrt(m + 1)),
-    so its checkpoints, the chunks' increments and one filled chunk take
-    about 3 sqrt(m) rows."""
+    so the chunks' increments and one filled chunk take about 2 sqrt(m)
+    rows."""
     return math.isqrt(m) + 1
 
 
@@ -174,32 +175,32 @@ class SweepPaths:
     checkpoint_knots : the knots 0 = a_0 < ... < a_K = index_T of
              _checkpoint_knots(weight); chunk k runs from a_k to a_{k+1},
              and w is constant on it.
-    checkpoints : (K + 1, n_paths) the state int_0^t w dW at those knots.
     increments : (K, n_paths) the Brownian increment over each chunk.
     seed   : the seed the paths were drawn from.
     Y0     : (n_paths,) the signal, None without one.
     insider : the InsiderSpec the paths were drawn under.
 
-    The Brownian motion inside chunk k, less its value at a_k, is filled
-    when a read first reaches the chunk, by the bridge from 0 to the chunk's
-    increment (_bridge) on substream k + 1 of each RNG block, into one
-    buffer that the next chunk reuses; Philox is counter-based, so a chunk
-    filled again has the same bytes, and a pass over the knots in either
-    order fills each chunk once.  It has two readers: level(i), knot i's
-    state, its checkpoint or the chunk's starting checkpoint plus w times
-    the filled row; and dW(i), the difference of the two filled rows around
+    The state int_0^t w dW at checkpoint a_k is summed from the increments
+    when a read first needs it (_checkpoint), into one row.  The Brownian
+    motion inside chunk k, less its value at a_k, is filled when a read
+    first reaches the chunk, by the bridge from 0 to the chunk's increment
+    (_bridge) on substream k + 1 of each RNG block, into one buffer that
+    the next chunk reuses; Philox is counter-based, so a chunk filled again
+    has the same bytes, and a pass over the knots in either order fills each
+    chunk once.  It has two readers: level(i), knot i's state, its
+    checkpoint's row or the chunk's starting checkpoint plus w times the
+    filled row; and dW(i), the difference of the two filled rows around
     step i (0 at the chunk start, the increment at its end).  A caller
     under a signal forms the information drift from level(i) and Y0 by
-    signal_drift.  The rows returned are read-only; each comes from a
-    checkpoint, the chunk buffer or a buffer of one row that the next read
-    of the same kind (for level(i), also the next fill) overwrites, so a
-    caller reduces or copies a row before it reads another.
+    signal_drift.  The rows returned are read-only; each comes from the
+    increments, the chunk buffer or a buffer of one row that the next read
+    of the same kind (for level(i) inside a chunk, also the next fill)
+    overwrites, so a caller reduces or copies a row before it reads another.
     """
 
     grid: TimeGrid
     weight: np.ndarray
     checkpoint_knots: tuple[int, ...]
-    checkpoints: np.ndarray
     increments: np.ndarray
     seed: int
     Y0: np.ndarray | None
@@ -208,22 +209,40 @@ class SweepPaths:
 
     @property
     def n_paths(self) -> int:
-        return self.checkpoints.shape[1]
+        return self.increments.shape[1]
 
     def _chunk_of(self, i: int) -> tuple[int, int]:
         """(k, a_k): the chunk whose knots a_k <= i < a_{k+1} hold knot or step i."""
         k = bisect.bisect_right(self.checkpoint_knots, i) - 1
         return k, self.checkpoint_knots[k]
 
+    def _checkpoint(self, k: int) -> np.ndarray:
+        """The state at checkpoint knot a_k, summed as the draw forms a
+        chunk's end, the checkpoint before plus w times the increment, in one
+        row: on from the checkpoint the row holds, or from 0 when a_k lies
+        behind it, _PARTIAL paths at a time."""
+        scratch = self._scratch
+        if "state" not in scratch:
+            scratch["state"] = np.empty(self.n_paths)
+        state, held = scratch["state"], scratch.pop("checkpoint", None)  # a sum cut short leaves none behind
+        if held is None or held > k:
+            state[:], held = 0.0, 0
+        for j in range(held, k):
+            w, increment = self.weight[self.checkpoint_knots[j]], self.increments[j]
+            for lo in range(0, self.n_paths, _PARTIAL):
+                state[lo : lo + _PARTIAL] += increment[lo : lo + _PARTIAL] * w
+        scratch["checkpoint"] = k
+        return _read_only(state)
+
     def level(self, i: int) -> np.ndarray:
         """The state int_0^t w dW at knot i."""
         k, a = self._chunk_of(i)
         if i == a:
-            return _read_only(self.checkpoints[k])
+            return self._checkpoint(k)
         scratch = self._scratch
         if scratch.get("level_knot") != i:
             row = np.multiply(self._chunk(k)[i - a - 1], self.weight[a], out=scratch["buffer"][-1])
-            row += self.checkpoints[k]
+            row += self._checkpoint(k)
             scratch["level_knot"] = i
         return _read_only(scratch["buffer"][-1])
 
@@ -258,33 +277,27 @@ def _sweep_inputs(config: ScenarioConfig, insiders, threads: int):
     draw of the validated `config`, whose insider differs from theirs in T0
     at most.  Each RNG block draws, path by path from its own stream, one
     standard normal per chunk and, with a signal, one more for the tail, on
-    up to `threads` workers.  The chunks' increments, the checkpoints and
-    the tail's draw z do not depend on T0 and are stored once; each input
-    has its own scratch and its own signal Y0 = B_T + fl(z
-    sqrt(||phi_w||^2_[T,T0])), the last formed in z's row.  Without a
-    signal, `insiders` is config's alone."""
+    up to `threads` workers.  The chunks' increments and the tail's draw z
+    do not depend on T0 and are stored once; each input has its own scratch
+    and its own signal Y0 = B_T + fl(z sqrt(||phi_w||^2_[T,T0])), the last
+    formed in z's row, from the state at T that the last input sums.
+    Without a signal, `insiders` is config's alone."""
     grid = build_grid(config)
     n, seed, weight = config.n_paths, int(config.seed), state_weight(config, grid)
     knots = _checkpoint_knots(weight)
-    n_chunks, chunk_weight = len(knots) - 1, weight[list(knots[:-1])]
-    scale = np.sqrt(np.diff(grid.knots[list(knots)]))
-    checkpoints, increments = np.empty((n_chunks + 1, n)), np.empty((n_chunks, n))
+    n_chunks, scale = len(knots) - 1, np.sqrt(np.diff(grid.knots[list(knots)]))
+    increments = np.empty((n_chunks, n))
     z = np.empty(n) if config.insider.has_signal() else None
 
     def draw(cols: slice, gen: np.random.Generator) -> None:
         normals = gen.standard_normal((cols.stop - cols.start, n_chunks + (z is not None))).T
         np.multiply(normals[:n_chunks], scale[:, None], out=increments[:, cols])
-        state = checkpoints[:, cols]
-        state[0] = 0.0
-        for k in range(n_chunks):  # checkpoint + w increment, as a chunk's fill forms its state
-            np.multiply(increments[k, cols], chunk_weight[k], out=state[k + 1])
-            state[k + 1] += state[k]
         if z is not None:
             z[cols] = normals[n_chunks]
 
     draw_blocks(seed, n, draw, threads)
-    paths = SweepPaths(grid=grid, weight=weight, checkpoint_knots=knots, checkpoints=checkpoints,
-                       increments=increments, seed=seed, Y0=z, insider=insiders[-1])
+    paths = SweepPaths(grid=grid, weight=weight, checkpoint_knots=knots, increments=increments,
+                       seed=seed, Y0=z, insider=insiders[-1])
     if z is None:
         yield paths
         return

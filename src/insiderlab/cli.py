@@ -201,20 +201,24 @@ def _cmd_value(args, config: ScenarioConfig):
 
 
 def _regime(args, config: ScenarioConfig, pi_factor: float = 1.0):
-    """The regime, the market it trades in and its profile of a tile of paths,
-    built in the stream's rows `out`."""
+    """The regime, the config its paths stream on, the market it trades in
+    and its profile of a tile of paths, built in the stream's rows `out`.
+    An uninformed regime trades in W's own filtration, so it streams on the
+    config without its signal, where dWH is dW and its density is W's."""
     kind = StrategyKind(args.regime or _default_regime(config))
+    if kind in UNINFORMED_KINDS:
+        config = replace(config, insider=InsiderSpec.none())
     market = market_for(kind, config.market)
 
     def profile_of(batch, out):
         profile = build_profile(kind, batch, market, config.insider, out)
         return profile if pi_factor == 1.0 else profile.scaled(pi_factor=pi_factor)
 
-    return kind, market, profile_of
+    return kind, config, market, profile_of
 
 
 def _cmd_simulate(args, config: ScenarioConfig):
-    kind, market, profile_of = _regime(args, config)
+    kind, config, market, profile_of = _regime(args, config)
     value = analysis.value_of(kind, market, config.insider).total  # before the paths: it may not exist
     j, ent = stream_game(config, profile_of, market, threads=args.threads)
     return 0, {
@@ -230,7 +234,7 @@ def _cmd_simulate(args, config: ScenarioConfig):
 
 
 def _cmd_martingale(args, config: ScenarioConfig):
-    _, market, profile_of = _regime(args, config, pi_factor=args.perturb_pi)
+    _, config, market, profile_of = _regime(args, config, pi_factor=args.perturb_pi)
     stats = stream_martingale(config, profile_of, market, threads=args.threads)
     rows = [[s.t, s.h, s.estimate, s.std_error, s.z] for s in stats]
     return 0, {"martingale.csv": (["t", "h", "estimate", "SE", "z"], rows)}

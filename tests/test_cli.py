@@ -588,6 +588,25 @@ class TestSimulationCommands:
                     "--out", str(tmp_path)]) == 0
         assert read_table(tmp_path / "j_report.csv")[0]["regime"] == regime
 
+    @pytest.mark.parametrize("regime", ["no_insider_robust", "no_insider_nonrobust"])
+    @pytest.mark.parametrize("phi", ["1", "0:1,0.5:3"], ids=["unit", "piecewise"])
+    def test_uninformed_regimes_on_a_signal_config_trade_in_w_filtration(self, tmp_path, cfg_file, regime, phi):
+        # an uninformed regime's density and wealth are driven by dW, not the
+        # insider's dWH: its tables on the signal config are those without
+        # the signal, and its J and martingale rows meet their z gates
+        size = ["--n-paths", "20000", "--n-steps", "20", "--seed", "1", "--regime", regime]
+        outs = {}
+        for name, flags in (("signal", ["--phi", phi]), ("none", ["--kind", "none"])):
+            outs[name] = tmp_path / name
+            for command in ("simulate", "martingale"):
+                assert run([command, "--config", cfg_file, *size, *flags, "--out", str(outs[name])]) == 0
+        for table in ("j_report.csv", "entropy_check.csv", "martingale.csv"):
+            assert (outs["signal"] / table).read_bytes() == (outs["none"] / table).read_bytes(), table
+        j = read_table(outs["signal"] / "j_report.csv")[0]
+        zs = [(float(j["J_mean"]) - float(j["analytic_value"])) / float(j["J_se"])]
+        zs += [float(row["z"]) for row in read_table(outs["signal"] / "martingale.csv")]
+        assert max(map(abs, zs)) <= 4.0, zs
+
     @pytest.mark.parametrize("command", [
         ["simulate"], ["martingale"], ["bsde-quadratic"], ["bsde-linear"],
         # forward-check ignores --n-paths and draws its own paths

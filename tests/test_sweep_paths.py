@@ -69,7 +69,8 @@ def test_the_first_paths_of_an_input_are_the_input_of_that_many_paths(insider, n
         small = stream_sweep_paths(config_of(insider, n_paths, market), threads)
         large = stream_sweep_paths(config_of(insider, 9777, market))
         m = small.grid.index_T
-        assert small.insider == insider and small.checkpoints.flags.c_contiguous
+        assert small.insider == insider and small.increments.flags.c_contiguous
+        assert small._checkpoint(len(small.checkpoint_knots) - 1).flags.c_contiguous
         assert (small.Y0 is None) == (large.Y0 is None) == (not insider.has_signal())
         if insider.has_signal():
             assert small.Y0.tobytes() == large.Y0[:n_paths].tobytes()
@@ -122,18 +123,46 @@ def test_each_filled_chunk_ends_on_its_checkpoint(n_steps, insider):
         for k, (a, b) in enumerate(zip(knots, knots[1:])):
             # the bridge ends on the chunk's increment: the state at its end
             # knot, formed as inside the chunk, is the next checkpoint
-            end = paths.checkpoints[k] + w[a] * paths.increments[k]
+            end = paths._checkpoint(k) + w[a] * paths.increments[k]
             assert end.tobytes() == paths.level(b).tobytes(), (market, k)
             # and the chunk's increments add up to it
             total = sum(paths.dW(i).copy() for i in range(a, b))
             np.testing.assert_allclose(total, paths.increments[k], rtol=0.0, atol=1e-14 * (b - a))
             for i in range(a + 1, b):
-                inside = paths.checkpoints[k] + w[a] * paths._chunk(k)[i - a - 1]
+                inside = paths._checkpoint(k) + w[a] * paths._chunk(k)[i - a - 1]
                 assert paths.level(i).tobytes() == inside.tobytes(), (market, i)
 
 
-@pytest.mark.parametrize("insider", [UNIT, InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant(
-    (0.0, 0.5), (1.0, 3.0)))], ids=["unit", "piecewise"])
+# --phi 0:1,0.5:3: the weight's change at 0.5 is a checkpoint knot
+PHI_0_1_05_3 = InsiderSpec.enlargement(T0=2.0, phi_weight=PiecewiseConstant((0.0, 0.5), (1.0, 3.0)))
+
+
+@pytest.mark.parametrize("insider", [NONE, UNIT, PHI_0_1_05_3], ids=["none", "unit", "piecewise"])
+@pytest.mark.parametrize("n_steps", [2, 7, 50, 200])
+def test_checkpoints_are_the_sequential_sum_of_the_increments(n_steps, insider):
+    # the state at every checkpoint, summed from the increments when a read
+    # needs it, is the plain running sum of w times each chunk's increment,
+    # bit for bit, whether the checkpoints are read backward, forward or
+    # shuffled, and between reads of the knots inside a chunk; the paths end
+    # mid-way through a partial sum
+    rng = np.random.default_rng(n_steps)
+    for market in (MARKET, JUMP):
+        paths = stream_sweep_paths(config_of(insider, _BLOCK + 777, market, n_steps))
+        knots, w = paths.checkpoint_knots, paths.weight
+        expect = [np.zeros(paths.n_paths)]
+        for k, a in enumerate(knots[:-1]):
+            expect.append(w[a] * paths.increments[k] + expect[-1])
+        K = len(knots) - 1
+        for k in [*range(K, -1, -1), *range(K + 1), *rng.permutation(K + 1), *rng.integers(0, K + 1, size=K)]:
+            assert np.array_equal(paths.level(knots[k]), expect[k]), (market, k)
+            assert np.array_equal(paths._checkpoint(k), expect[k]), (market, k)
+            if k < K and knots[k + 1] - knots[k] > 1:  # a knot inside the chunk, and back
+                inside = expect[k] + w[knots[k]] * paths._chunk(k)[0]
+                assert np.array_equal(paths.level(knots[k] + 1), inside), (market, k)
+                assert np.array_equal(paths.level(knots[k]), expect[k]), (market, k)
+
+
+@pytest.mark.parametrize("insider", [UNIT, PHI_0_1_05_3], ids=["unit", "piecewise"])
 def test_increments_have_the_law_of_brownian_increments(insider):
     # every step's dW has mean 0 and variance dt and is uncorrelated with the
     # next step's, within 4 SE at 100,000 paths, across chunk ends as inside
@@ -180,7 +209,7 @@ def test_horizon_sweep_inputs_equal_one_stream_per_horizon(insider, threads):
             assert paths.Y0.tobytes() == alone.Y0.tobytes()
             assert paths.weight.tobytes() == state_weight(replace(config, insider=signal), alone.grid).tobytes()
             # drawn once: the horizons share the coarse draw and the weight
-            assert paths.checkpoints is sweeps[0].checkpoints and paths.increments is sweeps[0].increments
+            assert paths.increments is sweeps[0].increments
             assert paths.weight is sweeps[0].weight
         assert len({paths.Y0.tobytes() for paths in sweeps}) == len(horizons)
 
@@ -302,10 +331,29 @@ def _peak_bytes(argv, tmp_path):
         tracemalloc.stop()
 
 
-# The input holds its checkpoints, the chunks' increments and one chunk,
-# about 3 sqrt(m) rows of n_paths (20 at m = 40), and the solve 11 to 23
-# more (the sweep's basis and knot rows, the driver's, the shot's): 31 to 43
-# rows in all, 0.75 to 1.05 of the bound's unit; a whole (n_paths, m) field
+@pytest.mark.parametrize("insider", [UNIT, NONE], ids=["unit", "none"])
+def test_a_drawn_input_holds_its_increments_and_at_most_two_rows_more(insider):
+    # once drawn, an input holds the K chunk increments, and under a signal
+    # Y0 and the state at T that formed it: at most K + 2 rows of n_paths,
+    # with less than one more row for the grid-sized arrays.  A stored
+    # (K + 1, n_paths) array of checkpoints would make it 2K + 2.
+    config = config_of(insider, 6 * _BLOCK, n_steps=200)
+    stream_sweep_paths(config_of(UNIT, 10))  # the draw's first call imports modules
+    tracemalloc.start()
+    try:
+        paths = stream_sweep_paths(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n_chunks, row = len(paths.checkpoint_knots) - 1, paths.n_paths * 8
+    assert n_chunks >= 14
+    assert held < (n_chunks + 3) * row, held / row
+
+
+# The input holds the chunks' increments, one checkpoint's state and one
+# chunk, about 2 sqrt(m) rows of n_paths (14 at m = 40), and the solve 11 to
+# 23 more (the sweep's basis and knot rows, the driver's, the shot's): 25 to
+# 37 rows in all, 0.6 to 0.9 of the bound's unit; a whole (n_paths, m) field
 # such as dW, dWH, the state, L, Z or full controls would add about m + 1 = 41.
 
 
